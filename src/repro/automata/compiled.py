@@ -27,11 +27,40 @@ certify` lowers at certify time, so the engine's plan cache replays
 compiled artifacts and workers never re-lower).
 
 :class:`CompiledVSetAutomaton` extends the kernel to spanner
-evaluation: configurations run as ``(position, state_id, status)``
-tuples against precomputed per-state move tables, and the
-suffix-acceptance table of :meth:`repro.spanners.vset_automaton.
-VSetAutomaton._suffix_acceptance` is computed by backward bitset
-sweeps instead of per-position frozenset scans.
+evaluation.  Evaluating one document is **two reverse sweeps and a
+pruned forward search**:
+
+1. the ``alive`` sweep — ``alive[p]`` is the bitset of states from
+   which *some* run over ``document[p:]`` reaches a final state when
+   variable operations are free moves, like epsilon.  If the initial
+   state is not in ``alive[0]`` the answer is empty and evaluation
+   stops there: one table chase for a chunk that holds no match;
+2. the ``finishable`` sweep — the suffix-acceptance table of
+   :meth:`repro.spanners.vset_automaton.VSetAutomaton.
+   _suffix_acceptance` (letters and epsilon only), which answers the
+   rest of a run exactly once every variable is closed;
+3. a breadth-first search over ``(position, state_id, status)``
+   configurations against precomputed per-state move tables, which
+   enqueues a successor only if its state is in ``alive`` at its
+   position and collapses on ``finishable`` when all variables are
+   closed — it expands configurations that lie on an accepting run
+   and nothing else, instead of every reachable configuration at
+   every position.
+
+**Why the pruning is sound for every automaton.**  ``alive`` forgets
+variable validity: a run may open a variable twice or never close it.
+Forgetting a constraint only adds runs, so ``alive[p]`` is a superset
+of the states any *valid* accepting run can occupy at ``p`` (and of
+``finishable[p]``).  A configuration dropped by the test therefore
+has no accepting continuation at all, valid or not, and no tuple is
+lost — whether or not the automaton is functional.  What the
+over-approximation costs is only that a non-functional automaton may
+keep some configurations a sharper analysis would drop; the search
+still rejects their invalid operations one by one, as before.
+
+Both tables are one recurrence over two closures
+(:class:`SuffixTable`), built at lowering time and swept by one
+routine.
 
 **Kernel v2 — byte-table sweeps.**  When every document letter is a
 single latin-1 character (which covers UTF-8's ASCII range one byte
@@ -40,28 +69,35 @@ lowered *again*, to flat ``bytes`` tables keyed by raw byte values:
 
 * :class:`ByteDFA` — forward acceptance as row-chained table lookups
   over the encoded word (one list index + one bytes index per byte);
-* :class:`ByteSuffixSweeper` — the suffix-acceptance recurrence as a
+* :class:`ByteSuffixSweeper` — a reverse table's recurrence as a
   *reverse* deterministic sweep, one table step per byte instead of a
-  per-position scan over all states.
+  per-position scan over all states; ``finishable`` and ``alive``
+  each get their own.
 
 Both carry batch entry points (:meth:`CompiledNFA.accepts_batch`,
 :meth:`CompiledVSetAutomaton.evaluate_batch`) that sweep many chunk
 texts through one table in a single call, amortizing Python dispatch
 — what the corpus scheduler feeds whole missing-chunk batches into.
-Wide or non-character alphabets, non-latin-1 documents, and automata
+Wide or non-character alphabets, non-latin-1 documents, and tables
 whose byte-subset construction exceeds the 256-row cap all fall back
-to the v1 integer/bitset path; results are byte-identical either way
-(``tests/test_compiled.py`` checks all three tiers differentially).
-The tier in effect is reported as :attr:`CompiledVSetAutomaton.
-kernel_tier` (``"v2-bytes"``/``"v1-int"``) and surfaces in
-``explain()``; sweep volume and table sizes land in the process-global
-registry as ``kernel.bytes_swept`` / ``kernel.table_bytes``.
+to the v1 masked-integer sweep — per table, so ``alive`` can be on
+integers while ``finishable`` is on bytes; results are identical
+either way (``tests/test_compiled.py`` checks the tiers
+differentially).  The tier in effect is reported as
+:attr:`CompiledVSetAutomaton.kernel_tier` (``"v2-bytes"``/
+``"v1-int"``, decided by ``finishable``'s table) and surfaces in
+``explain()``.  The process-global registry records sweep volume and
+table sizes as ``kernel.bytes_swept`` / ``kernel.table_bytes`` (both
+tables counted) and why chunks were cheap as
+``kernel.chunks_rejected`` (answered by ``alive[0]`` alone) /
+``kernel.configs_expanded``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
+from functools import partial
 from typing import (
     Dict,
     FrozenSet,
@@ -258,13 +294,14 @@ def _rebuild_byte_dfa(blob, flags, start) -> ByteDFA:
 
 
 class ByteSuffixSweeper:
-    """The suffix-acceptance recurrence as a reverse byte-table sweep.
+    """A :class:`SuffixTable`'s recurrence as a reverse byte-table sweep.
 
     Rows are deterministic *reverse* subset states: backward-closed
     bitsets of NFA states, with ``masks[rid]`` the bitset a row stands
     for.  One sweep walks the encoded document back to front, one
-    table step per byte, and emits the per-position ``finishable``
-    bitsets — replacing the v1 per-position scan over all states.
+    table step per byte, and emits the table's per-position bitsets
+    (``finishable`` or ``alive``, whichever table this machine was
+    determinized from).
     """
 
     def __init__(self, blob: bytes, masks: Sequence[int],
@@ -283,7 +320,7 @@ class ByteSuffixSweeper:
         return len(self.blob)
 
     def sweep_bytes(self, data) -> List[int]:
-        """``finishable`` bitsets for one encoded document."""
+        """The table's bitsets for one encoded document."""
         rows = self.rows
         masks = self.masks
         rid = self.start
@@ -733,6 +770,112 @@ def compile_nfa(nfa: NFA) -> CompiledNFA:
 # ----------------------------------------------------------------------
 
 
+def _latin1(document: Sequence[Symbol]) -> Optional[bytes]:
+    """``document`` as latin-1 bytes — what the byte sweepers walk —
+    or ``None`` when it is not a ``str`` or has a character above
+    U+00FF (the masked-int sweep handles those)."""
+    if type(document) is str:
+        try:
+            return document.encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+    return None
+
+
+def _or_rows(row: List[int], mask: int) -> int:
+    """OR of ``row[t]`` over the set bits ``t`` of ``mask`` — one
+    reverse step of a :class:`SuffixTable` on the letter ``row``
+    belongs to."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+class SuffixTable:
+    """One reverse acceptance table of a lowered VSet-automaton.
+
+    A table answers, for every position ``p`` of a document, *from
+    which states can ``document[p:]`` still be accepted* — under a
+    fixed notion of which moves are free.  :class:`CompiledVSetAutomaton`
+    holds two: ``finishable`` (epsilon moves free) and ``alive``
+    (epsilon **and variable-operation** moves free).  Both are the
+    same recurrence over different closures, so both live here and go
+    through the one :meth:`sweep` routine.
+
+    ``rev[a][t]`` is the backward closure of the states that reach
+    ``t`` directly on letter ``a`` and ``seed`` the backward closure
+    of the finals, so one masked-int step is an OR over the set bits
+    of the next position's bitset.  ``byte_sweeper`` is the same
+    recurrence determinized over byte values, or ``None`` when no
+    letter is a single latin-1 character or the reverse subset
+    construction passes :data:`MAX_BYTE_ROWS` — decided per table.
+    """
+
+    def __init__(self, rev: Dict[Symbol, List[int]], seed: int,
+                 byte_tables: bool = True) -> None:
+        self.rev = rev
+        self.seed = seed
+        self.byte_sweeper: Optional[ByteSuffixSweeper] = (
+            self._lower_bytes() if byte_tables else None
+        )
+
+    def _lower_bytes(self) -> Optional[ByteSuffixSweeper]:
+        """Deterministic subset construction over backward-closed
+        bitsets, seeded at the closed finals.  Letters that are not
+        single latin-1 characters get no byte rows — they cannot occur
+        in a latin-1-encodable document, and any other document takes
+        the integer sweep before reaching the byte machine."""
+        steps = {}
+        for letter, row in self.rev.items():
+            byte = _letter_byte(letter)
+            if byte is not None:
+                steps[byte] = partial(_or_rows, row)
+        if not steps and self.rev:
+            # No letter survives the byte lowering (wide alphabet):
+            # keep the table honestly on the integer sweep.
+            return None
+        built = _build_byte_tables(self.seed, steps)
+        if built is None:
+            return None
+        sweeper = ByteSuffixSweeper(*built)
+        kernel_metrics().counter("kernel.table_bytes").inc(
+            sweeper.table_bytes()
+        )
+        return sweeper
+
+    def sweep(self, document: Sequence[Symbol],
+              data: Optional[bytes]) -> List[int]:
+        """The table's bitset at every position ``0..len(document)``.
+
+        ``data`` is :func:`_latin1` of ``document`` (encoded once per
+        evaluation, shared by both tables): the byte sweeper runs when
+        it exists and the document encodes, the masked-int sweep
+        otherwise.  Both produce identical tables (checked
+        differentially in ``tests/test_compiled.py``).
+        """
+        sweeper = self.byte_sweeper
+        if sweeper is not None and data is not None:
+            return sweeper.sweep_bytes(data)
+        return self.sweep_int(document)
+
+    def sweep_int(self, document: Sequence[Symbol]) -> List[int]:
+        """The masked integer sweep: per position, OR the precomputed
+        ``rev`` masks of the next table's set bits — work is
+        O(popcount) per position instead of a scan over all states."""
+        n = len(document)
+        tables = [0] * (n + 1)
+        tables[n] = self.seed
+        rev = self.rev
+        for pos in range(n - 1, -1, -1):
+            row = rev.get(document[pos])
+            if row is not None:
+                tables[pos] = _or_rows(row, tables[pos + 1])
+        return tables
+
+
 class CompiledVSetAutomaton:
     """A VSet-automaton lowered for evaluation.
 
@@ -750,10 +893,8 @@ class CompiledVSetAutomaton:
         variables: Tuple[Hashable, ...],
         letter_moves: List[Dict[Symbol, Tuple[int, ...]]],
         var_moves: List[Tuple[Tuple[int, bool, Tuple[int, ...]], ...]],
-        letter_sources: Dict[Symbol, List[Tuple[int, int]]],
-        rev_closed: Dict[Symbol, List[int]],
-        bwd_finals: int,
-        byte_sweeper: Optional[ByteSuffixSweeper] = None,
+        finishable: SuffixTable,
+        alive: SuffixTable,
     ) -> None:
         self.base = base
         self.variables = variables
@@ -761,119 +902,125 @@ class CompiledVSetAutomaton:
         self.letter_moves = letter_moves
         #: Per state: ``(variable index, is_close, target ids)`` triples.
         self.var_moves = var_moves
-        #: Per letter: ``(state, direct successor bitset)`` pairs, the
-        #: input of the v1 backward suffix sweep (epsilon handled by the
-        #: backward closure, so these are *unclosed* direct moves).
-        self.letter_sources = letter_sources
-        #: Per letter: target-state-indexed backward-closure masks —
-        #: ``rev_closed[a][t]`` is the backward closure of the states
-        #: that reach ``t`` directly on ``a``, so one suffix-sweep step
-        #: is an OR over the set bits of the position's target bitset.
-        self.rev_closed = rev_closed
-        #: Backward closure of the finals — the sweep's seed table.
-        self.bwd_finals = bwd_finals
-        #: Byte-table reverse machine, or ``None`` on the int tier.
-        self.byte_sweeper = byte_sweeper
+        #: ``finishable[p]``: states accepting ``document[p:]`` with
+        #: letters and epsilon moves only — exact once every variable
+        #: is closed, which is where the search consults it.
+        self.finishable = finishable
+        #: ``alive[p]``: states from which *some* run over
+        #: ``document[p:]`` reaches a final state with variable
+        #: operations as free moves.  Ignoring variable validity only
+        #: adds runs, so ``alive[p]`` contains every state an accepting
+        #: valid run can be in at ``p`` — for any automaton, functional
+        #: or not — and pruning the search with it loses no result.
+        self.alive = alive
 
     # -- suffix acceptance ---------------------------------------------
 
-    def _backward_closure(self, mask: int) -> int:
-        """States whose epsilon closure meets ``mask``."""
-        closure = self.base.closure
-        out = 0
-        bit = 1
-        for s in range(self.base.n_states):
-            if closure[s] & mask:
-                out |= bit
-            bit <<= 1
-        return out
-
     def suffix_acceptance(self, document: Sequence[Symbol]) -> List[int]:
-        """``finishable[p]``: bitset of states accepting ``document[p:]``
-        with letters and epsilon moves only (no variable operations).
-
-        Dispatch: the byte-table reverse sweep when the document is a
-        latin-1 string and the byte machine exists, otherwise the
-        masked integer path.  All tiers produce identical tables
-        (checked differentially in ``tests/test_compiled.py``).
-        """
-        sweeper = self.byte_sweeper
-        if sweeper is not None and type(document) is str:
-            try:
-                data = document.encode("latin-1")
-            except UnicodeEncodeError:
-                pass
-            else:
-                return sweeper.sweep_bytes(data)
-        return self.suffix_acceptance_int(document)
+        """``finishable[p]`` for every position (byte sweep when the
+        table has one and the document is latin-1, else masked-int)."""
+        return self.finishable.sweep(document, _latin1(document))
 
     def suffix_acceptance_int(
         self, document: Sequence[Symbol]
     ) -> List[int]:
-        """The masked integer sweep: per position, OR the precomputed
-        ``rev_closed`` masks of the next table's set bits — work is
-        O(popcount) per position instead of a scan over all states."""
-        n = len(document)
-        tables = [0] * (n + 1)
-        tables[n] = self.bwd_finals
-        rev = self.rev_closed
-        for pos in range(n - 1, -1, -1):
-            row = rev.get(document[pos])
-            out = 0
-            if row is not None:
-                target = tables[pos + 1]
-                while target:
-                    low = target & -target
-                    out |= row[low.bit_length() - 1]
-                    target ^= low
-            tables[pos] = out
-        return tables
-
-    def suffix_acceptance_v1(
-        self, document: Sequence[Symbol]
-    ) -> List[int]:
-        """The PR-2 reference sweep, kept verbatim as the differential
-        baseline: per position, rescan ``letter_sources`` and take the
-        backward closure of the surviving source states."""
-        n = len(document)
-        tables = [0] * (n + 1)
-        tables[n] = self._backward_closure(self.base.finals_mask)
-        sources = self.letter_sources
-        for pos in range(n - 1, -1, -1):
-            target = tables[pos + 1]
-            direct = 0
-            for state, mask in sources.get(document[pos], ()):
-                if mask & target:
-                    direct |= 1 << state
-            tables[pos] = self._backward_closure(direct)
-        return tables
+        """``finishable[p]`` by the masked integer sweep, whatever the
+        tier (the base the byte sweep is measured and checked against)."""
+        return self.finishable.sweep_int(document)
 
     @property
     def kernel_tier(self) -> str:
-        """``"v2-bytes"`` when the reverse byte machine exists,
-        ``"v1-int"`` otherwise."""
-        return "v2-bytes" if self.byte_sweeper is not None else "v1-int"
+        """``"v2-bytes"`` when the ``finishable`` reverse byte machine
+        exists, ``"v1-int"`` otherwise."""
+        return ("v2-bytes" if self.finishable.byte_sweeper is not None
+                else "v1-int")
 
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, document: Sequence[Symbol]) -> Set:
         """Exact enumeration of ``A(d)``; agrees with the interpreted
         :meth:`repro.spanners.vset_automaton.VSetAutomaton.
-        evaluate_interpreted` on every document.
+        evaluate_interpreted` on every document."""
+        results, expanded = self._search(document)
+        self._count(0 if expanded else 1, expanded)
+        return results
 
-        Configurations carry the count of not-yet-closed variables so
-        the all-closed collapse (answered by the suffix table) costs an
-        integer comparison, not a status scan.
+    def evaluate_batch(
+        self,
+        documents: Sequence[Sequence[Symbol]],
+        latency=None,
+    ) -> List[Set]:
+        """Evaluate many chunk texts against one artifact in one call.
+
+        The batch form the scheduler and pool workers feed whole
+        missing-chunk batches into; ``latency`` is an optional
+        histogram observing per-document seconds (the engine's
+        ``engine.chunk_eval_seconds``) without a second dispatch
+        layer.  The kernel counters are bumped once for the batch.
         """
+        search = self._search
+        results: List[Set] = []
+        append = results.append
+        rejected = expanded_total = 0
+        clock = time.perf_counter
+        for document in documents:
+            if latency is not None:
+                started = clock()
+            found, expanded = search(document)
+            if latency is not None:
+                latency.observe(clock() - started)
+            append(found)
+            if expanded:
+                expanded_total += expanded
+            else:
+                rejected += 1
+        self._count(rejected, expanded_total)
+        return results
+
+    @staticmethod
+    def _count(rejected: int, expanded: int) -> None:
+        """Say why chunks were cheap: ``kernel.chunks_rejected`` counts
+        documents answered by ``alive[0]`` alone,
+        ``kernel.configs_expanded`` the configurations the searches of
+        the others dequeued.  Looked up per call, so unpickled
+        artifacts report into their own process's registry."""
+        metrics = kernel_metrics()
+        if rejected:
+            metrics.counter("kernel.chunks_rejected").inc(rejected)
+        if expanded:
+            metrics.counter("kernel.configs_expanded").inc(expanded)
+
+    def _search(self, document: Sequence[Symbol]) -> Tuple[Set, int]:
+        """``(A(d), configurations expanded)``: two reverse sweeps and
+        a pruned forward search.
+
+        1. Sweep ``alive``.  If the initial state is not in
+           ``alive[0]`` no run over the document accepts, valid or
+           not: the answer is empty and nothing is expanded (the
+           count is 0 exactly in this case — a search always expands
+           its start configuration).
+        2. Sweep ``finishable``.
+        3. Breadth-first search over ``(pos, state, status)``,
+           enqueueing a successor only when its state is in ``alive``
+           at its position, so the search follows accepting runs (of
+           the validity-blind automaton) only.  Configurations carry
+           the count of not-yet-closed variables so the all-closed
+           collapse (answered by ``finishable``) costs an integer
+           comparison, not a status scan.
+        """
+        initial = self.base.initial_id
+        data = _latin1(document)
+        alive = self.alive.sweep(document, data)
+        if not (alive[0] >> initial) & 1:
+            return set(), 0
+        finishable = self.finishable.sweep(document, data)
         n = len(document)
-        finishable = self.suffix_acceptance(document)
         variables = self.variables
-        initial_status: Tuple = (None,) * len(variables)
         letter_moves = self.letter_moves
         var_moves = self.var_moves
 
         results: Set = set()
-        start = (0, self.base.initial_id, initial_status, len(variables))
+        start = (0, initial, (None,) * len(variables), len(variables))
         seen = {start}
         add_seen = seen.add
         queue = deque([start])
@@ -886,6 +1033,7 @@ class CompiledVSetAutomaton:
                 if (finishable[pos] >> state) & 1:
                     results.add(SpanTuple(dict(zip(variables, status))))
                 continue
+            live = alive[pos]
             for k, is_close, targets in var_moves[state]:
                 part = status[k]
                 if is_close:
@@ -900,44 +1048,56 @@ class CompiledVSetAutomaton:
                     remaining = open_vars
                 new_status = status[:k] + (new_part,) + status[k + 1 :]
                 for target in targets:
-                    config = (pos, target, new_status, remaining)
-                    if config not in seen:
-                        add_seen(config)
-                        push(config)
-            if pos < n:
-                targets = letter_moves[state].get(document[pos])
-                if targets:
-                    for target in targets:
-                        config = (pos + 1, target, status, open_vars)
+                    if (live >> target) & 1:
+                        config = (pos, target, new_status, remaining)
                         if config not in seen:
                             add_seen(config)
                             push(config)
-        return results
+            if pos < n:
+                targets = letter_moves[state].get(document[pos])
+                if targets:
+                    live = alive[pos + 1]
+                    for target in targets:
+                        if (live >> target) & 1:
+                            config = (pos + 1, target, status, open_vars)
+                            if config not in seen:
+                                add_seen(config)
+                                push(config)
+        return results, len(seen)
 
-    def evaluate_batch(
-        self,
-        documents: Sequence[Sequence[Symbol]],
-        latency=None,
-    ) -> List[Set]:
-        """Evaluate many chunk texts against one artifact in one call.
 
-        The batch form the scheduler and pool workers feed whole
-        missing-chunk batches into; ``latency`` is an optional
-        histogram observing per-document seconds (the engine's
-        ``engine.chunk_eval_seconds``) without a second dispatch
-        layer.
-        """
-        evaluate = self.evaluate
-        if latency is None:
-            return [evaluate(document) for document in documents]
-        results: List[Set] = []
-        append = results.append
-        clock = time.perf_counter
-        for document in documents:
-            started = clock()
-            append(evaluate(document))
-            latency.observe(clock() - started)
-        return results
+def _reverse_tables(
+    closure: List[int],
+    letter_sources: Dict[Symbol, List[Tuple[int, int]]],
+    finals_mask: int,
+) -> Tuple[Dict[Symbol, List[int]], int]:
+    """``(rev, seed)`` of one :class:`SuffixTable` under ``closure``,
+    the per-state bitsets of what free moves reach.
+
+    ``bwd_single[t]`` is the transpose of the closure — the states
+    whose closure contains ``t`` — so any backward closure is an OR of
+    ``bwd_single`` rows over set bits.
+    """
+    n = len(closure)
+    bwd_single = [0] * n
+    for s in range(n):
+        sbit = 1 << s
+        for t in bits(closure[s]):
+            bwd_single[t] |= sbit
+
+    seed = 0
+    for t in bits(finals_mask):
+        seed |= bwd_single[t]
+
+    rev: Dict[Symbol, List[int]] = {}
+    for letter, pairs in letter_sources.items():
+        row = [0] * n
+        for s, mask in pairs:
+            sb = bwd_single[s]
+            for t in bits(mask):
+                row[t] |= sb
+        rev[letter] = row
+    return rev, seed
 
 
 def compile_vset_automaton(
@@ -947,10 +1107,11 @@ def compile_vset_automaton(
 
     Reuses the underlying NFA's compiled form (one lowering serves both
     language-level queries and spanner evaluation), then derives the
-    source-closed move tables and the suffix-sweep inputs — including
-    the precomputed backward-closure masks and, when every document
-    letter is a single latin-1 character and the reverse subset
-    construction fits :data:`MAX_BYTE_ROWS`, the byte-table sweeper.
+    source-closed move tables and the two reverse tables of the
+    evaluation — ``finishable`` and ``alive``, each with its
+    precomputed backward-closure masks and, when every document letter
+    is a single latin-1 character and its reverse subset construction
+    fits :data:`MAX_BYTE_ROWS`, its byte-table sweeper.
     ``byte_tables=False`` pins the v1 integer tier (differential
     tests compare the tiers this way).
     """
@@ -993,74 +1154,30 @@ def compile_vset_automaton(
             for (k, is_close), mask in sorted(ops.items())
         ))
 
+    # Per letter: ``(state, direct successor bitset)`` pairs — the
+    # *unclosed* letter moves both reverse tables are built from.
     letter_sources: Dict[Symbol, List[Tuple[int, int]]] = {}
+    # Per state: epsilon closure plus direct variable-operation
+    # successors; its transitive closure is what ``alive`` treats as
+    # free (the operations the search itself can take, no others).
+    free_edges = list(base.closure)
     for s in range(n):
         for index, mask in base.direct_next[s].items():
             letter = letter_ids.get(index)
             if letter is not None:
                 letter_sources.setdefault(letter, []).append((s, mask))
+            elif index in varop_ids:
+                free_edges[s] |= mask
 
-    # ---- precomputed backward-closure structure for the suffix sweep.
-    # ``bwd_single[t]`` is the transpose of the epsilon closure — the
-    # states whose closure contains ``t`` — so any backward closure is
-    # an OR of ``bwd_single`` rows over set bits.
-    bwd_single = [0] * n
-    for s in range(n):
-        sbit = 1 << s
-        for t in bits(base.closure[s]):
-            bwd_single[t] |= sbit
-
-    bwd_finals = 0
-    for t in bits(base.finals_mask):
-        bwd_finals |= bwd_single[t]
-
-    rev_closed: Dict[Symbol, List[int]] = {}
-    for letter, pairs in letter_sources.items():
-        row = [0] * n
-        for s, mask in pairs:
-            sb = bwd_single[s]
-            for t in bits(mask):
-                row[t] |= sb
-        rev_closed[letter] = row
-
-    # ---- reverse byte machine: deterministic subset construction over
-    # backward-closed bitsets, seeded at the closed finals.  Letters
-    # that are not single latin-1 characters get no byte rows — they
-    # cannot occur in a latin-1-encodable document, and any other
-    # document falls back to the integer sweep before reaching here.
-    byte_sweeper = None
-    if byte_tables:
-        byte_steps = {}
-        for letter, row in rev_closed.items():
-            byte = _letter_byte(letter)
-            if byte is None:
-                continue
-
-            def step(mask: int, row: List[int] = row) -> int:
-                out = 0
-                while mask:
-                    low = mask & -mask
-                    out |= row[low.bit_length() - 1]
-                    mask ^= low
-                return out
-
-            byte_steps[byte] = step
-        if not byte_steps and rev_closed:
-            # No letter survives the byte lowering (wide alphabet):
-            # keep the compiled spanner honestly on the v1 tier.
-            return CompiledVSetAutomaton(
-                base, variables, letter_moves, var_moves, letter_sources,
-                rev_closed, bwd_finals, None,
-            )
-        built = _build_byte_tables(bwd_finals, byte_steps)
-        if built is not None:
-            blob, masks, start = built
-            byte_sweeper = ByteSuffixSweeper(blob, masks, start)
-            kernel_metrics().counter("kernel.table_bytes").inc(
-                byte_sweeper.table_bytes()
-            )
-
+    finishable = SuffixTable(
+        *_reverse_tables(base.closure, letter_sources, base.finals_mask),
+        byte_tables,
+    )
+    alive = SuffixTable(
+        *_reverse_tables(_epsilon_closures(free_edges, n), letter_sources,
+                         base.finals_mask),
+        byte_tables,
+    )
     return CompiledVSetAutomaton(
-        base, variables, letter_moves, var_moves, letter_sources,
-        rev_closed, bwd_finals, byte_sweeper,
+        base, variables, letter_moves, var_moves, finishable, alive,
     )

@@ -38,7 +38,7 @@ from typing import (
 
 from repro.core.spans import Span, SpanTuple, whole_span
 from repro.obs.log import event_log
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import Metrics, kernel_metrics
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.executor import SpannerLike, splitter_spans
 from repro.runtime.planner import CertifiedPlan, Planner, RegisteredSplitter
@@ -746,7 +746,17 @@ class ExtractionEngine:
         (:meth:`repro.engine.stats.EngineStats.from_metrics`): the
         stats surface and ``self.metrics`` read the same instruments
         and can never disagree.
+
+        ``extra`` carries why evaluated chunks were cheap or dear —
+        ``kernel.chunks_rejected`` (answered by the kernel's ``alive``
+        sweep alone) and ``kernel.configs_expanded`` — read from the
+        process-global :func:`repro.obs.metrics.kernel_metrics`, so
+        they count the evaluations of *this process* (every engine in
+        it; not those of pool workers, which report into their own).
         """
+        kernel = kernel_metrics().value
         return EngineStats.from_metrics(
-            self.metrics, chunk_cache_size=len(self.chunk_cache)
+            self.metrics, chunk_cache_size=len(self.chunk_cache),
+            extra={name: kernel(name) for name in
+                   ("kernel.chunks_rejected", "kernel.configs_expanded")},
         )

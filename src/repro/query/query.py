@@ -10,10 +10,10 @@ pick splitters, certify, execute::
 
 Builders are immutable: every configuration method returns a new
 :class:`Query`, so partially-configured queries can be shared and
-forked safely.  (The one piece of derived state — the lazily built
-engine handle of :meth:`Query.engine` — is cached on first use;
-queries are not synchronized for concurrent first execution across
-threads.)  Execution goes through the corpus engine
+forked safely.  (The derived state — the lazily built engine handle of
+:meth:`Query.engine` and the program of :meth:`Query.program` — is
+cached on first use; queries are not synchronized for concurrent first
+execution across threads.)  Execution goes through the corpus engine
 (:class:`repro.engine.ExtractionEngine`) — certification runs exactly
 once per (program, registry) pair via the plan cache, chunks
 deduplicate corpus-wide, and results stream lazily as a
@@ -45,7 +45,8 @@ class Query:
 
     __slots__ = ("_spanner", "_splitters", "_method", "_workers",
                  "_batch_size", "_chunk_cache_limit", "_engine",
-                 "_engine_explicit", "_index", "_tracer", "_flight")
+                 "_engine_explicit", "_index", "_tracer", "_flight",
+                 "_program")
 
     def __init__(self, spanner: object, **settings: object) -> None:
         if not isinstance(spanner, Spanner):
@@ -71,6 +72,8 @@ class Query:
         # None = no flight recording; a repro.obs.FlightRecorder =
         # the service built by .serve() records completed queries.
         object.__setattr__(self, "_flight", settings.get("flight"))
+        # Derived, like a lazily built engine: see program().
+        object.__setattr__(self, "_program", None)
 
     def __setattr__(self, attribute: str, value: object) -> None:
         raise AttributeError("Query is immutable; chain methods instead")
@@ -286,10 +289,20 @@ class Query:
         return self._engine
 
     def program(self):
-        """The engine program for this query's spanner."""
-        from repro.engine.engine import Program
+        """The engine program for this query's spanner (built once per
+        query).
 
-        return Program.from_query(self._spanner)
+        A program owns its chunk runner, and the scheduler keeps its
+        worker pool for as long as the runner object stays the same —
+        so handing every :meth:`over` the one program is what lets a
+        ``workers(n)`` query reuse its pool from pass to pass.
+        """
+        if self._program is None:
+            from repro.engine.engine import Program
+
+            object.__setattr__(self, "_program",
+                               Program.from_query(self._spanner))
+        return self._program
 
     def certify(self):
         """The (cached) :class:`repro.runtime.planner.CertifiedPlan`."""

@@ -165,10 +165,12 @@ class VSetAutomaton:
 
         Runs configurations ``(position, state_id, status)`` against
         the compiled kernel (:meth:`compiled`): per-state move tables
-        over dense integer ids, with the suffix-acceptance collapse —
-        as soon as every variable is closed the remaining run is pure
-        language acceptance, answered by a table computed with backward
-        bitset sweeps.  Agrees exactly with
+        over dense integer ids, pruned to the states a reverse
+        ``alive`` sweep says can still accept (a document no run
+        accepts is rejected by that sweep alone), with the
+        suffix-acceptance collapse — as soon as every variable is
+        closed the remaining run is pure language acceptance, answered
+        by a second reverse table.  Agrees exactly with
         :meth:`evaluate_interpreted`.
         """
         self.check_document(document)

@@ -19,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 from repro.automata.compiled import (
     MAX_BYTE_ROWS,
     LazyDFA,
+    _latin1,
     bits,
     compile_nfa,
     compile_vset_automaton,
 )
 from repro.automata.nfa import EPSILON, NFA
+from repro.obs.metrics import kernel_metrics
 from repro.spanners.refwords import Close, Open, gamma
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -321,13 +323,46 @@ def test_suffix_and_evaluate_tiers_agree(vsa, documents):
     v2 = compile_vset_automaton(vsa, byte_tables=True)
     v1 = compile_vset_automaton(vsa, byte_tables=False)
     assert v1.kernel_tier == "v1-int"
+    states = v2.base.state_id
     for document in list(documents) + words_upto("ab", 3):
         tables = v2.suffix_acceptance(document)
         assert tables == v1.suffix_acceptance_int(document)
-        assert tables == v1.suffix_acceptance_v1(document)
+        # ... and both are the interpreter's table, restricted to the
+        # states the lowering kept (the reachable ones).
+        assert [v2.base.mask_to_states(mask) for mask in tables] == [
+            frozenset(state for state in table if state in states)
+            for table in vsa._suffix_acceptance(document)
+        ]
+        # ``alive``: byte sweep == int sweep, and it over-approximates
+        # ``finishable`` at every position (variable operations are
+        # extra free moves, never fewer).
+        alive = v2.alive.sweep(document, _latin1(document))
+        assert alive == v1.alive.sweep_int(document)
+        assert all(live & done == done
+                   for live, done in zip(alive, tables))
         assert v2.evaluate(document) == v1.evaluate(document)
     assert v2.evaluate_batch(documents) == [
         v1.evaluate(document) for document in documents
+    ]
+
+
+#: An alphabet with a non-latin-1 letter: the byte tables cover ``a``
+#: and ``b`` only, so documents holding ``Ā`` take the integer
+#: sweeps per document while staying inside the alphabet — which lets
+#: the pruned search be held against the interpreter on them too.
+WIDE = "abĀ"
+
+
+@settings(**SETTINGS)
+@given(random_vset_automata(alphabet=WIDE),
+       st.lists(st.text(alphabet=WIDE, max_size=6), max_size=6))
+def test_pruned_search_matches_interpreted(vsa, documents):
+    # Non-functional automata, zero to two variables, latin-1 and
+    # non-latin-1 documents: pruning on ``alive`` loses no tuple.
+    for document in documents:
+        assert vsa.evaluate(document) == vsa.evaluate_interpreted(document)
+    assert vsa.compiled().evaluate_batch(documents) == [
+        vsa.evaluate_interpreted(document) for document in documents
     ]
 
 
@@ -368,6 +403,72 @@ def test_byte_row_cap_falls_back_to_v1():
     assert compiled.kernel_tier == "v1-int"
     assert compiled.accepts("a" + "b" * k)
     assert not compiled.accepts("b" * (k + 1))
+
+
+def _counters():
+    value = kernel_metrics().value
+    return (value("kernel.chunks_rejected"),
+            value("kernel.configs_expanded"))
+
+
+def test_alive_row_cap_falls_back_alone():
+    # (a|b)^9 a (a|b)* x{ } with the capture at the very end: reading
+    # backwards, ``alive`` has to remember the last ten letters to know
+    # whether the tenth from the front is an ``a`` — 2^10 reverse
+    # subsets, past the cap — while ``finishable`` (no variable
+    # operations) never leaves the final state.  ``alive`` sweeps on
+    # integers, ``finishable`` on bytes; tier and results unchanged.
+    k = 9
+    x_open, x_close = Open("x"), Close("x")
+    transitions = []
+    for i in range(k):
+        transitions += [(i, "a", i + 1), (i, "b", i + 1)]
+    transitions += [
+        (k, "a", k + 1), (k + 1, "a", k + 1), (k + 1, "b", k + 1),
+        (k + 1, x_open, k + 2), (k + 2, x_close, k + 3),
+    ]
+    nfa = NFA(frozenset("ab") | gamma({"x"}), range(k + 4), 0, [k + 3],
+              transitions)
+    vsa = VSetAutomaton("ab", {"x"}, nfa)
+    compiled = compile_vset_automaton(vsa)
+    assert compiled.alive.byte_sweeper is None
+    assert compiled.finishable.byte_sweeper is not None
+    assert compiled.kernel_tier == "v2-bytes"
+    reference = compile_vset_automaton(vsa, byte_tables=False)
+    documents = ["", "b" * k + "a", "b" * (k + 1), "a" * (k + 3),
+                 "ab" * k, "ba" * k]
+    for document in documents:
+        assert compiled.evaluate(document) == \
+            vsa.evaluate_interpreted(document)
+        assert compiled.evaluate(document) == reference.evaluate(document)
+    assert compiled.evaluate("ab" * k) == set()
+    assert len(compiled.evaluate("ba" * k)) == 1
+
+
+def test_dead_initial_state_expands_nothing():
+    # y{a+} between spaces: a chunk without an ``a`` has no accepting
+    # run at all, so ``alive[0]`` rejects it before any configuration
+    # exists; a matching chunk expands configurations on accepting
+    # runs only.  Both counters move once per call.
+    from repro.spanners.regex_formulas import compile_regex_formula
+
+    compiled = compile_regex_formula(
+        ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}", frozenset("ab ")
+    ).compiled()
+    rejected, expanded = _counters()
+    assert compiled.evaluate("bb b bbb") == set()
+    assert _counters() == (rejected + 1, expanded)
+    assert compiled.evaluate_batch(["b", "", "bb bb"]) == [set()] * 3
+    assert _counters() == (rejected + 4, expanded)
+    matching = "bb aaa b"
+    assert len(compiled.evaluate(matching)) == 1
+    after = _counters()
+    assert after[0] == rejected + 4
+    assert 0 < after[1] - expanded <= len(matching) + 8
+    # A chunk can pass ``alive[0]`` and still produce nothing only when
+    # validity (which ``alive`` ignores) kills every run; never here.
+    assert compiled.evaluate_batch([matching, "b b"]) \
+        == [compiled.evaluate(matching), set()]
 
 
 def test_byte_dfa_has_bounded_rows():

@@ -325,6 +325,39 @@ class TestQueryBuilder:
         assert results.materialize()
         assert engine.stats().certifications == 1
 
+    def test_pool_survives_over(self):
+        # One Program per Query, hence one runner object, hence one
+        # pool: a second .over() pass runs on the workers of the first.
+        import io
+        import json
+        import multiprocessing
+
+        from repro.obs import configure_event_log, event_log
+
+        def worker_pids():
+            return {child.pid for child in multiprocessing.active_children()}
+
+        query = Q(Spanner.regex(PATTERN, TXT)).split_by("tokens").workers(2)
+        assert query.program() is query.program()
+        before = worker_pids()
+        stream = io.StringIO()
+        handler = configure_event_log(stream=stream)
+        try:
+            first = query.over(CORPUS).materialize()
+            workers = worker_pids() - before
+            assert len(workers) == 2
+            query.engine().chunk_cache.clear()   # re-evaluate, on the pool
+            second = query.over(CORPUS).materialize()
+            assert worker_pids() - before == workers
+        finally:
+            event_log().detach(handler)
+            query.engine().close()
+        assert first == second
+        events = [json.loads(line)["event"]
+                  for line in stream.getvalue().splitlines()]
+        assert events.count("engine.pool.start") == 1
+        assert "engine.pool.retire" not in events
+
     def test_reconfiguring_a_pinned_query_raises(self):
         engine = ExtractionEngine(
             [Splitter.named("tokens", TXT).registered(priority=1)]

@@ -90,7 +90,16 @@ def test_tables_travel_out_of_band():
         lengths.append(length)
         offset += shm._LENGTH.size
     assert offset + payload_length + sum(lengths) == len(image)
+    # Both reverse tables of the kernel — ``finishable`` and the
+    # ``alive`` table the search prunes on — ship as raw buffers.
+    kernel = runner._kernel
+    for table in (kernel.finishable, kernel.alive):
+        blob = table.byte_sweeper.blob
+        assert len(blob) in lengths
+        assert blob not in image[offset:offset + payload_length]
     clone = shm._decode(memoryview(image))
+    assert clone._kernel.alive.byte_sweeper.blob \
+        == kernel.alive.byte_sweeper.blob
     assert clone.evaluate("aa ab a.") == runner.evaluate("aa ab a.")
 
 
