@@ -333,8 +333,7 @@ def smoke_shm_workers() -> List[str]:
     status = pooled.scheduler.worker_shm_status()
     pooled.close()
 
-    baseline = ExtractionEngine(sentence_registry(), workers=0,
-                                use_shm=False)
+    baseline = ExtractionEngine(sentence_registry(), workers=0)
     baseline_result = baseline.run(
         corpus, Program(specification, name="baseline")
     )

@@ -64,7 +64,7 @@ def main() -> None:
 
     # 2. Reopen by mmap — header-only parse, postings stay on disk
     #    until a gram is actually queried.  The handle pickles as its
-    #    path, so pool workers map segments instead of copying them.
+    #    path, so another process maps segments instead of copying them.
     index.close()
     index = SegmentedIndex.open(path)
     engine.attach_index(index)

@@ -4,9 +4,9 @@ export a Chrome trace, scrape Prometheus metrics.
 ``Q(...).traced()`` attaches a :class:`repro.Tracer` to the query's
 engine: every phase of the run — certification, kernel compilation,
 splitting, prefiltering, scheduling, chunk evaluation, merging — lands
-in its span buffer, *including the spans recorded inside pool worker
-processes*, which the scheduler ships back and grafts onto the parent
-trace.  The engine's metrics registry fills alongside: chunk-latency
+in its span buffer, *including one span per pool task, carrying the
+worker's pid*, which the scheduler builds from the telemetry every
+task returns.  The engine's metrics registry fills alongside: chunk-latency
 histograms, per-worker busy counters, queue-wait distributions,
 certification timings.
 

@@ -213,17 +213,19 @@ class ExtractionEngine:
 
     ``tracer`` attaches an enabled :class:`repro.obs.trace.Tracer`:
     every phase of every run then lands in its span buffer (including
-    worker-process spans, merged back by the scheduler).  Defaults to
-    the shared disabled tracer — a no-op.  ``metrics`` supplies the
+    one worker-pid ``evaluate`` span per pool task, built by the
+    scheduler from the task's telemetry).  Defaults to the shared
+    disabled tracer — a no-op.  ``metrics`` supplies the
     :class:`repro.obs.metrics.Metrics` registry the engine's counters
     live in; :meth:`stats` is a view over it, and passing a shared
     registry aggregates several engines into one exposition.
 
-    ``use_shm`` passes through to the scheduler: with the default
-    ``None``, compiled artifacts reach pool workers through a
-    :mod:`multiprocessing.shared_memory` segment workers attach by
-    name (unlinked on :meth:`close`); ``False`` forces initializer
-    pickling (see :class:`repro.engine.scheduler.Scheduler`).
+    With ``workers > 1`` compiled artifacts reach pool workers through
+    a :mod:`multiprocessing.shared_memory` segment workers attach by
+    name (unlinked on :meth:`close`); the fallback for platforms or
+    runners without it is automatic and reported on the
+    ``engine.pool.start`` event
+    (see :class:`repro.runtime.executor.WorkerPool`).
     """
 
     def __init__(
@@ -239,7 +241,6 @@ class ExtractionEngine:
         prefilter: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[Metrics] = None,
-        use_shm: Optional[bool] = None,
     ) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else Metrics()
@@ -247,8 +248,7 @@ class ExtractionEngine:
                                tracer=self.tracer)
         self.scheduler = Scheduler(workers=workers, batch_size=batch_size,
                                    tracer=self.tracer,
-                                   metrics=self.metrics,
-                                   use_shm=use_shm)
+                                   metrics=self.metrics)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.chunk_cache = (chunk_cache if chunk_cache is not None
                             else ChunkCache(chunk_cache_limit))
@@ -383,10 +383,9 @@ class ExtractionEngine:
 
         Accepts an index object (:class:`repro.index.CorpusIndex` or
         :class:`repro.index.store.SegmentedIndex`) or a *path*, opened
-        via :func:`repro.index.store.open_index`.  A directory-backed
-        (mmap) index is also registered with the scheduler so pool
-        workers map its segments by path in their initializers —
-        postings never ride a pickle to a worker.  Takes effect from
+        via :func:`repro.index.store.open_index`.  The index stays in
+        this process: the prefilter consults it before chunks are
+        scheduled, so pool workers never see it.  Takes effect from
         the next run; with the default ``prefilter=None`` attaching an
         index is what switches chunk skipping on.
         """
@@ -400,9 +399,6 @@ class ExtractionEngine:
                 index.source_path = path
         self._index = index
         self._filters.clear()
-        self.scheduler.premap_index(
-            getattr(index, "directory", None)
-        )
         event_log().emit(
             "engine.index.attach",
             directory=getattr(index, "directory", None),
@@ -696,11 +692,12 @@ class ExtractionEngine:
         one if it is already a private enabled/enableable instance, or
         a fresh ``Tracer()`` when the engine still holds the shared
         :data:`NULL_TRACER` (which must never be mutated: other
-        engines share it).  The scheduler notices the mode change at
-        its next pool build, so worker-side span collection follows
-        automatically.  Returns the active tracer.  This is how a
-        flight recorder with ``capture_spans=True`` turns a previously
-        untraced engine into one producing per-query span trees.
+        engines share it).  A live worker pool is kept: its tasks
+        return the same telemetry either way, and from the next pass
+        the scheduler also turns it into spans.  Returns the active
+        tracer.  This is how a flight recorder with
+        ``capture_spans=True`` turns a previously untraced engine into
+        one producing per-query span trees.
         """
         if tracer is None:
             tracer = (Tracer() if self.tracer is NULL_TRACER

@@ -1,29 +1,26 @@
 """Work-queue scheduling of chunk batches over a process pool.
 
 The scheduler receives per-document chunk lists, consults the chunk
-cache, fans the *missing* texts out over a worker pool in configurable
-batches, and merges the shifted span-tuples back per document — the
-engine-side realization of ``P = P_S o S``: once certified, chunks are
-context-free units of work that can be executed anywhere, in any
-order, and shared between documents.
+cache, fans the *missing* texts out over a worker pool, and merges the
+shifted span-tuples back per document — the engine-side realization of
+``P = P_S o S``: once certified, chunks are context-free units of work
+that can be executed anywhere, in any order, and shared between
+documents.
 
 ``workers <= 1`` degrades to in-process sequential evaluation (no pool
 overhead), which is also the configuration benchmarks use to isolate
 caching effects from parallelism.
 
-The scheduler is also where worker-side observability comes home
-(:mod:`repro.obs`): with a tracer enabled, pool workers run their
-chunk evaluations inside worker-local spans, drain their span/metric
-buffers after every task, and ship them back with the result; this
-side adopts the spans under the current ``evaluate`` phase span,
-merges the metric deltas (chunk-latency histograms, per-worker busy
-time), and derives queue-wait from the gap between submission and
-each worker span's wall-clock start.
+How a runner reaches a worker and what a pool task is belong to
+:class:`repro.runtime.executor.WorkerPool`; this side decides what the
+telemetry every task returns means (:mod:`repro.obs`): chunk latency,
+per-worker busy time and queue wait always land in the metrics
+registry, and an enabled tracer additionally gets one ``evaluate``
+span per task.  Tracing never changes what the workers run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -31,20 +28,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.spans import Span, SpanTuple
 from repro.obs.log import event_log
 from repro.obs.metrics import Metrics
-from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.executor import (
-    SpannerLike,
-    _evaluate_text_traced,
-    _evaluate_texts_batch,
-    _evaluate_texts_batch_metered,
-    _init_worker,
-    _init_worker_premap,
-    _init_worker_shm,
-    _init_worker_shm_traced,
-    _init_worker_traced,
-    _worker_index_status,
-    _worker_shm_status,
-)
+from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
+from repro.runtime.executor import SpannerLike, WorkerPool, evaluate_chunks
 
 from repro.engine.deadline import NEVER, Deadline
 
@@ -69,35 +54,23 @@ class Scheduler:
     ``workers`` is the process-pool size (``0``/``1`` = run in
     process).  ``batch_size`` is how many *documents* the engine feeds
     per scheduler pass — it bounds peak memory and sets the in-pass
-    dedup granularity; the pool task chunksize is derived per pass in
-    :meth:`_evaluate_missing` (several waves per worker, the paper's
-    scheduling-granularity effect for skewed chunk costs).
+    dedup granularity; the pool sizes its own tasks.
 
     ``tracer``/``metrics`` are the engine's observability handles: the
     scheduler brackets its passes in ``evaluate``/``merge`` spans and
-    feeds the chunk-latency histogram; when the tracer is enabled,
-    pool workers collect spans/metrics locally and this side merges
-    them back (see the module docstring).
+    folds every pool task's telemetry into the registry (see the module
+    docstring).
 
-    The pool persists across batches and runs; swapping to a different
-    runner (or tracing mode) *drains* the old pool gracefully —
-    ``Pool.close()``/``join()``, so in-flight tasks finish — while
-    :meth:`close` is the hard shutdown that ``terminate()``\\ s workers.
-
-    ``use_shm`` controls artifact shipping to pool workers: by default
-    (``None``) the runner is published once into a
-    :mod:`multiprocessing.shared_memory` segment
-    (:mod:`repro.automata.shm`) and workers attach by name in their
-    initializer — no per-worker artifact pickling; ``False`` forces
-    the legacy initializer-pickling path.  Published segments are
-    unlinked in :meth:`close` (and by the shm registry's ``atexit``
-    sweep if a crash skips it).
+    The pool persists across batches and runs, whatever the tracer
+    does meanwhile; swapping to a different runner *drains* the old
+    pool, :meth:`close` is the hard shutdown, and either unlinks the
+    runner's shared-memory segment (as does the shm registry's
+    ``atexit`` sweep if a crash skips both).
     """
 
     def __init__(self, workers: int = 0, batch_size: int = 32,
                  tracer: Optional[Tracer] = None,
-                 metrics: Optional[Metrics] = None,
-                 use_shm: Optional[bool] = None) -> None:
+                 metrics: Optional[Metrics] = None) -> None:
         if workers < 0:
             raise ValueError("workers must be non-negative")
         if batch_size < 1:
@@ -105,182 +78,58 @@ class Scheduler:
         self.workers = workers
         self.batch_size = batch_size
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        #: ``None`` = publish runners into shared memory whenever the
-        #: platform supports it; ``False`` pins initializer pickling
-        #: (``True`` insists, still falling back if publication fails).
-        self.use_shm = use_shm
+        self.metrics = metrics if metrics is not None else Metrics()
         self.last_batch: ScheduledBatch = ScheduledBatch(0, 0, 0)
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        self._pool_runner: Optional[SpannerLike] = None
-        self._pool_traced = False
-        self._pool_premap: Optional[str] = None
-        self._shm_artifact = None
-        #: Segmented-index directory each pool worker maps in its
-        #: initializer (see :meth:`premap_index`); ``None`` = none.
-        self._premap_path: Optional[str] = None
+        self._pool: Optional[WorkerPool] = None
 
     # ------------------------------------------------------------------
 
-    def _pool_for(self, runner: SpannerLike) -> "multiprocessing.pool.Pool":
-        """A persistent pool initialized with ``runner``.
+    def _pool_for(self, runner: SpannerLike) -> WorkerPool:
+        """A persistent pool whose workers hold ``runner``: reused
+        across batches and runs while the runner object is the same,
+        so a corpus run pays pool startup and shipping once.
 
-        Reused across document batches (and runs) as long as the
-        runner object — and the tracing mode, which selects the worker
-        initializer — is the same, so one corpus run pays pool startup
-        and spanner shipping once, not once per batch.
-
-        Swapping to a different runner **drains** the old pool
-        gracefully (``Pool.close()``/``join()``) rather than
-        terminating it: tasks still in flight — e.g. batches abandoned
-        by a deadline-cancelled query, or a concurrent stream's pending
-        pass — run to completion before the new pool starts, so a swap
-        can never kill work another consumer is waiting on.
-        ``terminate()`` is reserved for hard shutdown (:meth:`close`).
+        Swapping to a different runner **drains** the old pool rather
+        than terminating it: tasks still in flight — e.g. batches
+        abandoned by a deadline-cancelled query, or a concurrent
+        stream's pending pass — run to completion before the new pool
+        starts, so a swap can never kill work another consumer is
+        waiting on.
         """
-        traced = self.tracer.enabled
-        if (self._pool is not None and self._pool_runner is runner
-                and self._pool_traced == traced
-                and self._pool_premap == self._premap_path):
+        if self._pool is not None and self._pool.runner is runner:
             return self._pool
-        self._retire_pool()
-        segment = self._publish_shm(runner)
-        if segment is not None:
-            initializer = (_init_worker_shm_traced if traced
-                           else _init_worker_shm)
-            initargs: Tuple = (segment.name,)
-        else:
-            initializer = _init_worker_traced if traced else _init_worker
-            initargs = (runner,)
-        if self._premap_path is not None:
-            # Wrap: base init, then each worker maps the segmented
-            # index by path — the directory name is all that crosses
-            # the process boundary; postings arrive via the page cache.
-            initargs = (initializer, initargs[0], self._premap_path)
-            initializer = _init_worker_premap
-        self._pool = multiprocessing.Pool(
-            processes=self.workers,
-            initializer=initializer,
-            initargs=initargs,
-        )
-        self._pool_runner = runner
-        self._pool_traced = traced
-        self._pool_premap = self._premap_path
+        self._stop_pool("engine.pool.retire", drain=True)
+        pool = self._pool = WorkerPool(runner, self.workers)
         event_log().emit(
-            "engine.pool.start", workers=self.workers, traced=traced,
-            shm=segment.name if segment is not None else None,
-            premap=self._premap_path,
+            "engine.pool.start", workers=self.workers,
+            shipping="shm" if pool.segment_name else "inherit",
+            shm=pool.segment_name, error=pool.publish_error,
         )
-        return self._pool
-
-    def _publish_shm(self, runner: SpannerLike):
-        """Publish ``runner`` for worker attach, if shm is in play.
-
-        Returns the published segment handle or ``None`` (shm off,
-        unavailable, or publication failed — e.g. an unpicklable
-        black-box runner); ``None`` sends the runner through the
-        legacy initializer-pickling path instead.  The segment lives
-        exactly as long as the pool: :meth:`close` unlinks it.
-        """
-        from repro.automata import shm
-
-        if self.use_shm is False or not shm.available():
-            return None
-        try:
-            self._shm_artifact = shm.registry().publish(runner)
-        except Exception:
-            self._shm_artifact = None
-        return self._shm_artifact
+        return pool
 
     def shm_segment_name(self) -> Optional[str]:
         """Name of the live published segment, if any."""
-        artifact = self._shm_artifact
-        return artifact.name if artifact is not None else None
+        return self._pool.segment_name if self._pool is not None else None
 
     def worker_shm_status(self) -> List[Tuple[int, int]]:
-        """Probe live pool workers: ``(pid, attach count)`` samples.
+        """Probe live pool workers: ``(pid, attach count)`` samples;
+        the lifecycle tests assert each sampled worker attached
+        (count >= 1) instead of unpickling artifacts."""
+        return self._pool.shm_status() if self._pool is not None else []
 
-        Several probe tasks per worker, so with high probability every
-        worker reports; the lifecycle tests assert each sampled worker
-        attached (count >= 1) instead of unpickling artifacts.
-        """
-        if self._pool is None:
-            return []
-        return self._pool.map(
-            _worker_shm_status, range(max(1, self.workers) * 4)
-        )
-
-    def premap_index(self, path: Optional[str]) -> None:
-        """Have pool workers map the segmented index at ``path`` in
-        their initializer (``None`` switches it off).
-
-        Takes effect at the next pool (re)build: the current pool, if
-        its premap differs, is gracefully drained on the next
-        :meth:`run` — exactly like a runner swap.
-        """
-        self._premap_path = path
-
-    def worker_index_status(self) -> List[Tuple[int, int, int]]:
-        """Probe live pool workers: ``(pid, index opens, segments
-        mapped)`` from each worker's kernel-metrics registry — the
-        evidence that postings were mapped worker-side, not pickled
-        across (several probes per worker, as
-        :meth:`worker_shm_status`)."""
-        if self._pool is None:
-            return []
-        return self._pool.map(
-            _worker_index_status, range(max(1, self.workers) * 4)
-        )
-
-    def _retire_pool(self) -> None:
-        """Gracefully drain and discard the current pool (runner swap).
-
-        ``Pool.close()`` stops new task submission, ``join()`` waits
-        for everything already submitted — in-flight batches finish
-        instead of being killed mid-chunk the way :meth:`close`'s
-        ``terminate()`` would kill them.  The shm segment outlives the
-        workers by construction (unlinked only after ``join()``), so a
-        draining worker can never lose its mapped artifact.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._pool_runner = None
-            self._pool_traced = False
-            self._pool_premap = None
-            event_log().emit("engine.pool.retire", workers=self.workers)
-        self._unlink_shm()
-
-    def _unlink_shm(self) -> None:
-        if self._shm_artifact is not None:
-            from repro.automata import shm
-
-            shm.registry().unlink(self._shm_artifact.name)
-            self._shm_artifact = None
+    def _stop_pool(self, event: str, drain: bool) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(drain)
+            try:
+                event_log().emit(event, workers=self.workers)
+            except Exception:
+                pass  # close() may run during interpreter teardown
 
     def close(self) -> None:
         """Hard-stop the worker pool and unlink its shm segment
-        (idempotent — the unlink happens even if the pool already died
-        or was force-terminated).
-
-        This is the *shutdown* path and uses ``Pool.terminate()``:
-        in-flight tasks are killed.  Runner swaps mid-run go through
-        the graceful :meth:`_retire_pool` drain instead.
-        """
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_runner = None
-            self._pool_traced = False
-            self._pool_premap = None
-            try:
-                event_log().emit("engine.pool.close",
-                                 workers=self.workers)
-            except Exception:
-                pass  # close() may run during interpreter teardown
-        self._unlink_shm()
+        (idempotent): in-flight tasks are killed."""
+        self._stop_pool("engine.pool.close", drain=False)
 
     def __del__(self) -> None:  # best-effort cleanup
         try:
@@ -294,97 +143,39 @@ class Scheduler:
         texts: Sequence[str],
         deadline: Deadline = NEVER,
     ) -> List[Set[SpanTuple]]:
-        if self.workers > 1 and texts:
-            # Aim for several waves per worker (load balance for skewed
-            # chunk costs) without one-text-per-IPC overhead.
-            chunksize = max(1, len(texts) // (self.workers * 4))
-            pool = self._pool_for(runner)
-            if self._pool_traced:
-                return self._evaluate_missing_traced(pool, texts,
-                                                     chunksize, deadline)
-            # Ship whole batches as single tasks: one dispatch and one
-            # result pickle per ``chunksize`` texts, and batch-capable
-            # runners sweep each batch through their tables in one
-            # call (:func:`repro.runtime.executor._evaluate_texts_batch`).
-            batches = [
-                texts[start:start + chunksize]
-                for start in range(0, len(texts), chunksize)
-            ]
-            results: List[Set[SpanTuple]] = []
-            if self.metrics is not None:
-                # Metered batch tasks time each chunk worker-side and
-                # ship the delta back, so ``engine.chunk_eval_seconds``
-                # is populated on this path too — not only when
-                # tracing is on or the run is in-process.
-                for group, delta in pool.imap(
-                    _evaluate_texts_batch_metered, batches
-                ):
-                    results.extend(group)
-                    self.metrics.merge(delta)
-                    deadline.check()
-                return results
-            for group in pool.imap(_evaluate_texts_batch, batches):
-                results.extend(group)
-                deadline.check()
-            return results
-        latency = (self.metrics.histogram("engine.chunk_eval_seconds")
-                   if self.metrics is not None else None)
-        deadline.check()
-        batch = getattr(runner, "evaluate_batch", None)
-        if batch is not None:
-            # Kernel batch entry: per-chunk latency observed inside the
-            # sweep, no second dispatch layer.
-            return batch(texts, latency)
-        if latency is not None:
-            results = []
-            for text in texts:
-                deadline.check()
-                started = time.perf_counter()
-                results.append(set(runner.evaluate(text)))
-                latency.observe(time.perf_counter() - started)
-            return results
-        results = []
-        for text in texts:
+        metrics, tracer = self.metrics, self.tracer
+        latency = metrics.histogram("engine.chunk_eval_seconds")
+        if self.workers <= 1 or not texts:
             deadline.check()
-            results.append(set(runner.evaluate(text)))
-        return results
-
-    def _evaluate_missing_traced(
-        self,
-        pool: "multiprocessing.pool.Pool",
-        texts: Sequence[str],
-        chunksize: int,
-        deadline: Deadline = NEVER,
-    ) -> List[Set[SpanTuple]]:
-        """The pool pass with worker-side collection merged back.
-
-        Each task returns ``(results, span records, metrics delta)``
-        (see :func:`repro.runtime.executor._evaluate_text_traced`);
-        worker spans are adopted under the currently open ``evaluate``
-        phase span, metric deltas merge into the engine registry, and
-        the gap between submission and each worker span's wall-clock
-        start lands in the queue-wait histogram.
-        """
-        parent_id = self.tracer.current_id()
-        queue_wait = (
-            self.metrics.histogram("scheduler.queue_wait_seconds")
-            if self.metrics is not None else None
-        )
+            return evaluate_chunks(runner, texts, latency, deadline.check)
+        queue_wait = metrics.histogram("scheduler.queue_wait_seconds")
+        parent_id = tracer.current_id()
+        pool = self._pool_for(runner)
         submitted = time.time()
         results: List[Set[SpanTuple]] = []
-        for outcome, records, delta in pool.imap(
-            _evaluate_text_traced, texts, chunksize=chunksize
-        ):
-            results.append(outcome)
-            adopted = self.tracer.adopt(records, parent_id=parent_id)
-            if queue_wait is not None:
-                for record in adopted:
-                    if record.parent_id == parent_id:
-                        queue_wait.observe(
-                            max(0.0, record.start - submitted)
-                        )
-            if self.metrics is not None and delta is not None:
-                self.metrics.merge(delta)
+        for group, task in pool.evaluate(texts):
+            if tracer.enabled:
+                done = len(results)
+                tracer.adopt([SpanRecord(
+                    name="evaluate", span_id=0, parent_id=None,
+                    start=task.started, duration=task.busy_seconds,
+                    pid=task.pid, tid=0, attributes={
+                        "chunks": len(group),
+                        "chars": sum(map(
+                            len, texts[done:done + len(group)])),
+                        "tuples": sum(map(len, group)),
+                    },
+                )], parent_id=parent_id)
+            results.extend(group)
+            for seconds in task.chunk_seconds:
+                latency.observe(seconds)
+            metrics.counter("engine.worker_busy_seconds",
+                            pid=task.pid).inc(task.busy_seconds)
+            metrics.counter("engine.worker_chunks",
+                            pid=task.pid).inc(len(group))
+            # Measured from this pass's submission: later tasks of a
+            # pass wait behind its earlier ones.
+            queue_wait.observe(max(0.0, task.started - submitted))
             deadline.check()
         return results
 

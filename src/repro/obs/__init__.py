@@ -3,8 +3,8 @@
 The instrumentation substrate under the whole pipeline.  One
 :class:`Tracer` brackets every phase of a run in nestable spans
 (``certify``, ``compile``, ``split``, ``prefilter``, ``schedule``,
-``evaluate``, ``merge``) — including spans recorded *inside pool
-workers* and shipped back through the scheduler — and one
+``evaluate``, ``merge``) — including one span per pool task, carrying
+the worker's pid and built from the telemetry the task returns — and one
 :class:`Metrics` registry accumulates the counters, gauges and
 mergeable fixed-bucket histograms behind
 :class:`repro.engine.stats.EngineStats`.

@@ -11,13 +11,13 @@ latency distributions.  Three instrument kinds cover the pipeline:
 * :class:`Gauge` — point-in-time values (cache sizes);
 * :class:`Histogram` — fixed-bucket latency/size distributions whose
   bucket counts, sum and count merge exactly across registries, which
-  is what lets pool workers observe locally and ship deltas back.
+  is what lets registries recorded apart be combined into one.
 
 Instruments are identified by name plus optional labels, Prometheus
 style, and registries are **mergeable**: counters and histograms sum,
 gauges keep the maximum.  Registries pickle (the lock is dropped and
-rebuilt), so a worker-side registry delta travels through the process
-pool like any task result.
+rebuilt), so a registry travels between processes like any other
+value.
 
 >>> metrics = Metrics()
 >>> metrics.counter("chunks", kind="evaluated").inc(3)
@@ -122,9 +122,8 @@ class Histogram:
 
     ``buckets`` are the finite upper bounds (ascending); an implicit
     ``+Inf`` bucket catches the rest.  Two histograms with identical
-    bounds merge exactly (bucket-wise sums), which is what makes
-    worker-side observation sound: the merged parent histogram equals
-    the one a single process would have recorded.
+    bounds merge exactly (bucket-wise sums): the merged histogram
+    equals the one a single registry would have recorded.
     """
 
     __slots__ = ("name", "labels", "buckets", "counts", "sum", "count",
@@ -313,10 +312,9 @@ class Metrics:
     def drain(self) -> "Metrics":
         """Detach the accumulated instruments as a fresh registry.
 
-        The worker-side shipping primitive (mirror of
-        :meth:`repro.obs.trace.Tracer.drain`): returns a registry
-        holding everything observed so far and leaves this one empty,
-        so each pool task ships only its own delta.
+        The mirror of :meth:`repro.obs.trace.Tracer.drain`: returns a
+        registry holding everything observed so far and leaves this
+        one empty, so successive drains each carry only their delta.
         """
         shipped = Metrics()
         with self._lock:

@@ -26,10 +26,11 @@ untraced hot path pays one attribute check per phase, not per chunk.
 >>> tracer.records()[0].parent_id == tracer.records()[1].span_id
 True
 
-Spans recorded in *worker processes* come back as plain
-:class:`SpanRecord` lists (they pickle cheaply) and are grafted onto
-the parent trace with :meth:`Tracer.adopt`, which re-parents each
-worker's root spans under the scheduling span that shipped the work.
+Spans for work done in *other processes* arrive as plain
+:class:`SpanRecord` lists — the scheduler builds one per pool task
+from the telemetry the task returns — and are grafted onto the trace
+with :meth:`Tracer.adopt`, which re-parents root spans under the
+scheduling span that shipped the work.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def phase_durations(records: Sequence[SpanRecord]) -> Dict[str, float]:
     The module-level form of :meth:`Tracer.phase_durations`, usable on
     records that left their tracer (drained buffers, flight-recorder
     snapshots).  Sums the *outermost* span of each name: a span nested
-    under a same-name ancestor (per-chunk worker ``evaluate`` spans
+    under a same-name ancestor (per-task worker ``evaluate`` spans
     under the batch ``evaluate`` phase) is already covered by that
     ancestor's duration and is excluded, so each phase total is
     wall-clock time, not double-counted work.
@@ -247,9 +248,9 @@ class Tracer:
     def drain(self) -> List[SpanRecord]:
         """Take the finished spans, leaving the tracer empty.
 
-        This is the worker-side shipping primitive: a pool worker
-        drains its local tracer after each task and returns the
-        records with the task result.
+        The per-query collection primitive: the service drains the
+        engine's tracer after each query to file that query's spans
+        with its flight record.
         """
         with self._lock:
             records, self._records = self._records, []

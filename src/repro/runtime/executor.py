@@ -11,9 +11,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import List, Optional, Sequence, Set, Tuple
+from types import SimpleNamespace
+from typing import (Callable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
+from repro.automata import shm
 from repro.core.spans import Span, SpanTuple
+from repro.obs.profile import set_process_role
 
 #: Anything with ``evaluate(document) -> set[SpanTuple]``.
 SpannerLike = object
@@ -78,223 +82,173 @@ def split_by(
 # Parallel execution
 # ----------------------------------------------------------------------
 
-_WORKER_SPANNER: Optional[SpannerLike] = None
-#: Worker-local observability collectors (traced pools only): spans
-#: and metrics recorded here are drained after every task and shipped
-#: back through the pool with the task result.
-_WORKER_TRACER = None
-_WORKER_METRICS = None
 
+def evaluate_chunks(
+    runner: SpannerLike,
+    texts: Sequence[str],
+    latency=None,
+    check: Callable[[], None] = lambda: None,
+) -> List[Set[SpanTuple]]:
+    """Evaluate ``runner`` on each text, in order, unshifted — the one
+    evaluation step under the in-process plans and the pool task alike.
 
-def _init_worker(spanner: SpannerLike) -> None:
-    global _WORKER_SPANNER
-    _WORKER_SPANNER = spanner
-    from repro.obs.profile import set_process_role
-
-    set_process_role("pool-worker")
-
-
-def _init_worker_shm(segment_name: str) -> None:
-    """Pool initializer: attach the chunk runner from shared memory.
-
-    The worker receives a segment *name* instead of a pickled artifact
-    (see :mod:`repro.automata.shm`); table buffers come out of the
-    mapped segment, and the attachment is counted so
-    :func:`_worker_shm_status` can prove no artifact unpickling
-    happened on this path.
+    Runners exposing ``evaluate_batch`` (compiled kernel artifacts)
+    sweep the batch through their tables in one call, observing
+    per-chunk seconds into ``latency`` themselves; the rest are looped
+    over and timed here, with ``check`` (a deadline's cancellation
+    point) run before each text.
     """
-    global _WORKER_SPANNER
-    from repro.automata import shm
-    from repro.obs.profile import set_process_role
+    batch = getattr(runner, "evaluate_batch", None)
+    if batch is not None:
+        return batch(texts, latency)
+    results = []
+    for text in texts:
+        check()
+        started = time.perf_counter()
+        results.append(set(runner.evaluate(text)))
+        if latency is not None:
+            latency.observe(time.perf_counter() - started)
+    return results
 
-    _WORKER_SPANNER = shm.attach(segment_name)
+
+class TaskTelemetry(NamedTuple):
+    """What a pool task measured about itself — always, traced or not;
+    the parent decides what to make of it (metrics, spans)."""
+
+    pid: int
+    #: Wall clock (``time.time()``): comparable with the parent's,
+    #: which is what queue wait is measured against.
+    started: float
+    busy_seconds: float
+    chunk_seconds: List[float]
+
+
+_WORKER_RUNNER: Optional[SpannerLike] = None
+
+
+def _init_worker(source: object) -> None:
+    """The pool initializer: ``source`` is the name of a shared-memory
+    segment to attach the runner from (:mod:`repro.automata.shm`;
+    counted, so :func:`_worker_shm_status` can prove no artifact
+    unpickling happened) or the runner itself."""
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = (shm.attach(source) if isinstance(source, str)
+                      else source)
     set_process_role("pool-worker")
+
+
+def _evaluate_task(
+    texts: Sequence[str],
+) -> Tuple[List[Set[SpanTuple]], TaskTelemetry]:
+    """The pool task: one dispatch and one result pickle per batch of
+    chunk texts instead of per chunk."""
+    chunk_seconds: List[float] = []
+    started, clock_started = time.time(), time.perf_counter()
+    results = evaluate_chunks(
+        _WORKER_RUNNER, texts, SimpleNamespace(observe=chunk_seconds.append)
+    )
+    return results, TaskTelemetry(
+        os.getpid(), started, time.perf_counter() - clock_started,
+        chunk_seconds,
+    )
 
 
 def _worker_shm_status(_task: object = None) -> Tuple[int, int]:
     """Probe task: ``(pid, shm attaches in this worker process)``."""
-    from repro.automata import shm
-
     return os.getpid(), shm.attach_count()
 
 
-#: The worker-local segmented index (premapped pools only): opened by
-#: *path* in the initializer, so posting payloads reach workers
-#: through the page cache — never through pickle.
-_WORKER_INDEX = None
+class WorkerPool:
+    """A process pool whose workers hold ``runner`` — the one place
+    that knows how a runner reaches a worker and what a task is.
 
-
-def _init_worker_premap(initializer, base_arg, index_path: str) -> None:
-    """Pool initializer wrapper: base init, then map the index.
-
-    ``initializer``/``base_arg`` are one of the spanner initializers
-    above with its argument (segment name or pickled runner);
-    ``index_path`` is a :class:`repro.index.store.SegmentedIndex`
-    directory each worker opens itself — the open is counted in the
-    worker's process-global kernel metrics (``index.opens``,
-    ``index.segments_mapped``), which is how the lifecycle tests prove
-    postings were mapped, not shipped.
+    The runner is published once into a shared-memory segment workers
+    attach by name, unlinked with the pool.  Without shared memory, or
+    with a runner that cannot be published (an unpicklable black box:
+    ``publish_error`` names the exception class), the workers receive
+    the runner object through the initializer instead.
     """
-    global _WORKER_INDEX
-    initializer(base_arg)
-    from repro.index.store import SegmentedIndex
 
-    _WORKER_INDEX = SegmentedIndex.open(index_path)
+    def __init__(self, runner: SpannerLike, workers: int) -> None:
+        self.runner = runner
+        self.workers = workers
+        self.segment_name: Optional[str] = None
+        self.publish_error: Optional[str] = None
+        if shm.available():
+            try:
+                self.segment_name = shm.registry().publish(runner).name
+            except Exception as error:
+                self.publish_error = type(error).__name__
+        try:
+            self.pool = multiprocessing.Pool(
+                workers, _init_worker, (self.segment_name or runner,)
+            )
+        except BaseException:
+            self._unlink()
+            raise
 
+    def evaluate(
+        self, texts: Sequence[str],
+    ) -> Iterator[Tuple[List[Set[SpanTuple]], TaskTelemetry]]:
+        """``(results, telemetry)`` per task, in text order.  Tasks are
+        sized for several waves per worker: load balance for skewed
+        chunk costs (the scheduling effect the Introduction credits
+        for the Spark speedups) without one-text-per-IPC overhead."""
+        size = max(1, len(texts) // (self.workers * 4))
+        return self.pool.imap(
+            _evaluate_task,
+            [texts[start:start + size]
+             for start in range(0, len(texts), size)],
+        )
 
-def _worker_index_status(_task: object = None) -> Tuple[int, int, int]:
-    """Probe task: ``(pid, index opens, segments mapped)`` counted in
-    this worker process's kernel-metrics registry."""
-    from repro.obs.metrics import kernel_metrics
+    def shm_status(self) -> List[Tuple[int, int]]:
+        """``(pid, attach count)`` samples: several probe tasks per
+        worker, so with high probability every worker reports."""
+        return self.pool.map(_worker_shm_status, range(self.workers * 4))
 
-    metrics = kernel_metrics()
-    return (
-        os.getpid(),
-        int(metrics.counter("index.opens").value),
-        int(metrics.counter("index.segments_mapped").value),
-    )
+    def shutdown(self, drain: bool) -> None:
+        """Stop the workers — ``drain`` lets every submitted task
+        finish (``Pool.close()``), otherwise in-flight tasks are killed
+        (``Pool.terminate()``) — then unlink the segment, even if the
+        pool already died: it outlives every worker mapping it."""
+        try:
+            if drain:
+                self.pool.close()
+            else:
+                self.pool.terminate()
+            self.pool.join()
+        finally:
+            self._unlink()
 
-
-def _evaluate_text(text: str) -> Set[SpanTuple]:
-    return set(_WORKER_SPANNER.evaluate(text))
-
-
-def _evaluate_texts_batch(texts: Sequence[str]) -> List[Set[SpanTuple]]:
-    """One pool task evaluating a whole batch of chunk texts.
-
-    Runners exposing ``evaluate_batch`` (compiled kernel artifacts)
-    sweep the batch through their tables in a single call; others are
-    looped over here — either way the pool pays one task dispatch and
-    one result pickle per batch instead of per chunk.
-    """
-    spanner = _WORKER_SPANNER
-    batch = getattr(spanner, "evaluate_batch", None)
-    if batch is not None:
-        return batch(texts)
-    return [set(spanner.evaluate(text)) for text in texts]
-
-
-def _evaluate_texts_batch_metered(texts: Sequence[str]):
-    """Like :func:`_evaluate_texts_batch`, plus worker-side timing.
-
-    Returns ``(results, metrics delta)`` where the delta carries the
-    per-chunk ``engine.chunk_eval_seconds`` histogram — the untraced
-    multiprocess path's way of populating chunk-latency metrics (the
-    traced path ships them through
-    :func:`_evaluate_text_traced` instead).  Batch-capable runners
-    observe per chunk inside their sweep via the histogram handle.
-    """
-    from repro.obs.metrics import Metrics
-
-    spanner = _WORKER_SPANNER
-    metrics = Metrics()
-    latency = metrics.histogram("engine.chunk_eval_seconds")
-    batch = getattr(spanner, "evaluate_batch", None)
-    if batch is not None:
-        results = batch(texts, latency)
-    else:
-        results = []
-        for text in texts:
-            started = time.perf_counter()
-            results.append(set(spanner.evaluate(text)))
-            latency.observe(time.perf_counter() - started)
-    return results, metrics
-
-
-def _init_worker_traced(spanner: SpannerLike) -> None:
-    """Pool initializer for traced runs: ship the spanner and stand up
-    the worker-local span/metric collectors."""
-    from repro.obs import Metrics, Tracer
-
-    global _WORKER_TRACER, _WORKER_METRICS
-    _init_worker(spanner)
-    _WORKER_TRACER = Tracer()
-    _WORKER_METRICS = Metrics()
-
-
-def _init_worker_shm_traced(segment_name: str) -> None:
-    """Traced variant of :func:`_init_worker_shm`."""
-    from repro.obs import Metrics, Tracer
-
-    global _WORKER_TRACER, _WORKER_METRICS
-    _init_worker_shm(segment_name)
-    _WORKER_TRACER = Tracer()
-    _WORKER_METRICS = Metrics()
-
-
-def _evaluate_text_traced(text: str):
-    """Evaluate one chunk inside a worker-side ``evaluate`` span.
-
-    Returns ``(results, span records, metrics delta)``; the scheduler
-    adopts the records into the parent trace (re-parented under its
-    ``evaluate`` phase span) and merges the metrics delta, so a traced
-    parallel run observes exactly what a single process would have.
-    """
-    tracer, metrics = _WORKER_TRACER, _WORKER_METRICS
-    with tracer.span("evaluate", chunk_chars=len(text)) as span:
-        started = time.perf_counter()
-        results = set(_WORKER_SPANNER.evaluate(text))
-        elapsed = time.perf_counter() - started
-        span.set("tuples", len(results))
-    metrics.histogram("engine.chunk_eval_seconds").observe(elapsed)
-    metrics.counter("engine.worker_busy_seconds",
-                    pid=os.getpid()).inc(elapsed)
-    metrics.counter("engine.worker_chunks", pid=os.getpid()).inc()
-    return results, tracer.drain(), metrics.drain()
+    def _unlink(self) -> None:
+        if self.segment_name is not None:
+            shm.registry().unlink(self.segment_name)
+            self.segment_name = None
 
 
 def evaluate_texts_parallel(
     spanner: SpannerLike,
     texts: Sequence[str],
     workers: int = 5,
-    chunksize: int = 1,
-    pool: Optional["multiprocessing.pool.Pool"] = None,
 ) -> List[Set[SpanTuple]]:
     """Evaluate ``spanner`` on each text over a process pool.
 
-    The reusable primitive under every parallel plan (and under the
-    corpus engine's scheduler, :mod:`repro.engine.scheduler`): results
-    come back *unshifted*, positioned within each text, in input order.
-    The spanner is shipped to each worker once (pool initializer), then
-    texts are scheduled dynamically — the fine-granularity scheduling
-    effect the Introduction credits for the Spark speedups.
-
-    ``pool`` lets a caller supply a long-lived pool whose initializer
-    already shipped ``spanner`` (see :meth:`repro.engine.scheduler.
-    Scheduler`); otherwise a pool is created for this call
-    (``workers <= 1`` evaluates in-process instead).
+    The primitive under the parallel plans below: results come back
+    *unshifted*, positioned within each text, in input order.  The pool
+    lives for this call (the engine's :mod:`repro.engine.scheduler`
+    keeps one across calls); ``workers <= 1`` evaluates in-process.
     """
     if not texts:
         return []
-    if pool is not None:
-        return list(pool.imap(_evaluate_text, texts, chunksize=chunksize))
     runner = as_runner(spanner)
     if workers <= 1:
-        return [set(runner.evaluate(text)) for text in texts]
-    # Publish the runner into shared memory for the pool's lifetime
-    # when the platform supports it (workers attach by name); the
-    # initializer falls back to pickling the runner otherwise.
-    from repro.automata import shm
-
-    segment = None
-    if shm.available():
-        try:
-            segment = shm.registry().publish(runner)
-        except Exception:
-            segment = None
+        return evaluate_chunks(runner, texts)
+    pool = WorkerPool(runner, workers)
     try:
-        if segment is not None:
-            initializer, initargs = _init_worker_shm, (segment.name,)
-        else:
-            initializer, initargs = _init_worker, (runner,)
-        with multiprocessing.Pool(
-            processes=workers, initializer=initializer, initargs=initargs
-        ) as created:
-            return list(created.imap(_evaluate_text, texts,
-                                     chunksize=chunksize))
+        return [result for results, _telemetry in pool.evaluate(texts)
+                for result in results]
     finally:
-        if segment is not None:
-            shm.registry().unlink(segment.name)
+        pool.shutdown(drain=False)
 
 
 def split_by_parallel(
@@ -302,7 +256,6 @@ def split_by_parallel(
     splitter: SplitterLike,
     document: str,
     workers: int = 5,
-    chunksize: int = 1,
 ) -> Set[SpanTuple]:
     """The split plan distributed over a process pool.
 
@@ -311,7 +264,7 @@ def split_by_parallel(
     spans = splitter_spans(splitter, document)
     chunk_results = evaluate_texts_parallel(
         spanner, [span.extract(document) for span in spans],
-        workers=workers, chunksize=chunksize,
+        workers=workers,
     )
     return {
         t.shift(span)
@@ -325,7 +278,6 @@ def map_corpus(
     documents: Sequence[str],
     workers: int = 5,
     splitter: Optional[SplitterLike] = None,
-    chunksize: int = 1,
 ) -> List[Set[SpanTuple]]:
     """Evaluate a corpus in parallel, optionally splitting first.
 
@@ -351,8 +303,7 @@ def map_corpus(
                 owners.append(index)
     results: List[Set[SpanTuple]] = [set() for _ in documents]
     chunk_results = evaluate_texts_parallel(
-        spanner, [text for text, _span in tasks],
-        workers=workers, chunksize=chunksize,
+        spanner, [text for text, _span in tasks], workers=workers,
     )
     for (text, span), owner, partial in zip(tasks, owners, chunk_results):
         results[owner].update(t.shift(span) for t in partial)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,6 +17,7 @@ from repro.automata.regex import (
     Star,
     Union_,
 )
+from repro.obs import configure_event_log, event_log
 from repro.spanners.regex_formulas import Capture
 
 # Property tests run exhaustive bounded-domain checks inside; keep the
@@ -124,3 +128,18 @@ def splitter_nodes_st(draw, max_depth: int = 2):
 @pytest.fixture
 def ab_alphabet():
     return frozenset(ALPHABET)
+
+
+@pytest.fixture
+def captured_events():
+    """A StringIO sink attached to the global event log for the test's
+    duration; yields a function returning the parsed JSON lines."""
+    stream = io.StringIO()
+    handler = configure_event_log(stream=stream)
+
+    def lines():
+        return [json.loads(line)
+                for line in stream.getvalue().splitlines()]
+
+    yield lines
+    event_log().detach(handler)

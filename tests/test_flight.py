@@ -77,21 +77,6 @@ def make_service(workers=0, batch_size=2, flight=None, program=None,
                              **kwargs)
 
 
-@pytest.fixture
-def captured_events():
-    """A StringIO sink attached to the global event log for the test's
-    duration; yields a function returning the parsed JSON lines."""
-    stream = io.StringIO()
-    handler = configure_event_log(stream=stream)
-
-    def lines():
-        return [json.loads(line)
-                for line in stream.getvalue().splitlines()]
-
-    yield lines
-    event_log().detach(handler)
-
-
 # ----------------------------------------------------------------------
 # The structured event log
 # ----------------------------------------------------------------------

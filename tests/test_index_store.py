@@ -299,7 +299,7 @@ class TestMmapLifecycle:
         clone.close()
         index.close()
 
-    def test_workers_premap_index_by_path(self, tmp_path):
+    def test_workers_with_attached_index_match_baseline(self, tmp_path):
         index = self.build(tmp_path)
         engine = ExtractionEngine(sentence_registry(), workers=2,
                                   corpus_index=index)
@@ -310,11 +310,6 @@ class TestMmapLifecycle:
                 Corpus.from_texts(CORPUS_TEXTS), program).by_document
             result = engine.run(Corpus.from_texts(CORPUS_TEXTS), program)
             assert result.by_document == expected
-            statuses = engine.scheduler.worker_index_status()
-            assert statuses, "pool should be live after a run"
-            for _pid, opens, segments in statuses:
-                assert opens >= 1
-                assert segments >= index.segment_count
         finally:
             engine.close()
             index.close()

@@ -4,6 +4,7 @@ through planner, engine, scheduler and the fluent query API —
 including cross-process collection from pool workers."""
 
 import json
+import os
 import pickle
 import re
 import threading
@@ -23,8 +24,12 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.trace import SpanRecord
-from repro.runtime import RegisteredSplitter
-from repro.runtime.fast import FastSeparatorSplitter, RegexSpanner
+from repro.runtime import RegisteredSplitter, evaluate_whole
+from repro.runtime.fast import (
+    CompiledSpanner,
+    FastSeparatorSplitter,
+    RegexSpanner,
+)
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import separator_splitter
 
@@ -354,7 +359,6 @@ class TestTracedEngine:
             assert result.by_document == baseline.by_document
 
             records = tracer.records()
-            import os
             worker_pids = {record.pid for record in records
                            if record.pid != os.getpid()}
             assert worker_pids, "no spans came back from pool workers"
@@ -385,8 +389,6 @@ class TestTracedEngine:
     def test_kernel_metrics_record_lowering(self):
         before = kernel_metrics().value("kernel.lowerings")
         spanner = compile_regex_formula(PATTERN, ALPHABET)
-        from repro.runtime.fast import CompiledSpanner
-
         CompiledSpanner(spanner).evaluate("aa ab a.")
         assert kernel_metrics().value("kernel.lowerings") > before
         assert kernel_metrics().value("kernel.states_lowered") > 0
@@ -473,28 +475,50 @@ class TestDisabledOverhead:
         assert second < first * 3 + 0.05
 
 
-class TestChunkLatencyCoverage:
-    """``engine.chunk_eval_seconds`` must be populated in every
-    tracer/workers combination — the untraced multiprocess path used to
-    skip it entirely (chunks ran in workers, nothing observed)."""
+#: ``PATTERN`` with ``.`` as a delimiter too, and the ``re`` pattern
+#: extracting the same a-runs (the pair ``tests/test_engine.py``
+#: validates).
+DOTTED_PATTERN = (".*(\\.| )y{a+}(\\.| ).*|y{a+}(\\.| ).*"
+                  "|.*(\\.| )y{a+}|y{a+}")
+A_RUN_REGEX = r"(?:^|[ .])(?P<y>a+)(?=[ .]|$)"
 
+#: What the engine may be asked to run on chunks: a VSet-automaton
+#: (lowered to the batch-capable kernel), a runner with ``evaluate``
+#: only, and one the shm registry cannot publish (it holds a lambda).
+RUNNER_KINDS = {
+    "compiled": lambda spec: spec,
+    "regex": lambda spec: RegexSpanner(A_RUN_REGEX, specification=spec),
+    "unpublishable": lambda spec: RegexSpanner(
+        A_RUN_REGEX, specification=spec, cost=lambda match: None),
+}
+
+
+class TestChunkLatencyCoverage:
+    """Every workers/tracer/runner combination returns
+    ``evaluate_whole``'s tuples and populates
+    ``engine.chunk_eval_seconds`` — the untraced multiprocess path used
+    to skip it entirely (chunks ran in workers, nothing observed)."""
+
+    @pytest.mark.parametrize("runner", sorted(RUNNER_KINDS))
     @pytest.mark.parametrize(
         "workers,traced",
         [(0, False), (0, True), (2, False), (2, True)],
         ids=["inproc", "inproc-traced", "pool", "pool-traced"],
     )
-    def test_chunk_eval_histogram_populated(self, workers, traced):
-        spanner = compile_regex_formula(PATTERN, ALPHABET)
+    def test_chunk_eval_histogram_populated(self, workers, traced, runner):
+        spanner = compile_regex_formula(DOTTED_PATTERN, ALPHABET)
         texts = [f"aa ab a{'a' * (i % 5)}." for i in range(12)]
         engine = ExtractionEngine(
             token_registry(), workers=workers, batch_size=4,
             tracer=Tracer() if traced else None,
         )
         try:
-            result = engine.run(texts, Program(spanner))
-            baseline = ExtractionEngine(token_registry()).run(
-                texts, Program(spanner))
-            assert result.by_document == baseline.by_document
+            result = engine.run(
+                texts, Program(RUNNER_KINDS[runner](spanner), spanner))
+            assert result.plan.plan.self_splittable
+            for index, text in enumerate(texts):
+                assert result[f"doc-{index:04d}"] \
+                    == evaluate_whole(spanner, text)
             latency = engine.metrics.histogram(
                 "engine.chunk_eval_seconds")
             evaluated = engine.stats().chunks_evaluated
@@ -503,6 +527,100 @@ class TestChunkLatencyCoverage:
             assert latency.sum >= 0.0
         finally:
             engine.close()
+
+
+class LoggingRunner:
+    """A batch-capable runner appending ``pid kind texts`` to a file
+    per call — how the parent sees what ran in a pool task."""
+
+    def __init__(self, runner, log_path):
+        self.runner = runner
+        self.log_path = log_path
+
+    def _log(self, kind, texts):
+        with open(self.log_path, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()} {kind} {texts}\n")
+
+    def evaluate(self, text):
+        self._log("evaluate", 1)
+        return self.runner.evaluate(text)
+
+    def evaluate_batch(self, texts, latency=None):
+        self._log("evaluate_batch", len(texts))
+        return self.runner.evaluate_batch(texts, latency)
+
+    def calls(self):
+        with open(self.log_path, encoding="ascii") as handle:
+            return [(int(pid), kind, int(texts)) for pid, kind, texts
+                    in map(str.split, handle)]
+
+
+class TestTracingKeepsTheExecutionShape:
+    """Instrumentation observes the pool path; it must not alter it."""
+
+    TEXTS = [f"aa ab a{'a' * (i % 7)} b{'a' * (i % 3)}." for i in range(24)]
+
+    def test_traced_and_untraced_pool_tasks_are_the_same(self, tmp_path):
+        spanner = compile_regex_formula(DOTTED_PATTERN, ALPHABET)
+        shapes = {}
+        for traced in (False, True):
+            runner = LoggingRunner(CompiledSpanner(spanner),
+                                   str(tmp_path / f"traced-{traced}.log"))
+            with ExtractionEngine(
+                token_registry(), workers=2, batch_size=8,
+                tracer=Tracer() if traced else None,
+            ) as engine:
+                engine.run(self.TEXTS, Program(runner, spanner))
+            calls = runner.calls()
+            assert {kind for _pid, kind, _texts in calls} \
+                == {"evaluate_batch"}
+            # (A pass whose chunks all hit the cache has nothing to
+            # ship: its empty batch stays in this process.)
+            assert all(pid != os.getpid()
+                       for pid, _kind, texts in calls if texts)
+            shapes[traced] = sorted(texts for _pid, _kind, texts in calls)
+        assert shapes[True] == shapes[False]
+
+    def test_enabling_tracing_keeps_the_pool(self, captured_events):
+        import multiprocessing
+
+        def worker_pids():
+            return {child.pid for child in multiprocessing.active_children()}
+
+        program = Program(compile_regex_formula(DOTTED_PATTERN, ALPHABET))
+        before = worker_pids()
+        engine = ExtractionEngine(token_registry(), workers=2, batch_size=8)
+        try:
+            engine.run(self.TEXTS, program)
+            workers = worker_pids() - before
+            assert len(workers) == 2
+            queue_wait = engine.metrics.histogram(
+                "scheduler.queue_wait_seconds")
+            untraced_tasks = queue_wait.count
+            evaluated = engine.stats().chunks_evaluated
+
+            tracer = engine.enable_tracing()
+            engine.chunk_cache.clear()
+            engine.run(self.TEXTS, program)
+            assert worker_pids() - before == workers
+        finally:
+            engine.close()
+        events = [event["event"] for event in captured_events()]
+        assert events.count("engine.pool.start") == 1
+        assert "engine.pool.retire" not in events
+
+        records = tracer.records()
+        phase_ids = {record.span_id for record in records
+                     if record.name == "evaluate"
+                     and record.pid == os.getpid()}
+        tasks = [record for record in records if record.pid != os.getpid()]
+        assert tasks and {record.pid for record in tasks} <= workers
+        assert all(record.name == "evaluate"
+                   and record.parent_id in phase_ids for record in tasks)
+        assert sum(record.attributes["chunks"] for record in tasks) \
+            == engine.stats().chunks_evaluated - evaluated == evaluated
+        assert queue_wait.count - untraced_tasks == len(tasks) \
+            == untraced_tasks
 
 
 # ----------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_workers_attach_without_per_task_pickling():
         pytest.skip("shared_memory unavailable")
     runner = CountingSpanner(arun_spanner())
     CountingSpanner.pickles = 0
-    scheduler = Scheduler(workers=2, use_shm=True)
+    scheduler = Scheduler(workers=2)
     try:
         texts = [f"aa ab a{'a' * i}." for i in range(24)]
         resolved = scheduler.run(
@@ -165,22 +165,29 @@ def test_workers_attach_without_per_task_pickling():
     assert_no_leaked_segments()
 
 
-def test_use_shm_false_pins_legacy_pickling():
+def test_falls_back_to_inheritance_without_shm(monkeypatch,
+                                               captured_events):
+    monkeypatch.setattr(shm, "available", lambda: False)
     runner = CountingSpanner(arun_spanner())
     CountingSpanner.pickles = 0
-    scheduler = Scheduler(workers=2, use_shm=False)
+    scheduler = Scheduler(workers=2)
+    published_before = shm.registry().published_names()
     try:
         resolved = scheduler.run(
             runner, scheduler_documents(["aa ab a.", "b aa."]),
             ChunkCache(), "t",
         )
         assert scheduler.shm_segment_name() is None
+        assert shm.registry().published_names() == published_before
         # (Under the fork start method initargs are inherited, not
         # pickled, so no pickle-count assertion here — the point is
         # that no segment was published and results are unchanged.)
         assert resolved["doc-0"] == runner.evaluate("aa ab a.")
     finally:
         scheduler.close()
+    starts = [event for event in captured_events()
+              if event["event"] == "engine.pool.start"]
+    assert [start["shipping"] for start in starts] == ["inherit"]
     assert_no_leaked_segments()
 
 
@@ -201,8 +208,8 @@ def test_segments_unlinked_after_forced_pool_terminate():
     assert scheduler.shm_segment_name() in shm.leaked_segments()
     # Simulate a worker crash: kill the pool out from under the
     # scheduler, then close — the segment must still be unlinked.
-    scheduler._pool.terminate()
-    scheduler._pool.join()
+    scheduler._pool.pool.terminate()
+    scheduler._pool.pool.join()
     scheduler.close()
     assert_no_leaked_segments()
 
@@ -219,8 +226,7 @@ def test_engine_close_unlinks_segments():
     engine.close()
     assert_no_leaked_segments()
     # Parity with the shm-less, in-process engine.
-    baseline = ExtractionEngine(token_registry(), workers=0,
-                                use_shm=False)
+    baseline = ExtractionEngine(token_registry(), workers=0)
     without_pool = baseline.run(corpus, arun_spanner())
     assert with_pool.by_document == without_pool.by_document
 
