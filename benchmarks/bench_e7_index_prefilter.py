@@ -17,19 +17,23 @@ engines run the identical certified plan:
 * **baseline** — no prefiltering (every chunk hits the automaton);
 * **scan** — factor prefiltering without an index (per-chunk
   substring checks);
-* **indexed** — a :class:`repro.index.CorpusIndex` built over the
-  corpus (its build time is charged to the indexed side), candidate
-  bitmasks computed once per plan.
+* **indexed** — a memory-resident :class:`repro.index.SegmentedIndex`
+  built over the corpus (its build time is charged to the indexed
+  side), candidate bitmasks computed once per plan.
 
-Claims under test: >= 2x end-to-end speedup for the indexed engine
-(index build included) on the selective workload, pruned-chunk counts
-> 0 surfaced via ``EngineStats``, identical span results on all three
-paths, and graceful fallback — a spanner with no extractable factors
-runs unfiltered and still agrees.
+Claims under test: pruned-chunk counts > 0 surfaced via
+``EngineStats``, identical span results on all three paths, and
+graceful fallback — a spanner with no extractable factors runs
+unfiltered and still agrees.  The scan/indexed-vs-baseline ratios of
+the single pass are reported, not gated: since the kernel rejects a
+match-free chunk in one table pass, a one-shot index build no longer
+pays for itself inside the pass that builds it.  What an index is
+worth amortised is the ledger's ``selective-indexed`` workload
+(``benchmarks/ledger``).
 
 ``python -m benchmarks.bench_e7_index_prefilter --smoke`` runs a
-scaled-down version with a relaxed (1.5x) threshold as a CI
-regression gate.
+scaled-down version as a CI regression gate on agreement, pruning and
+the fallback.
 """
 
 from __future__ import annotations
@@ -253,8 +257,6 @@ def test_e7_index_prefilter_speedup(benchmark):
         },
         stats=result["indexed_stats"],
     )
-    # End-to-end (index build included) on the selective workload.
-    assert result["indexed_speedup"] >= 2.0
     assert result["chunks_pruned"] > 0
 
 
@@ -266,10 +268,9 @@ def test_e7_index_prefilter_speedup(benchmark):
 def run_smoke() -> int:
     """Scaled-down index regression gate for CI.
 
-    A relaxed 1.5x threshold absorbs runner noise; losing the
-    speedup, the pruning, or result agreement exits nonzero and
-    fails the build (the agreement and fallback premises assert
-    inside the helpers).
+    Losing the pruning or result agreement exits nonzero and fails
+    the build (the agreement and fallback premises assert inside the
+    helpers); the speedups are printed for the log only.
     """
     failures = []
 
@@ -280,10 +281,6 @@ def run_smoke() -> int:
     print(f"[e7-smoke] indexed {result['indexed_speedup']:.2f}x, "
           f"scan {result['scan_speedup']:.2f}x, "
           f"pruned {result['chunks_pruned']}/{result['chunks_total']}")
-    if result["indexed_speedup"] < 1.5:
-        failures.append(
-            f"indexed speedup {result['indexed_speedup']:.2f}x < 1.5x"
-        )
     if result["chunks_pruned"] <= 0:
         failures.append("no chunks pruned on the selective workload")
 

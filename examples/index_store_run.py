@@ -56,10 +56,10 @@ def main() -> None:
     workdir = tempfile.mkdtemp(prefix="index-store-")
     path = os.path.join(workdir, "corpus.segs")
 
-    # 1. Build a binary segmented index (one segment per shard).
+    # 1. Build the index in a directory (one segment per shard; no
+    #    path would build the same index in memory).
     engine = ExtractionEngine(registry)
-    index = engine.build_index(corpus, program,
-                               format="binary", path=path)
+    index = engine.build_index(corpus, program, path=path)
     print("built:", index.describe())
 
     # 2. Reopen by mmap — header-only parse, postings stay on disk

@@ -103,12 +103,10 @@ from repro.runtime import (
 )
 from repro.engine import Corpus, Deadline, Document, ExtractionEngine, Program
 from repro.index import (
-    CorpusIndex,
     FactorSet,
     IndexFilter,
     SegmentedIndex,
     factors_of,
-    open_index,
 )
 from repro.obs import Metrics, Tracer, kernel_metrics
 from repro.runtime import RegisteredSplitter
@@ -144,12 +142,10 @@ __all__ = [
     "ServiceResult",
     "serve_http",
     # Corpus index subsystem (literal/trigram prefiltering).
-    "CorpusIndex",
     "FactorSet",
     "IndexFilter",
     "SegmentedIndex",
     "factors_of",
-    "open_index",
     # Observability (tracing spans + metrics registry).
     "Tracer",
     "Metrics",

@@ -23,13 +23,13 @@ compiled artifact) plus the engine statistics.
 
 The corpus index subsystem (:mod:`repro.index`) is the third
 subcommand: build a persistent trigram index over a corpus's chunks
-once, then let any number of engine runs skip chunks that provably
-cannot match::
+once (``--output DIR``: a directory of mmap-able segments), then let
+any number of engine runs skip chunks that provably cannot match::
 
     python -m repro index --alphabet 'ab .' --splitter sentences \
-        --file corpus.txt --output corpus.idx
+        --file corpus.txt --output corpus.segs
     python -m repro engine --pattern '...' --alphabet 'ab .' \
-        --file corpus.txt --index corpus.idx
+        --file corpus.txt --index corpus.segs
 
 The resident serving layer (:mod:`repro.serve`) is the fourth
 subcommand: one engine stays hot behind a bounded admission queue and
@@ -67,8 +67,7 @@ def _build_query(args) -> Query:
     if getattr(args, "batch_size", None) is not None:
         query = query.batch_size(args.batch_size)
     if getattr(args, "index", None) is not None:
-        # A path — JSON file or binary segment directory, resolved by
-        # repro.index.store.open_index when the query binds.
+        # An index directory, opened when the query binds.
         query = query.indexed(args.index)
     elif getattr(args, "prefilter", False):
         query = query.indexed()
@@ -204,7 +203,7 @@ def engine_command(args) -> int:
             _emit_observability(args, query)
             return 0
     except (ReproError, ValueError, OSError) as error:
-        # OSError covers a missing/unreadable --index file.
+        # OSError covers an unreadable --index directory.
         print(f"error: {error}", file=sys.stderr)
         return 2
     _print_plan(explain)
@@ -281,8 +280,9 @@ def serve_command(args) -> int:
 
 
 def index_command(args) -> int:
-    """Build (and optionally persist) a corpus index over chunks."""
-    from repro.index import CorpusIndex, SegmentedIndex
+    """Build a corpus index over chunks: in ``--output DIR``, or in
+    memory (the report only) without one."""
+    from repro.index import SegmentedIndex
     from repro.query import Splitter
 
     try:
@@ -294,31 +294,17 @@ def index_command(args) -> int:
         print("error: no documents (use --text and/or --file)",
               file=sys.stderr)
         return 2
-    if args.format == "binary" and not args.output:
-        print("error: --format binary needs --output DIRECTORY",
-              file=sys.stderr)
-        return 2
     try:
         splitter = Splitter.named(args.splitter, frozenset(args.alphabet))
-        if args.format == "binary":
-            index = SegmentedIndex.build(corpus, splitter, args.output,
-                                         num_shards=args.shards)
-        else:
-            index = CorpusIndex.build(corpus, splitter,
-                                      num_shards=args.shards)
+        index = SegmentedIndex.build(corpus, splitter, args.output,
+                                     num_shards=args.shards)
     except (ReproError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     for key, value in index.describe().items():
         print(f"  {key}: {value}")
-    if args.format == "binary":
-        print(f"saved index to {args.output}")
-    elif args.output:
-        try:
-            index.save(args.output)
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    index.close()
+    if args.output:
         print(f"saved index to {args.output}")
     return 0
 
@@ -440,8 +426,8 @@ def main(argv=None) -> int:
     engine_parser.add_argument("--shards", type=int, default=1,
                                help="process the corpus in N shards")
     engine_parser.add_argument(
-        "--index", default=None, metavar="PATH",
-        help="corpus index file built by `repro index` (enables "
+        "--index", default=None, metavar="DIR",
+        help="corpus index directory built by `repro index` (enables "
              "chunk prefiltering from its posting lists)",
     )
     engine_parser.add_argument(
@@ -481,8 +467,8 @@ def main(argv=None) -> int:
     serve_parser.add_argument("--batch-size", type=int, default=32,
                               help="chunk/document batch size")
     serve_parser.add_argument(
-        "--index", default=None, metavar="PATH",
-        help="corpus index file built by `repro index` (enables "
+        "--index", default=None, metavar="DIR",
+        help="corpus index directory built by `repro index` (enables "
              "chunk prefiltering from its posting lists)",
     )
     serve_parser.add_argument("--host", default="127.0.0.1",
@@ -529,25 +515,23 @@ def main(argv=None) -> int:
                               help="path to a document file (repeatable)")
     index_parser.add_argument("--shards", type=int, default=1,
                               help="index the corpus in N shards "
-                                   "(binary: one segment per shard)")
-    index_parser.add_argument(
-        "--format", default="json", choices=["json", "binary"],
-        help="storage format: json (single file) or binary "
-             "(mmap-able segment directory, delta-updatable)",
-    )
-    index_parser.add_argument("--output", default=None, metavar="PATH",
-                              help="write the index to PATH (json: a "
-                                   "file; binary: a directory)")
+                                   "(one segment per shard)")
+    index_parser.add_argument("--output", default=None, metavar="DIR",
+                              help="build the index in directory DIR "
+                                   "(mmap-able segments, delta-"
+                                   "updatable); without it the index "
+                                   "is built in memory and only "
+                                   "reported")
     compact_parser = subparsers.add_parser(
         "index-compact",
-        help="merge a binary index's segments, dropping tombstones",
+        help="merge an index's segments, dropping tombstones",
     )
     compact_parser.add_argument("--index", required=True, metavar="DIR",
-                                help="segment directory built by "
-                                     "`repro index --format binary`")
+                                help="index directory built by "
+                                     "`repro index --output DIR`")
     update_parser = subparsers.add_parser(
         "index-update",
-        help="re-index edited documents by delta (binary index)",
+        help="re-index edited documents by delta",
     )
     update_parser.add_argument("--index", required=True, metavar="DIR",
                                help="segment directory to update")

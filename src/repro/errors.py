@@ -90,13 +90,12 @@ class ServiceClosedError(ReproError, RuntimeError):
 class IndexFormatError(ReproError, ValueError):
     """A persisted corpus index cannot be opened as its format claims.
 
-    Raised by :meth:`repro.index.CorpusIndex.load` and the binary
-    segment store (:mod:`repro.index.store`) for unsupported format
-    versions, bad magic bytes, truncated files, and splitter-
-    fingerprint mismatches between a manifest and its segments.
-    Carries the offending ``path`` when one is known.  Subclasses
-    :class:`ValueError` because the JSON loader historically raised
-    that for version mismatches.
+    Raised by the index store (:mod:`repro.index.store`) for a path
+    that holds no index manifest, unsupported format versions, bad
+    magic bytes, truncated segments, and splitter-fingerprint
+    mismatches between a manifest and its segments.  Carries the
+    offending ``path`` when one is known.  Subclasses
+    :class:`ValueError`, the type index loading has always raised.
     """
 
     def __init__(self, message: str, path: Optional[str] = None):

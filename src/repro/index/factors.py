@@ -10,7 +10,7 @@ This module derives, from a spanner's *matching language*
   (an AND-filter, the Google-Code-Search "necessary literals" trick);
 * ``trigrams`` — a set such that every matching chunk of length >= 3
   contains at least one member (an OR-filter answerable from a
-  trigram posting index, :mod:`repro.index.trigram`);
+  trigram posting index, :mod:`repro.index.store`);
 * ``min_length`` — the length of the shortest matching chunk;
 * ``empty`` — the matching language is empty (nothing ever matches).
 

@@ -2,7 +2,7 @@
 
 An ``IndexFilter`` binds a plan's necessary factors
 (:class:`repro.index.factors.FactorSet`, derived once per certificate)
-to an optional :class:`repro.index.trigram.CorpusIndex`.  The engine
+to an optional :class:`repro.index.store.SegmentedIndex`.  The engine
 asks it one question per chunk — :meth:`admits` — *before* any
 automaton runs:
 
@@ -17,10 +17,10 @@ automaton runs:
 Decisions are memoized per distinct chunk text, so the corpus-wide
 text duplication the engine already exploits for chunk caching makes
 repeated instances of a chunk cost one dict lookup here.  The
-candidate bitmask tracks the index's :attr:`repro.index.trigram.
-CorpusIndex.version`: an index grown incrementally (per shard, per
-document) after the filter was built triggers a recomputation instead
-of pruning new texts against a stale snapshot.
+candidate bitmask tracks the index's ``version``: an index grown or
+edited (per shard, per document, by delta) after the filter was built
+triggers a recomputation instead of pruning new texts against a stale
+snapshot.
 
 Soundness is inherited from the factor analysis: ``admits`` returning
 ``False`` proves the chunk's result set is empty, so pruned chunks
@@ -34,13 +34,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.index.factors import FactorSet
-
-#: The duck-typed index contract this filter binds to: anything with
-#: ``candidates(factors)``, ``text_id(text)``, ``version`` and
-#: ``splitter`` qualifies — the JSON :class:`repro.index.trigram.
-#: CorpusIndex` and the binary :class:`repro.index.store.
-#: SegmentedIndex` both do.
-IndexLike = object
+from repro.index.store.segmented import SegmentedIndex
 
 
 class IndexFilter:
@@ -60,7 +54,7 @@ class IndexFilter:
     def __init__(
         self,
         factors: FactorSet,
-        index: Optional[IndexLike] = None,
+        index: Optional[SegmentedIndex] = None,
         metrics: Optional[object] = None,
         plan: Optional[str] = None,
     ) -> None:
@@ -129,10 +123,8 @@ class IndexFilter:
         if self.index is not None:
             report["indexed_texts"] = len(self.index)
             report["index_splitter"] = self.index.splitter
-            report["index_format"] = getattr(self.index, "format",
-                                             "unknown")
-            report["index_segments"] = getattr(self.index,
-                                               "segment_count", 1)
+            report["index_directory"] = self.index.directory
+            report["index_segments"] = self.index.segment_count
         return report
 
     def __repr__(self) -> str:

@@ -1,56 +1,33 @@
-"""Binary mmap-able index storage (segments, tombstones, compaction).
+"""The index store: segments, tombstones, compaction.
 
-The storage engine behind ``repro index --format binary``: immutable
-binary segment files (:mod:`repro.index.store.segment`) composed into
-a delta-maintainable :class:`SegmentedIndex`
-(:mod:`repro.index.store.segmented`) that satisfies the same
-candidate-mask contract as the JSON
-:class:`repro.index.trigram.CorpusIndex`.  :func:`open_index` opens
-either format from a path, so engine, CLI and service code never
-branch on storage.
+One representation — immutable RIS1 segment images
+(:mod:`repro.index.store.segment`, which alone knows the posting
+vocabulary, the payload encodings and the candidate algorithm) —
+composed into the delta-maintainable :class:`SegmentedIndex`
+(:mod:`repro.index.store.segmented`).  An index lives where it was
+created: ``SegmentedIndex.create/build`` with a directory writes
+mmap-able segment files there (``SegmentedIndex.open`` maps them
+back); with none, the same segments stay in the process.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import IndexFormatError
 from repro.index.store.segment import (
     Segment,
+    encode_segment,
     splitter_fingerprint,
     text_digest,
     write_segment,
 )
 from repro.index.store.segmented import MANIFEST_NAME, SegmentedIndex
 
-
-def open_index(path: str):
-    """Open a persisted index, whatever its storage format.
-
-    A directory holding a segment manifest opens as a (mmap-backed)
-    :class:`SegmentedIndex`; a file opens as a JSON
-    :class:`repro.index.trigram.CorpusIndex`.  Raises
-    :class:`repro.errors.IndexFormatError` when the path is neither.
-    """
-    from repro.index.trigram import CorpusIndex
-
-    if os.path.isdir(path):
-        if not os.path.exists(os.path.join(path, MANIFEST_NAME)):
-            raise IndexFormatError(
-                "directory holds no index manifest", path=path
-            )
-        return SegmentedIndex.open(path)
-    if not os.path.exists(path):
-        raise IndexFormatError("no such index", path=path)
-    return CorpusIndex.load(path)
-
-
 __all__ = [
     "IndexFormatError",
     "MANIFEST_NAME",
     "Segment",
     "SegmentedIndex",
-    "open_index",
+    "encode_segment",
     "splitter_fingerprint",
     "text_digest",
     "write_segment",

@@ -1,18 +1,24 @@
-"""One immutable, ``mmap``-loadable index segment.
+"""One immutable index segment: the only posting representation.
 
-A segment is the binary on-disk unit of the storage engine
-(:mod:`repro.index.store`): the postings of one batch of distinct
-chunk texts, written once (:func:`write_segment`, atomic via a
-temp-file ``os.replace``) and from then on only ever *mapped* —
-:class:`Segment` opens the file read-only through :mod:`mmap`, parses
-a fixed-size header, and answers every query by binary search and
-slice arithmetic over the mapping.  Opening costs a handful of page
-faults regardless of segment size; nothing is parsed, decompressed or
-copied up front, so a multi-GB index is usable in milliseconds and
-any number of processes opening the same file share its pages through
-the OS page cache.
+A segment is the unit of the index (:mod:`repro.index.store`): the
+postings of one batch of distinct chunk texts, encoded once
+(:func:`encode_segment`) into a self-contained byte image and from
+then on only ever *read in place* — :class:`Segment` wraps the image,
+parses a fixed-size header, and answers every query by binary search
+and slice arithmetic over it.  The image either stays in the process
+that encoded it (a memory-resident index) or is written to a file
+(:func:`write_segment`, atomic via a temp-file ``os.replace``) that
+:class:`Segment` maps read-only through :mod:`mmap`.  Opening a file
+costs a handful of page faults regardless of segment size; nothing is
+parsed, decompressed or copied up front, so a multi-GB index is usable
+in milliseconds and any number of processes opening the same file
+share its pages through the OS page cache.
 
-File layout (all integers little-endian)::
+This module is the one place that knows the posting vocabulary
+(:func:`grams_of`), the payload encodings and the candidate algorithm
+(:meth:`Segment.candidates`).
+
+Image layout (all integers little-endian)::
 
     magic 'RIS1' | u32 format version | u32 meta length | meta JSON
     TOC:  u32 text count N
@@ -23,7 +29,7 @@ File layout (all integers little-endian)::
           u64 offset of gram-offsets block     ((G+1) x u64)
           u64 offset of gram entries           (G x (u8 tag, u64, u32))
           u64 offset of short-text bitmap      (ceil(N/8) bytes)
-          u64 total file size (truncation check)
+          u64 total image size (truncation check)
     blocks ... text blob | gram blob | posting payloads
 
 *Texts* are stored UTF-8, sorted by their encoded bytes; a text's
@@ -40,10 +46,10 @@ and its fingerprint, so an index directory can refuse segments built
 under a different chunking.
 
 Payload access is zero-copy up to the final ``int`` conversion: the
-reader slices :class:`memoryview`\\ s of the mapping and materializes
+reader slices :class:`memoryview`\\ s of the image and materializes
 a posting only when a query first touches its gram (memoized).  All
 public return values own their bytes, so :meth:`Segment.close` can
-always release the mapping.
+always release the image.
 """
 
 from __future__ import annotations
@@ -51,13 +57,17 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
+import operator
 import os
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from collections import defaultdict
+from functools import partial
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import IndexFormatError
 from repro.index.factors import GRAM, FactorSet
-from repro.index.trigram import grams_of
 
 MAGIC = b"RIS1"
 FORMAT_VERSION = 1
@@ -74,6 +84,19 @@ TAG_BITMAP = 1
 TAG_VARINT = 2
 
 
+def grams_of(text: str) -> Set[str]:
+    """The distinct 1..``GRAM``-grams of a chunk text: the posting
+    vocabulary, exactly the grams :meth:`Segment.candidates` queries."""
+    grams = set(text)
+    run: Sequence[str] = text
+    for size in range(2, GRAM + 1):
+        # Every size-gram is the (size-1)-gram at the same start plus
+        # the character after it.
+        run = list(map(operator.add, run, text[size - 1:]))
+        grams.update(run)
+    return grams
+
+
 def text_digest(text: str) -> bytes:
     """The 20-byte identity of a chunk text (sha1 of its UTF-8)."""
     return hashlib.sha1(text.encode("utf-8")).digest()
@@ -86,16 +109,16 @@ def splitter_fingerprint(name: Optional[str]) -> str:
     return hashlib.sha1(name.encode("utf-8")).hexdigest()[:16]
 
 
-def _encode_varint(value: int) -> bytes:
+def _encode_varints(values: Iterable[int]) -> bytes:
+    """LEB128, back to back: 7 bits per byte, high bit = more follow."""
     out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    append = out.append
+    for value in values:
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+    return bytes(out)
 
 
 def _decode_varints(raw) -> List[int]:
@@ -121,37 +144,27 @@ def _ids_to_bitmap_bytes(ids: Sequence[int], count: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Writing
+# Encoding and writing
 # ----------------------------------------------------------------------
 
 
-def write_segment(
-    path: str,
+def encode_segment(
     texts: Iterable[str],
     splitter: Optional[str] = None,
     meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Write one segment for ``texts`` (deduplicated); returns a
-    summary dict (texts, grams, bytes, encodings chosen).
-
-    The write is **atomic**: everything lands in ``path + '.tmp'``,
-    is fsynced, and only then renamed over ``path`` — a crash leaves
-    either the old file or no file, never a torn segment.
-    """
+) -> Tuple[bytes, Dict[str, object]]:
+    """Encode one segment for ``texts`` (deduplicated); returns the
+    image and a summary dict (texts, grams, bytes, encodings chosen).
+    Pure: the same texts, splitter and meta give the same bytes."""
     encoded = sorted({text.encode("utf-8") for text in texts})
     decoded = [raw.decode("utf-8") for raw in encoded]
     count = len(decoded)
 
-    from array import array
-
-    postings: Dict[str, array] = {}
+    postings: Dict[str, array] = defaultdict(partial(array, "I"))
     short_ids: List[int] = []
     for tid, text in enumerate(decoded):
         for gram in grams_of(text):
-            posting = postings.get(gram)
-            if posting is None:
-                posting = postings[gram] = array("I")
-            posting.append(tid)
+            postings[gram].append(tid)
         if len(text) < GRAM:
             short_ids.append(tid)
 
@@ -169,11 +182,15 @@ def write_segment(
     bitmaps = varints = 0
     for gram in grams:
         ids = postings[gram]
-        parts = [_encode_varint(ids[0])] if len(ids) else []
-        for previous, current in zip(ids, ids[1:] if len(ids) else []):
-            parts.append(_encode_varint(current - previous))
-        varint_payload = b"".join(parts)
-        if bitmap_size < len(varint_payload):
+        # The smaller encoding wins.  A varint is at least one byte,
+        # so a posting with more ids than the bitmap has bytes need
+        # not be varint-encoded to know the bitmap is smaller.
+        varint_payload = None
+        if len(ids) <= bitmap_size:
+            varint_payload = _encode_varints(
+                chain(ids[:1], map(operator.sub, ids[1:], ids))
+            )
+        if varint_payload is None or bitmap_size < len(varint_payload):
             payloads.append(
                 (TAG_BITMAP, _ids_to_bitmap_bytes(ids, count))
             )
@@ -246,14 +263,7 @@ def write_segment(
 
     image = b"".join(parts)
     assert len(image) == total_size
-    temp = path + ".tmp"
-    with open(temp, "wb") as handle:
-        handle.write(image)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-    return {
-        "path": path,
+    return image, {
         "texts": count,
         "grams": len(grams),
         "bytes": total_size,
@@ -262,33 +272,64 @@ def write_segment(
     }
 
 
+def write_segment(
+    path: str,
+    texts: Iterable[str],
+    splitter: Optional[str] = None,
+    meta: Optional[Dict[str, object]] = None,
+) -> Dict[str, object]:
+    """Encode one segment for ``texts`` and write it to ``path``;
+    returns :func:`encode_segment`'s summary plus the ``path``.
+
+    The write is **atomic**: everything lands in ``path + '.tmp'``,
+    is fsynced, and only then renamed over ``path`` — a crash leaves
+    either the old file or no file, never a torn segment.
+    """
+    image, summary = encode_segment(texts, splitter=splitter, meta=meta)
+    temp = path + ".tmp"
+    with open(temp, "wb") as handle:
+        handle.write(image)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temp, path)
+    summary["path"] = path
+    return summary
+
+
 # ----------------------------------------------------------------------
 # Reading
 # ----------------------------------------------------------------------
 
 
 class Segment:
-    """A read-only, memory-mapped index segment.
+    """A read-only view of one segment image.
 
-    Construction maps the file and parses ~100 bytes of header; every
+    ``source`` is a file path (mapped read-only through :mod:`mmap`)
+    or a bytes-like image already in memory; both go through the same
+    header checks.  Construction parses ~100 bytes of header; every
     other structure is touched lazily.  Posting masks are memoized as
     Python ints per gram once a query needs them.  Instances are not
     thread-safe for concurrent first-touch of the same gram (the
     engine's dispatcher-thread ownership makes that moot); closing
-    releases the mapping, after which queries raise ``ValueError``.
+    releases the image, after which queries raise ``ValueError``.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        try:
-            with open(path, "rb") as handle:
-                self._mmap = mmap.mmap(handle.fileno(), 0,
-                                       access=mmap.ACCESS_READ)
-        except ValueError as error:  # zero-length file cannot be mapped
-            raise IndexFormatError(
-                f"not an index segment ({error})", path=path
-            ) from error
-        view = memoryview(self._mmap)
+    def __init__(self, source: Union[str, bytes]) -> None:
+        #: The mapped file, or ``None`` for a memory-resident image.
+        self.path = path = source if isinstance(source, str) else None
+        self._mmap: Optional[mmap.mmap] = None
+        image = source
+        if path is not None:
+            try:
+                with open(path, "rb") as handle:
+                    image = self._mmap = mmap.mmap(
+                        handle.fileno(), 0, access=mmap.ACCESS_READ
+                    )
+            except ValueError as error:  # zero-length file cannot be mapped
+                raise IndexFormatError(
+                    f"not an index segment ({error})", path=path
+                ) from error
+        view = memoryview(image)
         try:
             if len(view) < _PREAMBLE.size:
                 raise IndexFormatError("truncated segment header",
@@ -319,11 +360,12 @@ class Segment:
             if total_size != len(view):
                 raise IndexFormatError(
                     f"segment size mismatch (header says {total_size} "
-                    f"bytes, file has {len(view)})", path=path,
+                    f"bytes, image has {len(view)})", path=path,
                 )
         except Exception:
             view.release()
-            self._mmap.close()
+            if self._mmap is not None:
+                self._mmap.close()
             raise
         self._view = view
         self._masks: Dict[str, Optional[int]] = {}
@@ -342,10 +384,6 @@ class Segment:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def gram_count(self) -> int:
-        return self._gram_count
 
     @property
     def nbytes(self) -> int:
@@ -497,9 +535,17 @@ class Segment:
         return mask
 
     def candidates(self, factors: FactorSet) -> Optional[int]:
-        """Candidate bitmask over local ids (see
-        :meth:`repro.index.trigram.CorpusIndex.candidates`; identical
-        soundness semantics, answered from the mapping)."""
+        """Bitmask over local ids of texts that *could* satisfy
+        ``factors``.
+
+        Sound over-approximation: a clear bit proves the text fails a
+        necessary condition; a set bit still needs the exact per-text
+        scan (a required factor of length <= 3 *is* a gram, a longer
+        one is approximated by intersecting its trigrams' postings;
+        the trigram OR-set admits every text shorter than 3
+        characters, which has no trigrams).  Returns ``None`` when no
+        condition is answerable from postings (the filter then runs
+        in pure scan mode)."""
         count = self._count
         if count == 0:
             return None
@@ -552,18 +598,16 @@ class Segment:
             previous = raw
 
     def close(self) -> None:
-        """Release the mapping (idempotent)."""
+        """Release the image (idempotent)."""
         view = self.__dict__.get("_view")
         if view is not None:
             self._masks.clear()
             self._length_masks.clear()
             view.release()
             self._view = None  # type: ignore[assignment]
-            self._mmap.close()
-            self.__dict__["_view"] = None
-        elif getattr(self, "_mmap", None) is not None \
-                and not self._mmap.closed:
-            self._mmap.close()
+        mapping = self.__dict__.get("_mmap")
+        if mapping is not None and not mapping.closed:
+            mapping.close()
 
     @property
     def closed(self) -> bool:
@@ -583,4 +627,5 @@ class Segment:
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"{self._count} texts"
-        return f"Segment({os.path.basename(self.path)!r}, {state})"
+        name = os.path.basename(self.path) if self.path else "<memory>"
+        return f"Segment({name!r}, {state})"

@@ -1,19 +1,21 @@
 """The :class:`SegmentedIndex`: many immutable segments, one index.
 
-This is the binary storage engine's answer to
-:class:`repro.index.trigram.CorpusIndex`: the same candidate-mask
-contract (``candidates``/``text_id``/``version``/``splitter``), backed
-not by an in-memory dict of postings but by a *directory* of
-memory-mapped :class:`repro.index.store.segment.Segment` files plus a
-small JSON manifest.  Text ids are global — segment *k*'s local ids
-are offset by the number of texts in segments before it — so the
-candidate bitmask the :class:`repro.index.filter.IndexFilter` consumes
-is simply the OR of per-segment masks shifted to their bases.
+The index over a corpus's distinct chunk texts — the candidate-mask
+contract (``candidates``/``text_id``/``version``/``splitter``) the
+:class:`repro.index.filter.IndexFilter` binds to — is a list of
+:class:`repro.index.store.segment.Segment` images.  Where the index
+was created decides where they live: with a *directory*, each segment
+is a memory-mapped file beside a small JSON manifest; with none, each
+is a byte image resident in this process and nothing touches disk.
+Everything else is the same code.  Text ids are global — segment
+*k*'s local ids are offset by the number of texts in segments before
+it — so the candidate bitmask is simply the OR of per-segment masks
+shifted to their bases.
 
 Mutation follows the LSM discipline:
 
-* **segments are immutable** — once written, a segment file is only
-  ever mapped or unlinked;
+* **segments are immutable** — once encoded, a segment is only ever
+  read or dropped (a segment file: mapped or unlinked);
 * **additions** stage in memory and flush as a fresh *delta* segment
   (:meth:`flush`; bulk builds flush once per shard, document edits
   once per edit);
@@ -29,20 +31,22 @@ Mutation follows the LSM discipline:
   index opened before a compact keeps serving its old generation until
   it calls :meth:`refresh`.
 
-Document-level delta maintenance (:meth:`update_document`) keeps a
-sidecar (``documents.json``) of each document's chunk digests plus
-per-digest reference counts; an edit stages only the chunk texts the
-edit introduced and tombstones the ones whose last reference dropped —
-re-indexing cost proportional to the edit, the Wikipedia-revision
-scenario of the paper applied to the index itself.
+Document-level delta maintenance (:meth:`update_document`) keeps
+each document's chunk digests plus per-digest reference counts (in a
+directory: the ``documents.json`` sidecar); an edit stages only the
+chunk texts the edit introduced and tombstones the ones whose last
+reference dropped — re-indexing cost proportional to the edit, the
+Wikipedia-revision scenario of the paper applied to the index itself.
 
 Pickling is by *path*: workers receive ``(open, (directory,))`` and
 re-map the segment files themselves, so posting payloads cross process
-boundaries through the page cache, never through pickle.
+boundaries through the page cache, never through pickle (a memory-
+resident index has no path and refuses to pickle).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -51,6 +55,7 @@ from repro.errors import IndexFormatError
 from repro.index.factors import FactorSet
 from repro.index.store.segment import (
     Segment,
+    encode_segment,
     splitter_fingerprint,
     text_digest,
     write_segment,
@@ -72,20 +77,31 @@ def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
     os.replace(temp, path)
 
 
+def _chunk_texts(splitter, text: str) -> List[str]:
+    """``text``'s chunks under anything with ``chunks(text)`` (a
+    fluent :class:`repro.query.Splitter`, a fast splitter) or a unary
+    VSet-automaton."""
+    if hasattr(splitter, "chunks"):
+        return list(splitter.chunks(text))
+    from repro.runtime.executor import splitter_spans
+
+    return [span.extract(text)
+            for span in splitter_spans(splitter, text)]
+
+
 class SegmentedIndex:
-    """A directory of mmap-backed index segments with delta updates.
+    """Index segments with delta updates, in a directory or in memory.
 
     Construct via :meth:`create` (new, empty), :meth:`open` (existing
-    directory), or :meth:`build` (index a corpus).  All mutators
-    persist before returning — the directory on disk is always a
-    complete, openable index.
+    directory), or :meth:`build` (index a corpus).  With a directory,
+    all mutators persist before returning — the directory on disk is
+    always a complete, openable index; with ``directory=None`` the
+    same segments stay in this process.
     """
-
-    format = "binary-segments"
 
     def __init__(
         self,
-        directory: str,
+        directory: Optional[str],
         splitter: Optional[str] = None,
         _from_factory: bool = False,
     ) -> None:
@@ -105,13 +121,15 @@ class SegmentedIndex:
         self._segment_names: List[str] = []
         self._bases: List[int] = []
         self._next_segment = 1
-        #: Staged (not yet flushed) distinct texts, insertion-ordered.
-        self._staged: Dict[str, bool] = {}
+        #: Staged (not yet flushed) distinct texts by digest,
+        #: insertion-ordered; never also in a segment.
+        self._staged: Dict[bytes, str] = {}
         #: sha1 digests of retired texts (never prunes masks; see
         #: module docstring).
         self._tombstones: Set[bytes] = set()
         #: doc_id -> per-instance digest hexes; digest hex -> document
-        #: reference count.  Loaded lazily from the sidecar.
+        #: reference count.  Loaded lazily from the sidecar (a memory
+        #: index has none: they live here only).
         self._doc_records: Optional[Dict[str, List[str]]] = None
         self._refcounts: Optional[Dict[str, int]] = None
         self._autoflush = True
@@ -122,17 +140,19 @@ class SegmentedIndex:
 
     @classmethod
     def create(
-        cls, directory: str, splitter: Optional[str] = None
+        cls, directory: Optional[str] = None,
+        splitter: Optional[str] = None,
     ) -> "SegmentedIndex":
-        """Initialize an empty index directory (must not already hold
-        a manifest)."""
-        os.makedirs(directory, exist_ok=True)
-        manifest = os.path.join(directory, MANIFEST_NAME)
-        if os.path.exists(manifest):
-            raise IndexFormatError(
-                "directory already holds an index (open it instead)",
-                path=directory,
-            )
+        """A new, empty index: in ``directory`` (which must not
+        already hold a manifest), or in memory when it is ``None``."""
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            manifest = os.path.join(directory, MANIFEST_NAME)
+            if os.path.exists(manifest):
+                raise IndexFormatError(
+                    "directory already holds an index (open it "
+                    "instead)", path=directory,
+                )
         index = cls(directory, splitter=splitter, _from_factory=True)
         index._doc_records = {}
         index._refcounts = {}
@@ -147,9 +167,9 @@ class SegmentedIndex:
         try:
             with open(manifest_path, encoding="utf-8") as handle:
                 manifest = json.load(handle)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             raise IndexFormatError(
-                "no index manifest (not a segmented index directory)",
+                "no index manifest (not an index directory)",
                 path=directory,
             ) from None
         except ValueError as error:
@@ -184,16 +204,19 @@ class SegmentedIndex:
         cls,
         corpus,
         splitter,
-        directory: str,
+        directory: Optional[str] = None,
         name: Optional[str] = None,
         num_shards: int = 1,
     ) -> "SegmentedIndex":
-        """Index every chunk of ``corpus`` into ``directory``.
+        """Index every chunk of ``corpus`` under ``splitter``, into
+        ``directory`` or (``None``) in memory.
 
-        Mirrors :meth:`repro.index.trigram.CorpusIndex.build`; with
-        ``num_shards > 1`` each shard flushes its own segment file, so
-        the directory records the build's parallel structure and
-        :meth:`compact` can later fold it flat.
+        ``corpus`` is a :class:`repro.engine.Corpus` (or anything its
+        constructor helpers accept).  With ``num_shards > 1`` the
+        corpus is partitioned deterministically and each shard flushes
+        its own segment — the loop a cluster of indexers would
+        distribute — so the index records the build's parallel
+        structure and :meth:`compact` can later fold it flat.
         """
         from repro.engine.engine import _as_corpus
 
@@ -255,6 +278,8 @@ class SegmentedIndex:
     # ------------------------------------------------------------------
 
     def _write_manifest(self) -> None:
+        if self.directory is None:
+            return
         _atomic_write_json(
             os.path.join(self.directory, MANIFEST_NAME),
             {
@@ -295,7 +320,7 @@ class SegmentedIndex:
         }
 
     def _write_documents(self) -> None:
-        if self._doc_records is None:
+        if self.directory is None or self._doc_records is None:
             return
         _atomic_write_json(
             os.path.join(self.directory, DOCUMENTS_NAME),
@@ -304,7 +329,8 @@ class SegmentedIndex:
         )
 
     def save(self) -> None:
-        """Flush staged texts and persist manifest + sidecar."""
+        """Flush staged texts and persist manifest + sidecar (a memory
+        index only flushes)."""
         self.flush()
         self._write_manifest()
         self._write_documents()
@@ -313,43 +339,31 @@ class SegmentedIndex:
     # Mutation
     # ------------------------------------------------------------------
 
+    @contextlib.contextmanager
     def batch(self):
         """Context manager suspending per-mutation persistence: all
         mutations inside stage together and flush as **one** segment
         (with one manifest write) on exit — the bulk-build and
         single-edit-delta discipline."""
-        import contextlib
-
-        @contextlib.contextmanager
-        def _batched():
-            previous, self._autoflush = self._autoflush, False
-            try:
-                yield self
-            finally:
-                self._autoflush = previous
-            if self._autoflush:
-                self.save()
-
-        return _batched()
+        previous, self._autoflush = self._autoflush, False
+        try:
+            yield self
+        finally:
+            self._autoflush = previous
+        if self._autoflush:
+            self.save()
 
     def add_shard(self, corpus, splitter) -> int:
         """Index one corpus shard as one segment; returns distinct
         texts added."""
-        from repro.index.trigram import CorpusIndex
-
         before = len(self)
-        previous, self._autoflush = self._autoflush, False
-        try:
+        with self.batch():
             for document in corpus:
                 self.add_document(
-                    CorpusIndex._chunk_texts(splitter, document.text),
+                    _chunk_texts(splitter, document.text),
                     doc_id=getattr(document, "doc_id", None),
                 )
-        finally:
-            self._autoflush = previous
-        self.shards_indexed += 1
-        if self._autoflush:
-            self.save()
+            self.shards_indexed += 1
         return len(self) - before
 
     def add_document(
@@ -390,9 +404,9 @@ class SegmentedIndex:
             # by dropping the tombstone, no re-indexing needed.
             self._tombstones.discard(digest)
             self.version += 1
-        elif (text not in self._staged
+        elif (digest not in self._staged
                 and self._segment_text_id(text) is None):
-            self._staged[text] = True
+            self._staged[digest] = text
             self.version += 1
         return hexed
 
@@ -430,18 +444,24 @@ class SegmentedIndex:
             self.save()
         return {"added": len(added), "removed": len(removed)}
 
-    def _release(self, hexed: str) -> None:
+    def _release(self, hexed: str) -> bool:
+        """Drop one document reference; returns whether it was the
+        last (the text is retired)."""
         counts = self._refcounts
         remaining = counts.get(hexed, 0) - 1
         if remaining > 0:
             counts[hexed] = remaining
-            return
+            return False
         counts.pop(hexed, None)
         digest = bytes.fromhex(hexed)
-        # Last reference gone: retire.  Staged-and-unflushed texts are
-        # simply dropped at flush; flushed ones get a tombstone.
-        self._tombstones.add(digest)
+        # Last reference gone: retire.  A staged text is in no segment
+        # yet, so it is simply un-staged; a flushed one gets a
+        # tombstone — only ever backed by a segment payload, which is
+        # what lets _reference undo it without re-indexing.
+        if self._staged.pop(digest, None) is None:
+            self._tombstones.add(digest)
         self.version += 1
+        return True
 
     def remove_document(self, doc_id: str) -> int:
         """Forget a tracked document; returns distinct texts retired."""
@@ -449,35 +469,38 @@ class SegmentedIndex:
         record = self._doc_records.pop(doc_id, None)
         if record is None:
             raise KeyError(doc_id)
-        before = len(self._tombstones)
-        for hexed in set(record):
-            self._release(hexed)
+        retired = sum(self._release(hexed) for hexed in set(record))
         self.documents -= 1
         self.chunk_instances -= len(record)
         self.version += 1
         if self._autoflush:
             self.save()
-        return len(self._tombstones) - before
+        return retired
 
-    def flush(self) -> Optional[str]:
-        """Write staged texts as one fresh (delta) segment; returns
-        the new segment's filename, or ``None`` if nothing to write."""
-        texts = [
-            text for text in self._staged
-            if text_digest(text) not in self._tombstones
-        ]
-        if not texts:
-            self._staged.clear()
-            return None
+    def _seal(
+        self, texts: Iterable[str]
+    ) -> Tuple[str, Segment, Dict[str, object]]:
+        """Encode ``texts`` as the next segment — a file mapped from
+        the directory, or an image resident in this process.  Returns
+        its name, the readable segment and the encoder's summary."""
         name = f"segment-{self._next_segment:06d}.ris"
         self._next_segment += 1
-        write_segment(
-            os.path.join(self.directory, name),
-            texts,
-            splitter=self.splitter,
-        )
+        if self.directory is None:
+            source, summary = encode_segment(texts,
+                                             splitter=self.splitter)
+        else:
+            source = os.path.join(self.directory, name)
+            summary = write_segment(source, texts,
+                                    splitter=self.splitter)
+        return name, Segment(source), summary
+
+    def flush(self) -> Optional[str]:
+        """Seal staged texts as one fresh (delta) segment; returns
+        the new segment's name, or ``None`` if nothing was staged."""
+        if not self._staged:
+            return None
+        name, segment, _summary = self._seal(self._staged.values())
         self._staged.clear()
-        segment = Segment(os.path.join(self.directory, name))
         self._segments.append(segment)
         self._segment_names.append(name)
         self._recompute_bases()
@@ -509,16 +532,10 @@ class SegmentedIndex:
                     seen.add(digest)
                     yield raw.decode("utf-8")
 
-        name = f"segment-{self._next_segment:06d}.ris"
-        self._next_segment += 1
-        summary = write_segment(
-            os.path.join(self.directory, name),
-            _live_texts(),
-            splitter=self.splitter,
-        )
+        name, merged, summary = self._seal(_live_texts())
         old_segments = self._segments
         old_names = self._segment_names
-        self._segments = [Segment(os.path.join(self.directory, name))]
+        self._segments = [merged]
         self._segment_names = [name]
         self._recompute_bases()
         self._tombstones.clear()
@@ -528,10 +545,11 @@ class SegmentedIndex:
         self._write_documents()
         for segment, old_name in zip(old_segments, old_names):
             segment.close()
-            try:
-                os.unlink(os.path.join(self.directory, old_name))
-            except FileNotFoundError:
-                pass
+            if self.directory is not None:
+                try:
+                    os.unlink(os.path.join(self.directory, old_name))
+                except FileNotFoundError:
+                    pass
         kernel_metrics().counter("index.compactions").inc()
         from repro.obs.log import event_log
 
@@ -552,7 +570,10 @@ class SegmentedIndex:
     def refresh(self) -> bool:
         """Re-open if the directory advanced to a new generation
         (another process flushed or compacted).  Returns whether
-        anything changed; the index keeps serving throughout."""
+        anything changed; the index keeps serving throughout.  A
+        memory index has no other writer: nothing ever changes."""
+        if self.directory is None:
+            return False
         manifest_path = os.path.join(self.directory, MANIFEST_NAME)
         try:
             with open(manifest_path, encoding="utf-8") as handle:
@@ -594,9 +615,6 @@ class SegmentedIndex:
     def segment_count(self) -> int:
         return len(self._segments)
 
-    def gram_count(self) -> int:
-        return sum(segment.gram_count for segment in self._segments)
-
     @property
     def tombstone_count(self) -> int:
         return len(self._tombstones)
@@ -620,9 +638,8 @@ class SegmentedIndex:
         return self._segment_text_id(text)
 
     def candidates(self, factors: FactorSet) -> Optional[int]:
-        """Global candidate bitmask (per-segment masks shifted to
-        their bases).  Semantics identical to
-        :meth:`repro.index.trigram.CorpusIndex.candidates`."""
+        """Global candidate bitmask: :meth:`Segment.candidates` per
+        segment, shifted to the segment's base and OR-ed."""
         if not self._segments:
             return None
         masks: List[Optional[int]] = [
@@ -652,7 +669,6 @@ class SegmentedIndex:
     def describe(self) -> Dict[str, object]:
         """Summary counters (the CLI's build/compact report)."""
         return {
-            "format": self.format,
             "splitter": self.splitter,
             "directory": self.directory,
             "generation": self.generation,
@@ -690,9 +706,14 @@ class SegmentedIndex:
     def __reduce__(self) -> Tuple[object, Tuple[str]]:
         # Pickle as a path: workers re-map the segments through the
         # page cache instead of receiving serialized postings.
+        if self.directory is None:
+            raise TypeError(
+                "a memory-resident SegmentedIndex cannot be pickled "
+                "(it has no directory to re-open)"
+            )
         return (SegmentedIndex.open, (self.directory,))
 
     def __repr__(self) -> str:
-        return (f"SegmentedIndex({self.directory!r}, "
+        return (f"SegmentedIndex({self.directory or '<memory>'!r}, "
                 f"{self.segment_count} segments, {len(self)} texts, "
                 f"generation={self.generation})")

@@ -65,7 +65,7 @@ class Query:
         object.__setattr__(self, "_engine_explicit",
                            settings.get("engine_explicit", False))
         # None = prefiltering off; True = auto-build on .over();
-        # a CorpusIndex = use the prebuilt index.
+        # a SegmentedIndex or a directory path = use that index.
         object.__setattr__(self, "_index", settings.get("index"))
         # None = untraced; a repro.obs.Tracer = collect phase spans.
         object.__setattr__(self, "_tracer", settings.get("tracer"))
@@ -164,27 +164,26 @@ class Query:
 
         With a prebuilt index the query's engine answers "could this
         chunk match?" from posting lists; accepted are a
-        :class:`repro.index.CorpusIndex`, a mmap-backed
-        :class:`repro.index.store.SegmentedIndex`, or a *path* to a
-        persisted index of either format (opened lazily via
-        :func:`repro.index.store.open_index` when :meth:`over` runs).
-        With no argument an index over the target corpus is built
-        automatically when :meth:`over` runs (indexing cost paid once,
-        on the first corpus this query sees).  Prefiltering never
+        :class:`repro.index.SegmentedIndex` or the *path* of an index
+        directory (opened lazily via ``SegmentedIndex.open`` when
+        :meth:`over` runs).  With no argument an index over the target
+        corpus is built in memory when :meth:`over` runs (indexing
+        cost paid once, on the first corpus this query sees).  Either
+        way the engine's index is delta-maintainable:
+        ``query.engine().run_delta(edited, query.program())`` re-runs
+        edited documents and keeps it current.  Prefiltering never
         changes results: chunks are skipped only when the certified
         plan provably produces nothing on them, and a spanner with no
         extractable factors falls back to full evaluation.
         """
-        from repro.index import CorpusIndex, SegmentedIndex
+        from repro.index import SegmentedIndex
 
         if (index is not None
-                and not isinstance(index, (str, CorpusIndex,
-                                           SegmentedIndex))):
+                and not isinstance(index, (str, SegmentedIndex))):
             raise ReproError(
-                f"indexed() takes a repro.index.CorpusIndex, a "
-                f"repro.index.store.SegmentedIndex, a path to a "
-                f"persisted index, or no argument to auto-index on "
-                f".over(); got {type(index).__name__}"
+                f"indexed() takes a repro.index.SegmentedIndex, the "
+                f"path of an index directory, or no argument to "
+                f"auto-index on .over(); got {type(index).__name__}"
             )
         return self._reconfigure(index=index if index is not None else True)
 
@@ -343,10 +342,8 @@ class Query:
             target, current = self._index, engine.index
             if isinstance(target, str):
                 # A path: open once; later .over() calls recognize the
-                # already-attached index by its recorded source.
-                if (getattr(current, "directory", None) != target
-                        and getattr(current, "source_path", None)
-                        != target):
+                # already-attached index by its directory.
+                if current is None or current.directory != target:
                     engine.attach_index(target)
             elif current is not target:
                 # A prebuilt index also reaches engines pinned via

@@ -363,11 +363,10 @@ class ExtractionService:
     def reopen_index(self, path: Optional[str] = None) -> "Future[object]":
         """Pick up index changes without restarting the service.
 
-        With ``path``, opens the index there (JSON file or binary
-        segment directory, via :func:`repro.index.store.open_index`)
-        and attaches it to the resident engine, closing the previously
-        attached mmap-backed index if it had one.  With no ``path``,
-        refreshes the currently attached
+        With ``path``, opens the index directory there and attaches
+        it to the resident engine, closing the previously attached
+        index if it had one.  With no ``path``, refreshes the
+        currently attached
         :class:`repro.index.store.SegmentedIndex` in place — after an
         out-of-process :meth:`~repro.index.store.SegmentedIndex.
         compact` or delta flush, the engine starts serving the new
@@ -384,30 +383,24 @@ class ExtractionService:
             raise ServiceClosedError()
 
         def _reopen(engine) -> Dict[str, object]:
+            index = engine.index
             if path is not None:
-                from repro.index.store import open_index
-
-                previous = engine.index
-                engine.attach_index(open_index(path))
-                if previous is not None and hasattr(previous, "close"):
-                    previous.close()
+                engine.attach_index(path)
+                if index is not None:
+                    index.close()
                 report: Dict[str, object] = {
                     "action": "attached", "path": path,
-                    "format": getattr(engine.index, "format", "unknown"),
+                    "segments": engine.index.segment_count,
                 }
+            elif index is None:
+                report = {"action": "noop",
+                          "reason": "no index attached"}
             else:
-                index = engine.index
-                if index is None or not hasattr(index, "refresh"):
-                    report = {"action": "noop",
-                              "reason": "no refreshable index attached"}
-                else:
-                    changed = index.refresh()
-                    report = {
-                        "action": "refreshed", "changed": changed,
-                        "generation": getattr(index, "generation", None),
-                        "segments": getattr(index, "segment_count",
-                                            None),
-                    }
+                report = {
+                    "action": "refreshed", "changed": index.refresh(),
+                    "generation": index.generation,
+                    "segments": index.segment_count,
+                }
             event_log().emit("service.reopen_index", service=self.name,
                              **report)
             return report

@@ -12,6 +12,10 @@ Two independent ground truths:
   documents up to a bounded length.  A decision procedure that agrees
   with the bounded check on many instances and alphabets is unlikely
   to be wrong in a way the instances exercise.
+
+Plus :func:`reference_candidates`, the posting index's candidate
+contract stated per text with substring tests -- no postings, no
+bitmasks, no segments.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.automata.regex import (
     Union_,
 )
 from repro.core.spans import Span, SpanTuple
+from repro.index.factors import GRAM, FactorSet
 from repro.spanners.regex_formulas import Capture, svars
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -205,3 +210,45 @@ def semantically_disjoint(
                 if first.overlaps(second):
                     return False
     return True
+
+
+# ----------------------------------------------------------------------
+# The posting index's candidate contract
+# ----------------------------------------------------------------------
+
+def admitted_texts(index, factors: FactorSet) -> Set[str]:
+    """The queryable texts of ``index`` its candidate mask admits
+    (id-order agnostic, so differently built indexes compare; a
+    ``None`` mask answers no condition, i.e. admits everything)."""
+    mask = index.candidates(factors)
+    return {text for text in index.texts()
+            if mask is None or (mask >> index.text_id(text)) & 1}
+
+
+def reference_candidates(texts: Iterable[str],
+                         factors: FactorSet) -> Set[str]:
+    """The members of ``texts`` an index over them admits for
+    ``factors``, by definition: none when the language is empty;
+    otherwise those at least ``min_length`` long that contain every
+    required factor of gram width, every trigram of each longer one,
+    and -- unless shorter than a trigram -- some OR-set trigram."""
+    if factors.empty:
+        return set()
+    needed = set()
+    for factor in factors.required:
+        if len(factor) <= GRAM:
+            needed.add(factor)
+        else:
+            needed.update(factor[start:start + GRAM]
+                          for start in range(len(factor) - GRAM + 1))
+    admitted = set()
+    for text in texts:
+        if len(text) < factors.min_length:
+            continue
+        if not all(gram in text for gram in needed):
+            continue
+        if (factors.trigrams is not None and len(text) >= GRAM
+                and not any(gram in text for gram in factors.trigrams)):
+            continue
+        admitted.add(text)
+    return admitted

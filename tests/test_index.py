@@ -2,13 +2,11 @@
 necessary-factor extraction, the trigram posting index, the
 plan-integrated chunk prefilter, and the fluent/CLI surfaces."""
 
-import json
-
 import pytest
 from hypothesis import given
 
 from repro.engine import Corpus, ExtractionEngine, PlanCache, Program
-from repro.index import CorpusIndex, FactorSet, IndexFilter, factors_of
+from repro.index import FactorSet, IndexFilter, SegmentedIndex, factors_of
 from repro.index.factors import GRAM, formula_candidates
 from repro.query import Q, Spanner, Splitter
 from repro.errors import ReproError
@@ -21,6 +19,7 @@ from repro.spanners.regex_formulas import (
 from repro.splitters.builders import separator_splitter
 
 from tests.conftest import formula_nodes_st
+from tests.reference import admitted_texts
 
 ALPHA = frozenset("abcdefgh qz.")
 
@@ -148,9 +147,9 @@ class TestFactorExtraction:
 # ----------------------------------------------------------------------
 
 
-class TestCorpusIndex:
+class TestMemoryIndex:
     def build_index(self, num_shards=1):
-        return CorpusIndex.build(
+        return SegmentedIndex.build(
             Corpus.from_texts(CORPUS_TEXTS),
             Splitter.named("sentences", ALPHA),
             num_shards=num_shards,
@@ -158,6 +157,7 @@ class TestCorpusIndex:
 
     def test_build_deduplicates_texts(self):
         index = self.build_index()
+        assert index.directory is None
         assert index.documents == len(CORPUS_TEXTS)
         assert index.chunk_instances >= len(index)
         assert index.splitter == "sentences"
@@ -168,16 +168,14 @@ class TestCorpusIndex:
         whole = self.build_index()
         sharded = self.build_index(num_shards=3)
         assert sharded.shards_indexed == 3
+        assert sharded.segment_count == 3
         assert len(whole) == len(sharded)
         assert whole.documents == sharded.documents
         factors = factors_of(qz_extractor())
-        whole_mask = whole.candidates(factors)
-        # Text ids differ per build order; compare admitted text sets.
-        admitted = {
-            text for text in CORPUS_TEXTS[0].split(". ")
-            if whole_mask is not None
-        }
-        assert admitted is not None  # masks computed without error
+        assert set(whole.texts()) == set(sharded.texts())
+        assert admitted_texts(whole, factors) \
+            == admitted_texts(sharded, factors) \
+            == {"ab qz cd.", "qzz ab.", "gh qz."}
 
     def test_candidates_respect_required_factors(self):
         index = self.build_index()
@@ -190,18 +188,17 @@ class TestCorpusIndex:
             assert not (mask >> index.text_id(text)) & 1
 
     def test_candidates_long_factor_uses_trigram_approximation(self):
-        index = CorpusIndex()
-        hit = index.add_text("xxabcdexx".replace("x", "a"))
-        miss = index.add_text("gh gh gh")
+        index = SegmentedIndex.create()
+        index.add_document(["aaabcdeaa", "gh gh gh"])
         factors = FactorSet(ALPHA, required=("abcde",))
         mask = index.candidates(factors)
-        assert (mask >> hit) & 1
-        assert not (mask >> miss) & 1
+        assert (mask >> index.text_id("aaabcdeaa")) & 1
+        assert not (mask >> index.text_id("gh gh gh")) & 1
 
     def test_candidates_without_conditions_is_none(self):
         index = self.build_index()
         assert index.candidates(FactorSet(ALPHA)) is None
-        assert CorpusIndex().candidates(
+        assert SegmentedIndex.create().candidates(
             FactorSet(ALPHA, required=("qz",))
         ) is None  # empty index cannot help
 
@@ -210,39 +207,32 @@ class TestCorpusIndex:
         assert index.candidates(FactorSet(ALPHA, empty=True)) == 0
 
     def test_short_texts_survive_trigram_or_filter(self):
-        index = CorpusIndex()
-        short = index.add_text("ab")  # no trigrams: must stay candidate
-        long_miss = index.add_text("ghghgh")
+        index = SegmentedIndex.create()
+        # "ab" has no trigrams: it must stay a candidate.
+        index.add_document(["ab", "ghghgh"])
         factors = FactorSet(ALPHA, trigrams=frozenset(["abc"]))
         mask = index.candidates(factors)
-        assert (mask >> short) & 1
-        assert not (mask >> long_miss) & 1
-
-    def test_save_load_roundtrip(self, tmp_path):
-        index = self.build_index(num_shards=2)
-        path = str(tmp_path / "corpus.idx")
-        index.save(path)
-        loaded = CorpusIndex.load(path)
-        assert len(loaded) == len(index)
-        assert loaded.splitter == index.splitter
-        assert loaded.documents == index.documents
-        assert loaded.gram_count() == index.gram_count()
-        factors = factors_of(qz_extractor())
-        assert loaded.candidates(factors) == index.candidates(factors)
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "bad.idx"
-        path.write_text(json.dumps({"version": 99, "texts": [],
-                                    "postings": {}}))
-        with pytest.raises(ValueError):
-            CorpusIndex.load(str(path))
+        assert (mask >> index.text_id("ab")) & 1
+        assert not (mask >> index.text_id("ghghgh")) & 1
 
     def test_unicode_chunks_roundtrip(self, tmp_path):
-        index = CorpusIndex()
-        tid = index.add_text("héllo wörld")
-        path = str(tmp_path / "uni.idx")
-        index.save(path)
-        assert CorpusIndex.load(path).text_id("héllo wörld") == tid
+        path = str(tmp_path / "uni.segs")
+        SegmentedIndex.create(path).add_document(["héllo wörld"])
+        with SegmentedIndex.open(path) as reopened:
+            assert "héllo wörld" in reopened
+
+    def test_memory_index_touches_no_disk_and_refuses_pickle(
+            self, tmp_path, monkeypatch):
+        import pickle
+
+        monkeypatch.chdir(tmp_path)
+        index = self.build_index(num_shards=2)
+        index.update_document("doc-0000", ["fresh qz."])
+        index.compact()
+        assert index.refresh() is False
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(TypeError):
+            pickle.dumps(index)
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +350,8 @@ class TestQueryIndexed:
         assert query.engine().index is not None
 
     def test_prebuilt_index_reaches_engine(self):
-        index = CorpusIndex.build(Corpus.from_texts(CORPUS_TEXTS),
-                                  Splitter.named("sentences", ALPHA))
+        index = SegmentedIndex.build(Corpus.from_texts(CORPUS_TEXTS),
+                                     Splitter.named("sentences", ALPHA))
         query = Q(self.spanner()).split_by("sentences").indexed(index)
         results = query.over(CORPUS_TEXTS)
         results.materialize()
@@ -369,8 +359,8 @@ class TestQueryIndexed:
         assert results.stats().chunks_pruned > 0
 
     def test_indexed_rejects_non_index(self):
-        # Paths (str) are accepted since the binary store landed;
-        # other non-index objects still get the typed rejection.
+        # Directory paths (str) are accepted; other non-index objects
+        # get the typed rejection.
         with pytest.raises(ReproError):
             Q(self.spanner()).indexed(42)
 
@@ -414,9 +404,8 @@ class TestIndexFilter:
         assert not prefilter.admits("ab cd ef")
 
     def test_indexed_mode_rejects_by_mask(self):
-        index = CorpusIndex()
-        index.add_text("ab qz cd")
-        index.add_text("ab cd ef")
+        index = SegmentedIndex.create()
+        index.add_document(["ab qz cd", "ab cd ef"])
         prefilter = IndexFilter(factors_of(qz_extractor()), index)
         assert prefilter.mode == "indexed"
         assert prefilter.admits("ab qz cd")
@@ -434,8 +423,8 @@ class TestIndexFilter:
     def test_mask_refreshes_after_incremental_index_growth(self):
         # The advertised incremental build must not leave a filter
         # pruning against a stale candidate snapshot.
-        index = CorpusIndex()
-        index.add_text("ab cd ef")
+        index = SegmentedIndex.create()
+        index.add_document(["ab cd ef"])
         prefilter = IndexFilter(factors_of(qz_extractor()), index)
         assert not prefilter.admits("ab cd ef")
         index.add_document(["qz ab", "gh gh"])
@@ -475,7 +464,7 @@ class TestIndexCli:
     def test_index_subcommand_builds_and_saves(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        path = str(tmp_path / "corpus.idx")
+        path = str(tmp_path / "corpus.segs")
         code = main([
             "index", "--alphabet", "abcdefgh qz.",
             "--splitter", "sentences",
@@ -486,7 +475,24 @@ class TestIndexCli:
         assert code == 0
         assert "distinct_texts" in out
         assert f"saved index to {path}" in out
-        assert len(CorpusIndex.load(path)) == 4
+        with SegmentedIndex.open(path) as index:
+            assert len(index) == 4
+
+    def test_index_subcommand_without_output_builds_in_memory(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "index", "--alphabet", "abcdefgh qz.",
+            "--splitter", "sentences",
+            "--text", "ab qz cd. ef gh.", "--shards", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "distinct_texts: 2" in out and "directory: None" in out
+        assert "saved index" not in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_index_subcommand_suggests_splitter(self, capsys):
         from repro.__main__ import main

@@ -1,9 +1,10 @@
-"""Tests for the binary index storage engine
-(:mod:`repro.index.store`): segment format round-trips, the
-JSON/binary/fresh equivalence property, mmap lifecycle (leak-freedom,
-readers surviving compaction), edit-delta soundness against full
-rebuilds, and the satellites that landed with it (typed load errors,
-LRU incremental cache, explain() surfacing, CLI subcommands)."""
+"""Tests for the index store (:mod:`repro.index.store`): segment
+format round-trips, the candidate contract against a definitional
+oracle on every backing (memory, directory, reopened, fragmented),
+mmap lifecycle (leak-freedom, readers surviving compaction),
+edit-delta soundness against full rebuilds, and the satellites that
+landed with it (typed load errors, LRU incremental cache, explain()
+surfacing, CLI subcommands)."""
 
 import json
 import os
@@ -14,18 +15,15 @@ from hypothesis import given
 
 from repro.engine import Corpus, ExtractionEngine, Program
 from repro.errors import IndexFormatError, ReproError
-from repro.index import (
-    CorpusIndex,
-    SegmentedIndex,
-    factors_of,
-    open_index,
-)
-from repro.index.store import Segment, write_segment
+from repro.index import FactorSet, SegmentedIndex, factors_of
+from repro.index.store import Segment, encode_segment, write_segment
 from repro.query import Q, Spanner, Splitter
 from repro.runtime import IncrementalExtractor, RegisteredSplitter
 from repro.runtime.fast import FastSeparatorSplitter
 from repro.runtime.incremental import diff_chunks
 from repro.splitters.builders import separator_splitter
+
+from tests.reference import admitted_texts, reference_candidates
 
 ALPHA = frozenset("abcdefgh qz.")
 
@@ -58,15 +56,20 @@ def sentence_splitter():
     return Splitter.named("sentences", ALPHA)
 
 
-def admitted_texts(index, factors):
-    """The set of texts an index's candidate mask admits (id-order
-    agnostic, so JSON and binary layouts compare)."""
-    mask = index.candidates(factors)
-    texts = list(index.texts()) if hasattr(index, "texts") \
-        else list(index._texts)
-    if mask is None:
-        return None
-    return {text for tid, text in enumerate(texts) if (mask >> tid) & 1}
+@pytest.fixture(params=["memory", "directory"])
+def new_index(request, tmp_path):
+    """``new_index(splitter=None)``: an empty index of each backing."""
+    made = []
+
+    def create(splitter=None):
+        directory = (None if request.param == "memory"
+                     else str(tmp_path / f"index-{len(made)}.segs"))
+        made.append(SegmentedIndex.create(directory, splitter=splitter))
+        return made[-1]
+
+    yield create
+    for index in made:
+        index.close()
 
 
 # ----------------------------------------------------------------------
@@ -89,20 +92,26 @@ class TestSegmentFormat:
             assert segment.text_id("not indexed") is None
             segment.verify()
 
-    def test_posting_masks_match_json_index(self, tmp_path):
+    def test_file_and_memory_image_are_the_same_segment(self, tmp_path):
         path = str(tmp_path / "seg.ris")
-        texts = sorted({"ab qz cd", "qq", "ef gh qz", "aaaa", "."})
-        write_segment(path, texts)
-        reference = CorpusIndex()
-        with Segment(path) as segment:
-            # The JSON index over the same sorted texts has identical
-            # text ids, so posting masks must agree bit for bit.
-            for text in segment.texts():
-                reference.add_text(text)
-            for gram in ["a", "q", "qz", " qz", "ab ", "zz", "xyz"]:
-                assert segment.posting_mask(gram) == \
-                    reference._postings.get(gram, 0), gram
-            assert segment.short_mask == reference._short
+        texts = ["ab qz cd", "qq", "ef gh qz", "aaaa", "."]
+        written = write_segment(path, texts, splitter="sentences")
+        image, summary = encode_segment(texts, splitter="sentences")
+        assert open(path, "rb").read() == image
+        assert written == {**summary, "path": path}
+        with Segment(path) as mapped, Segment(image) as resident:
+            assert resident.path is None
+            assert list(resident.texts()) == list(mapped.texts())
+            for gram in ["a", "q", "qz", " qz", "zz", "xyz"]:
+                assert resident.posting_mask(gram) \
+                    == mapped.posting_mask(gram)
+            assert resident.short_mask == mapped.short_mask
+            resident.verify()
+        assert resident.closed
+        # One set of header checks guards both.
+        for broken in (image[:len(image) // 2], b"XXXX" + image[4:], b""):
+            with pytest.raises(IndexFormatError):
+                Segment(broken)
 
     def test_bitmap_and_varint_encodings_both_exercised(self, tmp_path):
         path = str(tmp_path / "seg.ris")
@@ -154,71 +163,77 @@ class TestSegmentFormat:
 
 
 # ----------------------------------------------------------------------
-# Round-trip equivalence property (JSON = binary = fresh)
+# The candidate contract, on every backing
 # ----------------------------------------------------------------------
 
 
-class TestRoundTripEquivalence:
-    @given(st.lists(
-        st.text(alphabet=sorted(ALPHA), min_size=0, max_size=30),
-        min_size=0, max_size=8,
-    ))
-    def test_candidate_masks_agree_across_formats(self, tmp_path_factory,
-                                                  documents):
-        tmp_path = tmp_path_factory.mktemp("store")
-        corpus = Corpus.from_texts(documents)
-        splitter = sentence_splitter()
-        fresh = CorpusIndex.build(corpus, splitter)
-        json_path = str(tmp_path / "corpus.idx")
-        fresh.save(json_path)
-        loaded = CorpusIndex.load(json_path)
-        binary = SegmentedIndex.build(corpus, splitter,
-                                      str(tmp_path / "corpus.segs"))
-        reopened = open_index(str(tmp_path / "corpus.segs"))
-        factors = factors_of(qz_spanner().vsa())
-        expected = admitted_texts(fresh, factors)
-        for index in (loaded, binary, reopened):
-            assert admitted_texts(index, factors) == expected
-        reopened.close()
-        binary.close()
+def factor_sets_st():
+    letters = sorted(ALPHA)
+    return st.builds(
+        FactorSet,
+        st.just(ALPHA),
+        required=st.lists(st.text(letters, min_size=1, max_size=5),
+                          max_size=2).map(tuple),
+        trigrams=st.none() | st.frozensets(
+            st.text(letters, min_size=3, max_size=3), max_size=3),
+        min_length=st.integers(0, 6),
+        empty=st.booleans(),
+    )
 
-    def test_extraction_results_identical_across_formats(self, tmp_path):
+
+class TestCandidateContract:
+    @given(
+        st.lists(st.text(sorted(ALPHA), max_size=12), max_size=10),
+        factor_sets_st(),
+    )
+    def test_every_backing_admits_what_the_definition_admits(
+            self, tmp_path_factory, texts, factors):
+        directory = str(tmp_path_factory.mktemp("store") / "index.segs")
+        half = len(texts) // 2
+        edited = texts[1:half] + ["zz qz added"]
+
+        def fragmented(index):
+            # Two flushed segments, then an edit: a delta segment (the
+            # added text) and a tombstone (document a's first text,
+            # unless it is still referenced).
+            index.add_document(texts[:half], doc_id="a")
+            index.add_document(texts[half:], doc_id="b")
+            index.update_document("a", edited)
+            return index
+
+        memory = SegmentedIndex.create()
+        memory.add_document(texts)
+        on_disk = SegmentedIndex.create(directory)
+        on_disk.add_document(texts)
+        backings = {
+            "memory": (memory, set(texts)),
+            "directory": (on_disk, set(texts)),
+            "reopened": (SegmentedIndex.open(directory), set(texts)),
+            "fragmented": (fragmented(SegmentedIndex.create()),
+                           set(edited) | set(texts[half:])),
+        }
+        for name, (index, live) in backings.items():
+            with index:
+                assert set(index.texts()) == live, name
+                admitted = admitted_texts(index, factors)
+                assert admitted == reference_candidates(live, factors), \
+                    name
+                assert admitted >= {text for text in live
+                                    if factors.admits(text)}, name
+
+    def test_extraction_results_identical_on_every_backing(self, tmp_path):
         splitter = sentence_splitter()
         corpus = Corpus.from_texts(CORPUS_TEXTS)
         plain = Q(qz_spanner()).split_by("sentences") \
             .over(CORPUS_TEXTS).materialize()
-        json_index = CorpusIndex.build(corpus, splitter)
-        json_path = str(tmp_path / "corpus.idx")
-        json_index.save(json_path)
-        binary = SegmentedIndex.build(corpus, splitter,
-                                      str(tmp_path / "corpus.segs"))
-        binary.close()
-        for index in (json_path, str(tmp_path / "corpus.segs")):
+        segs = str(tmp_path / "corpus.segs")
+        SegmentedIndex.build(corpus, splitter, segs).close()
+        for index in (SegmentedIndex.build(corpus, splitter), segs):
             query = Q(qz_spanner()).split_by("sentences").indexed(index)
             results = query.over(CORPUS_TEXTS)
             assert results.materialize() == plain
             assert results.stats().chunks_pruned > 0
-            engine_index = query.engine().index
-            if hasattr(engine_index, "close"):
-                engine_index.close()
-
-    def test_open_index_dispatches_by_layout(self, tmp_path):
-        corpus = Corpus.from_texts(CORPUS_TEXTS)
-        splitter = sentence_splitter()
-        json_path = str(tmp_path / "corpus.idx")
-        CorpusIndex.build(corpus, splitter).save(json_path)
-        assert open_index(json_path).format == "json"
-        segs = str(tmp_path / "corpus.segs")
-        SegmentedIndex.build(corpus, splitter, segs).close()
-        index = open_index(segs)
-        assert index.format == "binary-segments"
-        index.close()
-        with pytest.raises(IndexFormatError):
-            open_index(str(tmp_path / "nowhere"))
-        empty_dir = tmp_path / "plain-dir"
-        empty_dir.mkdir()
-        with pytest.raises(IndexFormatError):
-            open_index(str(empty_dir))
+            query.engine().index.close()
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +384,7 @@ class TestEditDelta:
         program = Program.from_query(qz_spanner())
         index = engine.build_index(
             Corpus.from_texts(CORPUS_TEXTS), program,
-            format="binary", path=str(tmp_path / "corpus.segs"),
+            path=str(tmp_path / "corpus.segs"),
         )
         engine.attach_index(index)
         engine.run(Corpus.from_texts(CORPUS_TEXTS), program)
@@ -390,23 +405,93 @@ class TestEditDelta:
         engine.close()
         index.close()
 
-    def test_run_delta_requires_delta_maintainable_index(self):
+    def test_run_delta_requires_an_attached_index(self):
         engine = ExtractionEngine(sentence_registry())
         with pytest.raises(ValueError):
             engine.run_delta(Corpus.from_texts(["ab."]),
                              Program.from_query(qz_spanner()))
 
-    def test_remove_document_tombstones_and_refcounts(self, tmp_path):
-        index = SegmentedIndex.create(str(tmp_path / "segs"))
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_run_delta_on_auto_built_memory_index_equals_rebuild(
+            self, workers):
+        query = Q(qz_spanner()).split_by("sentences").workers(workers) \
+            .indexed()
+        query.over(CORPUS_TEXTS).materialize()
+        engine = query.engine()
+        assert engine.index.directory is None
+        edited = list(CORPUS_TEXTS)
+        edited[0] = "ab qz cd. ef gh qz. ab ab ab."
+        edited[2] = "gh gh. ab."
+        corpus = Corpus.from_texts(edited)
+        try:
+            result = engine.run_delta(corpus, query.program())
+            assert engine.index.tombstone_count >= 1
+            rebuilt = Q(qz_spanner()).split_by("sentences").indexed()
+            expected = rebuilt.over(edited).materialize()
+            assert result.by_document == expected
+            assert result.by_document == {
+                document.doc_id: qz_spanner().vsa().evaluate(document.text)
+                for document in corpus
+            }
+            # Both indexes now make the same admit decision on every
+            # chunk of the edited corpus.
+            factors = factors_of(qz_spanner().vsa())
+            for document in edited:
+                for chunk in sentence_splitter().chunks(document):
+                    assert self.admits_via(engine.index, factors, chunk) \
+                        == self.admits_via(rebuilt.engine().index,
+                                           factors, chunk), chunk
+        finally:
+            engine.close()
+
+    def test_build_index_format_keyword_selects_nothing(self, tmp_path):
+        # Accepted only for the frozen benchmark harness: ``path``
+        # alone decides where the index lives.
+        engine = ExtractionEngine(sentence_registry())
+        program = Program.from_query(qz_spanner())
+        corpus = Corpus.from_texts(CORPUS_TEXTS)
+        spelled = engine.build_index(corpus, program, format="binary",
+                                     path=str(tmp_path / "a.segs"))
+        plain = engine.build_index(corpus, program,
+                                   path=str(tmp_path / "b.segs"))
+        memory = engine.build_index(corpus, program)
+        assert memory.directory is None
+        assert set(spelled.texts()) == set(plain.texts()) \
+            == set(memory.texts())
+        for index in (spelled, plain, memory):
+            index.close()
+        for arguments in ({"format": "binary"}, {"format": "json"},
+                          {"format": "json", "path": str(tmp_path / "c")}):
+            with pytest.raises(ValueError):
+                engine.build_index(corpus, program, **arguments)
+
+    def test_remove_document_tombstones_and_refcounts(self, new_index):
+        index = new_index()
         index.add_document(["shared qz", "only one"], doc_id="one")
         index.add_document(["shared qz", "only two"], doc_id="two")
-        index.remove_document("one")
+        assert index.remove_document("one") == 1
         # "shared qz" still referenced by doc two: not tombstoned.
         assert index.text_id("shared qz") is not None
         assert index.text_id("only one") is None
         with pytest.raises(KeyError):
             index.remove_document("one")
-        index.close()
+
+    def test_text_staged_and_released_in_one_batch_is_indexed_later(
+            self, new_index):
+        # Regression: the release used to leave a tombstone no segment
+        # backed; the later reference then "revived" a payload that
+        # was never written and the text stayed unindexed for good.
+        index = new_index()
+        with index.batch():
+            index.add_document(["X", "keep"], doc_id="d")
+            index.update_document("d", ["Y", "keep"])
+        assert index.tombstone_count == 0
+        assert set(index.texts()) == {"Y", "keep"}
+        index.update_document("d", ["X", "keep"])
+        assert "X" in index
+        assert "Y" not in index
+        index.compact()
+        assert set(index.texts()) == {"X", "keep"}
 
     def test_diff_chunks_multiset_semantics(self):
         added, removed = diff_chunks(("a", "b", "a"), ("a", "c", "c"))
@@ -472,30 +557,19 @@ class TestLRUEviction:
 
 
 class TestTypedErrors:
-    def test_json_load_raises_index_format_error(self, tmp_path):
-        not_json = tmp_path / "bad.idx"
-        not_json.write_text("definitely not json {")
-        with pytest.raises(IndexFormatError):
-            CorpusIndex.load(str(not_json))
-        wrong_shape = tmp_path / "shape.idx"
-        wrong_shape.write_text(json.dumps(["a", "list"]))
-        with pytest.raises(IndexFormatError):
-            CorpusIndex.load(str(wrong_shape))
-        wrong_version = tmp_path / "version.idx"
-        wrong_version.write_text(json.dumps(
-            {"version": 99, "texts": [], "postings": {}}))
-        with pytest.raises(IndexFormatError) as info:
-            CorpusIndex.load(str(wrong_version))
-        # Still a ValueError (the historical type) and a ReproError.
-        assert isinstance(info.value, ValueError)
-        assert isinstance(info.value, ReproError)
-        assert str(wrong_version) in str(info.value)
-
     def test_manifest_errors_are_typed(self, tmp_path):
+        # Not there at all, a plain file, a directory with no manifest.
+        a_file = tmp_path / "corpus.idx"
+        a_file.write_text("{}")
         directory = tmp_path / "segs"
         directory.mkdir()
-        with pytest.raises(IndexFormatError):
-            SegmentedIndex.open(str(directory))
+        for path in (tmp_path / "nowhere", a_file, directory):
+            with pytest.raises(IndexFormatError) as info:
+                SegmentedIndex.open(str(path))
+            # Still a ValueError (the historical type) and a ReproError.
+            assert isinstance(info.value, ValueError)
+            assert isinstance(info.value, ReproError)
+            assert str(path) in str(info.value)
         (directory / "MANIFEST.json").write_text("{broken")
         with pytest.raises(IndexFormatError):
             SegmentedIndex.open(str(directory))
@@ -520,27 +594,19 @@ class TestTypedErrors:
 
 
 class TestExplainSurface:
-    def test_explain_reports_format_and_segments(self, tmp_path):
+    def test_explain_reports_directory_and_segments(self, tmp_path):
         segs = str(tmp_path / "corpus.segs")
         SegmentedIndex.build(Corpus.from_texts(CORPUS_TEXTS),
-                             sentence_splitter(), segs).close()
-        query = Q(qz_spanner()).split_by("sentences").indexed(segs)
-        results = query.over(CORPUS_TEXTS)
-        results.materialize()
-        report = results.explain()["index"]
-        assert report["index_format"] == "binary-segments"
-        assert report["index_segments"] >= 1
-        query.engine().index.close()
-
-    def test_explain_reports_json_format(self, tmp_path):
-        index = CorpusIndex.build(Corpus.from_texts(CORPUS_TEXTS),
-                                  sentence_splitter())
-        query = Q(qz_spanner()).split_by("sentences").indexed(index)
-        results = query.over(CORPUS_TEXTS)
-        results.materialize()
-        report = results.explain()["index"]
-        assert report["index_format"] == "json"
-        assert report["index_segments"] == 1
+                             sentence_splitter(), segs,
+                             num_shards=2).close()
+        for index, directory in ((segs, segs), (None, None)):
+            query = Q(qz_spanner()).split_by("sentences").indexed(index)
+            results = query.over(CORPUS_TEXTS)
+            results.materialize()
+            report = results.explain()["index"]
+            assert report["index_directory"] == directory
+            assert report["index_segments"] == (2 if directory else 1)
+            query.engine().index.close()
 
 
 class TestCLI:
@@ -550,18 +616,17 @@ class TestCLI:
         code = main(argv)
         return code, capsys.readouterr().out
 
-    def test_index_build_binary_compact_update(self, tmp_path, capsys):
+    def test_index_build_compact_update(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"
         doc.write_text("ab qz cd. ef gh ab.")
         segs = str(tmp_path / "corpus.segs")
         code, out = self.run_main(
             ["index", "--alphabet", "abcdefgh qz.", "--splitter",
-             "sentences", "--file", str(doc), "--format", "binary",
-             "--output", segs],
+             "sentences", "--file", str(doc), "--output", segs],
             capsys,
         )
         assert code == 0
-        assert "binary-segments" in out
+        assert f"directory: {segs}" in out
         doc.write_text("ab qz cd. ef gh qz.")
         code, out = self.run_main(
             ["index-update", "--index", segs, "--alphabet",
@@ -580,14 +645,13 @@ class TestCLI:
         assert index.tombstone_count == 0
         index.close()
 
-    def test_engine_accepts_binary_index_path(self, tmp_path, capsys):
+    def test_engine_accepts_index_path(self, tmp_path, capsys):
         doc = tmp_path / "doc.txt"
         doc.write_text("ab qz cd. ef gh ab.")
         segs = str(tmp_path / "corpus.segs")
         code, _out = self.run_main(
             ["index", "--alphabet", "abcdefgh qz.", "--splitter",
-             "sentences", "--file", str(doc), "--format", "binary",
-             "--output", segs],
+             "sentences", "--file", str(doc), "--output", segs],
             capsys,
         )
         assert code == 0
@@ -600,12 +664,11 @@ class TestCLI:
         assert code == 0
         assert "index prefilter: indexed" in out
 
-    def test_index_binary_requires_output(self, tmp_path, capsys):
-        code = __import__("repro.__main__", fromlist=["main"]).main(
-            ["index", "--alphabet", "ab .", "--format", "binary",
-             "--text", "ab."]
-        )
-        assert code == 2
+    def test_index_has_no_format_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            self.run_main(["index", "--alphabet", "ab .", "--format",
+                           "binary", "--text", "ab."], capsys)
+        assert "--format" in capsys.readouterr().err
 
 
 class TestServiceReopen:
@@ -648,7 +711,7 @@ class TestServiceReopen:
         with ExtractionService(engine, program=program) as service:
             report = service.reopen_index(second_dir).result(timeout=30)
             assert report["action"] == "attached"
-            assert report["format"] == "binary-segments"
+            assert report["segments"] == 1
             assert engine.index.directory == second_dir
             engine.index.close()
 
