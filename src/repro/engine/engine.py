@@ -40,7 +40,7 @@ from repro.core.spans import Span, SpanTuple, whole_span
 from repro.obs.log import event_log
 from repro.obs.metrics import Metrics, kernel_metrics
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.executor import SpannerLike, splitter_spans
+from repro.runtime.executor import SpannerLike, splitter_chunks
 from repro.runtime.planner import CertifiedPlan, Planner, RegisteredSplitter
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -364,11 +364,8 @@ class ExtractionEngine:
             # No certified splitter: the whole document is one chunk —
             # the chunk cache still deduplicates identical documents.
             return [(whole_span(document.text), document.text)]
-        target = plan.splitter.runtime_splitter()
-        return [
-            (span, span.extract(document.text))
-            for span in splitter_spans(target, document.text)
-        ]
+        return splitter_chunks(plan.splitter.runtime_splitter(),
+                               document.text)
 
     # ------------------------------------------------------------------
     # Index prefiltering
@@ -467,18 +464,21 @@ class ExtractionEngine:
         corpus = _as_corpus(corpus)
         program = _as_program(program)
         certified = self.certify(program)
+        # Split once: the same chunks feed the index diff and the run.
+        with self.tracer.span("split", documents=len(corpus)):
+            chunked = {
+                document.doc_id: self._chunks_of(certified, document)
+                for document in corpus
+            }
         with self.tracer.span("delta_index", documents=len(corpus)):
             with index.batch():
-                for document in corpus:
+                for doc_id, chunks in chunked.items():
                     index.update_document(
-                        document.doc_id,
-                        [text for _span, text in
-                         self._chunks_of(certified, document)],
-                    )
+                        doc_id, [text for _span, text in chunks])
         before = self.stats()
         by_document: Dict[str, Set[SpanTuple]] = dict(
             self._iter_certified(corpus, program, certified,
-                                 as_deadline(deadline))
+                                 as_deadline(deadline), chunked)
         )
         return EngineResult(by_document, certified,
                             self.stats().since(before))
@@ -526,6 +526,7 @@ class ExtractionEngine:
     def _iter_certified(
         self, corpus: Corpus, program: Program, certified: CertifiedPlan,
         deadline: Deadline = NEVER,
+        chunked: Optional[Mapping[str, List[Tuple[Span, str]]]] = None,
     ) -> Iterator[Tuple[str, Set[SpanTuple]]]:
         """Yield ``(doc_id, tuples)`` batch by batch under a certificate.
 
@@ -533,6 +534,8 @@ class ExtractionEngine:
         scheduler pass per document batch, counters updated as each
         batch completes, results yielded per document in corpus order —
         nothing downstream of the current batch is computed yet.
+        ``chunked`` hands in documents a caller has already split
+        (:meth:`run_delta`), by id.
 
         ``deadline`` is the cooperative cancellation point: it is
         checked at every batch boundary (and between evaluation batches
@@ -556,7 +559,9 @@ class ExtractionEngine:
             tasks = []
             with tracer.span("split", documents=len(batch)) as span:
                 by_document = [
-                    (document, self._chunks_of(certified, document))
+                    (document, chunked[document.doc_id]
+                     if chunked is not None
+                     else self._chunks_of(certified, document))
                     for document in batch
                 ]
                 span.set("chunks",

@@ -237,7 +237,9 @@ class Scheduler:
             for doc_id, chunks in documents:
                 merged: Set[SpanTuple] = resolved.setdefault(doc_id, set())
                 for span_, text in chunks:
-                    merged.update(t.shift(span_) for t in seen[text])
+                    results = seen[text]
+                    if results:
+                        merged.update(t.shift(span_) for t in results)
                 tuples_merged += len(merged)
             span.set("tuples", tuples_merged)
 

@@ -116,7 +116,8 @@ class Query:
 
         Each argument is a :class:`Splitter` or a registry name
         (``"tokens"``, ``"ngram3"``, ...) resolved over the spanner's
-        alphabet.  The planner certifies against them in the given
+        alphabet, together with the compiled scanner that executes
+        it.  The planner certifies against them in the given
         order and falls back to whole-document evaluation when none
         certifies.
         """

@@ -4,9 +4,10 @@ A :class:`Splitter` pairs a splitter's VSet-automaton specification
 (what the decision procedures certify against) with an optional fast
 executor (what the runtime segments documents with) under a stable
 name.  Named construction goes through the single registry of
-:func:`repro.splitters.builders.build_named` — the same dispatch the
-CLI uses — so ``Splitter.named("tokens", "ab .")`` and
-``python -m repro ... --splitters tokens`` can never disagree::
+:mod:`repro.splitters.builders` — the same dispatch the CLI uses — so
+``Splitter.named("tokens", "ab .")`` and ``python -m repro ...
+--splitters tokens`` can never disagree, and a name always comes with
+the compiled scanner that executes it::
 
     >>> tokens = Splitter.named("tokens", "ab .")
     >>> [span.extract("aa b.") for span in tokens.splits("aa b.")]
@@ -27,9 +28,11 @@ class Splitter:
     """An immutable, named document splitter.
 
     ``automaton`` is the unary VSet-automaton specification;
-    ``executor`` optionally carries a fast implementation (any object
-    with ``splits(document) -> [Span]``) used at run time instead of
-    evaluating the automaton.
+    ``executor`` optionally carries a fast implementation used at run
+    time instead of evaluating the automaton: any object with
+    ``splits(document) -> [Span]`` and, optionally, the fused
+    ``chunks_of(document) -> [(Span, text)]`` (see
+    :class:`repro.runtime.fast.FastSplitter`).
     """
 
     __slots__ = ("automaton", "name", "executor")
@@ -75,12 +78,16 @@ class Splitter:
         ``paragraphs``, ``records``, ``whole``, or the parametric
         ``ngram<N>`` / ``window<N>``.  Raises
         :class:`repro.errors.UnknownSplitterError` (listing the known
-        names) otherwise.
+        names) otherwise.  Without an explicit ``executor`` the
+        registry's compiled scanner for ``name`` runs the splits.
         """
-        from repro.splitters.builders import build_named
+        from repro.splitters.builders import build_named, executor_named
 
-        return cls(build_named(name, frozenset(alphabet)), name=name,
-                   executor=executor)
+        alphabet = frozenset(alphabet)
+        automaton = build_named(name, alphabet)
+        if executor is None:
+            executor = executor_named(name, alphabet)
+        return cls(automaton, name=name, executor=executor)
 
     @classmethod
     def from_vsa(
@@ -100,16 +107,21 @@ class Splitter:
     def alphabet(self) -> FrozenSet:
         return self.automaton.doc_alphabet
 
+    def _runtime(self) -> object:
+        return self.executor if self.executor is not None else self.automaton
+
     def splits(self, document: str) -> List[Span]:
         """The chunk spans of ``document`` (sorted by position)."""
         from repro.runtime.executor import splitter_spans
 
-        return splitter_spans(self.executor if self.executor is not None
-                              else self.automaton, document)
+        return splitter_spans(self._runtime(), document)
 
     def chunks(self, document: str) -> List[str]:
         """The chunk texts of ``document``."""
-        return [span.extract(document) for span in self.splits(document)]
+        from repro.runtime.executor import splitter_chunks
+
+        return [text for _span, text
+                in splitter_chunks(self._runtime(), document)]
 
     def is_disjoint(self) -> bool:
         """Do the chunks of every document pairwise not overlap?

@@ -32,6 +32,7 @@ from repro.runtime.executor import (
     map_corpus_sequential,
     split_by,
     split_by_parallel,
+    splitter_chunks,
     splitter_spans,
 )
 from repro.runtime.fast import (
@@ -41,6 +42,7 @@ from repro.runtime.fast import (
     FastSeparatorSplitter,
     FastSplitter,
     FastTokenNgramSplitter,
+    FastWholeSplitter,
     RegexSpanner,
 )
 from repro.runtime.incremental import IncrementalExtractor
@@ -61,12 +63,14 @@ __all__ = [
     "map_corpus_sequential",
     "split_by",
     "split_by_parallel",
+    "splitter_chunks",
     "splitter_spans",
     "FastFixedWindowSplitter",
     "FastSentenceSplitter",
     "FastSeparatorSplitter",
     "FastSplitter",
     "FastTokenNgramSplitter",
+    "FastWholeSplitter",
     "RegexSpanner",
     "IncrementalExtractor",
     "CertifiedPlan",

@@ -21,7 +21,9 @@ from repro.obs.profile import set_process_role
 
 #: Anything with ``evaluate(document) -> set[SpanTuple]``.
 SpannerLike = object
-#: Anything producing spans for a document (VSA splitter or FastSplitter).
+#: Anything producing spans for a document: a VSA splitter, or an
+#: executor with ``splits(document) -> [Span]`` and optionally the
+#: fused ``chunks_of(document) -> [(Span, text)]`` (FastSplitter).
 SplitterLike = object
 
 
@@ -33,6 +35,19 @@ def splitter_spans(splitter: SplitterLike, document: str) -> List[Span]:
 
     return sorted(splits_of(splitter, document),
                   key=lambda s: (s.begin, s.end))
+
+
+def splitter_chunks(
+    splitter: SplitterLike, document: str
+) -> List[Tuple[Span, str]]:
+    """``(span, text)`` chunks of a splitter, whatever its
+    representation: an executor's own ``chunks_of`` when it has one
+    (span and text out of one scan), else each span extracted."""
+    chunks_of = getattr(splitter, "chunks_of", None)
+    if chunks_of is not None:
+        return chunks_of(document)
+    return [(span, span.extract(document))
+            for span in splitter_spans(splitter, document)]
 
 
 def as_runner(spanner: SpannerLike) -> SpannerLike:
@@ -72,8 +87,8 @@ def split_by(
     """
     runner = as_runner(spanner)
     results: Set[SpanTuple] = set()
-    for span in splitter_spans(splitter, document):
-        for t in runner.evaluate(span.extract(document)):
+    for span, text in splitter_chunks(splitter, document):
+        for t in runner.evaluate(text):
             results.add(t.shift(span))
     return results
 
@@ -261,14 +276,13 @@ def split_by_parallel(
 
     ``workers=5`` matches the paper's 5-core / 5-node experiments.
     """
-    spans = splitter_spans(splitter, document)
+    chunks = splitter_chunks(splitter, document)
     chunk_results = evaluate_texts_parallel(
-        spanner, [span.extract(document) for span in spans],
-        workers=workers,
+        spanner, [text for _span, text in chunks], workers=workers,
     )
     return {
         t.shift(span)
-        for span, partial in zip(spans, chunk_results)
+        for (span, _text), partial in zip(chunks, chunk_results)
         for t in partial
     }
 
@@ -292,20 +306,20 @@ def map_corpus(
     :class:`repro.engine.ExtractionEngine`.
     """
     if splitter is None:
-        tasks = [(doc, Span(1, len(doc) + 1)) for doc in documents]
+        tasks = [(Span(1, len(doc) + 1), doc) for doc in documents]
         owners = list(range(len(documents)))
     else:
         tasks = []
         owners = []
         for index, doc in enumerate(documents):
-            for span in splitter_spans(splitter, doc):
-                tasks.append((span.extract(doc), span))
-                owners.append(index)
+            chunks = splitter_chunks(splitter, doc)
+            tasks.extend(chunks)
+            owners.extend([index] * len(chunks))
     results: List[Set[SpanTuple]] = [set() for _ in documents]
     chunk_results = evaluate_texts_parallel(
-        spanner, [text for text, _span in tasks], workers=workers,
+        spanner, [text for _span, text in tasks], workers=workers,
     )
-    for (text, span), owner, partial in zip(tasks, owners, chunk_results):
+    for (span, _text), owner, partial in zip(tasks, owners, chunk_results):
         results[owner].update(t.shift(span) for t in partial)
     return results
 

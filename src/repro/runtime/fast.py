@@ -8,33 +8,85 @@ it implements, so that:
 
 * the planner reasons on the automaton (split-correctness etc.);
 * the executor runs the fast implementation;
-* the test-suite checks the two agree on sampled documents.
+* the test-suite checks the two agree on generated documents.
+
+The paper's plan ``P = P_S o S`` only pays off when the splitting
+operation ``S`` is far cheaper than the extractor it feeds, so the
+splitters here never touch a character from Python: each is a
+precompiled :mod:`re` pattern driven by ``finditer`` (or plain
+arithmetic) yielding chunk offsets, from which spans and texts are
+taken together.  :mod:`repro.splitters.builders` pairs every registry
+name with its scanner.
 """
 
 from __future__ import annotations
 
+import copy
 import re
-from typing import Callable, Iterable, List, Optional, Set
+from typing import (Callable, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from repro.core.spans import Span, SpanTuple
 from repro.spanners.vset_automaton import VSetAutomaton
 
 
 class FastSplitter:
-    """Base class: a splitter with a compiled ``splits`` method."""
+    """Base class: a splitter executed by a compiled scanner.
+
+    A subclass defines one thing, :meth:`bounds` — the 0-based
+    ``[start, end)`` offsets of the document's chunks, found at C speed
+    (a precompiled :mod:`re` pattern or plain arithmetic).  Everything
+    the runtime consumes is read off those offsets here, so the spans,
+    the texts and the fused ``(span, text)`` pairs cannot disagree.
+    """
 
     #: The variable name used by the specification automaton.
     variable = "x"
+    #: What the scanner matches, for ``explain()["splitter_executor"]``.
+    pattern = ""
+    #: The specification's document alphabet when the executor is bound
+    #: to one (:meth:`over`); documents are then checked against it.
+    alphabet: Optional[FrozenSet[str]] = None
 
-    def splits(self, document: str) -> List[Span]:
+    def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
+        """The chunks' 0-based ``[start, end)`` offsets, in order."""
         raise NotImplementedError
 
     def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
         """The VSet-automaton specification over ``alphabet``."""
         raise NotImplementedError
 
+    def over(self, alphabet: Iterable[str]) -> "FastSplitter":
+        """This scanner bound to the specification alphabet: a
+        document with any other symbol raises :class:`ValueError`, as
+        evaluating the specification automaton on it would."""
+        bound = copy.copy(self)
+        bound.alphabet = frozenset(alphabet)
+        return bound
+
+    def _scan(self, document: str) -> Iterable[Tuple[int, int]]:
+        if self.alphabet is not None:
+            unknown = set(document) - self.alphabet
+            if unknown:
+                raise ValueError(f"document symbol {min(unknown)!r} not in "
+                                 f"alphabet")
+        return self.bounds(document)
+
+    def chunks_of(self, document: str) -> List[Tuple[Span, str]]:
+        """Every chunk as ``(span, text)``, both from the same offsets
+        — no second bounds check and slice per chunk."""
+        return [(Span(start + 1, end + 1), document[start:end])
+                for start, end in self._scan(document)]
+
+    def splits(self, document: str) -> List[Span]:
+        return [Span(start + 1, end + 1)
+                for start, end in self._scan(document)]
+
     def chunks(self, document: str) -> List[str]:
-        return [span.extract(document) for span in self.splits(document)]
+        return [document[start:end] for start, end in self._scan(document)]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.pattern!r})"
 
 
 class FastSeparatorSplitter(FastSplitter):
@@ -44,20 +96,12 @@ class FastSeparatorSplitter(FastSplitter):
         if not separators:
             raise ValueError("need at least one separator character")
         self.separators = frozenset(separators)
+        self.pattern = "[^%s]+" % "".join(
+            map(re.escape, sorted(self.separators)))
+        self._finditer = re.compile(self.pattern).finditer
 
-    def splits(self, document: str) -> List[Span]:
-        spans = []
-        begin = None
-        for index, char in enumerate(document, start=1):
-            if char in self.separators:
-                if begin is not None:
-                    spans.append(Span(begin, index))
-                    begin = None
-            elif begin is None:
-                begin = index
-        if begin is not None:
-            spans.append(Span(begin, len(document) + 1))
-        return spans
+    def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
+        return map(re.Match.span, self._finditer(document))
 
     def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
         from repro.splitters.builders import separator_splitter
@@ -68,17 +112,16 @@ class FastSeparatorSplitter(FastSplitter):
 class FastSentenceSplitter(FastSplitter):
     """Sentences per the corpus convention (see splitters.builders)."""
 
-    def splits(self, document: str) -> List[Span]:
-        spans = []
-        begin = None
-        for index, char in enumerate(document, start=1):
-            if char == ".":
-                if begin is not None:
-                    spans.append(Span(begin, index + 1))
-                    begin = None
-            elif begin is None and char != " ":
-                begin = index
-        return spans
+    pattern = r"[^ .][^.]*\."
+    _finditer = re.compile(pattern).finditer
+
+    def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
+        # Scanning stops at the last period: before it every sentence
+        # start finds its terminator, so each character is visited
+        # once; past it ``[^.]*`` would run to the end of the document
+        # and back from every start of a period-free tail.
+        return map(re.Match.span,
+                   self._finditer(document, 0, document.rfind(".") + 1))
 
     def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
         from repro.splitters.builders import sentence_splitter
@@ -94,13 +137,12 @@ class FastTokenNgramSplitter(FastSplitter):
             raise ValueError("n must be positive")
         self.n = n
         self._tokens = FastSeparatorSplitter(" ")
+        self.pattern = f"{n} consecutive {self._tokens.pattern}"
 
-    def splits(self, document: str) -> List[Span]:
-        tokens = self._tokens.splits(document)
-        spans = []
-        for i in range(len(tokens) - self.n + 1):
-            spans.append(Span(tokens[i].begin, tokens[i + self.n - 1].end))
-        return spans
+    def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
+        tokens = list(self._tokens.bounds(document))
+        return [(first[0], last[1])
+                for first, last in zip(tokens, tokens[self.n - 1:])]
 
     def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
         from repro.splitters.builders import token_ngram_splitter
@@ -115,18 +157,31 @@ class FastFixedWindowSplitter(FastSplitter):
         if width < 1:
             raise ValueError("width must be positive")
         self.width = width
+        self.pattern = f"every {width} characters"
 
-    def splits(self, document: str) -> List[Span]:
-        spans = []
-        for begin in range(1, len(document) + 1, self.width):
-            end = min(begin + self.width, len(document) + 1)
-            spans.append(Span(begin, end))
-        return spans
+    def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
+        length, width = len(document), self.width
+        return [(start, min(start + width, length))
+                for start in range(0, length, width)]
 
     def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
         from repro.splitters.builders import fixed_window_splitter
 
         return fixed_window_splitter(alphabet, self.width, self.variable)
+
+
+class FastWholeSplitter(FastSplitter):
+    """The trivial splitter: the whole document is the one chunk."""
+
+    pattern = "whole document"
+
+    def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
+        return [(0, len(document))]
+
+    def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
+        from repro.splitters.builders import whole_document_splitter
+
+        return whole_document_splitter(alphabet, self.variable)
 
 
 class RegexSpanner:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.spans import SpanTuple
-from repro.runtime.executor import SpannerLike, SplitterLike, splitter_spans
+from repro.runtime.executor import SpannerLike, SplitterLike, splitter_chunks
 from repro.spanners.vset_automaton import VSetAutomaton
 
 
@@ -94,8 +94,7 @@ class IncrementalExtractor:
         """
         results: Set[SpanTuple] = set()
         chunk_texts = []
-        for span in splitter_spans(self.splitter, document):
-            chunk = span.extract(document)
+        for span, chunk in splitter_chunks(self.splitter, document):
             chunk_texts.append(chunk)
             local = self._cache.get(chunk)
             if local is None:

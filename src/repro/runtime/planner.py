@@ -20,6 +20,7 @@ from repro.core.splittability import canonical_split_spanner, is_splittable
 from repro.core.spans import SpanTuple
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.executor import split_by, split_by_parallel
+from repro.runtime.fast import FastSplitter
 from repro.spanners.vset_automaton import VSetAutomaton
 from repro.splitters.disjointness import is_disjoint
 
@@ -40,6 +41,17 @@ class RegisteredSplitter:
 
     def runtime_splitter(self):
         return self.executor if self.executor is not None else self.automaton
+
+    def describe_executor(self) -> str:
+        """What splits documents at run time, for ``explain()``: the
+        compiled scanner's class and pattern, or why the specification
+        automaton itself is evaluated on every document."""
+        if self.executor is None:
+            return (f"automaton (no executor registered for splitter "
+                    f"{self.name!r})")
+        if isinstance(self.executor, FastSplitter):
+            return repr(self.executor)
+        return type(self.executor).__name__
 
 
 @dataclass
@@ -139,8 +151,9 @@ class CertifiedPlan:
 
         Covers the selected plan (mode, splitter, whether rewriting was
         needed), the paper theorem and concrete procedure that
-        certified it, the compiled-artifact identity, and the
-        certification cost/reuse accounting.
+        certified it, the compiled-artifact identity, what splits
+        documents at run time, and the certification cost/reuse
+        accounting.
         """
         plan = self.plan
         runner = plan.compiled_runner
@@ -163,6 +176,8 @@ class CertifiedPlan:
             "compiled_artifact": (f"kernel-{id(runner):x}"
                                   if runner is not None else None),
             "kernel_tier": kernel_tier,
+            "splitter_executor": (plan.splitter.describe_executor()
+                                  if plan.splitter is not None else None),
             "certification_seconds": self.certification_seconds,
             "certificate": self.fingerprint,
             "reuses": self.reuses,

@@ -7,6 +7,7 @@ disjointness decision procedure of Proposition 5.5.
 from repro.splitters.builders import (
     SPLIT_VAR,
     build_named,
+    executor_named,
     char_ngram_splitter,
     known_splitter_names,
     registry,
@@ -29,6 +30,7 @@ from repro.splitters.disjointness import (
 __all__ = [
     "SPLIT_VAR",
     "build_named",
+    "executor_named",
     "char_ngram_splitter",
     "known_splitter_names",
     "registry",

@@ -33,6 +33,7 @@ from repro.automata.regex import (
     Star,
     Union_,
 )
+from repro.runtime import fast
 from repro.spanners.regex_formulas import Capture, compile_regex_formula
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -254,23 +255,30 @@ def fixed_window_splitter(
 
 
 # ----------------------------------------------------------------------
-# The name -> builder registry
+# The name -> (specification, executor) registry
 # ----------------------------------------------------------------------
 
-#: Plain names: each maps to ``builder(alphabet) -> VSetAutomaton``.
-_NAMED_BUILDERS: Dict[str, Callable] = {
-    "tokens": token_splitter,
-    "sentences": sentence_splitter,
-    "paragraphs": paragraph_splitter,
-    "records": record_splitter,
-    "whole": whole_document_splitter,
+#: Plain names: each maps to ``(builder(alphabet) -> VSetAutomaton,
+#: scanner(alphabet) -> FastSplitter)`` — the scanner is given exactly
+#: the separators the builder gives the automaton.
+_NAMED_BUILDERS: Dict[str, tuple] = {
+    "tokens": (token_splitter, lambda alphabet:
+               fast.FastSeparatorSplitter(alphabet & frozenset(" \n"))),
+    "sentences": (sentence_splitter,
+                  lambda alphabet: fast.FastSentenceSplitter()),
+    "paragraphs": (paragraph_splitter,
+                   lambda alphabet: fast.FastSeparatorSplitter("\n")),
+    "records": (record_splitter,
+                lambda alphabet: fast.FastSeparatorSplitter("#")),
+    "whole": (whole_document_splitter,
+              lambda alphabet: fast.FastWholeSplitter()),
 }
 
 #: Parametric families ``<family><N>`` (e.g. ``ngram3``, ``window8``):
-#: each maps to ``(builder(alphabet, n), default n)``.
+#: each maps to ``(builder(alphabet, n), scanner(n), default n)``.
 _PARAMETRIC_BUILDERS: Dict[str, tuple] = {
-    "ngram": (token_ngram_splitter, 2),
-    "window": (fixed_window_splitter, 8),
+    "ngram": (token_ngram_splitter, fast.FastTokenNgramSplitter, 2),
+    "window": (fixed_window_splitter, fast.FastFixedWindowSplitter, 8),
 }
 
 _PARAMETRIC_NAME = _re.compile(r"^([a-z]+?)(\d*)$")
@@ -284,7 +292,8 @@ def registry() -> Dict[str, Callable]:
     ``window<N>``) are resolved by :func:`build_named`; their family
     names are listed by :func:`known_splitter_names`.
     """
-    return dict(_NAMED_BUILDERS)
+    return {name: builder for name, (builder, _scanner)
+            in _NAMED_BUILDERS.items()}
 
 
 def known_splitter_names() -> list:
@@ -293,6 +302,23 @@ def known_splitter_names() -> list:
     return sorted(_NAMED_BUILDERS) + sorted(
         f"{family}<N>" for family in _PARAMETRIC_BUILDERS
     )
+
+
+def _resolve(name: str):
+    """``(builder(alphabet, variable=), scanner(alphabet))`` for
+    ``name``, a parametric family's parameter already applied."""
+    if name in _NAMED_BUILDERS:
+        return _NAMED_BUILDERS[name]
+    match = _PARAMETRIC_NAME.match(name)
+    if match is not None and match.group(1) in _PARAMETRIC_BUILDERS:
+        builder, scanner, default = _PARAMETRIC_BUILDERS[match.group(1)]
+        parameter = int(match.group(2)) if match.group(2) else default
+        return (
+            lambda alphabet, variable: builder(alphabet, parameter,
+                                               variable=variable),
+            lambda alphabet: scanner(parameter),
+        )
+    raise UnknownSplitterError(name, known_splitter_names())
 
 
 def build_named(name: str, alphabet: Iterable[str],
@@ -306,15 +332,22 @@ def build_named(name: str, alphabet: Iterable[str],
     :class:`repro.errors.UnknownSplitterError` (carrying the
     known-names list) for anything else.
     """
-    builder = _NAMED_BUILDERS.get(name)
-    if builder is not None:
-        return builder(alphabet, variable=variable)
-    match = _PARAMETRIC_NAME.match(name)
-    if match is not None and match.group(1) in _PARAMETRIC_BUILDERS:
-        builder, default = _PARAMETRIC_BUILDERS[match.group(1)]
-        parameter = int(match.group(2)) if match.group(2) else default
-        return builder(alphabet, parameter, variable=variable)
-    raise UnknownSplitterError(name, known_splitter_names())
+    builder, _scanner = _resolve(name)
+    return builder(alphabet, variable=variable)
+
+
+def executor_named(name: str, alphabet: Iterable[str]):
+    """The compiled scanner that executes the splitter called ``name``
+    over ``alphabet`` (a :class:`repro.runtime.fast.FastSplitter`).
+
+    Paired with :func:`build_named` in this one registry, so a name's
+    scanner and its specification automaton select the same spans of
+    every document over ``alphabet`` — and, the scanner being bound to
+    that alphabet, reject the same documents with :class:`ValueError`.
+    """
+    alphabet = frozenset(alphabet)
+    _builder, scanner = _resolve(name)
+    return scanner(alphabet).over(alphabet)
 
 
 def consecutive_sentence_pairs(

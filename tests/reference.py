@@ -15,13 +15,16 @@ Two independent ground truths:
 
 Plus :func:`reference_candidates`, the posting index's candidate
 contract stated per text with substring tests -- no postings, no
-bitmasks, no segments.
+bitmasks, no segments -- and the ``reference_*_spans`` character
+loops, the splitters' executors before they were lowered to compiled
+scanners (:mod:`repro.runtime.fast`), kept as their oracles.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Set)
 
 from repro.automata.regex import (
     AnySymbol,
@@ -252,3 +255,52 @@ def reference_candidates(texts: Iterable[str],
             continue
         admitted.add(text)
     return admitted
+
+
+# ----------------------------------------------------------------------
+# The splitter executors, one character at a time
+# ----------------------------------------------------------------------
+
+def reference_separator_spans(document: str,
+                              separators: Iterable[str]) -> List[Span]:
+    """Maximal separator-free runs of ``document``."""
+    separators = frozenset(separators)
+    spans = []
+    begin = None
+    for index, char in enumerate(document, start=1):
+        if char in separators:
+            if begin is not None:
+                spans.append(Span(begin, index))
+                begin = None
+        elif begin is None:
+            begin = index
+    if begin is not None:
+        spans.append(Span(begin, len(document) + 1))
+    return spans
+
+
+def reference_sentence_spans(document: str) -> List[Span]:
+    """Sentences per the corpus convention (see splitters.builders)."""
+    spans = []
+    begin = None
+    for index, char in enumerate(document, start=1):
+        if char == ".":
+            if begin is not None:
+                spans.append(Span(begin, index + 1))
+                begin = None
+        elif begin is None and char != " ":
+            begin = index
+    return spans
+
+
+def reference_token_ngram_spans(document: str, n: int) -> List[Span]:
+    """Windows of ``n`` consecutive space-separated tokens."""
+    tokens = reference_separator_spans(document, " ")
+    return [Span(tokens[i].begin, tokens[i + n - 1].end)
+            for i in range(len(tokens) - n + 1)]
+
+
+def reference_fixed_window_spans(document: str, width: int) -> List[Span]:
+    """Disjoint tiling into blocks of ``width`` characters."""
+    return [Span(begin, min(begin + width, len(document) + 1))
+            for begin in range(1, len(document) + 1, width)]

@@ -7,6 +7,7 @@ results, the shared splitter registry, the typed exception hierarchy,
 and the curated top-level namespace.
 """
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
@@ -557,6 +558,97 @@ class TestEngineIntegration:
         assert explain["mode"] == "split"
         assert explain["theorem"] == "Theorem 5.17"
         assert "PTIME" in explain["procedure"]
+
+
+# ----------------------------------------------------------------------
+# A registry name runs its scanner; the scanner runs the specification
+# ----------------------------------------------------------------------
+
+#: ``a``-runs ending a sentence: self-splittable by ``sentences``.
+SENTENCE_PATTERN = ".*(\\.| )y{a+}\\..*|y{a+}\\..*"
+
+
+@pytest.fixture(scope="module", params=[0, 2],
+                ids=["in-process", "workers-2"])
+def sentence_queries(request):
+    """``(spanner, by name, over the bare automaton)``, one pair of
+    engines (and pools) for every generated corpus."""
+    spanner = Spanner.regex(SENTENCE_PATTERN, TXT)
+    by_name = Q(spanner).split_by("sentences").workers(request.param)
+    bare = Q(spanner).workers(request.param).split_by(
+        Splitter.from_vsa(build_named("sentences", TXT), name="sentences"))
+    yield spanner, by_name, bare
+    by_name.engine().close()
+    bare.engine().close()
+
+
+class TestNamedSplitterDifferential:
+    def test_both_certify_a_split_plan(self, sentence_queries):
+        _spanner, by_name, bare = sentence_queries
+        named, unnamed = by_name.explain(), bare.explain()
+        assert named["mode"] == unnamed["mode"] == "split"
+        assert named["splitter_executor"] == \
+            "FastSentenceSplitter('[^ .][^.]*\\\\.')"
+        assert unnamed["splitter_executor"] == (
+            "automaton (no executor registered for splitter 'sentences')")
+        assert by_name.over(["a."]).explain()["splitter_executor"] == \
+            named["splitter_executor"]
+
+    @given(st.lists(documents_st(alphabet="ab .", max_length=14),
+                    max_size=5))
+    def test_name_equals_automaton_equals_whole(self, sentence_queries,
+                                                texts):
+        spanner, by_name, bare = sentence_queries
+        corpus = Corpus.from_texts(texts)
+        expected = {document.doc_id:
+                    evaluate_whole(spanner.vsa(), document.text)
+                    for document in corpus}
+        assert by_name.over(corpus).materialize() == expected
+        assert bare.over(corpus).materialize() == expected
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @given(texts=st.lists(documents_st(alphabet="ab .", max_length=14),
+                          min_size=1, max_size=4),
+           edits=st.lists(documents_st(alphabet="ab .", max_length=14),
+                          min_size=1, max_size=4))
+    def test_run_delta_after_an_edit_equals_a_fresh_run(self, workers,
+                                                        texts, edits):
+        spanner = Spanner.regex(SENTENCE_PATTERN, TXT)
+        edited = Corpus.from_mapping({
+            f"doc-{position:04d}": text
+            for position, text in enumerate(edits[:len(texts)])})
+        query = Q(spanner).split_by("sentences").workers(workers).indexed()
+        engine = query.engine()
+        try:
+            query.over(texts).materialize()
+            result = engine.run_delta(edited, query.program())
+        finally:
+            engine.close()
+        assert result.by_document == \
+            Q(spanner).split_by("sentences").over(edited).materialize()
+        assert result.by_document == {
+            document.doc_id: evaluate_whole(spanner.vsa(), document.text)
+            for document in edited}
+
+    def test_run_delta_splits_each_document_once(self):
+        from repro.runtime import FastSentenceSplitter
+
+        class CountingSplitter(FastSentenceSplitter):
+            scans = 0
+
+            def bounds(self, document):
+                self.scans += 1
+                return super().bounds(document)
+
+        counting = CountingSplitter()
+        query = Q(Spanner.regex(SENTENCE_PATTERN, TXT)).indexed().split_by(
+            Splitter.named("sentences", TXT, executor=counting))
+        query.over(["ab aa. b.", "a. ba."]).materialize()
+        counting.scans = 0
+        query.engine().run_delta(
+            Corpus.from_mapping({"doc-0000": "ab aa. a.", "doc-0001": "b."}),
+            query.program())
+        assert counting.scans == 2
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 evaluation, and the planner."""
 
 import random
+import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -9,10 +11,12 @@ import hypothesis.strategies as st
 
 from repro.core.composition import splits_of
 from repro.core.spans import Span, SpanTuple
+from repro.query import Splitter
 from repro.runtime import (
     FastFixedWindowSplitter,
     FastSentenceSplitter,
     FastSeparatorSplitter,
+    FastSplitter,
     FastTokenNgramSplitter,
     IncrementalExtractor,
     Plan,
@@ -29,8 +33,15 @@ from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import (
     fixed_window_splitter,
     sentence_splitter,
+    separator_splitter,
     token_ngram_splitter,
     token_splitter,
+)
+from tests.reference import (
+    reference_fixed_window_spans,
+    reference_sentence_spans,
+    reference_separator_spans,
+    reference_token_ngram_spans,
 )
 
 TXT = frozenset("ab .")
@@ -72,32 +83,141 @@ class TestExecutor:
         assert map_corpus(spanner, [], workers=2) == []
 
 
+#: Covers every registry builder's needs: space and newline (tokens,
+#: paragraphs), the period (sentences), the record separator.
+WIDE = frozenset("ab .\n#")
+wide_documents = st.text(alphabet=sorted(WIDE), max_size=12)
+
+#: Registry names, the parametric families with and without their N.
+NAMES = ["tokens", "sentences", "paragraphs", "records", "whole",
+         "ngram", "ngram1", "ngram3", "window", "window1", "window3"]
+
+
+@lru_cache(maxsize=None)
+def named(name):
+    return Splitter.named(name, WIDE)
+
+
+@lru_cache(maxsize=None)
+def _separator_automaton(separators):
+    return separator_splitter(frozenset("ab]^-\\[ ."), separators)
+
+
+def assert_executes(executor, automaton, document, reference=None):
+    """The executor protocol against its specification: ``splits`` is
+    what the automaton selects, in document order; ``chunks_of`` and
+    ``chunks`` are those spans with their texts."""
+    spans = executor.splits(document)
+    assert set(spans) == splits_of(automaton, document)
+    assert spans == sorted(spans) and len(set(spans)) == len(spans)
+    assert executor.chunks_of(document) == [
+        (span, span.extract(document)) for span in spans]
+    assert executor.chunks(document) == [
+        span.extract(document) for span in spans]
+    if reference is not None:
+        assert spans == reference(document)
+
+
 class TestFastSplitters:
+    #: (executor, its specification over WIDE, the old character loop)
     CASES = [
-        (FastSeparatorSplitter(" "), lambda al: token_splitter(al, {" "})),
-        (FastSentenceSplitter(), sentence_splitter),
-        (FastTokenNgramSplitter(2), lambda al: token_ngram_splitter(al, 2)),
-        (FastFixedWindowSplitter(3), lambda al: fixed_window_splitter(al, 3)),
+        (FastSeparatorSplitter(" "), token_splitter(WIDE, {" "}),
+         lambda d: reference_separator_spans(d, " ")),
+        (FastSeparatorSplitter(" \n#."), token_splitter(WIDE, set(" \n#.")),
+         lambda d: reference_separator_spans(d, " \n#.")),
+        (FastSentenceSplitter(), sentence_splitter(WIDE),
+         reference_sentence_spans),
+        (FastTokenNgramSplitter(2), token_ngram_splitter(WIDE, 2),
+         lambda d: reference_token_ngram_spans(d, 2)),
+        (FastFixedWindowSplitter(3), fixed_window_splitter(WIDE, 3),
+         lambda d: reference_fixed_window_spans(d, 3)),
     ]
 
-    @pytest.mark.parametrize("fast,builder", CASES)
-    def test_agrees_with_specification(self, fast, builder):
-        rng = random.Random(42)
-        automaton = builder(TXT)
-        for _ in range(60):
-            doc = "".join(rng.choice("ab. ") for _ in
-                          range(rng.randrange(0, 14)))
-            assert set(fast.splits(doc)) == splits_of(automaton, doc), doc
+    @pytest.mark.parametrize("fast,automaton,reference", CASES)
+    @given(document=wide_documents)
+    def test_agrees_with_specification(self, fast, automaton, reference,
+                                       document):
+        assert_executes(fast, automaton, document, reference)
 
-    @pytest.mark.parametrize("fast,builder", CASES)
-    def test_automaton_method(self, fast, builder):
-        spec = fast.automaton(TXT)
-        for doc in ["", "a", "ab a.", "a  b ."]:
+    @pytest.mark.parametrize("fast,automaton,reference", CASES)
+    def test_degenerate_documents(self, fast, automaton, reference):
+        for document in ["", " ", ".", "\n", "  \n\n", "....", " . . ",
+                         "#", "a", "\na.\n", "a\n.b"]:
+            assert_executes(fast, automaton, document, reference)
+
+    @pytest.mark.parametrize("fast,automaton,reference", CASES)
+    def test_automaton_method(self, fast, automaton, reference):
+        spec = fast.automaton(WIDE)
+        for doc in ["", "a", "ab a.", "a  b .", "a\nb#a."]:
             assert set(fast.splits(doc)) == splits_of(spec, doc)
+
+    @given(separators=st.sets(st.sampled_from("]^-\\[ ."), min_size=1),
+           document=st.text(alphabet="ab]^-\\[ .", max_size=12))
+    def test_separators_with_re_metacharacters(self, separators, document):
+        fast = FastSeparatorSplitter("".join(separators))
+        assert_executes(
+            fast, _separator_automaton(frozenset(separators)), document,
+            lambda d: reference_separator_spans(d, separators))
+
+    @pytest.mark.parametrize("name", NAMES)
+    @given(document=wide_documents)
+    def test_registry_names_run_their_specification(self, name, document):
+        splitter = named(name)
+        assert isinstance(splitter.executor, FastSplitter)
+        assert_executes(splitter.executor, splitter.automaton, document)
+        assert splitter.splits(document) == \
+            splitter.executor.splits(document)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_named_splitters_reject_foreign_symbols(self, name):
+        splitter = named(name)
+        for method in (splitter.splits, splitter.chunks,
+                       splitter.executor.chunks_of):
+            with pytest.raises(ValueError, match="not in alphabet"):
+                method("ab c.")
+        # As the specification does; an unbound scanner does not check.
+        with pytest.raises(ValueError, match="not in alphabet"):
+            splits_of(splitter.automaton, "ab c.")
+        assert FastSeparatorSplitter(" ").chunks("ab c.") == ["ab", "c."]
+
+    def test_sentence_scan_is_linear_in_a_period_free_tail(self):
+        # Unbounded, ``[^.]*`` runs to the end of the document and
+        # backtracks from every start of the tail: 200 KB would take
+        # minutes.  The floor absorbs timer noise on a scan this short.
+        fast = FastSentenceSplitter()
+
+        def seconds(document):
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                fast.chunks_of(document)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        for head in ("", "ab ab. " * 1000):
+            single = seconds(head + "ab " * (200_000 // 3))
+            double = seconds(head + "ab " * (400_000 // 3))
+            assert double <= 2.5 * single + 0.01
 
     def test_chunks(self):
         fast = FastSeparatorSplitter(" ")
         assert fast.chunks("aa b") == ["aa", "b"]
+
+    def test_explain_names_the_scanner_or_the_automaton(self):
+        by_name = Planner([Splitter.named("tokens", TXT).registered()])
+        explicit = Planner([RegisteredSplitter(
+            "tokens", token_splitter(TXT),
+            executor=FastSeparatorSplitter(" "))])
+        bare = Planner([RegisteredSplitter("tokens", token_splitter(TXT))])
+        reports = [planner.certify(a_run_extractor()).explain()
+                   ["splitter_executor"]
+                   for planner in (by_name, explicit, bare)]
+        assert reports[0] == reports[1] == \
+            "FastSeparatorSplitter('[^\\\\ ]+')"
+        assert reports[2].startswith("automaton (no executor registered")
+        crossing = compile_regex_formula(
+            ".*y{a a}.*|y{a a}.*|.*y{a a}|y{a a}", TXT)
+        assert bare.certify(crossing).explain()["splitter_executor"] is None
 
 
 class TestRegexSpanner:
