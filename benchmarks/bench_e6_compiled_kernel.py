@@ -30,8 +30,8 @@ across repeated runs (``EngineStats.artifacts_compiled``).
 
 ``python -m benchmarks.bench_e6_compiled_kernel --smoke`` runs a
 scaled-down version with relaxed thresholds as a CI regression gate;
-it also covers the ``workers=2`` shared-memory attach path (parity
-with the in-process engine, zero leaked ``/dev/shm`` segments) and the
+it also covers the ``workers=2`` pool path (parity with the
+in-process engine, no child process left after close) and the
 **pruning count gate** (:func:`smoke_pruning_counts`): on a fixed
 corpus, match-free chunks expand no configuration and matching chunks
 at most ``len(chunk) + 8`` — counts that repeat exactly, so the
@@ -40,6 +40,7 @@ property is held on shared runners where a timing floor would flake.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import sys
 from typing import List
@@ -48,7 +49,6 @@ import pytest
 
 from benchmarks.conftest import report, timed
 from benchmarks.corpora import boilerplate_corpus
-from repro.automata import shm
 from repro.automata.compiled import compile_vset_automaton
 from repro.engine import ExtractionEngine, Program
 from repro.obs import kernel_metrics
@@ -312,25 +312,19 @@ def test_e6_byte_sweep_speedup(benchmark):
 # ----------------------------------------------------------------------
 
 
-def smoke_shm_workers() -> List[str]:
-    """The ``workers=2`` shared-memory attach gate.
+def smoke_pool_workers() -> List[str]:
+    """The ``workers=2`` pool gate.
 
-    A two-worker engine must agree with the in-process, shm-less
-    engine on the v2 kernel, with every sampled worker attached from
-    shared memory and no ``/dev/shm`` segment left after close.
+    A two-worker engine must agree with the in-process engine on the
+    v2 kernel and leave no child process after close.
     """
-    if not shm.available():  # pragma: no cover - non-POSIX fallback
-        print("[e6-smoke] shm unavailable; skipping workers gate")
-        return []
     failures = []
     corpus = engine_corpus(6)
     specification = arun_extractor()
     assert specification.compiled().kernel_tier == "v2-bytes"
 
     pooled = ExtractionEngine(sentence_registry(), workers=2)
-    pooled_result = pooled.run(corpus, Program(specification, name="shm"))
-    segment = pooled.scheduler.shm_segment_name()
-    status = pooled.scheduler.worker_shm_status()
+    pooled_result = pooled.run(corpus, Program(specification, name="pool"))
     pooled.close()
 
     baseline = ExtractionEngine(sentence_registry(), workers=0)
@@ -339,18 +333,13 @@ def smoke_shm_workers() -> List[str]:
     )
     baseline.close()
 
-    attached = sorted({pid for pid, count in status if count >= 1})
-    print(f"[e6-smoke] shm: segment={segment}, "
-          f"workers attached={attached}")
-    if segment is None:
-        failures.append("workers=2 engine published no shm segment")
-    if not status or any(count < 1 for _pid, count in status):
-        failures.append("a pool worker evaluated without an shm attach")
+    children = multiprocessing.active_children()
+    print(f"[e6-smoke] pool: {pooled_result.total_tuples()} tuples over "
+          f"workers=2, children after close={len(children)}")
     if pooled_result.by_document != baseline_result.by_document:
-        failures.append("workers=2 shm results diverge from in-process")
-    leaked = shm.leaked_segments()
-    if leaked:
-        failures.append(f"leaked /dev/shm segments after close: {leaked}")
+        failures.append("workers=2 results diverge from in-process")
+    if children:
+        failures.append(f"child processes left after close: {children}")
     return failures
 
 
@@ -414,9 +403,9 @@ def run_smoke() -> int:
     """Scaled-down kernel regression gate for CI.
 
     Relaxed thresholds absorb runner noise; a kernel regression
-    (agreement failure, re-lowering, loss of a speedup, a worker that
-    pickles instead of attaching, or a leaked shm segment) exits
-    nonzero and fails the build.
+    (agreement failure, re-lowering, loss of a speedup, a pooled run
+    that diverges or leaves a child process) exits nonzero and fails
+    the build.
     """
     failures = []
 
@@ -449,7 +438,7 @@ def run_smoke() -> int:
         )
 
     failures.extend(smoke_pruning_counts())
-    failures.extend(smoke_shm_workers())
+    failures.extend(smoke_pool_workers())
 
     for failure in failures:
         print(f"[e6-smoke] FAIL: {failure}", file=sys.stderr)

@@ -110,11 +110,6 @@ from typing import (
     Tuple,
 )
 
-try:  # pragma: no cover - exercised indirectly on every 3.8+ runtime
-    from pickle import PickleBuffer
-except ImportError:  # pragma: no cover - pre-3.8 fallback, tables inline
-    PickleBuffer = None
-
 from repro.automata.nfa import EPSILON, NFA
 from repro.core.spans import Span, SpanTuple
 from repro.obs.metrics import kernel_metrics
@@ -282,15 +277,8 @@ class ByteDFA:
         self._swept.inc(len(data))
         return self.flags[rid] == 1
 
-    def __reduce_ex__(self, protocol):
-        blob = self.blob
-        if protocol >= 5 and PickleBuffer is not None:
-            blob = PickleBuffer(blob)
-        return (_rebuild_byte_dfa, (blob, self.flags, self.start))
-
-
-def _rebuild_byte_dfa(blob, flags, start) -> ByteDFA:
-    return ByteDFA(blob, flags, start)
+    def __reduce__(self):
+        return (ByteDFA, (self.blob, self.flags, self.start))
 
 
 class ByteSuffixSweeper:
@@ -333,15 +321,8 @@ class ByteSuffixSweeper:
         out.reverse()
         return out
 
-    def __reduce_ex__(self, protocol):
-        blob = self.blob
-        if protocol >= 5 and PickleBuffer is not None:
-            blob = PickleBuffer(blob)
-        return (_rebuild_byte_sweeper, (blob, self.masks, self.start))
-
-
-def _rebuild_byte_sweeper(blob, masks, start) -> ByteSuffixSweeper:
-    return ByteSuffixSweeper(blob, masks, start)
+    def __reduce__(self):
+        return (ByteSuffixSweeper, (self.blob, self.masks, self.start))
 
 
 def _build_byte_tables(
@@ -811,13 +792,15 @@ class SuffixTable:
     of the next position's bitset.  ``byte_sweeper`` is the same
     recurrence determinized over byte values, or ``None`` when no
     letter is a single latin-1 character or the reverse subset
-    construction passes :data:`MAX_BYTE_ROWS` — decided per table.
+    construction passes :data:`MAX_BYTE_ROWS` — decided per table,
+    and ``fallback_reason`` then says which.
     """
 
     def __init__(self, rev: Dict[Symbol, List[int]], seed: int,
                  byte_tables: bool = True) -> None:
         self.rev = rev
         self.seed = seed
+        self.fallback_reason: Optional[str] = None
         self.byte_sweeper: Optional[ByteSuffixSweeper] = (
             self._lower_bytes() if byte_tables else None
         )
@@ -836,9 +819,11 @@ class SuffixTable:
         if not steps and self.rev:
             # No letter survives the byte lowering (wide alphabet):
             # keep the table honestly on the integer sweep.
+            self.fallback_reason = "wide alphabet"
             return None
         built = _build_byte_tables(self.seed, steps)
         if built is None:
+            self.fallback_reason = f"byte rows > {MAX_BYTE_ROWS}"
             return None
         sweeper = ByteSuffixSweeper(*built)
         kernel_metrics().counter("kernel.table_bytes").inc(
@@ -934,6 +919,13 @@ class CompiledVSetAutomaton:
         exists, ``"v1-int"`` otherwise."""
         return ("v2-bytes" if self.finishable.byte_sweeper is not None
                 else "v1-int")
+
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """Why :attr:`kernel_tier` is ``"v1-int"`` (``"wide alphabet"``
+        / ``"byte rows > 256"``); ``None`` on ``"v2-bytes"`` and when
+        the byte lowering was not attempted (``byte_tables=False``)."""
+        return self.finishable.fallback_reason
 
     # -- evaluation ----------------------------------------------------
 

@@ -221,11 +221,8 @@ class ExtractionEngine:
     live in; :meth:`stats` is a view over it, and passing a shared
     registry aggregates several engines into one exposition.
 
-    With ``workers > 1`` compiled artifacts reach pool workers through
-    a :mod:`multiprocessing.shared_memory` segment workers attach by
-    name (unlinked on :meth:`close`); the fallback for platforms or
-    runners without it is automatic and reported on the
-    ``engine.pool.start`` event
+    With ``workers > 1`` compiled artifacts reach pool workers as the
+    pool initializer's argument
     (see :class:`repro.runtime.executor.WorkerPool`).
     """
 
@@ -541,8 +538,8 @@ class ExtractionEngine:
         checked at every batch boundary (and between evaluation batches
         inside :meth:`repro.engine.scheduler.Scheduler.run`), raising
         :class:`repro.errors.DeadlineExceededError` without disturbing
-        the pool, the caches, or any published shm segment — the
-        engine stays fully usable for subsequent queries.
+        the pool or the caches — the engine stays fully usable for
+        subsequent queries.
         """
         runner = self.runner_for(certified, program)
         prefilter = self._prefilter_for(certified)

@@ -21,6 +21,7 @@ span per task.  Tracing never changes what the workers run.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -63,9 +64,7 @@ class Scheduler:
 
     The pool persists across batches and runs, whatever the tracer
     does meanwhile; swapping to a different runner *drains* the old
-    pool, :meth:`close` is the hard shutdown, and either unlinks the
-    runner's shared-memory segment (as does the shm registry's
-    ``atexit`` sweep if a crash skips both).
+    pool and :meth:`close` is the hard shutdown.
     """
 
     def __init__(self, workers: int = 0, batch_size: int = 32,
@@ -87,7 +86,7 @@ class Scheduler:
     def _pool_for(self, runner: SpannerLike) -> WorkerPool:
         """A persistent pool whose workers hold ``runner``: reused
         across batches and runs while the runner object is the same,
-        so a corpus run pays pool startup and shipping once.
+        so a corpus run pays pool startup once.
 
         Swapping to a different runner **drains** the old pool rather
         than terminating it: tasks still in flight — e.g. batches
@@ -102,20 +101,9 @@ class Scheduler:
         pool = self._pool = WorkerPool(runner, self.workers)
         event_log().emit(
             "engine.pool.start", workers=self.workers,
-            shipping="shm" if pool.segment_name else "inherit",
-            shm=pool.segment_name, error=pool.publish_error,
+            start_method=multiprocessing.get_start_method(),
         )
         return pool
-
-    def shm_segment_name(self) -> Optional[str]:
-        """Name of the live published segment, if any."""
-        return self._pool.segment_name if self._pool is not None else None
-
-    def worker_shm_status(self) -> List[Tuple[int, int]]:
-        """Probe live pool workers: ``(pid, attach count)`` samples;
-        the lifecycle tests assert each sampled worker attached
-        (count >= 1) instead of unpickling artifacts."""
-        return self._pool.shm_status() if self._pool is not None else []
 
     def _stop_pool(self, event: str, drain: bool) -> None:
         pool, self._pool = self._pool, None
@@ -127,8 +115,8 @@ class Scheduler:
                 pass  # close() may run during interpreter teardown
 
     def close(self) -> None:
-        """Hard-stop the worker pool and unlink its shm segment
-        (idempotent): in-flight tasks are killed."""
+        """Hard-stop the worker pool (idempotent): in-flight tasks
+        are killed."""
         self._stop_pool("engine.pool.close", drain=False)
 
     def __del__(self) -> None:  # best-effort cleanup

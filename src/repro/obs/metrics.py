@@ -309,19 +309,6 @@ class Metrics:
             mine._merge(instrument)
         return self
 
-    def drain(self) -> "Metrics":
-        """Detach the accumulated instruments as a fresh registry.
-
-        The mirror of :meth:`repro.obs.trace.Tracer.drain`: returns a
-        registry holding everything observed so far and leaves this
-        one empty, so successive drains each carry only their delta.
-        """
-        shipped = Metrics()
-        with self._lock:
-            shipped._instruments, self._instruments = \
-                self._instruments, {}
-        return shipped
-
     def __getstate__(self):
         return {"instruments": self._instruments}
 

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 from typing import (Callable, Iterator, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
-from repro.automata import shm
 from repro.core.spans import Span, SpanTuple
 from repro.obs.profile import set_process_role
 
@@ -56,9 +55,9 @@ def as_runner(spanner: SpannerLike) -> SpannerLike:
     VSet-automata are pinned to their compiled kernel artifact
     (:class:`repro.runtime.fast.CompiledSpanner`): the lowering happens
     here, once, and is then reused across every chunk of every document
-    — including on pool workers, which receive the prebuilt artifact by
-    pickling instead of re-lowering.  Other spanners (regex fast paths,
-    black boxes) run as-is.
+    — including on pool workers, which receive the prebuilt artifact
+    (see :class:`WorkerPool`) instead of re-lowering.  Other spanners
+    (regex fast paths, black boxes) run as-is.
     """
     from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -141,14 +140,10 @@ class TaskTelemetry(NamedTuple):
 _WORKER_RUNNER: Optional[SpannerLike] = None
 
 
-def _init_worker(source: object) -> None:
-    """The pool initializer: ``source`` is the name of a shared-memory
-    segment to attach the runner from (:mod:`repro.automata.shm`;
-    counted, so :func:`_worker_shm_status` can prove no artifact
-    unpickling happened) or the runner itself."""
+def _init_worker(runner: SpannerLike) -> None:
+    """The pool initializer: this worker evaluates with ``runner``."""
     global _WORKER_RUNNER
-    _WORKER_RUNNER = (shm.attach(source) if isinstance(source, str)
-                      else source)
+    _WORKER_RUNNER = runner
     set_process_role("pool-worker")
 
 
@@ -168,39 +163,20 @@ def _evaluate_task(
     )
 
 
-def _worker_shm_status(_task: object = None) -> Tuple[int, int]:
-    """Probe task: ``(pid, shm attaches in this worker process)``."""
-    return os.getpid(), shm.attach_count()
-
-
 class WorkerPool:
     """A process pool whose workers hold ``runner`` — the one place
     that knows how a runner reaches a worker and what a task is.
 
-    The runner is published once into a shared-memory segment workers
-    attach by name, unlinked with the pool.  Without shared memory, or
-    with a runner that cannot be published (an unpicklable black box:
-    ``publish_error`` names the exception class), the workers receive
-    the runner object through the initializer instead.
+    The runner is the pool initializer's argument: forked workers
+    inherit it as it is (nothing is pickled, so an unpicklable black
+    box runs too); under the ``spawn``/``forkserver`` start methods
+    ``multiprocessing`` pickles it once per worker.
     """
 
     def __init__(self, runner: SpannerLike, workers: int) -> None:
         self.runner = runner
         self.workers = workers
-        self.segment_name: Optional[str] = None
-        self.publish_error: Optional[str] = None
-        if shm.available():
-            try:
-                self.segment_name = shm.registry().publish(runner).name
-            except Exception as error:
-                self.publish_error = type(error).__name__
-        try:
-            self.pool = multiprocessing.Pool(
-                workers, _init_worker, (self.segment_name or runner,)
-            )
-        except BaseException:
-            self._unlink()
-            raise
+        self.pool = multiprocessing.Pool(workers, _init_worker, (runner,))
 
     def evaluate(
         self, texts: Sequence[str],
@@ -216,29 +192,15 @@ class WorkerPool:
              for start in range(0, len(texts), size)],
         )
 
-    def shm_status(self) -> List[Tuple[int, int]]:
-        """``(pid, attach count)`` samples: several probe tasks per
-        worker, so with high probability every worker reports."""
-        return self.pool.map(_worker_shm_status, range(self.workers * 4))
-
     def shutdown(self, drain: bool) -> None:
-        """Stop the workers — ``drain`` lets every submitted task
-        finish (``Pool.close()``), otherwise in-flight tasks are killed
-        (``Pool.terminate()``) — then unlink the segment, even if the
-        pool already died: it outlives every worker mapping it."""
-        try:
-            if drain:
-                self.pool.close()
-            else:
-                self.pool.terminate()
-            self.pool.join()
-        finally:
-            self._unlink()
-
-    def _unlink(self) -> None:
-        if self.segment_name is not None:
-            shm.registry().unlink(self.segment_name)
-            self.segment_name = None
+        """Stop the workers and wait for them: ``drain`` lets every
+        submitted task finish (``Pool.close()``), otherwise in-flight
+        tasks are killed (``Pool.terminate()``)."""
+        if drain:
+            self.pool.close()
+        else:
+            self.pool.terminate()
+        self.pool.join()
 
 
 def evaluate_texts_parallel(

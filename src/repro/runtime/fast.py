@@ -278,6 +278,11 @@ class CompiledSpanner:
         tables / ``"v1-int"`` integer bitsets)."""
         return self._kernel.kernel_tier
 
+    @property
+    def fallback_reason(self) -> Optional[str]:
+        """Why the tier is not ``"v2-bytes"``, when it is not."""
+        return self._kernel.fallback_reason
+
     def __repr__(self) -> str:
         return f"CompiledSpanner({self.specification!r})"
 

@@ -157,13 +157,14 @@ class CertifiedPlan:
         """
         plan = self.plan
         runner = plan.compiled_runner
-        kernel_tier = getattr(runner, "kernel_tier", None)
-        if kernel_tier is None and self.specification is not None:
+        kernel = runner
+        if (getattr(kernel, "kernel_tier", None) is None
+                and self.specification is not None):
             # Self-splittable and whole-document plans run the program
             # itself on chunks; report its artifact's tier when it has
             # already been lowered (never force a lowering here).
-            artifact = getattr(self.specification, "_compiled", None)
-            kernel_tier = getattr(artifact, "kernel_tier", None)
+            kernel = getattr(self.specification, "_compiled", None)
+        kernel_tier = getattr(kernel, "kernel_tier", None)
         return {
             "mode": plan.mode,
             "splitter": self.splitter_name,
@@ -176,6 +177,10 @@ class CertifiedPlan:
             "compiled_artifact": (f"kernel-{id(runner):x}"
                                   if runner is not None else None),
             "kernel_tier": kernel_tier,
+            "kernel": {
+                "tier": kernel_tier,
+                "fallback_reason": getattr(kernel, "fallback_reason", None),
+            },
             "splitter_executor": (plan.splitter.describe_executor()
                                   if plan.splitter is not None else None),
             "certification_seconds": self.certification_seconds,

@@ -18,7 +18,7 @@ Three serving disciplines, all explicit:
   the budget covers queue wait too; the engine checks it cooperatively
   at batch boundaries and raises
   :class:`repro.errors.DeadlineExceededError` without poisoning the
-  shared engine (pool, caches and shm segments stay intact).
+  shared engine (pool and caches stay intact).
 * **Per-tenant accounting** — queries, tuples, deadline misses,
   rejections, queue-wait and latency histograms, all labeled by
   tenant in the engine's :class:`repro.obs.metrics.Metrics` registry
@@ -227,8 +227,8 @@ class ExtractionService:
         With ``drain=True`` (default) queries already admitted run to
         completion first; with ``drain=False`` pending queries fail
         with :class:`repro.errors.ServiceClosedError`.  The owned
-        engine's pool and shm segments are released; caches survive on
-        the engine object.  Idempotent.
+        engine's pool is stopped; caches survive on the engine
+        object.  Idempotent.
         """
         with self._lifecycle:
             if self._closed:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.compiled import (
@@ -403,6 +404,31 @@ def test_byte_row_cap_falls_back_to_v1():
     assert compiled.kernel_tier == "v1-int"
     assert compiled.accepts("a" + "b" * k)
     assert not compiled.accepts("b" * (k + 1))
+
+
+@pytest.mark.parametrize("alphabet,k,tier,reason", [
+    ("ab", 1, "v2-bytes", None),
+    ("ΑΒ", 1, "v1-int", "wide alphabet"),
+    ("ab", 9, "v1-int", "byte rows > 256"),
+], ids=["bytes", "wide", "row-cap"])
+def test_explain_says_why_the_tier_is_not_bytes(alphabet, k, tier, reason):
+    # x{} (s|t)^k s (s|t)*: read backwards, ``finishable`` must
+    # remember the last k+1 letters — 2^(k+1) reverse subsets.
+    from repro import Q, Spanner
+
+    s, t = alphabet
+    transitions = [(0, Open("x"), 1), (1, Close("x"), 2)]
+    for i in range(2, k + 2):
+        transitions += [(i, s, i + 1), (i, t, i + 1)]
+    last = k + 3
+    transitions += [(k + 2, s, last), (last, s, last), (last, t, last)]
+    nfa = NFA(frozenset(alphabet) | gamma({"x"}), range(last + 1), 0,
+              [last], transitions)
+    vsa = VSetAutomaton(alphabet, {"x"}, nfa)
+    results = Q(Spanner.from_vsa(vsa)).over([t * k + s, t * (k + 1)])
+    assert [len(tuples) for _doc, tuples in results.stream()] == [1, 0]
+    assert results.explain()["kernel"] \
+        == {"tier": tier, "fallback_reason": reason}
 
 
 def _counters():

@@ -226,15 +226,6 @@ class TestMetrics:
         clone.counter("c").inc()  # locks were rebuilt
         assert clone.value("c") == 6
 
-    def test_drain_ships_the_delta(self):
-        metrics = Metrics()
-        metrics.counter("c").inc(3)
-        shipped = metrics.drain()
-        assert shipped.value("c") == 3
-        assert metrics.value("c") == 0
-        metrics.counter("c").inc()
-        assert metrics.value("c") == 1
-
     def test_prometheus_exposition_shape(self):
         metrics = Metrics()
         metrics.counter("engine.chunks_total").inc(4)
@@ -484,11 +475,11 @@ A_RUN_REGEX = r"(?:^|[ .])(?P<y>a+)(?=[ .]|$)"
 
 #: What the engine may be asked to run on chunks: a VSet-automaton
 #: (lowered to the batch-capable kernel), a runner with ``evaluate``
-#: only, and one the shm registry cannot publish (it holds a lambda).
+#: only, and one that cannot be pickled (it holds a lambda).
 RUNNER_KINDS = {
     "compiled": lambda spec: spec,
     "regex": lambda spec: RegexSpanner(A_RUN_REGEX, specification=spec),
-    "unpublishable": lambda spec: RegexSpanner(
+    "unpicklable": lambda spec: RegexSpanner(
         A_RUN_REGEX, specification=spec, cost=lambda match: None),
 }
 
@@ -605,9 +596,13 @@ class TestTracingKeepsTheExecutionShape:
             assert worker_pids() - before == workers
         finally:
             engine.close()
-        events = [event["event"] for event in captured_events()]
+        captured = captured_events()
+        events = [event["event"] for event in captured]
         assert events.count("engine.pool.start") == 1
         assert "engine.pool.retire" not in events
+        start = captured[events.index("engine.pool.start")]
+        assert (start["workers"], start["start_method"]) \
+            == (2, multiprocessing.get_start_method())
 
         records = tracer.records()
         phase_ids = {record.span_id for record in records

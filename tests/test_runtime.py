@@ -1,7 +1,12 @@
 """Tests for the execution runtime: executor, fast paths, incremental
 evaluation, and the planner."""
 
+import multiprocessing
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache
 
@@ -11,8 +16,10 @@ import hypothesis.strategies as st
 
 from repro.core.composition import splits_of
 from repro.core.spans import Span, SpanTuple
+from repro.engine import ExtractionEngine, Program
 from repro.query import Splitter
 from repro.runtime import (
+    CompiledSpanner,
     FastFixedWindowSplitter,
     FastSentenceSplitter,
     FastSeparatorSplitter,
@@ -23,12 +30,14 @@ from repro.runtime import (
     Planner,
     RegexSpanner,
     RegisteredSplitter,
+    evaluate_texts_parallel,
     evaluate_whole,
     map_corpus,
     map_corpus_sequential,
     split_by,
     split_by_parallel,
 )
+from repro.runtime.executor import WorkerPool
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import (
     fixed_window_splitter,
@@ -81,6 +90,105 @@ class TestExecutor:
     def test_empty_corpus(self):
         spanner = a_run_extractor()
         assert map_corpus(spanner, [], workers=2) == []
+
+
+class CountingSpanner(CompiledSpanner):
+    """A runner that counts how many times it is pickled."""
+
+    pickles = 0
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
+
+
+def token_registry():
+    return [RegisteredSplitter("tokens", token_splitter(TXT), priority=3,
+                               executor=FastSeparatorSplitter(" ."))]
+
+
+def _engine_run_and_close(spanner, texts):
+    with ExtractionEngine(token_registry(), workers=2) as engine:
+        engine.run(texts, Program(spanner))
+
+
+def _forced_shutdown_mid_run(spanner, texts):
+    pool = WorkerPool(CompiledSpanner(spanner), 2)
+    next(pool.evaluate(texts))
+    pool.shutdown(drain=False)
+
+
+def _parallel_call(spanner, texts):
+    evaluate_texts_parallel(spanner, texts, workers=2)
+
+
+#: Initializer arguments are inherited, not pickled, only under fork.
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="start method is not fork")
+
+
+class TestPoolBoundary:
+    """How a runner reaches pool workers, and what a pool leaves
+    behind: nothing — no process, no ``/dev/shm`` entry."""
+
+    TEXTS = [f"aa ab a{'a' * i}." for i in range(24)]
+
+    @forked
+    def test_forked_workers_inherit_the_runner_unpickled(self):
+        spanner = a_run_extractor()
+        runner = CountingSpanner(spanner)
+        CountingSpanner.pickles = 0
+        with ExtractionEngine(token_registry(), workers=2) as engine:
+            result = engine.run(self.TEXTS, Program(runner, spanner))
+            assert engine.stats().chunks_evaluated > 0
+        assert CountingSpanner.pickles == 0
+        for index, text in enumerate(self.TEXTS):
+            assert result[f"doc-{index:04d}"] \
+                == evaluate_whole(spanner, text)
+
+    @pytest.mark.parametrize("pooled", [
+        _engine_run_and_close, _forced_shutdown_mid_run, _parallel_call,
+    ])
+    def test_nothing_outlives_the_pool(self, pooled):
+        def shm_entries():
+            return set(os.listdir("/dev/shm")) \
+                if os.path.isdir("/dev/shm") else set()
+
+        children = set(multiprocessing.active_children())
+        entries = shm_entries()
+        pooled(a_run_extractor(), self.TEXTS)
+        assert set(multiprocessing.active_children()) <= children
+        assert shm_entries() <= entries
+
+    @forked
+    def test_pooled_query_starts_no_resource_tracker(self):
+        # A tracker is a long-lived extra child; nothing a forked pool
+        # does needs one, so a pooled run must not bring it back.
+        script = """
+from multiprocessing import resource_tracker
+from repro import Q, Spanner
+rs = Q(Spanner.regex('.*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}', 'ab .')) \\
+    .split_by('tokens').workers(2).over(['aa ab ba aa.', 'b a.'] * 4)
+rs.materialize()
+assert rs.stats().chunks_evaluated > 0
+assert resource_tracker._resource_tracker._pid is None
+"""
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                           sys.path)), timeout=120)
+
+    @pytest.mark.parametrize("protocol", [2, 5])
+    def test_byte_tables_pickle_by_value(self, protocol):
+        kernel = CompiledSpanner(a_run_extractor())._kernel
+        dfa = kernel.base.byte_dfa()
+        clone = pickle.loads(pickle.dumps(dfa, protocol=protocol))
+        assert (clone.blob, clone.flags, clone.start) \
+            == (dfa.blob, dfa.flags, dfa.start)
+        for table in (kernel.finishable, kernel.alive):
+            sweeper = table.byte_sweeper
+            clone = pickle.loads(pickle.dumps(sweeper, protocol=protocol))
+            assert (clone.blob, clone.masks, clone.start) \
+                == (sweeper.blob, sweeper.masks, sweeper.start)
 
 
 #: Covers every registry builder's needs: space and newline (tokens,

@@ -227,10 +227,8 @@ class TestEngineDeadlines:
             engine.close()
         assert terminations, "close() is the hard-shutdown path"
 
-    def test_shm_segment_released_after_deadline_and_close(self):
-        from repro.automata import shm
-
-        baseline = set(shm.leaked_segments())
+    def test_pool_survives_deadline_and_close_leaves_no_child(self):
+        baseline = set(multiprocessing.active_children())
         engine = ExtractionEngine(registry(), workers=2, batch_size=2)
         try:
             specification = a_run_extractor()
@@ -240,15 +238,19 @@ class TestEngineDeadlines:
                                         for i in range(8)])
             with pytest.raises(DeadlineExceededError):
                 engine.run(corpus, slow, deadline=0.05)
-            # Same runner object: the pool (and any shm segment) is
-            # reused, and the rerun completes correctly.
+            workers = set(multiprocessing.active_children()) - baseline
+            assert len(workers) == 2
+            # Same runner object: the pool is reused, and the rerun
+            # completes correctly.
             result = engine.run(corpus, slow)
+            assert set(multiprocessing.active_children()) - baseline \
+                == workers
             reference = ExtractionEngine(registry()).run(
                 corpus, Program(specification, name="ref"))
             assert result.by_document == reference.by_document
         finally:
             engine.close()
-        assert set(shm.leaked_segments()) <= baseline
+        assert set(multiprocessing.active_children()) <= baseline
 
 
 # ----------------------------------------------------------------------
