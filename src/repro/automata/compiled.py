@@ -40,7 +40,10 @@ pruned forward search**:
    _suffix_acceptance` (letters and epsilon only), which answers the
    rest of a run exactly once every variable is closed;
 3. a breadth-first search over ``(position, state_id, status)``
-   configurations against precomputed per-state move tables, which
+   configurations — ``status`` being the result's own flat
+   ``(b1, e1, b2, e2, ...)`` int tuple, ``0`` where unset, handed to
+   :func:`repro.core.spans.flat_span_tuple` as it is — against
+   precomputed per-state move tables, which
    enqueues a successor only if its state is in ``alive`` at its
    position and collapses on ``finishable`` when all variables are
    closed — it expands configurations that lie on an accepting run
@@ -111,7 +114,7 @@ from typing import (
 )
 
 from repro.automata.nfa import EPSILON, NFA
-from repro.core.spans import Span, SpanTuple
+from repro.core.spans import flat_span_tuple
 from repro.obs.metrics import kernel_metrics
 
 State = Hashable
@@ -885,7 +888,9 @@ class CompiledVSetAutomaton:
         self.variables = variables
         #: Per state: document letter -> target state ids (source-closed).
         self.letter_moves = letter_moves
-        #: Per state: ``(variable index, is_close, target ids)`` triples.
+        #: Per state: ``(status slot, is_close, target ids)`` triples;
+        #: variable ``k`` opens into slot ``2k`` and closes into
+        #: ``2k + 1`` of the search's flat status tuple.
         self.var_moves = var_moves
         #: ``finishable[p]``: states accepting ``document[p:]`` with
         #: letters and epsilon moves only — exact once every variable
@@ -1011,8 +1016,10 @@ class CompiledVSetAutomaton:
         letter_moves = self.letter_moves
         var_moves = self.var_moves
 
+        # The status *is* the result's stored form: ``begin, end`` per
+        # variable in column order, ``0`` where not yet set.
         results: Set = set()
-        start = (0, initial, (None,) * len(variables), len(variables))
+        start = (0, initial, (0,) * (2 * len(variables)), len(variables))
         seen = {start}
         add_seen = seen.add
         queue = deque([start])
@@ -1023,22 +1030,19 @@ class CompiledVSetAutomaton:
             pos, state, status, open_vars = config
             if not open_vars:
                 if (finishable[pos] >> state) & 1:
-                    results.add(SpanTuple(dict(zip(variables, status))))
+                    results.add(flat_span_tuple(variables, status))
                 continue
             live = alive[pos]
-            for k, is_close, targets in var_moves[state]:
-                part = status[k]
+            for slot, is_close, targets in var_moves[state]:
+                if status[slot]:
+                    continue
                 if is_close:
-                    if type(part) is not int:
+                    if not status[slot - 1]:
                         continue
-                    new_part: object = Span(part, pos + 1)
                     remaining = open_vars - 1
                 else:
-                    if part is not None:
-                        continue
-                    new_part = pos + 1
                     remaining = open_vars
-                new_status = status[:k] + (new_part,) + status[k + 1 :]
+                new_status = status[:slot] + (pos + 1,) + status[slot + 1:]
                 for target in targets:
                     if (live >> target) & 1:
                         config = (pos, target, new_status, remaining)
@@ -1142,7 +1146,7 @@ def compile_vset_automaton(
             {letter: tuple(bits(mask)) for letter, mask in letters.items()}
         )
         var_moves.append(tuple(
-            (k, is_close, tuple(bits(mask)))
+            (2 * k + is_close, is_close, tuple(bits(mask)))
             for (k, is_close), mask in sorted(ops.items())
         ))
 

@@ -12,7 +12,8 @@ Span(8, 12)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, Mapping, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple
 
 Variable = Hashable
 
@@ -113,8 +114,25 @@ def all_spans(document: str) -> Iterator[Span]:
             yield Span(i, j)
 
 
+def column_order(variables: Iterable[Variable]) -> Tuple[Variable, ...]:
+    """The canonical column order of a set of variables: by ``str``,
+    ties (``1`` and ``"1"``) broken by ``repr`` — so the order, and
+    with it ``==``/``hash`` of a :class:`SpanTuple`, never depends on
+    the order the variables were inserted in."""
+    return tuple(sorted(variables, key=lambda v: (str(v), repr(v))))
+
+
 class SpanTuple(Mapping[Variable, Span]):
     """An immutable ``(V, d)``-tuple: a mapping from variables to spans.
+
+    Stored flat: ``variables`` in :func:`column_order` and
+    ``positions = (b1, e1, b2, e2, ...)``, plain ints in that column
+    order.  The kernel emits this form as it is, the chunk cache keeps
+    it, a pool worker's result pickles as ints (the ``variables`` tuple
+    of a relation is shared, so it is written once), and
+    :meth:`shift` is one integer add per position.  :class:`Span`
+    objects are built on access; :meth:`columns` reads the ints
+    without building any.
 
     Hashable so span relations can be plain Python sets.
 
@@ -123,45 +141,72 @@ class SpanTuple(Mapping[Variable, Span]):
     Span(1, 3)
     >>> t >> Span(4, 8)
     SpanTuple({'x': Span(4, 6)})
+    >>> list(t.columns())
+    [('x', 1, 3)]
     """
 
-    __slots__ = ("_assignment", "_hash")
+    __slots__ = ("_variables", "_positions", "_hash")
 
     def __init__(self, assignment: Mapping[Variable, Span]) -> None:
-        self._assignment: Dict[Variable, Span] = dict(assignment)
-        self._hash = hash(frozenset(self._assignment.items()))
+        assignment = dict(assignment)
+        variables = column_order(assignment)
+        positions = []
+        for variable in variables:
+            span = assignment[variable]
+            if not 1 <= span.begin <= span.end:
+                raise ValueError(f"invalid span [{span.begin}, {span.end}>")
+            positions += (span.begin, span.end)
+        self._variables = variables
+        self._positions = tuple(positions)
+        self._hash = hash(self._positions)
+
+    def __reduce__(self):
+        return flat_span_tuple, (self._variables, self._positions)
+
+    def columns(self) -> Iterator[Tuple[Variable, int, int]]:
+        """``(variable, begin, end)`` per variable, in
+        :meth:`variables` order — what a serialiser reads, with no
+        :class:`Span` built."""
+        positions = self._positions
+        return zip(self._variables, positions[::2], positions[1::2])
 
     def __getitem__(self, variable: Variable) -> Span:
-        return self._assignment[variable]
+        try:
+            k = 2 * self._variables.index(variable)
+        except ValueError:
+            raise KeyError(variable) from None
+        return Span(self._positions[k], self._positions[k + 1])
+
+    def __contains__(self, variable: object) -> bool:
+        return variable in self._variables
 
     def __iter__(self) -> Iterator[Variable]:
-        return iter(self._assignment)
+        return iter(self._variables)
 
     def __len__(self) -> int:
-        return len(self._assignment)
+        return len(self._variables)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SpanTuple):
-            return self._assignment == other._assignment
+            return (self._positions == other._positions
+                    and self._variables == other._variables)
         if isinstance(other, Mapping):
-            return dict(self._assignment) == dict(other)
+            return dict(self) == dict(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        items = ", ".join(
-            f"{var!r}: {span!r}" for var, span in sorted(
-                self._assignment.items(), key=lambda kv: str(kv[0])
-            )
-        )
+        items = ", ".join(f"{var!r}: Span({begin}, {end})"
+                          for var, begin, end in self.columns())
         return f"SpanTuple({{{items}}})"
 
     def shift(self, context: Span) -> "SpanTuple":
         """Component-wise shift ``t >> s`` (Section 3)."""
-        return SpanTuple(
-            {var: span.shift(context) for var, span in self._assignment.items()}
+        return flat_span_tuple(
+            self._variables,
+            tuple(map((context.begin - 1).__add__, self._positions)),
         )
 
     def __rshift__(self, context: Span) -> "SpanTuple":
@@ -169,12 +214,16 @@ class SpanTuple(Mapping[Variable, Span]):
 
     def unshift(self, context: Span) -> "SpanTuple":
         """Component-wise inverse shift; ``context`` must cover the tuple."""
-        return SpanTuple(
-            {var: span.unshift(context) for var, span in self._assignment.items()}
+        if not self.covered_by(context):
+            raise ValueError(f"{context!r} does not contain {self!r}")
+        return flat_span_tuple(
+            self._variables,
+            tuple(map((1 - context.begin).__add__, self._positions)),
         )
 
     def variables(self) -> Tuple[Variable, ...]:
-        return tuple(sorted(self._assignment, key=str))
+        """The variables in column order (:func:`column_order`)."""
+        return self._variables
 
     def enclosing_span(self) -> Span:
         """The minimal span containing every span of the tuple.
@@ -183,34 +232,59 @@ class SpanTuple(Mapping[Variable, Span]):
         empty (0-ary) tuple there is no enclosure and ``ValueError`` is
         raised.
         """
-        if not self._assignment:
+        if not self._positions:
             raise ValueError("the 0-ary tuple has no enclosing span")
-        begin = min(span.begin for span in self._assignment.values())
-        end = max(span.end for span in self._assignment.values())
-        return Span(begin, end)
+        # Every span has begin <= end: the extremes of the flat
+        # positions are the least begin and the greatest end.
+        return Span(min(self._positions), max(self._positions))
 
     def covered_by(self, span: Span) -> bool:
         """Whether ``span`` contains every span of the tuple (Def 5.2).
 
         The 0-ary tuple is covered by every span.
         """
-        return all(span.contains(s) for s in self._assignment.values())
+        positions = self._positions
+        return not positions or (span.begin <= min(positions)
+                                 and max(positions) <= span.end)
+
+    def _pairs(self) -> Dict[Variable, Tuple[int, int]]:
+        positions = self._positions
+        return dict(zip(self._variables,
+                        zip(positions[::2], positions[1::2])))
 
     def agrees_with(self, other: "SpanTuple") -> bool:
         """Whether the tuples agree on their shared variables (join)."""
-        return all(
-            self._assignment[var] == other[var]
-            for var in self._assignment
-            if var in other
-        )
+        theirs = other._pairs()
+        return all(theirs.get(var, pair) == pair
+                   for var, pair in self._pairs().items())
 
     def join(self, other: "SpanTuple") -> "SpanTuple":
         """The combined tuple (requires :meth:`agrees_with`)."""
         if not self.agrees_with(other):
             raise ValueError("tuples disagree on shared variables")
-        merged = dict(self._assignment)
-        merged.update(other._assignment)
-        return SpanTuple(merged)
+        merged = {**self._pairs(), **other._pairs()}
+        variables = column_order(merged)
+        return flat_span_tuple(
+            variables,
+            tuple(chain.from_iterable(merged[var] for var in variables)),
+        )
+
+
+def flat_span_tuple(variables: Tuple[Variable, ...],
+                    positions: Tuple[int, ...]) -> SpanTuple:
+    """The trusted constructor: a :class:`SpanTuple` from its stored
+    form, nothing checked or copied.
+
+    ``variables`` must be in :func:`column_order` and ``positions``
+    hold a valid ``begin, end`` pair per variable.  For producers that
+    guarantee both by construction — the compiled kernel's search, the
+    methods above, and ``pickle`` (this is what a tuple reduces to).
+    """
+    self = SpanTuple.__new__(SpanTuple)
+    self._variables = variables
+    self._positions = positions
+    self._hash = hash(positions)
+    return self
 
 
 #: The unique 0-ary tuple (output of Boolean spanners).

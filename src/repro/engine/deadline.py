@@ -6,9 +6,10 @@ the deadline at *batch boundaries* (between scheduler passes, and the
 scheduler between pool result batches), raising
 :class:`repro.errors.DeadlineExceededError` as soon as a check fails.
 Cooperative checks are what keep a shared engine safe under deadlines:
-no worker is killed mid-chunk, the pool and any published
-shared-memory segments stay intact, and chunks evaluated before the
-cut-off remain in the chunk cache for the next query.
+no worker is killed mid-chunk, the pool stays intact (a batch the
+run had in flight finishes in the background and is dropped), and
+chunks evaluated before the cut-off remain in the chunk cache for the
+next query.
 
 >>> deadline = Deadline.after(60.0)
 >>> deadline.expired()

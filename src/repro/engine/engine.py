@@ -23,8 +23,11 @@ trivially when it falls back to whole-document evaluation.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import (
+    Deque,
     Dict,
     Iterator,
     List,
@@ -52,8 +55,18 @@ from repro.engine.cache import (
 )
 from repro.engine.corpus import Corpus, Document
 from repro.engine.deadline import NEVER, Deadline, as_deadline
-from repro.engine.scheduler import Scheduler
+from repro.engine.scheduler import PendingBatch, Scheduler
 from repro.engine.stats import EngineStats
+
+
+#: Batches a pooled run keeps submitted ahead of the one it is merging
+#: (in-process runs look ahead at nothing).  Ledger ``dense-pool``,
+#: ``--seconds 8``, seeds 31-32 on the 2-core reference box: 3.02-3.26
+#: MB/s with none ahead, 3.66-3.78 with one, 3.93-4.17 with two, at
+#: ``op_p95_ms`` 8.3-9.2 / 10.1-10.4 / 10.7-11.9 — the first batch
+#: ahead buys most of the overlap, and every further one delays a
+#: pass's first result by a batch and holds another batch of chunks.
+LOOKAHEAD_BATCHES = 1
 
 
 @dataclass(frozen=True)
@@ -529,14 +542,22 @@ class ExtractionEngine:
 
         The lazy core under both :meth:`run` and :meth:`run_iter`: one
         scheduler pass per document batch, counters updated as each
-        batch completes, results yielded per document in corpus order —
-        nothing downstream of the current batch is computed yet.
-        ``chunked`` hands in documents a caller has already split
-        (:meth:`run_delta`), by id.
+        batch completes, results yielded per document in corpus order.
+        In process, nothing downstream of the current batch is
+        computed yet.  With a worker pool the run looks
+        :data:`LOOKAHEAD_BATCHES` ahead: batch *k+1* is split,
+        prefiltered, looked up and submitted
+        (:meth:`repro.engine.scheduler.Scheduler.submit`) before batch
+        *k* is collected, merged and yielded, so the workers sweep
+        while this process splits and merges.  A text batch *k* is
+        still evaluating is a cache hit for batch *k+1*, resolved from
+        batch *k*'s results: each distinct missing text is evaluated
+        exactly once.  ``chunked`` hands in documents a caller has
+        already split (:meth:`run_delta`), by id.
 
         ``deadline`` is the cooperative cancellation point: it is
-        checked at every batch boundary (and between evaluation batches
-        inside :meth:`repro.engine.scheduler.Scheduler.run`), raising
+        checked at every batch boundary (and by the scheduler at both
+        halves of a pass and between pool results), raising
         :class:`repro.errors.DeadlineExceededError` without disturbing
         the pool or the caches — the engine stays fully usable for
         subsequent queries.
@@ -549,45 +570,73 @@ class ExtractionEngine:
         chunk_namespace = certified.fingerprint or program.fingerprint()
         cache = self.chunk_cache
         tracer = self.tracer
-        for batch in corpus.batches(max(1, self.scheduler.batch_size)):
+        scheduler = self.scheduler
+        # Submitted, uncollected batches, oldest first.  A local of
+        # this generator and nothing else: abandoning the stream, a
+        # deadline between the halves or a runner swap drops it whole.
+        depth = LOOKAHEAD_BATCHES if scheduler.workers > 1 else 0
+        window: Deque[Tuple[List[Document], PendingBatch]] = deque()
+        # After the last batch, one empty step per batch still ahead:
+        # nothing left to submit, only to collect.
+        for batch in chain(corpus.batches(max(1, scheduler.batch_size)),
+                           repeat([], depth)):
             deadline.check()
             start = time.perf_counter()
             cache_before = (cache.hits, cache.misses, cache.evictions)
-            tasks = []
-            with tracer.span("split", documents=len(batch)) as span:
-                by_document = [
-                    (document, chunked[document.doc_id]
-                     if chunked is not None
-                     else self._chunks_of(certified, document))
-                    for document in batch
-                ]
-                span.set("chunks",
-                         sum(len(chunks) for _d, chunks in by_document))
-            with tracer.span("prefilter",
-                             active=prefilter is not None) as span:
-                pruned_batch = 0
-                for document, chunks in by_document:
-                    self._chunks_total.inc(len(chunks))
-                    if prefilter is not None and chunks:
-                        admitted = [chunk for chunk in chunks
-                                    if prefilter.admits(chunk[1])]
-                        pruned_batch += len(chunks) - len(admitted)
-                        chunks = admitted
-                    tasks.append((document.doc_id, chunks))
-                self._chunks_pruned.inc(pruned_batch)
-                span.set("pruned", pruned_batch)
+            if batch:
+                tasks = self._split_and_prefilter(batch, certified,
+                                                  prefilter, chunked)
+            due: Sequence[Document] = ()
             with tracer.span("schedule", documents=len(batch)):
-                resolved = self.scheduler.run(runner, tasks, cache,
-                                              chunk_namespace, deadline)
+                if batch:
+                    window.append((batch, scheduler.submit(
+                        runner, tasks, cache, chunk_namespace, deadline,
+                        [pending for _batch, pending in window])))
+                if window and (not batch or len(window) > depth):
+                    due, pending = window.popleft()
+                    resolved = scheduler.collect(pending)
             self._chunk_hits.inc(cache.hits - cache_before[0])
             self._chunk_misses.inc(cache.misses - cache_before[1])
             self._chunk_evictions.inc(cache.evictions - cache_before[2])
             self._extraction_seconds.inc(time.perf_counter() - start)
-            self._documents.inc(len(batch))
-            for document in batch:
+            self._documents.inc(len(due))
+            for document in due:
                 tuples = resolved[document.doc_id]
                 self._tuples_emitted.inc(len(tuples))
                 yield document.doc_id, tuples
+
+    def _split_and_prefilter(
+        self, batch: List[Document], certified: CertifiedPlan, prefilter,
+        chunked: Optional[Mapping[str, List[Tuple[Span, str]]]],
+    ) -> List[Tuple[str, List[Tuple[Span, str]]]]:
+        """One batch's scheduler input: every document's chunks (taken
+        from ``chunked`` when the caller has split already), less the
+        ones ``prefilter`` proves empty."""
+        tracer = self.tracer
+        tasks = []
+        with tracer.span("split", documents=len(batch)) as span:
+            by_document = [
+                (document, chunked[document.doc_id]
+                 if chunked is not None
+                 else self._chunks_of(certified, document))
+                for document in batch
+            ]
+            span.set("chunks",
+                     sum(len(chunks) for _d, chunks in by_document))
+        with tracer.span("prefilter",
+                         active=prefilter is not None) as span:
+            pruned_batch = 0
+            for document, chunks in by_document:
+                self._chunks_total.inc(len(chunks))
+                if prefilter is not None and chunks:
+                    admitted = [chunk for chunk in chunks
+                                if prefilter.admits(chunk[1])]
+                    pruned_batch += len(chunks) - len(admitted)
+                    chunks = admitted
+                tasks.append((document.doc_id, chunks))
+            self._chunks_pruned.inc(pruned_batch)
+            span.set("pruned", pruned_batch)
+        return tasks
 
     def run(
         self,
@@ -623,8 +672,9 @@ class ExtractionEngine:
 
         Documents come out in corpus order, produced one scheduler
         batch at a time, so consuming a prefix of the iterator only
-        pays for the batches that prefix spans — the streaming
-        primitive under :meth:`repro.query.ResultSet.stream`.
+        pays for the batches that prefix spans — plus, with a worker
+        pool, the one batch a pooled run has submitted ahead.  The
+        streaming primitive under :meth:`repro.query.ResultSet.stream`.
         Certification still happens exactly once — up front, through
         the plan cache, when the iterator is created.  ``deadline``
         bounds consumption like :meth:`run`.
@@ -696,8 +746,8 @@ class ExtractionEngine:
     def close(self) -> None:
         """Shut down the scheduler's worker pool (idempotent).
 
-        Caches survive ``close``; the process pool and any published
-        shared-memory artifact segment are released.  Engines are
+        Caches survive ``close``; the process pool is stopped, with
+        whatever an abandoned run left in flight on it.  Engines are
         also usable as context managers.
         """
         self.scheduler.close()

@@ -7,6 +7,13 @@ shifted span-tuples back per document — the engine-side realization of
 that can be executed anywhere, in any order, and shared between
 documents.
 
+A pass has two halves.  :meth:`Scheduler.submit` consults the cache
+and hands the missing texts to the pool, which starts on them at once;
+:meth:`Scheduler.collect` waits for the results, stores them and
+merges.  :meth:`Scheduler.run` is the two back to back; the engine
+puts the next batch's first half between them when a pool is in use,
+so the parent splits and merges while the workers sweep.
+
 ``workers <= 1`` degrades to in-process sequential evaluation (no pool
 overhead), which is also the configuration benchmarks use to isolate
 caching effects from parallelism.
@@ -14,9 +21,10 @@ caching effects from parallelism.
 How a runner reaches a worker and what a pool task is belong to
 :class:`repro.runtime.executor.WorkerPool`; this side decides what the
 telemetry every task returns means (:mod:`repro.obs`): chunk latency,
-per-worker busy time and queue wait always land in the metrics
-registry, and an enabled tracer additionally gets one ``evaluate``
-span per task.  Tracing never changes what the workers run.
+per-worker busy time, queue wait and the parent's own wait for the
+pool always land in the metrics registry, and an enabled tracer
+additionally gets one ``evaluate`` span per task.  Tracing never
+changes what the workers run.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.spans import Span, SpanTuple
 from repro.obs.log import event_log
@@ -49,6 +57,36 @@ class ScheduledBatch:
     unique_missing: int
 
 
+@dataclass
+class PendingBatch:
+    """A batch between the two halves of its pass: looked up and
+    submitted (:meth:`Scheduler.submit`), not yet collected.
+
+    Everything the second half needs travels here, and nowhere else —
+    the scheduler and the cache hold nothing about a batch in flight,
+    so dropping this object (an abandoned stream, a deadline between
+    the halves) leaves no state a later pass could read.
+    """
+
+    runner: SpannerLike
+    documents: Sequence[DocumentChunks]
+    cache: ChunkCache
+    namespace: str
+    deadline: Deadline
+    #: text -> results; ``None`` until :meth:`Scheduler.collect` for
+    #: the texts this batch evaluates (``missing``) or takes from the
+    #: earlier, uncollected batch that does (``borrowed``, as ``(that
+    #: batch, text)`` pairs).
+    seen: Dict[str, object]
+    missing: List[str]
+    borrowed: Sequence[Tuple["PendingBatch", str]]
+    chunk_instances: int
+    #: The pool's result iterator (``None``: evaluate in process) and
+    #: the wall-clock time the tasks were handed over.
+    tasks: Optional[Iterator] = None
+    submitted: float = 0.0
+
+
 class Scheduler:
     """Fan unique chunk texts over a pool; merge results per document.
 
@@ -57,10 +95,21 @@ class Scheduler:
     per scheduler pass — it bounds peak memory and sets the in-pass
     dedup granularity; the pool sizes its own tasks.
 
+    A pass is :meth:`submit` then :meth:`collect` (:meth:`run` does
+    both); between the two the pool works and the caller is free.
+    Nothing about a submitted batch is kept here — it lives in the
+    :class:`PendingBatch` the caller holds.
+
     ``tracer``/``metrics`` are the engine's observability handles: the
-    scheduler brackets its passes in ``evaluate``/``merge`` spans and
-    folds every pool task's telemetry into the registry (see the module
-    docstring).
+    scheduler brackets the second half in ``evaluate``/``merge`` spans
+    and folds every pool task's telemetry into the registry:
+    ``engine.chunk_eval_seconds``, ``engine.worker_busy_seconds`` and
+    ``engine.worker_chunks`` per pid, ``scheduler.queue_wait_seconds``
+    (a task's start minus its batch's submission — by design including
+    the time it queued behind the batch submitted before) and
+    ``scheduler.collect_wait_seconds`` (how long the parent blocked on
+    the pool for one batch: large means the workers bound the run,
+    near zero means the parent does).
 
     The pool persists across batches and runs, whatever the tracer
     does meanwhile; swapping to a different runner *drains* the old
@@ -125,23 +174,126 @@ class Scheduler:
         except Exception:
             pass
 
-    def _evaluate_missing(
+    def submit(
         self,
         runner: SpannerLike,
-        texts: Sequence[str],
+        documents: Sequence[DocumentChunks],
+        cache: ChunkCache,
+        namespace: str,
         deadline: Deadline = NEVER,
-    ) -> List[Set[SpanTuple]]:
+        after: Sequence[PendingBatch] = (),
+    ) -> PendingBatch:
+        """The first half of a pass: consult ``cache`` and hand the
+        distinct missing texts to the pool.  Returns at once — with
+        ``workers > 1`` the pool is evaluating while the caller does
+        something else — and :meth:`collect` finishes the pass.
+
+        ``after`` lists the batches submitted earlier and not yet
+        collected (the engine's look-ahead holds one).  A text one of
+        them is already evaluating is not submitted again and not
+        looked up, so not counted as a miss: it is a hit, resolved at
+        :meth:`collect` from that batch's own results, which the LRU
+        bound of ``cache`` cannot evict.  Collect batches in
+        submission order.
+        """
+        deadline.check()
+        in_flight = {text: earlier for earlier in after
+                     if earlier.namespace == namespace
+                     for text in earlier.missing}
+        # Consult the cache; collect distinct missing texts in
+        # first-seen order (deterministic scheduling).  A text repeated
+        # within this batch counts as a hit from its second instance on:
+        # those instances are served without evaluation.
+        seen: Dict[str, object] = {}
+        missing: List[str] = []
+        borrowed: List[Tuple[PendingBatch, str]] = []
+        chunk_instances = 0
+        for _doc_id, chunks in documents:
+            for _span, text in chunks:
+                chunk_instances += 1
+                if text in seen:
+                    cache.record_batch_hit()
+                elif text in in_flight:
+                    cache.record_batch_hit()
+                    seen[text] = None
+                    borrowed.append((in_flight[text], text))
+                else:
+                    cached = seen[text] = cache.lookup(namespace, text)
+                    if cached is None:
+                        missing.append(text)
+        pending = PendingBatch(runner, documents, cache, namespace, deadline,
+                               seen, missing, borrowed, chunk_instances)
+        # A pass whose chunks all hit the cache has nothing to ship:
+        # its empty batch stays in this process.
+        if self.workers > 1 and missing:
+            pending.submitted = time.time()
+            pending.tasks = self._pool_for(runner).evaluate(missing)
+        return pending
+
+    def collect(self, pending: PendingBatch) -> Dict[str, Set[SpanTuple]]:
+        """The second half of a pass: wait for the pool's results (or,
+        in process, evaluate now), store them, and merge the shifted
+        tuples back per document."""
+        deadline = pending.deadline
+        deadline.check()
+        seen, missing = pending.seen, pending.missing
+        cache, namespace = pending.cache, pending.namespace
+        with self.tracer.span(
+            "evaluate", unique_missing=len(missing),
+            instances=pending.chunk_instances,
+            workers=self.workers if self.workers > 1 else 0, tasks=0,
+        ) as span:
+            if pending.tasks is None:
+                results = evaluate_chunks(
+                    pending.runner, missing,
+                    self.metrics.histogram("engine.chunk_eval_seconds"),
+                    deadline.check)
+            else:
+                results = self._gather(pending, span)
+            for text, found in zip(missing, results):
+                seen[text] = cache.store(namespace, text, found)
+        for earlier, text in pending.borrowed:
+            found = seen[text] = earlier.seen[text]
+            if found is None:
+                raise RuntimeError(
+                    "collect() out of submission order: the batch "
+                    "evaluating this text has not been collected")
+        pending.borrowed = ()  # collected batches must not chain up
+
+        with self.tracer.span(
+                "merge", documents=len(pending.documents)) as span:
+            resolved: Dict[str, Set[SpanTuple]] = {}
+            tuples_merged = 0
+            for doc_id, chunks in pending.documents:
+                merged: Set[SpanTuple] = resolved.setdefault(doc_id, set())
+                for span_, text in chunks:
+                    results = seen[text]
+                    if results:
+                        merged.update(t.shift(span_) for t in results)
+                tuples_merged += len(merged)
+            span.set("tuples", tuples_merged)
+
+        self.last_batch = ScheduledBatch(
+            len(pending.documents), pending.chunk_instances, len(missing)
+        )
+        return resolved
+
+    def _gather(self, pending: PendingBatch, span) -> List[Set[SpanTuple]]:
+        """The pool's results for ``pending``, in text order, with
+        every task's telemetry folded into the registry (and, traced,
+        into one worker ``evaluate`` span per task under ``span`` —
+        which a task may well have started before)."""
         metrics, tracer = self.metrics, self.tracer
         latency = metrics.histogram("engine.chunk_eval_seconds")
-        if self.workers <= 1 or not texts:
-            deadline.check()
-            return evaluate_chunks(runner, texts, latency, deadline.check)
         queue_wait = metrics.histogram("scheduler.queue_wait_seconds")
-        parent_id = tracer.current_id()
-        pool = self._pool_for(runner)
-        submitted = time.time()
+        missing = pending.missing
         results: List[Set[SpanTuple]] = []
-        for group, task in pool.evaluate(texts):
+        blocked = 0.0
+        clock = time.perf_counter
+        waiting = clock()
+        for group, task in pending.tasks:
+            blocked += clock() - waiting
+            span.inc("tasks")
             if tracer.enabled:
                 done = len(results)
                 tracer.adopt([SpanRecord(
@@ -150,10 +302,10 @@ class Scheduler:
                     pid=task.pid, tid=0, attributes={
                         "chunks": len(group),
                         "chars": sum(map(
-                            len, texts[done:done + len(group)])),
+                            len, missing[done:done + len(group)])),
                         "tuples": sum(map(len, group)),
                     },
-                )], parent_id=parent_id)
+                )], parent_id=span.span_id)
             results.extend(group)
             for seconds in task.chunk_seconds:
                 latency.observe(seconds)
@@ -161,10 +313,13 @@ class Scheduler:
                             pid=task.pid).inc(task.busy_seconds)
             metrics.counter("engine.worker_chunks",
                             pid=task.pid).inc(len(group))
-            # Measured from this pass's submission: later tasks of a
-            # pass wait behind its earlier ones.
-            queue_wait.observe(max(0.0, task.started - submitted))
-            deadline.check()
+            # Measured from this batch's submission, so by design it
+            # includes the time a task queued behind the tasks of the
+            # batch submitted before it (the engine's look-ahead).
+            queue_wait.observe(max(0.0, task.started - pending.submitted))
+            pending.deadline.check()
+            waiting = clock()
+        metrics.histogram("scheduler.collect_wait_seconds").observe(blocked)
         return results
 
     def run(
@@ -175,7 +330,8 @@ class Scheduler:
         namespace: str,
         deadline: Deadline = NEVER,
     ) -> Dict[str, Set[SpanTuple]]:
-        """Evaluate every document's chunks, deduplicated via ``cache``.
+        """Evaluate every document's chunks, deduplicated via ``cache``:
+        :meth:`submit` and :meth:`collect` back to back.
 
         Returns ``doc_id -> set of (shifted) span tuples``.  Each
         distinct chunk text missing from the cache is evaluated exactly
@@ -188,50 +344,5 @@ class Scheduler:
         evaluated stay cached, and the pool keeps running — the next
         ``run`` on this scheduler proceeds normally.
         """
-        deadline.check()
-        # Pass 1: consult the cache; collect distinct missing texts in
-        # first-seen order (deterministic scheduling).  A text repeated
-        # within this batch counts as a hit from its second instance on:
-        # those instances are served without evaluation.
-        seen: Dict[str, object] = {}
-        missing: List[str] = []
-        chunk_instances = 0
-        for _doc_id, chunks in documents:
-            for _span, text in chunks:
-                chunk_instances += 1
-                if text in seen:
-                    cache.record_batch_hit()
-                    continue
-                cached = cache.lookup(namespace, text)
-                seen[text] = cached
-                if cached is None:
-                    missing.append(text)
-
-        # Pass 2: fan the missing texts out (batched over the pool).
-        with self.tracer.span(
-            "evaluate", unique_missing=len(missing),
-            instances=chunk_instances,
-            workers=self.workers if self.workers > 1 else 0,
-        ):
-            for text, results in zip(
-                missing, self._evaluate_missing(runner, missing, deadline)
-            ):
-                seen[text] = cache.store(namespace, text, results)
-
-        # Pass 3: merge shifted tuples back per document.
-        with self.tracer.span("merge", documents=len(documents)) as span:
-            resolved: Dict[str, Set[SpanTuple]] = {}
-            tuples_merged = 0
-            for doc_id, chunks in documents:
-                merged: Set[SpanTuple] = resolved.setdefault(doc_id, set())
-                for span_, text in chunks:
-                    results = seen[text]
-                    if results:
-                        merged.update(t.shift(span_) for t in results)
-                tuples_merged += len(merged)
-            span.set("tuples", tuples_merged)
-
-        self.last_batch = ScheduledBatch(
-            len(documents), chunk_instances, len(missing)
-        )
-        return resolved
+        return self.collect(
+            self.submit(runner, documents, cache, namespace, deadline))

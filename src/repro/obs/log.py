@@ -5,7 +5,7 @@ run and metrics (:mod:`repro.obs.metrics`) answer *how much*, the
 event log answers *what happened, in order* — the shippable record an
 operator greps (or feeds a log pipeline) after the fact: admissions,
 completions, rejections, deadline misses, index reopens, compactions,
-pool and shared-memory lifecycle.
+the pool's lifecycle.
 
 Every event is one JSON object on one line with a fixed envelope —
 wall-clock and monotonic time, level, event name, pid, the current

@@ -81,7 +81,9 @@ class ResultSet:
         Safe to call repeatedly: already-produced documents replay
         from the retained results, then the engine resumes where the
         last consumer stopped.  Concurrent streams share one pass over
-        the corpus.
+        the corpus.  With ``workers(n)`` the pass looks one batch
+        ahead: the batch after the one being yielded is already with
+        the pool (abandoning the stream simply drops it).
         """
         index = 0
         while True:
@@ -133,12 +135,11 @@ class ResultSet:
             document_rows = []
             for span_tuple in self._results[doc_id]:
                 row: Dict[str, object] = {"doc": doc_id}
-                for variable in sorted(span_tuple.variables(), key=str):
-                    span = span_tuple[variable]
+                for variable, begin, end in span_tuple.columns():
                     row[str(variable)] = {
-                        "begin": span.begin,
-                        "end": span.end,
-                        "text": span.extract(text),
+                        "begin": begin,
+                        "end": end,
+                        "text": text[begin - 1:end - 1],
                     }
                 document_rows.append(row)
             document_rows.sort(key=lambda row: [
@@ -158,13 +159,13 @@ class ResultSet:
             text = self._corpus[doc_id].text
             document_texts = []
             for span_tuple in self._results[doc_id]:
-                if variable is not None:
-                    document_texts.append(span_tuple[variable].extract(text))
-                else:
-                    for name in sorted(span_tuple.variables(), key=str):
-                        document_texts.append(
-                            span_tuple[name].extract(text)
-                        )
+                if variable is not None and variable not in span_tuple:
+                    raise KeyError(variable)
+                document_texts.extend(
+                    text[begin - 1:end - 1]
+                    for name, begin, end in span_tuple.columns()
+                    if variable is None or name == variable
+                )
             extracted.extend(sorted(document_texts))
         return extracted
 

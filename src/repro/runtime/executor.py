@@ -137,6 +137,15 @@ class TaskTelemetry(NamedTuple):
     chunk_seconds: List[float]
 
 
+#: The longest slice of chunk text (characters) one pool task carries.
+#: Measured on the 2-core reference box, ledger ``dense`` chunks, min
+#: of 9: 234 KB over 2 workers take 43-48 ms cut into 2-16 tasks, 51
+#: in 32-64, 72 in 256 and 101 in 1 024 (74 in process), so a task's
+#: fixed cost — dispatch, two hand-offs, wake-ups — is 60-150 us.  The
+#: kernel sweeps a character in ~0.32 us: a full task runs ~5 ms and
+#: its fixed cost is ~2 % of that.
+MAX_TASK_CHARS = 16 * 1024
+
 _WORKER_RUNNER: Optional[SpannerLike] = None
 
 
@@ -181,16 +190,41 @@ class WorkerPool:
     def evaluate(
         self, texts: Sequence[str],
     ) -> Iterator[Tuple[List[Set[SpanTuple]], TaskTelemetry]]:
-        """``(results, telemetry)`` per task, in text order.  Tasks are
-        sized for several waves per worker: load balance for skewed
-        chunk costs (the scheduling effect the Introduction credits
-        for the Spark speedups) without one-text-per-IPC overhead."""
-        size = max(1, len(texts) // (self.workers * 4))
-        return self.pool.imap(
-            _evaluate_task,
-            [texts[start:start + size]
-             for start in range(0, len(texts), size)],
-        )
+        """Submit ``texts`` and return at once: an iterator of
+        ``(results, telemetry)`` per task, in text order
+        (``multiprocessing`` feeds the workers from its own thread, so
+        the caller is free until it asks for the first result).
+
+        Chunk texts go out, flat int tuples come back
+        (:class:`repro.core.spans.SpanTuple` pickles as its stored
+        form).  A task is a contiguous slice of ``texts``; the slices
+        are cut at equal cumulative length, one per worker — a task's
+        cost is its characters, not its text count — unless that makes
+        a slice longer than :data:`MAX_TASK_CHARS`: a whole corpus
+        handed over at once still goes out in several waves per
+        worker, the load balance for skewed chunk costs the
+        Introduction credits for the Spark speedups.
+        """
+        # An empty text still costs a dispatch: weigh every text one
+        # more than its length.  A text goes to the slice its middle
+        # falls in, so slices are contiguous and a long text gets a
+        # slice to itself rather than dragging its neighbours along.
+        total = sum(map(len, texts)) + len(texts)
+        count = min(len(texts),
+                    max(self.workers, -(-total // MAX_TASK_CHARS)))
+        tasks: List[Sequence[str]] = []
+        start = swept = current = 0
+        for position, text in enumerate(texts):
+            weight = len(text) + 1
+            index = (2 * swept + weight) * count // (2 * total)
+            if index != current:
+                if position:
+                    tasks.append(texts[start:position])
+                start, current = position, index
+            swept += weight
+        if texts:
+            tasks.append(texts[start:])
+        return self.pool.imap(_evaluate_task, tasks)
 
     def shutdown(self, drain: bool) -> None:
         """Stop the workers and wait for them: ``drain`` lets every

@@ -115,12 +115,8 @@ def _result_payload(result: ServiceResult) -> Dict[str, object]:
     for doc_id, tuples in result.by_document.items():
         documents[doc_id] = sorted(
             (
-                {
-                    str(variable): [span.begin, span.end]
-                    for variable, span in sorted(
-                        span_tuple.items(), key=lambda kv: str(kv[0])
-                    )
-                }
+                {str(variable): [begin, end]
+                 for variable, begin, end in span_tuple.columns()}
                 for span_tuple in tuples
             ),
             key=lambda row: sorted(row.items()),

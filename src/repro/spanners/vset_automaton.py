@@ -35,7 +35,7 @@ from typing import (
 )
 
 from repro.automata.nfa import EPSILON, NFA
-from repro.core.spans import Span, SpanTuple
+from repro.core.spans import Span, SpanTuple, column_order
 from repro.spanners.refwords import Close, Open, VarOp, gamma
 
 Variable = Hashable
@@ -77,14 +77,16 @@ class VSetAutomaton:
 
     @property
     def variable_order(self) -> Tuple[Tuple, Dict]:
-        """``(sorted variables, variable -> index)``, computed once.
+        """``(variables in :func:`repro.core.spans.column_order` — the
+        column order of a :class:`SpanTuple`, which the compiled kernel
+        emits without re-sorting —, variable -> index)``, computed once.
 
         Every evaluation and the validity tracker consume the same
         fixed order; hoisting it here removes the per-call sort and
         index rebuild from the hot path.
         """
         if self._var_order is None:
-            variables = tuple(sorted(self.variables, key=str))
+            variables = column_order(self.variables)
             self._var_order = (
                 variables, {var: k for k, var in enumerate(variables)}
             )

@@ -17,14 +17,16 @@ Plus :func:`reference_candidates`, the posting index's candidate
 contract stated per text with substring tests -- no postings, no
 bitmasks, no segments -- and the ``reference_*_spans`` character
 loops, the splitters' executors before they were lowered to compiled
-scanners (:mod:`repro.runtime.fast`), kept as their oracles.
+scanners (:mod:`repro.runtime.fast`), kept as their oracles, and
+:class:`ReferenceSpanTuple`, the dict-backed span tuple the flat
+:class:`repro.core.spans.SpanTuple` replaced.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Set)
+from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+                    Mapping, Optional, Set, Tuple)
 
 from repro.automata.regex import (
     AnySymbol,
@@ -304,3 +306,105 @@ def reference_fixed_window_spans(document: str, width: int) -> List[Span]:
     """Disjoint tiling into blocks of ``width`` characters."""
     return [Span(begin, min(begin + width, len(document) + 1))
             for begin in range(1, len(document) + 1, width)]
+
+
+# ----------------------------------------------------------------------
+# The span tuple before it was stored flat
+# ----------------------------------------------------------------------
+
+Variable = Hashable
+
+
+class ReferenceSpanTuple(Mapping[Variable, Span]):
+    """The dict-of-:class:`Span` span tuple ``src/`` used before the
+    flat one, verbatim but for its name: what
+    :class:`repro.core.spans.SpanTuple` must behave like.  (Its
+    ``repr`` still says ``SpanTuple``, which is what the flat type's
+    is compared with.)"""
+
+    __slots__ = ("_assignment", "_hash")
+
+    def __init__(self, assignment: Mapping[Variable, Span]) -> None:
+        self._assignment: Dict[Variable, Span] = dict(assignment)
+        self._hash = hash(frozenset(self._assignment.items()))
+
+    def __getitem__(self, variable: Variable) -> Span:
+        return self._assignment[variable]
+
+    def __iter__(self) -> Iterator[Variable]:
+        return iter(self._assignment)
+
+    def __len__(self) -> int:
+        return len(self._assignment)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ReferenceSpanTuple):
+            return self._assignment == other._assignment
+        if isinstance(other, Mapping):
+            return dict(self._assignment) == dict(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        items = ", ".join(
+            f"{var!r}: {span!r}" for var, span in sorted(
+                self._assignment.items(), key=lambda kv: str(kv[0])
+            )
+        )
+        return f"SpanTuple({{{items}}})"
+
+    def shift(self, context: Span) -> "ReferenceSpanTuple":
+        """Component-wise shift ``t >> s`` (Section 3)."""
+        return ReferenceSpanTuple(
+            {var: span.shift(context) for var, span in self._assignment.items()}
+        )
+
+    def __rshift__(self, context: Span) -> "ReferenceSpanTuple":
+        return self.shift(context)
+
+    def unshift(self, context: Span) -> "ReferenceSpanTuple":
+        """Component-wise inverse shift; ``context`` must cover the tuple."""
+        return ReferenceSpanTuple(
+            {var: span.unshift(context) for var, span in self._assignment.items()}
+        )
+
+    def variables(self) -> Tuple[Variable, ...]:
+        return tuple(sorted(self._assignment, key=str))
+
+    def enclosing_span(self) -> Span:
+        """The minimal span containing every span of the tuple.
+
+        This is the span ``[i, j>`` from the proof of Lemma 5.3; for the
+        empty (0-ary) tuple there is no enclosure and ``ValueError`` is
+        raised.
+        """
+        if not self._assignment:
+            raise ValueError("the 0-ary tuple has no enclosing span")
+        begin = min(span.begin for span in self._assignment.values())
+        end = max(span.end for span in self._assignment.values())
+        return Span(begin, end)
+
+    def covered_by(self, span: Span) -> bool:
+        """Whether ``span`` contains every span of the tuple (Def 5.2).
+
+        The 0-ary tuple is covered by every span.
+        """
+        return all(span.contains(s) for s in self._assignment.values())
+
+    def agrees_with(self, other: "ReferenceSpanTuple") -> bool:
+        """Whether the tuples agree on their shared variables (join)."""
+        return all(
+            self._assignment[var] == other[var]
+            for var in self._assignment
+            if var in other
+        )
+
+    def join(self, other: "ReferenceSpanTuple") -> "ReferenceSpanTuple":
+        """The combined tuple (requires :meth:`agrees_with`)."""
+        if not self.agrees_with(other):
+            raise ValueError("tuples disagree on shared variables")
+        merged = dict(self._assignment)
+        merged.update(other._assignment)
+        return ReferenceSpanTuple(merged)

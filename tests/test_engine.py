@@ -1,12 +1,19 @@
 """Tests for the corpus extraction engine (:mod:`repro.engine`) and
 the executor's parallel primitives it builds on."""
 
-import pytest
+import multiprocessing
+from collections import Counter
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from repro import Q, Spanner
 from repro.core.spans import Span
 from repro.engine import (
     ChunkCache,
     Corpus,
+    Deadline,
     Document,
     ExtractionEngine,
     PlanCache,
@@ -26,7 +33,9 @@ from repro.runtime import (
     split_by,
     split_by_parallel,
 )
-from repro.runtime.fast import RegexSpanner
+from repro.errors import DeadlineExceededError
+from repro.obs import Tracer
+from repro.runtime.fast import CompiledSpanner, RegexSpanner
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import sentence_splitter, token_splitter
 
@@ -541,3 +550,216 @@ class TestCorpusEdgeCases:
             corpus.shard(3, 3)
         with pytest.raises(ValueError):
             shard_of("x", 0)
+
+
+# ----------------------------------------------------------------------
+# The pooled run's one-batch look-ahead
+# ----------------------------------------------------------------------
+
+
+class TextLoggingRunner:
+    """A chunk runner appending every text it evaluates to a file, one
+    per line — the texts a pool worker saw, read from the parent."""
+
+    def __init__(self, runner, log_path):
+        self.runner = runner
+        self.log_path = str(log_path)
+
+    def evaluate(self, text):
+        return self.evaluate_batch([text])[0]
+
+    def evaluate_batch(self, texts, latency=None):
+        with open(self.log_path, "a", encoding="ascii") as handle:
+            handle.writelines(f"{text}\n" for text in texts)
+        return self.runner.evaluate_batch(texts, latency)
+
+    def drain(self):
+        """The texts logged since the last drain."""
+        with open(self.log_path, "r+", encoding="ascii") as handle:
+            texts = handle.read().splitlines()
+            handle.truncate(0)
+        return texts
+
+
+#: Few distinct tokens, so the chunks of one batch come back in the
+#: next: the texts a look-ahead finds still in flight.
+TOKENS = ["aa", "ab", "a", "b", "aaa.", "ba", "aab"]
+documents_with_repeats = st.lists(
+    st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join),
+    min_size=1, max_size=8)
+
+
+def worker_pids(before=frozenset()):
+    return {child.pid for child in multiprocessing.active_children()} \
+        - set(before)
+
+
+@pytest.fixture(scope="module")
+def engines(tmp_path_factory):
+    """``{workers: (engine, program, runner)}`` for 0 and 2 workers,
+    shared by the module: the pool forks once."""
+    spanner = a_run_extractor()
+    built = {}
+    for workers in (0, 2):
+        runner = TextLoggingRunner(
+            CompiledSpanner(spanner),
+            tmp_path_factory.mktemp("texts") / f"workers-{workers}.log")
+        open(runner.log_path, "w").close()
+        engine = ExtractionEngine(registry(), workers=workers,
+                                  tracer=Tracer())
+        built[workers] = (engine, Program(runner, spanner), runner)
+    yield built
+    for engine, _program, _runner in built.values():
+        engine.close()
+
+
+class TestLookAhead:
+    @given(documents_with_repeats, st.sampled_from([1, 2, 32]),
+           st.sampled_from([None, 1, 3]), st.booleans())
+    def test_pooled_run_equals_in_process_run(self, engines, texts,
+                                              batch_size, limit, traced):
+        spanner = a_run_extractor()
+        corpus = Corpus.from_texts(texts)
+        runs = {}
+        for workers, (engine, program, runner) in engines.items():
+            engine.scheduler.batch_size = batch_size
+            engine.chunk_cache.clear()
+            engine.chunk_cache.limit = limit
+            engine.tracer.enabled = traced
+            engine.tracer.clear()
+            result = engine.run(corpus, program)
+            logged = runner.drain()
+            for document in corpus:
+                assert result[document.doc_id] \
+                    == evaluate_whole(spanner, document.text)
+            stats = result.stats
+            # Exact under every cache bound: a miss is an evaluation.
+            assert len(logged) == stats.chunks_evaluated \
+                == stats.chunk_cache_misses
+            assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+                == stats.chunks_total
+            runs[workers] = (stats, logged)
+        (inproc, _), (pooled, logged) = runs[0], runs[2]
+        assert pooled.chunks_total == inproc.chunks_total
+        # An LRU bound makes hit-or-miss depend on how lookups and
+        # stores interleave, which is what looking ahead changes (as
+        # batch_size does); without one, or with a single batch, the
+        # counts are the in-process run's and no text runs twice.
+        if limit is None or len(texts) <= batch_size:
+            assert (pooled.chunks_evaluated, pooled.chunk_cache_misses,
+                    pooled.chunk_cache_hits) \
+                == (inproc.chunks_evaluated, inproc.chunk_cache_misses,
+                    inproc.chunk_cache_hits)
+        if limit is None:
+            assert max(Counter(logged).values(), default=1) == 1
+
+    def test_a_text_in_flight_is_a_hit_even_if_the_cache_forgets_it(
+            self, engines):
+        # Batch 1 repeats batch 0's texts while batch 0 is in flight;
+        # with room for one entry the cache has evicted "aa" by the
+        # time batch 1 is merged.  Its results come from batch 0.
+        engine, program, runner = engines[2]
+        engine.scheduler.batch_size = 1
+        engine.chunk_cache.clear()
+        engine.chunk_cache.limit = 1
+        result = engine.run(["aa ab", "aa ab"], program)
+        assert sorted(runner.drain()) == ["aa", "ab"]
+        assert result["doc-0000"] == result["doc-0001"] \
+            == evaluate_whole(a_run_extractor(), "aa ab")
+        assert (result.stats.chunk_cache_misses,
+                result.stats.chunk_cache_hits) == (2, 2)
+        engine.chunk_cache.limit = None
+
+    def test_abandoned_stream_leaves_nothing_in_flight(self):
+        before = worker_pids()
+        texts = [" ".join(TOKENS[i % 7:] + TOKENS[:i % 3]) for i in range(9)]
+        query = Q(Spanner.regex(
+            ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}", "ab .")) \
+            .split_by("tokens").workers(2).batch_size(2)
+        engine = query.engine()
+        try:
+            stream = query.over(texts).stream()
+            first = next(stream)
+            assert first[0] == "doc-0000"
+            stream.close()          # batches 1 and 2 are submitted
+            del stream
+            assert len(worker_pids(before)) == 2
+            engine.chunk_cache.clear()
+            again = query.over(texts).materialize()
+            expected = {
+                f"doc-{i:04d}": evaluate_whole(query.spanner.specification,
+                                               text)
+                for i, text in enumerate(texts)}
+            assert again == expected
+        finally:
+            engine.close()
+        assert worker_pids(before) == set()
+
+    def test_deadline_between_submit_and_collect(self):
+        class Fuse(Deadline):
+            blown = False
+
+            def check(self):
+                if self.blown:
+                    raise DeadlineExceededError(elapsed=self.elapsed(),
+                                                budget=0.0)
+
+        before = worker_pids()
+        spanner = a_run_extractor()
+        program = Program(spanner)
+        texts = [f"a{'a' * i} ab aa" for i in range(8)]
+        with ExtractionEngine(registry(), workers=2, batch_size=2) as engine:
+            engine.run(texts[:2], program)
+            workers = worker_pids(before)
+            assert len(workers) == 2
+            engine.chunk_cache.clear()
+
+            fuse = Fuse()
+            submit, submitted = engine.scheduler.submit, []
+
+            def submit_then_blow(*args, **kwargs):
+                pending = submit(*args, **kwargs)
+                submitted.append(pending)
+                # Batch 0 is in flight and batch 1 just joined it: the
+                # next check is the one that opens collect(batch 0).
+                fuse.blown = len(submitted) == 2
+                return pending
+
+            engine.scheduler.submit = submit_then_blow
+            with pytest.raises(DeadlineExceededError):
+                engine.run(texts, program, deadline=fuse)
+            del engine.scheduler.submit
+            assert len(submitted) == 2
+            assert all(pending.tasks is not None for pending in submitted)
+
+            assert worker_pids(before) == workers
+            engine.chunk_cache.clear()
+            result = engine.run(texts, program)
+            assert worker_pids(before) == workers
+            for index, text in enumerate(texts):
+                assert result[f"doc-{index:04d}"] \
+                    == evaluate_whole(spanner, text)
+
+    def test_interleaved_streams_with_different_runners(self):
+        # Every next() swaps the pool to the other stream's runner;
+        # the swap drains, so the batch the other stream has in flight
+        # still delivers.
+        spanner_a = a_run_extractor()
+        spanner_b = compile_regex_formula(
+            ".*( )y{b+}( ).*|y{b+}( ).*|.*( )y{b+}|y{b+}", TXT)
+        texts = ["aa bb ab", "b aa", "bb a b", "ab ba bbb"]
+        before = worker_pids()
+        with ExtractionEngine(registry(), workers=2, batch_size=1) as engine:
+            streams = [engine.run_iter(texts, Program(spanner))
+                       for spanner in (spanner_a, spanner_b)]
+            found = [{}, {}]
+            for _ in texts:
+                for results, stream in zip(found, streams):
+                    doc_id, tuples = next(stream)
+                    results[doc_id] = tuples
+            assert all(next(stream, None) is None for stream in streams)
+        assert worker_pids(before) == set()
+        for results, spanner in zip(found, (spanner_a, spanner_b)):
+            assert results == {
+                f"doc-{i:04d}": evaluate_whole(spanner, text)
+                for i, text in enumerate(texts)}

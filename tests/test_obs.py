@@ -616,6 +616,15 @@ class TestTracingKeepsTheExecutionShape:
             == engine.stats().chunks_evaluated - evaluated == evaluated
         assert queue_wait.count - untraced_tasks == len(tasks) \
             == untraced_tasks
+        # The parent's evaluate phases say how many tasks they waited
+        # for, and how long is one observation per pooled batch.
+        phases = [record for record in records
+                  if record.span_id in phase_ids]
+        assert sum(record.attributes["tasks"] for record in phases) \
+            == len(tasks)
+        pooled = sum(1 for record in phases if record.attributes["tasks"])
+        assert engine.metrics.histogram(
+            "scheduler.collect_wait_seconds").count == 2 * pooled > 0
 
 
 # ----------------------------------------------------------------------

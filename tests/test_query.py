@@ -483,6 +483,45 @@ class TestResultSet:
         assert begins == sorted(begins)
         assert min(begins) < 10 <= max(begins)
 
+    def test_serialised_output_is_golden(self):
+        # Byte for byte what the dict-of-Span tuples serialised to:
+        # to_dicts()/texts() and the HTTP payload read the flat
+        # columns now, and must not have moved a key or a comma.
+        import json
+
+        from repro.serve.http import _result_payload
+        from repro.serve.service import ServiceResult
+
+        pattern = "|".join(before + "x{a+}y{b*}" + after
+                           for before in (".*( )", "")
+                           for after in ("( ).*", ""))
+        results = Q(Spanner.regex(pattern, "ab ")).split_by("tokens") \
+            .over(["ab aab b a", "", "abb ab"])
+        assert json.dumps(results.to_dicts()) == (
+            '[{"doc": "doc-0000", "x": {"begin": 1, "end": 2, "text": "a"},'
+            ' "y": {"begin": 2, "end": 3, "text": "b"}},'
+            ' {"doc": "doc-0000", "x": {"begin": 4, "end": 6, "text": "aa"},'
+            ' "y": {"begin": 6, "end": 7, "text": "b"}},'
+            ' {"doc": "doc-0000", "x": {"begin": 10, "end": 11, "text": "a"},'
+            ' "y": {"begin": 11, "end": 11, "text": ""}},'
+            ' {"doc": "doc-0002", "x": {"begin": 1, "end": 2, "text": "a"},'
+            ' "y": {"begin": 2, "end": 4, "text": "bb"}},'
+            ' {"doc": "doc-0002", "x": {"begin": 5, "end": 6, "text": "a"},'
+            ' "y": {"begin": 6, "end": 7, "text": "b"}}]')
+        assert results.texts() == ["", "a", "a", "aa", "b", "b",
+                                   "a", "a", "b", "bb"]
+        assert results.texts("x") == ["a", "a", "aa", "a", "a"]
+        with pytest.raises(KeyError):
+            results.texts("z")
+        served = ServiceResult(results.materialize(), "t", 0.0, 0.5)
+        assert json.dumps(_result_payload(served)) == (
+            '{"tenant": "t", "tuples": 5, "documents": {"doc-0000":'
+            ' [{"x": [1, 2], "y": [2, 3]}, {"x": [4, 6], "y": [6, 7]},'
+            ' {"x": [10, 11], "y": [11, 11]}], "doc-0001": [],'
+            ' "doc-0002": [{"x": [1, 2], "y": [2, 4]},'
+            ' {"x": [5, 6], "y": [6, 7]}]},'
+            ' "queue_seconds": 0.0, "run_seconds": 0.5}')
+
     def test_explain_reports_certificate_and_artifact(self):
         results = self._query().over(CORPUS)
         explain = results.explain()

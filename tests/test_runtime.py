@@ -177,6 +177,39 @@ assert resource_tracker._resource_tracker._pid is None
                        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                            sys.path)), timeout=120)
 
+    def test_tasks_are_cut_by_characters_and_keep_text_order(self):
+        from repro.runtime import executor
+
+        runner = CompiledSpanner(a_run_extractor())
+        tokens = ["aa", "ab a", "", "b", "a" * 40, "aaa ab."]
+        pool = WorkerPool(runner, 3)
+        try:
+            def tasks_of(texts):
+                groups = [group for group, _telemetry
+                          in pool.evaluate(texts)]
+                assert [found for group in groups for found in group] \
+                    == executor.evaluate_chunks(runner, texts)
+                assert all(groups) and len(groups) <= len(texts)
+                return list(map(len, groups))
+
+            for count in (0, 1, pool.workers - 1):
+                texts = [tokens[i % 6] for i in range(count)]
+                assert tasks_of(texts) == [1] * count
+            # One slice per worker, equal in characters, not in texts.
+            assert tasks_of(["a" * 300] + ["a"] * 200 + ["b"] * 200) \
+                == [34, 183, 184]
+            assert tasks_of(["a" * 900] + ["a"] * 40) == [1, 40]
+            assert tasks_of([""] * 7) == [2, 3, 2]
+            # A corpus handed over whole goes out in waves: no slice
+            # longer than the cap (to within its last text).
+            texts = [tokens[i % 6] for i in range(10_000)]
+            weight = sum(map(len, texts)) + len(texts)
+            sizes = tasks_of(texts)
+            assert len(sizes) == -(-weight // executor.MAX_TASK_CHARS) == 7
+            assert max(sizes) - min(sizes) <= 6
+        finally:
+            pool.shutdown(drain=False)
+
     @pytest.mark.parametrize("protocol", [2, 5])
     def test_byte_tables_pickle_by_value(self, protocol):
         kernel = CompiledSpanner(a_run_extractor())._kernel

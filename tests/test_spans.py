@@ -1,5 +1,8 @@
 """Unit and property tests for spans and span tuples (Section 2)."""
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,6 +15,7 @@ from repro.core.spans import (
     whole_span,
 )
 from tests.conftest import spans_st
+from tests.reference import ReferenceSpanTuple
 
 
 class TestSpan:
@@ -135,3 +139,118 @@ class TestSpanTuple:
     def test_tuple_shift_matches_span_shift(self, inner, context):
         t = SpanTuple({"x": inner})
         assert (t >> context)["x"] == inner >> context
+
+
+# ----------------------------------------------------------------------
+# The flat SpanTuple against the dict-backed one it replaced
+# ----------------------------------------------------------------------
+
+#: ``1`` and ``"1"`` have the same ``str``: their column order needs
+#: the tiebreak, or ``==``/``hash`` would depend on insertion order.
+VARIABLES = ["x", "y", "z", 1, "1", 2, "10"]
+
+
+@st.composite
+def assignments_st(draw):
+    """``(assignment, the same assignment inserted in another order)``:
+    0-4 variables, str and int names, empty spans included."""
+    variables = draw(st.lists(st.sampled_from(VARIABLES), max_size=4,
+                              unique_by=lambda v: (type(v), v)))
+    assignment = {variable: draw(spans_st()) for variable in variables}
+    shuffled = draw(st.permutations(variables))
+    return assignment, {variable: assignment[variable]
+                        for variable in shuffled}
+
+
+def outcome(operation):
+    """An operation's value, or the type of the exception it raised."""
+    try:
+        return operation()
+    except (KeyError, ValueError) as error:
+        return type(error)
+
+
+class TestFlatSpanTupleAgreesWithTheReference:
+    @given(assignments_st())
+    def test_mapping_protocol_equality_and_hash(self, drawn):
+        assignment, shuffled = drawn
+        flat, other = SpanTuple(assignment), SpanTuple(shuffled)
+        ref = ReferenceSpanTuple(assignment)
+        assert flat == ref and ref == flat
+        assert flat == assignment and assignment == flat
+        assert flat == other and hash(flat) == hash(other)
+        assert flat.variables() == other.variables()
+        assert len({flat, other}) == 1
+        assert len(flat) == len(ref) and set(flat) == set(ref)
+        assert dict(flat.items()) == dict(ref.items()) == assignment
+        for variable in VARIABLES:
+            assert (variable in flat) == (variable in ref)
+            assert outcome(lambda: flat[variable]) \
+                == outcome(lambda: ref[variable])
+        assert outcome(lambda: flat["missing"]) is KeyError
+        assert [(variable, Span(begin, end))
+                for variable, begin, end in flat.columns()] \
+            == [(variable, flat[variable]) for variable in flat.variables()]
+
+    @given(assignments_st())
+    def test_variables_and_repr(self, drawn):
+        assignment, shuffled = drawn
+        flat = SpanTuple(shuffled)
+        # The stored order refines the reference's sort by str ...
+        assert list(map(str, flat.variables())) \
+            == sorted(map(str, assignment))
+        assert sorted(flat.variables(), key=str) == list(flat.variables())
+        # ... and inserted in that order the reference prints the same.
+        in_order = ReferenceSpanTuple(
+            {variable: assignment[variable] for variable in flat.variables()})
+        assert repr(flat) == repr(in_order)
+        assert in_order.variables() == flat.variables()
+
+    @given(assignments_st(), spans_st(), spans_st())
+    def test_shift_unshift_enclosure_and_cover(self, drawn, context, probe):
+        assignment, _shuffled = drawn
+        flat, ref = SpanTuple(assignment), ReferenceSpanTuple(assignment)
+        assert flat.shift(context) == ref.shift(context)
+        assert flat >> context == ref >> context
+        roomy = Span(context.begin, context.begin + 20)
+        assert flat.shift(roomy).unshift(roomy) == flat
+        assert outcome(lambda: flat.unshift(probe)) \
+            == outcome(lambda: ref.unshift(probe))
+        assert outcome(flat.enclosing_span) == outcome(ref.enclosing_span)
+        assert flat.covered_by(probe) == ref.covered_by(probe)
+
+    @given(assignments_st(), assignments_st())
+    def test_join_and_agreement(self, left, right):
+        flat_left, flat_right = SpanTuple(left[0]), SpanTuple(right[1])
+        ref_left = ReferenceSpanTuple(left[0])
+        ref_right = ReferenceSpanTuple(right[0])
+        assert flat_left.agrees_with(flat_right) \
+            == ref_left.agrees_with(ref_right)
+        assert outcome(lambda: flat_left.join(flat_right)) \
+            == outcome(lambda: ref_left.join(ref_right))
+
+    @given(assignments_st())
+    def test_pickle_round_trip(self, drawn):
+        flat = SpanTuple(drawn[0])
+        for protocol in (2, 5):
+            clone = pickle.loads(pickle.dumps(flat, protocol))
+            assert clone == flat and hash(clone) == hash(flat)
+            assert clone.variables() == flat.variables()
+
+    def test_invalid_spans_rejected_at_public_construction(self):
+        with pytest.raises(ValueError):
+            SpanTuple({"x": Span(3, 2)})
+        # The constructor checks for itself: positions are stored as
+        # plain ints, and 0 is the kernel's "not set".
+        for begin, end in ((0, 1), (3, 2)):
+            with pytest.raises(ValueError):
+                SpanTuple({"x": SimpleNamespace(begin=begin, end=end)})
+
+    def test_a_relation_pickles_as_ints(self):
+        # What a pool worker returns per chunk: one small set.  The
+        # dict-of-Span form took 55 577 bytes here.
+        relations = [{SpanTuple({"y": Span(i + 1, i + 1 + i % 7)})}
+                     for i in range(1000)]
+        blob = pickle.dumps(relations)
+        assert len(blob) <= 32_000
+        assert pickle.loads(blob) == relations
