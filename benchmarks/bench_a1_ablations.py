@@ -15,8 +15,8 @@ import pytest
 
 from benchmarks.conftest import report
 from benchmarks.corpora import skewed_prose_corpus
+from benchmarks.simulation import simulate_corpus_speedup
 from benchmarks.workloads import TokenNgramExtractor, sentence_splitter_fast
-from repro.runtime.simulation import simulate_corpus_speedup
 
 
 def _speedup(head_fraction=0.6, chunksize=8, workers=5,

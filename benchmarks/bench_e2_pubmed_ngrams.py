@@ -13,8 +13,8 @@ import pytest
 
 from benchmarks.conftest import report
 from benchmarks.corpora import skewed_prose_corpus
+from benchmarks.simulation import simulate_corpus_speedup
 from benchmarks.workloads import TokenNgramExtractor, sentence_splitter_fast
-from repro.runtime.simulation import simulate_corpus_speedup
 
 WORKERS = 5
 # Abstract-shaped: more, shorter documents; a moderate head.

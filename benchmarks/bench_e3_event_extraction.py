@@ -9,16 +9,15 @@ more, smaller tasks.
 Reproduction: article-shaped corpus with in-sentence ``Org pays Org``
 events; whole-article tasks vs sentence tasks on a 5-worker simulated
 pool (measured costs).  The split plan's output is checked equal to
-the baseline's before timing.
+the baseline's in ``benchmarks/test_workloads.py``.
 """
 
 import pytest
 
 from benchmarks.conftest import report
 from benchmarks.corpora import reuters_like_corpus
+from benchmarks.simulation import simulate_corpus_speedup
 from benchmarks.workloads import EventExtractor, sentence_splitter_fast
-from repro.runtime.executor import map_corpus_sequential
-from repro.runtime.simulation import simulate_corpus_speedup
 
 WORKERS = 5
 
@@ -33,16 +32,6 @@ def _newswire_corpus():
 
 
 CORPUS = _newswire_corpus()
-
-
-def test_split_preserves_output():
-    extractor = EventExtractor(work=1)
-    sentences = sentence_splitter_fast()
-    sample = CORPUS[:20]
-    whole = map_corpus_sequential(extractor, sample)
-    split = map_corpus_sequential(extractor, sample, sentences)
-    assert whole == split
-    assert any(whole)  # events are actually present
 
 
 @pytest.mark.benchmark(group="e3-events")

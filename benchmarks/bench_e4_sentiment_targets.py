@@ -15,9 +15,8 @@ import pytest
 
 from benchmarks.conftest import report
 from benchmarks.corpora import review_corpus
+from benchmarks.simulation import simulate_corpus_speedup
 from benchmarks.workloads import SentimentTargetExtractor, sentence_splitter_fast
-from repro.runtime.executor import map_corpus_sequential
-from repro.runtime.simulation import simulate_corpus_speedup
 
 WORKERS = 5
 
@@ -32,16 +31,6 @@ def _skewed_reviews():
 
 
 CORPUS = _skewed_reviews()
-
-
-def test_split_preserves_output():
-    extractor = SentimentTargetExtractor(work=1)
-    sentences = sentence_splitter_fast()
-    sample = CORPUS[:20]
-    whole = map_corpus_sequential(extractor, sample)
-    split = map_corpus_sequential(extractor, sample, sentences)
-    assert whole == split
-    assert any(whole)
 
 
 @pytest.mark.benchmark(group="e4-sentiment")

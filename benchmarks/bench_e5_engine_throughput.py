@@ -6,8 +6,8 @@ PSPACE certification once per program, and (b) evaluate each distinct
 chunk once corpus-wide, because chunk results are context-free.  This
 benchmark runs :class:`repro.engine.ExtractionEngine` on a synthetic
 boilerplate-heavy corpus (documents assembled from a shared sentence
-pool) against the per-document ``evaluate_whole`` baseline
-(:func:`repro.runtime.executor.map_corpus_sequential`).
+pool) against the per-document
+:func:`repro.runtime.executor.evaluate_whole` baseline.
 
 The engine runs with ``workers=0`` so the measured speedup isolates
 the caching/dedup effect from parallelism (which E1–E4 cover); the
@@ -21,7 +21,7 @@ import pytest
 from benchmarks.conftest import report, timed
 from benchmarks.corpora import boilerplate_corpus
 from repro.engine import ExtractionEngine, Program
-from repro.runtime import RegisteredSplitter, map_corpus_sequential
+from repro.runtime import RegisteredSplitter, evaluate_whole
 from repro.runtime.fast import FastSeparatorSplitter, RegexSpanner
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import separator_splitter
@@ -68,6 +68,10 @@ def token_registry():
     ]
 
 
+def per_document_baseline(extractor):
+    return [evaluate_whole(extractor, document) for document in CORPUS]
+
+
 def test_premise_engine_matches_per_document_baseline():
     """Acceptance: engine results identical to ``evaluate_whole``."""
     extractor = fast_extractor()
@@ -75,7 +79,7 @@ def test_premise_engine_matches_per_document_baseline():
     result = engine.run(CORPUS, Program(extractor))
     assert result.plan.mode == "split"
     assert result.plan.splitter_name == "tokens"
-    baseline = map_corpus_sequential(extractor, CORPUS)
+    baseline = per_document_baseline(extractor)
     for index, expected in enumerate(baseline):
         assert result[f"doc-{index:04d}"] == expected
 
@@ -96,7 +100,7 @@ def test_e5_cold_engine_vs_per_document(benchmark):
     """Cold engine (empty caches) vs per-document evaluation."""
     extractor = fast_extractor()
     baseline_seconds = timed(
-        lambda: map_corpus_sequential(extractor, CORPUS), repeats=2
+        lambda: per_document_baseline(extractor), repeats=2
     )
 
     def cold_run():
@@ -134,7 +138,7 @@ def test_e5_warm_engine_vs_per_document(benchmark):
     """Steady state: caches populated by a prior run of the corpus."""
     extractor = fast_extractor()
     baseline_seconds = timed(
-        lambda: map_corpus_sequential(extractor, CORPUS), repeats=2
+        lambda: per_document_baseline(extractor), repeats=2
     )
     engine = ExtractionEngine(token_registry(), workers=0, batch_size=8)
     program = Program(fast_extractor())

@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark prints a paper-vs-measured row so that running
-``pytest benchmarks/ --benchmark-only -s`` regenerates the full
-comparison table recorded in EXPERIMENTS.md.
+``pytest benchmarks/bench_*.py -s`` regenerates the full comparison
+table.
 
 Each :func:`report` call also persists its row — plus any structured
 ``metrics`` the benchmark passes (workload shape, wall-clock seconds,

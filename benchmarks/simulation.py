@@ -1,16 +1,18 @@
 """A simulated worker pool for distribution experiments.
 
 The paper's Introduction experiments measure wall-clock speedups of
-split-then-distribute plans over 5 cores / a 5-node Spark cluster.  On
-a single-CPU host no real concurrency exists, so the benchmark harness
-substitutes a *discrete-event simulation*: per-task costs are measured
-from real sequential execution of the extractor, and the simulated
-pool replays the dynamic greedy scheduling of a multiprocessing pool
-or Spark executor (each task goes to the earliest-free worker, in
-arrival order).  The phenomenon under study — finer-grained tasks
-balance load and shrink the makespan — is a property of the schedule,
-which the simulation reproduces exactly; only the concurrency itself
-is virtual.  See DESIGN.md ("Substitutions").
+split-then-distribute plans over 5 cores / a 5-node Spark cluster.
+The reference box has two cores, so five-way parallelism cannot be had
+for real, and E1-E4 and A1 (this module's only users) substitute a
+*discrete-event simulation*: per-task costs are measured from real
+sequential execution of the extractor, and the simulated pool replays
+the dynamic greedy scheduling of a multiprocessing pool or Spark
+executor (each task goes to the earliest-free worker, in arrival
+order).  The phenomenon under study — finer-grained tasks balance load
+and shrink the makespan — is a property of the schedule, which the
+simulation reproduces exactly; only the concurrency itself is virtual.
+The library's real pool is :class:`repro.runtime.executor.WorkerPool`,
+driven by the engine.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.simulation import (
+from benchmarks.simulation import (
     SimulatedPool,
     SpeedupResult,
     measure_task_costs,

@@ -9,18 +9,14 @@ Run with:  python examples/quickstart.py
 """
 
 from repro import (
+    Q,
     compile_regex_formula,
     is_disjoint,
     is_self_splittable,
     sentence_splitter,
     token_splitter,
 )
-from repro.runtime import (
-    FastSeparatorSplitter,
-    Planner,
-    RegisteredSplitter,
-    split_by,
-)
+from repro.runtime import FastSeparatorSplitter, split_by
 
 
 def main() -> None:
@@ -50,19 +46,19 @@ def main() -> None:
     print(f"self-splittable by sentences:"
           f" {is_self_splittable(extractor, sentences)}")
 
-    # The planner does the same automatically, preferring the finest
-    # certified splitter, and pairs it with a fast implementation.
-    planner = Planner([
-        RegisteredSplitter("tokens", tokens, priority=2,
-                           executor=FastSeparatorSplitter(" ")),
-        RegisteredSplitter("sentences", sentences, priority=1),
-    ])
-    plan = planner.plan(extractor)
-    print(f"\n== Plan ==\nmode={plan.mode}, splitter={plan.splitter.name}, "
-          f"self-splittable={plan.self_splittable}")
+    # The query API does the same automatically — it certifies the
+    # splitters it is given in order of preference, keeps the first
+    # the extractor is split-correct for, and pairs it with its
+    # compiled scanner — then runs the certified plan on the engine.
+    query = Q(extractor).split_by("tokens", "sentences")
+    plan = query.explain()
+    print(f"\n== Plan ==\nmode={plan['mode']}, "
+          f"splitter={plan['splitter']}, "
+          f"self-splittable={plan['self_splittable']}, "
+          f"certified by {plan['theorem']}")
 
     document = "aa ab. a aaa b. aa"
-    results = plan.execute(extractor, document)
+    results = query.on(document)
     print(f"\n== Extraction on {document!r} ==")
     for t in sorted(results, key=repr):
         span = t["y"]

@@ -26,8 +26,9 @@ theorem-level entry points (``is_self_splittable``, ``split_correct``,
 ...) and the corpus engine remain available below the fluent surface.
 
 Errors raised by the documented surface derive from
-:class:`repro.errors.ReproError`.  See DESIGN.md for the
-paper-to-module map and EXPERIMENTS.md for the reproduced results.
+:class:`repro.errors.ReproError`.  The README's "Layout" section is
+the paper-to-module map; ``benchmarks/results/`` holds the reproduced
+results.
 """
 
 from repro.errors import (
@@ -94,13 +95,7 @@ from repro.splitters import (
     token_splitter,
     whole_document_splitter,
 )
-from repro.runtime import (
-    IncrementalExtractor,
-    Planner,
-    evaluate_whole,
-    split_by,
-    split_by_parallel,
-)
+from repro.runtime import Planner, evaluate_whole, split_by
 from repro.engine import Corpus, Deadline, Document, ExtractionEngine, Program
 from repro.index import (
     FactorSet,
@@ -200,7 +195,5 @@ __all__ = [
     "whole_document_splitter",
     "evaluate_whole",
     "split_by",
-    "split_by_parallel",
-    "IncrementalExtractor",
     "Planner",
 ]

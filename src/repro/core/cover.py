@@ -16,7 +16,7 @@ two *adjacent* disjoint splits, both splits cover the tuple and
 ``A_S`` has two accepting runs — it is then not unambiguous and the
 counting-based containment test does not apply.  The implementation
 detects this (an :class:`repro.automata.ufa.AmbiguityError`) and falls
-back to the general procedure; see DESIGN.md for discussion.
+back to the general procedure.
 """
 
 from __future__ import annotations

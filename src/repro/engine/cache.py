@@ -13,16 +13,15 @@ framework makes safely cacheable:
   lowered onto the integer/bitset IR of
   :mod:`repro.automata.compiled` at certify time), so cache hits
   replay both the decision and the lowering — chunk runners, including
-  pool workers that receive the certificate's runner by pickling,
-  never re-lower.
+  the forked pool workers that inherit the certificate's runner, never
+  re-lower.
 
 * **Chunk extraction.**  Real corpora repeat chunks — boilerplate
   sentences, shared records, quoted passages.  Because a split-correct
   plan evaluates each chunk independently of its context, equal chunk
   *texts* have equal (unshifted) results, and the :class:`ChunkCache`
-  evaluates each distinct text once per program.  This is the corpus-
-  wide generalization of the per-document reuse in
-  :mod:`repro.runtime.incremental`.
+  evaluates each distinct text once per program — across documents,
+  and across versions of one document (``run_delta``).
 
 Fingerprints are structural, not ``id``-based: two separately
 constructed but identically shaped VSet-automata fingerprint alike

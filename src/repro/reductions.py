@@ -242,7 +242,7 @@ def splittability_instance(
 def self_splittability_instance(
     formula_r1: str, formula_r2: str, alphabet: Sequence[str]
 ) -> Tuple[VSetAutomaton, VSetAutomaton]:
-    """Theorem 5.16's reduction, corrected (see EXPERIMENTS.md, F-3).
+    """Theorem 5.16's reduction, corrected.
 
     Over ``Sigma' = Sigma + {a}``: ``P = r1 + (a . r2)`` and
     ``S = a? x{Sigma*}`` with the split body over the *source*

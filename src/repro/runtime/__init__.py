@@ -1,37 +1,34 @@
-"""Execution runtime: parallel, incremental, and planned extraction.
+"""Execution runtime: splitter executors, the planner, the worker pool.
 
 The systems layer motivated by the paper's Introduction: once
-split-correctness is certified, evaluation distributes over chunks
-(:mod:`repro.runtime.executor`), re-evaluation after edits touches
-only revised segments (:mod:`repro.runtime.incremental`), and a
-planner picks the best certified splitter automatically
-(:mod:`repro.runtime.planner`).
+split-correctness is certified, evaluation distributes over chunks.
+:mod:`repro.runtime.executor` states the equation on one document
+(:func:`evaluate_whole` against :func:`split_by`) and holds the
+evaluation step and :class:`~repro.runtime.executor.WorkerPool` the
+engine runs chunks with; :mod:`repro.runtime.fast` holds the compiled
+splitter scanners; :mod:`repro.runtime.planner` picks the best
+certified splitter automatically.
 
-**Compile-then-run.**  Every execution path lowers VSet-automata onto
-the compiled kernel of :mod:`repro.automata.compiled` before touching
-documents: :func:`repro.runtime.executor.as_runner` pins a spanner to
-its integer/bitset artifact, and :meth:`repro.runtime.planner.Planner.
+**Compile-then-run.**  VSet-automata are lowered onto the compiled
+kernel of :mod:`repro.automata.compiled` before touching documents:
+:func:`repro.runtime.executor.as_runner` pins a spanner to its
+integer/bitset artifact, and :meth:`repro.runtime.planner.Planner.
 certify` lowers the certified plan's split spanner *at certify time* —
 so the lowering happens once per plan (not per chunk, not per worker;
-pool workers receive the prebuilt artifact by pickling).  The engine's
+forked pool workers inherit the prebuilt artifact).  The engine's
 plan cache then replays certificates with their artifacts attached.
 
-These primitives operate on one document (or one plain list of
-documents) at a time.  For *corpus-scale* extraction — certify once
-per program via a plan cache, deduplicate repeated chunks across
-documents, shard and batch over a worker pool — use the engine layered
-on top of this runtime: :class:`repro.engine.ExtractionEngine` is the
-preferred corpus-level entry point.
+Nothing here executes a plan over a corpus.  That is the engine's job
+— certify once per program via a plan cache, deduplicate repeated
+chunks across documents and across edits, shard and batch over a
+persistent worker pool: :class:`repro.engine.ExtractionEngine`, or the
+fluent ``Q(...)`` chain on top of it.
 """
 
 from repro.runtime.executor import (
     as_runner,
-    evaluate_texts_parallel,
     evaluate_whole,
-    map_corpus,
-    map_corpus_sequential,
     split_by,
-    split_by_parallel,
     splitter_chunks,
     splitter_spans,
 )
@@ -45,7 +42,6 @@ from repro.runtime.fast import (
     FastWholeSplitter,
     RegexSpanner,
 )
-from repro.runtime.incremental import IncrementalExtractor
 from repro.runtime.planner import (
     CertifiedPlan,
     Plan,
@@ -57,12 +53,8 @@ from repro.runtime.planner import (
 __all__ = [
     "as_runner",
     "CompiledSpanner",
-    "evaluate_texts_parallel",
     "evaluate_whole",
-    "map_corpus",
-    "map_corpus_sequential",
     "split_by",
-    "split_by_parallel",
     "splitter_chunks",
     "splitter_spans",
     "FastFixedWindowSplitter",
@@ -72,7 +64,6 @@ __all__ = [
     "FastTokenNgramSplitter",
     "FastWholeSplitter",
     "RegexSpanner",
-    "IncrementalExtractor",
     "CertifiedPlan",
     "Plan",
     "Planner",

@@ -1,9 +1,12 @@
-"""Executing extraction: whole-document, split, and parallel plans.
+"""What split evaluation means, and what the engine runs it with.
 
 This realizes the Introduction's motivation: once the framework has
 certified ``P = P_S o S``, the system may evaluate ``P_S`` on the
-chunks of ``S`` independently — sequentially, or distributed over a
-process pool (our stand-in for the paper's Spark cluster).
+chunks of ``S`` independently.  :func:`evaluate_whole` and
+:func:`split_by` are the two sides of that equation on one document,
+in process; :func:`evaluate_chunks` and :class:`WorkerPool` (our
+stand-in for the paper's Spark cluster) are the pieces
+:mod:`repro.engine` — the one executor of plans — is built from.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def split_by(
 
 
 # ----------------------------------------------------------------------
-# Parallel execution
+# The engine's evaluation step and worker pool
 # ----------------------------------------------------------------------
 
 
@@ -235,99 +238,3 @@ class WorkerPool:
         else:
             self.pool.terminate()
         self.pool.join()
-
-
-def evaluate_texts_parallel(
-    spanner: SpannerLike,
-    texts: Sequence[str],
-    workers: int = 5,
-) -> List[Set[SpanTuple]]:
-    """Evaluate ``spanner`` on each text over a process pool.
-
-    The primitive under the parallel plans below: results come back
-    *unshifted*, positioned within each text, in input order.  The pool
-    lives for this call (the engine's :mod:`repro.engine.scheduler`
-    keeps one across calls); ``workers <= 1`` evaluates in-process.
-    """
-    if not texts:
-        return []
-    runner = as_runner(spanner)
-    if workers <= 1:
-        return evaluate_chunks(runner, texts)
-    pool = WorkerPool(runner, workers)
-    try:
-        return [result for results, _telemetry in pool.evaluate(texts)
-                for result in results]
-    finally:
-        pool.shutdown(drain=False)
-
-
-def split_by_parallel(
-    spanner: SpannerLike,
-    splitter: SplitterLike,
-    document: str,
-    workers: int = 5,
-) -> Set[SpanTuple]:
-    """The split plan distributed over a process pool.
-
-    ``workers=5`` matches the paper's 5-core / 5-node experiments.
-    """
-    chunks = splitter_chunks(splitter, document)
-    chunk_results = evaluate_texts_parallel(
-        spanner, [text for _span, text in chunks], workers=workers,
-    )
-    return {
-        t.shift(span)
-        for (span, _text), partial in zip(chunks, chunk_results)
-        for t in partial
-    }
-
-
-def map_corpus(
-    spanner: SpannerLike,
-    documents: Sequence[str],
-    workers: int = 5,
-    splitter: Optional[SplitterLike] = None,
-) -> List[Set[SpanTuple]]:
-    """Evaluate a corpus in parallel, optionally splitting first.
-
-    With ``splitter=None`` each document is one task (the paper's
-    "text already given as a collection of small documents" baseline);
-    with a splitter, every chunk of every document becomes its own
-    task, reproducing the finer-granularity plan whose benefit the
-    Introduction measures on Reuters/Amazon.
-
-    For corpus-scale runs that should also *deduplicate* repeated
-    chunks and reuse certified plans, prefer
-    :class:`repro.engine.ExtractionEngine`.
-    """
-    if splitter is None:
-        tasks = [(Span(1, len(doc) + 1), doc) for doc in documents]
-        owners = list(range(len(documents)))
-    else:
-        tasks = []
-        owners = []
-        for index, doc in enumerate(documents):
-            chunks = splitter_chunks(splitter, doc)
-            tasks.extend(chunks)
-            owners.extend([index] * len(chunks))
-    results: List[Set[SpanTuple]] = [set() for _ in documents]
-    chunk_results = evaluate_texts_parallel(
-        spanner, [text for _span, text in tasks], workers=workers,
-    )
-    for (span, _text), owner, partial in zip(tasks, owners, chunk_results):
-        results[owner].update(t.shift(span) for t in partial)
-    return results
-
-
-def map_corpus_sequential(
-    spanner: SpannerLike,
-    documents: Sequence[str],
-    splitter: Optional[SplitterLike] = None,
-) -> List[Set[SpanTuple]]:
-    """Sequential counterpart of :func:`map_corpus` (for baselines)."""
-    if splitter is None:
-        runner = as_runner(spanner)
-        return [evaluate_whole(runner, doc) for doc in documents]
-    runner = as_runner(spanner)
-    return [split_by(runner, splitter, doc) for doc in documents]

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.self_splittability import is_self_splittable
 from repro.core.splittability import canonical_split_spanner, is_splittable
-from repro.core.spans import SpanTuple
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.executor import split_by, split_by_parallel
 from repro.runtime.fast import FastSplitter
 from repro.spanners.vset_automaton import VSetAutomaton
 from repro.splitters.disjointness import is_disjoint
@@ -56,13 +54,13 @@ class RegisteredSplitter:
 
 @dataclass
 class Plan:
-    """An executable extraction plan.
+    """An extraction plan, executed by :mod:`repro.engine`.
 
     ``compiled_runner`` pins the split spanner's compiled kernel
     artifact; it is produced by :meth:`lower` — called at certify time
-    by :meth:`Planner.certify`, so execution (and every pool worker the
-    runner is shipped to) replays the lowering instead of repeating it
-    per chunk.
+    by :meth:`Planner.certify`, so execution (and every pool worker
+    that inherits the runner) replays the lowering instead of
+    repeating it per chunk.
     """
 
     mode: str                      # "split" or "whole"
@@ -91,23 +89,6 @@ class Plan:
             self.compiled_runner = runner
             return 1 if runner.freshly_lowered else 0
         return 0
-
-    def execute(
-        self, spanner: VSetAutomaton, document: str,
-        workers: Optional[int] = None,
-    ) -> Set[SpanTuple]:
-        if self.mode == "whole" or self.splitter is None:
-            return set(spanner.evaluate(document))
-        if self.compiled_runner is not None:
-            runner: object = self.compiled_runner
-        elif self.split_spanner is not None:
-            runner = self.split_spanner
-        else:
-            runner = spanner
-        target = self.splitter.runtime_splitter()
-        if workers:
-            return split_by_parallel(runner, target, document, workers)
-        return split_by(runner, target, document)
 
 
 @dataclass
@@ -237,12 +218,6 @@ class CertifiedPlan:
                 return plan.compiled_runner
             return plan.split_spanner
         return None
-
-    def execute(
-        self, spanner: VSetAutomaton, document: str,
-        workers: Optional[int] = None,
-    ) -> Set[SpanTuple]:
-        return self.plan.execute(spanner, document, workers=workers)
 
 
 @dataclass

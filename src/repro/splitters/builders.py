@@ -5,7 +5,7 @@ fixed-width windows, and machine-log record splitters, all constructed
 as VSet-automata (via regex-formula ASTs built programmatically) so
 that every decision procedure of the framework applies to them.
 
-Text conventions for the synthetic corpora (see DESIGN.md):
+Text conventions for the synthetic corpora:
 
 * tokens are maximal runs of non-space characters, separated by single
   spaces;

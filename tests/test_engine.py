@@ -28,10 +28,7 @@ from repro.runtime import (
     FastSeparatorSplitter,
     Planner,
     RegisteredSplitter,
-    evaluate_texts_parallel,
     evaluate_whole,
-    split_by,
-    split_by_parallel,
 )
 from repro.errors import DeadlineExceededError
 from repro.obs import Tracer
@@ -66,37 +63,6 @@ DOCS = [
     "b aa b. aa ab",
     "",
 ]
-
-
-# ----------------------------------------------------------------------
-# Executor parallel path
-# ----------------------------------------------------------------------
-
-
-class TestEvaluateTextsParallel:
-    def test_matches_sequential_order_preserved(self):
-        spanner = a_run_extractor()
-        texts = ["aa", "ab", "", "aaa", "aa"]
-        sequential = [set(spanner.evaluate(t)) for t in texts]
-        parallel = evaluate_texts_parallel(spanner, texts, workers=3)
-        assert parallel == sequential
-
-    def test_workers_one_runs_in_process(self):
-        spanner = a_run_extractor()
-        assert evaluate_texts_parallel(spanner, ["aa"], workers=1) == [
-            set(spanner.evaluate("aa"))
-        ]
-
-    def test_empty_input(self):
-        assert evaluate_texts_parallel(a_run_extractor(), [],
-                                       workers=2) == []
-
-    def test_split_by_parallel_still_matches_sequential(self):
-        spanner = a_run_extractor()
-        fast = FastSeparatorSplitter(" .")
-        doc = "aa ab a aaa. a"
-        assert split_by_parallel(spanner, fast, doc, workers=3) == \
-            split_by(spanner, fast, doc)
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +286,13 @@ class TestExtractionEngine:
         assert stats.plan_cache_hits == 1
         # Every chunk of the second run came from the cache.
         assert stats.chunks_evaluated == evaluated_once
+        # An edit to one token, without an index: exactly that chunk
+        # is evaluated, its neighbours come from the cache.
+        edited = DOCS[2].replace(" aa ", " aba ")
+        result = engine.run([edited], spanner)
+        assert result["doc-0000"] == evaluate_whole(spanner, edited)
+        assert result.stats.chunks_evaluated == 1
+        assert result.stats.chunk_cache_hits == 2
 
     def test_compiled_artifact_produced_once_per_certified_plan(self):
         spanner = a_run_extractor()

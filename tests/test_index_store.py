@@ -3,8 +3,8 @@ format round-trips, the candidate contract against a definitional
 oracle on every backing (memory, directory, reopened, fragmented),
 mmap lifecycle (leak-freedom, readers surviving compaction),
 edit-delta soundness against full rebuilds, and the satellites that
-landed with it (typed load errors, LRU incremental cache, explain()
-surfacing, CLI subcommands)."""
+landed with it (typed load errors, explain() surfacing, CLI
+subcommands)."""
 
 import json
 import os
@@ -18,9 +18,8 @@ from repro.errors import IndexFormatError, ReproError
 from repro.index import FactorSet, SegmentedIndex, factors_of
 from repro.index.store import Segment, encode_segment, write_segment
 from repro.query import Q, Spanner, Splitter
-from repro.runtime import IncrementalExtractor, RegisteredSplitter
+from repro.runtime import RegisteredSplitter
 from repro.runtime.fast import FastSeparatorSplitter
-from repro.runtime.incremental import diff_chunks
 from repro.splitters.builders import separator_splitter
 
 from tests.reference import admitted_texts, reference_candidates
@@ -493,67 +492,10 @@ class TestEditDelta:
         index.compact()
         assert set(index.texts()) == {"X", "keep"}
 
-    def test_diff_chunks_multiset_semantics(self):
-        added, removed = diff_chunks(("a", "b", "a"), ("a", "c", "c"))
-        assert added == ("c", "c")
-        # removed comes back in first-occurrence order of the old
-        # chunking: the surplus "a" is seen before "b".
-        assert removed == ("a", "b")
-        assert diff_chunks(("a",), ("a",)) == ((), ())
-
-    def test_incremental_extractor_maintains_index(self, tmp_path):
-        index = SegmentedIndex.create(str(tmp_path / "segs"),
-                                      splitter="sentences")
-        extractor = IncrementalExtractor(
-            qz_spanner().executable,
-            FastSeparatorSplitter("."),
-            index=index,
-        )
-        extractor.evaluate("ab qz. cd ef.", doc_id="wiki")
-        assert index.text_id("ab qz") is not None
-        extractor.evaluate("ab qz. gh qz.", doc_id="wiki")
-        assert index.text_id(" cd ef") is None  # edited away
-        assert index.text_id(" gh qz") is not None
-        index.close()
-
-    def test_incremental_extractor_rejects_non_index(self):
-        with pytest.raises(ValueError):
-            IncrementalExtractor(
-                qz_spanner().executable, FastSeparatorSplitter("."),
-                index=object(),
-            )
-
 
 # ----------------------------------------------------------------------
 # Satellites
 # ----------------------------------------------------------------------
-
-
-class TestLRUEviction:
-    def test_hits_refresh_recency(self):
-        extractor = IncrementalExtractor(
-            qz_spanner().executable, FastSeparatorSplitter("."),
-            cache_limit=2,
-        )
-        extractor.evaluate("aa. bb.")       # caches "aa", " bb"
-        extractor.evaluate("aa. cc.")       # hit "aa"; evict must be " bb"
-        assert "aa" in extractor._cache
-        assert " bb" not in extractor._cache
-        assert " cc" in extractor._cache
-        before = extractor.chunks_evaluated
-        extractor.evaluate("aa.")
-        assert extractor.chunks_evaluated == before  # still cached
-
-    def test_fifo_would_have_evicted_the_hot_chunk(self):
-        # Regression shape: under the old FIFO policy the first-inserted
-        # chunk was evicted even while hot.
-        extractor = IncrementalExtractor(
-            qz_spanner().executable, FastSeparatorSplitter("."),
-            cache_limit=3,
-        )
-        extractor.evaluate("aa. bb. cc.")
-        extractor.evaluate("aa. dd.")       # touch aa, insert " dd"
-        assert "aa" in extractor._cache     # FIFO would have dropped it
 
 
 class TestTypedErrors:

@@ -1,5 +1,5 @@
-"""Tests for the execution runtime: executor, fast paths, incremental
-evaluation, and the planner."""
+"""Tests for the execution runtime: executor, fast paths, the worker
+pool, and the planner."""
 
 import multiprocessing
 import os
@@ -25,17 +25,12 @@ from repro.runtime import (
     FastSeparatorSplitter,
     FastSplitter,
     FastTokenNgramSplitter,
-    IncrementalExtractor,
     Plan,
     Planner,
     RegexSpanner,
     RegisteredSplitter,
-    evaluate_texts_parallel,
     evaluate_whole,
-    map_corpus,
-    map_corpus_sequential,
     split_by,
-    split_by_parallel,
 )
 from repro.runtime.executor import WorkerPool
 from repro.spanners.regex_formulas import compile_regex_formula
@@ -69,28 +64,6 @@ class TestExecutor:
         doc = "aa ab a aaa."
         assert split_by(spanner, tokens, doc) == evaluate_whole(spanner, doc)
 
-    def test_parallel_matches_sequential(self):
-        spanner = a_run_extractor()
-        fast_tokens = FastSeparatorSplitter(" .")
-        doc = "aa ab a aaa. a"
-        sequential = split_by(spanner, fast_tokens, doc)
-        parallel = split_by_parallel(spanner, fast_tokens, doc, workers=3)
-        assert sequential == parallel
-
-    def test_map_corpus(self):
-        spanner = a_run_extractor()
-        docs = ["aa ab", "b aaa", "", "a"]
-        fast_tokens = FastSeparatorSplitter(" .")
-        seq_whole = map_corpus_sequential(spanner, docs)
-        seq_split = map_corpus_sequential(spanner, docs, fast_tokens)
-        par_split = map_corpus(spanner, docs, workers=2,
-                               splitter=fast_tokens)
-        assert seq_whole == seq_split == par_split
-
-    def test_empty_corpus(self):
-        spanner = a_run_extractor()
-        assert map_corpus(spanner, [], workers=2) == []
-
 
 class CountingSpanner(CompiledSpanner):
     """A runner that counts how many times it is pickled."""
@@ -118,10 +91,6 @@ def _forced_shutdown_mid_run(spanner, texts):
     pool.shutdown(drain=False)
 
 
-def _parallel_call(spanner, texts):
-    evaluate_texts_parallel(spanner, texts, workers=2)
-
-
 #: Initializer arguments are inherited, not pickled, only under fork.
 forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                             reason="start method is not fork")
@@ -147,7 +116,7 @@ class TestPoolBoundary:
                 == evaluate_whole(spanner, text)
 
     @pytest.mark.parametrize("pooled", [
-        _engine_run_and_close, _forced_shutdown_mid_run, _parallel_call,
+        _engine_run_and_close, _forced_shutdown_mid_run,
     ])
     def test_nothing_outlives_the_pool(self, pooled):
         def shm_entries():
@@ -377,41 +346,6 @@ class TestRegexSpanner:
             RegexSpanner(r"a+")
 
 
-class TestIncremental:
-    def test_edit_reuses_unchanged_chunks(self):
-        spanner = a_run_extractor()
-        extractor = IncrementalExtractor(spanner, FastSentenceSplitter())
-        original = "aa ab. ba aa. a b."
-        assert extractor.evaluate(original) == spanner.evaluate(original)
-        edited = "aa ab. ba ba. a b."
-        assert extractor.evaluate(edited) == spanner.evaluate(edited)
-        stats = extractor.stats()
-        assert stats["reused"] == 2   # two untouched sentences
-        assert stats["evaluated"] == 4  # 3 originals + 1 edited
-
-    def test_cache_limit(self):
-        spanner = a_run_extractor()
-        extractor = IncrementalExtractor(
-            spanner, FastSeparatorSplitter(" ."), cache_limit=2
-        )
-        extractor.evaluate("aa ab ba")
-        assert extractor.stats()["cached_chunks"] <= 2
-
-    def test_verification_rejects_unsound_pairs(self):
-        crossing = compile_regex_formula(
-            ".*y{a a}.*|y{a a}.*|.*y{a a}|y{a a}", TXT
-        )
-        with pytest.raises(ValueError):
-            IncrementalExtractor(crossing, token_splitter(TXT), verify=True)
-
-    def test_verification_accepts_sound_pairs(self):
-        spanner = a_run_extractor()
-        extractor = IncrementalExtractor(spanner, token_splitter(TXT),
-                                         verify=True)
-        doc = "aa ab"
-        assert extractor.evaluate(doc) == spanner.evaluate(doc)
-
-
 class TestPlanner:
     def _planner(self):
         return Planner([
@@ -435,13 +369,6 @@ class TestPlanner:
         )
         plan = planner.plan(crossing)
         assert plan.mode == "whole"
-
-    def test_plan_execution(self):
-        planner = self._planner()
-        spanner = a_run_extractor()
-        plan = planner.plan(spanner)
-        doc = "aa ab a."
-        assert plan.execute(spanner, doc) == spanner.evaluate(doc)
 
     def test_analyse_reports(self):
         planner = self._planner()

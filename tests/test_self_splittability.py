@@ -86,9 +86,10 @@ class TestTractable:
 
 
 class TestTheorem516Family:
-    """Corrected reduction (see EXPERIMENTS.md, F-3): the criterion for
-    the construction is *equivalence* of r1 and r2; containment is
-    reduced to equivalence via union."""
+    """Corrected reduction (see
+    :func:`repro.reductions.self_splittability_instance`): the
+    criterion for the construction is *equivalence* of r1 and r2;
+    containment is reduced to equivalence via union."""
 
     @pytest.mark.parametrize(
         "r1,r2,expected",

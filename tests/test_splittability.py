@@ -49,7 +49,7 @@ class TestCanonicalSplitSpanner:
         # Reproduction note: by Definition 3.1's composition,
         # (P_S^can o S)(abb) = {[2,3>} = P(abb); the example's displayed
         # expansion pools tuples across chunks and is inconsistent with
-        # the definition (see EXPERIMENTS.md, F-2).
+        # the definition.
         p = compile_regex_formula("(a)y{b}b", AB)
         s = compile_regex_formula("x{ab}b|(a)x{bb}", AB)
         canonical = canonical_split_spanner(p, s)
