@@ -27,28 +27,40 @@ certify` lowers at certify time, so the engine's plan cache replays
 compiled artifacts and workers never re-lower).
 
 :class:`CompiledVSetAutomaton` extends the kernel to spanner
-evaluation.  Evaluating one document is **two reverse sweeps and a
-pruned forward search**:
+evaluation.  Evaluating one document is **a reverse sweep and a
+forward walk along the runs it left alive**
+(:meth:`CompiledVSetAutomaton.search`, the one search routine):
 
 1. the ``alive`` sweep — ``alive[p]`` is the bitset of states from
    which *some* run over ``document[p:]`` reaches a final state when
    variable operations are free moves, like epsilon.  If the initial
    state is not in ``alive[0]`` the answer is empty and evaluation
    stops there: one table chase for a chunk that holds no match;
-2. the ``finishable`` sweep — the suffix-acceptance table of
+2. for automata that are **not functional** only, the ``finishable``
+   sweep — the suffix-acceptance table of
    :meth:`repro.spanners.vset_automaton.VSetAutomaton.
    _suffix_acceptance` (letters and epsilon only), which answers the
-   rest of a run exactly once every variable is closed;
-3. a breadth-first search over ``(position, state_id, status)``
-   configurations — ``status`` being the result's own flat
-   ``(b1, e1, b2, e2, ...)`` int tuple, ``0`` where unset, handed to
+   rest of a run exactly once every variable is closed.  A functional
+   automaton never fails that test (every state the walk enters is in
+   ``alive``, so its prefix extends to an accepted — hence valid —
+   ref-word, which performs no operation after the last close), so
+   its lowering neither builds nor sweeps the table: a matching chunk
+   of a functional plan sweeps its bytes once, not twice;
+3. a walk over ``(position, state_id, status)`` configurations —
+   ``status`` being the result's own flat ``(b1, e1, b2, e2, ...)``
+   int tuple, ``0`` where unset, handed to
    :func:`repro.core.spans.flat_span_tuple` as it is — against
-   precomputed per-state move tables, which
-   enqueues a successor only if its state is in ``alive`` at its
-   position and collapses on ``finishable`` when all variables are
-   closed — it expands configurations that lie on an accepting run
-   and nothing else, instead of every reachable configuration at
-   every position.
+   precomputed per-state move tables.  Where exactly one letter
+   successor is in ``alive`` the walk advances ``(position, state)``
+   in local variables; only branch points (a live variable operation,
+   several live letter successors) put configurations on a stack,
+   deduplicated through a ``seen`` set.  It visits configurations
+   that lie on an accepting run and nothing else, and allocates for
+   the few where a run forks.
+
+Ahead of all three, the chunk runner
+(:class:`repro.runtime.fast.CompiledSpanner`) rejects a chunk that
+lacks a required literal of the plan with one C-level ``in``.
 
 **Why the pruning is sound for every automaton.**  ``alive`` forgets
 variable validity: a run may open a variable twice or never close it.
@@ -58,7 +70,7 @@ of the states any *valid* accepting run can occupy at ``p`` (and of
 has no accepting continuation at all, valid or not, and no tuple is
 lost — whether or not the automaton is functional.  What the
 over-approximation costs is only that a non-functional automaton may
-keep some configurations a sharper analysis would drop; the search
+keep some configurations a sharper analysis would drop; the walk
 still rejects their invalid operations one by one, as before.
 
 Both tables are one recurrence over two closures
@@ -74,13 +86,13 @@ lowered *again*, to flat ``bytes`` tables keyed by raw byte values:
   over the encoded word (one list index + one bytes index per byte);
 * :class:`ByteSuffixSweeper` — a reverse table's recurrence as a
   *reverse* deterministic sweep, one table step per byte instead of a
-  per-position scan over all states; ``finishable`` and ``alive``
+  per-position scan over all states; ``alive`` and ``finishable``
   each get their own.
 
-Both carry batch entry points (:meth:`CompiledNFA.accepts_batch`,
-:meth:`CompiledVSetAutomaton.evaluate_batch`) that sweep many chunk
-texts through one table in a single call, amortizing Python dispatch
-— what the corpus scheduler feeds whole missing-chunk batches into.
+:meth:`CompiledNFA.accepts_batch` sweeps many words through one table
+in a single call; for spanners the batch loop is the chunk runner's
+(:meth:`repro.runtime.fast.CompiledSpanner.evaluate_batch`), what the
+corpus scheduler feeds whole missing-chunk batches into.
 Wide or non-character alphabets, non-latin-1 documents, and tables
 whose byte-subset construction exceeds the 256-row cap all fall back
 to the v1 masked-integer sweep — per table, so ``alive`` can be on
@@ -88,19 +100,22 @@ integers while ``finishable`` is on bytes; results are identical
 either way (``tests/test_compiled.py`` checks the tiers
 differentially).  The tier in effect is reported as
 :attr:`CompiledVSetAutomaton.kernel_tier` (``"v2-bytes"``/
-``"v1-int"``, decided by ``finishable``'s table) and surfaces in
-``explain()``.  The process-global registry records sweep volume and
-table sizes as ``kernel.bytes_swept`` / ``kernel.table_bytes`` (both
-tables counted) and why chunks were cheap as
-``kernel.chunks_rejected`` (answered by ``alive[0]`` alone) /
-``kernel.configs_expanded``.
+``"v1-int"``, decided by ``alive``'s table — the sweep every
+evaluated document pays) and surfaces in ``explain()``.  The
+process-global registry records sweep volume and table sizes as
+``kernel.bytes_swept`` / ``kernel.table_bytes`` (every table built or
+swept counted) and why chunks were cheap as
+``kernel.chunks_rejected`` (answered without a walk: by a required
+literal in the chunk runner, or by ``alive[0]``) /
+``kernel.configs_expanded`` (configurations the walks visited).
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from typing import (
     Dict,
     FrozenSet,
@@ -205,7 +220,7 @@ def _epsilon_closures(eps_edges: List[int], n: int) -> List[int]:
 MAX_BYTE_ROWS = 256
 
 
-def _letter_byte(symbol: Symbol) -> Optional[int]:
+def letter_byte(symbol: Symbol) -> Optional[int]:
     """The byte value of a letter symbol, or ``None`` when the symbol
     is not a single latin-1 character (byte lowering unavailable)."""
     if isinstance(symbol, str) and len(symbol) == 1:
@@ -558,7 +573,7 @@ class CompiledNFA:
     def _build_byte_dfa(self) -> Optional[ByteDFA]:
         steps = {}
         for symbol, index in self.symbol_id.items():
-            byte = _letter_byte(symbol)
+            byte = letter_byte(symbol)
             if byte is not None:
                 steps[byte] = lambda mask, a=index: self.step(mask, a)
         if not steps and self.symbols:
@@ -754,7 +769,7 @@ def compile_nfa(nfa: NFA) -> CompiledNFA:
 # ----------------------------------------------------------------------
 
 
-def _latin1(document: Sequence[Symbol]) -> Optional[bytes]:
+def latin1(document: Sequence[Symbol]) -> Optional[bytes]:
     """``document`` as latin-1 bytes — what the byte sweepers walk —
     or ``None`` when it is not a ``str`` or has a character above
     U+00FF (the masked-int sweep handles those)."""
@@ -816,7 +831,7 @@ class SuffixTable:
         the integer sweep before reaching the byte machine."""
         steps = {}
         for letter, row in self.rev.items():
-            byte = _letter_byte(letter)
+            byte = letter_byte(letter)
             if byte is not None:
                 steps[byte] = partial(_or_rows, row)
         if not steps and self.rev:
@@ -838,7 +853,7 @@ class SuffixTable:
               data: Optional[bytes]) -> List[int]:
         """The table's bitset at every position ``0..len(document)``.
 
-        ``data`` is :func:`_latin1` of ``document`` (encoded once per
+        ``data`` is :func:`latin1` of ``document`` (encoded once per
         evaluation, shared by both tables): the byte sweeper runs when
         it exists and the document encodes, the masked-int sweep
         otherwise.  Both produce identical tables (checked
@@ -872,30 +887,30 @@ class CompiledVSetAutomaton:
     per-state move tables are *source-closed*: moves available from a
     configuration ``(pos, state, status)`` are the letter and variable
     moves of every state in the epsilon closure of ``state``, so the
-    configuration search never enqueues pure-epsilon configurations.
+    search never visits pure-epsilon configurations.
     """
 
     def __init__(
         self,
         base: CompiledNFA,
         variables: Tuple[Hashable, ...],
-        letter_moves: List[Dict[Symbol, Tuple[int, ...]]],
-        var_moves: List[Tuple[Tuple[int, bool, Tuple[int, ...]], ...]],
-        finishable: SuffixTable,
+        letter_moves: List[Dict[Symbol, int]],
+        var_moves: List[Tuple[Tuple[int, bool, int], ...]],
+        var_targets: List[int],
         alive: SuffixTable,
+        finishable: Optional[SuffixTable],
     ) -> None:
         self.base = base
         self.variables = variables
-        #: Per state: document letter -> target state ids (source-closed).
+        #: Per state: document letter -> successor bitset (source-closed).
         self.letter_moves = letter_moves
-        #: Per state: ``(status slot, is_close, target ids)`` triples;
+        #: Per state: ``(status slot, is_close, target bitset)`` triples;
         #: variable ``k`` opens into slot ``2k`` and closes into
         #: ``2k + 1`` of the search's flat status tuple.
         self.var_moves = var_moves
-        #: ``finishable[p]``: states accepting ``document[p:]`` with
-        #: letters and epsilon moves only — exact once every variable
-        #: is closed, which is where the search consults it.
-        self.finishable = finishable
+        #: Per state: every variable move's targets OR-ed — an
+        #: operation is live at ``p`` iff this meets ``alive[p]``.
+        self.var_targets = var_targets
         #: ``alive[p]``: states from which *some* run over
         #: ``document[p:]`` reaches a final state with variable
         #: operations as free moves.  Ignoring variable validity only
@@ -903,26 +918,19 @@ class CompiledVSetAutomaton:
         #: valid run can be in at ``p`` — for any automaton, functional
         #: or not — and pruning the search with it loses no result.
         self.alive = alive
-
-    # -- suffix acceptance ---------------------------------------------
-
-    def suffix_acceptance(self, document: Sequence[Symbol]) -> List[int]:
-        """``finishable[p]`` for every position (byte sweep when the
-        table has one and the document is latin-1, else masked-int)."""
-        return self.finishable.sweep(document, _latin1(document))
-
-    def suffix_acceptance_int(
-        self, document: Sequence[Symbol]
-    ) -> List[int]:
-        """``finishable[p]`` by the masked integer sweep, whatever the
-        tier (the base the byte sweep is measured and checked against)."""
-        return self.finishable.sweep_int(document)
+        #: ``finishable[p]``: states accepting ``document[p:]`` with
+        #: letters and epsilon moves only — exact once every variable
+        #: is closed, which is where the search consults it.  ``None``
+        #: when the automaton is functional: the test then always
+        #: passes (see :meth:`search`), so the table is never built.
+        self.finishable = finishable
 
     @property
     def kernel_tier(self) -> str:
-        """``"v2-bytes"`` when the ``finishable`` reverse byte machine
-        exists, ``"v1-int"`` otherwise."""
-        return ("v2-bytes" if self.finishable.byte_sweeper is not None
+        """``"v2-bytes"`` when ``alive`` — the sweep every evaluated
+        document pays — has its reverse byte machine, ``"v1-int"``
+        otherwise."""
+        return ("v2-bytes" if self.alive.byte_sweeper is not None
                 else "v1-int")
 
     @property
@@ -930,7 +938,17 @@ class CompiledVSetAutomaton:
         """Why :attr:`kernel_tier` is ``"v1-int"`` (``"wide alphabet"``
         / ``"byte rows > 256"``); ``None`` on ``"v2-bytes"`` and when
         the byte lowering was not attempted (``byte_tables=False``)."""
-        return self.finishable.fallback_reason
+        return self.alive.fallback_reason
+
+    def describe(self) -> Dict[str, object]:
+        """The lowering's decisions, for ``explain()["kernel"]``."""
+        return {
+            "tier": self.kernel_tier,
+            "fallback_reason": self.fallback_reason,
+            "finishable_sweep": ("skipped: functional"
+                                 if self.finishable is None
+                                 else "on: not functional"),
+        }
 
     # -- evaluation ----------------------------------------------------
 
@@ -938,128 +956,126 @@ class CompiledVSetAutomaton:
         """Exact enumeration of ``A(d)``; agrees with the interpreted
         :meth:`repro.spanners.vset_automaton.VSetAutomaton.
         evaluate_interpreted` on every document."""
-        results, expanded = self._search(document)
-        self._count(0 if expanded else 1, expanded)
+        results, visited = self.search(document, latin1(document))
+        count_evaluations(0 if visited else 1, visited)
         return results
 
-    def evaluate_batch(
-        self,
-        documents: Sequence[Sequence[Symbol]],
-        latency=None,
-    ) -> List[Set]:
-        """Evaluate many chunk texts against one artifact in one call.
-
-        The batch form the scheduler and pool workers feed whole
-        missing-chunk batches into; ``latency`` is an optional
-        histogram observing per-document seconds (the engine's
-        ``engine.chunk_eval_seconds``) without a second dispatch
-        layer.  The kernel counters are bumped once for the batch.
-        """
-        search = self._search
-        results: List[Set] = []
-        append = results.append
-        rejected = expanded_total = 0
-        clock = time.perf_counter
-        for document in documents:
-            if latency is not None:
-                started = clock()
-            found, expanded = search(document)
-            if latency is not None:
-                latency.observe(clock() - started)
-            append(found)
-            if expanded:
-                expanded_total += expanded
-            else:
-                rejected += 1
-        self._count(rejected, expanded_total)
-        return results
-
-    @staticmethod
-    def _count(rejected: int, expanded: int) -> None:
-        """Say why chunks were cheap: ``kernel.chunks_rejected`` counts
-        documents answered by ``alive[0]`` alone,
-        ``kernel.configs_expanded`` the configurations the searches of
-        the others dequeued.  Looked up per call, so unpickled
-        artifacts report into their own process's registry."""
-        metrics = kernel_metrics()
-        if rejected:
-            metrics.counter("kernel.chunks_rejected").inc(rejected)
-        if expanded:
-            metrics.counter("kernel.configs_expanded").inc(expanded)
-
-    def _search(self, document: Sequence[Symbol]) -> Tuple[Set, int]:
-        """``(A(d), configurations expanded)``: two reverse sweeps and
-        a pruned forward search.
+    def search(self, document: Sequence[Symbol],
+               data: Optional[bytes]) -> Tuple[Set, int]:
+        """``(A(d), configurations visited)``: a reverse sweep and a
+        forward walk along the runs it left alive.  ``data`` is
+        :func:`latin1` of ``document``.
 
         1. Sweep ``alive``.  If the initial state is not in
            ``alive[0]`` no run over the document accepts, valid or
-           not: the answer is empty and nothing is expanded (the
-           count is 0 exactly in this case — a search always expands
-           its start configuration).
-        2. Sweep ``finishable``.
-        3. Breadth-first search over ``(pos, state, status)``,
-           enqueueing a successor only when its state is in ``alive``
-           at its position, so the search follows accepting runs (of
-           the validity-blind automaton) only.  Configurations carry
-           the count of not-yet-closed variables so the all-closed
-           collapse (answered by ``finishable``) costs an integer
-           comparison, not a status scan.
+           not: the answer is empty and nothing is visited (the count
+           is 0 exactly in this case — a walk always visits its start
+           configuration).
+        2. Sweep ``finishable`` — only when the automaton is not
+           functional.  A configuration is only ever entered with its
+           state in ``alive``, so its prefix extends to an accepted
+           ref-word; a functional automaton accepts valid ref-words
+           only, and a valid ref-word performs no operation once every
+           variable is closed, so the extension reads letters and
+           epsilons only: the state is in ``finishable``, the test the
+           table exists for cannot fail, and neither exists.
+        3. Walk ``(pos, state, status)`` configurations.  While
+           exactly one letter successor is in ``alive`` the run has one
+           way on and the walk takes it in local variables, pushing
+           the targets of any live variable move it passes.  Only
+           those, and the successors where several letter moves are
+           live, become configurations on the stack, deduplicated
+           through ``seen``.  Configurations carry the count of
+           not-yet-closed variables, so the all-closed collapse is an
+           integer comparison.
+
+        Walked configurations are not deduplicated, so runs of an
+        ambiguous automaton that merge are followed once per pushed
+        configuration they start from: the work is at most
+        (pushed configurations) x (document length), and the pushed
+        ones are distinct — polynomial, where enumerating runs is not.
         """
-        initial = self.base.initial_id
-        data = _latin1(document)
         alive = self.alive.sweep(document, data)
-        if not (alive[0] >> initial) & 1:
+        if not (alive[0] >> self.base.initial_id) & 1:
             return set(), 0
-        finishable = self.finishable.sweep(document, data)
-        n = len(document)
+        finishable = (None if self.finishable is None
+                      else self.finishable.sweep(document, data))
         variables = self.variables
         letter_moves = self.letter_moves
         var_moves = self.var_moves
+        var_targets = self.var_targets
 
         # The status *is* the result's stored form: ``begin, end`` per
         # variable in column order, ``0`` where not yet set.
         results: Set = set()
-        start = (0, initial, (0,) * (2 * len(variables)), len(variables))
+        start = (0, self.base.initial_id, (0,) * (2 * len(variables)),
+                 len(variables))
         seen = {start}
-        add_seen = seen.add
-        queue = deque([start])
-        push = queue.append
-        pop = queue.popleft
-        while queue:
-            config = pop()
-            pos, state, status, open_vars = config
+        stack = [start]
+        visited = 0
+        while stack:
+            pos, state, status, open_vars = stack.pop()
+            visited += 1
             if not open_vars:
-                if (finishable[pos] >> state) & 1:
+                if finishable is None or (finishable[pos] >> state) & 1:
                     results.add(flat_span_tuple(variables, status))
                 continue
-            live = alive[pos]
-            for slot, is_close, targets in var_moves[state]:
-                if status[slot]:
-                    continue
-                if is_close:
-                    if not status[slot - 1]:
-                        continue
-                    remaining = open_vars - 1
-                else:
-                    remaining = open_vars
-                new_status = status[:slot] + (pos + 1,) + status[slot + 1:]
-                for target in targets:
-                    if (live >> target) & 1:
-                        config = (pos, target, new_status, remaining)
-                        if config not in seen:
-                            add_seen(config)
-                            push(config)
-            if pos < n:
-                targets = letter_moves[state].get(document[pos])
-                if targets:
-                    live = alive[pos + 1]
-                    for target in targets:
-                        if (live >> target) & 1:
-                            config = (pos + 1, target, status, open_vars)
+            origin = pos
+            while True:
+                ops = var_targets[state]
+                if ops and ops & alive[pos]:
+                    live = alive[pos]
+                    for slot, is_close, targets in var_moves[state]:
+                        targets &= live
+                        if not targets or status[slot]:
+                            continue
+                        if is_close:
+                            if not status[slot - 1]:
+                                continue
+                            remaining = open_vars - 1
+                        else:
+                            remaining = open_vars
+                        moved = (status[:slot] + (pos + 1,)
+                                 + status[slot + 1:])
+                        for target in bits(targets):
+                            config = (pos, target, moved, remaining)
                             if config not in seen:
-                                add_seen(config)
-                                push(config)
-        return results, len(seen)
+                                seen.add(config)
+                                stack.append(config)
+                try:
+                    letter = document[pos]
+                except IndexError:
+                    break  # the document ended with a variable open
+                targets = letter_moves[state].get(letter)
+                if not targets:
+                    break
+                targets &= alive[pos + 1]
+                if targets & (targets - 1):
+                    for target in bits(targets):
+                        config = (pos + 1, target, status, open_vars)
+                        if config not in seen:
+                            seen.add(config)
+                            stack.append(config)
+                    break
+                if not targets:
+                    break
+                pos += 1
+                state = targets.bit_length() - 1
+            visited += pos - origin
+        return results, visited
+
+
+def count_evaluations(rejected: int, visited: int) -> None:
+    """Say why chunks were cheap: ``kernel.chunks_rejected`` counts
+    documents answered without a walk (by a required literal or by
+    ``alive[0]``), ``kernel.configs_expanded`` the configurations the
+    walks of the others visited.  Looked up per call, so unpickled
+    artifacts report into their own process's registry."""
+    metrics = kernel_metrics()
+    if rejected:
+        metrics.counter("kernel.chunks_rejected").inc(rejected)
+    if visited:
+        metrics.counter("kernel.configs_expanded").inc(visited)
 
 
 def _reverse_tables(
@@ -1103,13 +1119,14 @@ def compile_vset_automaton(
 
     Reuses the underlying NFA's compiled form (one lowering serves both
     language-level queries and spanner evaluation), then derives the
-    source-closed move tables and the two reverse tables of the
-    evaluation — ``finishable`` and ``alive``, each with its
-    precomputed backward-closure masks and, when every document letter
-    is a single latin-1 character and its reverse subset construction
-    fits :data:`MAX_BYTE_ROWS`, its byte-table sweeper.
-    ``byte_tables=False`` pins the v1 integer tier (differential
-    tests compare the tiers this way).
+    source-closed move tables and the reverse tables of the evaluation
+    — ``alive`` always, ``finishable`` only when the automaton is not
+    functional (:meth:`CompiledVSetAutomaton.search` says why) — each
+    with its precomputed backward-closure masks and, when every
+    document letter is a single latin-1 character and its reverse
+    subset construction fits :data:`MAX_BYTE_ROWS`, its byte-table
+    sweeper.  ``byte_tables=False`` pins the v1 integer tier
+    (differential tests compare the tiers this way).
     """
     from repro.spanners.refwords import VarOp
 
@@ -1128,8 +1145,9 @@ def compile_vset_automaton(
         else:
             letter_ids[index] = symbol
 
-    letter_moves: List[Dict[Symbol, Tuple[int, ...]]] = []
-    var_moves: List[Tuple[Tuple[int, bool, Tuple[int, ...]], ...]] = []
+    letter_moves: List[Dict[Symbol, int]] = []
+    var_moves: List[Tuple[Tuple[int, bool, int], ...]] = []
+    var_targets: List[int] = []
     for s in range(n):
         letters: Dict[Symbol, int] = {}
         ops: Dict[Tuple[int, bool], int] = {}
@@ -1142,13 +1160,12 @@ def compile_vset_automaton(
                     op = varop_ids.get(index)
                     if op is not None:
                         ops[op] = ops.get(op, 0) | mask
-        letter_moves.append(
-            {letter: tuple(bits(mask)) for letter, mask in letters.items()}
-        )
+        letter_moves.append(letters)
         var_moves.append(tuple(
-            (2 * k + is_close, is_close, tuple(bits(mask)))
+            (2 * k + is_close, is_close, mask)
             for (k, is_close), mask in sorted(ops.items())
         ))
+        var_targets.append(reduce(or_, ops.values(), 0))
 
     # Per letter: ``(state, direct successor bitset)`` pairs — the
     # *unclosed* letter moves both reverse tables are built from.
@@ -1165,15 +1182,16 @@ def compile_vset_automaton(
             elif index in varop_ids:
                 free_edges[s] |= mask
 
-    finishable = SuffixTable(
-        *_reverse_tables(base.closure, letter_sources, base.finals_mask),
-        byte_tables,
-    )
     alive = SuffixTable(
         *_reverse_tables(_epsilon_closures(free_edges, n), letter_sources,
                          base.finals_mask),
         byte_tables,
     )
+    finishable = None if vsa.is_functional() else SuffixTable(
+        *_reverse_tables(base.closure, letter_sources, base.finals_mask),
+        byte_tables,
+    )
     return CompiledVSetAutomaton(
-        base, variables, letter_moves, var_moves, finishable, alive,
+        base, variables, letter_moves, var_moves, var_targets, alive,
+        finishable,
     )

@@ -775,8 +775,11 @@ class ExtractionEngine:
         and can never disagree.
 
         ``extra`` carries why evaluated chunks were cheap or dear —
-        ``kernel.chunks_rejected`` (answered by the kernel's ``alive``
-        sweep alone) and ``kernel.configs_expanded`` — read from the
+        ``kernel.chunks_rejected`` (answered without a search: the
+        chunk lacks a literal the plan requires, or the kernel's
+        ``alive`` sweep leaves the initial state dead) and
+        ``kernel.configs_expanded`` (configurations the searches of
+        the others visited) — read from the
         process-global :func:`repro.obs.metrics.kernel_metrics`, so
         they count the evaluations of *this process* (every engine in
         it; not those of pool workers, which report into their own).

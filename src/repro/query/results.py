@@ -217,6 +217,16 @@ class ResultSet:
                                              self._program)
             report["compiled_artifact"] = \
                 f"{type(runner).__name__}-{id(runner):x}"
+            # ... and what that runner decided at lowering; an
+            # executable that is not a lowered automaton has no kernel
+            # to describe and tests no literal first.
+            describe = getattr(runner, "describe", None)
+            report["kernel"] = describe() if describe is not None else {
+                "tier": None, "fallback_reason": None,
+                "finishable_sweep": None,
+                "required": [], "required_reason": "black-box executable",
+            }
+            report["kernel_tier"] = report["kernel"]["tier"]
         stats = self.stats()
         report["index"] = self._engine.prefilter_report(self._certified)
         tracer = self._engine.tracer

@@ -23,9 +23,13 @@ from __future__ import annotations
 
 import copy
 import re
-from typing import (Callable, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+import sys
+import time
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
+from repro.automata.compiled import (count_evaluations, latin1,
+                                     letter_byte)
 from repro.core.spans import Span, SpanTuple
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -242,6 +246,18 @@ class CompiledSpanner:
     :mod:`repro.automata.compiled` exactly once, and every chunk
     evaluation — in-process or on a pool worker that received this
     object by pickling — runs against the same artifact.
+
+    Lowering also fixes **step 0**: the conditions of the
+    specification's :class:`repro.index.factors.FactorSet` that need no
+    Python loop — empty matching language, ``min_length``, every
+    ``required`` literal tested with ``in`` — answer a chunk before
+    the kernel sweeps a byte.  They are necessary conditions on
+    documents over the alphabet, so they run after
+    :meth:`~repro.spanners.vset_automaton.VSetAutomaton.check_document`
+    (a chunk with a foreign symbol keeps its ``ValueError``) and only
+    on ``str`` documents.  ``VSetAutomaton.evaluate`` — what
+    ``evaluate_whole`` runs, the oracle of every differential — never
+    takes this step.
     """
 
     def __init__(self, specification: VSetAutomaton) -> None:
@@ -252,36 +268,90 @@ class CompiledSpanner:
         #: specification (vs. reusing its cached artifact) — what the
         #: engine's ``artifacts_compiled`` counter records.
         self.freshly_lowered = specification.lowerings > before
+        #: The alphabet's single-byte letters, as ``bytes.translate``
+        #: deletes them.
+        self._letters = bytes(sorted(
+            byte for byte in map(letter_byte, specification.doc_alphabet)
+            if byte is not None
+        ))
+        factors = specification.factor_set()
+        #: Step 0: a ``str`` chunk shorter than ``_min_length`` or
+        #: lacking one of ``_required`` has no tuple.
+        self._required: Tuple[str, ...] = ()
+        self._min_length = 0
+        if factors is None:
+            self._required_reason: Optional[str] = "non-character alphabet"
+        elif factors.empty:
+            self._min_length = sys.maxsize
+            self._required_reason = "empty matching language"
+        else:
+            self._required = factors.required
+            self._min_length = factors.min_length
+            self._required_reason = (None if factors.required
+                                     else "no required literal")
 
     def svars(self):
         return self.specification.svars()
 
     def evaluate(self, document: str) -> Set[SpanTuple]:
-        self.specification.check_document(document)
-        return self._kernel.evaluate(document)
+        return self.evaluate_batch((document,))[0]
 
     def evaluate_batch(self, documents, latency=None) -> List[Set[SpanTuple]]:
         """Evaluate many chunk texts through the kernel in one call.
 
         The batch entry the scheduler (and pool workers) feed whole
         missing-chunk batches into; ``latency`` is an optional
-        histogram observing per-document kernel seconds.
+        histogram observing per-document seconds (the engine's
+        ``engine.chunk_eval_seconds``) without a second dispatch
+        layer.  The kernel counters are bumped once for the batch.
         """
         check = self.specification.check_document
+        letters = self._letters
+        search = self._kernel.search
+        required = self._required
+        min_length = self._min_length
+        results: List[Set[SpanTuple]] = []
+        append = results.append
+        rejected = visited_total = 0
+        clock = time.perf_counter
         for document in documents:
-            check(document)
-        return self._kernel.evaluate_batch(documents, latency)
+            if latency is not None:
+                started = clock()
+            # The alphabet guard on the bytes the kernel sweeps anyway:
+            # deleting the alphabet's letters must leave nothing.
+            data = latin1(document)
+            if data is None or data.translate(None, letters):
+                check(document)
+            # Step 0: text too short, or lacking a required literal.
+            hopeless = False
+            if type(document) is str:
+                hopeless = len(document) < min_length
+                for literal in required:
+                    if literal not in document:
+                        hopeless = True
+                        break
+            if hopeless:
+                found, visited = set(), 0
+            else:
+                found, visited = search(document, data)
+            if latency is not None:
+                latency.observe(clock() - started)
+            append(found)
+            if visited:
+                visited_total += visited
+            else:
+                rejected += 1
+        count_evaluations(rejected, visited_total)
+        return results
 
-    @property
-    def kernel_tier(self) -> str:
-        """Which kernel tier evaluates chunks (``"v2-bytes"`` byte
-        tables / ``"v1-int"`` integer bitsets)."""
-        return self._kernel.kernel_tier
-
-    @property
-    def fallback_reason(self) -> Optional[str]:
-        """Why the tier is not ``"v2-bytes"``, when it is not."""
-        return self._kernel.fallback_reason
+    def describe(self) -> Dict[str, object]:
+        """What lowering decided, for ``explain()["kernel"]``: the
+        kernel's tier and sweeps, and the literals step 0 tests first
+        (or why it tests none)."""
+        report = self._kernel.describe()
+        report["required"] = list(self._required)
+        report["required_reason"] = self._required_reason
+        return report
 
     def __repr__(self) -> str:
         return f"CompiledSpanner({self.specification!r})"

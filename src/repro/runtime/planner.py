@@ -139,13 +139,15 @@ class CertifiedPlan:
         plan = self.plan
         runner = plan.compiled_runner
         kernel = runner
-        if (getattr(kernel, "kernel_tier", None) is None
-                and self.specification is not None):
+        if kernel is None and self.specification is not None:
             # Self-splittable and whole-document plans run the program
             # itself on chunks; report its artifact's tier when it has
-            # already been lowered (never force a lowering here).
-            kernel = getattr(self.specification, "_compiled", None)
-        kernel_tier = getattr(kernel, "kernel_tier", None)
+            # already been lowered (never force a lowering here).  What
+            # its runner tests first is the runner's to say:
+            # :meth:`repro.query.ResultSet.explain` asks it.
+            kernel = self.specification.lowered()
+        kernel_report = (kernel.describe() if kernel is not None
+                         else {"tier": None, "fallback_reason": None})
         return {
             "mode": plan.mode,
             "splitter": self.splitter_name,
@@ -157,11 +159,8 @@ class CertifiedPlan:
             "procedure": plan.procedure,
             "compiled_artifact": (f"kernel-{id(runner):x}"
                                   if runner is not None else None),
-            "kernel_tier": kernel_tier,
-            "kernel": {
-                "tier": kernel_tier,
-                "fallback_reason": getattr(kernel, "fallback_reason", None),
-            },
+            "kernel_tier": kernel_report["tier"],
+            "kernel": kernel_report,
             "splitter_executor": (plan.splitter.describe_executor()
                                   if plan.splitter is not None else None),
             "certification_seconds": self.certification_seconds,
@@ -187,22 +186,16 @@ class CertifiedPlan:
     def factor_set(self):
         """Necessary factors of this plan's chunk evaluation (lazy).
 
-        Computed at most once per certificate — cached certificates
-        replayed from a :class:`repro.engine.cache.PlanCache` carry
-        the analysis with them — and ``None`` when the analysis does
-        not apply (see :func:`repro.index.factors.factors_of`).
+        Analysed at most once per automaton
+        (:meth:`repro.spanners.vset_automaton.VSetAutomaton.
+        factor_set`) — the chunk runner's literal test already paid
+        for it at lowering, and cached certificates replayed from a
+        :class:`repro.engine.cache.PlanCache` carry it with them —
+        and ``None`` when the analysis does not apply (see
+        :func:`repro.index.factors.factors_of`).
         """
-        if "_factor_set" not in self.__dict__:
-            from repro.index.factors import factors_of
-
-            source = self.factor_source()
-            try:
-                self.__dict__["_factor_set"] = (
-                    factors_of(source) if source is not None else None
-                )
-            except Exception:
-                self.__dict__["_factor_set"] = None
-        return self.__dict__["_factor_set"]
+        source = self.factor_source()
+        return source.factor_set() if source is not None else None
 
     def chunk_runner(self) -> Optional[object]:
         """The chunk evaluator this certificate carries, if any.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -69,8 +70,9 @@ class VSetAutomaton:
             )
         self.nfa = nfa
         self._var_order: Optional[Tuple[Tuple, Dict]] = None
-        self._compiled = None
-        self._compiled_version: Optional[int] = None
+        #: Derived artifacts by name, each with the ``nfa._version`` it
+        #: was built at (:meth:`_memoised`).
+        self._derived: Dict[str, Tuple[int, object]] = {}
         #: How many times this spanner was actually lowered (the
         #: runtime's artifact accounting reads the delta).
         self.lowerings = 0
@@ -92,6 +94,15 @@ class VSetAutomaton:
             )
         return self._var_order
 
+    def _memoised(self, name: str, build: Callable[[], object]):
+        """``build()``, once per underlying-NFA mutation epoch
+        (``nfa.add_transition`` starts a new one)."""
+        version = self.nfa._version
+        entry = self._derived.get(name)
+        if entry is None or entry[0] != version:
+            entry = self._derived[name] = (version, build())
+        return entry[1]
+
     def compiled(self):
         """The compiled evaluation artifact (integer/bitset kernel).
 
@@ -100,14 +111,41 @@ class VSetAutomaton:
         certified plans pin this artifact so pool workers never
         re-lower.  See :mod:`repro.automata.compiled`.
         """
-        version = self.nfa._version
-        if self._compiled is None or self._compiled_version != version:
+        def lower():
             from repro.automata.compiled import compile_vset_automaton
 
-            self._compiled = compile_vset_automaton(self)
-            self._compiled_version = version
             self.lowerings += 1
-        return self._compiled
+            return compile_vset_automaton(self)
+
+        return self._memoised("compiled", lower)
+
+    def lowered(self):
+        """The compiled artifact if this mutation epoch already has
+        one, else ``None`` — never lowers (reports use it)."""
+        version, artifact = self._derived.get("compiled", (None, None))
+        return artifact if version == self.nfa._version else None
+
+    def __getstate__(self):
+        # Derived artifacts are caches, not state: a runner pickled to
+        # a spawned worker carries its own kernel, not the
+        # certification's extended forms along with it.
+        return {**self.__dict__, "_derived": {}}
+
+    def factor_set(self):
+        """The necessary factors of this spanner's matching language
+        (:func:`repro.index.factors.factors_of`; ``None`` when the
+        analysis does not apply or fails — it only ever saves work),
+        analysed once per mutation epoch: the chunk runner's literal
+        test and the index prefilter of the same plan share it."""
+        def analyse():
+            from repro.index.factors import factors_of
+
+            try:
+                return factors_of(self)
+            except Exception:
+                return None
+
+        return self._memoised("factor_set", analyse)
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -165,15 +203,17 @@ class VSetAutomaton:
     def evaluate(self, document: Sequence[Symbol]) -> Set[SpanTuple]:
         """The span relation ``A(d)``: exact enumeration of all tuples.
 
-        Runs configurations ``(position, state_id, status)`` against
+        Walks configurations ``(position, state_id, status)`` against
         the compiled kernel (:meth:`compiled`): per-state move tables
         over dense integer ids, pruned to the states a reverse
         ``alive`` sweep says can still accept (a document no run
         accepts is rejected by that sweep alone), with the
-        suffix-acceptance collapse — as soon as every variable is
-        closed the remaining run is pure language acceptance, answered
-        by a second reverse table.  Agrees exactly with
-        :meth:`evaluate_interpreted`.
+        all-closed collapse — as soon as every variable is closed the
+        remaining run is pure language acceptance, which a functional
+        automaton has already been promised by ``alive`` and any other
+        looks up in a second reverse table.  Agrees exactly with
+        :meth:`evaluate_interpreted`.  (The reference semantics: the
+        chunk runner's literal test is not taken here.)
         """
         self.check_document(document)
         return self.compiled().evaluate(document)
@@ -423,7 +463,14 @@ class VSetAutomaton:
         performed between letters.  Two valid ref-words denote the same
         (document, tuple) pair iff their block encodings coincide, so
         spanner containment is language containment of these NFAs.
+
+        Built once per mutation epoch — an equivalence test asks for
+        each side's form twice — so callers share the result and must
+        not mutate it.
         """
+        return self._memoised("extended_nfa", self._build_extended_nfa)
+
+    def _build_extended_nfa(self) -> NFA:
         base = self.valid_ref_nfa().trim()
         reach = self._gamma_reach(base)
         accept = ("ext-accept",)

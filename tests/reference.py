@@ -19,11 +19,15 @@ bitmasks, no segments -- and the ``reference_*_spans`` character
 loops, the splitters' executors before they were lowered to compiled
 scanners (:mod:`repro.runtime.fast`), kept as their oracles, and
 :class:`ReferenceSpanTuple`, the dict-backed span tuple the flat
-:class:`repro.core.spans.SpanTuple` replaced.
+:class:`repro.core.spans.SpanTuple` replaced, and
+:func:`reference_search`, the compiled kernel's breadth-first
+configuration search before it walked runs.
 """
 
 from __future__ import annotations
 
+import copy
+from collections import deque
 from itertools import product as iproduct
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Mapping, Optional, Set, Tuple)
@@ -38,7 +42,13 @@ from repro.automata.regex import (
     Star,
     Union_,
 )
-from repro.core.spans import Span, SpanTuple
+from repro.automata.compiled import (
+    CompiledVSetAutomaton,
+    latin1,
+    bits,
+    compile_vset_automaton,
+)
+from repro.core.spans import Span, SpanTuple, flat_span_tuple
 from repro.index.factors import GRAM, FactorSet
 from repro.spanners.regex_formulas import Capture, svars
 from repro.spanners.vset_automaton import VSetAutomaton
@@ -408,3 +418,67 @@ class ReferenceSpanTuple(Mapping[Variable, Span]):
         merged = dict(self._assignment)
         merged.update(other._assignment)
         return ReferenceSpanTuple(merged)
+
+
+# ----------------------------------------------------------------------
+# The kernel's search before it walked runs
+# ----------------------------------------------------------------------
+
+
+def lowered_with_finishable(
+    vsa: VSetAutomaton, byte_tables: bool = True
+) -> CompiledVSetAutomaton:
+    """``vsa`` lowered as if it were not functional: the kernel builds
+    its ``finishable`` table, sweeps it and tests it at every
+    all-closed collapse.  Sound for any automaton (for a functional
+    one the test just never fails), so results must equal those of
+    ``vsa.compiled()`` — and :func:`reference_search` needs the table.
+    """
+    forced = copy.copy(vsa)
+    forced.is_functional = lambda: False
+    return compile_vset_automaton(forced, byte_tables)
+
+
+def reference_search(
+    kernel: CompiledVSetAutomaton, document
+) -> Tuple[Set[SpanTuple], int]:
+    """``(A(d), distinct configurations)`` by the search
+    :meth:`CompiledVSetAutomaton.search` replaced: both reverse sweeps,
+    then breadth-first over ``(pos, state, status, open variables)``
+    with every configuration queued and deduplicated through ``seen``.
+    ``kernel`` must hold its ``finishable`` table
+    (:func:`lowered_with_finishable`)."""
+    initial = kernel.base.initial_id
+    data = latin1(document)
+    alive = kernel.alive.sweep(document, data)
+    if not (alive[0] >> initial) & 1:
+        return set(), 0
+    finishable = kernel.finishable.sweep(document, data)
+    n = len(document)
+    variables = kernel.variables
+    results: Set[SpanTuple] = set()
+    start = (0, initial, (0,) * (2 * len(variables)), len(variables))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        pos, state, status, open_vars = queue.popleft()
+        if not open_vars:
+            if (finishable[pos] >> state) & 1:
+                results.add(flat_span_tuple(variables, status))
+            continue
+        successors = []
+        for slot, is_close, targets in kernel.var_moves[state]:
+            if status[slot] or (is_close and not status[slot - 1]):
+                continue
+            moved = status[:slot] + (pos + 1,) + status[slot + 1:]
+            successors += [(pos, target, moved, open_vars - is_close)
+                           for target in bits(targets & alive[pos])]
+        if pos < n:
+            targets = kernel.letter_moves[state].get(document[pos], 0)
+            successors += [(pos + 1, target, status, open_vars)
+                           for target in bits(targets & alive[pos + 1])]
+        for config in successors:
+            if config not in seen:
+                seen.add(config)
+                queue.append(config)
+    return results, len(seen)

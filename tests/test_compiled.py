@@ -8,6 +8,9 @@ checked for exact agreement between the compiled paths
 ``NFA.product_is_empty``, ``VSetAutomaton.evaluate``) and the
 interpreted references (``accepts_interpreted``,
 ``evaluate_interpreted``, reachability over the materialized product).
+The kernel's run-walking search is also held against the breadth-first
+search it replaced (``tests/reference.py::reference_search``), and the
+chunk runner's literal test (``CompiledSpanner``) against both.
 """
 
 from __future__ import annotations
@@ -20,15 +23,19 @@ from hypothesis import given, settings, strategies as st
 from repro.automata.compiled import (
     MAX_BYTE_ROWS,
     LazyDFA,
-    _latin1,
     bits,
     compile_nfa,
     compile_vset_automaton,
+    latin1,
 )
 from repro.automata.nfa import EPSILON, NFA
 from repro.obs.metrics import kernel_metrics
+from repro.runtime.fast import CompiledSpanner
 from repro.spanners.refwords import Close, Open, gamma
+from repro.spanners.regex_formulas import compile_regex_formula
 from repro.spanners.vset_automaton import VSetAutomaton
+
+from tests.reference import lowered_with_finishable, reference_search
 
 ALPHABET = "ab"
 MAX_STATES = 6
@@ -230,8 +237,26 @@ def test_compiled_artifacts_pickle():
 @settings(**SETTINGS)
 @given(random_vset_automata())
 def test_compiled_evaluate_agrees(vsa):
-    for document in words_upto("ab", 3):
-        assert vsa.evaluate(document) == vsa.evaluate_interpreted(document)
+    # Random automata are mostly non-functional and often ambiguous;
+    # ``to_functional()`` is the same spanner with the ``finishable``
+    # table skipped.  The walk, the breadth-first search it replaced
+    # (with the table forced on), the interpreter and the chunk runner
+    # — whose literal test sees documents with and without its
+    # literals here — must all agree.
+    with_table = lowered_with_finishable(vsa)
+    functional = vsa.to_functional()
+    assert functional.compiled().finishable is None
+    forced = lowered_with_finishable(functional)
+    documents = words_upto("ab", 3)
+    expected = [vsa.evaluate_interpreted(document)
+                for document in documents]
+    for document, tuples in zip(documents, expected):
+        assert vsa.evaluate(document) == tuples
+        assert reference_search(with_table, document)[0] == tuples
+        assert functional.evaluate(document) == tuples
+        assert forced.evaluate(document) == tuples
+    for spanner in (vsa, functional):
+        assert CompiledSpanner(spanner).evaluate_batch(documents) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -321,13 +346,13 @@ def test_accept_tiers_agree(nfa, documents):
 @settings(**SETTINGS)
 @given(random_vset_automata(), st.lists(MIXED_DOCS, max_size=6))
 def test_suffix_and_evaluate_tiers_agree(vsa, documents):
-    v2 = compile_vset_automaton(vsa, byte_tables=True)
-    v1 = compile_vset_automaton(vsa, byte_tables=False)
+    v2 = lowered_with_finishable(vsa, byte_tables=True)
+    v1 = lowered_with_finishable(vsa, byte_tables=False)
     assert v1.kernel_tier == "v1-int"
     states = v2.base.state_id
     for document in list(documents) + words_upto("ab", 3):
-        tables = v2.suffix_acceptance(document)
-        assert tables == v1.suffix_acceptance_int(document)
+        tables = v2.finishable.sweep(document, latin1(document))
+        assert tables == v1.finishable.sweep_int(document)
         # ... and both are the interpreter's table, restricted to the
         # states the lowering kept (the reachable ones).
         assert [v2.base.mask_to_states(mask) for mask in tables] == [
@@ -337,14 +362,12 @@ def test_suffix_and_evaluate_tiers_agree(vsa, documents):
         # ``alive``: byte sweep == int sweep, and it over-approximates
         # ``finishable`` at every position (variable operations are
         # extra free moves, never fewer).
-        alive = v2.alive.sweep(document, _latin1(document))
+        alive = v2.alive.sweep(document, latin1(document))
         assert alive == v1.alive.sweep_int(document)
         assert all(live & done == done
                    for live, done in zip(alive, tables))
-        assert v2.evaluate(document) == v1.evaluate(document)
-    assert v2.evaluate_batch(documents) == [
-        v1.evaluate(document) for document in documents
-    ]
+        assert v2.evaluate(document) == v1.evaluate(document) \
+            == compile_vset_automaton(vsa).evaluate(document)
 
 
 #: An alphabet with a non-latin-1 letter: the byte tables cover ``a``
@@ -362,7 +385,7 @@ def test_pruned_search_matches_interpreted(vsa, documents):
     # non-latin-1 documents: pruning on ``alive`` loses no tuple.
     for document in documents:
         assert vsa.evaluate(document) == vsa.evaluate_interpreted(document)
-    assert vsa.compiled().evaluate_batch(documents) == [
+    assert CompiledSpanner(vsa).evaluate_batch(documents) == [
         vsa.evaluate_interpreted(document) for document in documents
     ]
 
@@ -412,8 +435,8 @@ def test_byte_row_cap_falls_back_to_v1():
     ("ab", 9, "v1-int", "byte rows > 256"),
 ], ids=["bytes", "wide", "row-cap"])
 def test_explain_says_why_the_tier_is_not_bytes(alphabet, k, tier, reason):
-    # x{} (s|t)^k s (s|t)*: read backwards, ``finishable`` must
-    # remember the last k+1 letters — 2^(k+1) reverse subsets.
+    # x{} (s|t)^k s (s|t)*: read backwards, ``alive`` must remember
+    # the last k+1 letters — 2^(k+1) reverse subsets.
     from repro import Q, Spanner
 
     s, t = alphabet
@@ -427,8 +450,11 @@ def test_explain_says_why_the_tier_is_not_bytes(alphabet, k, tier, reason):
     vsa = VSetAutomaton(alphabet, {"x"}, nfa)
     results = Q(Spanner.from_vsa(vsa)).over([t * k + s, t * (k + 1)])
     assert [len(tuples) for _doc, tuples in results.stream()] == [1, 0]
-    assert results.explain()["kernel"] \
-        == {"tier": tier, "fallback_reason": reason}
+    assert results.explain()["kernel"] == {
+        "tier": tier, "fallback_reason": reason,
+        "finishable_sweep": "skipped: functional",
+        "required": [s], "required_reason": None,
+    }
 
 
 def _counters():
@@ -442,8 +468,9 @@ def test_alive_row_cap_falls_back_alone():
     # backwards, ``alive`` has to remember the last ten letters to know
     # whether the tenth from the front is an ``a`` — 2^10 reverse
     # subsets, past the cap — while ``finishable`` (no variable
-    # operations) never leaves the final state.  ``alive`` sweeps on
-    # integers, ``finishable`` on bytes; tier and results unchanged.
+    # operations) never leaves the final state.  The fallback is per
+    # table; the tier reported is ``alive``'s, the sweep every
+    # document pays (and the only one this functional automaton has).
     k = 9
     x_open, x_close = Open("x"), Close("x")
     transitions = []
@@ -458,33 +485,43 @@ def test_alive_row_cap_falls_back_alone():
     vsa = VSetAutomaton("ab", {"x"}, nfa)
     compiled = compile_vset_automaton(vsa)
     assert compiled.alive.byte_sweeper is None
-    assert compiled.finishable.byte_sweeper is not None
-    assert compiled.kernel_tier == "v2-bytes"
+    assert compiled.finishable is None
+    assert compiled.describe() == {
+        "tier": "v1-int", "fallback_reason": "byte rows > 256",
+        "finishable_sweep": "skipped: functional",
+    }
+    with_table = lowered_with_finishable(vsa)
+    assert with_table.alive.byte_sweeper is None
+    assert with_table.finishable.byte_sweeper is not None
+    assert with_table.describe() == {
+        "tier": "v1-int", "fallback_reason": "byte rows > 256",
+        "finishable_sweep": "on: not functional",
+    }
     reference = compile_vset_automaton(vsa, byte_tables=False)
     documents = ["", "b" * k + "a", "b" * (k + 1), "a" * (k + 3),
                  "ab" * k, "ba" * k]
     for document in documents:
         assert compiled.evaluate(document) == \
             vsa.evaluate_interpreted(document)
-        assert compiled.evaluate(document) == reference.evaluate(document)
+        assert compiled.evaluate(document) == reference.evaluate(document) \
+            == with_table.evaluate(document)
     assert compiled.evaluate("ab" * k) == set()
     assert len(compiled.evaluate("ba" * k)) == 1
+
+
+A_RUNS = ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}"
 
 
 def test_dead_initial_state_expands_nothing():
     # y{a+} between spaces: a chunk without an ``a`` has no accepting
     # run at all, so ``alive[0]`` rejects it before any configuration
-    # exists; a matching chunk expands configurations on accepting
+    # exists; a matching chunk visits configurations on accepting
     # runs only.  Both counters move once per call.
-    from repro.spanners.regex_formulas import compile_regex_formula
-
-    compiled = compile_regex_formula(
-        ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}", frozenset("ab ")
-    ).compiled()
+    compiled = compile_regex_formula(A_RUNS, frozenset("ab ")).compiled()
     rejected, expanded = _counters()
     assert compiled.evaluate("bb b bbb") == set()
     assert _counters() == (rejected + 1, expanded)
-    assert compiled.evaluate_batch(["b", "", "bb bb"]) == [set()] * 3
+    assert [compiled.evaluate(d) for d in ["b", "", "bb bb"]] == [set()] * 3
     assert _counters() == (rejected + 4, expanded)
     matching = "bb aaa b"
     assert len(compiled.evaluate(matching)) == 1
@@ -493,8 +530,172 @@ def test_dead_initial_state_expands_nothing():
     assert 0 < after[1] - expanded <= len(matching) + 8
     # A chunk can pass ``alive[0]`` and still produce nothing only when
     # validity (which ``alive`` ignores) kills every run; never here.
-    assert compiled.evaluate_batch([matching, "b b"]) \
-        == [compiled.evaluate(matching), set()]
+    assert compiled.evaluate("b b") == set()
+    assert _counters()[0] == rejected + 5
+
+
+def test_runner_rejects_on_a_required_literal_before_any_sweep():
+    # The chunk runner tests the plan's required literal with ``in``:
+    # a chunk lacking it is counted like one ``alive[0]`` rejects, and
+    # not a byte of it is swept.
+    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    runner = CompiledSpanner(spanner)
+    assert runner.describe() == {
+        "tier": "v2-bytes", "fallback_reason": None,
+        "finishable_sweep": "skipped: functional",
+        "required": ["a"], "required_reason": None,
+    }
+    swept = kernel_metrics().counter("kernel.bytes_swept")
+    rejected, expanded = _counters()
+    swept_before = swept.value
+    assert runner.evaluate_batch(["bb b bbb", "", "b"]) == [set()] * 3
+    assert _counters() == (rejected + 3, expanded)
+    assert swept.value == swept_before
+    matching = "bb aaa b"
+    found = runner.evaluate(matching)
+    after = _counters()
+    assert after[0] == rejected + 3
+    assert 0 < after[1] - expanded <= len(matching) + 8
+    # A functional plan sweeps a matching chunk once.
+    assert swept.value == swept_before + len(matching)
+    assert found == spanner.evaluate(matching) and len(found) == 1
+
+
+def test_explain_says_a_black_box_tests_no_literal():
+    # A program whose executable is not a lowered automaton has no
+    # kernel to describe, and nothing is tested ahead of it.
+    from repro import Q, Spanner
+    from repro.runtime.fast import RegexSpanner
+
+    specification = compile_regex_formula(
+        ".*(\\.| )y{a+}(\\.| ).*|y{a+}(\\.| ).*|.*(\\.| )y{a+}|y{a+}",
+        frozenset("ab ."))
+    black_box = RegexSpanner(r"(?:^|[ .])(?P<y>a+)(?=[ .]|$)",
+                             specification=specification)
+    results = Q(Spanner(black_box)).split_by("tokens").over(["aa b a."])
+    assert results.materialize()["doc-0000"] \
+        == specification.evaluate("aa b a.")
+    report = results.explain()
+    assert report["kernel"] == {
+        "tier": None, "fallback_reason": None, "finishable_sweep": None,
+        "required": [], "required_reason": "black-box executable",
+    }
+    assert report["kernel_tier"] is None
+
+
+def test_foreign_symbol_raises_even_without_the_literal():
+    # The alphabet guard comes before the literal test: a chunk that
+    # lacks the literal *and* holds a symbol outside the alphabet must
+    # not be answered "no tuples".
+    runner = CompiledSpanner(
+        compile_regex_formula(A_RUNS, frozenset("ab ")))
+    for document in ("bb c", "bb \xe9", "bb \u0100", ["b", "c"]):
+        with pytest.raises(ValueError, match="not in alphabet"):
+            runner.evaluate(document)
+        with pytest.raises(ValueError, match="not in alphabet"):
+            runner.evaluate_batch(["bb", document])
+
+
+def test_step_zero_is_for_text_over_single_character_alphabets():
+    # Symbol sequences skip the literal test and agree with text ...
+    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    runner = CompiledSpanner(spanner)
+    for document in words_upto("ab ", 4):
+        expected = spanner.evaluate_interpreted(document)
+        assert runner.evaluate(document) == expected
+        assert runner.evaluate(list(document)) == expected
+        assert runner.evaluate(tuple(document)) == expected
+    # ... and an alphabet of longer symbols has no factor analysis,
+    # hence no literals to test.
+    x_open, x_close = Open("x"), Close("x")
+    nfa = NFA(frozenset({"ab", "c"}) | gamma({"x"}), range(4), 0, [3],
+              [(0, "c", 0), (0, x_open, 1), (1, "ab", 2), (2, x_close, 3),
+               (3, "c", 3)])
+    tokens = VSetAutomaton({"ab", "c"}, {"x"}, nfa)
+    runner = CompiledSpanner(tokens)
+    assert runner.describe()["required"] == []
+    assert runner.describe()["required_reason"] == "non-character alphabet"
+    for document in (["c", "ab", "c"], ("ab",), ["c"], []):
+        assert runner.evaluate(document) \
+            == tokens.evaluate_interpreted(document)
+
+
+def test_pickled_runner_keeps_its_literals():
+    # What a spawned pool worker receives.
+    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    runner = CompiledSpanner(spanner)
+    clone = pickle.loads(pickle.dumps(runner))
+    assert clone.describe() == runner.describe()
+    assert clone._kernel.finishable is None
+    documents = words_upto("ab ", 4)
+    assert clone.evaluate_batch(documents) \
+        == runner.evaluate_batch(documents)
+    rejected, _expanded = _counters()
+    assert clone.evaluate("bbb") == set()
+    assert _counters()[0] == rejected + 1
+
+
+def test_ambiguous_automaton_stays_polynomial():
+    # (a|a)* y{a} (a|a)*: 2^p runs reach position p.  Every position
+    # is a branch point (two live letter moves, one live operation);
+    # pushed configurations are deduplicated, so the visit count is
+    # linear here — far under the documented
+    # pushed-configurations x document-length bound, and nowhere near
+    # the number of runs.
+    spanner = compile_regex_formula("(a|a)*y{a}(a|a)*", frozenset("a"))
+    compiled = spanner.compiled()
+    document = "a" * 40
+    _rejected, expanded = _counters()
+    tuples = compiled.evaluate(document)
+    visited = _counters()[1] - expanded
+    assert len(tuples) == 40
+    assert tuples == reference_search(
+        lowered_with_finishable(spanner), document)[0]
+    states = compiled.base.n_states
+    assert visited <= 4 * states * (len(document) + 1)
+
+
+QZ_ALPHABET = "abc qz."
+QZ_RUNS = (".*(\\.| )y{qz+}(\\.| ).*|y{qz+}(\\.| ).*"
+           "|.*(\\.| )y{qz+}|y{qz+}")
+
+
+@pytest.fixture(scope="module")
+def qz_queries():
+    """The ledger's ``qz`` plan — ``qz``-runs, documents split at
+    ``.`` — in process and on a pool of two, one pool for the module."""
+    from repro import Q, Spanner, Splitter, separator_splitter
+    from repro.runtime.fast import FastSeparatorSplitter
+
+    spanner = Spanner.regex(QZ_RUNS, QZ_ALPHABET)
+    splitter = Splitter.from_vsa(
+        separator_splitter(frozenset(QZ_ALPHABET), "."), name="sentences",
+        executor=FastSeparatorSplitter("."))
+    queries = [Q(spanner).split_by(splitter).workers(workers)
+               for workers in (0, 2)]
+    yield spanner, queries
+    for query in queries:
+        query.engine().close()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from(
+        ["ab", "c", "qz", "qzz", "q", "z", "zq", "aqz", "qz.", ".", "b."]),
+        max_size=9).map(" ".join),
+    min_size=1, max_size=6))
+def test_pool_equals_in_process_equals_whole(qz_queries, texts):
+    # Sentences with and without the literal, on both sides of the
+    # process boundary: forked workers run the same literal test.
+    from repro.runtime.executor import evaluate_whole
+
+    spanner, (in_process, pooled) = qz_queries
+    expected = {f"doc-{position:04d}": evaluate_whole(spanner.vsa(), text)
+                for position, text in enumerate(texts)}
+    results = in_process.over(texts)
+    assert results.explain()["kernel"]["required"] == ["qz"]
+    assert results.materialize() == expected
+    assert pooled.over(texts).materialize() == expected
 
 
 def test_byte_dfa_has_bounded_rows():
@@ -535,8 +736,8 @@ def test_non_string_documents_use_int_tier():
     compiled = compile_vset_automaton(vsa)
     for document in words_upto("ab", 3):
         as_list = list(document)
-        assert compiled.suffix_acceptance(as_list) == \
-            compiled.suffix_acceptance(document)
+        assert compiled.alive.sweep(as_list, latin1(as_list)) == \
+            compiled.alive.sweep(document, latin1(document))
         assert compiled.evaluate(as_list) == compiled.evaluate(document)
 
 

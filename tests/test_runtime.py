@@ -186,11 +186,12 @@ assert resource_tracker._resource_tracker._pid is None
         clone = pickle.loads(pickle.dumps(dfa, protocol=protocol))
         assert (clone.blob, clone.flags, clone.start) \
             == (dfa.blob, dfa.flags, dfa.start)
-        for table in (kernel.finishable, kernel.alive):
-            sweeper = table.byte_sweeper
-            clone = pickle.loads(pickle.dumps(sweeper, protocol=protocol))
-            assert (clone.blob, clone.masks, clone.start) \
-                == (sweeper.blob, sweeper.masks, sweeper.start)
+        # A functional plan has the one table: nothing else is shipped.
+        assert kernel.finishable is None
+        sweeper = kernel.alive.byte_sweeper
+        clone = pickle.loads(pickle.dumps(sweeper, protocol=protocol))
+        assert (clone.blob, clone.masks, clone.start) \
+            == (sweeper.blob, sweeper.masks, sweeper.start)
 
 
 #: Covers every registry builder's needs: space and newline (tokens,

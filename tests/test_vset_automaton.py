@@ -136,6 +136,20 @@ class TestExtendedForm:
         rebuilt = from_extended_nfa(bad.extended_nfa(), AB, bad.variables)
         assert rebuilt.is_functional()
 
+    def test_built_once_per_mutation_epoch(self):
+        # An equivalence test asks for each side's form twice.
+        spanner = hand_built_vsa()
+        extended = spanner.extended_nfa()
+        assert spanner.extended_nfa() is extended
+        labels = {symbol for _s, symbol, _t in extended.transitions()}
+        assert not any(letter == "b" for _ops, letter in labels)
+        spanner.nfa.add_transition(1, "b", 1)
+        widened = spanner.extended_nfa()
+        assert widened is not extended
+        assert any(letter == "b" for _ops, letter
+                   in {symbol for _s, symbol, _t in widened.transitions()})
+        assert spanner.extended_nfa() is widened
+
 
 class TestRenaming:
     def test_rename(self):
