@@ -7,7 +7,7 @@ table.
 Each :func:`report` call also persists its row — plus any structured
 ``metrics`` the benchmark passes (workload shape, wall-clock seconds,
 speedups) — into ``benchmarks/results/BENCH_<name>.json``, one file
-per experiment family (``BENCH_E6.json``, ``BENCH_T1.json``, ...), so
+per experiment family (``BENCH_E1.json``, ``BENCH_T1.json``, ...), so
 the performance trajectory is tracked as data across PRs instead of
 living only in commit messages.
 """
@@ -39,8 +39,8 @@ def timed(function: Callable, repeats: int = 1) -> float:
 
 
 def _bench_name(experiment: str) -> str:
-    """The experiment family of a report label: ``"E6 n-gram"`` ->
-    ``"E6"`` (the ``<name>`` of its ``BENCH_<name>.json``)."""
+    """The experiment family of a report label: ``"E1 n-gram"`` ->
+    ``"E1"`` (the ``<name>`` of its ``BENCH_<name>.json``)."""
     head = experiment.split()[0] if experiment.split() else "MISC"
     slug = re.sub(r"[^A-Za-z0-9_.-]+", "", head)
     return slug.upper() or "MISC"

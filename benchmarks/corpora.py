@@ -147,39 +147,6 @@ def review_corpus(
     return reviews
 
 
-def boilerplate_corpus(
-    n_documents: int,
-    sentences_per_document: int,
-    distinct_sentences: int,
-    seed: int,
-    token_pool_size: int = 24,
-) -> List[str]:
-    """Documents assembled from a small pool of repeated sentences.
-
-    Models the chunk-level redundancy of real corpora (boilerplate,
-    quoted passages, shared records): every document draws its
-    sentences from the same ``distinct_sentences``-sized pool, whose
-    sentences in turn draw from a ``token_pool_size``-sized token pool
-    (about a third of them the ``a``-runs the E-series extractors look
-    for).  The engine benchmark (E5) measures how much of that
-    redundancy the chunk cache recovers.
-    """
-    rng = random.Random(seed)
-    tokens = [
-        "a" * rng.randint(1, 4) if rng.random() < 0.35 else _token(rng)
-        for _ in range(token_pool_size)
-    ]
-    pool = [
-        " ".join(rng.choice(tokens)
-                 for _ in range(rng.randint(5, 12))) + "."
-        for _ in range(distinct_sentences)
-    ]
-    return [
-        " ".join(rng.choice(pool) for _ in range(sentences_per_document))
-        for _ in range(n_documents)
-    ]
-
-
 def corpus_stats(documents: Sequence[str]) -> dict:
     lengths = [len(d) for d in documents]
     return {

@@ -161,62 +161,31 @@ def engine_command(args) -> int:
         return 2
     try:
         query = _build_query(args)
-        if args.shards > 1:
-            # Sharded runs partition the corpus deterministically; the
-            # merged result is materialized shard by shard.
-            engine = query.engine()
-            if getattr(args, "prefilter", False) and engine.index is None:
-                # .over() auto-indexes; run_sharded bypasses it, so
-                # honour --prefilter's auto-indexing promise here too.
-                engine.attach_index(
-                    engine.build_index(corpus, query.program(),
-                                       num_shards=args.shards)
-                )
-            results = engine.run_sharded(
-                corpus, query.program(), args.shards
-            )
-            explain = query.explain()
-            explain["index"] = engine.prefilter_report(query.certify())
-            by_document = dict(results)
-            stats = results.stats
-        else:
-            result_set = query.over(corpus)
-            explain = result_set.explain()
-            _print_plan(explain)
-            print(f"      certified in "
-                  f"{explain['certification_seconds']:.3f}s")
-            if explain["theorem"]:
-                print(f"      certified by {explain['theorem']} "
-                      f"[{explain['procedure']}]")
-            print(f"      compiled artifact: "
-                  f"{explain['compiled_artifact']}")
-            _print_prefilter(explain)
-            print()
-            print(f"{'document':<24} tuples")
-            for doc_id, tuples in result_set.stream():   # lazy
-                print(f"{doc_id:<24} {len(tuples)}")
-            print()
-            for key, value in result_set.stats().snapshot().items():
-                rendered = (f"{value:.3f}" if isinstance(value, float)
-                            else value)
-                print(f"  {key}: {rendered}")
-            _emit_observability(args, query)
-            return 0
+        result_set = query.over(corpus)
+        explain = result_set.explain()
+        _print_plan(explain)
+        print(f"      certified in "
+              f"{explain['certification_seconds']:.3f}s")
+        if explain["theorem"]:
+            print(f"      certified by {explain['theorem']} "
+                  f"[{explain['procedure']}]")
+        print(f"      compiled artifact: "
+              f"{explain['compiled_artifact']}")
+        _print_prefilter(explain)
+        print()
+        print(f"{'document':<24} tuples")
+        for doc_id, tuples in result_set.stream():   # lazy
+            print(f"{doc_id:<24} {len(tuples)}")
+        print()
+        for key, value in result_set.stats().snapshot().items():
+            rendered = (f"{value:.3f}" if isinstance(value, float)
+                        else value)
+            print(f"  {key}: {rendered}")
+        _emit_observability(args, query)
     except (ReproError, ValueError, OSError) as error:
         # OSError covers an unreadable --index directory.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _print_plan(explain)
-    _print_prefilter(explain)
-    print()
-    print(f"{'document':<24} tuples")
-    for doc_id, tuples in by_document.items():
-        print(f"{doc_id:<24} {len(tuples)}")
-    print()
-    for key, value in stats.snapshot().items():
-        rendered = f"{value:.3f}" if isinstance(value, float) else value
-        print(f"  {key}: {rendered}")
-    _emit_observability(args, query)
     return 0
 
 
@@ -423,8 +392,6 @@ def main(argv=None) -> int:
                                help="process-pool size (0 = in-process)")
     engine_parser.add_argument("--batch-size", type=int, default=32,
                                help="chunk/document batch size")
-    engine_parser.add_argument("--shards", type=int, default=1,
-                               help="process the corpus in N shards")
     engine_parser.add_argument(
         "--index", default=None, metavar="DIR",
         help="corpus index directory built by `repro index` (enables "

@@ -26,9 +26,9 @@ machinery those procedures are built on:
   (:class:`repro.automata.compiled.LazyDFA`).  ``NFA.accepts``,
   ``NFA.is_empty``, ``NFA.to_dfa``, ``NFA.product_is_empty`` and
   ``VSetAutomaton.evaluate`` all execute on this shared IR; the
-  dict-of-sets interpreter survives as the reference semantics
-  (``accepts_interpreted`` / ``evaluate_interpreted``) that the
-  property tests validate the kernel against.
+  dict-of-sets interpreter it replaced is the reference semantics in
+  ``tests/reference.py`` that the property tests validate the kernel
+  against.
 
 Lowering happens when an automaton is first queried (and, in the
 runtime, once per certified plan at certify time — never per chunk);

@@ -37,15 +37,14 @@ forward walk along the runs it left alive**
    state is not in ``alive[0]`` the answer is empty and evaluation
    stops there: one table chase for a chunk that holds no match;
 2. for automata that are **not functional** only, the ``finishable``
-   sweep — the suffix-acceptance table of
-   :meth:`repro.spanners.vset_automaton.VSetAutomaton.
-   _suffix_acceptance` (letters and epsilon only), which answers the
-   rest of a run exactly once every variable is closed.  A functional
-   automaton never fails that test (every state the walk enters is in
-   ``alive``, so its prefix extends to an accepted — hence valid —
-   ref-word, which performs no operation after the last close), so
-   its lowering neither builds nor sweeps the table: a matching chunk
-   of a functional plan sweeps its bytes once, not twice;
+   sweep — suffix acceptance over letters and epsilon only, which
+   answers the rest of a run exactly once every variable is closed.
+   A functional automaton never fails that test (every state the walk
+   enters is in ``alive``, so its prefix extends to an accepted —
+   hence valid — ref-word, which performs no operation after the last
+   close), so its lowering neither builds nor sweeps the table: a
+   matching chunk of a functional plan sweeps its bytes once, not
+   twice;
 3. a walk over ``(position, state_id, status)`` configurations —
    ``status`` being the result's own flat ``(b1, e1, b2, e2, ...)``
    int tuple, ``0`` where unset, handed to
@@ -77,36 +76,30 @@ Both tables are one recurrence over two closures
 (:class:`SuffixTable`), built at lowering time and swept by one
 routine.
 
-**Kernel v2 — byte-table sweeps.**  When every document letter is a
-single latin-1 character (which covers UTF-8's ASCII range one byte
-per character, positions preserved), the transition structure is
-lowered *again*, to flat ``bytes`` tables keyed by raw byte values:
+**One membership path.**  :meth:`CompiledNFA.accepts` walks the
+:class:`LazyDFA`: one memoized subset step per symbol, for any word —
+``str`` or a sequence of symbols, any alphabet.
 
-* :class:`ByteDFA` — forward acceptance as row-chained table lookups
-  over the encoded word (one list index + one bytes index per byte);
-* :class:`ByteSuffixSweeper` — a reverse table's recurrence as a
-  *reverse* deterministic sweep, one table step per byte instead of a
-  per-position scan over all states; ``alive`` and ``finishable``
-  each get their own.
-
-:meth:`CompiledNFA.accepts_batch` sweeps many words through one table
-in a single call; for spanners the batch loop is the chunk runner's
-(:meth:`repro.runtime.fast.CompiledSpanner.evaluate_batch`), what the
-corpus scheduler feeds whole missing-chunk batches into.
-Wide or non-character alphabets, non-latin-1 documents, and tables
-whose byte-subset construction exceeds the 256-row cap all fall back
-to the v1 masked-integer sweep — per table, so ``alive`` can be on
-integers while ``finishable`` is on bytes; results are identical
-either way (``tests/test_compiled.py`` checks the tiers
-differentially).  The tier in effect is reported as
-:attr:`CompiledVSetAutomaton.kernel_tier` (``"v2-bytes"``/
-``"v1-int"``, decided by ``alive``'s table — the sweep every
-evaluated document pays) and surfaces in ``explain()``.  The
-process-global registry records sweep volume and table sizes as
-``kernel.bytes_swept`` / ``kernel.table_bytes`` (every table built or
-swept counted) and why chunks were cheap as
-``kernel.chunks_rejected`` (answered without a walk: by a required
-literal in the chunk runner, or by ``alive[0]``) /
+**One sweep selection.**  Each :class:`SuffixTable` is also lowered,
+when it can be, to a :class:`ByteSuffixSweeper`: its recurrence
+determinized over raw byte values, a *reverse* deterministic sweep
+that takes one flat-table step per byte instead of an OR over the set
+bits of a bitset.  :meth:`SuffixTable.sweep` picks between that and
+the masked-integer sweep (:meth:`SuffixTable.sweep_int`) from what it
+observes, per table and per document: the integer sweep runs when no
+letter of the alphabet is a single latin-1 character, when the table's
+byte-subset construction passed the 256-row cap, or when the document
+is not a ``str`` that encodes as latin-1 (which covers UTF-8's ASCII
+range one byte per character, positions preserved); the byte sweep
+otherwise.  Results are identical either way (``tests/test_compiled.py``
+holds one against the other).  Which sweep ``alive`` — the one every
+evaluated document pays — has is reported as
+:attr:`CompiledVSetAutomaton.kernel_tier` (``"v2-bytes"``/``"v1-int"``)
+with :attr:`CompiledVSetAutomaton.fallback_reason`, and surfaces in
+``explain()``.  The process-global registry records sweep volume and
+table sizes as ``kernel.bytes_swept`` / ``kernel.table_bytes`` and why
+chunks were cheap as ``kernel.chunks_rejected`` (answered without a
+walk: by a required literal in the chunk runner, or by ``alive[0]``) /
 ``kernel.configs_expanded`` (configurations the walks visited).
 """
 
@@ -211,12 +204,12 @@ def _epsilon_closures(eps_edges: List[int], n: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Kernel v2: byte-table lowering
+# Byte-table lowering of the reverse sweeps
 # ----------------------------------------------------------------------
 
 #: Row ids are stored as single bytes inside 256-wide rows, so a byte
 #: machine holds at most 256 rows (row 0 is the dead sink).  Exceeding
-#: the cap aborts the byte lowering; callers fall back to the v1 path.
+#: the cap aborts the byte lowering; the table stays on the int sweep.
 MAX_BYTE_ROWS = 256
 
 
@@ -257,46 +250,6 @@ class _ByteRowInterner:
             self.masks.append(mask)
             self.queue.append(mask)
         return rid
-
-
-class ByteDFA:
-    """Forward acceptance as row-chained byte-table lookups.
-
-    ``blob`` concatenates 256-byte rows (``blob[rid * 256 + byte]`` is
-    the successor row id); ``flags`` marks accepting rows; ``start``
-    is the row of the epsilon-closed initial subset.  Bytes outside
-    the alphabet lead to row 0, the dead sink — exactly the v1
-    semantics of an unknown symbol rejecting the word.
-
-    The hot loop is ``rid = rows[rid][b]``: one list index plus one
-    bytes index per input byte, no dict lookups, no bitset arithmetic.
-    """
-
-    def __init__(self, blob: bytes, flags: bytes, start: int) -> None:
-        blob = bytes(blob)
-        self.blob = blob
-        self.flags = bytes(flags)
-        self.start = start
-        self.n_rows = len(blob) // 256
-        self.rows: List[bytes] = [
-            blob[i * 256:(i + 1) * 256] for i in range(self.n_rows)
-        ]
-        self._swept = kernel_metrics().counter("kernel.bytes_swept")
-
-    def table_bytes(self) -> int:
-        return len(self.blob) + len(self.flags)
-
-    def accepts_bytes(self, data) -> bool:
-        """Membership of one encoded word."""
-        rows = self.rows
-        rid = self.start
-        for b in data:
-            rid = rows[rid][b]
-        self._swept.inc(len(data))
-        return self.flags[rid] == 1
-
-    def __reduce__(self):
-        return (ByteDFA, (self.blob, self.flags, self.start))
 
 
 class ByteSuffixSweeper:
@@ -347,7 +300,7 @@ def _build_byte_tables(
     start_mask: int,
     steps: Dict[int, "callable"],
 ) -> Optional[Tuple[bytes, List[int], int]]:
-    """Shared byte-subset construction for both sweep directions.
+    """The byte-subset construction of a reverse sweeper.
 
     ``steps`` maps byte values to ``subset -> subset`` transition
     functions (only alphabet bytes appear; all others dead-end at row
@@ -447,8 +400,6 @@ class CompiledNFA:
                 finals_mask |= 1 << index
         self.finals_mask: int = finals_mask
         self._lazy: Optional[LazyDFA] = None
-        self._byte_dfa: Optional[ByteDFA] = None
-        self._byte_dfa_built = False
 
         # Transition-fill and construction accounting: how dense the
         # lowered tables are and what lowering cost, reported into the
@@ -474,38 +425,14 @@ class CompiledNFA:
             out |= self.closed_next[s].get(symbol_index, 0)
         return out
 
-    def lazy_dfa(self, max_states: int = 4096) -> "LazyDFA":
-        """The memoizing subset-construction view.
-
-        Cached per bound: asking for a different ``max_states`` than
-        the cached instance was built with replaces the cache (the old
-        memo is a pure cache, so dropping it is always safe).
-        """
-        if self._lazy is None or self._lazy.max_states != max_states:
-            self._lazy = LazyDFA(self, max_states=max_states)
+    def lazy_dfa(self) -> "LazyDFA":
+        """The memoizing subset-construction view."""
+        if self._lazy is None:
+            self._lazy = LazyDFA(self)
         return self._lazy
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
-        """Membership; byte-table sweep when the word is a latin-1
-        string and the byte lowering exists, lazy DFA otherwise."""
-        if type(word) is str:
-            dfa = self.byte_dfa()
-            if dfa is not None:
-                try:
-                    data = word.encode("latin-1")
-                except UnicodeEncodeError:
-                    pass
-                else:
-                    return dfa.accepts_bytes(data)
-        return self.accepts_v1(word)
-
-    def accepts_v1(self, word: Sequence[Symbol]) -> bool:
-        """Membership via the lazy DFA: amortized one lookup/symbol.
-
-        The v1 integer path — always available, used directly by the
-        differential tests and as the fallback for words the byte
-        tier cannot encode.
-        """
+        """Membership via the lazy DFA: amortized one lookup/symbol."""
         lazy = self.lazy_dfa()
         symbol_id = self.symbol_id
         current = self.start_mask
@@ -517,86 +444,6 @@ class CompiledNFA:
             if not current:
                 return False
         return bool(current & self.finals_mask)
-
-    def accepts_batch(self, words: Sequence[Sequence[Symbol]]) -> List[bool]:
-        """Membership of many words in one call.
-
-        The byte-table hot loop is inlined here — one encode plus one
-        table chase per word, with a single sweep-counter update for
-        the whole batch — so large chunk batches pay Python dispatch
-        once, not per word.  Words the byte tier cannot handle take
-        the v1 path individually; results are identical either way.
-        """
-        out: List[bool] = []
-        append = out.append
-        dfa = self.byte_dfa()
-        if dfa is None:
-            for word in words:
-                append(self.accepts_v1(word))
-            return out
-        rows = dfa.rows
-        flags = dfa.flags
-        start = dfa.start
-        swept = 0
-        for word in words:
-            if type(word) is str:
-                try:
-                    data = word.encode("latin-1")
-                except UnicodeEncodeError:
-                    append(self.accepts_v1(word))
-                    continue
-                rid = start
-                for b in data:
-                    rid = rows[rid][b]
-                swept += len(data)
-                append(flags[rid] == 1)
-            else:
-                append(self.accepts_v1(word))
-        if swept:
-            dfa._swept.inc(swept)
-        return out
-
-    def byte_dfa(self) -> Optional[ByteDFA]:
-        """The forward byte-table machine, built once on first use.
-
-        ``None`` when the eager byte-subset construction exceeds
-        :data:`MAX_BYTE_ROWS` — callers then stay on the v1 path.
-        Symbols that are not single latin-1 characters simply get no
-        byte rows: a latin-1-encodable word cannot contain them, and
-        non-encodable words never reach the byte machine.
-        """
-        if not self._byte_dfa_built:
-            self._byte_dfa = self._build_byte_dfa()
-            self._byte_dfa_built = True
-        return self._byte_dfa
-
-    def _build_byte_dfa(self) -> Optional[ByteDFA]:
-        steps = {}
-        for symbol, index in self.symbol_id.items():
-            byte = letter_byte(symbol)
-            if byte is not None:
-                steps[byte] = lambda mask, a=index: self.step(mask, a)
-        if not steps and self.symbols:
-            # A fully wide/non-character alphabet: a byte machine could
-            # only ever reject — stay (and report) the v1 tier.
-            return None
-        built = _build_byte_tables(self.start_mask, steps)
-        if built is None:
-            return None
-        blob, masks, start = built
-        finals = self.finals_mask
-        flags = bytes(1 if mask & finals else 0 for mask in masks)
-        dfa = ByteDFA(blob, flags, start)
-        kernel_metrics().counter("kernel.table_bytes").inc(
-            dfa.table_bytes()
-        )
-        return dfa
-
-    @property
-    def kernel_tier(self) -> str:
-        """``"v2-bytes"`` when the byte lowering exists, ``"v1-int"``
-        otherwise (wide alphabet or >256 byte-subset rows)."""
-        return "v2-bytes" if self.byte_dfa() is not None else "v1-int"
 
     def reachable_mask(self) -> int:
         """Bitset of states reachable from the initial state."""
@@ -814,14 +661,11 @@ class SuffixTable:
     and ``fallback_reason`` then says which.
     """
 
-    def __init__(self, rev: Dict[Symbol, List[int]], seed: int,
-                 byte_tables: bool = True) -> None:
+    def __init__(self, rev: Dict[Symbol, List[int]], seed: int) -> None:
         self.rev = rev
         self.seed = seed
         self.fallback_reason: Optional[str] = None
-        self.byte_sweeper: Optional[ByteSuffixSweeper] = (
-            self._lower_bytes() if byte_tables else None
-        )
+        self.byte_sweeper: Optional[ByteSuffixSweeper] = self._lower_bytes()
 
     def _lower_bytes(self) -> Optional[ByteSuffixSweeper]:
         """Deterministic subset construction over backward-closed
@@ -936,8 +780,7 @@ class CompiledVSetAutomaton:
     @property
     def fallback_reason(self) -> Optional[str]:
         """Why :attr:`kernel_tier` is ``"v1-int"`` (``"wide alphabet"``
-        / ``"byte rows > 256"``); ``None`` on ``"v2-bytes"`` and when
-        the byte lowering was not attempted (``byte_tables=False``)."""
+        / ``"byte rows > 256"``); ``None`` on ``"v2-bytes"``."""
         return self.alive.fallback_reason
 
     def describe(self) -> Dict[str, object]:
@@ -953,9 +796,8 @@ class CompiledVSetAutomaton:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, document: Sequence[Symbol]) -> Set:
-        """Exact enumeration of ``A(d)``; agrees with the interpreted
-        :meth:`repro.spanners.vset_automaton.VSetAutomaton.
-        evaluate_interpreted` on every document."""
+        """Exact enumeration of ``A(d)``; agrees with the dict-of-sets
+        interpreter of ``tests/reference.py`` on every document."""
         results, visited = self.search(document, latin1(document))
         count_evaluations(0 if visited else 1, visited)
         return results
@@ -1112,9 +954,7 @@ def _reverse_tables(
     return rev, seed
 
 
-def compile_vset_automaton(
-    vsa, byte_tables: bool = True
-) -> CompiledVSetAutomaton:
+def compile_vset_automaton(vsa) -> CompiledVSetAutomaton:
     """Lower a :class:`repro.spanners.vset_automaton.VSetAutomaton`.
 
     Reuses the underlying NFA's compiled form (one lowering serves both
@@ -1125,8 +965,7 @@ def compile_vset_automaton(
     with its precomputed backward-closure masks and, when every
     document letter is a single latin-1 character and its reverse
     subset construction fits :data:`MAX_BYTE_ROWS`, its byte-table
-    sweeper.  ``byte_tables=False`` pins the v1 integer tier
-    (differential tests compare the tiers this way).
+    sweeper.
     """
     from repro.spanners.refwords import VarOp
 
@@ -1182,15 +1021,10 @@ def compile_vset_automaton(
             elif index in varop_ids:
                 free_edges[s] |= mask
 
-    alive = SuffixTable(
-        *_reverse_tables(_epsilon_closures(free_edges, n), letter_sources,
-                         base.finals_mask),
-        byte_tables,
-    )
+    alive = SuffixTable(*_reverse_tables(
+        _epsilon_closures(free_edges, n), letter_sources, base.finals_mask))
     finishable = None if vsa.is_functional() else SuffixTable(
-        *_reverse_tables(base.closure, letter_sources, base.finals_mask),
-        byte_tables,
-    )
+        *_reverse_tables(base.closure, letter_sources, base.finals_mask))
     return CompiledVSetAutomaton(
         base, variables, letter_moves, var_moves, var_targets, alive,
         finishable,

@@ -72,16 +72,6 @@ def nfa_equivalent(left: NFA, right: NFA) -> bool:
     return nfa_contains(left, right) and nfa_contains(right, left)
 
 
-def equivalence_counterexample(
-    left: NFA, right: NFA
-) -> Optional[Tuple[Symbol, ...]]:
-    """A word on which the two languages differ, or ``None``."""
-    witness = containment_counterexample(left, right)
-    if witness is not None:
-        return witness
-    return containment_counterexample(right, left)
-
-
 def nfa_universal(nfa: NFA, alphabet: Optional[frozenset] = None) -> bool:
     """Decide ``L(nfa) == alphabet*`` (the PSPACE-complete problem [17]).
 

@@ -201,17 +201,6 @@ class NFA:
         """Membership test on the compiled form (lazy-DFA memoized)."""
         return self.compiled().accepts(word)
 
-    def accepts_interpreted(self, word: Sequence[Symbol]) -> bool:
-        """Membership by on-the-fly subset simulation over the
-        dict-of-sets tables (the reference semantics the compiled
-        kernel is validated against; see ``tests/test_compiled.py``)."""
-        current = self.epsilon_closure({self.initial})
-        for symbol in word:
-            current = self.step(current, symbol)
-            if not current:
-                return False
-        return bool(current & self.finals)
-
     # ------------------------------------------------------------------
     # Reachability and trimming
     # ------------------------------------------------------------------

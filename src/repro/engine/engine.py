@@ -157,8 +157,7 @@ class EngineResult:
 
     ``stats`` covers *this run only* (the delta it contributed to the
     engine's cumulative counters, see
-    :meth:`repro.engine.stats.EngineStats.since`), so merging results
-    of disjoint runs sums correctly.
+    :meth:`repro.engine.stats.EngineStats.since`).
     """
 
     by_document: Dict[str, Set[SpanTuple]]
@@ -176,15 +175,6 @@ class EngineResult:
 
     def total_tuples(self) -> int:
         return sum(len(tuples) for tuples in self.by_document.values())
-
-    def merge(self, other: "EngineResult") -> "EngineResult":
-        """Union of two disjoint runs (sharded execution)."""
-        overlap = self.by_document.keys() & other.by_document.keys()
-        if overlap:
-            raise ValueError(f"overlapping document ids: {sorted(overlap)}")
-        merged = dict(self.by_document)
-        merged.update(other.by_document)
-        return EngineResult(merged, self.plan, self.stats.merge(other.stats))
 
 
 CorpusLike = Union[Corpus, Sequence[str], Mapping[str, str]]
@@ -684,31 +674,6 @@ class ExtractionEngine:
         certified = self.certify(program)
         return self._iter_certified(corpus, program, certified,
                                     as_deadline(deadline))
-
-    def run_sharded(
-        self,
-        corpus: CorpusLike,
-        program: ProgramLike,
-        num_shards: int,
-    ) -> EngineResult:
-        """Process each shard in turn and merge the results.
-
-        Shard assignment is deterministic (see
-        :func:`repro.engine.corpus.shard_of`), so a cluster of engines
-        running ``shard(i)`` each would partition the corpus exactly
-        like this sequential loop does.
-        """
-        corpus = _as_corpus(corpus)
-        before = self.stats()
-        merged: Dict[str, Set[SpanTuple]] = {}
-        certified: Optional[CertifiedPlan] = None
-        for shard in corpus.shards(num_shards):
-            result = self.run(shard, program)
-            merged.update(result.by_document)
-            certified = result.plan
-        if certified is None:  # num_shards >= 1 always yields shards
-            certified = self.certify(program)
-        return EngineResult(merged, certified, self.stats().since(before))
 
     # ------------------------------------------------------------------
     # Lifecycle

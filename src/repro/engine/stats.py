@@ -180,44 +180,3 @@ class EngineStats:
             tuples_emitted=self.tuples_emitted - before.tuples_emitted,
             extra=extra,
         )
-
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Combine counters from another engine (sharded runs).
-
-        ``extra`` keys present on both sides sum when both values are
-        numeric (they are counters too); non-numeric collisions keep
-        ``other``'s value (the later snapshot wins).
-        """
-        merged = EngineStats(
-            documents=self.documents + other.documents,
-            chunks_total=self.chunks_total + other.chunks_total,
-            chunks_evaluated=self.chunks_evaluated + other.chunks_evaluated,
-            chunks_pruned=self.chunks_pruned + other.chunks_pruned,
-            chunk_cache_hits=self.chunk_cache_hits + other.chunk_cache_hits,
-            chunk_cache_misses=(self.chunk_cache_misses
-                                + other.chunk_cache_misses),
-            # A gauge, not a counter: results of one engine share one
-            # cache, so summing would double-count its contents.
-            chunk_cache_size=max(self.chunk_cache_size,
-                                 other.chunk_cache_size),
-            chunk_cache_evictions=(self.chunk_cache_evictions
-                                   + other.chunk_cache_evictions),
-            plan_cache_hits=self.plan_cache_hits + other.plan_cache_hits,
-            certifications=self.certifications + other.certifications,
-            certification_seconds=(self.certification_seconds
-                                   + other.certification_seconds),
-            artifacts_compiled=(self.artifacts_compiled
-                                + other.artifacts_compiled),
-            extraction_seconds=(self.extraction_seconds
-                                + other.extraction_seconds),
-            tuples_emitted=self.tuples_emitted + other.tuples_emitted,
-        )
-        merged.extra.update(self.extra)
-        for key, value in other.extra.items():
-            mine = merged.extra.get(key)
-            if (isinstance(value, (int, float))
-                    and isinstance(mine, (int, float))):
-                merged.extra[key] = mine + value
-            else:
-                merged.extra[key] = value
-        return merged

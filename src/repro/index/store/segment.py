@@ -431,23 +431,6 @@ class Segment:
                 return mid
         return None
 
-    def digest_id(self, digest: bytes) -> Optional[int]:
-        """Local id of the text with sha1 ``digest``, or ``None``."""
-        low, high = 0, self._count
-        base = self._off_digests
-        while low < high:
-            mid = (low + high) // 2
-            probe, tid = _DIGEST.unpack_from(
-                self._view, base + mid * _DIGEST.size
-            )
-            if probe < digest:
-                low = mid + 1
-            elif probe > digest:
-                high = mid
-            else:
-                return tid
-        return None
-
     # -- postings ------------------------------------------------------
 
     def _gram_bounds(self, gid: int) -> Tuple[int, int]:

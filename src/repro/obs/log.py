@@ -111,12 +111,6 @@ class EventLog:
             self._logger.removeHandler(handler)
         handler.close()
 
-    def detach_all(self) -> None:
-        with self._lock:
-            for handler in list(self._logger.handlers):
-                self._logger.removeHandler(handler)
-                handler.close()
-
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------

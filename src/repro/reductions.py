@@ -42,16 +42,6 @@ def _literal_chain(symbol: Symbol, count: int, alphabet) -> NFA:
     return NFA(alphabet, range(count + 1), 0, [count], transitions)
 
 
-def spanner_from_nfa_parts(
-    doc_alphabet, variables, nfa: NFA
-) -> VSetAutomaton:
-    """Type an NFA over ``Sigma + Gamma_V`` as a VSet-automaton."""
-    alphabet = frozenset(doc_alphabet) | gamma(variables)
-    lifted = NFA(alphabet, nfa.states, nfa.initial, nfa.finals,
-                 nfa.transitions())
-    return VSetAutomaton(doc_alphabet, variables, lifted)
-
-
 def union_universality_instance(
     dfas: Sequence[DFA], alphabet: Sequence[str]
 ) -> bool:

@@ -355,8 +355,3 @@ class CompiledSpanner:
 
     def __repr__(self) -> str:
         return f"CompiledSpanner({self.specification!r})"
-
-
-def compiled_evaluator(spanner: VSetAutomaton) -> Callable[[str], Set[SpanTuple]]:
-    """The kernel-backed evaluator of a VSet-automaton as a callable."""
-    return CompiledSpanner(spanner).evaluate

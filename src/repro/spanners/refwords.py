@@ -198,22 +198,3 @@ def block_decomposition(
             letters.append(symbol)
     blocks.append(frozenset(current))
     return tuple(blocks), tuple(letters)
-
-
-def enumerate_valid_refwords(
-    document: Sequence[Symbol], variables: Sequence[Variable]
-) -> Iterable[Tuple[Symbol, ...]]:
-    """All canonical valid ref-words over ``document`` (one per tuple).
-
-    This realizes ``Ref(d)`` up to operation reordering; it is the
-    brute-force ground truth the test-suite uses on bounded documents.
-    """
-    from itertools import product as iproduct
-
-    from repro.core.spans import all_spans
-
-    variables = sorted(set(variables), key=str)
-    spans = list(all_spans("".join(str(s) for s in document)))
-    for combo in iproduct(spans, repeat=len(variables)):
-        assignment = dict(zip(variables, combo))
-        yield canonical_refword(document, SpanTuple(assignment))

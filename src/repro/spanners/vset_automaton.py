@@ -36,7 +36,7 @@ from typing import (
 )
 
 from repro.automata.nfa import EPSILON, NFA
-from repro.core.spans import Span, SpanTuple, column_order
+from repro.core.spans import SpanTuple, column_order
 from repro.spanners.refwords import Close, Open, VarOp, gamma
 
 Variable = Hashable
@@ -211,9 +211,8 @@ class VSetAutomaton:
         all-closed collapse — as soon as every variable is closed the
         remaining run is pure language acceptance, which a functional
         automaton has already been promised by ``alive`` and any other
-        looks up in a second reverse table.  Agrees exactly with
-        :meth:`evaluate_interpreted`.  (The reference semantics: the
-        chunk runner's literal test is not taken here.)
+        looks up in a second reverse table.  (The reference semantics:
+        the chunk runner's literal test is not taken here.)
         """
         self.check_document(document)
         return self.compiled().evaluate(document)
@@ -225,106 +224,6 @@ class VSetAutomaton:
         if unknown:
             symbol = next(iter(unknown))
             raise ValueError(f"document symbol {symbol!r} not in alphabet")
-
-    def evaluate_interpreted(
-        self, document: Sequence[Symbol]
-    ) -> Set[SpanTuple]:
-        """Reference evaluation over the dict-of-sets NFA tables.
-
-        Configurations are ``(position, state, status)`` where status
-        tracks, per variable, whether it is unopened, open since some
-        position, or closed over a span.  Kept as the ground truth the
-        compiled path is validated against (``tests/test_compiled.py``)
-        and as the baseline the kernel benchmark measures.
-        """
-        variables, var_index = self.variable_order
-        n = len(document)
-        self.check_document(document)
-        finishable = self._suffix_acceptance(document)
-        initial_status: Tuple = tuple(None for _ in variables)
-
-        def all_closed(status: Tuple) -> bool:
-            return all(isinstance(part, Span) for part in status)
-
-        results: Set[SpanTuple] = set()
-        start = (0, self.nfa.initial, initial_status)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            pos, state, status = queue.popleft()
-            if all_closed(status):
-                if state in finishable[pos]:
-                    results.add(
-                        SpanTuple(dict(zip(variables, status)))
-                    )
-                continue
-            for symbol in self.nfa.symbols_from(state):
-                if symbol is EPSILON:
-                    for target in self.nfa.successors(state, EPSILON):
-                        config = (pos, target, status)
-                        if config not in seen:
-                            seen.add(config)
-                            queue.append(config)
-                elif isinstance(symbol, VarOp):
-                    k = var_index.get(symbol.variable)
-                    if k is None:
-                        continue
-                    part = status[k]
-                    if symbol.is_close:
-                        if not isinstance(part, int):
-                            continue
-                        new_part: object = Span(part, pos + 1)
-                    else:
-                        if part is not None:
-                            continue
-                        new_part = pos + 1
-                    new_status = status[:k] + (new_part,) + status[k + 1 :]
-                    for target in self.nfa.successors(state, symbol):
-                        config = (pos, target, new_status)
-                        if config not in seen:
-                            seen.add(config)
-                            queue.append(config)
-                elif pos < n and symbol == document[pos]:
-                    for target in self.nfa.successors(state, symbol):
-                        config = (pos + 1, target, status)
-                        if config not in seen:
-                            seen.add(config)
-                            queue.append(config)
-        return results
-
-    def _suffix_acceptance(
-        self, document: Sequence[Symbol]
-    ) -> List[FrozenSet]:
-        """``finishable[p]``: states that can accept ``document[p:]``
-        using only letters and epsilon moves (no variable operations)."""
-        n = len(document)
-        reverse_eps: Dict = {}
-        for source, symbol, target in self.nfa.transitions():
-            if symbol is EPSILON:
-                reverse_eps.setdefault(target, []).append(source)
-
-        def backward_eps_closure(states: Set) -> FrozenSet:
-            closure = set(states)
-            stack = list(states)
-            while stack:
-                state = stack.pop()
-                for prev in reverse_eps.get(state, ()):
-                    if prev not in closure:
-                        closure.add(prev)
-                        stack.append(prev)
-            return frozenset(closure)
-
-        tables: List[FrozenSet] = [frozenset()] * (n + 1)
-        tables[n] = backward_eps_closure(set(self.nfa.finals))
-        for pos in range(n - 1, -1, -1):
-            symbol = document[pos]
-            direct = {
-                state
-                for state in self.nfa.states
-                if self.nfa.successors(state, symbol) & tables[pos + 1]
-            }
-            tables[pos] = backward_eps_closure(direct)
-        return tables
 
     def match_language(self) -> NFA:
         """The NFA for ``L_P = {d : P(d) != {}}`` over the doc alphabet.

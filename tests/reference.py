@@ -19,9 +19,12 @@ bitmasks, no segments -- and the ``reference_*_spans`` character
 loops, the splitters' executors before they were lowered to compiled
 scanners (:mod:`repro.runtime.fast`), kept as their oracles, and
 :class:`ReferenceSpanTuple`, the dict-backed span tuple the flat
-:class:`repro.core.spans.SpanTuple` replaced, and
+:class:`repro.core.spans.SpanTuple` replaced,
 :func:`reference_search`, the compiled kernel's breadth-first
-configuration search before it walked runs.
+configuration search before it walked runs, and the dict-of-sets
+interpreter the kernel replaced (:func:`accepts_interpreted`,
+:func:`evaluate_interpreted`, :func:`suffix_acceptance`), moved out of
+``src/`` unchanged but for ``self``.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ from repro.automata.compiled import (
     bits,
     compile_vset_automaton,
 )
+from repro.automata.nfa import EPSILON, NFA
 from repro.core.spans import Span, SpanTuple, flat_span_tuple
 from repro.index.factors import GRAM, FactorSet
+from repro.spanners.refwords import VarOp
 from repro.spanners.regex_formulas import Capture, svars
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -425,9 +430,7 @@ class ReferenceSpanTuple(Mapping[Variable, Span]):
 # ----------------------------------------------------------------------
 
 
-def lowered_with_finishable(
-    vsa: VSetAutomaton, byte_tables: bool = True
-) -> CompiledVSetAutomaton:
+def lowered_with_finishable(vsa: VSetAutomaton) -> CompiledVSetAutomaton:
     """``vsa`` lowered as if it were not functional: the kernel builds
     its ``finishable`` table, sweeps it and tests it at every
     all-closed collapse.  Sound for any automaton (for a functional
@@ -436,7 +439,7 @@ def lowered_with_finishable(
     """
     forced = copy.copy(vsa)
     forced.is_functional = lambda: False
-    return compile_vset_automaton(forced, byte_tables)
+    return compile_vset_automaton(forced)
 
 
 def reference_search(
@@ -482,3 +485,117 @@ def reference_search(
                 seen.add(config)
                 queue.append(config)
     return results, len(seen)
+
+
+# ----------------------------------------------------------------------
+# The dict-of-sets interpreter the compiled kernel replaced
+# ----------------------------------------------------------------------
+
+
+def accepts_interpreted(nfa: NFA, word) -> bool:
+    """Membership by on-the-fly subset simulation over the
+    dict-of-sets tables (the reference semantics the compiled
+    kernel is validated against; see ``tests/test_compiled.py``)."""
+    current = nfa.epsilon_closure({nfa.initial})
+    for symbol in word:
+        current = nfa.step(current, symbol)
+        if not current:
+            return False
+    return bool(current & nfa.finals)
+
+
+def evaluate_interpreted(vsa: VSetAutomaton, document) -> Set[SpanTuple]:
+    """Reference evaluation over the dict-of-sets NFA tables.
+
+    Configurations are ``(position, state, status)`` where status
+    tracks, per variable, whether it is unopened, open since some
+    position, or closed over a span.  Kept as the ground truth the
+    compiled path is validated against (``tests/test_compiled.py``).
+    """
+    variables, var_index = vsa.variable_order
+    n = len(document)
+    vsa.check_document(document)
+    finishable = suffix_acceptance(vsa, document)
+    initial_status: Tuple = tuple(None for _ in variables)
+
+    def all_closed(status: Tuple) -> bool:
+        return all(isinstance(part, Span) for part in status)
+
+    results: Set[SpanTuple] = set()
+    start = (0, vsa.nfa.initial, initial_status)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        pos, state, status = queue.popleft()
+        if all_closed(status):
+            if state in finishable[pos]:
+                results.add(
+                    SpanTuple(dict(zip(variables, status)))
+                )
+            continue
+        for symbol in vsa.nfa.symbols_from(state):
+            if symbol is EPSILON:
+                for target in vsa.nfa.successors(state, EPSILON):
+                    config = (pos, target, status)
+                    if config not in seen:
+                        seen.add(config)
+                        queue.append(config)
+            elif isinstance(symbol, VarOp):
+                k = var_index.get(symbol.variable)
+                if k is None:
+                    continue
+                part = status[k]
+                if symbol.is_close:
+                    if not isinstance(part, int):
+                        continue
+                    new_part: object = Span(part, pos + 1)
+                else:
+                    if part is not None:
+                        continue
+                    new_part = pos + 1
+                new_status = status[:k] + (new_part,) + status[k + 1 :]
+                for target in vsa.nfa.successors(state, symbol):
+                    config = (pos, target, new_status)
+                    if config not in seen:
+                        seen.add(config)
+                        queue.append(config)
+            elif pos < n and symbol == document[pos]:
+                for target in vsa.nfa.successors(state, symbol):
+                    config = (pos + 1, target, status)
+                    if config not in seen:
+                        seen.add(config)
+                        queue.append(config)
+    return results
+
+
+def suffix_acceptance(vsa: VSetAutomaton, document) -> List[FrozenSet]:
+    """``finishable[p]``: states that can accept ``document[p:]``
+    using only letters and epsilon moves (no variable operations)."""
+    n = len(document)
+    reverse_eps: Dict = {}
+    for source, symbol, target in vsa.nfa.transitions():
+        if symbol is EPSILON:
+            reverse_eps.setdefault(target, []).append(source)
+
+    def backward_eps_closure(states: Set) -> FrozenSet:
+        closure = set(states)
+        stack = list(states)
+        while stack:
+            state = stack.pop()
+            for prev in reverse_eps.get(state, ()):
+                if prev not in closure:
+                    closure.add(prev)
+                    stack.append(prev)
+        return frozenset(closure)
+
+    tables: List[FrozenSet] = [frozenset()] * (n + 1)
+    tables[n] = backward_eps_closure(set(vsa.nfa.finals))
+    for pos in range(n - 1, -1, -1):
+        symbol = document[pos]
+        direct = {
+            state
+            for state in vsa.nfa.states
+            if vsa.nfa.successors(state, symbol) & tables[pos + 1]
+        }
+        tables[pos] = backward_eps_closure(direct)
+    return tables

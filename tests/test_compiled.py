@@ -6,8 +6,9 @@ automata — including epsilon-heavy and empty-language cases — are
 checked for exact agreement between the compiled paths
 (``NFA.accepts``, ``NFA.is_empty``, ``NFA.to_dfa``,
 ``NFA.product_is_empty``, ``VSetAutomaton.evaluate``) and the
-interpreted references (``accepts_interpreted``,
-``evaluate_interpreted``, reachability over the materialized product).
+interpreted references (``accepts_interpreted`` and
+``evaluate_interpreted`` of ``tests/reference.py``, reachability over
+the materialized product).
 The kernel's run-walking search is also held against the breadth-first
 search it replaced (``tests/reference.py::reference_search``), and the
 chunk runner's literal test (``CompiledSpanner``) against both.
@@ -16,12 +17,12 @@ chunk runner's literal test (``CompiledSpanner``) against both.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.compiled import (
-    MAX_BYTE_ROWS,
     LazyDFA,
     bits,
     compile_nfa,
@@ -35,7 +36,13 @@ from repro.spanners.refwords import Close, Open, gamma
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.spanners.vset_automaton import VSetAutomaton
 
-from tests.reference import lowered_with_finishable, reference_search
+from tests.reference import (
+    accepts_interpreted,
+    evaluate_interpreted,
+    lowered_with_finishable,
+    reference_search,
+    suffix_acceptance,
+)
 
 ALPHABET = "ab"
 MAX_STATES = 6
@@ -107,14 +114,14 @@ def words_upto(alphabet: str, max_length: int):
 @given(random_nfas())
 def test_compiled_accepts_agrees(nfa):
     for word in words_upto(ALPHABET, 4):
-        assert nfa.accepts(word) == nfa.accepts_interpreted(word)
+        assert nfa.accepts(word) == accepts_interpreted(nfa, word)
 
 
 @settings(**SETTINGS)
 @given(random_nfas(epsilon_heavy=True))
 def test_compiled_accepts_agrees_epsilon_heavy(nfa):
     for word in words_upto(ALPHABET, 4):
-        assert nfa.accepts(word) == nfa.accepts_interpreted(word)
+        assert nfa.accepts(word) == accepts_interpreted(nfa, word)
 
 
 @settings(**SETTINGS)
@@ -138,7 +145,7 @@ def test_product_emptiness_agrees(left, right):
 def test_to_dfa_agrees(nfa):
     dfa = nfa.to_dfa()
     for word in words_upto(ALPHABET, 4):
-        assert dfa.accepts(word) == nfa.accepts_interpreted(word)
+        assert dfa.accepts(word) == accepts_interpreted(nfa, word)
 
 
 def test_empty_language_cases():
@@ -198,20 +205,10 @@ def test_lazy_dfa_lru_bound_and_agreement():
                 accepted = False
                 break
         accepted = accepted and bool(current & compiled.finals_mask)
-        assert accepted == nfa.accepts_interpreted(word)
+        assert accepted == accepts_interpreted(nfa, word)
     assert len(lazy) <= 3
     assert lazy.evictions > 0
     assert lazy.hits > 0
-
-
-def test_lazy_dfa_honors_requested_bound():
-    nfa = NFA(ALPHABET, range(2), 0, [1], [(0, "a", 1), (1, "b", 0)])
-    compiled = nfa.compiled()
-    default = compiled.lazy_dfa()
-    assert default.max_states == 4096
-    capped = compiled.lazy_dfa(max_states=64)
-    assert capped.max_states == 64
-    assert compiled.lazy_dfa(max_states=64) is capped  # cached per bound
 
 
 def test_bits_enumerates_set_bits():
@@ -226,7 +223,7 @@ def test_compiled_artifacts_pickle():
     compiled.accepts("ab")  # populate the lazy DFA memo
     clone = pickle.loads(pickle.dumps(compiled))
     for word in words_upto(ALPHABET, 4):
-        assert clone.accepts(word) == nfa.accepts_interpreted(word)
+        assert clone.accepts(word) == accepts_interpreted(nfa, word)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +245,7 @@ def test_compiled_evaluate_agrees(vsa):
     assert functional.compiled().finishable is None
     forced = lowered_with_finishable(functional)
     documents = words_upto("ab", 3)
-    expected = [vsa.evaluate_interpreted(document)
+    expected = [evaluate_interpreted(vsa, document)
                 for document in documents]
     for document, tuples in zip(documents, expected):
         assert vsa.evaluate(document) == tuples
@@ -263,7 +260,7 @@ def test_compiled_evaluate_agrees(vsa):
 @given(random_vset_automata(alphabet="a", variables=("x",)))
 def test_compiled_evaluate_agrees_unary(vsa):
     for document in words_upto("a", 4):
-        assert vsa.evaluate(document) == vsa.evaluate_interpreted(document)
+        assert vsa.evaluate(document) == evaluate_interpreted(vsa, document)
 
 
 def test_compiled_evaluate_epsilon_heavy_chain():
@@ -282,7 +279,7 @@ def test_compiled_evaluate_epsilon_heavy_chain():
     )
     vsa = VSetAutomaton("ab", {"x"}, nfa)
     for document in words_upto("ab", 4):
-        assert vsa.evaluate(document) == vsa.evaluate_interpreted(document)
+        assert vsa.evaluate(document) == evaluate_interpreted(vsa, document)
 
 
 def test_compiled_evaluate_empty_language():
@@ -298,7 +295,7 @@ def test_compiled_evaluate_empty_language():
     vsa = VSetAutomaton("a", {"x"}, nfa)
     for document in ["", "a", "aa"]:
         assert vsa.evaluate(document) == set()
-        assert vsa.evaluate_interpreted(document) == set()
+        assert evaluate_interpreted(vsa, document) == set()
 
 
 def test_variable_order_cached_and_stable():
@@ -319,13 +316,13 @@ def test_variable_order_cached_and_stable():
 
 
 # ----------------------------------------------------------------------
-# Kernel v2: byte-table tiers
+# Byte sweep against int sweep
 # ----------------------------------------------------------------------
 
 #: Documents mixing the test alphabet with latin-1-but-out-of-alphabet
 #: bytes, non-latin-1 BMP characters, and astral characters — the byte
-#: tier must dispatch (or fall back) per document and stay identical
-#: to the integer tier on every one of them.
+#: sweep must run (or give way) per document and stay identical to the
+#: integer sweep on every one of them.
 MIXED_DOCS = st.text(
     alphabet="ab .é\xffĀ日\U0001F600", max_size=8
 )
@@ -334,39 +331,44 @@ MIXED_DOCS = st.text(
 @settings(**SETTINGS)
 @given(random_nfas(), st.lists(MIXED_DOCS, max_size=6))
 def test_accept_tiers_agree(nfa, documents):
+    # One membership path for every kind of word: str, str with
+    # characters outside latin-1 (and outside the alphabet), and
+    # sequences of symbols that are not a str.
     compiled = nfa.compiled()
-    words = list(documents) + words_upto(ALPHABET, 4)
-    for word in words:
-        assert compiled.accepts(word) == compiled.accepts_v1(word)
-    assert compiled.accepts_batch(words) == [
-        compiled.accepts_v1(word) for word in words
-    ]
+    for word in list(documents) + words_upto(ALPHABET, 4):
+        expected = accepts_interpreted(nfa, word)
+        assert compiled.accepts(word) == expected
+        assert compiled.accepts(list(word)) == expected
+        assert compiled.accepts(tuple(word)) == expected
 
 
 @settings(**SETTINGS)
 @given(random_vset_automata(), st.lists(MIXED_DOCS, max_size=6))
 def test_suffix_and_evaluate_tiers_agree(vsa, documents):
-    v2 = lowered_with_finishable(vsa, byte_tables=True)
-    v1 = lowered_with_finishable(vsa, byte_tables=False)
-    assert v1.kernel_tier == "v1-int"
-    states = v2.base.state_id
+    # One lowering, both sweeps: what ``sweep`` selects given the
+    # encoded document against the int sweep it falls back to.
+    lowered = lowered_with_finishable(vsa)
+    states = lowered.base.state_id
     for document in list(documents) + words_upto("ab", 3):
-        tables = v2.finishable.sweep(document, latin1(document))
-        assert tables == v1.finishable.sweep_int(document)
+        data = latin1(document)
+        tables = lowered.finishable.sweep(document, data)
+        assert tables == lowered.finishable.sweep_int(document)
         # ... and both are the interpreter's table, restricted to the
         # states the lowering kept (the reachable ones).
-        assert [v2.base.mask_to_states(mask) for mask in tables] == [
+        assert [lowered.base.mask_to_states(mask) for mask in tables] == [
             frozenset(state for state in table if state in states)
-            for table in vsa._suffix_acceptance(document)
+            for table in suffix_acceptance(vsa, document)
         ]
         # ``alive``: byte sweep == int sweep, and it over-approximates
         # ``finishable`` at every position (variable operations are
         # extra free moves, never fewer).
-        alive = v2.alive.sweep(document, latin1(document))
-        assert alive == v1.alive.sweep_int(document)
+        alive = lowered.alive.sweep(document, data)
+        assert alive == lowered.alive.sweep_int(document)
         assert all(live & done == done
                    for live, done in zip(alive, tables))
-        assert v2.evaluate(document) == v1.evaluate(document) \
+        assert lowered.search(document, data) \
+            == lowered.search(document, None)
+        assert lowered.evaluate(document) \
             == compile_vset_automaton(vsa).evaluate(document)
 
 
@@ -384,49 +386,47 @@ def test_pruned_search_matches_interpreted(vsa, documents):
     # Non-functional automata, zero to two variables, latin-1 and
     # non-latin-1 documents: pruning on ``alive`` loses no tuple.
     for document in documents:
-        assert vsa.evaluate(document) == vsa.evaluate_interpreted(document)
+        assert vsa.evaluate(document) == evaluate_interpreted(vsa, document)
     assert CompiledSpanner(vsa).evaluate_batch(documents) == [
-        vsa.evaluate_interpreted(document) for document in documents
+        evaluate_interpreted(vsa, document) for document in documents
     ]
 
 
 @settings(**SETTINGS)
 @given(random_vset_automata())
 def test_byte_tier_matches_interpreted(vsa):
-    compiled = compile_vset_automaton(vsa, byte_tables=True)
+    compiled = compile_vset_automaton(vsa)
     for document in words_upto("ab", 3):
         assert compiled.evaluate(document) == \
-            vsa.evaluate_interpreted(document)
+            evaluate_interpreted(vsa, document)
 
 
 def test_wide_alphabet_reports_v1_tier():
-    # Non-latin-1 letters admit no byte lowering at all; results must
-    # come from (and the tier must honestly report) the int path.
+    # Membership does not care that the letters are not latin-1 (what
+    # the sweeps report for such an alphabet is
+    # ``test_explain_says_why_the_tier_is_not_bytes[wide]``).
     nfa = NFA("ΑΒ", range(2), 0, [1],
               [(0, "Α", 1), (1, "Β", 0)])
     compiled = nfa.compiled()
-    assert compiled.byte_dfa() is None
-    assert compiled.kernel_tier == "v1-int"
-    assert compiled.accepts("Α")
-    assert not compiled.accepts("Β")
-    assert compiled.accepts_batch(["Α", "ΑΒΑ", ""]) \
-        == [True, True, False]
+    assert [compiled.accepts(word) for word in ["Α", "Β", "ΑΒΑ", ""]] \
+        == [True, False, True, False]
 
 
 def test_byte_row_cap_falls_back_to_v1():
-    # (a|b)* a (a|b)^9 needs 2^9 forward subset states — past the
-    # 256-row cap, so the byte lowering must abandon ship while the
-    # lazy-DFA path keeps answering exactly.
+    # (a|b)* a (a|b)^9 needs 2^9 forward subset states; the lazy DFA
+    # builds only the ones a word visits and answers exactly.
     k = 9
     transitions = [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
     for i in range(1, k + 1):
         transitions += [(i, "a", i + 1), (i, "b", i + 1)]
     nfa = NFA(ALPHABET, range(k + 2), 0, [k + 1], transitions)
     compiled = nfa.compiled()
-    assert compiled.byte_dfa() is None
-    assert compiled.kernel_tier == "v1-int"
     assert compiled.accepts("a" + "b" * k)
     assert not compiled.accepts("b" * (k + 1))
+    for word in words_upto(ALPHABET, 4):
+        suffixed = word + "a" + "ab" * 4 + "b"
+        assert compiled.accepts(suffixed) == accepts_interpreted(nfa, suffixed)
+    assert len(compiled.lazy_dfa()) < 2 ** k
 
 
 @pytest.mark.parametrize("alphabet,k,tier,reason", [
@@ -497,14 +497,14 @@ def test_alive_row_cap_falls_back_alone():
         "tier": "v1-int", "fallback_reason": "byte rows > 256",
         "finishable_sweep": "on: not functional",
     }
-    reference = compile_vset_automaton(vsa, byte_tables=False)
     documents = ["", "b" * k + "a", "b" * (k + 1), "a" * (k + 3),
                  "ab" * k, "ba" * k]
     for document in documents:
         assert compiled.evaluate(document) == \
-            vsa.evaluate_interpreted(document)
-        assert compiled.evaluate(document) == reference.evaluate(document) \
-            == with_table.evaluate(document)
+            evaluate_interpreted(vsa, document)
+        # ``finishable`` on bytes, then on ints, under ``alive`` on ints.
+        assert compiled.evaluate(document) == with_table.evaluate(document) \
+            == with_table.search(document, None)[0]
     assert compiled.evaluate("ab" * k) == set()
     assert len(compiled.evaluate("ba" * k)) == 1
 
@@ -532,6 +532,29 @@ def test_dead_initial_state_expands_nothing():
     # validity (which ``alive`` ignores) kills every run; never here.
     assert compiled.evaluate("b b") == set()
     assert _counters()[0] == rejected + 5
+    # The same two counts on a fixed corpus of 200 sentences of 6-12
+    # tokens over ``bcdefgh``, every second one with one token replaced
+    # by an ``a``-run — the only thing the pattern matches.
+    spanner = compile_regex_formula(A_RUNS, frozenset("abcdefgh "))
+    compiled = spanner.compiled()
+    rng = random.Random(37)
+    for index in range(200):
+        words = ["".join(rng.choice("bcdefgh")
+                         for _ in range(rng.randint(2, 7)))
+                 for _ in range(rng.randint(6, 12))]
+        if index % 2:
+            words[rng.randrange(len(words))] = "a" * rng.randint(1, 4)
+        chunk = " ".join(words)
+        rejected, expanded = _counters()
+        found = compiled.evaluate(chunk)
+        assert found == evaluate_interpreted(spanner, chunk)
+        assert len(found) == index % 2
+        if found:
+            after = _counters()
+            assert after[0] == rejected
+            assert 0 < after[1] - expanded <= len(chunk) + 8
+        else:
+            assert _counters() == (rejected + 1, expanded)
 
 
 def test_runner_rejects_on_a_required_literal_before_any_sweep():
@@ -601,7 +624,7 @@ def test_step_zero_is_for_text_over_single_character_alphabets():
     spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
     runner = CompiledSpanner(spanner)
     for document in words_upto("ab ", 4):
-        expected = spanner.evaluate_interpreted(document)
+        expected = evaluate_interpreted(spanner, document)
         assert runner.evaluate(document) == expected
         assert runner.evaluate(list(document)) == expected
         assert runner.evaluate(tuple(document)) == expected
@@ -617,7 +640,7 @@ def test_step_zero_is_for_text_over_single_character_alphabets():
     assert runner.describe()["required_reason"] == "non-character alphabet"
     for document in (["c", "ab", "c"], ("ab",), ["c"], []):
         assert runner.evaluate(document) \
-            == tokens.evaluate_interpreted(document)
+            == evaluate_interpreted(tokens, document)
 
 
 def test_pickled_runner_keeps_its_literals():
@@ -698,32 +721,20 @@ def test_pool_equals_in_process_equals_whole(qz_queries, texts):
     assert pooled.over(texts).materialize() == expected
 
 
-def test_byte_dfa_has_bounded_rows():
-    nfa = NFA(ALPHABET, range(2), 0, [1], [(0, "a", 1), (1, "b", 0)])
-    dfa = nfa.compiled().byte_dfa()
-    assert dfa is not None
-    assert 1 <= dfa.n_rows <= MAX_BYTE_ROWS
-    assert len(dfa.blob) == dfa.n_rows * 256
-    # Row 0 is the dead sink: all-zero, non-accepting, self-looping.
-    assert set(dfa.rows[0]) == {0}
-    assert dfa.flags[0] == 0
-
-
 def test_byte_artifacts_pickle_across_protocols():
     nfa = NFA(ALPHABET, range(3), 0, [2],
               [(0, "a", 1), (1, EPSILON, 2), (2, "b", 0)])
     compiled = nfa.compiled()
-    assert compiled.kernel_tier == "v2-bytes"
     for protocol in (2, 4, 5):
         clone = pickle.loads(pickle.dumps(compiled, protocol=protocol))
-        assert clone.kernel_tier == "v2-bytes"
         for word in words_upto(ALPHABET, 4):
-            assert clone.accepts(word) == nfa.accepts_interpreted(word)
+            assert clone.accepts(word) == accepts_interpreted(nfa, word)
 
 
 def test_non_string_documents_use_int_tier():
-    # Sequences of symbols (not str) cannot be byte-encoded; the
-    # dispatching entry points must agree with the int tier on them.
+    # Sequences of symbols (not str) cannot be byte-encoded; ``sweep``
+    # must give them the int sweep and agree with the byte sweep of
+    # the same document as a str.
     x_open, x_close = Open("x"), Close("x")
     nfa = NFA(
         frozenset("ab") | gamma({"x"}),
@@ -752,8 +763,8 @@ def test_vsa_compiled_tracks_nfa_mutation():
     )
     vsa = VSetAutomaton("ab", {"x"}, nfa)
     before = vsa.evaluate("aa")
-    assert before == vsa.evaluate_interpreted("aa")
+    assert before == evaluate_interpreted(vsa, "aa")
     nfa.add_transition(1, "b", 1)  # widen the captured language
     after = vsa.evaluate("ab")
-    assert after == vsa.evaluate_interpreted("ab")
+    assert after == evaluate_interpreted(vsa, "ab")
     assert any(t["x"].length == 2 for t in after)

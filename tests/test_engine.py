@@ -324,13 +324,6 @@ class TestExtractionEngine:
         # Identical whole documents still deduplicate.
         assert engine.stats().chunk_cache_hits > 0
 
-    def test_sharded_run_matches_plain_run(self):
-        spanner = a_run_extractor()
-        engine = ExtractionEngine(registry())
-        plain = engine.run(DOCS, spanner)
-        sharded = ExtractionEngine(registry()).run_sharded(DOCS, spanner, 3)
-        assert sharded.by_document == plain.by_document
-
     def test_fast_executable_with_specification(self):
         spec = a_run_extractor()
         fast = RegexSpanner(r"(?:^|[ .])(?P<y>a+)(?=[ .]|$)",
@@ -379,13 +372,6 @@ class TestExtractionEngine:
             assert scheduler._pool is not None
         assert scheduler._pool is None        # closed on exit
         engine.close()                        # idempotent
-
-    def test_engine_result_merge_rejects_overlap(self):
-        spanner = a_run_extractor()
-        engine = ExtractionEngine(registry())
-        result = engine.run(DOCS[:2], spanner)
-        with pytest.raises(ValueError):
-            result.merge(result)
 
 
 # ----------------------------------------------------------------------

@@ -292,14 +292,6 @@ class TestEngineStats:
         assert delta.extra == {"shard": 0, "n": 3}
         assert "shard" in delta.snapshot()
 
-    def test_merge_sums_colliding_numeric_extras(self):
-        a = EngineStats(documents=1, extra={"n": 2, "label": "a"})
-        b = EngineStats(documents=2, extra={"n": 5, "label": "b"})
-        merged = a.merge(b)
-        assert merged.documents == 3
-        assert merged.extra["n"] == 7
-        assert merged.extra["label"] == "b"
-
     def test_stats_is_a_view_over_the_registry(self):
         engine = ExtractionEngine(token_registry())
         spanner = compile_regex_formula(PATTERN, ALPHABET)

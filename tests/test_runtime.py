@@ -4,6 +4,7 @@ pool, and the planner."""
 import multiprocessing
 import os
 import pickle
+import pickletools
 import random
 import subprocess
 import sys
@@ -181,17 +182,23 @@ assert resource_tracker._resource_tracker._pid is None
 
     @pytest.mark.parametrize("protocol", [2, 5])
     def test_byte_tables_pickle_by_value(self, protocol):
-        kernel = CompiledSpanner(a_run_extractor())._kernel
-        dfa = kernel.base.byte_dfa()
-        clone = pickle.loads(pickle.dumps(dfa, protocol=protocol))
-        assert (clone.blob, clone.flags, clone.start) \
-            == (dfa.blob, dfa.flags, dfa.start)
-        # A functional plan has the one table: nothing else is shipped.
+        runner = CompiledSpanner(a_run_extractor())
+        kernel = runner._kernel
         assert kernel.finishable is None
         sweeper = kernel.alive.byte_sweeper
         clone = pickle.loads(pickle.dumps(sweeper, protocol=protocol))
         assert (clone.blob, clone.masks, clone.start) \
             == (sweeper.blob, sweeper.masks, sweeper.start)
+        # A functional plan has the one table, and membership no
+        # forward one: ``alive``'s rows are the only table shipped.
+        kernel.base.accepts("aa a")
+        tables = [
+            arg if isinstance(arg, bytes) else arg.encode("latin-1")
+            for _opcode, arg, _position in pickletools.genops(
+                pickle.dumps(runner, protocol=protocol))
+            if isinstance(arg, (bytes, str)) and len(arg) >= 256
+        ]
+        assert tables == [sweeper.blob]
 
 
 #: Covers every registry builder's needs: space and newline (tokens,
