@@ -36,35 +36,49 @@ def nfa_contains(
 def containment_counterexample(
     left: NFA, right: NFA, alphabet: Optional[frozenset] = None
 ) -> Optional[Tuple[Symbol, ...]]:
-    """A shortest word in ``L(left) - L(right)``, or ``None``.
+    """A shortest word in ``L(left) - L(right)``, or ``None``."""
+    return containment_search(left, right, alphabet)[0]
+
+
+def containment_search(
+    left: NFA, right: NFA, alphabet: Optional[frozenset] = None
+) -> Tuple[Optional[Tuple[Symbol, ...]], int]:
+    """:func:`containment_counterexample` together with the number of
+    subset pairs the search explored (what certification reports as the
+    cost of its PSPACE step).
 
     Runs a BFS over pairs ``(P, Q)`` where ``P`` is the subset of
     ``left``-states and ``Q`` the subset of ``right``-states reached on
     the same word (both epsilon-closed).  A pair with ``P`` accepting
-    and ``Q`` not accepting yields the counterexample.
+    and ``Q`` not accepting yields the counterexample.  Only symbols
+    that leave ``P`` are tried — any other symbol empties ``P``, and a
+    word ``left`` cannot read is no counterexample — and each pair
+    remembers the pair and symbol it was first reached by, so the word
+    is spelled out once, for the pair that needs it.
     """
-    if alphabet is None:
-        alphabet = left.alphabet | right.alphabet
     start = (
         left.epsilon_closure({left.initial}),
         right.epsilon_closure({right.initial}),
     )
-    seen = {start}
-    queue: deque = deque([(start, ())])
+    reached_by = {start: None}
+    queue: deque = deque([start])
     while queue:
-        (p_set, q_set), word = queue.popleft()
+        pair = queue.popleft()
+        p_set, q_set = pair
         if (p_set & left.finals) and not (q_set & right.finals):
-            return word
-        for symbol in alphabet:
-            p_next = left.step(p_set, symbol)
-            if not p_next:
+            word = []
+            while reached_by[pair] is not None:
+                pair, symbol = reached_by[pair]
+                word.append(symbol)
+            return tuple(reversed(word)), len(reached_by)
+        for symbol, p_next in left.steps_from(p_set).items():
+            if alphabet is not None and symbol not in alphabet:
                 continue
-            q_next = right.step(q_set, symbol)
-            key = (p_next, q_next)
-            if key not in seen:
-                seen.add(key)
-                queue.append((key, word + (symbol,)))
-    return None
+            key = (p_next, right.step(q_set, symbol))
+            if key not in reached_by:
+                reached_by[key] = (pair, symbol)
+                queue.append(key)
+    return None, len(reached_by)
 
 
 def nfa_equivalent(left: NFA, right: NFA) -> bool:

@@ -60,10 +60,12 @@ class NFA:
 
     **Mutation contract:** the only supported post-construction
     mutation is :meth:`add_transition`, which invalidates the memoized
-    closures and the compiled form.  ``states``/``finals`` are exposed
-    as plain sets for cheap reading, but mutating them directly after
-    a query (``accepts``/``is_empty``/``to_dfa``) would leave the
-    cached compiled artifact stale — build a new NFA instead.
+    closures and the compiled form (a table handed to
+    :meth:`from_delta` is the automaton's from then on).
+    ``states``/``finals`` are exposed as plain sets for cheap reading,
+    but mutating them directly after a query
+    (``accepts``/``is_empty``/``to_dfa``) would leave the cached
+    compiled artifact stale — build a new NFA instead.
     """
 
     def __init__(
@@ -74,25 +76,75 @@ class NFA:
         finals: Iterable[State],
         transitions: Iterable[Tuple[State, Symbol, State]],
     ) -> None:
+        delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+        for source, symbol, target in transitions:
+            by_symbol = delta.get(source)
+            if by_symbol is None:
+                by_symbol = delta[source] = {}
+            targets = by_symbol.get(symbol)
+            if targets is None:
+                by_symbol[symbol] = {target}
+            else:
+                targets.add(target)
+        self._install(alphabet, states, initial, finals, delta)
+
+    @classmethod
+    def from_delta(
+        cls,
+        alphabet: Iterable[Symbol],
+        initial: State,
+        finals: Iterable[State],
+        delta: Dict[State, Dict[Symbol, Set[State]]],
+        states: Iterable[State] = (),
+    ) -> "NFA":
+        """Bulk construction from a finished transition table.
+
+        ``delta`` is ``{source: {symbol: {target, ...}}}`` and becomes
+        the automaton's own table — the caller must not keep mutating
+        it.  ``states`` only needs to name states no transition
+        touches.  The constructions (:meth:`trim`, :meth:`relabel`,
+        :meth:`product`, ``compose``, the extended form) build their
+        tables in place and hand them over here: the alphabet is checked
+        once per distinct symbol, not once per transition, and the
+        automaton starts in one mutation epoch.
+        """
+        nfa = cls.__new__(cls)
+        nfa._install(alphabet, states, initial, finals, delta)
+        return nfa
+
+    def _install(
+        self,
+        alphabet: Iterable[Symbol],
+        states: Iterable[State],
+        initial: State,
+        finals: Iterable[State],
+        delta: Dict[State, Dict[Symbol, Set[State]]],
+    ) -> None:
+        """Adopt ``delta`` (shared tail of both constructors)."""
         self.alphabet: FrozenSet[Symbol] = frozenset(alphabet)
         if EPSILON in self.alphabet:
             raise ValueError("EPSILON cannot be an alphabet symbol")
-        self.states: Set[State] = set(states)
         self.initial: State = initial
         self.finals: Set[State] = set(finals)
-        self._delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+        self.states: Set[State] = set(states)
+        self.states.add(initial)
+        self.states.update(self.finals)
+        self.states.update(delta)
+        used: Set[Symbol] = set()
+        for by_symbol in delta.values():
+            used.update(by_symbol)
+            self.states.update(*by_symbol.values())
+        used.discard(EPSILON)
+        if not used <= self.alphabet:
+            symbol = next(iter(used - self.alphabet))
+            raise ValueError(f"symbol {symbol!r} not in alphabet")
+        self._delta = delta
         # Memoized per-state views and the compiled (integer/bitset)
         # form; all invalidated together by add_transition.
         self._closure_cache: Dict[State, FrozenSet[State]] = {}
         self._symbols_cache: Dict[State, FrozenSet[Symbol]] = {}
         self._compiled = None
         self._version = 0
-        self.states.add(initial)
-        self.states.update(self.finals)
-        for source, symbol, target in transitions:
-            self.add_transition(source, symbol, target)
-        if not self.finals <= self.states:
-            raise ValueError("final states must be states")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -197,6 +249,26 @@ class NFA:
             moved.update(self._delta.get(state, {}).get(symbol, ()))
         return self.epsilon_closure(moved)
 
+    def steps_from(
+        self, states: AbstractSet[State]
+    ) -> Dict[Symbol, FrozenSet[State]]:
+        """:meth:`step` on every symbol that leaves ``states`` at all,
+        in one pass over their rows — what a subset search wants
+        instead of probing the whole alphabet."""
+        moved: Dict[Symbol, Set[State]] = {}
+        for state in states:
+            for symbol, targets in self._delta.get(state, {}).items():
+                if symbol is not EPSILON:
+                    into = moved.get(symbol)
+                    if into is None:
+                        moved[symbol] = set(targets)
+                    else:
+                        into.update(targets)
+        return {
+            symbol: self.epsilon_closure(targets)
+            for symbol, targets in moved.items()
+        }
+
     def accepts(self, word: Sequence[Symbol]) -> bool:
         """Membership test on the compiled form (lazy-DFA memoized)."""
         return self.compiled().accepts(word)
@@ -220,9 +292,15 @@ class NFA:
 
     def coreachable_states(self) -> FrozenSet[State]:
         """States from which some final state is reachable."""
-        backward: Dict[State, Set[State]] = {}
-        for source, _symbol, target in self.transitions():
-            backward.setdefault(target, set()).add(source)
+        backward: Dict[State, list] = {}
+        for source, by_symbol in self._delta.items():
+            for targets in by_symbol.values():
+                for target in targets:
+                    sources = backward.get(target)
+                    if sources is None:
+                        backward[target] = [source]
+                    else:
+                        sources.append(source)
         seen = set(self.finals)
         queue = deque(seen)
         while queue:
@@ -242,11 +320,19 @@ class NFA:
         useful = self.reachable_states() & self.coreachable_states()
         if self.initial not in useful:
             return NFA(self.alphabet, [self.initial], self.initial, [], [])
-        transitions = [
-            (s, a, t) for (s, a, t) in self.transitions() if s in useful and t in useful
-        ]
-        return NFA(
-            self.alphabet, useful, self.initial, self.finals & useful, transitions
+        delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+        for source, by_symbol in self._delta.items():
+            if source not in useful:
+                continue
+            row = {}
+            for symbol, targets in by_symbol.items():
+                kept = targets & useful
+                if kept:
+                    row[symbol] = kept
+            if row:
+                delta[source] = row
+        return NFA.from_delta(
+            self.alphabet, self.initial, self.finals & useful, delta, useful
         )
 
     def is_empty(self) -> bool:
@@ -318,31 +404,39 @@ class NFA:
         """
         alphabet = self.alphabet & other.alphabet
         initial = (self.initial, other.initial)
-        transitions = []
+        delta: Dict[State, Dict[Symbol, Set[State]]] = {}
         seen = {initial}
         queue = deque([initial])
         finals = set()
+        no_moves: Dict[Symbol, Set[State]] = {}
         while queue:
-            p, q = queue.popleft()
+            pair = queue.popleft()
+            p, q = pair
             if p in self.finals and q in other.finals:
-                finals.add((p, q))
-            moves = []
-            for symbol in self.symbols_from(p):
+                finals.add(pair)
+            q_moves = other._delta.get(q, no_moves)
+            row: Dict[Symbol, Set[State]] = {}
+            for symbol, p_targets in self._delta.get(p, no_moves).items():
                 if symbol is EPSILON:
-                    for p2 in self.successors(p, EPSILON):
-                        moves.append((EPSILON, (p2, q)))
+                    row[EPSILON] = {(p2, q) for p2 in p_targets}
                 elif symbol in alphabet:
-                    for p2 in self.successors(p, symbol):
-                        for q2 in other.successors(q, symbol):
-                            moves.append((symbol, (p2, q2)))
-            for q2 in other.successors(q, EPSILON):
-                moves.append((EPSILON, (p, q2)))
-            for symbol, target in moves:
-                transitions.append(((p, q), symbol, target))
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        return NFA(alphabet, seen, initial, finals, transitions)
+                    q_targets = q_moves.get(symbol)
+                    if q_targets:
+                        row[symbol] = {
+                            (p2, q2) for p2 in p_targets for q2 in q_targets
+                        }
+            q_silent = q_moves.get(EPSILON)
+            if q_silent:
+                row.setdefault(EPSILON, set()).update(
+                    (p, q2) for q2 in q_silent
+                )
+            if row:
+                delta[pair] = row
+                for targets in row.values():
+                    fresh = targets - seen
+                    seen |= fresh
+                    queue.extend(fresh)
+        return NFA.from_delta(alphabet, initial, finals, delta, seen)
 
     def union(self, other: "NFA") -> "NFA":
         """Union automaton via a fresh initial state."""
@@ -396,29 +490,26 @@ class NFA:
         The constructions in :mod:`repro.core` nest products inside
         products; relabeling keeps the state objects small.
         """
-        order: Dict[State, int] = {}
-
-        def number(state: State) -> int:
-            if state not in order:
-                order[state] = len(order)
-            return order[state]
-
-        number(self.initial)
+        order: Dict[State, int] = {self.initial: 0}
         queue = deque([self.initial])
-        transitions = []
-        seen = {self.initial}
+        delta: Dict[State, Dict[Symbol, Set[State]]] = {}
         while queue:
             state = queue.popleft()
-            by_symbol = self._delta.get(state, {})
+            by_symbol = self._delta.get(state)
+            if not by_symbol:
+                continue
+            row = delta[order[state]] = {}
             for symbol in sorted(by_symbol, key=repr):
+                numbered = set()
                 for target in sorted(by_symbol[symbol], key=repr):
-                    transitions.append((number(state), symbol, number(target)))
-                    if target not in seen:
-                        seen.add(target)
+                    number = order.get(target)
+                    if number is None:
+                        number = order[target] = len(order)
                         queue.append(target)
+                    numbered.add(number)
+                row[symbol] = numbered
         finals = {order[f] for f in self.finals if f in order}
-        states = set(order.values())
-        return NFA(self.alphabet, states, 0, finals, transitions)
+        return NFA.from_delta(self.alphabet, 0, finals, delta, order.values())
 
     # ------------------------------------------------------------------
     # Determinization

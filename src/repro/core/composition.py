@@ -14,7 +14,7 @@ provided:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Set
+from typing import Callable, Dict, Hashable, Set
 
 from repro.automata.nfa import EPSILON, NFA
 from repro.core.spans import Span, SpanTuple
@@ -22,6 +22,7 @@ from repro.spanners.refwords import VarOp, gamma
 from repro.spanners.vset_automaton import VSetAutomaton
 
 Variable = Hashable
+Symbol = Hashable
 
 
 def splitter_variable(splitter: VSetAutomaton) -> Variable:
@@ -66,70 +67,115 @@ def compose(spanner: VSetAutomaton, splitter: VSetAutomaton) -> VSetAutomaton:
     chunk, and ``("post", q_S)`` afterwards.  The splitter is made
     functional first so that every accepting run opens and closes its
     variable exactly once.
+
+    **Reachable only.**  The three-phase product is explored forward
+    from ``("pre", q0_S)``, so a ``("mid", q_S, q_P)`` triple exists
+    only if some run reaches it; Lemma C.2's automaton is the full
+    ``|Q_S| x |delta_P|`` product, and the two differ exactly in states
+    no run from the initial state visits — which accept nothing and
+    were trimmed away by the previous construction after it had built
+    them.  The transitions out of each reached state are the lemma's,
+    unchanged, so the spanner is the same.  The result is trim, with
+    integer states in discovery order.
     """
     if splitter_variable(splitter) in spanner.variables:
         splitter = splitter.rename_variables(
             {splitter_variable(splitter): ("xS-fresh",)}
         )
-    s_nfa = splitter.valid_ref_nfa().trim()
+    s_nfa = splitter.valid_ref_nfa()
     p_nfa = spanner.nfa
     x = splitter_variable(splitter)
     open_x = VarOp(x, False)
     close_x = VarOp(x, True)
     doc_alphabet = spanner.doc_alphabet | splitter.doc_alphabet
     variables = spanner.variables
-    alphabet = doc_alphabet | gamma(variables)
 
-    transitions = []
-    states = set()
+    # Each side's moves, sorted once by what they mean to the product:
+    # the splitter's silent steps, its opening and closing of x and its
+    # letters; the spanner's steps while the splitter stands still
+    # (epsilon, variable operations) and its letters.
+    nothing: Dict = {}
+    s_moves = {}
+    for q, by_symbol in s_nfa._delta.items():
+        silent = opens = closes = ()
+        letters = {}
+        for symbol, targets in by_symbol.items():
+            if symbol is EPSILON:
+                silent = targets
+            elif symbol == open_x:
+                opens = targets
+            elif symbol == close_x:
+                closes = targets
+            else:
+                # A functional splitter has no other variable operations.
+                letters[symbol] = targets
+        s_moves[q] = (silent, opens, closes, letters)
+    s_still = ((), (), (), nothing)
+    p_moves = {}
+    for p, by_symbol in p_nfa._delta.items():
+        still, letters = {}, {}
+        for symbol, targets in by_symbol.items():
+            if symbol is EPSILON or isinstance(symbol, VarOp):
+                still[symbol] = targets
+            else:
+                letters[symbol] = targets
+        p_moves[p] = (still, letters)
+    p_still = (nothing, nothing)
+    p_initial, p_finals = p_nfa.initial, p_nfa.finals
 
-    def pre(q):
-        return ("pre", q)
-
-    def mid(q, p):
-        return ("mid", q, p)
-
-    def post(q):
-        return ("post", q)
-
-    for source, symbol, target in s_nfa.transitions():
-        if symbol is EPSILON:
-            transitions.append((pre(source), EPSILON, pre(target)))
-            transitions.append((post(source), EPSILON, post(target)))
-            for p in p_nfa.states:
-                transitions.append((mid(source, p), EPSILON, mid(target, p)))
-        elif symbol == open_x:
-            transitions.append(
-                (pre(source), EPSILON, mid(target, p_nfa.initial))
-            )
-        elif symbol == close_x:
-            for p in p_nfa.finals:
-                transitions.append((mid(source, p), EPSILON, post(target)))
-        elif isinstance(symbol, VarOp):
-            # A functional splitter has no other variable operations.
-            continue
+    # States are numbered as the exploration discovers them, so the
+    # nested products built on top (the validity filter, the extended
+    # form, compositions of compositions) hash small integers.
+    initial = ("pre", s_nfa.initial)
+    number = {initial: 0}
+    delta: Dict[int, Dict[Symbol, Set[int]]] = {}
+    stack = [initial]
+    while stack:
+        state = stack.pop()
+        phase, q = state[0], state[1]
+        silent, opens, closes, s_letters = s_moves.get(q, s_still)
+        if phase == "mid":
+            p = state[2]
+            still, p_letters = p_moves.get(p, p_still)
+            row = {
+                symbol: {("mid", q, p2) for p2 in p_targets}
+                for symbol, p_targets in still.items()
+            }
+            quiet = {("mid", q2, p) for q2 in silent}
+            if closes and p in p_finals:
+                quiet.update(("post", q2) for q2 in closes)
+            if quiet:
+                row.setdefault(EPSILON, set()).update(quiet)
+            for symbol, s_targets in s_letters.items():
+                p_targets = p_letters.get(symbol)
+                if p_targets:
+                    row[symbol] = {
+                        ("mid", q2, p2)
+                        for q2 in s_targets for p2 in p_targets
+                    }
         else:
-            transitions.append((pre(source), symbol, pre(target)))
-            transitions.append((post(source), symbol, post(target)))
-            for p_source, p_symbol, p_target in p_nfa.transitions():
-                if p_symbol == symbol:
-                    transitions.append(
-                        (mid(source, p_source), symbol, mid(target, p_target))
-                    )
-
-    # Inside the split, P's epsilon moves and variable operations happen
-    # while the splitter stands still.
-    for q in s_nfa.states:
-        for p_source, p_symbol, p_target in p_nfa.transitions():
-            if p_symbol is EPSILON or isinstance(p_symbol, VarOp):
-                transitions.append(
-                    (mid(q, p_source), p_symbol, mid(q, p_target))
-                )
-
-    initial = pre(s_nfa.initial)
-    finals = {post(q) for q in s_nfa.finals}
-    states.update([initial])
-    states.update(finals)
-    nfa = NFA(alphabet, states, initial, finals, transitions).trim()
-    composed = VSetAutomaton(doc_alphabet, variables, nfa)
-    return composed.relabel()
+            row = {
+                symbol: {(phase, q2) for q2 in s_targets}
+                for symbol, s_targets in s_letters.items()
+            }
+            quiet = {(phase, q2) for q2 in silent}
+            if phase == "pre":
+                quiet.update(("mid", q2, p_initial) for q2 in opens)
+            if quiet:
+                row[EPSILON] = quiet
+        if row:
+            numbered = delta[number[state]] = {}
+            for symbol, targets in row.items():
+                ids = numbered[symbol] = set()
+                for target in targets:
+                    known = number.get(target)
+                    if known is None:
+                        known = number[target] = len(number)
+                        stack.append(target)
+                    ids.add(known)
+    finals = {number[("post", q)] for q in s_nfa.finals
+              if ("post", q) in number}
+    nfa = NFA.from_delta(
+        doc_alphabet | gamma(variables), 0, finals, delta
+    ).trim()
+    return VSetAutomaton(doc_alphabet, variables, nfa)

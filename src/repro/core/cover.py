@@ -124,7 +124,7 @@ def _cover_automaton_p(spanner: VSetAutomaton) -> NFA:
     accepted ref-word of ``P`` and the bits are 1 exactly from the
     first variable operation through the last one.
     """
-    base = spanner.valid_ref_nfa().trim()
+    base = spanner.valid_ref_nfa()
     transitions = []
     states = set()
     for source, symbol, target in base.transitions():
@@ -166,7 +166,7 @@ def _cover_automaton_s(
     after its variable closes); the spanner's variable operations are
     self-loops because the splitter does not read them.
     """
-    s_nfa = splitter.valid_ref_nfa().trim()
+    s_nfa = splitter.valid_ref_nfa()
     x = splitter_variable(splitter)
     open_x, close_x = VarOp(x, False), VarOp(x, True)
     doc_alphabet = spanner.doc_alphabet | splitter.doc_alphabet

@@ -39,8 +39,8 @@ def canonical_split_spanner(
     ``P_S^can(d) = {t | exists d', s in S(d'), d'_s = d,
     (t >> s) in P(d')}``.  Polynomial-size construction.
     """
-    p_nfa = spanner.valid_ref_nfa().trim()
-    s_nfa = splitter.valid_ref_nfa().trim()
+    p_nfa = spanner.valid_ref_nfa()
+    s_nfa = splitter.valid_ref_nfa()
     x = splitter_variable(splitter)
     open_x, close_x = VarOp(x, False), VarOp(x, True)
     doc_alphabet = spanner.doc_alphabet | splitter.doc_alphabet

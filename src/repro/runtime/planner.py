@@ -12,10 +12,13 @@ developer can spot unintended boundary crossings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.self_splittability import is_self_splittable
+from repro.core.split_correctness import (
+    CertificationAccount,
+    split_correct_account,
+)
 from repro.core.splittability import canonical_split_spanner, is_splittable
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.fast import FastSplitter
@@ -73,6 +76,11 @@ class Plan:
     theorem: Optional[str] = field(default=None, compare=False)
     #: Human-readable name of the decision procedure that actually ran.
     procedure: Optional[str] = field(default=None, compare=False)
+    #: What the Theorem 5.16 run that certified this plan built and
+    #: searched; ``None`` when another procedure decided it (the PTIME
+    #: fragment, the canonical rewriting, the whole-document fallback).
+    certification: Optional[CertificationAccount] = field(
+        default=None, compare=False)
 
     def lower(self) -> int:
         """Lower the split spanner onto the compiled kernel.
@@ -134,7 +142,11 @@ class CertifiedPlan:
         needed), the paper theorem and concrete procedure that
         certified it, the compiled-artifact identity, what splits
         documents at run time, and the certification cost/reuse
-        accounting.
+        accounting — under ``certification``, what the deciding
+        Theorem 5.16 run built (``P``, ``S``, ``P o S`` and both
+        extended forms, by state count), how many subset pairs it
+        searched, and its ``construct_seconds`` against its
+        ``search_seconds``.
         """
         plan = self.plan
         runner = plan.compiled_runner
@@ -164,6 +176,8 @@ class CertifiedPlan:
             "splitter_executor": (plan.splitter.describe_executor()
                                   if plan.splitter is not None else None),
             "certification_seconds": self.certification_seconds,
+            "certification": (asdict(plan.certification)
+                              if plan.certification is not None else None),
             "certificate": self.fingerprint,
             "reuses": self.reuses,
             "artifacts_compiled": self.artifacts_compiled,
@@ -242,8 +256,10 @@ class Planner:
 
     ``tracer`` (:class:`repro.obs.trace.Tracer`) brackets planning in
     spans: one ``certify.candidate`` span per splitter examined —
-    carrying the splitter name, the theorem that decided it, and the
-    decision — under the ``certify`` span :meth:`certify` opens, plus
+    carrying the splitter name, the theorem that decided it, the
+    decision and, for a Theorem 5.16 run, its ``certification``
+    account (what was built, what was searched, seconds of each) —
+    under the ``certify`` span :meth:`certify` opens, plus
     a ``compile`` span for the kernel lowering.  The default disabled
     tracer makes all of that a no-op.
     """
@@ -265,8 +281,9 @@ class Planner:
     ):
         """Decide ``P = P o S`` per ``self.method``.
 
-        Returns ``(answer, theorem, procedure)`` recording which paper
-        result actually ran (explain metadata).
+        Returns ``(answer, theorem, procedure, account)`` recording
+        which paper result actually ran (explain metadata) and, for the
+        general procedure, what it built and searched.
         """
         if self.method != "general":
             from repro.core.api import _fast_applicable
@@ -278,15 +295,15 @@ class Planner:
                 return (is_self_splittable_dfvsa(spanner, automaton,
                                                  check=False),
                         "Theorem 5.17",
-                        "dfVSA self-splittability (PTIME)")
+                        "dfVSA self-splittability (PTIME)", None)
             if self.method == "fast":
                 # Outside the tractable fragment: 'fast' never runs a
                 # PSPACE procedure, so the candidate is skipped rather
                 # than certified.
-                return (False, None, None)
-        return (is_self_splittable(spanner, automaton),
-                "Theorem 5.16",
-                "general self-splittability (PSPACE)")
+                return (False, None, None, None)
+        account = split_correct_account(spanner, spanner, automaton)
+        return (account.verdict, "Theorem 5.16",
+                "general self-splittability (PSPACE)", account)
 
     def analyse(self, spanner: VSetAutomaton) -> List[SplitReport]:
         """The debugging report: how ``spanner`` splits by each
@@ -304,7 +321,7 @@ class Planner:
             automaton = registered.automaton
             witness = overlap_witness(automaton)
             disjoint = witness is None
-            self_split, _theorem, _procedure = \
+            self_split, _theorem, _procedure, _account = \
                 self._certify_self_splittable(spanner, automaton)
             splittable: Optional[bool]
             if self_split:
@@ -342,16 +359,20 @@ class Planner:
             with tracer.span("certify.candidate",
                              splitter=registered.name,
                              check="self-splittability") as span:
-                answer, theorem, procedure = self._certify_self_splittable(
-                    spanner, registered.automaton
-                )
+                answer, theorem, procedure, account = \
+                    self._certify_self_splittable(
+                        spanner, registered.automaton
+                    )
                 span.set("decision", answer)
                 if theorem is not None:
                     span.set("theorem", theorem)
                     span.set("procedure", procedure)
+                if account is not None and tracer.enabled:
+                    span.set("certification", asdict(account))
             if answer:
                 return Plan("split", registered, None, self_splittable=True,
-                            theorem=theorem, procedure=procedure)
+                            theorem=theorem, procedure=procedure,
+                            certification=account)
         for registered in self.splitters:
             if self.method == "fast":
                 # The splittability test (and its canonical rewriting)

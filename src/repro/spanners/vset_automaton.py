@@ -230,19 +230,26 @@ class VSetAutomaton:
 
         Variable operations are projected to epsilon after filtering to
         valid ref-words, so acceptance coincides with non-empty output
-        (Section 7.2's minimal filter language, Lemma 7.5).
+        (Section 7.2's minimal filter language, Lemma 7.5).  Built once
+        per mutation epoch and shared: callers must not mutate it.
         """
+        return self._memoised("match_language", self._build_match_language)
+
+    def _build_match_language(self) -> NFA:
         valid = self.valid_ref_nfa()
-        transitions = []
-        for source, symbol, target in valid.transitions():
-            if isinstance(symbol, VarOp):
-                transitions.append((source, EPSILON, target))
-            else:
-                transitions.append((source, symbol, target))
-        return NFA(
-            self.doc_alphabet, valid.states, valid.initial, valid.finals,
-            transitions,
-        ).trim()
+        delta: Dict[Hashable, Dict[Symbol, Set[Hashable]]] = {}
+        for source, by_symbol in valid._delta.items():
+            row = delta[source] = {}
+            for symbol, targets in by_symbol.items():
+                if isinstance(symbol, VarOp):
+                    symbol = EPSILON
+                row.setdefault(symbol, set()).update(targets)
+        # Every state of ``valid`` is useful and stays so under the
+        # projection, so there is nothing left to trim.
+        return NFA.from_delta(
+            self.doc_alphabet, valid.initial, valid.finals, delta,
+            valid.states,
+        )
 
     # ------------------------------------------------------------------
     # Validity and functionality (Section 4.2)
@@ -283,11 +290,22 @@ class VSetAutomaton:
         return NFA(alphabet, states, initial, finals, transitions)
 
     def valid_ref_nfa(self) -> NFA:
-        """The NFA accepting ``Ref(A)``: valid accepted ref-words only."""
-        return self.nfa.product(self._validity_tracker()).trim()
+        """The trim NFA accepting ``Ref(A)``: valid accepted ref-words
+        only.  Built once per mutation epoch and shared — the match
+        language, the extended form, ``compose`` and the cover
+        constructions all start from it — so callers must not mutate
+        it (:meth:`to_functional` hands out a copy)."""
+        return self._memoised(
+            "valid_ref_nfa",
+            lambda: self.nfa.product(self._validity_tracker()).trim(),
+        )
 
     def is_functional(self) -> bool:
-        """Whether every accepted ref-word is valid (``R(A) = Ref(A)``)."""
+        """Whether every accepted ref-word is valid (``R(A) = Ref(A)``);
+        decided once per mutation epoch."""
+        return self._memoised("is_functional", self._decide_functional)
+
+    def _decide_functional(self) -> bool:
         tracker = self._validity_tracker()
         # Make the tracker total, flip finals, and look for an accepted
         # invalid ref-word.
@@ -313,46 +331,11 @@ class VSetAutomaton:
     def to_functional(self) -> "VSetAutomaton":
         """An equivalent functional VSet-automaton (validity filter)."""
         return VSetAutomaton(self.doc_alphabet, self.variables,
-                             self.valid_ref_nfa())
+                             self.valid_ref_nfa().copy())
 
     # ------------------------------------------------------------------
     # Canonical extended form (Theorem 4.1 machinery)
     # ------------------------------------------------------------------
-
-    def _gamma_reach(
-        self, base: NFA
-    ) -> Dict[Tuple[Hashable, FrozenSet[VarOp]], Set[Hashable]]:
-        """For each state ``p``: which states are reachable via variable
-        operations and epsilon moves, grouped by the exact op-set used.
-
-        ``base`` must already be validity-filtered, so no operation can
-        repeat along a path and the op-sets stay small.
-        """
-        reach: Dict[Tuple[Hashable, FrozenSet[VarOp]], Set[Hashable]] = {}
-        for origin in base.states:
-            seen = {(origin, frozenset())}
-            queue = deque(seen)
-            while queue:
-                state, ops = queue.popleft()
-                reach.setdefault((origin, ops), set()).add(state)
-                for symbol in base.symbols_from(state):
-                    if symbol is EPSILON:
-                        item = (state, ops)
-                        for target in base.successors(state, EPSILON):
-                            item = (target, ops)
-                            if item not in seen:
-                                seen.add(item)
-                                queue.append(item)
-                    elif isinstance(symbol, VarOp):
-                        if symbol in ops:
-                            continue
-                        new_ops = ops | {symbol}
-                        for target in base.successors(state, symbol):
-                            item = (target, new_ops)
-                            if item not in seen:
-                                seen.add(item)
-                                queue.append(item)
-        return reach
 
     def extended_nfa(self) -> NFA:
         """The canonical block-form NFA of the spanner.
@@ -361,7 +344,20 @@ class VSetAutomaton:
         (O_n, END)`` where ``O_k`` is the set of variable operations
         performed between letters.  Two valid ref-words denote the same
         (document, tuple) pair iff their block encodings coincide, so
-        spanner containment is language containment of these NFAs.
+        spanner containment is language containment of these NFAs
+        (Theorem 4.1).
+
+        **Letter-target origins.**  A block ``(O, s)`` of an accepted
+        word starts where the previous block ended — at the initial
+        state or at the target of a letter transition — so the
+        operation/epsilon closure is computed from those states only,
+        and each closure emits its block transitions as it is explored.
+        Every other state of the validity-filtered automaton could only
+        be an unreachable state of the extended form, which the
+        previous construction built and then trimmed away; the language
+        is the same, state for state.  Because the filtered automaton
+        is trim, every origin reaches a final state and therefore the
+        accepting sink: the result is trim as built.
 
         Built once per mutation epoch — an equivalence test asks for
         each side's form twice — so callers share the result and must
@@ -370,26 +366,54 @@ class VSetAutomaton:
         return self._memoised("extended_nfa", self._build_extended_nfa)
 
     def _build_extended_nfa(self) -> NFA:
-        base = self.valid_ref_nfa().trim()
-        reach = self._gamma_reach(base)
+        base = self.valid_ref_nfa()
+        moves, finals = base._delta, base.finals
+        no_moves: Dict[Symbol, Set[Hashable]] = {}
         accept = ("ext-accept",)
-        transitions = []
-        alphabet = set()
-        for (origin, ops), mids in reach.items():
-            for mid in mids:
-                for symbol in base.symbols_from(mid):
-                    if symbol is EPSILON or isinstance(symbol, VarOp):
+        no_ops: FrozenSet[VarOp] = frozenset()
+        delta: Dict[Hashable, Dict[Symbol, Set[Hashable]]] = {}
+        origins = [base.initial]
+        known = {base.initial}
+        while origins:
+            origin = origins.pop()
+            row: Dict[Symbol, Set[Hashable]] = {}
+            # ``base`` is validity-filtered, so no operation repeats on
+            # a path and the op-sets stay small.
+            seen = {(origin, no_ops)}
+            stack = list(seen)
+            while stack:
+                state, ops = stack.pop()
+                if state in finals:
+                    row[(ops, END_MARKER)] = {accept}
+                for symbol, targets in moves.get(state, no_moves).items():
+                    if symbol is EPSILON:
+                        reached = ops
+                    elif isinstance(symbol, VarOp):
+                        reached = ops | {symbol}
+                    else:
+                        block = row.get((ops, symbol))
+                        if block is None:
+                            row[(ops, symbol)] = set(targets)
+                        else:
+                            block.update(targets)
+                        for target in targets:
+                            if target not in known:
+                                known.add(target)
+                                origins.append(target)
                         continue
-                    label = (ops, symbol)
-                    alphabet.add(label)
-                    for target in base.successors(mid, symbol):
-                        transitions.append((origin, label, target))
-                if mid in base.finals:
-                    label = (ops, END_MARKER)
-                    alphabet.add(label)
-                    transitions.append((origin, label, accept))
-        states = set(base.states) | {accept}
-        return NFA(alphabet, states, base.initial, {accept}, transitions).trim()
+                    for target in targets:
+                        item = (target, reached)
+                        if item not in seen:
+                            seen.add(item)
+                            stack.append(item)
+            if row:
+                delta[origin] = row
+        alphabet = set()
+        for row in delta.values():
+            alphabet.update(row)
+        # An empty ``delta`` is the empty spanner: nothing accepts.
+        finals = {accept} if delta else ()
+        return NFA.from_delta(alphabet, base.initial, finals, delta, known)
 
     # ------------------------------------------------------------------
 

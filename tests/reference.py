@@ -24,7 +24,11 @@ scanners (:mod:`repro.runtime.fast`), kept as their oracles, and
 configuration search before it walked runs, and the dict-of-sets
 interpreter the kernel replaced (:func:`accepts_interpreted`,
 :func:`evaluate_interpreted`, :func:`suffix_acceptance`), moved out of
-``src/`` unchanged but for ``self``.
+``src/`` unchanged but for ``self``; and the certification
+constructions as they were before they built only what is reachable:
+:func:`reference_compose` (Lemma C.2's full three-phase product, then
+trimmed) and :func:`reference_extended_nfa` over
+:func:`reference_gamma_reach` (a closure from *every* state).
 """
 
 from __future__ import annotations
@@ -54,9 +58,10 @@ from repro.automata.compiled import (
 from repro.automata.nfa import EPSILON, NFA
 from repro.core.spans import Span, SpanTuple, flat_span_tuple
 from repro.index.factors import GRAM, FactorSet
-from repro.spanners.refwords import VarOp
+from repro.core.composition import splitter_variable
+from repro.spanners.refwords import VarOp, gamma
 from repro.spanners.regex_formulas import Capture, svars
-from repro.spanners.vset_automaton import VSetAutomaton
+from repro.spanners.vset_automaton import END_MARKER, VSetAutomaton
 
 
 def documents_upto(alphabet: Iterable[str], max_length: int) -> Iterator[str]:
@@ -599,3 +604,144 @@ def suffix_acceptance(vsa: VSetAutomaton, document) -> List[FrozenSet]:
         }
         tables[pos] = backward_eps_closure(direct)
     return tables
+
+
+# ----------------------------------------------------------------------
+# Certification's constructions before they built only what is reachable
+# ----------------------------------------------------------------------
+
+
+def reference_compose(
+    spanner: VSetAutomaton, splitter: VSetAutomaton
+) -> VSetAutomaton:
+    """``spanner o splitter`` as Lemma C.2 states it: every
+    ``("mid", q_S, q_P)`` transition of the full product is emitted,
+    whether or not a run reaches it, and ``trim`` discards the rest
+    (``core/composition.py::compose`` before it explored forward)."""
+    if splitter_variable(splitter) in spanner.variables:
+        splitter = splitter.rename_variables(
+            {splitter_variable(splitter): ("xS-fresh",)}
+        )
+    s_nfa = splitter.valid_ref_nfa().trim()
+    p_nfa = spanner.nfa
+    x = splitter_variable(splitter)
+    open_x = VarOp(x, False)
+    close_x = VarOp(x, True)
+    doc_alphabet = spanner.doc_alphabet | splitter.doc_alphabet
+    variables = spanner.variables
+    alphabet = doc_alphabet | gamma(variables)
+
+    transitions = []
+    states = set()
+
+    def pre(q):
+        return ("pre", q)
+
+    def mid(q, p):
+        return ("mid", q, p)
+
+    def post(q):
+        return ("post", q)
+
+    for source, symbol, target in s_nfa.transitions():
+        if symbol is EPSILON:
+            transitions.append((pre(source), EPSILON, pre(target)))
+            transitions.append((post(source), EPSILON, post(target)))
+            for p in p_nfa.states:
+                transitions.append((mid(source, p), EPSILON, mid(target, p)))
+        elif symbol == open_x:
+            transitions.append(
+                (pre(source), EPSILON, mid(target, p_nfa.initial))
+            )
+        elif symbol == close_x:
+            for p in p_nfa.finals:
+                transitions.append((mid(source, p), EPSILON, post(target)))
+        elif isinstance(symbol, VarOp):
+            # A functional splitter has no other variable operations.
+            continue
+        else:
+            transitions.append((pre(source), symbol, pre(target)))
+            transitions.append((post(source), symbol, post(target)))
+            for p_source, p_symbol, p_target in p_nfa.transitions():
+                if p_symbol == symbol:
+                    transitions.append(
+                        (mid(source, p_source), symbol, mid(target, p_target))
+                    )
+
+    # Inside the split, P's epsilon moves and variable operations happen
+    # while the splitter stands still.
+    for q in s_nfa.states:
+        for p_source, p_symbol, p_target in p_nfa.transitions():
+            if p_symbol is EPSILON or isinstance(p_symbol, VarOp):
+                transitions.append(
+                    (mid(q, p_source), p_symbol, mid(q, p_target))
+                )
+
+    initial = pre(s_nfa.initial)
+    finals = {post(q) for q in s_nfa.finals}
+    states.update([initial])
+    states.update(finals)
+    nfa = NFA(alphabet, states, initial, finals, transitions).trim()
+    composed = VSetAutomaton(doc_alphabet, variables, nfa)
+    return composed.relabel()
+
+
+def reference_gamma_reach(
+    base: NFA,
+) -> Dict[Tuple[Hashable, FrozenSet[VarOp]], Set[Hashable]]:
+    """For each state ``p`` of ``base``: which states are reachable via
+    variable operations and epsilon moves, grouped by the exact op-set
+    used (``VSetAutomaton._gamma_reach``).  ``base`` must already be
+    validity-filtered, so no operation can repeat along a path."""
+    reach: Dict[Tuple[Hashable, FrozenSet[VarOp]], Set[Hashable]] = {}
+    for origin in base.states:
+        seen = {(origin, frozenset())}
+        queue = deque(seen)
+        while queue:
+            state, ops = queue.popleft()
+            reach.setdefault((origin, ops), set()).add(state)
+            for symbol in base.symbols_from(state):
+                if symbol is EPSILON:
+                    item = (state, ops)
+                    for target in base.successors(state, EPSILON):
+                        item = (target, ops)
+                        if item not in seen:
+                            seen.add(item)
+                            queue.append(item)
+                elif isinstance(symbol, VarOp):
+                    if symbol in ops:
+                        continue
+                    new_ops = ops | {symbol}
+                    for target in base.successors(state, symbol):
+                        item = (target, new_ops)
+                        if item not in seen:
+                            seen.add(item)
+                            queue.append(item)
+    return reach
+
+
+def reference_extended_nfa(vsa: VSetAutomaton) -> NFA:
+    """The canonical block-form NFA of ``vsa`` built from the closure
+    of every state and trimmed afterwards
+    (``VSetAutomaton._build_extended_nfa`` before it started closures
+    only where blocks start)."""
+    base = vsa.valid_ref_nfa().trim()
+    reach = reference_gamma_reach(base)
+    accept = ("ext-accept",)
+    transitions = []
+    alphabet = set()
+    for (origin, ops), mids in reach.items():
+        for mid in mids:
+            for symbol in base.symbols_from(mid):
+                if symbol is EPSILON or isinstance(symbol, VarOp):
+                    continue
+                label = (ops, symbol)
+                alphabet.add(label)
+                for target in base.successors(mid, symbol):
+                    transitions.append((origin, label, target))
+            if mid in base.finals:
+                label = (ops, END_MARKER)
+                alphabet.add(label)
+                transitions.append((origin, label, accept))
+    states = set(base.states) | {accept}
+    return NFA(alphabet, states, base.initial, {accept}, transitions).trim()
