@@ -27,15 +27,31 @@ certify` lowers at certify time, so the engine's plan cache replays
 compiled artifacts and workers never re-lower).
 
 :class:`CompiledVSetAutomaton` extends the kernel to spanner
-evaluation.  Evaluating one document is **a reverse sweep and a
-forward walk along the runs it left alive**
-(:meth:`CompiledVSetAutomaton.search`, the one search routine):
+evaluation.  Evaluating one document is **a forward step along the
+main line, a reverse sweep of what is left, and a walk along the runs
+that sweep left alive** (:meth:`CompiledVSetAutomaton.search`, the one
+search routine):
 
-1. the ``alive`` sweep — ``alive[p]`` is the bitset of states from
-   which *some* run over ``document[p:]`` reaches a final state when
-   variable operations are free moves, like epsilon.  If the initial
-   state is not in ``alive[0]`` the answer is empty and evaluation
-   stops there: one table chase for a chunk that holds no match;
+0. the *main line* — every state has one 256-entry byte row whose
+   entry for a byte is the next state when exactly one letter move
+   reads that byte and no variable operation from the state (closed
+   over further operations) can read it, and a ``BRANCH`` or ``DEAD``
+   sentinel otherwise.  From the initial state the search takes one
+   row step per byte up to the first branch point ``p`` (the end of
+   the document always is one).  Before ``p`` exactly one
+   configuration exists — one successor per letter, and any variable
+   operation dies on the next byte — so nothing is lost by not
+   sweeping or walking there.  On a deterministic automaton
+   (:meth:`repro.spanners.vset_automaton.VSetAutomaton.determinized`,
+   what the chunk runner lowers) the main line runs up to the first
+   place a capture could begin; on an automaton with parallel ``.*``
+   states it is usually empty;
+1. the ``alive`` sweep over ``document[p:]`` — ``alive[q]`` is the
+   bitset of states from which *some* run over ``document[q:]``
+   reaches a final state when variable operations are free moves, like
+   epsilon.  If the main line's state is not in ``alive[p]`` the
+   answer is empty and evaluation stops there: one table chase for a
+   chunk that holds no match;
 2. for automata that are **not functional** only, the ``finishable``
    sweep — suffix acceptance over letters and epsilon only, which
    answers the rest of a run exactly once every variable is closed.
@@ -45,13 +61,15 @@ forward walk along the runs it left alive**
    close), so its lowering neither builds nor sweeps the table: a
    matching chunk of a functional plan sweeps its bytes once, not
    twice;
-3. a walk over ``(position, state_id, status)`` configurations —
+3. a walk over ``(position, state_id, status)`` configurations from
+   ``(p, main-line state)`` —
    ``status`` being the result's own flat ``(b1, e1, b2, e2, ...)``
    int tuple, ``0`` where unset, handed to
    :func:`repro.core.spans.flat_span_tuple` as it is — against
    precomputed per-state move tables.  Where exactly one letter
    successor is in ``alive`` the walk advances ``(position, state)``
-   in local variables; only branch points (a live variable operation,
+   in local variables, by the same row step as the main line wherever
+   the row has an entry; only branch points (a live variable operation,
    several live letter successors) put configurations on a stack,
    deduplicated through a ``seen`` set.  It visits configurations
    that lie on an accepting run and nothing else, and allocates for
@@ -71,6 +89,21 @@ lost — whether or not the automaton is functional.  What the
 over-approximation costs is only that a non-functional automaton may
 keep some configurations a sharper analysis would drop; the walk
 still rejects their invalid operations one by one, as before.
+
+**Why the main line loses nothing.**  A row entry is a state only when
+that state is the one letter successor on the byte and no state an
+operation (or a chain of them) reaches from here reads the byte.  So
+from a single configuration ``(q, s, status)`` with ``q`` before the
+end of the document, every run either takes that letter move or
+performs operations and then has no way to read ``document[q]`` — it
+dies, valid or not.  Starting from the one initial configuration, by
+induction exactly one configuration exists at every position up to
+the first ``BRANCH`` (or the end, where an operation could still reach
+a final state), and a ``DEAD`` entry means not even that one survives.
+The walk's row steps rest on the same argument: past an entry, the
+operations skipped could not have read the byte either.  The bound on
+the walk below — (pushed configurations) × (document length) — is
+unchanged, since the main line pushes nothing.
 
 Both tables are one recurrence over two closures
 (:class:`SuffixTable`), built at lowering time and swept by one
@@ -96,11 +129,14 @@ holds one against the other).  Which sweep ``alive`` — the one every
 evaluated document pays — has is reported as
 :attr:`CompiledVSetAutomaton.kernel_tier` (``"v2-bytes"``/``"v1-int"``)
 with :attr:`CompiledVSetAutomaton.fallback_reason`, and surfaces in
-``explain()``.  The process-global registry records sweep volume and
-table sizes as ``kernel.bytes_swept`` / ``kernel.table_bytes`` and why
-chunks were cheap as ``kernel.chunks_rejected`` (answered without a
-walk: by a required literal in the chunk runner, or by ``alive[0]``) /
-``kernel.configs_expanded`` (configurations the walks visited).
+``explain()``.  The process-global registry records table sizes as
+``kernel.table_bytes``, where a document's bytes went as
+``kernel.main_line_bytes`` (stepped forward on the main line) /
+``kernel.bytes_swept`` (swept by a byte machine), and why chunks were
+cheap as ``kernel.chunks_rejected`` (answered without a walk: by a
+required literal in the chunk runner, by a ``DEAD`` byte on the main
+line, or by ``alive``) / ``kernel.configs_expanded`` (configurations
+the walks visited) — bumped once per evaluation call, not per sweep.
 """
 
 from __future__ import annotations
@@ -212,6 +248,21 @@ def _epsilon_closures(eps_edges: List[int], n: int) -> List[int]:
 #: the cap aborts the byte lowering; the table stays on the int sweep.
 MAX_BYTE_ROWS = 256
 
+#: The sentinels of a state's main-line byte row
+#: (:attr:`CompiledVSetAutomaton.rows`): ``BRANCH`` where the run may
+#: fork (several letter moves, a variable operation that can read the
+#: byte, or a successor whose id does not fit below the sentinels),
+#: ``DEAD`` where nothing reads the byte.  Every smaller entry is the
+#: one next state.
+BRANCH = 254
+DEAD = 255
+
+
+def _split_rows(blob: bytes) -> List[bytes]:
+    """A blob of 256-byte rows as a list of rows, for
+    ``rows[row_id][byte]`` — two C-level indexes per step."""
+    return [blob[start:start + 256] for start in range(0, len(blob), 256)]
+
 
 def letter_byte(symbol: Symbol) -> Optional[int]:
     """The byte value of a letter symbol, or ``None`` when the symbol
@@ -269,26 +320,27 @@ class ByteSuffixSweeper:
         self.blob = blob
         self.masks: Tuple[int, ...] = tuple(masks)
         self.start = start
-        self.n_rows = len(blob) // 256
-        self.rows: List[bytes] = [
-            blob[i * 256:(i + 1) * 256] for i in range(self.n_rows)
-        ]
-        self._swept = kernel_metrics().counter("kernel.bytes_swept")
+        self.rows: List[bytes] = _split_rows(blob)
+        self.n_rows = len(self.rows)
 
     def table_bytes(self) -> int:
         return len(self.blob)
 
-    def sweep_bytes(self, data) -> List[int]:
-        """The table's bitsets for one encoded document."""
+    def sweep_bytes(self, data, start: int = 0) -> List[int]:
+        """The table's bitsets for one encoded document, swept over
+        ``data[start:]`` only; the ``start`` positions before it hold
+        ``0``.  Nothing is counted here: the caller knows how many
+        bytes it had swept and reports them once per batch."""
         rows = self.rows
         masks = self.masks
         rid = self.start
         out = [masks[rid]]
         append = out.append
-        for b in data[::-1]:
+        for b in data[:start - 1:-1] if start else data[::-1]:
             rid = rows[rid][b]
             append(masks[rid])
-        self._swept.inc(len(data))
+        if start:
+            out.extend(bytes(start))
         out.reverse()
         return out
 
@@ -693,9 +745,11 @@ class SuffixTable:
         )
         return sweeper
 
-    def sweep(self, document: Sequence[Symbol],
-              data: Optional[bytes]) -> List[int]:
-        """The table's bitset at every position ``0..len(document)``.
+    def sweep(self, document: Sequence[Symbol], data: Optional[bytes],
+              start: int = 0) -> List[int]:
+        """The table's bitset at every position ``start..len(document)``,
+        indexed by position (the ``start`` entries before it are ``0``:
+        the search's main line already stepped over them).
 
         ``data`` is :func:`latin1` of ``document`` (encoded once per
         evaluation, shared by both tables): the byte sweeper runs when
@@ -705,10 +759,11 @@ class SuffixTable:
         """
         sweeper = self.byte_sweeper
         if sweeper is not None and data is not None:
-            return sweeper.sweep_bytes(data)
-        return self.sweep_int(document)
+            return sweeper.sweep_bytes(data, start)
+        return self.sweep_int(document, start)
 
-    def sweep_int(self, document: Sequence[Symbol]) -> List[int]:
+    def sweep_int(self, document: Sequence[Symbol],
+                  start: int = 0) -> List[int]:
         """The masked integer sweep: per position, OR the precomputed
         ``rev`` masks of the next table's set bits — work is
         O(popcount) per position instead of a scan over all states."""
@@ -716,7 +771,7 @@ class SuffixTable:
         tables = [0] * (n + 1)
         tables[n] = self.seed
         rev = self.rev
-        for pos in range(n - 1, -1, -1):
+        for pos in range(n - 1, start - 1, -1):
             row = rev.get(document[pos])
             if row is not None:
                 tables[pos] = _or_rows(row, tables[pos + 1])
@@ -743,6 +798,7 @@ class CompiledVSetAutomaton:
         var_targets: List[int],
         alive: SuffixTable,
         finishable: Optional[SuffixTable],
+        row_blob: bytes,
     ) -> None:
         self.base = base
         self.variables = variables
@@ -768,6 +824,21 @@ class CompiledVSetAutomaton:
         #: when the automaton is functional: the test then always
         #: passes (see :meth:`search`), so the table is never built.
         self.finishable = finishable
+        #: One 256-byte row per state, concatenated: the entry for a
+        #: byte is the one next state, or :data:`BRANCH` / :data:`DEAD`
+        #: (see :func:`_main_line_rows`).  Pickled by value; ``rows``
+        #: is its per-state view.
+        self.row_blob = row_blob
+        self.rows: List[bytes] = _split_rows(row_blob)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["rows"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.rows = _split_rows(self.row_blob)
 
     @property
     def kernel_tier(self) -> str:
@@ -798,21 +869,29 @@ class CompiledVSetAutomaton:
     def evaluate(self, document: Sequence[Symbol]) -> Set:
         """Exact enumeration of ``A(d)``; agrees with the dict-of-sets
         interpreter of ``tests/reference.py`` on every document."""
-        results, visited = self.search(document, latin1(document))
-        count_evaluations(0 if visited else 1, visited)
+        results, visited, main_line, swept = self.search(
+            document, latin1(document))
+        count_evaluations(0 if visited else 1, visited, main_line, swept)
         return results
 
-    def search(self, document: Sequence[Symbol],
-               data: Optional[bytes]) -> Tuple[Set, int]:
-        """``(A(d), configurations visited)``: a reverse sweep and a
-        forward walk along the runs it left alive.  ``data`` is
-        :func:`latin1` of ``document``.
+    def search(self, document: Sequence[Symbol], data: Optional[bytes],
+               ) -> Tuple[Set, int, int, int]:
+        """``(A(d), configurations visited, main-line bytes, bytes
+        swept)``: a forward step along the main line, a reverse sweep
+        of the rest and a walk along the runs it left alive.  ``data``
+        is :func:`latin1` of ``document``; the main line needs it
+        (rows are indexed by byte), so without it the line is empty.
 
-        1. Sweep ``alive``.  If the initial state is not in
-           ``alive[0]`` no run over the document accepts, valid or
-           not: the answer is empty and nothing is visited (the count
-           is 0 exactly in this case — a walk always visits its start
-           configuration).
+        0. Step along the main line: one row lookup per byte from the
+           initial state, up to the first ``BRANCH`` entry or the end
+           of the document — position ``p``.  Up to ``p`` the run has
+           exactly one configuration (see the module docstring); a
+           ``DEAD`` entry means it dies, and the answer is empty.
+        1. Sweep ``alive`` over ``document[p:]``.  If the main line's
+           state is not in ``alive[p]`` no run over the document
+           accepts, valid or not: the answer is empty and nothing is
+           visited (the count is 0 exactly in these cases — a walk
+           always visits its start configuration).
         2. Sweep ``finishable`` — only when the automaton is not
            functional.  A configuration is only ever entered with its
            state in ``alive``, so its prefix extends to an accepted
@@ -821,39 +900,63 @@ class CompiledVSetAutomaton:
            variable is closed, so the extension reads letters and
            epsilons only: the state is in ``finishable``, the test the
            table exists for cannot fail, and neither exists.
-        3. Walk ``(pos, state, status)`` configurations.  While
-           exactly one letter successor is in ``alive`` the run has one
-           way on and the walk takes it in local variables, pushing
-           the targets of any live variable move it passes.  Only
-           those, and the successors where several letter moves are
-           live, become configurations on the stack, deduplicated
-           through ``seen``.  Configurations carry the count of
-           not-yet-closed variables, so the all-closed collapse is an
-           integer comparison.
+        3. Walk ``(pos, state, status)`` configurations from ``(p,
+           main-line state)``.  While exactly one letter successor is
+           in ``alive`` the run has one way on and the walk takes it in
+           local variables — by a row step where the row has an entry
+           (no operation can read the byte, so none is live), else by
+           the move tables, pushing the targets of any live variable
+           move it passes.  Only those, and the successors where
+           several letter moves are live, become configurations on the
+           stack, deduplicated through ``seen``.  Configurations carry
+           the count of not-yet-closed variables, so the all-closed
+           collapse is an integer comparison.
 
         Walked configurations are not deduplicated, so runs of an
         ambiguous automaton that merge are followed once per pushed
         configuration they start from: the work is at most
         (pushed configurations) x (document length), and the pushed
         ones are distinct — polynomial, where enumerating runs is not.
+        The byte count says what the byte machines swept (``alive``,
+        and ``finishable`` when there is one), not the integer sweeps.
         """
-        alive = self.alive.sweep(document, data)
-        if not (alive[0] >> self.base.initial_id) & 1:
-            return set(), 0
-        finishable = (None if self.finishable is None
-                      else self.finishable.sweep(document, data))
+        rows = self.rows
+        branch = BRANCH
+        state = self.base.initial_id
+        start = 0
+        if data is not None:
+            for code in data:
+                step = rows[state][code]
+                if step >= branch:
+                    if step == DEAD:
+                        return set(), 0, start, 0
+                    break
+                state = step
+                start += 1
+        tail = len(data) - start if data is not None else 0
+        alive = self.alive.sweep(document, data, start)
+        swept = tail if self.alive.byte_sweeper is not None else 0
+        if not (alive[start] >> state) & 1:
+            return set(), 0, start, swept
+        finishable = None
+        if self.finishable is not None:
+            finishable = self.finishable.sweep(document, data, start)
+            if self.finishable.byte_sweeper is not None:
+                swept += tail
         variables = self.variables
         letter_moves = self.letter_moves
         var_moves = self.var_moves
         var_targets = self.var_targets
+        n = len(document)
+        codes = data if data is not None else b""
+        end = len(codes)
 
         # The status *is* the result's stored form: ``begin, end`` per
         # variable in column order, ``0`` where not yet set.
         results: Set = set()
-        start = (0, self.base.initial_id, (0,) * (2 * len(variables)),
-                 len(variables))
-        seen = {start}
-        stack = [start]
+        first = (start, state, (0,) * (2 * len(variables)), len(variables))
+        seen = {first}
+        stack = [first]
         visited = 0
         while stack:
             pos, state, status, open_vars = stack.pop()
@@ -864,6 +967,16 @@ class CompiledVSetAutomaton:
                 continue
             origin = pos
             while True:
+                if pos < end:
+                    step = rows[state][codes[pos]]
+                    if step < branch:
+                        if not (alive[pos + 1] >> step) & 1:
+                            break
+                        pos += 1
+                        state = step
+                        continue
+                    if step == DEAD:
+                        break
                 ops = var_targets[state]
                 if ops and ops & alive[pos]:
                     live = alive[pos]
@@ -879,22 +992,26 @@ class CompiledVSetAutomaton:
                             remaining = open_vars
                         moved = (status[:slot] + (pos + 1,)
                                  + status[slot + 1:])
-                        for target in bits(targets):
-                            config = (pos, target, moved, remaining)
+                        while targets:
+                            low = targets & -targets
+                            targets ^= low
+                            config = (pos, low.bit_length() - 1, moved,
+                                      remaining)
                             if config not in seen:
                                 seen.add(config)
                                 stack.append(config)
-                try:
-                    letter = document[pos]
-                except IndexError:
+                if pos == n:
                     break  # the document ended with a variable open
-                targets = letter_moves[state].get(letter)
+                targets = letter_moves[state].get(document[pos])
                 if not targets:
                     break
                 targets &= alive[pos + 1]
                 if targets & (targets - 1):
-                    for target in bits(targets):
-                        config = (pos + 1, target, status, open_vars)
+                    while targets:
+                        low = targets & -targets
+                        targets ^= low
+                        config = (pos + 1, low.bit_length() - 1, status,
+                                  open_vars)
                         if config not in seen:
                             seen.add(config)
                             stack.append(config)
@@ -904,20 +1021,27 @@ class CompiledVSetAutomaton:
                 pos += 1
                 state = targets.bit_length() - 1
             visited += pos - origin
-        return results, visited
+        return results, visited, start, swept
 
 
-def count_evaluations(rejected: int, visited: int) -> None:
+def count_evaluations(rejected: int, visited: int, main_line: int,
+                      swept: int) -> None:
     """Say why chunks were cheap: ``kernel.chunks_rejected`` counts
-    documents answered without a walk (by a required literal or by
-    ``alive[0]``), ``kernel.configs_expanded`` the configurations the
-    walks of the others visited.  Looked up per call, so unpickled
-    artifacts report into their own process's registry."""
+    documents answered without a walk (by a required literal, by the
+    main line or by ``alive``), ``kernel.configs_expanded`` the
+    configurations the walks of the others visited, and
+    ``kernel.main_line_bytes`` / ``kernel.bytes_swept`` where the
+    bytes went.  Called once per batch; looked up per call, so
+    unpickled artifacts report into their own process's registry."""
     metrics = kernel_metrics()
     if rejected:
         metrics.counter("kernel.chunks_rejected").inc(rejected)
     if visited:
         metrics.counter("kernel.configs_expanded").inc(visited)
+    if main_line:
+        metrics.counter("kernel.main_line_bytes").inc(main_line)
+    if swept:
+        metrics.counter("kernel.bytes_swept").inc(swept)
 
 
 def _reverse_tables(
@@ -1021,11 +1145,56 @@ def compile_vset_automaton(vsa) -> CompiledVSetAutomaton:
             elif index in varop_ids:
                 free_edges[s] |= mask
 
+    free_closure = _epsilon_closures(free_edges, n)
     alive = SuffixTable(*_reverse_tables(
-        _epsilon_closures(free_edges, n), letter_sources, base.finals_mask))
+        free_closure, letter_sources, base.finals_mask))
     finishable = None if vsa.is_functional() else SuffixTable(
         *_reverse_tables(base.closure, letter_sources, base.finals_mask))
     return CompiledVSetAutomaton(
         base, variables, letter_moves, var_moves, var_targets, alive,
-        finishable,
+        finishable, _main_line_rows(letter_moves, var_targets, free_closure),
     )
+
+
+def _main_line_rows(letter_moves: List[Dict[Symbol, int]],
+                    var_targets: List[int],
+                    free_closure: List[int]) -> bytes:
+    """The concatenated 256-byte rows of :attr:`CompiledVSetAutomaton.
+    rows`.
+
+    A state's entry for byte ``b`` is ``BRANCH`` when some state that
+    one or more variable operations (with epsilons between) reach from
+    it reads ``b`` — ``free_closure`` of the operation targets — and
+    otherwise the one letter successor on ``b`` (``BRANCH`` when there
+    are several or its id does not fit below the sentinels, ``DEAD``
+    when there is none).  Letters that are not single latin-1
+    characters get no entry: a document holding them has no bytes.
+    """
+    reads = []
+    for letters in letter_moves:
+        mask = 0
+        for letter in letters:
+            byte = letter_byte(letter)
+            if byte is not None:
+                mask |= 1 << byte
+        reads.append(mask)
+    blob = bytearray([DEAD]) * (256 * len(letter_moves))
+    for s, letters in enumerate(letter_moves):
+        offset = 256 * s
+        after_ops = 0
+        for t in bits(var_targets[s]):
+            after_ops |= free_closure[t]
+        forked = 0
+        for t in bits(after_ops):
+            forked |= reads[t]
+        for byte in bits(forked):
+            blob[offset + byte] = BRANCH
+        for letter, targets in letters.items():
+            byte = letter_byte(letter)
+            if byte is None or (forked >> byte) & 1:
+                continue
+            target = targets.bit_length() - 1
+            blob[offset + byte] = (
+                BRANCH if targets & (targets - 1) or target >= BRANCH
+                else target)
+    return bytes(blob)

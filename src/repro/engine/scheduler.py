@@ -307,8 +307,7 @@ class Scheduler:
                     },
                 )], parent_id=span.span_id)
             results.extend(group)
-            for seconds in task.chunk_seconds:
-                latency.observe(seconds)
+            latency.observe_many(task.chunk_seconds)
             metrics.counter("engine.worker_busy_seconds",
                             pid=task.pid).inc(task.busy_seconds)
             metrics.counter("engine.worker_chunks",

@@ -153,6 +153,18 @@ class Histogram:
             self.sum += value
             self.count += 1
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """``observe`` each value, under one lock: what a batch of
+        chunk latencies costs once instead of once per chunk."""
+        buckets = self.buckets
+        indexes = [bisect.bisect_left(buckets, value) for value in values]
+        with self._lock:
+            counts = self.counts
+            for index in indexes:
+                counts[index] += 1
+            self.sum += sum(values)
+            self.count += len(indexes)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

@@ -167,7 +167,9 @@ def _evaluate_task(
     chunk_seconds: List[float] = []
     started, clock_started = time.time(), time.perf_counter()
     results = evaluate_chunks(
-        _WORKER_RUNNER, texts, SimpleNamespace(observe=chunk_seconds.append)
+        _WORKER_RUNNER, texts,
+        SimpleNamespace(observe=chunk_seconds.append,
+                        observe_many=chunk_seconds.extend),
     )
     return results, TaskTelemetry(
         os.getpid(), started, time.perf_counter() - clock_started,

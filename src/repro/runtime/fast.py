@@ -31,6 +31,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 from repro.automata.compiled import (count_evaluations, latin1,
                                      letter_byte)
 from repro.core.spans import Span, SpanTuple
+from repro.spanners.determinism import MAX_DETERMINISED_SUBSETS
 from repro.spanners.vset_automaton import VSetAutomaton
 
 
@@ -258,16 +259,34 @@ class CompiledSpanner:
     on ``str`` documents.  ``VSetAutomaton.evaluate`` — what
     ``evaluate_whole`` runs, the oracle of every differential — never
     takes this step.
+
+    What is lowered is the specification's deterministic functional
+    equivalent (:meth:`~repro.spanners.vset_automaton.VSetAutomaton.
+    determinized`, Proposition 4.4): one successor per letter, so the
+    kernel's main line runs up to the first place a capture could begin
+    instead of stopping at the first byte two parallel ``.*`` states
+    both read.  When the subset construction passes its cap the
+    specification is lowered as given, through the same search;
+    ``describe()["determinised"]`` says which.  ``VSetAutomaton.
+    evaluate`` keeps lowering the automaton as given, so every
+    differential against it compares two different automata.
     """
 
     def __init__(self, specification: VSetAutomaton) -> None:
         self.specification = specification
-        before = specification.lowerings
-        self._kernel = specification.compiled()
+        determinised = specification.determinized()
+        lowered = specification if determinised is None else determinised
+        before = lowered.lowerings
+        self._kernel = lowered.compiled()
         #: Whether constructing this wrapper actually lowered the
-        #: specification (vs. reusing its cached artifact) — what the
+        #: automaton (vs. reusing its cached artifact) — what the
         #: engine's ``artifacts_compiled`` counter records.
-        self.freshly_lowered = specification.lowerings > before
+        self.freshly_lowered = lowered.lowerings > before
+        self._determinised = (
+            f"kept: subset states > {MAX_DETERMINISED_SUBSETS}"
+            if determinised is None else
+            {"from": specification.state_count(),
+             "to": determinised.state_count()})
         #: The alphabet's single-byte letters, as ``bytes.translate``
         #: deletes them.
         self._letters = bytes(sorted(
@@ -301,9 +320,10 @@ class CompiledSpanner:
 
         The batch entry the scheduler (and pool workers) feed whole
         missing-chunk batches into; ``latency`` is an optional
-        histogram observing per-document seconds (the engine's
-        ``engine.chunk_eval_seconds``) without a second dispatch
-        layer.  The kernel counters are bumped once for the batch.
+        histogram that receives every document's seconds in one
+        ``observe_many`` (the engine's ``engine.chunk_eval_seconds``)
+        without a second dispatch layer.  The kernel counters are
+        bumped once for the batch.
         """
         check = self.specification.check_document
         letters = self._letters
@@ -312,8 +332,9 @@ class CompiledSpanner:
         min_length = self._min_length
         results: List[Set[SpanTuple]] = []
         append = results.append
-        rejected = visited_total = 0
+        rejected = visited_total = main_line_total = swept_total = 0
         clock = time.perf_counter
+        seconds: List[float] = []
         for document in documents:
             if latency is not None:
                 started = clock()
@@ -333,22 +354,30 @@ class CompiledSpanner:
             if hopeless:
                 found, visited = set(), 0
             else:
-                found, visited = search(document, data)
+                found, visited, main_line, swept = search(document, data)
+                main_line_total += main_line
+                swept_total += swept
             if latency is not None:
-                latency.observe(clock() - started)
+                seconds.append(clock() - started)
             append(found)
             if visited:
                 visited_total += visited
             else:
                 rejected += 1
-        count_evaluations(rejected, visited_total)
+        if seconds:
+            latency.observe_many(seconds)
+        count_evaluations(rejected, visited_total, main_line_total,
+                          swept_total)
         return results
 
     def describe(self) -> Dict[str, object]:
         """What lowering decided, for ``explain()["kernel"]``: the
-        kernel's tier and sweeps, and the literals step 0 tests first
-        (or why it tests none)."""
+        kernel's tier and sweeps, whether the automaton was
+        determinised (its state counts before and after) or why it was
+        kept, and the literals step 0 tests first (or why it tests
+        none)."""
         report = self._kernel.describe()
+        report["determinised"] = self._determinised
         report["required"] = list(self._required)
         report["required_reason"] = self._required_reason
         return report

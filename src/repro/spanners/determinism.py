@@ -18,8 +18,9 @@ operation chains.
 from __future__ import annotations
 
 from collections import deque
-from typing import FrozenSet, Set
+from typing import FrozenSet, Optional, Set
 
+from repro.automata.compiled import MAX_BYTE_ROWS
 from repro.automata.nfa import EPSILON, NFA
 from repro.spanners.refwords import VarOp
 from repro.spanners.vset_automaton import (
@@ -67,8 +68,17 @@ def is_dfvsa(automaton: VSetAutomaton) -> bool:
     return is_deterministic(automaton) and automaton.is_functional()
 
 
-def _determinize_extended(extended: NFA) -> NFA:
-    """Subset construction over the block alphabet.
+#: How many subsets :func:`determinize_within_cap` — what a chunk
+#: runner lowers (:meth:`VSetAutomaton.determinized`) — may build: the
+#: byte-row limit, so a plan whose subset construction blows up pays a
+#: bounded price at lowering and keeps the automaton as given.
+MAX_DETERMINISED_SUBSETS = MAX_BYTE_ROWS
+
+
+def _determinize_extended(extended: NFA,
+                          cap: Optional[int] = None) -> Optional[NFA]:
+    """Subset construction over the block alphabet; ``None`` once it
+    has built more than ``cap`` subsets.
 
     Only symbols actually present are considered; missing symbols lead
     to rejection anyway.  The result has at most one successor per
@@ -96,7 +106,19 @@ def _determinize_extended(extended: NFA) -> NFA:
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
+        if cap is not None and len(seen) > cap:
+            return None
     return NFA(extended.alphabet, seen, start, finals, transitions)
+
+
+def _determinize(automaton: VSetAutomaton,
+                 cap: Optional[int]) -> Optional[VSetAutomaton]:
+    det = _determinize_extended(automaton.extended_nfa(), cap)
+    if det is None:
+        return None
+    result = from_extended_nfa(det, automaton.doc_alphabet,
+                               automaton.variables)
+    return result.relabel()
 
 
 def determinize(automaton: VSetAutomaton) -> VSetAutomaton:
@@ -106,11 +128,14 @@ def determinize(automaton: VSetAutomaton) -> VSetAutomaton:
     :func:`VSetAutomaton.is_functional`; semantics are preserved
     exactly (``A(d) == determinize(A)(d)`` for every document).
     """
-    extended = automaton.extended_nfa()
-    det = _determinize_extended(extended)
-    result = from_extended_nfa(det, automaton.doc_alphabet,
-                               automaton.variables)
-    return result.relabel()
+    return _determinize(automaton, None)
+
+
+def determinize_within_cap(
+        automaton: VSetAutomaton) -> Optional[VSetAutomaton]:
+    """:func:`determinize`, or ``None`` when the subset construction
+    passes :data:`MAX_DETERMINISED_SUBSETS`."""
+    return _determinize(automaton, MAX_DETERMINISED_SUBSETS)
 
 
 def lexicographic_normalize(automaton: VSetAutomaton) -> VSetAutomaton:

@@ -119,11 +119,32 @@ class VSetAutomaton:
 
         return self._memoised("compiled", lower)
 
+    def determinized(self) -> Optional["VSetAutomaton"]:
+        """Proposition 4.4's deterministic functional equivalent —
+        what a chunk runner lowers, so the kernel's main line runs up
+        to the first place a capture could begin — or ``None`` when
+        its subset construction passes
+        :data:`repro.spanners.determinism.MAX_DETERMINISED_SUBSETS`.
+        Built once per mutation epoch from the shared extended form;
+        callers must not mutate it."""
+        def build():
+            from repro.spanners.determinism import determinize_within_cap
+
+            return determinize_within_cap(self)
+
+        return self._memoised("determinized", build)
+
     def lowered(self):
-        """The compiled artifact if this mutation epoch already has
-        one, else ``None`` — never lowers (reports use it)."""
-        version, artifact = self._derived.get("compiled", (None, None))
-        return artifact if version == self.nfa._version else None
+        """The artifact a chunk runner of this spanner runs — the
+        :meth:`determinized` form's when this mutation epoch built one,
+        else this automaton's own — if it is already lowered, else
+        ``None``; never builds anything (reports use it)."""
+        version, determinised = self._derived.get("determinized",
+                                                  (None, None))
+        target = (determinised if determinised is not None
+                  and version == self.nfa._version else self)
+        version, artifact = target._derived.get("compiled", (None, None))
+        return artifact if version == target.nfa._version else None
 
     def __getstate__(self):
         # Derived artifacts are caches, not state: a runner pickled to

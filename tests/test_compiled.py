@@ -32,6 +32,7 @@ from repro.automata.compiled import (
 from repro.automata.nfa import EPSILON, NFA
 from repro.obs.metrics import kernel_metrics
 from repro.runtime.fast import CompiledSpanner
+from repro.spanners.determinism import MAX_DETERMINISED_SUBSETS, is_dfvsa
 from repro.spanners.refwords import Close, Open, gamma
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.spanners.vset_automaton import VSetAutomaton
@@ -349,6 +350,9 @@ def test_suffix_and_evaluate_tiers_agree(vsa, documents):
     # encoded document against the int sweep it falls back to.
     lowered = lowered_with_finishable(vsa)
     states = lowered.base.state_id
+    determinised = vsa.determinized()
+    if determinised is not None:
+        determinised = determinised.compiled()
     for document in list(documents) + words_upto("ab", 3):
         data = latin1(document)
         tables = lowered.finishable.sweep(document, data)
@@ -366,10 +370,22 @@ def test_suffix_and_evaluate_tiers_agree(vsa, documents):
         assert alive == lowered.alive.sweep_int(document)
         assert all(live & done == done
                    for live, done in zip(alive, tables))
-        assert lowered.search(document, data) \
-            == lowered.search(document, None)
+        # The main line (bytes) against none (no bytes): same tuples,
+        # and the walk without it visits exactly one configuration per
+        # byte the main line stepped — or nothing, when either rejects;
+        # with no variable there is no walk, only the start collapsing.
+        found, visited, main_line, _swept = lowered.search(document, data)
+        assert data is not None or main_line == 0
+        unaided, unaided_visited, _none, _ = lowered.search(document, None)
+        assert found == unaided
+        assert unaided_visited == (
+            0 if not visited else visited + main_line if vsa.variables
+            else 1)
         assert lowered.evaluate(document) \
             == compile_vset_automaton(vsa).evaluate(document)
+        # ... and the determinised lowering against the as-given one.
+        if determinised is not None:
+            assert determinised.search(document, data)[0] == found
 
 
 #: An alphabet with a non-latin-1 letter: the byte tables cover ``a``
@@ -390,6 +406,57 @@ def test_pruned_search_matches_interpreted(vsa, documents):
     assert CompiledSpanner(vsa).evaluate_batch(documents) == [
         evaluate_interpreted(vsa, document) for document in documents
     ]
+
+
+@settings(**SETTINGS)
+@given(random_vset_automata(alphabet=WIDE),
+       st.lists(st.text(alphabet=WIDE, max_size=6), max_size=4))
+def test_determinised_runner_matches_interpreted(vsa, documents):
+    # The runner lowers Proposition 4.4's determinised automaton; the
+    # interpreter runs the automaton as given — non-functional ones
+    # included, zero to two variables, latin-1 and wider documents.
+    # Every prefix of every document is evaluated too, so documents
+    # end inside a capture, right after one, and between captures:
+    # the end of the document as the main line's last branch point.
+    runner = CompiledSpanner(vsa)
+    determinised = vsa.determinized()
+    assert determinised is not None  # six states fit the cap
+    assert is_dfvsa(determinised)
+    assert runner._kernel is determinised.compiled()
+    assert runner.describe()["determinised"] == {
+        "from": vsa.state_count(), "to": determinised.state_count()}
+    texts = [document[:end] for document in documents
+             for end in range(len(document) + 1)]
+    assert runner.evaluate_batch(texts) == [
+        evaluate_interpreted(vsa, text) for text in texts]
+
+
+def test_qz_determinises_to_a_dfvsa():
+    spanner = compile_regex_formula(QZ_RUNS, frozenset(QZ_ALPHABET))
+    determinised = spanner.determinized()
+    assert determinised is spanner.determinized()  # built once
+    assert is_dfvsa(determinised)
+    assert (spanner.state_count(), determinised.state_count()) == (71, 23)
+    assert CompiledSpanner(spanner).describe()["determinised"] == {
+        "from": 71, "to": 23}
+
+
+def test_determinisation_past_the_cap_keeps_the_automaton():
+    # (a|b)* a (a|b)^8 y{b}: the subset construction has to remember
+    # the last nine letters — 2^9 subsets, past the cap — so the
+    # runner lowers the automaton as given, says so, and answers the
+    # same through the same search.
+    pattern = "(a|b)*a" + "(a|b)" * 8 + "y{b}"
+    spanner = compile_regex_formula(pattern, frozenset("ab"))
+    assert spanner.determinized() is None
+    runner = CompiledSpanner(spanner)
+    assert runner._kernel is spanner.compiled()
+    assert runner.describe()["determinised"] == \
+        f"kept: subset states > {MAX_DETERMINISED_SUBSETS}"
+    documents = ["a" + "b" * 9, "b" * 10, "ab" * 6, "ba" * 6, "", "a"]
+    found = runner.evaluate_batch(documents)
+    assert found == [evaluate_interpreted(spanner, d) for d in documents]
+    assert [len(tuples) for tuples in found] == [1, 0, 1, 0, 0, 0]
 
 
 @settings(**SETTINGS)
@@ -436,7 +503,8 @@ def test_byte_row_cap_falls_back_to_v1():
 ], ids=["bytes", "wide", "row-cap"])
 def test_explain_says_why_the_tier_is_not_bytes(alphabet, k, tier, reason):
     # x{} (s|t)^k s (s|t)*: read backwards, ``alive`` must remember
-    # the last k+1 letters — 2^(k+1) reverse subsets.
+    # the last k+1 letters — 2^(k+1) reverse subsets.  Forwards it is
+    # deterministic already: determinising keeps every state.
     from repro import Q, Spanner
 
     s, t = alphabet
@@ -453,6 +521,7 @@ def test_explain_says_why_the_tier_is_not_bytes(alphabet, k, tier, reason):
     assert results.explain()["kernel"] == {
         "tier": tier, "fallback_reason": reason,
         "finishable_sweep": "skipped: functional",
+        "determinised": {"from": k + 4, "to": k + 4},
         "required": [s], "required_reason": None,
     }
 
@@ -566,21 +635,27 @@ def test_runner_rejects_on_a_required_literal_before_any_sweep():
     assert runner.describe() == {
         "tier": "v2-bytes", "fallback_reason": None,
         "finishable_sweep": "skipped: functional",
+        "determinised": {"from": 51, "to": 17},
         "required": ["a"], "required_reason": None,
     }
     swept = kernel_metrics().counter("kernel.bytes_swept")
+    stepped = kernel_metrics().counter("kernel.main_line_bytes")
     rejected, expanded = _counters()
-    swept_before = swept.value
+    swept_before, stepped_before = swept.value, stepped.value
     assert runner.evaluate_batch(["bb b bbb", "", "b"]) == [set()] * 3
     assert _counters() == (rejected + 3, expanded)
-    assert swept.value == swept_before
+    assert (swept.value, stepped.value) == (swept_before, stepped_before)
     matching = "bb aaa b"
     found = runner.evaluate(matching)
     after = _counters()
     assert after[0] == rejected + 3
     assert 0 < after[1] - expanded <= len(matching) + 8
-    # A functional plan sweeps a matching chunk once.
-    assert swept.value == swept_before + len(matching)
+    # The determinised automaton steps forward up to the first place a
+    # capture could begin (``a`` after a space), and sweeps the rest
+    # once: a functional plan has one table.
+    main_line = matching.index(" a") + 1
+    assert stepped.value == stepped_before + main_line
+    assert swept.value == swept_before + len(matching) - main_line
     assert found == spanner.evaluate(matching) and len(found) == 1
 
 

@@ -295,10 +295,13 @@ class TestMmapLifecycle:
         assert summary["tombstones_dropped"] > 0
         assert index.segment_count == 1
         assert index.tombstone_count == 0
-        on_disk = [name for name in os.listdir(tmp_path / "corpus.segs")
-                   if name.endswith(".ris")]
-        assert len(on_disk) == 1
         index.close()
+        # One segment, and no temp or stale file besides the manifest
+        # and the document table.
+        on_disk = os.listdir(tmp_path / "corpus.segs")
+        assert len([name for name in on_disk if name.endswith(".ris")]) == 1
+        assert [name for name in on_disk if not name.endswith(".ris")
+                and name not in ("MANIFEST.json", "documents.json")] == []
 
     def test_pickle_ships_path_not_postings(self, tmp_path):
         import pickle

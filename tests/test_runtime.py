@@ -190,7 +190,8 @@ assert resource_tracker._resource_tracker._pid is None
         assert (clone.blob, clone.masks, clone.start) \
             == (sweeper.blob, sweeper.masks, sweeper.start)
         # A functional plan has the one table, and membership no
-        # forward one: ``alive``'s rows are the only table shipped.
+        # forward one: ``alive``'s rows and the main-line rows are the
+        # only tables shipped, each once (not its per-state view too).
         kernel.base.accepts("aa a")
         tables = [
             arg if isinstance(arg, bytes) else arg.encode("latin-1")
@@ -198,7 +199,9 @@ assert resource_tracker._resource_tracker._pid is None
                 pickle.dumps(runner, protocol=protocol))
             if isinstance(arg, (bytes, str)) and len(arg) >= 256
         ]
-        assert tables == [sweeper.blob]
+        assert tables == [sweeper.blob, kernel.row_blob]
+        assert pickle.loads(pickle.dumps(kernel, protocol=protocol)).rows \
+            == kernel.rows
 
 
 #: Covers every registry builder's needs: space and newline (tokens,
