@@ -40,6 +40,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
     UnknownSplitterError,
+    WorkerLostError,
 )
 from repro.query import Q, Query, ResultSet, Spanner, Splitter
 from repro.core import (
@@ -125,6 +126,7 @@ __all__ = [
     "IndexFormatError",
     "ServiceOverloadedError",
     "ServiceClosedError",
+    "WorkerLostError",
     # Corpus engine.
     "Corpus",
     "Deadline",

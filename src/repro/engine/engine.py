@@ -61,12 +61,15 @@ from repro.engine.stats import EngineStats
 
 #: Batches a pooled run keeps submitted ahead of the one it is merging
 #: (in-process runs look ahead at nothing).  Ledger ``dense-pool``,
-#: ``--seconds 8``, seeds 31-32 on the 2-core reference box: 3.02-3.26
-#: MB/s with none ahead, 3.66-3.78 with one, 3.93-4.17 with two, at
-#: ``op_p95_ms`` 8.3-9.2 / 10.1-10.4 / 10.7-11.9 — the first batch
-#: ahead buys most of the overlap, and every further one delays a
+#: ``--seconds 8`` on the 2-core reference box: seeds 31-34 gave
+#: 7.34-7.73 MB/s with none ahead, 9.38-10.34 with one and 10.59-10.75
+#: with two, at ``op_p95_ms`` 3.43-3.62 / 3.42-3.75 / 4.05-4.25; seeds
+#: 35-37 gave 9.39-9.91 / 10.47-10.90 / 10.83-11.54 MB/s with one /
+#: two / three, at 3.64-3.94 / 4.17-4.48 / 4.61-5.08 ms.  The second
+#: batch ahead buys ~10 % of throughput, a third ~2 % (medians) for
+#: another ~12 % on the 95th percentile; every batch ahead delays a
 #: pass's first result by a batch and holds another batch of chunks.
-LOOKAHEAD_BATCHES = 1
+LOOKAHEAD_BATCHES = 2
 
 
 @dataclass(frozen=True)
@@ -535,14 +538,14 @@ class ExtractionEngine:
         batch completes, results yielded per document in corpus order.
         In process, nothing downstream of the current batch is
         computed yet.  With a worker pool the run looks
-        :data:`LOOKAHEAD_BATCHES` ahead: batch *k+1* is split,
+        :data:`LOOKAHEAD_BATCHES` ahead: batches up to *k+2* are split,
         prefiltered, looked up and submitted
         (:meth:`repro.engine.scheduler.Scheduler.submit`) before batch
         *k* is collected, merged and yielded, so the workers sweep
-        while this process splits and merges.  A text batch *k* is
-        still evaluating is a cache hit for batch *k+1*, resolved from
-        batch *k*'s results: each distinct missing text is evaluated
-        exactly once.  ``chunked`` hands in documents a caller has
+        while this process splits and merges.  A text an earlier batch
+        is still evaluating is a cache hit for a later one, resolved
+        from the earlier batch's results: each distinct missing text is
+        evaluated exactly once.  ``chunked`` hands in documents a caller has
         already split (:meth:`run_delta`), by id.
 
         ``deadline`` is the cooperative cancellation point: it is
@@ -624,6 +627,8 @@ class ExtractionEngine:
                     pruned_batch += len(chunks) - len(admitted)
                     chunks = admitted
                 tasks.append((document.doc_id, chunks))
+            if prefilter is not None:
+                prefilter.flush_counts()
             self._chunks_pruned.inc(pruned_batch)
             span.set("pruned", pruned_batch)
         return tasks
@@ -663,7 +668,7 @@ class ExtractionEngine:
         Documents come out in corpus order, produced one scheduler
         batch at a time, so consuming a prefix of the iterator only
         pays for the batches that prefix spans — plus, with a worker
-        pool, the one batch a pooled run has submitted ahead.  The
+        pool, the batches a pooled run has submitted ahead.  The
         streaming primitive under :meth:`repro.query.ResultSet.stream`.
         Certification still happens exactly once — up front, through
         the plan cache, when the iterator is created.  ``deadline``

@@ -8,11 +8,12 @@ that can be executed anywhere, in any order, and shared between
 documents.
 
 A pass has two halves.  :meth:`Scheduler.submit` consults the cache
-and hands the missing texts to the pool, which starts on them at once;
-:meth:`Scheduler.collect` waits for the results, stores them and
-merges.  :meth:`Scheduler.run` is the two back to back; the engine
-puts the next batch's first half between them when a pool is in use,
-so the parent splits and merges while the workers sweep.
+and hands the missing texts to the pool, which sends its workers what
+they have room for at once and the rest whenever this process next
+calls into it; :meth:`Scheduler.collect` waits for the results, stores
+them and merges.  :meth:`Scheduler.run` is the two back to back; the
+engine puts the next batches' first halves between them when a pool is
+in use, so the parent splits and merges while the workers sweep.
 
 ``workers <= 1`` degrades to in-process sequential evaluation (no pool
 overhead), which is also the configuration benchmarks use to isolate
@@ -31,10 +32,12 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.spans import Span, SpanTuple
+from repro.errors import WorkerLostError
 from repro.obs.log import event_log
 from repro.obs.metrics import Metrics
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
@@ -96,7 +99,8 @@ class Scheduler:
     dedup granularity; the pool sizes its own tasks.
 
     A pass is :meth:`submit` then :meth:`collect` (:meth:`run` does
-    both); between the two the pool works and the caller is free.
+    both); between the two the workers sweep what they were sent and
+    the caller is free.
     Nothing about a submitted batch is kept here — it lives in the
     :class:`PendingBatch` the caller holds.
 
@@ -106,14 +110,17 @@ class Scheduler:
     ``engine.chunk_eval_seconds``, ``engine.worker_busy_seconds`` and
     ``engine.worker_chunks`` per pid, ``scheduler.queue_wait_seconds``
     (a task's start minus its batch's submission — by design including
-    the time it queued behind the batch submitted before) and
+    the time it queued behind the batches submitted before) and
     ``scheduler.collect_wait_seconds`` (how long the parent blocked on
     the pool for one batch: large means the workers bound the run,
     near zero means the parent does).
 
     The pool persists across batches and runs, whatever the tracer
     does meanwhile; swapping to a different runner *drains* the old
-    pool and :meth:`close` is the hard shutdown.
+    pool and :meth:`close` is the hard shutdown.  A worker that dies
+    fails the pass waiting on it with
+    :class:`repro.errors.WorkerLostError`; its pool is dropped and the
+    next pass forks a fresh one.
     """
 
     def __init__(self, workers: int = 0, batch_size: int = 32,
@@ -168,6 +175,18 @@ class Scheduler:
         are killed."""
         self._stop_pool("engine.pool.close", drain=False)
 
+    @contextmanager
+    def _losing_workers(self) -> Iterator[None]:
+        """Let a :class:`repro.errors.WorkerLostError` through, first
+        dropping the pool it stopped, so the next pass forks a fresh
+        one."""
+        try:
+            yield
+        except WorkerLostError:
+            if self._pool is not None and self._pool.lost is not None:
+                self._stop_pool("engine.pool.lost", drain=False)
+            raise
+
     def __del__(self) -> None:  # best-effort cleanup
         try:
             self.close()
@@ -189,7 +208,7 @@ class Scheduler:
         something else — and :meth:`collect` finishes the pass.
 
         ``after`` lists the batches submitted earlier and not yet
-        collected (the engine's look-ahead holds one).  A text one of
+        collected (the engine's look-ahead holds them).  A text one of
         them is already evaluating is not submitted again and not
         looked up, so not counted as a miss: it is a hit, resolved at
         :meth:`collect` from that batch's own results, which the LRU
@@ -227,7 +246,8 @@ class Scheduler:
         # its empty batch stays in this process.
         if self.workers > 1 and missing:
             pending.submitted = time.time()
-            pending.tasks = self._pool_for(runner).evaluate(missing)
+            with self._losing_workers():
+                pending.tasks = self._pool_for(runner).evaluate(missing)
         return pending
 
     def collect(self, pending: PendingBatch) -> Dict[str, Set[SpanTuple]]:
@@ -249,7 +269,8 @@ class Scheduler:
                     self.metrics.histogram("engine.chunk_eval_seconds"),
                     deadline.check)
             else:
-                results = self._gather(pending, span)
+                with self._losing_workers():
+                    results = self._gather(pending, span)
             for text, found in zip(missing, results):
                 seen[text] = cache.store(namespace, text, found)
         for earlier, text in pending.borrowed:
@@ -314,7 +335,7 @@ class Scheduler:
                             pid=task.pid).inc(len(group))
             # Measured from this batch's submission, so by design it
             # includes the time a task queued behind the tasks of the
-            # batch submitted before it (the engine's look-ahead).
+            # batches submitted before it (the engine's look-ahead).
             queue_wait.observe(max(0.0, task.started - pending.submitted))
             pending.deadline.check()
             waiting = clock()

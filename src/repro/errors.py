@@ -63,6 +63,26 @@ class DeadlineExceededError(ReproError, TimeoutError):
         super().__init__(message)
 
 
+class WorkerLostError(ReproError, RuntimeError):
+    """A pool worker process died with tasks in flight.
+
+    Raised by the engine's worker pool
+    (:class:`repro.runtime.executor.WorkerPool`) when a worker's pipe
+    reads end of file: the process was killed (a signal, the
+    out-of-memory killer) or exited mid-task, and the results it held
+    are gone.  The query that needed them fails instead of waiting;
+    the pool is stopped, its other workers with it, and the next pass
+    forks a fresh one.  Carries the worker's ``pid`` and ``exitcode``
+    (negative: the signal that ended it) when they are known.
+    """
+
+    def __init__(self, message: str, pid: Optional[int] = None,
+                 exitcode: Optional[int] = None):
+        self.pid = pid
+        self.exitcode = exitcode
+        super().__init__(message)
+
+
 class ServiceOverloadedError(ReproError, RuntimeError):
     """The extraction service's admission queue is full.
 

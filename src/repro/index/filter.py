@@ -41,15 +41,18 @@ class IndexFilter:
     """Prune chunks a certified plan provably produces nothing on.
 
     ``metrics``/``plan`` optionally attach a
-    :class:`repro.obs.metrics.Metrics` registry: every admit decision
-    then feeds per-plan counters (``index.admitted``, ``index.pruned``,
+    :class:`repro.obs.metrics.Metrics` registry: admit decisions then
+    feed per-plan counters (``index.admitted``, ``index.pruned``,
     ``index.memo_hits``, each labeled ``plan=<prefix>``), so an
     exposition over a multi-plan engine shows which certificate's
-    filter is doing the pruning.
+    filter is doing the pruning.  :meth:`admits` tallies them in plain
+    ints; :meth:`flush_counts` adds the tallies to the counters (the
+    engine calls it once per batch).
     """
 
     __slots__ = ("factors", "index", "_mask", "_mask_version",
-                 "_decisions", "_admitted", "_pruned", "_memo_hits")
+                 "_decisions", "_counters", "_admitted", "_pruned",
+                 "_memo_hits")
 
     def __init__(
         self,
@@ -60,13 +63,11 @@ class IndexFilter:
     ) -> None:
         self.factors = factors
         self.index = index
-        if metrics is not None:
-            labels = {"plan": plan} if plan else {}
-            self._admitted = metrics.counter("index.admitted", **labels)
-            self._pruned = metrics.counter("index.pruned", **labels)
-            self._memo_hits = metrics.counter("index.memo_hits", **labels)
-        else:
-            self._admitted = self._pruned = self._memo_hits = None
+        labels = {"plan": plan} if plan else {}
+        self._counters = None if metrics is None else tuple(
+            metrics.counter(name, **labels) for name in
+            ("index.admitted", "index.pruned", "index.memo_hits"))
+        self._admitted = self._pruned = self._memo_hits = 0
         #: Candidate bitmask over the index's text ids (None = the
         #: index cannot answer any condition; pure scan mode).
         self._mask: Optional[int] = None
@@ -96,14 +97,24 @@ class IndexFilter:
             self._decisions.clear()
         decision = self._decisions.get(text)
         if decision is None:
-            decision = self._admits_uncached(text)
-            self._decisions[text] = decision
-            counter = self._admitted if decision else self._pruned
-            if counter is not None:
-                counter.inc()
-        elif self._memo_hits is not None:
-            self._memo_hits.inc()
+            decision = self._decisions[text] = self._admits_uncached(text)
+            if decision:
+                self._admitted += 1
+            else:
+                self._pruned += 1
+        else:
+            self._memo_hits += 1
         return decision
+
+    def flush_counts(self) -> None:
+        """Add the decisions tallied since the last call to the
+        registry's counters (none attached: forget them)."""
+        if self._counters is not None:
+            for counter, tally in zip(self._counters, (
+                    self._admitted, self._pruned, self._memo_hits)):
+                if tally:
+                    counter.inc(tally)
+        self._admitted = self._pruned = self._memo_hits = 0
 
     def _admits_uncached(self, text: str) -> bool:
         if self._mask is not None:

@@ -81,9 +81,9 @@ class ResultSet:
         Safe to call repeatedly: already-produced documents replay
         from the retained results, then the engine resumes where the
         last consumer stopped.  Concurrent streams share one pass over
-        the corpus.  With ``workers(n)`` the pass looks one batch
-        ahead: the batch after the one being yielded is already with
-        the pool (abandoning the stream simply drops it).
+        the corpus.  With ``workers(n)`` the pass looks ahead: the
+        batches after the one being yielded are already with the pool
+        (abandoning the stream simply drops them).
         """
         index = 0
         while True:

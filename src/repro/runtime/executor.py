@@ -11,14 +11,22 @@ stand-in for the paper's Spark cluster) are the pieces
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import pickle
+import socket
 import time
+import weakref
+from collections import deque
+from multiprocessing.connection import wait
+from operator import attrgetter
 from types import SimpleNamespace
-from typing import (Callable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.core.spans import Span, SpanTuple
+from repro.errors import WorkerLostError
 from repro.obs.profile import set_process_role
 
 #: Anything with ``evaluate(document) -> set[SpanTuple]``.
@@ -141,19 +149,23 @@ class TaskTelemetry(NamedTuple):
 
 
 #: The longest slice of chunk text (characters) one pool task carries.
-#: Measured on the 2-core reference box, ledger ``dense`` chunks, min
-#: of 9: 234 KB over 2 workers take 43-48 ms cut into 2-16 tasks, 51
-#: in 32-64, 72 in 256 and 101 in 1 024 (74 in process), so a task's
-#: fixed cost — dispatch, two hand-offs, wake-ups — is 60-150 us.  The
-#: kernel sweeps a character in ~0.32 us: a full task runs ~5 ms and
-#: its fixed cost is ~2 % of that.
+#: Measured on the 2-core reference box, the ledger's ``dense`` chunks
+#: (seed 11: 4 800 distinct, 238 K characters) handed to 2 workers at
+#: once, min of 15, two runs: 16.0-17.3 ms cut into 16 tasks (this
+#: cap), 17-21 in 32, 19-29 in 64, 25-37 in 256 and 49-66 in 1 024
+#: (20.3-20.5 in process), so a task's fixed cost — a pickle, a write,
+#: a wake-up and a read on each side — is 30-40 us.  Fewer, longer
+#: tasks lose too (20-30 ms in 2-8): past a busy worker's pipe slack a
+#: task waits for the worker to idle.  The kernel sweeps a character in
+#: ~0.085 us: a full task runs ~1.4 ms and its fixed cost is ~2.5 % of
+#: that.
 MAX_TASK_CHARS = 16 * 1024
 
 _WORKER_RUNNER: Optional[SpannerLike] = None
 
 
 def _init_worker(runner: SpannerLike) -> None:
-    """The pool initializer: this worker evaluates with ``runner``."""
+    """A worker's set-up: it evaluates with ``runner``."""
     global _WORKER_RUNNER
     _WORKER_RUNNER = runner
     set_process_role("pool-worker")
@@ -177,28 +189,186 @@ def _evaluate_task(
     )
 
 
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the bytes
+    it has been sent whose results have not come back (``load``; 0 =
+    idle)."""
+
+    __slots__ = ("process", "connection", "load")
+
+    def __init__(self, process, connection) -> None:
+        self.process = process
+        self.connection = connection
+        self.load = 0
+
+
+#: A result slot whose task has not answered yet.
+_PENDING = object()
+
+#: What a task message is charged against a busy worker's slack (a
+#: quarter of its pipe's send buffer) beyond its payload.  The kernel
+#: accounts each write with its buffer overhead: on Linux an AF_UNIX
+#: socket pair holds 278 messages of 16 bytes, 167 of 200, 49 of 2 000
+#: and 13 of 16 KB before a write blocks, so a message takes at most
+#: twice its charge and the charged slack at most half the buffer.
+_MESSAGE_OVERHEAD = 1024
+
+_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+
+class _Failure(NamedTuple):
+    """A task that raised: re-raised where its results are consumed."""
+
+    error: BaseException
+
+
+def _serve(connection, runner: SpannerLike, inherited: Sequence) -> None:
+    """A worker's life: answer ``(ticket, texts)`` messages with
+    ``(ticket, ok, payload)`` — ``payload`` is :func:`_evaluate_task`'s
+    result, or the exception it raised — in the order they arrive,
+    until an empty message or end of file.
+
+    ``inherited`` are the parent's pipe ends a forked worker holds
+    copies of: closed first, so that only the parent keeps a pool's
+    pipes open."""
+    for end in inherited:
+        end.close()
+    _init_worker(runner)
+    while True:
+        try:
+            message = connection.recv_bytes()
+        except EOFError:
+            return
+        if not message:
+            return
+        ticket, texts = pickle.loads(message)
+        try:
+            reply = pickle.dumps((ticket, True, _evaluate_task(texts)),
+                                 _PROTOCOL)
+        except Exception as error:
+            # The parent must be able to read every reply, or it would
+            # wait on this worker for good: try the error both ways.
+            try:
+                reply = pickle.dumps((ticket, False, error), _PROTOCOL)
+                pickle.loads(reply)
+            except Exception:
+                reply = pickle.dumps((ticket, False, RuntimeError(
+                    f"{type(error).__name__}: {error}")), _PROTOCOL)
+        connection.send_bytes(reply)
+
+
+def _stop_workers(workers: Sequence[_Worker], drain: bool) -> None:
+    """End ``workers`` and wait for them: idle workers are asked to
+    exit (``drain``), otherwise every worker is terminated."""
+    for worker in workers:
+        if drain:
+            try:
+                worker.connection.send_bytes(b"")
+                continue
+            except OSError:
+                pass  # gone already: terminated and reaped below
+        worker.process.terminate()
+    for worker in workers:
+        worker.process.join()
+        worker.connection.close()
+
+
+class _Results:
+    """The iterator :meth:`WorkerPool.evaluate` returns: one slot per
+    task, filled by whichever call into the pool reads that task's
+    result, yielded in task order.  The pool refers to it only weakly,
+    so dropping it abandons the batch: its queued tasks are never sent
+    and its results are discarded on arrival."""
+
+    __slots__ = ("_pool", "_slots", "_next", "__weakref__")
+
+    def __init__(self, pool: "WorkerPool", count: int) -> None:
+        self._pool = pool
+        self._slots: List[object] = [_PENDING] * count
+        self._next = 0
+
+    def __iter__(self) -> "_Results":
+        return self
+
+    def __next__(self) -> Tuple[List[Set[SpanTuple]], TaskTelemetry]:
+        index = self._next
+        if index == len(self._slots):
+            raise StopIteration
+        self._pool._await(self._slots, index)
+        result, self._slots[index] = self._slots[index], None
+        self._next = index + 1
+        if isinstance(result, _Failure):
+            raise result.error
+        return result
+
+
 class WorkerPool:
     """A process pool whose workers hold ``runner`` — the one place
     that knows how a runner reaches a worker and what a task is.
 
-    The runner is the pool initializer's argument: forked workers
+    The pool is ``workers`` processes of the start method, each with
+    its own duplex pipe.  The calling thread feeds and drains them
+    itself whenever it calls in (:meth:`evaluate`, the iterators it
+    returns, :meth:`shutdown`): no helper thread competes with it for
+    the interpreter lock, and no queue is shared between workers.  One
+    thread at a time drives a pool.
+
+    The runner is an argument of the worker processes: forked workers
     inherit it as it is (nothing is pickled, so an unpicklable black
     box runs too); under the ``spawn``/``forkserver`` start methods
     ``multiprocessing`` pickles it once per worker.
+
+    No write may block while its worker could itself be blocked writing
+    a result nobody reads: an idle worker (every result it produced
+    taken in) takes any task, a busy one only what fits a quarter of
+    the pipe's send buffer, tasks it has not answered included.  A
+    worker that dies shows as end of file on its pipe: the pool then
+    stops every worker and raises :class:`repro.errors.WorkerLostError`
+    to whoever waits on it.
     """
 
     def __init__(self, runner: SpannerLike, workers: int) -> None:
+        if workers < 1:
+            raise ValueError("a worker pool needs at least one worker")
         self.runner = runner
         self.workers = workers
-        self.pool = multiprocessing.Pool(workers, _init_worker, (runner,))
+        context = multiprocessing.get_context()
+        forked = context.get_start_method() == "fork"
+        self._workers: List[_Worker] = []
+        for _ in range(workers):
+            ours, theirs = context.Pipe()
+            inherited = ([w.connection for w in self._workers] + [ours]
+                         if forked else [])
+            process = context.Process(
+                target=_serve, args=(theirs, runner, inherited),
+                daemon=True)
+            process.start()
+            theirs.close()
+            self._workers.append(_Worker(process, ours))
+        self._by_connection = {w.connection: w for w in self._workers}
+        with socket.fromfd(self._workers[0].connection.fileno(),
+                           socket.AF_UNIX, socket.SOCK_STREAM) as end:
+            self._slack = end.getsockopt(socket.SOL_SOCKET,
+                                         socket.SO_SNDBUF) // 4
+        #: ``(batch, index, ticket, message)`` not yet sent, in
+        #: submission order; ``ticket -> (batch, index, charge)`` sent.
+        self._queue: Deque[Tuple[weakref.ref, int, int, bytes]] = deque()
+        self._in_flight: Dict[int, Tuple[weakref.ref, int, int]] = {}
+        self._tickets = itertools.count()
+        #: The error that stopped the pool when a worker died, else None.
+        self.lost: Optional[WorkerLostError] = None
+        self._stopped = False
+        # A pool dropped without shutdown() still ends its workers.
+        self._finalizer = weakref.finalize(
+            self, _stop_workers, self._workers, False)
 
     def evaluate(
         self, texts: Sequence[str],
     ) -> Iterator[Tuple[List[Set[SpanTuple]], TaskTelemetry]]:
         """Submit ``texts`` and return at once: an iterator of
-        ``(results, telemetry)`` per task, in text order
-        (``multiprocessing`` feeds the workers from its own thread, so
-        the caller is free until it asks for the first result).
+        ``(results, telemetry)`` per task, in text order.  What the
+        workers have room for is sent before this returns; the rest
+        goes out as the pool is next called into.
 
         Chunk texts go out, flat int tuples come back
         (:class:`repro.core.spans.SpanTuple` pickles as its stored
@@ -208,7 +378,8 @@ class WorkerPool:
         a slice longer than :data:`MAX_TASK_CHARS`: a whole corpus
         handed over at once still goes out in several waves per
         worker, the load balance for skewed chunk costs the
-        Introduction credits for the Spark speedups.
+        Introduction credits for the Spark speedups.  Each task goes to
+        the worker with the fewest bytes outstanding.
         """
         # An empty text still costs a dispatch: weigh every text one
         # more than its length.  A text goes to the slice its middle
@@ -229,14 +400,89 @@ class WorkerPool:
             swept += weight
         if texts:
             tasks.append(texts[start:])
-        return self.pool.imap(_evaluate_task, tasks)
+        results = _Results(self, len(tasks))
+        batch = weakref.ref(results)
+        for index, task in enumerate(tasks):
+            ticket = next(self._tickets)
+            self._queue.append((batch, index, ticket, pickle.dumps(
+                (ticket, task), _PROTOCOL)))
+        self._pump(block=False)
+        return results
+
+    def _await(self, slots: List[object], index: int) -> None:
+        """Call into the pool until ``slots[index]`` is filled."""
+        if self._stopped and slots[index] is not _PENDING:
+            return  # delivered by a drain
+        self._pump(block=False)
+        while slots[index] is _PENDING:
+            self._pump(block=True)
+
+    def _pump(self, block: bool) -> None:
+        """Take in every result that has arrived — with ``block``,
+        waiting for one first — then send what the workers have room
+        for.  After every call a queued task implies that every worker
+        is busy, so a blocking wait always has a worker to wait on."""
+        if self._stopped:
+            raise self.lost or WorkerLostError(
+                "the worker pool was stopped with tasks in flight")
+        busy = [w.connection for w in self._workers if w.load]
+        if busy:
+            for connection in wait(busy, None if block else 0):
+                self._receive(self._by_connection[connection])
+        self._dispatch()
+
+    def _receive(self, worker: _Worker) -> None:
+        try:
+            ticket, ok, payload = pickle.loads(
+                worker.connection.recv_bytes())
+        except (EOFError, OSError):
+            self._lose(worker)
+        batch, index, charge = self._in_flight.pop(ticket)
+        worker.load -= charge
+        results = batch()
+        if results is not None:
+            results._slots[index] = payload if ok else _Failure(payload)
+
+    def _dispatch(self) -> None:
+        queue = self._queue
+        while queue:
+            batch, index, ticket, message = queue[0]
+            if batch() is None:
+                queue.popleft()
+                continue
+            worker = min(self._workers, key=attrgetter("load"))
+            charge = len(message) + _MESSAGE_OVERHEAD
+            if worker.load and worker.load + charge > self._slack:
+                return
+            queue.popleft()
+            try:
+                worker.connection.send_bytes(message)
+            except OSError:
+                self._lose(worker)
+            worker.load += charge
+            self._in_flight[ticket] = (batch, index, charge)
+
+    def _lose(self, worker: _Worker) -> None:
+        self.shutdown(drain=False)
+        process = worker.process
+        self.lost = WorkerLostError(
+            f"pool worker {process.pid} exited (code {process.exitcode}) "
+            f"with tasks in flight", process.pid, process.exitcode)
+        raise self.lost
 
     def shutdown(self, drain: bool) -> None:
-        """Stop the workers and wait for them: ``drain`` lets every
-        submitted task finish (``Pool.close()``), otherwise in-flight
-        tasks are killed (``Pool.terminate()``)."""
+        """Stop the workers and wait for them (idempotent): ``drain``
+        first delivers every task a batch still waits on — to its
+        iterator, which yields them after the pool is gone — otherwise
+        the workers are terminated with their tasks."""
+        if self._stopped:
+            return
         if drain:
-            self.pool.close()
-        else:
-            self.pool.terminate()
-        self.pool.join()
+            try:
+                while self._in_flight:
+                    self._pump(block=True)
+            except WorkerLostError:
+                return  # the pool stopped itself
+        self._stopped = True
+        self._finalizer.detach()
+        _stop_workers(self._workers, drain)

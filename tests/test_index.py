@@ -436,6 +436,34 @@ class TestIndexFilter:
         assert prefilter._decisions == {"ab qz cd": True}
         assert prefilter.admits("ab qz cd")  # served from the memo
 
+    def test_decision_counters_add_up_per_batch(self):
+        # Decisions are tallied in ints and added to the counters once
+        # per batch: after two runs the counters hold exactly what
+        # counting every decision as it is made would.
+        program = Program(qz_extractor(), name="qz")
+        texts = ["ab qz cd. ef gh.", "ab qz cd. gh gh.", "qz qz. ef gh.",
+                 "cd cd. ab qz cd.", "ef gh."]
+        engine = ExtractionEngine(sentence_registry(), batch_size=2,
+                                  prefilter=True)
+        for _ in range(2):
+            engine.run(Corpus.from_texts(texts), program)
+        chunks = [chunk for text in texts
+                  for chunk in FastSeparatorSplitter(".").chunks(text)]
+        factors = engine.certify(program).factor_set()
+        admitted = {chunk for chunk in chunks if factors.admits(chunk)}
+        totals = {}
+        for instrument in engine.metrics.instruments():
+            totals[instrument.name] = \
+                totals.get(instrument.name, 0) + getattr(
+                    instrument, "value", 0)
+        assert 0 < len(admitted) < len(set(chunks))
+        assert (totals["index.admitted"], totals["index.pruned"],
+                totals["index.memo_hits"]) \
+            == (len(admitted), len(set(chunks)) - len(admitted),
+                2 * len(chunks) - len(set(chunks)))
+        assert engine.stats().chunks_pruned == 2 * len(
+            [chunk for chunk in chunks if chunk not in admitted])
+
     def test_engine_stays_sound_when_attached_index_grows(self):
         program = Program(qz_extractor(), name="qz")
         engine = ExtractionEngine(sentence_registry())

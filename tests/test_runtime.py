@@ -17,7 +17,8 @@ import hypothesis.strategies as st
 
 from repro.core.composition import splits_of
 from repro.core.spans import Span, SpanTuple
-from repro.engine import ExtractionEngine, Program
+from repro.engine import Deadline, ExtractionEngine, Program
+from repro.errors import DeadlineExceededError
 from repro.query import Splitter
 from repro.runtime import (
     CompiledSpanner,
@@ -202,6 +203,154 @@ assert resource_tracker._resource_tracker._pid is None
         assert tables == [sweeper.blob, kernel.row_blob]
         assert pickle.loads(pickle.dumps(kernel, protocol=protocol)).rows \
             == kernel.rows
+
+
+class SleepyRunner:
+    """Evaluates with ``runner`` after sleeping: ``slow`` seconds on a
+    text starting with ``b``, ``fast`` on any other — pool tasks that
+    stay in flight, or that cost unequal amounts."""
+
+    def __init__(self, runner, fast=0.0, slow=0.0):
+        self.runner, self.fast, self.slow = runner, fast, slow
+
+    def evaluate(self, text):
+        time.sleep(self.slow if text.startswith("b") else self.fast)
+        return self.runner.evaluate(text)
+
+
+class Fuse(Deadline):
+    """A deadline that expires at its ``checks``-th check."""
+
+    def __init__(self, checks):
+        super().__init__()
+        self.checks = checks
+
+    def check(self):
+        self.checks -= 1
+        if self.checks <= 0:
+            raise DeadlineExceededError()
+
+
+def pipe_buffer_bytes():
+    import socket
+
+    left, right = socket.socketpair()
+    with left, right:
+        return left.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+
+
+class TestPoolProtocol:
+    """The calling thread feeds and drains every worker itself: what
+    it must never do is deliver a result to the wrong batch, block on
+    a write while a worker blocks on its own, or hold one worker's
+    tasks behind another's."""
+
+    def test_deadline_with_batches_in_flight_then_a_run(self):
+        spanner = a_run_extractor()
+        program = Program(SleepyRunner(CompiledSpanner(spanner), fast=0.005),
+                          spanner)
+        first = [f"{'a' * (i % 4 + 1)} ab b" for i in range(16)]
+        second = [f"b {'a' * (i % 6 + 1)} ba a" for i in range(16)]
+        with ExtractionEngine(token_registry(), workers=2,
+                              batch_size=2) as engine:
+            with pytest.raises(DeadlineExceededError):
+                engine.run(first, program, deadline=Fuse(6))
+            result = engine.run(second, program)
+        for index, text in enumerate(second):
+            assert result[f"doc-{index:04d}"] == evaluate_whole(spanner, text)
+        assert result.stats.chunks_evaluated \
+            == len({chunk for text in second for chunk in text.split()})
+
+    def test_task_and_result_larger_than_the_pipe_buffer(self):
+        # The whole-document plan makes each document one task; batches
+        # of one keep a batch submitted while the one before is read.
+        spanner = compile_regex_formula(".*y{a+}.*", frozenset("ab"))
+        texts = ["b" * 300_000, "a" * 300, "b" + "a" * 250]
+        buffer = pipe_buffer_bytes()
+        assert len(pickle.dumps(texts[0])) > buffer
+        assert len(pickle.dumps(evaluate_whole(spanner, texts[1]))) > buffer
+        with ExtractionEngine([], workers=2, batch_size=1) as engine:
+            result = engine.run(texts, Program(spanner))
+            assert result.plan.plan.mode == "whole"
+        for index, text in enumerate(texts):
+            assert result[f"doc-{index:04d}"] == evaluate_whole(spanner, text)
+        # One worker, sent the long task while it writes the long
+        # result: that write would wait on the parent, and the parent
+        # on the worker, unless the task waits for the worker to idle.
+        runner = CompiledSpanner(spanner)
+        pool = WorkerPool(runner, 1)
+        try:
+            batches = [pool.evaluate([texts[1]]), pool.evaluate([texts[0]])]
+            assert [found for batch in batches for group, _ in batch
+                    for found in group] \
+                == [evaluate_whole(spanner, texts[1]), set()]
+        finally:
+            pool.shutdown(drain=False)
+
+    def test_a_slow_task_holds_back_only_its_own_worker(self):
+        from repro.runtime import executor
+
+        runner = SleepyRunner(CompiledSpanner(a_run_extractor()),
+                              fast=0.002, slow=0.5)
+        # Each text fills a task, and the first costs 250 of the others.
+        size = executor.MAX_TASK_CHARS - 1
+        texts = ["b" + "a" * (size - 1)] + ["a" * size] * 20
+        pool = WorkerPool(runner, 2)
+        try:
+            pids = [telemetry.pid for group, telemetry
+                    in pool.evaluate(texts)]
+        finally:
+            pool.shutdown(drain=False)
+        assert len(pids) == len(texts)
+        # Dealt out in turn, the slow worker would run ten fast tasks
+        # after its slow one; it runs what was queued on it, no more.
+        assert pids[1:].count(pids[0]) <= 4
+
+    def test_a_killed_worker_fails_the_run_and_the_next_run_forks_anew(
+            self):
+        script = """
+import multiprocessing, os, signal, time
+from repro.engine import ExtractionEngine, Program
+from repro.errors import WorkerLostError
+from repro.runtime import (FastSeparatorSplitter, RegisteredSplitter,
+                           evaluate_whole)
+from repro.spanners.regex_formulas import compile_regex_formula
+from repro.splitters.builders import token_splitter
+
+TXT = frozenset("ab .")
+spanner = compile_regex_formula(
+    ".*(\\\\.| )y{a+}(\\\\.| ).*|y{a+}(\\\\.| ).*|.*(\\\\.| )y{a+}|y{a+}", TXT)
+
+class Bomb:
+    def evaluate(self, text):
+        if text == "bbbb":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return spanner.evaluate(text)
+
+registry = [RegisteredSplitter("tokens", token_splitter(TXT), priority=1,
+                               executor=FastSeparatorSplitter(" "))]
+program = Program(Bomb(), spanner)
+texts = [f"a{'a' * i} ab" for i in range(8)]
+with ExtractionEngine(registry, workers=2, batch_size=2) as engine:
+    engine.run(texts[:2], program)
+    started = time.monotonic()
+    try:
+        engine.run(texts[2:5] + ["aa bbbb a"] + texts[5:], program)
+    except WorkerLostError as error:
+        assert error.exitcode == -signal.SIGKILL, error
+    else:
+        raise AssertionError("the run survived a killed worker")
+    assert time.monotonic() - started < 10
+    assert multiprocessing.active_children() == []
+    result = engine.run(texts, program)
+    assert len(multiprocessing.active_children()) == 2
+for index, text in enumerate(texts):
+    assert result[f"doc-{index:04d}"] == evaluate_whole(spanner, text)
+assert multiprocessing.active_children() == []
+"""
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                           sys.path)), timeout=60)
 
 
 #: Covers every registry builder's needs: space and newline (tokens,

@@ -3,7 +3,8 @@ deadline/admission semantics it builds on."""
 
 import asyncio
 import json
-import multiprocessing.pool
+import multiprocessing
+import multiprocessing.process
 import threading
 import time
 import urllib.error
@@ -186,14 +187,14 @@ class TestEngineDeadlines:
     def test_pool_survives_deadline_and_runner_swap(self, monkeypatch):
         """Deadline abandonment plus a runner swap must not terminate
         the pool: the swap drains gracefully (in-flight batches
-        finish), ``terminate()`` fires only on hard shutdown, and both
-        programs keep producing correct results afterward."""
+        finish), a worker is terminated only on hard shutdown, and
+        both programs keep producing correct results afterward."""
         terminations = []
-        original_terminate = multiprocessing.pool.Pool.terminate
+        original_terminate = multiprocessing.process.BaseProcess.terminate
         monkeypatch.setattr(
-            multiprocessing.pool.Pool, "terminate",
-            lambda pool: (terminations.append(1),
-                          original_terminate(pool))[1])
+            multiprocessing.process.BaseProcess, "terminate",
+            lambda process: (terminations.append(process.pid),
+                             original_terminate(process))[1])
 
         engine = ExtractionEngine(registry(), workers=2, batch_size=2)
         try:
@@ -207,7 +208,7 @@ class TestEngineDeadlines:
                 [f"a{'b' * (i % 5)} aa bb" for i in range(16)])
             # >=0.1s of slow chunk work against a 0.05s budget: the
             # deadline is guaranteed to fire while pool batches are in
-            # flight, abandoning the imap iterator.
+            # flight, abandoning the pool's result iterator.
             with pytest.raises(DeadlineExceededError):
                 engine.run(corpus, slow_a, deadline=0.05)
             # Swap runners mid-life: the abandoned A batches drain
