@@ -11,28 +11,50 @@ Span(8, 12)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import (Dict, Hashable, Iterable, Iterator, Mapping, NamedTuple,
+                    Tuple)
 
 Variable = Hashable
 
+_tuple_new = tuple.__new__
+_new_object = object.__new__
 
-@dataclass(frozen=True, order=True)
-class Span:
+
+class _SpanFields(NamedTuple):
+    begin: int
+    end: int
+
+
+class Span(_SpanFields):
     """A span ``[begin, end>`` with ``1 <= begin <= end``.
 
     Positions are 1-based and ``end`` is exclusive, exactly matching
     the paper's ``[i, j>`` notation; the empty span at position ``i``
     is ``Span(i, i)``.
+
+    Stored as the pair ``(begin, end)``: ``==``, ``<`` and ``hash`` are
+    the pair's, so ``Span(1, 2) == (1, 2)``.  Every public way in —
+    the constructor, :meth:`_make`, ``_replace``, ``pickle`` and
+    ``copy`` — checks the offsets; producers that guarantee them by
+    construction use :func:`trusted_span` instead.
     """
 
-    begin: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.begin <= self.end:
-            raise ValueError(f"invalid span [{self.begin}, {self.end}>")
+    def __new__(cls, begin: int, end: int) -> "Span":
+        if not 1 <= begin <= end:
+            raise ValueError(f"invalid span [{begin}, {end}>")
+        return _tuple_new(cls, (begin, end))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Span":
+        # namedtuple's ``_make`` (which ``_replace`` calls) builds the
+        # tuple directly, past ``__new__``.
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return Span, (self.begin, self.end)
 
     def __repr__(self) -> str:
         return f"Span({self.begin}, {self.end})"
@@ -64,7 +86,7 @@ class Span:
         Span(8, 12)
         """
         offset = context.begin - 1
-        return Span(self.begin + offset, self.end + offset)
+        return trusted_span(self.begin + offset, self.end + offset)
 
     def __rshift__(self, context: "Span") -> "Span":
         return self.shift(context)
@@ -77,7 +99,7 @@ class Span:
         if not context.contains(self):
             raise ValueError(f"{context!r} does not contain {self!r}")
         offset = context.begin - 1
-        return Span(self.begin - offset, self.end - offset)
+        return trusted_span(self.begin - offset, self.end - offset)
 
     def overlaps(self, other: "Span") -> bool:
         """Paper definition: ``[i,j>`` and ``[i',j'>`` overlap iff
@@ -99,6 +121,19 @@ class Span:
     def contains(self, other: "Span") -> bool:
         """``[i,j>`` contains ``[i',j'>`` iff ``i <= i' <= j' <= j``."""
         return self.begin <= other.begin and other.end <= self.end
+
+
+def trusted_span(begin: int, end: int) -> Span:
+    """The trusted constructor: a :class:`Span` with nothing checked.
+
+    ``1 <= begin <= end`` must already hold.  For producers that
+    guarantee it by construction — the splitter scanners and
+    ``RegexSpanner`` (:mod:`repro.runtime.fast`, ``re`` offsets plus
+    one), :meth:`Span.shift`, :meth:`Span.unshift` after its
+    containment check, and :class:`SpanTuple`'s accessors over stored
+    positions.
+    """
+    return _tuple_new(Span, (begin, end))
 
 
 def whole_span(document: str) -> Span:
@@ -175,7 +210,7 @@ class SpanTuple(Mapping[Variable, Span]):
             k = 2 * self._variables.index(variable)
         except ValueError:
             raise KeyError(variable) from None
-        return Span(self._positions[k], self._positions[k + 1])
+        return trusted_span(self._positions[k], self._positions[k + 1])
 
     def __contains__(self, variable: object) -> bool:
         return variable in self._variables
@@ -203,11 +238,24 @@ class SpanTuple(Mapping[Variable, Span]):
         return f"SpanTuple({{{items}}})"
 
     def shift(self, context: Span) -> "SpanTuple":
-        """Component-wise shift ``t >> s`` (Section 3)."""
-        return flat_span_tuple(
-            self._variables,
-            tuple(map((context.begin - 1).__add__, self._positions)),
-        )
+        """Component-wise shift ``t >> s`` (Section 3).
+
+        The merge's hot loop — one call per result tuple per chunk
+        instance — so it adds the offset itself and sets the new
+        tuple's slots, with the unary tuple's two adds spelled out."""
+        offset = context.begin - 1
+        positions = self._positions
+        if len(positions) == 2:
+            positions = (positions[0] + offset, positions[1] + offset)
+        elif positions:
+            positions = tuple([position + offset for position in positions])
+        else:
+            return self
+        shifted = _new_object(SpanTuple)
+        shifted._variables = self._variables
+        shifted._positions = positions
+        shifted._hash = hash(positions)
+        return shifted
 
     def __rshift__(self, context: Span) -> "SpanTuple":
         return self.shift(context)
@@ -225,6 +273,13 @@ class SpanTuple(Mapping[Variable, Span]):
         """The variables in column order (:func:`column_order`)."""
         return self._variables
 
+    def positions(self) -> Tuple[int, ...]:
+        """The flat ``(b1, e1, b2, e2, ...)`` ints in column order.
+
+        Over tuples of the same variables, ordering by these orders
+        by the spans column by column."""
+        return self._positions
+
     def enclosing_span(self) -> Span:
         """The minimal span containing every span of the tuple.
 
@@ -236,7 +291,7 @@ class SpanTuple(Mapping[Variable, Span]):
             raise ValueError("the 0-ary tuple has no enclosing span")
         # Every span has begin <= end: the extremes of the flat
         # positions are the least begin and the greatest end.
-        return Span(min(self._positions), max(self._positions))
+        return trusted_span(min(self._positions), max(self._positions))
 
     def covered_by(self, span: Span) -> bool:
         """Whether ``span`` contains every span of the tuple (Def 5.2).
@@ -280,7 +335,7 @@ def flat_span_tuple(variables: Tuple[Variable, ...],
     guarantee both by construction — the compiled kernel's search, the
     methods above, and ``pickle`` (this is what a tuple reduces to).
     """
-    self = SpanTuple.__new__(SpanTuple)
+    self = _new_object(SpanTuple)
     self._variables = variables
     self._positions = positions
     self._hash = hash(positions)

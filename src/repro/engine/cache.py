@@ -35,7 +35,7 @@ import hashlib
 from collections import OrderedDict, deque
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.spans import SpanTuple
+from repro.core.spans import Span, SpanTuple
 from repro.runtime.planner import CertifiedPlan, Planner, RegisteredSplitter
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -88,7 +88,9 @@ def _canonical_value(value: object) -> str:
     in different orders would describe (and fingerprint) differently —
     silently duplicating certification.  Dicts serialize by sorted
     key, sets by sorted element; tuples and lists keep their
-    (meaningful) order with elements canonicalized recursively.
+    (meaningful) order with elements canonicalized recursively.  A
+    :class:`Span` is a tuple too, but serializes as its ``repr``: it
+    must not describe like the plain pair ``(begin, end)``.
     """
     if isinstance(value, dict):
         items = sorted(
@@ -99,6 +101,8 @@ def _canonical_value(value: object) -> str:
     if isinstance(value, (frozenset, set)):
         return ("set{" + ",".join(sorted(_canonical_value(item)
                                          for item in value)) + "}")
+    if isinstance(value, Span):
+        return repr(value)
     if isinstance(value, tuple):
         return ("tuple(" + ",".join(_canonical_value(item)
                                     for item in value) + ")")

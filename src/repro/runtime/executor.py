@@ -43,8 +43,7 @@ def splitter_spans(splitter: SplitterLike, document: str) -> List[Span]:
         return list(splitter.splits(document))
     from repro.core.composition import splits_of
 
-    return sorted(splits_of(splitter, document),
-                  key=lambda s: (s.begin, s.end))
+    return sorted(splits_of(splitter, document))
 
 
 def splitter_chunks(

@@ -30,7 +30,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
 
 from repro.automata.compiled import (count_evaluations, latin1,
                                      letter_byte)
-from repro.core.spans import Span, SpanTuple
+from repro.core.spans import Span, SpanTuple, trusted_span
 from repro.spanners.determinism import MAX_DETERMINISED_SUBSETS
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -54,7 +54,10 @@ class FastSplitter:
     alphabet: Optional[FrozenSet[str]] = None
 
     def bounds(self, document: str) -> Iterable[Tuple[int, int]]:
-        """The chunks' 0-based ``[start, end)`` offsets, in order."""
+        """The chunks' 0-based ``[start, end)`` offsets, in order, each
+        with ``0 <= start <= end <= len(document)``: the spans are
+        built from them unchecked (:func:`repro.core.spans.
+        trusted_span`)."""
         raise NotImplementedError
 
     def automaton(self, alphabet: Iterable[str]) -> VSetAutomaton:
@@ -80,11 +83,11 @@ class FastSplitter:
     def chunks_of(self, document: str) -> List[Tuple[Span, str]]:
         """Every chunk as ``(span, text)``, both from the same offsets
         — no second bounds check and slice per chunk."""
-        return [(Span(start + 1, end + 1), document[start:end])
+        return [(trusted_span(start + 1, end + 1), document[start:end])
                 for start, end in self._scan(document)]
 
     def splits(self, document: str) -> List[Span]:
-        return [Span(start + 1, end + 1)
+        return [trusted_span(start + 1, end + 1)
                 for start, end in self._scan(document)]
 
     def chunks(self, document: str) -> List[str]:
@@ -229,7 +232,7 @@ class RegexSpanner:
                 if begin < 0:
                     complete = False
                     break
-                assignment[name] = Span(begin + 1, end + 1)
+                assignment[name] = trusted_span(begin + 1, end + 1)
             if complete:
                 results.add(SpanTuple(assignment))
             if self._cost is not None:

@@ -45,6 +45,7 @@ import json
 import urllib.parse
 from typing import Dict, Optional, Tuple
 
+from repro.core.spans import SpanTuple
 from repro.errors import (
     DeadlineExceededError,
     ReproError,
@@ -113,14 +114,13 @@ def _result_payload(result: ServiceResult) -> Dict[str, object]:
     per document, plus the per-query timing the service measured."""
     documents: Dict[str, list] = {}
     for doc_id, tuples in result.by_document.items():
-        documents[doc_id] = sorted(
-            (
-                {str(variable): [begin, end]
-                 for variable, begin, end in span_tuple.columns()}
-                for span_tuple in tuples
-            ),
-            key=lambda row: sorted(row.items()),
-        )
+        # A document's tuples share their variables, so their flat
+        # positions order them as the rows' sorted items would.
+        documents[doc_id] = [
+            {str(variable): [begin, end]
+             for variable, begin, end in span_tuple.columns()}
+            for span_tuple in sorted(tuples, key=SpanTuple.positions)
+        ]
     return {
         "tenant": result.tenant,
         "tuples": result.total_tuples,

@@ -462,7 +462,9 @@ class ExtractionService:
             # query's spans — and doubles as the retention policy that
             # keeps a long-lived server's span buffer bounded.
             tracer.drain()
-        stats_before = self._engine.stats()
+        # Only a flight record reads the counters' delta.
+        stats_before = (self._engine.stats() if self.flight is not None
+                        else None)
         started = time.perf_counter()
         error: Optional[BaseException] = None
         result = None

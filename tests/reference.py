@@ -17,7 +17,9 @@ Plus :func:`reference_candidates`, the posting index's candidate
 contract stated per text with substring tests -- no postings, no
 bitmasks, no segments -- and the ``reference_*_spans`` character
 loops, the splitters' executors before they were lowered to compiled
-scanners (:mod:`repro.runtime.fast`), kept as their oracles, and
+scanners (:mod:`repro.runtime.fast`), kept as their oracles,
+:class:`ReferenceSpan`, the frozen dataclass the tuple-backed
+:class:`repro.core.spans.Span` replaced, and
 :class:`ReferenceSpanTuple`, the dict-backed span tuple the flat
 :class:`repro.core.spans.SpanTuple` replaced,
 :func:`reference_search`, the compiled kernel's breadth-first
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import copy
 from collections import deque
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Mapping, Optional, Set, Tuple)
@@ -329,10 +332,70 @@ def reference_fixed_window_spans(document: str, width: int) -> List[Span]:
 
 
 # ----------------------------------------------------------------------
-# The span tuple before it was stored flat
+# The span before it was a tuple, and the span tuple before it was flat
 # ----------------------------------------------------------------------
 
 Variable = Hashable
+
+
+@dataclass(frozen=True, order=True)
+class ReferenceSpan:
+    """The frozen-dataclass span ``src/`` used before the tuple-backed
+    one, its code verbatim but for its name (doctests dropped): what
+    :class:`repro.core.spans.Span` must behave like.  (Its ``repr``
+    still says ``Span``, which is what the tuple type's is compared
+    with.)"""
+
+    begin: int
+    end: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.begin <= self.end:
+            raise ValueError(f"invalid span [{self.begin}, {self.end}>")
+
+    def __repr__(self) -> str:
+        return f"Span({self.begin}, {self.end})"
+
+    @property
+    def length(self) -> int:
+        """Number of characters covered."""
+        return self.end - self.begin
+
+    def extract(self, document: str) -> str:
+        """The substring ``d[i,j>`` of ``document``."""
+        if self.end > len(document) + 1:
+            raise ValueError(f"{self!r} is not a span of a document of "
+                             f"length {len(document)}")
+        return document[self.begin - 1 : self.end - 1]
+
+    def shift(self, context: "ReferenceSpan") -> "ReferenceSpan":
+        """The shift operator ``self >> context`` (Section 3)."""
+        offset = context.begin - 1
+        return ReferenceSpan(self.begin + offset, self.end + offset)
+
+    def __rshift__(self, context: "ReferenceSpan") -> "ReferenceSpan":
+        return self.shift(context)
+
+    def unshift(self, context: "ReferenceSpan") -> "ReferenceSpan":
+        """Inverse of :meth:`shift`: re-express within ``context``."""
+        if not context.contains(self):
+            raise ValueError(f"{context!r} does not contain {self!r}")
+        offset = context.begin - 1
+        return ReferenceSpan(self.begin - offset, self.end - offset)
+
+    def overlaps(self, other: "ReferenceSpan") -> bool:
+        """``i <= i' < j`` or ``i' <= i < j'``."""
+        return (self.begin <= other.begin < self.end) or (
+            other.begin <= self.begin < other.end
+        )
+
+    def disjoint(self, other: "ReferenceSpan") -> bool:
+        """Negation of :meth:`overlaps`."""
+        return not self.overlaps(other)
+
+    def contains(self, other: "ReferenceSpan") -> bool:
+        """``[i,j>`` contains ``[i',j'>`` iff ``i <= i' <= j' <= j``."""
+        return self.begin <= other.begin and other.end <= self.end
 
 
 class ReferenceSpanTuple(Mapping[Variable, Span]):

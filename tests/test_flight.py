@@ -385,6 +385,32 @@ class TestServiceFlightRecording:
         assert result.record is None
         assert result.query_id is None
 
+    def test_only_a_recorded_query_snapshots_the_stats(self, monkeypatch):
+        snapshots = []
+        stats = ExtractionEngine.stats
+
+        def counted(engine):
+            snapshots.append(engine)
+            return stats(engine)
+
+        monkeypatch.setattr(ExtractionEngine, "stats", counted)
+        with make_service() as service:
+            service.extract(DOCS)
+        unrecorded = len(snapshots)
+        with make_service(flight=FlightRecorder(capacity=8)) as service:
+            service.extract(DOCS)
+        # ``engine.run`` takes its own; a recorder adds its before and
+        # after, and no recorder adds none.
+        assert len(snapshots) - unrecorded == unrecorded + 2
+        with make_service(flight=FlightRecorder(capacity=8)) as service:
+            service.extract(DOCS)  # certify and warm the chunk cache
+            before = service._engine.stats()
+            record = service.extract(DOCS).record
+            delta = service._engine.stats().since(before).snapshot()
+        assert record.counters == delta
+        assert record.counters["documents"] == len(DOCS)
+        assert record.counters["chunk_cache_hits"] > 0
+
     def test_capture_spans_false_leaves_engine_untraced(self):
         flight = FlightRecorder(capacity=8, capture_spans=False)
         with make_service(flight=flight) as service:

@@ -1,5 +1,7 @@
 """Unit and property tests for spans and span tuples (Section 2)."""
 
+import copy
+import operator
 import pickle
 from types import SimpleNamespace
 
@@ -12,10 +14,13 @@ from repro.core.spans import (
     Span,
     SpanTuple,
     all_spans,
+    trusted_span,
     whole_span,
 )
+from repro.runtime.fast import RegexSpanner
+from repro.splitters.builders import executor_named, known_splitter_names
 from tests.conftest import spans_st
-from tests.reference import ReferenceSpanTuple
+from tests.reference import ReferenceSpan, ReferenceSpanTuple
 
 
 class TestSpan:
@@ -87,6 +92,148 @@ class TestSpan:
     def test_whole_span(self):
         assert whole_span("abc") == Span(1, 4)
         assert whole_span("") == Span(1, 1)
+
+
+# ----------------------------------------------------------------------
+# The tuple-backed Span against the dataclass it replaced
+# ----------------------------------------------------------------------
+
+def as_reference(span):
+    return ReferenceSpan(span.begin, span.end)
+
+
+def pair(span):
+    return span.begin, span.end
+
+
+#: Documents short enough that some drawn spans overrun them.
+SHORT_TEXTS = st.text(alphabet="ab .", max_size=10)
+
+
+class TestSpanAgreesWithTheReference:
+    @given(spans_st(), spans_st())
+    def test_comparisons_hash_and_repr(self, left, right):
+        ref_left, ref_right = as_reference(left), as_reference(right)
+        for compare in (operator.eq, operator.ne, operator.lt, operator.le,
+                        operator.gt, operator.ge):
+            assert compare(left, right) == compare(ref_left, ref_right)
+        assert hash(left) == hash(ref_left)
+        assert repr(left) == repr(ref_left)
+        assert left.length == ref_left.length
+        assert (len({left, right, Span(*pair(left))})
+                == len({ref_left, ref_right}))
+
+    @given(spans_st(), spans_st())
+    def test_overlaps_contains_shift_unshift(self, left, right):
+        ref_left, ref_right = as_reference(left), as_reference(right)
+        assert left.overlaps(right) == ref_left.overlaps(ref_right)
+        assert left.disjoint(right) == ref_left.disjoint(ref_right)
+        assert left.contains(right) == ref_left.contains(ref_right)
+        shifted = left.shift(right)
+        assert type(shifted) is Span and type(left >> right) is Span
+        assert pair(shifted) == pair(left >> right) \
+            == pair(ref_left.shift(ref_right))
+        assert outcome(lambda: pair(left.unshift(right))) \
+            == outcome(lambda: pair(ref_left.unshift(ref_right)))
+        if right.contains(left):
+            assert type(left.unshift(right)) is Span
+
+    @given(spans_st(), SHORT_TEXTS)
+    def test_extract(self, span, document):
+        assert outcome(lambda: span.extract(document)) \
+            == outcome(lambda: as_reference(span).extract(document))
+
+    def test_a_span_equals_the_pair_of_its_offsets(self):
+        # New with the tuple representation: ``==``, ``<`` and ``hash``
+        # are the pair's, so a Span equals a plain tuple.  The dataclass
+        # equalled only spans.
+        assert Span(1, 2) == (1, 2) and hash(Span(1, 2)) == hash((1, 2))
+        assert Span(1, 2) < (1, 3)
+        assert ReferenceSpan(1, 2) != (1, 2)
+        begin, end = Span(3, 7)
+        assert (begin, end) == (3, 7)
+
+
+class TestSpanValidation:
+    def test_every_way_in_checks_the_offsets(self):
+        for begin, end in ((0, 1), (3, 2), (0, 0), (-2, 5)):
+            with pytest.raises(ValueError):
+                Span(begin, end)
+            with pytest.raises(ValueError):
+                Span._make((begin, end))
+            forged = trusted_span(begin, end)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                blob = pickle.dumps(forged, protocol)
+                with pytest.raises(ValueError):
+                    pickle.loads(blob)
+            for duplicate in (copy.copy, copy.deepcopy, Span._replace):
+                with pytest.raises(ValueError):
+                    duplicate(forged)
+        with pytest.raises(ValueError):
+            Span(2, 5)._replace(begin=6)
+        with pytest.raises(ValueError):
+            Span(2, 5)._replace(end=1)
+        with pytest.raises(TypeError):
+            Span._make((1, 2, 3))
+
+    def test_a_hand_written_pickle_is_checked(self):
+        # Protocol 2's NEWOBJ calls ``Span.__new__(Span, 0, 1)`` without
+        # going through ``__reduce__``.
+        blob = b"\x80\x02crepro.core.spans\nSpan\nK\x00K\x01\x86\x81."
+        with pytest.raises(ValueError):
+            pickle.loads(blob)
+        assert pickle.loads(blob.replace(b"K\x00", b"K\x01")) == Span(1, 1)
+
+    @given(spans_st())
+    def test_valid_spans_survive_every_way_in(self, span):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(span, protocol))
+            assert clone == span and type(clone) is Span
+        for clone in (copy.copy(span), copy.deepcopy(span),
+                      span._replace(), Span._make(span), Span(*span)):
+            assert clone == span and type(clone) is Span
+
+    @pytest.mark.parametrize("name", [
+        name.replace("<N>", "3") for name in known_splitter_names()])
+    @given(document=st.text(alphabet="ab .\n#", max_size=24))
+    def test_every_registry_scanner_yields_valid_spans(self, name, document):
+        scanner = executor_named(name, "ab .\n#")
+        spans = scanner.splits(document)
+        chunks = scanner.chunks_of(document)
+        assert [span for span, _text in chunks] == spans
+        for span, text in chunks:
+            assert type(span) is Span and Span(*span) == span
+            assert span.extract(document) == text
+
+    @given(document=st.text(alphabet="ab ", max_size=16))
+    def test_regex_spanner_yields_valid_spans(self, document):
+        spanner = RegexSpanner(r"(?=(?P<x>a+)(?P<y>b*))")
+        for result in spanner.evaluate(document):
+            x, y = result["x"], result["y"]
+            assert Span(*x) == x and Span(*y) == y
+            assert set(x.extract(document)) == {"a"}
+            assert set(y.extract(document)) <= {"b"} and x.end == y.begin
+
+    def test_a_span_fingerprints_as_a_span_not_as_a_pair(self):
+        # ``_canonical_value`` dispatches on ``isinstance(value,
+        # tuple)``, which a Span now matches: it must still describe as
+        # a span, and a span attribute must reach the fingerprint.
+        from repro.engine.cache import _canonical_value, fingerprint
+
+        assert _canonical_value(Span(8, 12)) == "Span(8, 12)"
+        assert _canonical_value((Span(8, 12),)) == "tuple(Span(8, 12))"
+        assert _canonical_value(Span(8, 12)) != _canonical_value((8, 12))
+
+        class Windowed:
+            def __init__(self, window):
+                self.window = window
+
+        assert fingerprint(Windowed(Span(1, 4))) \
+            == fingerprint(Windowed(Span(1, 4)))
+        assert fingerprint(Windowed(Span(1, 4))) \
+            != fingerprint(Windowed(Span(2, 4)))
+        assert fingerprint(Windowed(Span(1, 4))) \
+            != fingerprint(Windowed((1, 4)))
 
 
 class TestSpanTuple:
@@ -218,6 +365,34 @@ class TestFlatSpanTupleAgreesWithTheReference:
             == outcome(lambda: ref.unshift(probe))
         assert outcome(flat.enclosing_span) == outcome(ref.enclosing_span)
         assert flat.covered_by(probe) == ref.covered_by(probe)
+
+    @pytest.mark.parametrize("arity", [0, 1, 2, 4])
+    @given(data=st.data())
+    def test_shift_fast_path_by_arity(self, arity, data):
+        # ``shift`` spells out the unary tuple's two adds, returns the
+        # 0-ary tuple itself and adds in a list otherwise: every branch
+        # against the reference over dataclass spans, by contexts far
+        # past the tuple's own positions.
+        variables = data.draw(st.permutations(["x", "y", "z", 1]))[:arity]
+        assignment = {variable: data.draw(spans_st(max_position=30))
+                      for variable in variables}
+        context = data.draw(spans_st(max_position=10_000))
+        flat = SpanTuple(assignment)
+        ref = ReferenceSpanTuple({variable: as_reference(span)
+                                  for variable, span in assignment.items()})
+        expected = ref.shift(as_reference(context))
+        for shifted in (flat.shift(context), flat >> context):
+            assert dict(shifted) == {variable: pair(span)
+                                     for variable, span in expected.items()}
+            assert repr(shifted) == repr(expected)
+            assert shifted.variables() == flat.variables()
+            rebuilt = SpanTuple(dict(shifted))
+            assert shifted == rebuilt and hash(shifted) == hash(rebuilt)
+            assert all(type(shifted[variable]) is Span
+                       for variable in shifted)
+            assert pickle.loads(pickle.dumps(shifted)) == shifted
+            if shifted.covered_by(context):
+                assert shifted.unshift(context) == flat
 
     @given(assignments_st(), assignments_st())
     def test_join_and_agreement(self, left, right):
