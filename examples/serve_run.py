@@ -1,13 +1,16 @@
-"""The resident serving layer, end to end: one hot engine behind a
-dispatcher thread, concurrent queries sharing a certification,
+"""The resident serving layer, end to end: one hot engine owned by
+one service thread, concurrent queries sharing a certification,
 deadlines that cancel cooperatively, admission control, and per-tenant
 metrics.
 
 :class:`repro.ExtractionService` owns an
-:class:`repro.ExtractionEngine` and drives it from a single dispatcher
-thread — the ownership boundary that lets many callers (threads or
-asyncio tasks) share one plan cache and one chunk cache without racing
-certification.  A query that misses its :class:`repro.Deadline` raises
+:class:`repro.ExtractionEngine` and drives it from the event loop of
+its single thread — the ownership boundary that lets many callers
+(threads or asyncio tasks) share one plan cache and one chunk cache
+without racing certification.  Callers on other threads and other
+event loops, as here, queue their queries for that loop; the HTTP
+endpoint (``python -m repro serve``) runs its requests on the loop
+itself.  A query that misses its :class:`repro.Deadline` raises
 :class:`repro.DeadlineExceededError` at a batch boundary and leaves
 the engine, pool, and caches live for the next caller; a full
 admission queue rejects synchronously with
@@ -65,7 +68,7 @@ def main() -> None:
         for doc_id in sorted(result.by_document):
             print(f"  {doc_id}: {sorted(result[doc_id], key=repr)}")
 
-        # Concurrent callers: the dispatcher serialises execution, so
+        # Concurrent callers: the service thread serialises execution, so
         # all eight queries share the single certification done above
         # and hit the warm chunk cache.
         print("\n== Eight concurrent threads ==")
@@ -84,7 +87,8 @@ def main() -> None:
         print(f"totals agree: {sorted(set(totals))} "
               f"(plan-cache hits now {service.engine_stats().plan_cache_hits})")
 
-        # The asyncio front end awaits the same dispatcher.
+        # The asyncio front end, on this thread's own loop, queues for
+        # the same service thread.
         print("\n== asyncio front end ==")
 
         async def fan_out() -> list:

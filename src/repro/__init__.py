@@ -39,6 +39,7 @@ from repro.errors import (
     ReproError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ServiceThreadError,
     UnknownSplitterError,
     WorkerLostError,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "IndexFormatError",
     "ServiceOverloadedError",
     "ServiceClosedError",
+    "ServiceThreadError",
     "WorkerLostError",
     # Corpus engine.
     "Corpus",

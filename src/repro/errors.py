@@ -107,6 +107,23 @@ class ServiceClosedError(ReproError, RuntimeError):
         super().__init__("the extraction service is closed")
 
 
+class ServiceThreadError(ReproError, RuntimeError):
+    """A blocking service call was made on the service's own thread.
+
+    The service's thread runs the event loop that executes queries, so
+    a call there that waits for the loop (``extract``, ``close``) could
+    never return; it raises instead.  Carries the ``call``'s name.  On
+    that thread, ``await service.extract_async(...)``.
+    """
+
+    def __init__(self, call: str) -> None:
+        self.call = call
+        super().__init__(
+            f"{call}() would wait for the service thread it was called "
+            f"on; await extract_async() there instead"
+        )
+
+
 class IndexFormatError(ReproError, ValueError):
     """A persisted corpus index cannot be opened as its format claims.
 

@@ -11,9 +11,13 @@ mostly *waiting*.
 
 Stacks aggregate per **thread role** rather than per thread id, so a
 profile reads as "what was the dispatcher doing" vs. "what were the
-workers doing" rather than a soup of anonymous idents.  Roles come
-from two sources: the thread's own name (the service names its
-dispatcher thread; the profiler's sampler names itself and is skipped)
+workers doing" rather than a soup of anonymous idents.  The
+``dispatcher`` is the service's one thread: its event loop runs the
+queries and, under :func:`repro.serve.serve_http`, also accepts, reads
+and parses the HTTP requests and writes the responses, so HTTP time
+and engine time share that role (tell them apart by the stacks).
+Roles come from two sources: the thread's own name (the service names
+its dispatcher thread; the profiler's sampler names itself and is skipped)
 and a process-wide role set by :func:`set_process_role` — the pool
 worker initializers (:mod:`repro.runtime.executor`) declare
 ``pool-worker``, so a profiler running *inside* a worker process
@@ -62,7 +66,8 @@ def thread_role(name: str) -> str:
     """The role label for a thread named ``name``.
 
     The process role (pool workers) wins; otherwise the service's
-    dispatcher thread is recognized by its name, ``MainThread``
+    thread (queries, and HTTP requests under ``serve_http``) is the
+    ``dispatcher``, recognized by its name, ``MainThread``
     becomes ``main``, and anything else keeps its thread name — which
     is already the most descriptive label available.
     """

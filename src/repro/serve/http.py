@@ -2,7 +2,14 @@
 
 Deliberately minimal — :mod:`asyncio.start_server` plus hand-rolled
 HTTP/1.1 parsing, no third-party dependency — because the protocol
-surface is small:
+surface is small.  :func:`serve_http` binds the endpoint on the
+service's own event loop, the thread that owns the engine: a request
+is read, parsed, run and answered there, and a request that finds the
+engine idle runs in its handler's turn, without crossing threads.  So
+a request waits *before it is read* (for the loop to finish the query
+it is running) rather than in the service's queue, and the service's
+``queue_seconds`` is ~0.  Every response says ``Connection: close``:
+one request per connection.
 
 * ``POST /extract`` — body ``{"texts": [...]}`` or ``{"documents":
   {id: text}}``, optional ``"tenant"``, ``"deadline_ms"``, and (when
@@ -18,7 +25,7 @@ surface is small:
   full record, span tree and explain payload included when the slow
   log kept them.
 * ``GET /debug/slow`` — the slow-query log, full records.
-* ``GET /debug/inflight`` — dispatcher queue depth, the running
+* ``GET /debug/inflight`` — the service's queue depth, the running
   query, per-tenant admission counters.
 * ``GET /debug/profile?seconds=S&hz=H`` — run the sampling profiler
   for S seconds (clamped) and return folded stacks per thread role.
@@ -41,8 +48,10 @@ or 504 seen client-side joins directly against the server's records.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import urllib.parse
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.core.spans import SpanTuple
@@ -63,6 +72,11 @@ from repro.serve.service import (
 #: Request bodies above this size are rejected with 413 (the service
 #: is an extraction endpoint, not a bulk-ingest channel).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Ad-hoc ``"pattern"`` programs kept built, least recently used
+#: evicted first: a repeated pattern reuses its compiled, fingerprinted
+#: and lowered :class:`repro.engine.Program`.
+MAX_ADHOC_PROGRAMS = 32
 
 #: ``/debug/profile`` bounds: the profiler blocks a worker thread for
 #: the requested window, so the window is clamped server-side.
@@ -133,10 +147,17 @@ def _result_payload(result: ServiceResult) -> Dict[str, object]:
 class ServiceHTTPServer:
     """The asyncio endpoint bound to one :class:`ExtractionService`.
 
+    Start it on the service's loop —
+    ``service.run_coroutine(server.start(port=0)).result()``, which is
+    what :func:`serve_http` does — so handlers run queries in their own
+    turn; on any other loop it still works, each query crossing to the
+    service thread as a submission.
+
     ``query_factory`` optionally maps ``(pattern, alphabet)`` from a
     request body to an engine program, enabling ad-hoc programs over
     the same resident engine (they share its plan cache); without it,
-    requests run the service's default program only.
+    requests run the service's default program only.  The last
+    :data:`MAX_ADHOC_PROGRAMS` programs it built are kept and reused.
 
     Every connection is assigned a request id up front; it rides the
     ``X-Repro-Request-Id`` response header, JSON error bodies, the
@@ -148,6 +169,8 @@ class ServiceHTTPServer:
                  query_factory=None) -> None:
         self.service = service
         self.query_factory = query_factory
+        self._programs: "OrderedDict[Tuple[str, Optional[str]], object]" \
+            = OrderedDict()
         self._server: Optional[asyncio.AbstractServer] = None
 
     # -- request plumbing ----------------------------------------------
@@ -319,8 +342,19 @@ class ServiceHTTPServer:
             raise ValueError(
                 "this endpoint serves a fixed program; "
                 "per-request patterns are not enabled")
-        return self.query_factory(str(pattern),
-                                  request.get("alphabet"))
+        alphabet = request.get("alphabet")
+        if alphabet is not None and not isinstance(alphabet, str):
+            raise ValueError('"alphabet" must be a string')
+        key = (str(pattern), alphabet)
+        program = self._programs.get(key)
+        if program is None:
+            program = self.query_factory(*key)
+            if len(self._programs) >= MAX_ADHOC_PROGRAMS:
+                self._programs.popitem(last=False)
+            self._programs[key] = program
+        else:
+            self._programs.move_to_end(key)
+        return program
 
     async def _extract(self, request: Dict[str, object],
                        request_id: str) -> bytes:
@@ -386,23 +420,23 @@ class ServiceHTTPServer:
 def serve_http(service: ExtractionService, host: str = "127.0.0.1",
                port: int = 8080, query_factory=None,
                ready=None) -> None:
-    """Run the HTTP endpoint until interrupted (blocking).
+    """Run the HTTP endpoint on the service's thread until interrupted
+    (blocking), then close the service.
 
     ``ready`` is an optional callback receiving the bound
     ``(host, port)`` once the socket is listening — what the CLI uses
     to print the URL and smoke tests use to know when to connect.
+    The calling thread only waits: ``SIGINT`` (``KeyboardInterrupt``)
+    ends it, as does closing the service elsewhere.
     """
     server = ServiceHTTPServer(service, query_factory=query_factory)
-
-    async def _run() -> None:
-        bound = await server.start(host=host, port=port)
+    try:
+        bound = service.run_coroutine(
+            server.start(host=host, port=port)).result()
         if ready is not None:
             ready(bound)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
+        service.run_coroutine(server.serve_forever()).result()
+    except (KeyboardInterrupt, concurrent.futures.CancelledError):
         pass
     finally:
         service.close()

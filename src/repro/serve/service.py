@@ -1,12 +1,33 @@
 """The resident :class:`ExtractionService`: one hot engine, many queries.
 
 Everything below the service is batch-oriented and synchronous; the
-service makes it *resident*.  One dispatcher thread owns a single
+service makes it *resident*.  One service thread owns a single
 :class:`repro.engine.ExtractionEngine` — the ownership boundary: no
 other thread ever touches the engine, so the plan cache, chunk cache,
 corpus index and worker pool stay hot and uncontended across thousands
-of queries — while any number of submitting threads (or asyncio tasks,
-or HTTP connections) funnel work through a bounded admission queue.
+of queries.  That thread runs an :mod:`asyncio` event loop, and the
+HTTP endpoint (:func:`repro.serve.http.serve_http`) listens on the
+same loop, so a request is read, run and answered on one thread.
+
+How a query reaches the engine:
+
+* **In turn** — a query admitted on the service's own loop (an HTTP
+  request, or any coroutine there awaiting :meth:`extract_async`)
+  while the engine is idle runs at once, inside the admitting task.
+* **Queued** — otherwise it waits in a bounded FIFO: behind the query
+  that holds the engine, or because it came from another thread
+  (:meth:`ExtractionService.submit`, :meth:`ExtractionService.extract`)
+  or another event loop (:meth:`ExtractionService.extract_async`),
+  which wake the service loop with ``call_soon_threadsafe``.  The FIFO
+  runs its queries in order, one at a time.
+* A running query yields to the loop at every engine batch boundary,
+  so requests keep being read (``/healthz`` and ``/debug/inflight``
+  keep answering) during a long run; queries that arrive meanwhile
+  queue.
+
+A blocking call that waits for the loop (``extract``, ``close``) made
+on the service thread itself raises
+:class:`repro.errors.ServiceThreadError` instead of deadlocking.
 
 Three serving disciplines, all explicit:
 
@@ -41,24 +62,28 @@ stdlib HTTP/JSON endpoint on top lives in :mod:`repro.serve.http`
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import os
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Set, Union
 
 from repro.core.spans import SpanTuple
 from repro.engine.deadline import Deadline, as_deadline
-from repro.errors import ServiceClosedError, ServiceOverloadedError
+from repro.engine.engine import _as_corpus, _as_program
+from repro.errors import (
+    DeadlineExceededError,
+    ServiceClosedError,
+    ServiceOverloadedError,
+    ServiceThreadError,
+)
 from repro.obs.flight import FlightRecorder, QueryRecord
 from repro.obs.log import event_log
 from repro.obs.metrics import Counter, Metrics
-
-#: Queue sentinel telling the dispatcher thread to exit.
-_SHUTDOWN = object()
 
 #: Process-wide query-id sequence (ids stay unique across services).
 _QUERY_IDS = itertools.count(1)
@@ -76,9 +101,9 @@ class ServiceResult:
 
     ``by_document`` maps ``doc_id -> set of span tuples`` (the
     engine's result shape); the timing fields make latency visible per
-    query — ``queue_seconds`` is time spent waiting for the dispatcher
-    (admission to start of execution), ``run_seconds`` the engine pass
-    itself.
+    query — ``queue_seconds`` is time spent waiting for the engine
+    (admission to start of execution: ~0 for a query run in turn),
+    ``run_seconds`` the engine pass itself.
     """
 
     by_document: Dict[str, Set[SpanTuple]]
@@ -108,14 +133,16 @@ class ServiceResult:
 
 @dataclass
 class _Job:
-    """One admitted query, queued for the dispatcher thread."""
+    """One admitted query."""
 
     corpus: object
     program: object
     tenant: str
     deadline: Deadline
-    future: "Future[ServiceResult]"
-    query_id: str = field(default_factory=_new_query_id)
+    query_id: str
+    #: Resolves a queued query; ``None`` for one run in turn, whose
+    #: admitting task awaits the run itself.
+    future: Optional["Future[ServiceResult]"] = None
     enqueued: float = field(default_factory=time.monotonic)
 
 
@@ -124,9 +151,9 @@ class _Control:
     """An engine-management operation, queued like a query.
 
     Control work (index reopen, compaction pickup) must run on the
-    dispatcher thread — it touches the engine, and the dispatcher owns
-    the engine — so it rides the same admission queue as queries and
-    executes between them, never concurrently with one.
+    service thread — it touches the engine, and that thread owns the
+    engine — so it rides the same FIFO as queries and executes between
+    them, never concurrently with one.
     """
 
     operation: object  # callable(engine) -> result
@@ -138,10 +165,9 @@ class ExtractionService:
 
     ``engine`` is an :class:`repro.engine.ExtractionEngine` the service
     takes ownership of (it is driven exclusively by the service's
-    dispatcher thread and closed by :meth:`close`); build one
-    explicitly, or — the fluent route — let
-    :meth:`repro.query.Query.serve` derive service and engine from a
-    configured query in one call.
+    thread and closed by :meth:`close`); build one explicitly, or — the
+    fluent route — let :meth:`repro.query.Query.serve` derive service
+    and engine from a configured query in one call.
 
     ``program`` optionally fixes a default extraction program
     (:class:`repro.engine.Program` or anything
@@ -152,9 +178,9 @@ class ExtractionService:
     :class:`repro.engine.deadline.Deadline` factory value) applies to
     queries that do not carry their own.
 
-    Queries execute **serially** on the dispatcher thread — chunk-level
+    Queries execute **serially** on the service thread — chunk-level
     parallelism comes from the engine's worker pool, and serial
-    dispatch is precisely what makes concurrent identical queries
+    execution is precisely what makes concurrent identical queries
     share one certification and one chunk-cache population instead of
     racing.  The service is usable as a context manager; it starts
     lazily on first submission.
@@ -176,16 +202,25 @@ class ExtractionService:
         self._default_deadline = default_deadline
         self.name = name
         self.max_queue = max_queue
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=max_queue)
-        self._dispatcher: Optional[threading.Thread] = None
-        self._lifecycle = threading.Lock()
+        #: Admitted work waiting for the engine, oldest first: at most
+        #: ``max_queue`` :class:`_Job` / :class:`_Control` entries.
+        #: Any thread appends (holding ``_lock``); only the service
+        #: thread pops.
+        self._pending: Deque[Union[_Job, _Control]] = deque()
+        self._lock = threading.Lock()
         self._closed = False
-        metrics = engine.metrics
-        self._queries = metrics.counter
-        self._queue_depth = metrics.gauge("service.queue_depth")
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        # Service-thread state: whether a query or the FIFO's drain
+        # task holds the engine, that task (the loop keeps tasks only
+        # weakly), and whether close() has asked the loop to stop.
+        self._busy = False
+        self._drainer: Optional[asyncio.Task] = None
+        self._stopping = False
+        self._queue_depth = engine.metrics.gauge("service.queue_depth")
         #: The flight recorder retaining completed-query records
         #: (``None`` = recording off).  A recorder that wants span
-        #: trees turns on engine-wide tracing; the dispatcher then
+        #: trees turns on engine-wide tracing; the service then
         #: *drains* the tracer per query, so each record gets exactly
         #: its own spans and the span buffer never grows unboundedly
         #: on a long-lived service.
@@ -195,8 +230,8 @@ class ExtractionService:
             engine.enable_tracing()
         if engine.tracer.enabled:
             event_log().bind_tracer(engine.tracer)
-        #: The query currently executing on the dispatcher thread, as
-        #: an immutable summary dict (atomic assignment: readable from
+        #: The query currently executing on the service thread, as an
+        #: immutable summary dict (atomic assignment: readable from
         #: any thread without a lock), or ``None`` when idle.
         self._running: Optional[Dict[str, object]] = None
 
@@ -205,49 +240,80 @@ class ExtractionService:
     # ------------------------------------------------------------------
 
     def start(self) -> "ExtractionService":
-        """Start the dispatcher thread (idempotent; implicit on first
-        submission)."""
-        with self._lifecycle:
-            if self._closed:
-                raise ServiceClosedError()
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name=f"repro-{self.name}-dispatcher",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-                event_log().emit("service.start", service=self.name,
-                                 max_queue=self.max_queue)
+        """Start the service thread and its event loop (idempotent;
+        implicit on first submission)."""
+        with self._lock:
+            self._start_locked()
         return self
+
+    def _start_locked(self) -> None:
+        if self._closed:
+            raise ServiceClosedError()
+        if self._thread is None:
+            self._loop = asyncio.new_event_loop()
+            self._thread = threading.Thread(
+                target=self._serve_loop,
+                name=f"repro-{self.name}-dispatcher",
+                daemon=True,
+            )
+            self._thread.start()
+            event_log().emit("service.start", service=self.name,
+                             max_queue=self.max_queue)
+
+    def _serve_loop(self) -> None:
+        """The service thread: run the loop until :meth:`close` stops
+        it, then cancel what is left on it, as :func:`asyncio.run`
+        does (connections of an HTTP server never stopped)."""
+        loop = self._loop
+        asyncio.set_event_loop(loop)
+        try:
+            loop.run_forever()
+        finally:
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                loop.run_until_complete(
+                    asyncio.gather(*tasks, return_exceptions=True))
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.run_until_complete(loop.shutdown_default_executor())
+            loop.close()
+
+    def run_coroutine(self, coroutine) -> "Future[object]":
+        """Run ``coroutine`` on the service's event loop (starting the
+        service if need be); returns a future of its result.
+
+        This is how :func:`repro.serve.http.serve_http` binds its
+        endpoint to the thread that owns the engine.
+        """
+        try:
+            self.start()
+        except ServiceClosedError:
+            coroutine.close()
+            raise
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
 
     def close(self, drain: bool = True) -> None:
         """Stop accepting queries and shut the service down.
 
         With ``drain=True`` (default) queries already admitted run to
-        completion first; with ``drain=False`` pending queries fail
-        with :class:`repro.errors.ServiceClosedError`.  The owned
-        engine's pool is stopped; caches survive on the engine
-        object.  Idempotent.
+        completion first; with ``drain=False`` queued queries fail
+        with :class:`repro.errors.ServiceClosedError` (a running one
+        finishes).  The service thread exits and the owned engine's
+        pool is stopped; caches survive on the engine object.
+        Idempotent.  Raises :class:`repro.errors.ServiceThreadError`
+        on the service thread, which cannot wait for itself.
         """
-        with self._lifecycle:
+        self._refuse_on_service_thread("close")
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            dispatcher = self._dispatcher
-        if not drain:
-            # Fail whatever is still queued; the dispatcher drains the
-            # sentinel afterwards.
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(job, (_Job, _Control)):
-                    job.future.set_exception(ServiceClosedError())
-        if dispatcher is not None:
-            self._queue.put(_SHUTDOWN)
-            dispatcher.join()
+            thread = self._thread
+            if thread is not None:
+                self._loop.call_soon_threadsafe(self._shutdown, drain)
+        if thread is not None:
+            thread.join()
         self._engine.close()
         event_log().emit("service.close", service=self.name,
                          drained=drain)
@@ -261,6 +327,10 @@ class ExtractionService:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def _refuse_on_service_thread(self, call: str) -> None:
+        if threading.current_thread() is self._thread:
+            raise ServiceThreadError(call)
 
     # ------------------------------------------------------------------
     # Submission (any thread)
@@ -291,55 +361,20 @@ class ExtractionService:
         per-request id here, so ``X-Repro-Request-Id`` and
         ``GET /debug/queries/<id>`` refer to the same record.
         """
-        if query_id is None:
-            query_id = _new_query_id()
-        if self._closed:
-            self._count("service.rejections", tenant,
-                        reason="closed").inc()
-            event_log().emit("service.reject", level="warning",
-                             tenant=tenant, query_id=query_id,
-                             reason="closed")
-            raise ServiceClosedError()
-        program = program if program is not None else self._default_program
-        if program is None:
-            raise ValueError(
-                "no program: pass one to submit() or configure a "
-                "default on the service"
-            )
-        if deadline is None:
-            deadline = self._default_deadline
-        job = _Job(
-            corpus=corpus,
-            program=program,
-            tenant=tenant,
-            deadline=as_deadline(deadline),
-            future=Future(),
-            query_id=query_id,
-        )
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            self._count("service.rejections", tenant,
-                        reason="overloaded").inc()
-            event_log().emit("service.reject", level="warning",
-                             tenant=tenant, query_id=query_id,
-                             reason="overloaded",
-                             max_queue=self.max_queue)
-            raise ServiceOverloadedError(self.max_queue) from None
-        self._queue_depth.set(self._queue.qsize())
-        event_log().emit("service.admit", tenant=tenant,
-                         query_id=query_id,
-                         program=getattr(job.program, "name", "query"),
-                         queue_depth=self._queue.qsize())
-        if self._dispatcher is None:
-            self.start()
-        return job.future
+        return self._queue(self._job(corpus, program, tenant, deadline,
+                                     query_id))
 
     def extract(self, corpus, program: object = None,
                 tenant: str = "default",
                 deadline: object = None,
                 query_id: Optional[str] = None) -> ServiceResult:
-        """Submit and block for the result (the synchronous shortcut)."""
+        """Submit and block for the result (the synchronous shortcut).
+
+        Raises :class:`repro.errors.ServiceThreadError` on the service
+        thread, where the result could never arrive; await
+        :meth:`extract_async` there.
+        """
+        self._refuse_on_service_thread("extract")
         return self.submit(corpus, program, tenant, deadline,
                            query_id=query_id).result()
 
@@ -351,14 +386,23 @@ class ExtractionService:
         """The asyncio front end: awaitable submission.
 
         Admission control still applies synchronously (an overloaded
-        service raises before anything is awaited); the returned
-        coroutine resolves when the dispatcher finishes the query.
+        service raises before anything is awaited).  On the service's
+        own loop — where :func:`repro.serve.http.serve_http` handles
+        requests — a query admitted while the engine is idle runs
+        right here, in the awaiting task; otherwise the query waits
+        its turn in the FIFO and this coroutine resolves when it has
+        run.
         """
-        import asyncio
-
-        future = self.submit(corpus, program, tenant, deadline,
-                             query_id=query_id)
-        return await asyncio.wrap_future(future)
+        job = self._job(corpus, program, tenant, deadline, query_id)
+        if (threading.current_thread() is not self._thread
+                or self._busy or self._pending):
+            return await asyncio.wrap_future(self._queue(job))
+        self._admitted(job, queue_depth=0)
+        self._busy = True
+        try:
+            return await self._run(job)
+        finally:
+            self._release()
 
     def reopen_index(self, path: Optional[str] = None) -> "Future[object]":
         """Pick up index changes without restarting the service.
@@ -373,14 +417,12 @@ class ExtractionService:
         generation from the next query (prefilter masks recompute
         automatically off the index version).
 
-        Runs on the dispatcher thread between queries — never
+        Runs on the service thread between queries — never
         concurrently with one — so in-flight queries finish against
         the index they started with.  Returns a future resolving to a
         report dict; raises :class:`ServiceOverloadedError` /
         :class:`ServiceClosedError` like :meth:`submit`.
         """
-        if self._closed:
-            raise ServiceClosedError()
 
         def _reopen(engine) -> Dict[str, object]:
             index = engine.index
@@ -406,42 +448,142 @@ class ExtractionService:
             return report
 
         job = _Control(operation=_reopen, future=Future())
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            raise ServiceOverloadedError(self.max_queue) from None
-        if self._dispatcher is None:
-            self.start()
+        refusal = self._enqueue(job)
+        if refusal == "closed":
+            raise ServiceClosedError()
+        if refusal == "overloaded":
+            raise ServiceOverloadedError(self.max_queue)
         return job.future
 
     # ------------------------------------------------------------------
-    # Dispatch (the engine-owning thread)
+    # Admission (any thread)
     # ------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _SHUTDOWN:
-                break
-            self._queue_depth.set(self._queue.qsize())
-            if isinstance(job, _Control):
-                self._execute_control(job)
-            else:
-                self._execute(job)
+    def _job(self, corpus, program, tenant: str, deadline,
+             query_id: Optional[str]) -> _Job:
+        """One query, checked for admission: refused when the service
+        is closed, rejected when it has no program."""
+        if query_id is None:
+            query_id = _new_query_id()
+        if self._closed:
+            self._refuse(tenant, query_id, "closed")
+        program = program if program is not None else self._default_program
+        if program is None:
+            raise ValueError(
+                "no program: pass one to submit() or configure a "
+                "default on the service"
+            )
+        if deadline is None:
+            deadline = self._default_deadline
+        return _Job(corpus=corpus, program=program, tenant=tenant,
+                    deadline=as_deadline(deadline), query_id=query_id)
 
-    def _execute_control(self, job: _Control) -> None:
-        if job.future.cancelled():
-            return
-        job.future.set_running_or_notify_cancel()
+    def _queue(self, job: _Job) -> "Future[ServiceResult]":
+        """Admit ``job`` into the FIFO; its future resolves once the
+        service thread has run it."""
+        job.future = Future()
+        refusal = self._enqueue(job)
+        if refusal is not None:
+            self._refuse(job.tenant, job.query_id, refusal)
+        self._admitted(job, queue_depth=len(self._pending))
+        return job.future
+
+    def _enqueue(self, entry: Union[_Job, _Control]) -> Optional[str]:
+        """Append ``entry`` to the FIFO and wake the service loop, or
+        return why not (``"closed"``, ``"overloaded"``)."""
+        with self._lock:
+            if self._closed:
+                return "closed"
+            if len(self._pending) >= self.max_queue:
+                return "overloaded"
+            self._start_locked()
+            self._pending.append(entry)
+            # Under the lock: close() cannot have the loop stop between
+            # this entry's arrival and its wake-up call.
+            self._loop.call_soon_threadsafe(self._kick)
+        return None
+
+    def _refuse(self, tenant: str, query_id: str, reason: str) -> None:
+        self._count("service.rejections", tenant, reason=reason).inc()
+        if reason == "closed":
+            event_log().emit("service.reject", level="warning",
+                             tenant=tenant, query_id=query_id,
+                             reason=reason)
+            raise ServiceClosedError()
+        event_log().emit("service.reject", level="warning",
+                         tenant=tenant, query_id=query_id, reason=reason,
+                         max_queue=self.max_queue)
+        raise ServiceOverloadedError(self.max_queue)
+
+    def _admitted(self, job: _Job, queue_depth: int) -> None:
+        self._queue_depth.set(queue_depth)
+        event_log().emit("service.admit", tenant=job.tenant,
+                         query_id=job.query_id,
+                         program=getattr(job.program, "name", "query"),
+                         queue_depth=queue_depth)
+
+    # ------------------------------------------------------------------
+    # Execution (the service thread)
+    # ------------------------------------------------------------------
+
+    def _kick(self) -> None:
+        """Hand the engine to the FIFO's head if nothing holds it."""
+        if not self._busy and self._pending:
+            self._busy = True
+            self._drainer = self._loop.create_task(self._drain())
+
+    def _release(self) -> None:
+        """The engine is free: run what queued meanwhile, or stop the
+        loop when :meth:`close` asked for it."""
+        self._busy = False
+        if self._pending:
+            self._kick()
+        elif self._stopping:
+            self._loop.stop()
+
+    def _shutdown(self, drain: bool) -> None:
+        """:meth:`close`, on the loop: fail the queued work unless
+        draining, and stop the loop once the engine is free."""
+        if not drain:
+            while self._pending:
+                entry = self._pending.popleft()
+                if entry.future.set_running_or_notify_cancel():
+                    entry.future.set_exception(ServiceClosedError())
+            self._queue_depth.set(0)
+        self._stopping = True
+        if not self._busy:
+            self._release()
+
+    async def _drain(self) -> None:
+        """Run the FIFO's entries in order until it is empty."""
         try:
-            job.future.set_result(job.operation(self._engine))
-        except BaseException as error:  # report, don't kill dispatch
-            job.future.set_exception(error)
+            while self._pending:
+                entry = self._pending.popleft()
+                self._queue_depth.set(len(self._pending))
+                if not entry.future.set_running_or_notify_cancel():
+                    continue
+                if isinstance(entry, _Control):
+                    try:
+                        entry.future.set_result(
+                            entry.operation(self._engine))
+                    except Exception as error:  # report, keep serving
+                        entry.future.set_exception(error)
+                else:
+                    try:
+                        entry.future.set_result(await self._run(entry))
+                    except Exception as error:
+                        entry.future.set_exception(error)
+                if self._pending:
+                    # Let the loop read what has arrived before the
+                    # next queued query takes the engine.
+                    await asyncio.sleep(0)
+        finally:
+            self._drainer = None
+            self._release()
 
-    def _execute(self, job: _Job) -> None:
-        if job.future.cancelled():
-            return
-        job.future.set_running_or_notify_cancel()
+    async def _run(self, job: _Job) -> ServiceResult:
+        """Run one admitted query on the engine this task holds,
+        yielding to the loop at every engine batch boundary."""
         tenant = job.tenant
         queue_wait = time.monotonic() - job.enqueued
         self._histogram("service.queue_wait_seconds", tenant) \
@@ -454,7 +596,8 @@ class ExtractionService:
             "started": time.time(),
             "deadline_remaining": job.deadline.remaining(),
         }
-        tracer = self._engine.tracer
+        engine = self._engine
+        tracer = engine.tracer
         if tracer.enabled:
             # Whatever is in the buffer predates this query (startup
             # spans, spans of a run driven outside the service);
@@ -463,19 +606,33 @@ class ExtractionService:
             # keeps a long-lived server's span buffer bounded.
             tracer.drain()
         # Only a flight record reads the counters' delta.
-        stats_before = (self._engine.stats() if self.flight is not None
-                        else None)
+        stats_before = engine.stats() if self.flight is not None else None
         started = time.perf_counter()
         error: Optional[BaseException] = None
-        result = None
+        certified = None
+        by_document: Dict[str, Set[SpanTuple]] = {}
         try:
             # Reject a dead-on-arrival budget before any engine work;
             # mid-run expiry surfaces from the engine's own batch-
             # boundary checks.
             job.deadline.check()
-            result = self._engine.run(job.corpus, job.program,
-                                      deadline=job.deadline)
-        except BaseException as caught:
+            program = _as_program(job.program)
+            certified = engine.certify(program)
+            # The lazy core of engine.run/run_iter, fed the certificate
+            # this query keeps for its flight record (run_iter would
+            # certify a second time).  It yields a batch's documents
+            # together, so every ``batch`` documents is a boundary.
+            documents = engine._iter_certified(
+                _as_corpus(job.corpus), program, certified, job.deadline)
+            batch = max(1, engine.scheduler.batch_size)
+            try:
+                for count, (doc_id, tuples) in enumerate(documents, 1):
+                    by_document[doc_id] = tuples
+                    if count % batch == 0:
+                        await asyncio.sleep(0)
+            finally:
+                documents.close()
+        except BaseException as caught:  # accounted, then re-raised
             error = caught
         run_seconds = time.perf_counter() - started
         self._count("service.queries", tenant).inc()
@@ -485,16 +642,14 @@ class ExtractionService:
         self._running = None
 
         if error is not None:
-            from repro.errors import DeadlineExceededError
-
             missed = isinstance(error, DeadlineExceededError)
             if missed:
                 self._count("service.deadline_misses", tenant).inc()
             self._count("service.errors", tenant,
                         kind=type(error).__name__).inc()
-            record = self._record(job, tenant, program_name, queue_wait,
+            record = self._record(job, program_name, queue_wait,
                                   run_seconds, stats_before, spans,
-                                  outcome=type(error).__name__,
+                                  certified, outcome=type(error).__name__,
                                   detail=str(error))
             event_log().emit(
                 "service.deadline_miss" if missed else "service.error",
@@ -505,47 +660,47 @@ class ExtractionService:
                 run_seconds=run_seconds,
                 slow=record.slow if record is not None else False,
             )
-            job.future.set_exception(error)
-            return
+            raise error
 
-        self._count("service.tuples", tenant).inc(result.total_tuples())
-        record = self._record(job, tenant, program_name, queue_wait,
-                              run_seconds, stats_before, spans,
-                              outcome="ok", result=result)
+        tuples = sum(len(found) for found in by_document.values())
+        self._count("service.tuples", tenant).inc(tuples)
+        record = self._record(job, program_name, queue_wait, run_seconds,
+                              stats_before, spans, certified,
+                              outcome="ok", documents=len(by_document),
+                              tuples=tuples)
         event_log().emit(
             "service.complete", tenant=tenant, query_id=job.query_id,
-            program=program_name, documents=len(result),
-            tuples=result.total_tuples(), queue_seconds=queue_wait,
+            program=program_name, documents=len(by_document),
+            tuples=tuples, queue_seconds=queue_wait,
             run_seconds=run_seconds,
             slow=record.slow if record is not None else False,
         )
-        job.future.set_result(ServiceResult(
-            by_document=result.by_document,
+        return ServiceResult(
+            by_document=by_document,
             tenant=tenant,
             queue_seconds=queue_wait,
             run_seconds=run_seconds,
             program=program_name,
             record=record,
-        ))
+        )
 
     def _record(
-        self, job: _Job, tenant: str, program_name: str,
-        queue_wait: float, run_seconds: float, stats_before,
-        spans, outcome: str, detail: Optional[str] = None,
-        result=None,
+        self, job: _Job, program_name: str, queue_wait: float,
+        run_seconds: float, stats_before, spans, certified,
+        outcome: str, detail: Optional[str] = None,
+        documents: Optional[int] = None, tuples: Optional[int] = None,
     ) -> Optional[QueryRecord]:
         """Build and file this query's flight record (``None`` when
-        recording is off).  Runs on the dispatcher thread, after the
+        recording is off).  Runs on the service thread, after the
         engine pass; the explain payload is resolved lazily and only
-        for queries the slow log keeps."""
+        for queries the slow log keeps.  ``documents``/``tuples`` are
+        the result's; a failed query reads them from the counters."""
         if self.flight is None:
             return None
         delta = self._engine.stats().since(stats_before)
-        certified = result.plan if result is not None else None
         if certified is None:
             try:
-                # Cached: the run just certified this program (or died
-                # before certifying, in which case this fills the gap).
+                # The query died before certifying: this fills the gap.
                 certified = self._engine.certify(job.program)
             except Exception:
                 certified = None
@@ -564,16 +719,15 @@ class ExtractionService:
             query_id=job.query_id,
             program=program_name,
             fingerprint=self._fingerprint(job.program),
-            tenant=tenant,
+            tenant=job.tenant,
             outcome=outcome,
             error=detail,
             started=time.time() - queue_wait - run_seconds,
             queue_seconds=queue_wait,
             run_seconds=run_seconds,
-            documents=(len(result) if result is not None
+            documents=(documents if documents is not None
                        else delta.documents),
-            tuples=(result.total_tuples() if result is not None
-                    else delta.tuples_emitted),
+            tuples=tuples if tuples is not None else delta.tuples_emitted,
             deadline_budget=getattr(job.deadline, "_budget", None),
             kernel_tier=kernel_tier,
             counters=delta.snapshot(),
@@ -678,7 +832,7 @@ class ExtractionService:
                 for record in self.flight.slow(limit)]
 
     def inflight(self) -> Dict[str, object]:
-        """The live dispatcher view (``GET /debug/inflight``): queue
+        """The live service view (``GET /debug/inflight``): queue
         depth, the running query, per-tenant admission counters, and
         the flight recorder's retention state."""
         tenants: Dict[str, Dict[str, float]] = {}
@@ -700,7 +854,7 @@ class ExtractionService:
         return {
             "service": self.name,
             "closed": self._closed,
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": len(self._pending),
             "max_queue": self.max_queue,
             "running": self._running,
             "tenants": tenants,
@@ -719,6 +873,6 @@ class ExtractionService:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (
-            "running" if self._dispatcher is not None else "idle")
+            "running" if self._thread is not None else "idle")
         return (f"ExtractionService({self.name!r}, {state}, "
-                f"queue {self._queue.qsize()}/{self.max_queue})")
+                f"queue {len(self._pending)}/{self.max_queue})")

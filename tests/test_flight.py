@@ -5,7 +5,6 @@ event log (:mod:`repro.obs.log`), the query flight recorder
 through :class:`repro.serve.ExtractionService` and
 :class:`repro.serve.ServiceHTTPServer`."""
 
-import asyncio
 import io
 import json
 import threading
@@ -551,29 +550,11 @@ class TestDeadlineMissObservability:
 @pytest.fixture
 def debug_http_service():
     flight = FlightRecorder(capacity=16, slow_threshold=0.0)
-    service = make_service(flight=flight, max_queue=16).start()
+    service = make_service(flight=flight, max_queue=16)
     server = ServiceHTTPServer(service)
-    bound = {}
-    ready = threading.Event()
-
-    def run():
-        async def main():
-            bound["loop"] = asyncio.get_running_loop()
-            bound["addr"] = await server.start(port=0)
-            ready.set()
-            await server.serve_forever()
-        try:
-            asyncio.run(main())
-        except asyncio.CancelledError:
-            pass
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    host, port = bound["addr"]
+    host, port = service.run_coroutine(server.start(port=0)).result(10)
     yield f"http://{host}:{port}", service
-    asyncio.run_coroutine_threadsafe(server.stop(), bound["loop"])
-    thread.join(timeout=10)
+    service.run_coroutine(server.stop()).result(10)
     service.close()
 
 

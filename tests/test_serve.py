@@ -2,9 +2,12 @@
 deadline/admission semantics it builds on."""
 
 import asyncio
+import contextlib
 import json
 import multiprocessing
 import multiprocessing.process
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -19,10 +22,13 @@ from repro.errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ServiceThreadError,
 )
 from repro.query import Q, Spanner
-from repro.runtime import FastSeparatorSplitter, RegisteredSplitter
-from repro.serve import ExtractionService, ServiceHTTPServer
+from repro.runtime import FastSeparatorSplitter, RegisteredSplitter, \
+    evaluate_whole
+from repro.serve import ExtractionService, ServiceHTTPServer, serve_http
+from repro.serve import http as serve_http_module
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import token_splitter
 
@@ -406,33 +412,24 @@ class TestExtractionService:
 # ----------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def serving(service, server_class=ServiceHTTPServer, **kwargs):
+    """``service`` behind an HTTP endpoint bound on its own loop (what
+    ``serve_http`` does); yields ``(base_url, server)``."""
+    server = server_class(service, **kwargs)
+    host, port = service.run_coroutine(server.start(port=0)).result(10)
+    try:
+        yield f"http://{host}:{port}", server
+    finally:
+        if not service.closed:
+            service.run_coroutine(server.stop()).result(10)
+        service.close()
+
+
 @pytest.fixture
 def http_service():
-    service = make_service(max_queue=16).start()
-    server = ServiceHTTPServer(service)
-    bound = {}
-    ready = threading.Event()
-
-    def run():
-        async def main():
-            bound["loop"] = asyncio.get_running_loop()
-            bound["addr"] = await server.start(port=0)
-            ready.set()
-            await server.serve_forever()
-        try:
-            asyncio.run(main())
-        except asyncio.CancelledError:
-            pass
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    host, port = bound["addr"]
-    yield f"http://{host}:{port}", service
-    # Closing the server cancels serve_forever(), unwinding the loop.
-    asyncio.run_coroutine_threadsafe(server.stop(), bound["loop"])
-    thread.join(timeout=10)
-    service.close()
+    with serving(make_service(max_queue=16)) as (base, _server):
+        yield base, _server.service
 
 
 def _post(url, payload, timeout=30):
@@ -525,3 +522,329 @@ class TestHTTPEndpoint:
         stats = service.tenant_stats("swarm")
         assert stats["queries"] == 7
         assert stats["deadline_misses"] == 1
+
+
+def _raw_exchange(base, request):
+    """Send ``request`` bytes and read until the server closes the
+    connection (a socket timeout fails the caller: no EOF came)."""
+    host, port = base[len("http://"):].split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        parts = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(parts)
+            parts.append(data)
+
+
+class TestOneResponsePerConnection:
+    """Clients (the ledger's included) read a response until EOF: every
+    response says ``Connection: close`` and the server then closes,
+    even when the request asked to keep the connection alive."""
+
+    BODY = json.dumps({"texts": ["aa ab a."]}).encode("utf-8")
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+        b"Connection: keep-alive\r\n\r\n",
+        b"POST /extract HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(BODY) + BODY,
+        b"GET /nowhere HTTP/1.1\r\nHost: t\r\n"
+        b"Connection: keep-alive\r\n\r\n",
+        b"GET /metrics HTTP/1.1\r\n\r\n",
+    ], ids=["healthz", "extract", "not-found", "metrics"])
+    def test_connection_close_then_eof(self, http_service, request_bytes):
+        base, _service = http_service
+        raw = _raw_exchange(base, request_bytes)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        headers = head.split(b"\r\n")
+        assert headers[0].startswith(b"HTTP/1.1 ")
+        assert b"Connection: close" in headers[1:]
+        length = next(int(line.split(b":")[1]) for line in headers
+                      if line.lower().startswith(b"content-length:"))
+        assert len(body) == length
+
+
+class TestAdhocPrograms:
+    def test_repeated_pattern_reuses_its_program(self, monkeypatch):
+        built = []
+
+        def query_factory(pattern, alphabet):
+            built.append(pattern)
+            return Program.from_query(
+                Spanner.regex(pattern, alphabet or "ab ."))
+
+        monkeypatch.setattr(serve_http_module, "MAX_ADHOC_PROGRAMS", 2)
+        service = make_service()
+        with serving(service, query_factory=query_factory) as (base, _s):
+            request = {"texts": list(DOCS), "pattern": PATTERN}
+            _status, first = _post(base + "/extract", request)
+            before = service.engine_stats()
+            _status, second = _post(base + "/extract", request)
+            after = service.engine_stats()
+            assert after.certifications == before.certifications
+            assert after.artifacts_compiled == before.artifacts_compiled
+            for key in ("documents", "tuples"):
+                assert second[key] == first[key]
+            assert first["documents"] == _post(
+                base + "/extract", {"texts": list(DOCS)})[1]["documents"]
+            # Bounded, least recently used out first: with room for
+            # two, the hit on PATTERN makes "y{a}" evict "y{b+}", whose
+            # rebuild then evicts PATTERN.
+            for pattern in ("y{b+}", PATTERN, "y{a}", "y{b+}", PATTERN):
+                _post(base + "/extract", {"texts": ["ab"],
+                                          "pattern": pattern})
+            with pytest.raises(urllib.error.HTTPError) as info:
+                _post(base + "/extract", {"texts": ["ab"],
+                                          "pattern": "y{a}",
+                                          "alphabet": ["a", "b"]})
+            assert info.value.code == 400
+        assert built == [PATTERN, "y{b+}", "y{a}", "y{b+}", PATTERN]
+
+
+# ----------------------------------------------------------------------
+# One thread serves a request
+# ----------------------------------------------------------------------
+
+
+class SpyRunner:
+    """Evaluates like ``specification`` and records, per chunk, the
+    thread and the service's current query; counts chunks evaluated
+    while another evaluation was in progress."""
+
+    def __init__(self, specification, service_ref):
+        self.specification = specification
+        self.service_ref = service_ref
+        self.lock = threading.Lock()
+        self.active = 0
+        self.overlaps = 0
+        self.calls = []
+
+    def evaluate(self, text):
+        with self.lock:
+            self.active += 1
+            self.overlaps += self.active > 1
+        try:
+            self.calls.append((threading.get_ident(),
+                               self.service_ref[0].current_query_id()))
+            time.sleep(0.0005)   # the window an overlap would need
+            return set(self.specification.evaluate(text))
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+class ParseRecordingServer(ServiceHTTPServer):
+    """Remembers the thread each request was read and parsed on."""
+
+    parsed_on = set()
+
+    async def _read_request(self, reader):
+        self.parsed_on.add(threading.get_ident())
+        return await super()._read_request(reader)
+
+
+def _unique_documents(start, count):
+    """Documents whose chunks nothing else uses (no cache hits)."""
+    return [f"{'a' * n} {'a' * n}b." for n in range(start, start + count)]
+
+
+def _service_thread(service):
+    async def ident():
+        return threading.get_ident()
+    return service.run_coroutine(ident()).result(10)
+
+
+class TestOneThreadService:
+    def test_mixed_callers_match_the_oracle_and_never_overlap(self):
+        """HTTP clients, extract() threads and extract_async on a
+        foreign loop, all at once: every result is evaluate_whole's,
+        engine runs never interleave, and HTTP-admitted queries run on
+        the thread that parsed them."""
+        specification = a_run_extractor()
+        service_ref = []
+        spy = SpyRunner(specification, service_ref)
+        service = make_service(
+            max_queue=64, batch_size=1,
+            program=Program(spy, specification, name="spy"))
+        service_ref.append(service)
+        ParseRecordingServer.parsed_on = set()
+        expected, got, http_ids, errors = {}, {}, set(), []
+        lock = threading.Lock()
+        counter = iter(range(1, 10_000, 3))
+
+        def documents():
+            with lock:
+                texts = _unique_documents(next(counter), 3)
+            return texts
+
+        def check(texts, by_document):
+            with lock:
+                expected[tuple(texts)] = [
+                    evaluate_whole(specification, text) for text in texts]
+                got[tuple(texts)] = by_document
+
+        def http_client():
+            for _ in range(3):
+                texts = documents()
+                request = urllib.request.Request(
+                    base + "/extract",
+                    data=json.dumps({"texts": texts}).encode("utf-8"),
+                    method="POST")
+                with urllib.request.urlopen(request, timeout=30) as reply:
+                    payload = json.load(reply)
+                    with lock:
+                        http_ids.add(reply.headers["X-Repro-Request-Id"])
+                check(texts, [
+                    sorted(tuple(row["y"]) for row in
+                           payload["documents"].get(f"doc-{i:04d}", ()))
+                    for i in range(len(texts))])
+
+        def thread_client():
+            for _ in range(3):
+                texts = documents()
+                result = service.extract(texts)
+                check(texts, [result[f"doc-{i:04d}"]
+                              for i in range(len(texts))])
+
+        def loop_client():
+            async def main():
+                batches = [documents() for _ in range(3)]
+                results = await asyncio.gather(*(
+                    service.extract_async(texts) for texts in batches))
+                for texts, result in zip(batches, results):
+                    check(texts, [result[f"doc-{i:04d}"]
+                                  for i in range(len(texts))])
+            asyncio.run(main())
+
+        def guarded(client):
+            def run():
+                try:
+                    client()
+                except BaseException as error:
+                    errors.append(error)
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(service, ParseRecordingServer) as (base, _s):
+                service_thread = _service_thread(service)
+                clients = ([http_client] * 4 + [thread_client] * 3
+                           + [loop_client] * 2)
+                threads = [threading.Thread(target=guarded(client))
+                           for client in clients]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(got) == 4 * 3 + 3 * 3 + 2 * 3
+        for texts, whole in expected.items():
+            if isinstance(got[texts][0], list):      # HTTP rows
+                whole = [sorted((s.begin, s.end) for t in tuples
+                                for _v, s in t.items())
+                         for tuples in whole]
+            assert got[texts] == whole
+        assert spy.overlaps == 0
+        # One run at a time: a query's chunks are contiguous.
+        order = [query for _thread, query in spy.calls]
+        runs = [query for i, query in enumerate(order)
+                if i == 0 or order[i - 1] != query]
+        assert len(runs) == len(set(runs)) == len(got)
+        assert ParseRecordingServer.parsed_on == {service_thread}
+        assert {thread for thread, query in spy.calls
+                if query in http_ids} == {service_thread}
+        assert len(http_ids) == 4 * 3
+
+    def test_loop_answers_during_a_long_run(self):
+        specification = a_run_extractor()
+        slow = Program(SlowSpanner(specification, delay=0.02),
+                       specification, name="slow")
+        service = make_service(batch_size=1, program=slow)
+        with serving(service) as (base, _server):
+            long_run = service.submit(_unique_documents(1, 40),
+                                      query_id="long-1")
+            running = None
+            deadline = time.monotonic() + 10
+            while running is None and time.monotonic() < deadline:
+                with urllib.request.urlopen(base + "/healthz",
+                                            timeout=5) as reply:
+                    assert json.load(reply)["status"] == "ok"
+                with urllib.request.urlopen(base + "/debug/inflight",
+                                            timeout=5) as reply:
+                    running = json.load(reply)["running"]
+            assert running is not None and \
+                running["query_id"] == "long-1"
+            assert not long_run.done()
+            assert long_run.result(timeout=30).total_tuples > 0
+
+    def test_blocking_calls_on_the_service_thread_raise(self):
+        service = make_service()
+
+        async def on_service_thread():
+            raised = []
+            for call in (lambda: service.extract(DOCS), service.close):
+                try:
+                    call()
+                except ServiceThreadError as error:
+                    raised.append(error.call)
+            return raised
+
+        with service:
+            started = time.monotonic()
+            raised = service.run_coroutine(on_service_thread()).result(5)
+            assert time.monotonic() - started < 1.0
+            assert raised == ["extract", "close"]
+            assert not service.closed
+            assert service.extract(DOCS).by_document == reference_results()
+
+    def test_full_queue_is_429_and_close_fails_the_queued(self):
+        specification = a_run_extractor()
+        slow = Program(SlowSpanner(specification, delay=0.02),
+                       specification, name="slow")
+        service = make_service(max_queue=1, batch_size=1, program=slow)
+        with serving(service) as (base, server):
+            blocker = service.submit(_unique_documents(1, 40))
+            deadline = time.monotonic() + 10
+            while (service.current_query_id() is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            queued = service.submit(["ab"])
+            with pytest.raises(urllib.error.HTTPError) as info:
+                _post(base + "/extract", {"texts": ["aa"]})
+            assert info.value.code == 429
+            assert json.load(info.value)["error"] == "overloaded"
+            # Answered at a batch boundary of the running query, not
+            # after it: admission never waits for the engine.
+            assert not blocker.done()
+            service.run_coroutine(server.stop()).result(10)
+            service.close(drain=False)
+            with pytest.raises(ServiceClosedError):
+                queued.result(timeout=10)
+            assert blocker.result(timeout=10).total_tuples > 0
+
+    def test_serve_http_returns_when_the_service_closes(self):
+        service = make_service()
+        bound = []
+        ready = threading.Event()
+        thread = threading.Thread(
+            target=serve_http, args=(service,),
+            kwargs={"port": 0,
+                    "ready": lambda addr: (bound.append(addr),
+                                           ready.set())})
+        thread.start()
+        try:
+            assert ready.wait(10)
+            host, port = bound[0]
+            status, payload = _post(f"http://{host}:{port}/extract",
+                                    {"texts": list(DOCS)})
+            assert status == 200 and payload["tuples"] > 0
+        finally:
+            service.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
