@@ -1,4 +1,4 @@
-"""Binary index storage: build, mmap, edit by delta, compact.
+"""Binary index storage: build, mmap, edit by delta, reopen, compact.
 
 The storage engine (:mod:`repro.index.store`) persists the trigram
 prefilter index as immutable binary segments that open by ``mmap`` —
@@ -6,7 +6,9 @@ header parsing only, postings decode lazily per queried gram.  Edits
 never rewrite a segment: introduced chunk texts land in a fresh
 *delta* segment, texts no longer referenced anywhere get a tombstone
 (a sound retreat — the engine falls back to the exact scan for them),
-and ``compact()`` folds everything back into one clean segment.
+the document table gains one journal line (``documents.log``) that
+reopening replays, and ``compact()`` folds everything back into one
+clean segment and one ``documents.json`` snapshot.
 
 The walkthrough mirrors the paper's Wikipedia-edit scenario: index a
 corpus once, edit one document, and watch the engine re-evaluate only
@@ -16,6 +18,7 @@ Run with:  python examples/index_store_run.py
 """
 
 import os
+import shutil
 import tempfile
 
 from repro import (
@@ -75,27 +78,55 @@ def main() -> None:
     # 3. Edit one document; run_delta diffs its chunk set into the
     #    index (delta segment + tombstone) and the chunk cache serves
     #    everything the edit left alone.
-    before = engine.stats()
-    edited = Corpus.from_mapping(
-        {"doc-0000": "ab qz cd. ef gh qz. ab ab ab."}
-    )
-    delta = engine.run_delta(edited, program)
+    edited_text = "ab qz cd. ef gh qz. ab ab ab."
+    delta = engine.run_delta(Corpus.from_mapping({"doc-0000": edited_text}),
+                             program)
     print("after edit:",
           delta.stats.chunk_cache_misses, "chunk re-evaluated,",
           index.tombstone_count, "tombstone,",
           index.segment_count, "segments")
     print("  doc-0000 tuples:",
           len(delta.by_document["doc-0000"]))
+    print("  on disk:", sorted(os.listdir(path)))
 
-    # 4. Compact: merge live texts into one segment, drop tombstones.
-    #    Readers that mapped the old segments keep working until they
+    # 4. Reopen the directory: the manifest, the segments and the
+    #    document table (documents.log, the edit's journal line,
+    #    replayed) give back the live index.  Hand the index over to
+    #    the reopened handle and revert the edit through it: the diff
+    #    is against the replayed record, so the index ends up equal to
+    #    one built from the original corpus.
+    edited = Corpus.from_texts([edited_text] + DOCUMENTS[1:])
+    reopened = SegmentedIndex.open(path)
+    assert reopened.describe() == index.describe()
+    expected = engine.run(edited, program).by_document
+    engine.close()
+    index.close()
+    engine = ExtractionEngine(registry, corpus_index=reopened)
+    index = reopened
+    assert engine.run(edited, program).by_document == expected
+    reverted = engine.run_delta(Corpus.from_mapping(
+        {"doc-0000": DOCUMENTS[0]}), program)
+    rebuilt = engine.build_index(corpus, program)
+    assert set(index.texts()) == set(rebuilt.texts())
+    rebuilt.close()
+    assert reverted.by_document == engine.run(
+        Corpus.from_mapping({"doc-0000": DOCUMENTS[0]}),
+        program).by_document
+    print("reopened and reverted:", index.tombstone_count,
+          "tombstone, texts equal a fresh build")
+
+    # 5. Compact: merge live texts into one segment, drop tombstones,
+    #    fold the journal into the documents.json snapshot.  Readers
+    #    that mapped the old segments keep working until they
     #    refresh() — POSIX keeps the unlinked inodes alive for them.
     summary = index.compact()
     print("compacted:", summary)
     print("final:", index.describe())
+    print("  on disk:", sorted(os.listdir(path)))
 
     engine.close()
     index.close()
+    shutil.rmtree(workdir)
 
 
 if __name__ == "__main__":

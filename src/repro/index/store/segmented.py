@@ -32,11 +32,34 @@ Mutation follows the LSM discipline:
   it calls :meth:`refresh`.
 
 Document-level delta maintenance (:meth:`update_document`) keeps
-each document's chunk digests plus per-digest reference counts (in a
-directory: the ``documents.json`` sidecar); an edit stages only the
-chunk texts the edit introduced and tombstones the ones whose last
-reference dropped — re-indexing cost proportional to the edit, the
-Wikipedia-revision scenario of the paper applied to the index itself.
+each document's chunk digests plus per-digest reference counts; an
+edit stages only the chunk texts the edit introduced and tombstones
+the ones whose last reference dropped — re-indexing cost proportional
+to the edit, the Wikipedia-revision scenario of the paper applied to
+the index itself.  In a directory that *document table* is two files,
+so that persisting it costs the edit too:
+
+* ``documents.json`` is a **snapshot**, ``{"documents": {doc_id:
+  [digest hex, ...]}, "refcounts": {digest hex: n}}``, written whole
+  only by :meth:`compact`;
+* ``documents.log`` is a **journal** beside it: every :meth:`save`
+  that changed the table appends one fsync'd JSON line with just the
+  records and refcounts changed since the previous line, as *absolute*
+  values — ``null`` for a removed document, ``0`` for a dropped
+  refcount.
+
+Loading (lazily, on the first mutation) reads the snapshot and replays
+the journal line by line; a line sets keys, so replaying it twice
+gives the same table.  A crash mid-append leaves a final line without
+its newline: its save never returned, so replay drops it and cuts it
+off the file.  Any other line that does not parse is an
+:class:`IndexFormatError`, never skipped.  :meth:`compact` journals
+anything pending, renames the full snapshot into place and only then
+unlinks the journal; a crash in between leaves lines whose last value
+for every key is the snapshot's, so their replay changes nothing.
+Directories written before the journal existed have none and open as
+they always did.  A memory index keeps the table in this process and
+tracks nothing extra.
 
 Pickling is by *path*: workers receive ``(open, (directory,))`` and
 re-map the segment files themselves, so posting payloads cross process
@@ -64,17 +87,93 @@ from repro.obs.metrics import kernel_metrics
 
 MANIFEST_NAME = "MANIFEST.json"
 DOCUMENTS_NAME = "documents.json"
+JOURNAL_NAME = "documents.log"
 MANIFEST_FORMAT = "repro-segmented-index"
 MANIFEST_VERSION = 1
 
 
+def _encode_json(payload: Dict[str, object]) -> bytes:
+    # One-shot dumps takes the C encoder; json.dump to a file never does.
+    return json.dumps(payload, ensure_ascii=False,
+                      sort_keys=True).encode("utf-8")
+
+
 def _atomic_write_json(path: str, payload: Dict[str, object]) -> None:
     temp = path + ".tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, sort_keys=True)
+    with open(temp, "wb") as handle:
+        handle.write(_encode_json(payload))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, path)
+
+
+class _Journal:
+    """The document table's journal (``documents.log``, see the module
+    docstring): the keys changed since its last line, and the appends
+    and replays of its lines."""
+
+    def __init__(self, directory: str) -> None:
+        self.path = os.path.join(directory, JOURNAL_NAME)
+        #: doc ids / digest hexes changed since the last line.
+        self.documents: Set[str] = set()
+        self.refcounts: Set[str] = set()
+
+    def replay(self, records: Dict[str, List[str]],
+               counts: Dict[str, int]) -> None:
+        """Apply every complete line to ``records``/``counts``, and cut
+        off a torn tail (only a writer loads the table, so the next
+        append starts a fresh line)."""
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            os.truncate(self.path, end)
+        for number, line in enumerate(data[:end].split(b"\n")[:-1], 1):
+            try:
+                change = json.loads(line)
+                for doc_id, record in change["documents"].items():
+                    if record is None:
+                        records.pop(doc_id, None)
+                    else:
+                        records[doc_id] = record
+                for hexed, count in change["refcounts"].items():
+                    if count:
+                        counts[hexed] = int(count)
+                    else:
+                        counts.pop(hexed, None)
+            except (ValueError, TypeError, KeyError,
+                    AttributeError) as error:
+                raise IndexFormatError(
+                    f"unreadable documents journal line {number} "
+                    f"({error})", path=self.path,
+                ) from error
+
+    def append(self, records: Dict[str, List[str]],
+               counts: Dict[str, int]) -> None:
+        """Persist the changed keys' current values as one fsync'd
+        line (nothing when no key changed)."""
+        if not self.documents and not self.refcounts:
+            return
+        line = _encode_json({
+            "documents": {doc_id: records.get(doc_id)
+                          for doc_id in self.documents},
+            "refcounts": {hexed: counts.get(hexed, 0)
+                          for hexed in self.refcounts},
+        })
+        with open(self.path, "ab") as handle:
+            handle.write(line + b"\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        self.documents.clear()
+        self.refcounts.clear()
+
+    def remove(self) -> None:
+        """Drop the journal once a snapshot holds all of it."""
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)
 
 
 def _chunk_texts(splitter, text: str) -> List[str]:
@@ -128,10 +227,12 @@ class SegmentedIndex:
         #: module docstring).
         self._tombstones: Set[bytes] = set()
         #: doc_id -> per-instance digest hexes; digest hex -> document
-        #: reference count.  Loaded lazily from the sidecar (a memory
-        #: index has none: they live here only).
+        #: reference count.  Loaded lazily from snapshot + journal (a
+        #: memory index has neither: they live here only).
         self._doc_records: Optional[Dict[str, List[str]]] = None
         self._refcounts: Optional[Dict[str, int]] = None
+        self._journal = (None if directory is None
+                         else _Journal(directory))
         self._autoflush = True
 
     # ------------------------------------------------------------------
@@ -153,6 +254,11 @@ class SegmentedIndex:
                     "directory already holds an index (open it "
                     "instead)", path=directory,
                 )
+            # Orphans of a manifest-less directory would replay into
+            # the new, empty document table.
+            for name in (DOCUMENTS_NAME, JOURNAL_NAME):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(os.path.join(directory, name))
         index = cls(directory, splitter=splitter, _from_factory=True)
         index._doc_records = {}
         index._refcounts = {}
@@ -311,29 +417,43 @@ class SegmentedIndex:
             payload = {}
         except ValueError as error:
             raise IndexFormatError(
-                f"unreadable documents sidecar ({error})", path=path
+                f"unreadable documents snapshot ({error})", path=path
             ) from error
-        self._doc_records = dict(payload.get("documents", {}))
-        self._refcounts = {
+        records = dict(payload.get("documents", {}))
+        counts = {
             key: int(value)
             for key, value in payload.get("refcounts", {}).items()
         }
+        self._journal.replay(records, counts)
+        self._doc_records = records
+        self._refcounts = counts
 
-    def _write_documents(self) -> None:
-        if self.directory is None or self._doc_records is None:
+    def _write_snapshot(self) -> None:
+        """Fold the journal into a full ``documents.json`` (compaction
+        only; see the module docstring for the crash cases)."""
+        if self.directory is None:
             return
+        if self._doc_records is None:
+            if not os.path.exists(self._journal.path):
+                return  # the snapshot on disk is the whole table
+            self._load_documents()
+        self._journal.append(self._doc_records, self._refcounts)
         _atomic_write_json(
             os.path.join(self.directory, DOCUMENTS_NAME),
             {"documents": self._doc_records,
              "refcounts": self._refcounts},
         )
+        self._journal.remove()
 
     def save(self) -> None:
-        """Flush staged texts and persist manifest + sidecar (a memory
-        index only flushes)."""
-        self.flush()
+        """Flush staged texts, then persist the manifest once and the
+        document table's changes as one journal line (a memory index
+        only flushes)."""
+        self._flush_staged()
+        if self.directory is None:
+            return
         self._write_manifest()
-        self._write_documents()
+        self._journal.append(self._doc_records, self._refcounts)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -387,6 +507,8 @@ class SegmentedIndex:
             hexes.append(self._reference(text))
         if doc_id is not None:
             self._doc_records[doc_id] = hexes
+            if self._journal is not None:
+                self._journal.documents.add(doc_id)
         self.version += 1
         if self._autoflush:
             self.save()
@@ -399,6 +521,8 @@ class SegmentedIndex:
         hexed = digest.hex()
         counts = self._refcounts
         counts[hexed] = counts.get(hexed, 0) + 1
+        if self._journal is not None:
+            self._journal.refcounts.add(hexed)
         if digest in self._tombstones:
             # The payload is still in some segment; retiring is undone
             # by dropping the tombstone, no re-indexing needed.
@@ -428,7 +552,8 @@ class SegmentedIndex:
             self.add_document(texts, doc_id=doc_id)
             return {"added": len(set(texts)), "removed": 0}
         old_distinct = set(record)
-        new_hexes = {text_digest(text).hex(): text for text in texts}
+        hexes = [text_digest(text).hex() for text in texts]
+        new_hexes = dict(zip(hexes, texts))
         added = [hexed for hexed in new_hexes if hexed not in old_distinct]
         removed = [hexed for hexed in old_distinct if hexed not in new_hexes]
         for hexed in added:
@@ -436,9 +561,9 @@ class SegmentedIndex:
         for hexed in removed:
             self._release(hexed)
         self.chunk_instances += len(texts) - len(record)
-        self._doc_records[doc_id] = [
-            text_digest(text).hex() for text in texts
-        ]
+        self._doc_records[doc_id] = hexes
+        if self._journal is not None:
+            self._journal.documents.add(doc_id)
         self.version += 1
         if self._autoflush:
             self.save()
@@ -449,6 +574,8 @@ class SegmentedIndex:
         last (the text is retired)."""
         counts = self._refcounts
         remaining = counts.get(hexed, 0) - 1
+        if self._journal is not None:
+            self._journal.refcounts.add(hexed)
         if remaining > 0:
             counts[hexed] = remaining
             return False
@@ -469,6 +596,8 @@ class SegmentedIndex:
         record = self._doc_records.pop(doc_id, None)
         if record is None:
             raise KeyError(doc_id)
+        if self._journal is not None:
+            self._journal.documents.add(doc_id)
         retired = sum(self._release(hexed) for hexed in set(record))
         self.documents -= 1
         self.chunk_instances -= len(record)
@@ -495,8 +624,17 @@ class SegmentedIndex:
         return name, Segment(source), summary
 
     def flush(self) -> Optional[str]:
-        """Seal staged texts as one fresh (delta) segment; returns
-        the new segment's name, or ``None`` if nothing was staged."""
+        """Seal staged texts as one fresh (delta) segment and persist
+        the manifest; returns the new segment's name, or ``None`` if
+        nothing was staged."""
+        name = self._flush_staged()
+        if name is not None:
+            self._write_manifest()
+        return name
+
+    def _flush_staged(self) -> Optional[str]:
+        """:meth:`flush` without the manifest write (:meth:`save`
+        writes it once, after)."""
         if not self._staged:
             return None
         name, segment, _summary = self._seal(self._staged.values())
@@ -506,7 +644,6 @@ class SegmentedIndex:
         self._recompute_bases()
         self.generation += 1
         self.version += 1
-        self._write_manifest()
         return name
 
     def compact(self) -> Dict[str, int]:
@@ -515,7 +652,9 @@ class SegmentedIndex:
         Old segment files are unlinked after the new manifest lands;
         readers that mapped them before the compact keep working (the
         inode lives until their last close) and pick up the new
-        generation on :meth:`refresh`.  Returns a summary dict.
+        generation on :meth:`refresh`.  In a directory the document
+        table is folded too: a full ``documents.json`` snapshot, then
+        no journal.  Returns a summary dict.
         """
         self.flush()
         before_segments = len(self._segments)
@@ -542,7 +681,7 @@ class SegmentedIndex:
         self.generation += 1
         self.version += 1
         self._write_manifest()
-        self._write_documents()
+        self._write_snapshot()
         for segment, old_name in zip(old_segments, old_names):
             segment.close()
             if self.directory is not None:

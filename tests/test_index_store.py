@@ -291,13 +291,14 @@ class TestMmapLifecycle:
         index.update_document("doc-0000", ["fresh qz text."])
         assert index.segment_count > 1
         assert index.tombstone_count > 0
+        assert os.path.exists(tmp_path / "corpus.segs" / "documents.log")
         summary = index.compact()
         assert summary["tombstones_dropped"] > 0
         assert index.segment_count == 1
         assert index.tombstone_count == 0
         index.close()
         # One segment, and no temp or stale file besides the manifest
-        # and the document table.
+        # and the document table's snapshot: the journal is folded in.
         on_disk = os.listdir(tmp_path / "corpus.segs")
         assert len([name for name in on_disk if name.endswith(".ris")]) == 1
         assert [name for name in on_disk if not name.endswith(".ris")
@@ -497,6 +498,282 @@ class TestEditDelta:
 
 
 # ----------------------------------------------------------------------
+# The document table: snapshot + journal
+# ----------------------------------------------------------------------
+
+
+JOURNAL_DOC_IDS = ["doc-0000", "doc-0001", "doc-0002"]
+JOURNAL_CHUNKS = ["ab qz cd", " ef gh qz", " ab ab ab", "cd cd", " gh", ""]
+
+
+def journal_ops_st():
+    texts = st.lists(st.sampled_from(JOURNAL_CHUNKS), max_size=4)
+    doc_ids = st.sampled_from(JOURNAL_DOC_IDS)
+    return st.lists(st.one_of(
+        st.tuples(st.just("add"), st.none() | doc_ids, texts),
+        st.tuples(st.just("update"), doc_ids, texts),
+        st.tuples(st.just("remove"), doc_ids),
+        st.tuples(st.sampled_from(["compact", "reopen", "refresh"])),
+    ), max_size=12)
+
+
+def document_table(index):
+    index._load_documents()
+    return index._doc_records, index._refcounts
+
+
+def directory_bytes(directory):
+    return {name: (directory / name).read_bytes()
+            for name in os.listdir(directory)}
+
+
+def bytes_written(before, after):
+    """Bytes an operation wrote into a directory: a new or rewritten
+    file counts whole, a file that only grew counts its new tail."""
+    total = 0
+    for name, data in after.items():
+        old = before.get(name)
+        if old == data:
+            continue
+        total += (len(data) - len(old) if old is not None
+                  and data.startswith(old) else len(data))
+    return total
+
+
+class TestDocumentJournal:
+    def journalled(self, tmp_path):
+        """A directory index whose journal holds the build, an edit
+        and a removal."""
+        index = SegmentedIndex.build(
+            Corpus.from_texts(CORPUS_TEXTS), sentence_splitter(),
+            str(tmp_path / "corpus.segs"),
+        )
+        index.update_document("doc-0000", ["fresh qz text."])
+        index.remove_document("doc-0001")
+        return index
+
+    @staticmethod
+    def assert_same(disk, memory, factors):
+        counted = ("documents", "chunk_instances", "distinct_texts",
+                   "segments", "tombstones", "staged_texts")
+        assert ({key: disk.describe()[key] for key in counted}
+                == {key: memory.describe()[key] for key in counted})
+        assert set(disk.texts()) == set(memory.texts())
+        assert admitted_texts(disk, factors) \
+            == admitted_texts(memory, factors)
+        assert document_table(disk) == document_table(memory)
+
+    @given(journal_ops_st(),
+           st.lists(st.text(sorted(ALPHA), max_size=16),
+                    min_size=len(JOURNAL_DOC_IDS),
+                    max_size=len(JOURNAL_DOC_IDS)))
+    def test_journal_replays_to_the_memory_index(
+            self, tmp_path_factory, ops, edits):
+        directory = str(tmp_path_factory.mktemp("journal") / "index.segs")
+        factors = factors_of(qz_spanner().vsa())
+        memory = SegmentedIndex.create(splitter="sentences")
+        disk = SegmentedIndex.create(directory, splitter="sentences")
+        # Opened before any edit: on "refresh" it catches up with the
+        # directory and takes over as the writer.
+        reader = SegmentedIndex.open(directory)
+        assert memory._journal is None
+        tracked = set()
+        try:
+            for op, *args in ops:
+                if op == "add":
+                    doc_id, texts = args
+                    for index in (memory, disk):
+                        index.add_document(texts, doc_id=doc_id)
+                    if doc_id is not None:
+                        tracked.add(doc_id)
+                elif op == "update":
+                    for index in (memory, disk):
+                        index.update_document(*args)
+                    tracked.add(args[0])
+                elif op == "remove":
+                    if args[0] in tracked:
+                        for index in (memory, disk):
+                            index.remove_document(*args)
+                        tracked.discard(args[0])
+                elif op == "compact":
+                    memory.compact()
+                    disk.compact()
+                elif op == "reopen":
+                    disk.close()
+                    disk = SegmentedIndex.open(directory)
+                else:
+                    assert memory.refresh() is False
+                    if reader.refresh():
+                        disk.close()
+                        disk, reader = reader, SegmentedIndex.open(directory)
+                self.assert_same(disk, memory, factors)
+            # Reopened, the replayed table drives run_delta: it must
+            # equal a full run of the edited corpus without an index.
+            disk.close()
+            disk = SegmentedIndex.open(directory)
+            corpus = Corpus.from_mapping(dict(zip(JOURNAL_DOC_IDS, edits)))
+            program = Program.from_query(qz_spanner())
+            engine = ExtractionEngine(sentence_registry(), corpus_index=disk)
+            try:
+                result = engine.run_delta(corpus, program)
+            finally:
+                engine.close()
+            expected = ExtractionEngine(sentence_registry()).run(
+                corpus, program).by_document
+            assert result.by_document == expected
+        finally:
+            for index in (memory, disk, reader):
+                index.close()
+
+    @pytest.mark.parametrize("in_batch", [False, True])
+    def test_journal_left_by_a_crashed_compaction_changes_nothing(
+            self, tmp_path, monkeypatch, in_batch):
+        from repro.index.store import segmented
+
+        live = self.journalled(tmp_path)
+        journal = tmp_path / "corpus.segs" / "documents.log"
+        left = []
+        remove = segmented._Journal.remove
+
+        def crash_point(self):
+            # The snapshot has landed; the journal is about to go.
+            left.append(journal.read_bytes())
+            remove(self)
+
+        monkeypatch.setattr(segmented._Journal, "remove", crash_point)
+        if in_batch:
+            # A pending change must reach the journal before the
+            # snapshot, or replaying the old lines would undo it.
+            with live.batch():
+                live.update_document("doc-0002", ["gh qz."])
+                live.compact()
+        else:
+            live.compact()
+        assert not journal.exists()
+        journal.write_bytes(left[0])
+        reopened = SegmentedIndex.open(live.directory)
+        assert reopened.describe() == live.describe()
+        assert document_table(reopened) == document_table(live)
+        reopened.close()
+        journal.unlink()
+        snapshot_only = SegmentedIndex.open(live.directory)
+        assert document_table(snapshot_only) == document_table(live)
+        snapshot_only.close()
+        live.close()
+
+    def test_one_edit_writes_bytes_independent_of_corpus_size(
+            self, tmp_path):
+        written = {}
+        for size in (40, 400):
+            directory = tmp_path / f"corpus-{size}.segs"
+            index = SegmentedIndex.create(str(directory))
+            with index.batch():
+                for number in range(size):
+                    index.add_document(
+                        [f"document {number} sentence {k}."
+                         for k in range(4)],
+                        doc_id=f"doc-{number}",
+                    )
+            before = directory_bytes(directory)
+            index.update_document("doc-0", [
+                "document 0 sentence 0.", "an edited sentence.",
+                "document 0 sentence 2.", "document 0 sentence 3.",
+            ])
+            after = directory_bytes(directory)
+            index.close()
+            # Only compact() writes the whole table.
+            assert "documents.json" not in after
+            written[size] = bytes_written(before, after)
+        assert written[400] < 2 * written[40], written
+
+    def test_an_edit_writes_the_manifest_once(self, tmp_path, monkeypatch):
+        from repro.index.store import segmented
+
+        index = self.journalled(tmp_path)
+        segments = index.segment_count
+        writes = []
+        atomic_write = segmented._atomic_write_json
+
+        def spy(path, payload):
+            writes.append(os.path.basename(path))
+            atomic_write(path, payload)
+
+        monkeypatch.setattr(segmented, "_atomic_write_json", spy)
+        index.update_document("doc-0002", ["a new qz sentence."])
+        assert index.segment_count == segments + 1  # a delta segment
+        assert writes == ["MANIFEST.json"]
+        index.close()
+
+    def test_manifest_is_the_one_shot_json_encoding(self, tmp_path):
+        index = SegmentedIndex.create(str(tmp_path / "segs"),
+                                      splitter="sätze")
+        index.add_document(["ab qz."], doc_id="d")
+        index.close()
+        raw = (tmp_path / "segs" / "MANIFEST.json").read_bytes()
+        payload = json.loads(raw)
+        assert payload["splitter"] == "sätze"
+        assert raw == json.dumps(payload, ensure_ascii=False,
+                                 sort_keys=True).encode("utf-8")
+
+    def test_a_torn_final_line_is_dropped_then_cut_off(self, tmp_path):
+        live = self.journalled(tmp_path)
+        journal = tmp_path / "corpus.segs" / "documents.log"
+        with open(journal, "ab") as handle:
+            # A save that never returned: no trailing newline.
+            handle.write(b'{"documents": {"doc-0002": nu')
+        reopened = SegmentedIndex.open(live.directory)
+        assert document_table(reopened) == document_table(live)
+        live.close()
+        reopened.update_document("doc-0002", ["gh qz."])
+        again = SegmentedIndex.open(reopened.directory)
+        assert document_table(again) == document_table(reopened)
+        lines = journal.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert all(isinstance(json.loads(line), dict)
+                   for line in lines[:-1])
+        again.close()
+        reopened.close()
+
+    def test_create_starts_an_empty_table_over_orphaned_files(
+            self, tmp_path):
+        directory = tmp_path / "corpus.segs"
+        old = self.journalled(tmp_path)
+        old.compact()
+        old.update_document("doc-0002", ["gh qz."])
+        old.close()
+        (directory / "MANIFEST.json").unlink()
+        fresh = SegmentedIndex.create(str(directory))
+        fresh.add_document(["ab qz."], doc_id="only")
+        fresh.close()
+        reopened = SegmentedIndex.open(str(directory))
+        records, _counts = document_table(reopened)
+        assert list(records) == ["only"]
+        reopened.close()
+
+    @pytest.mark.parametrize("where, bad", [
+        ("first", b'{"documents": {"doc-0002": nu'),
+        ("last", b'{"documents": {"doc-0002": nu'),
+        ("last", b"[1, 2]"),
+        ("first", b""),
+    ])
+    def test_any_other_bad_line_is_a_typed_error(self, tmp_path, where,
+                                                 bad):
+        self.journalled(tmp_path).close()
+        journal = tmp_path / "corpus.segs" / "documents.log"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines.insert(0 if where == "first" else len(lines), bad + b"\n")
+        journal.write_bytes(b"".join(lines))
+        # Opening reads the manifest only; the first edit loads the
+        # table and meets the line.
+        index = SegmentedIndex.open(str(tmp_path / "corpus.segs"))
+        with pytest.raises(IndexFormatError) as info:
+            index.update_document("doc-0002", ["gh qz."])
+        assert info.value.path == str(journal)
+        assert str(journal) in str(info.value)
+        index.close()
+
+
+# ----------------------------------------------------------------------
 # Satellites
 # ----------------------------------------------------------------------
 
@@ -580,11 +857,15 @@ class TestCLI:
         )
         assert code == 0
         assert "+1 -1" in out
+        assert "documents.log" in os.listdir(segs)
         code, out = self.run_main(
             ["index-compact", "--index", segs], capsys,
         )
         assert code == 0
         assert "compacted index" in out
+        # A fresh process folds a journal it never loaded.
+        assert "documents.log" not in os.listdir(segs)
+        assert "documents.json" in os.listdir(segs)
         index = SegmentedIndex.open(segs)
         assert index.segment_count == 1
         assert index.tombstone_count == 0
