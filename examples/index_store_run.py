@@ -42,10 +42,11 @@ DOCUMENTS = [
 
 
 def main() -> None:
+    sentences = FastSeparatorSplitter(".")
     registry = [
         RegisteredSplitter(
             "sentences", separator_splitter(ALPHABET, "."),
-            priority=1, executor=FastSeparatorSplitter("."),
+            priority=1, executor=sentences,
         ),
     ]
     spanner = compile_regex_formula(
@@ -98,6 +99,13 @@ def main() -> None:
     edited = Corpus.from_texts([edited_text] + DOCUMENTS[1:])
     reopened = SegmentedIndex.open(path)
     assert reopened.describe() == index.describe()
+    # Both handles resolve every chunk of the edited corpus to the same
+    # id, and count exactly the live (untombstoned) texts.
+    chunk_texts = {text for document in edited
+                   for text in sentences.chunks(document.text)}
+    for text in chunk_texts:
+        assert reopened.text_id(text) == index.text_id(text) is not None
+    assert index.describe()["distinct_texts"] == len(list(index.texts()))
     expected = engine.run(edited, program).by_document
     engine.close()
     index.close()

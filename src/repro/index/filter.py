@@ -16,11 +16,15 @@ automaton runs:
 
 Decisions are memoized per distinct chunk text, so the corpus-wide
 text duplication the engine already exploits for chunk caching makes
-repeated instances of a chunk cost one dict lookup here.  The
-candidate bitmask tracks the index's ``version``: an index grown or
-edited (per shard, per document, by delta) after the filter was built
-triggers a recomputation instead of pruning new texts against a stale
-snapshot.
+repeated instances of a chunk cost one dict lookup here.  A decision
+is never invalidated, however the index changes: an uncached decision
+always equals ``factors.admits(text)`` — the mask only spares the scan
+where a clear bit already proves a factor condition fails — so it is a
+function of the text alone.  The candidate bitmask tracks the index's
+``version``: when an index grown or edited (per shard, per document,
+by delta) has moved past the mask's snapshot, the mask is recomputed
+just before the next uncached decision, since a stale mask would
+address new or compacted ids with old bits.
 
 Soundness is inherited from the factor analysis: ``admits`` returning
 ``False`` proves the chunk's result set is empty, so pruned chunks
@@ -76,25 +80,22 @@ class IndexFilter:
         #: like the engine's default chunk cache — one bool per
         #: distinct chunk the corpus exhibits).
         self._decisions: Dict[str, bool] = {}
-        self._refresh_mask()
+        self._fresh_mask()
 
-    def _refresh_mask(self) -> None:
-        if self.index is not None:
+    def _fresh_mask(self) -> Optional[int]:
+        """The candidate bitmask for the index as it is now."""
+        if (self.index is not None
+                and self._mask_version != self.index.version):
             self._mask = self.index.candidates(self.factors)
             self._mask_version = self.index.version
+        return self._mask
 
     @property
     def mode(self) -> str:
-        return "indexed" if self._mask is not None else "scan"
+        return "indexed" if self._fresh_mask() is not None else "scan"
 
     def admits(self, text: str) -> bool:
         """Whether ``text`` must be evaluated (False = provably empty)."""
-        if (self.index is not None
-                and self._mask_version != self.index.version):
-            # The index grew since the mask snapshot: recompute, and
-            # drop memoized decisions that may have used the old mask.
-            self._refresh_mask()
-            self._decisions.clear()
         decision = self._decisions.get(text)
         if decision is None:
             decision = self._decisions[text] = self._admits_uncached(text)
@@ -117,9 +118,10 @@ class IndexFilter:
         self._admitted = self._pruned = self._memo_hits = 0
 
     def _admits_uncached(self, text: str) -> bool:
-        if self._mask is not None:
+        mask = self._fresh_mask()
+        if mask is not None:
             tid = self.index.text_id(text)
-            if tid is not None and not (self._mask >> tid) & 1:
+            if tid is not None and not (mask >> tid) & 1:
                 # Posting-list rejection; sound only for in-alphabet
                 # texts (foreign chunks must keep their evaluation-time
                 # error, exactly as FactorSet.admits guarantees).

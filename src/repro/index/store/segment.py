@@ -32,11 +32,16 @@ Image layout (all integers little-endian)::
           u64 total image size (truncation check)
     blocks ... text blob | gram blob | posting payloads
 
-*Texts* are stored UTF-8, sorted by their encoded bytes; a text's
-local id is its sorted position, so lookups are binary searches with
-zero-copy byte comparisons.  The *digest table* maps sha1(text) to
-local id (sorted by digest) so tombstones — which carry digests, not
-texts — resolve without decoding anything.  *Grams* are the sorted
+*Texts* are stored UTF-8, sorted by their encoded bytes, so the same
+texts always encode to the same image; a text's local id is its
+sorted position.  Lookups by text go through the *digest table*, one
+``(sha1(text), local id)`` row per text sorted by digest
+(:meth:`Segment.digest_rows`): the owning
+:class:`repro.index.store.SegmentedIndex` reads every segment's rows
+once into one digest map, so resolving a text costs one dict probe and
+one :meth:`Segment.text_bytes` read for the byte-equality check, and
+tombstones — which carry digests, not texts — resolve without
+decoding anything.  *Grams* are the sorted
 1..3-gram dictionary; each entry names its posting payload's encoding:
 a fixed-width **bitmap** over local ids, or a **delta-varint** id
 list, chosen per gram by whichever is smaller (dense grams get the
@@ -64,7 +69,8 @@ from array import array
 from collections import defaultdict
 from functools import partial
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.errors import IndexFormatError
 from repro.index.factors import GRAM, FactorSet
@@ -415,21 +421,13 @@ class Segment:
             self._view, self._off_text_lengths + tid * _U32.size
         )[0]
 
-    def text_id(self, text: str) -> Optional[int]:
-        """Local id of ``text``, by binary search over sorted bytes."""
-        needle = text.encode("utf-8")
-        low, high = 0, self._count
-        while low < high:
-            mid = (low + high) // 2
-            start, end = self._text_bounds(mid)
-            probe = bytes(self._view[start:end])
-            if probe < needle:
-                low = mid + 1
-            elif probe > needle:
-                high = mid
-            else:
-                return mid
-        return None
+    def digest_rows(self) -> Iterator[Tuple[bytes, int]]:
+        """Every ``(sha1 digest, local id)`` row of the digest table,
+        in digest order (the digests are owned copies)."""
+        start = self._off_digests
+        return _DIGEST.iter_unpack(
+            self._view[start:start + self._count * _DIGEST.size]
+        )
 
     # -- postings ------------------------------------------------------
 

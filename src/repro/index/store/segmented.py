@@ -12,6 +12,18 @@ Everything else is the same code.  Text ids are global — segment
 it — so the candidate bitmask is simply the OR of per-segment masks
 shifted to their bases.
 
+A text resolves to its global id (:meth:`text_id`) through the *digest
+map*, one ``dict`` from sha1 digest to global id over every flushed
+text, filled from the segments' digest tables.  It is built on the
+first lookup, so :meth:`open` stays header-only; a flush adds only the
+new segment's rows (ids of earlier segments never move while segments
+are only appended), and :meth:`compact`, :meth:`refresh` and
+:meth:`close` drop it.  A lookup is one probe plus one byte comparison
+against the stored text, however many delta segments an edit history
+left.  It costs one 20-byte key and one ``int`` per distinct text —
+the same order as the filter memo's text keys — and, holding only
+bytes and ints, it is never tracked by the cyclic garbage collector.
+
 Mutation follows the LSM discipline:
 
 * **segments are immutable** — once encoded, a segment is only ever
@@ -72,6 +84,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from bisect import bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import IndexFormatError
@@ -226,6 +239,9 @@ class SegmentedIndex:
         #: sha1 digests of retired texts (never prunes masks; see
         #: module docstring).
         self._tombstones: Set[bytes] = set()
+        #: The digest map: sha1 digest -> global id of every flushed
+        #: text, built on the first lookup (see the module docstring).
+        self._digest_ids: Optional[Dict[bytes, int]] = None
         #: doc_id -> per-instance digest hexes; digest hex -> document
         #: reference count.  Loaded lazily from snapshot + journal (a
         #: memory index has neither: they live here only).
@@ -370,6 +386,7 @@ class SegmentedIndex:
         self._segments = segments
         self._segment_names = names
         self._recompute_bases()
+        self._digest_ids = None
         self.version += 1
 
     def _recompute_bases(self) -> None:
@@ -474,8 +491,9 @@ class SegmentedIndex:
             self.save()
 
     def add_shard(self, corpus, splitter) -> int:
-        """Index one corpus shard as one segment; returns distinct
-        texts added."""
+        """Index one corpus shard as one segment; returns how many live
+        distinct texts it added (texts it revived count, texts an edit
+        inside it retired are subtracted)."""
         before = len(self)
         with self.batch():
             for document in corpus:
@@ -529,7 +547,7 @@ class SegmentedIndex:
             self._tombstones.discard(digest)
             self.version += 1
         elif (digest not in self._staged
-                and self._segment_text_id(text) is None):
+                and self._flushed_id(text, digest) is None):
             self._staged[digest] = text
             self.version += 1
         return hexed
@@ -642,6 +660,8 @@ class SegmentedIndex:
         self._segments.append(segment)
         self._segment_names.append(name)
         self._recompute_bases()
+        if self._digest_ids is not None:
+            self._map_digests(self._digest_ids, segment, self._bases[-1])
         self.generation += 1
         self.version += 1
         return name
@@ -677,6 +697,7 @@ class SegmentedIndex:
         self._segments = [merged]
         self._segment_names = [name]
         self._recompute_bases()
+        self._digest_ids = None
         self._tombstones.clear()
         self.generation += 1
         self.version += 1
@@ -744,8 +765,10 @@ class SegmentedIndex:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
+        """Live distinct texts: flushed ones minus the tombstoned (each
+        tombstone retires one flushed payload), plus staged ones."""
         return (sum(len(segment) for segment in self._segments)
-                + len(self._staged))
+                - len(self._tombstones) + len(self._staged))
 
     def __contains__(self, text: str) -> bool:
         return self.text_id(text) is not None
@@ -758,23 +781,57 @@ class SegmentedIndex:
     def tombstone_count(self) -> int:
         return len(self._tombstones)
 
-    def _segment_text_id(self, text: str) -> Optional[int]:
-        for segment, base in zip(self._segments, self._bases):
-            local = segment.text_id(text)
-            if local is not None:
-                return base + local
-        return None
+    @staticmethod
+    def _map_digests(ids: Dict[bytes, int], segment: Segment,
+                     base: int) -> None:
+        ids.update({digest: base + local
+                    for digest, local in segment.digest_rows()})
+
+    def _flushed_id(self, text: str, digest: bytes) -> Optional[int]:
+        """Global id of flushed ``text`` (``digest`` is its digest), or
+        ``None``: one digest-map probe, then one byte comparison with
+        the text stored under that id, so a digest alias never
+        answers."""
+        ids = self._digest_ids
+        if ids is None:
+            ids = self._digest_ids = {}
+            for segment, base in zip(self._segments, self._bases):
+                self._map_digests(ids, segment, base)
+        tid = ids.get(digest)
+        if tid is None:
+            return None
+        position = bisect_right(self._bases, tid) - 1
+        stored = self._segments[position].text_bytes(
+            tid - self._bases[position])
+        return tid if stored == text.encode("utf-8") else None
 
     def text_id(self, text: str) -> Optional[int]:
         """Global id of an indexed chunk text, or ``None``.
 
         Tombstoned and merely-staged texts answer ``None``: the filter
         then scans them exactly, which is sound regardless of what the
-        masks say about other texts.
+        masks say about other texts.  A retired text keeps its payload
+        (and so its id) until :meth:`compact`:
+
+        >>> index = SegmentedIndex.create()
+        >>> index.add_document(["ab qz", "cd"], doc_id="d")
+        >>> index.text_id("cd")
+        1
+        >>> index.update_document("d", ["ab qz"])
+        {'added': 0, 'removed': 1}
+        >>> index.text_id("cd") is None
+        True
+        >>> index.update_document("d", ["ab qz", "cd"])
+        {'added': 1, 'removed': 0}
+        >>> index.text_id("cd")
+        1
+        >>> index.text_id("never seen") is None
+        True
         """
-        if text_digest(text) in self._tombstones:
+        digest = text_digest(text)
+        if digest in self._tombstones:
             return None
-        return self._segment_text_id(text)
+        return self._flushed_id(text, digest)
 
     def candidates(self, factors: FactorSet) -> Optional[int]:
         """Global candidate bitmask: :meth:`Segment.candidates` per
@@ -835,6 +892,9 @@ class SegmentedIndex:
         self._segments = []
         self._segment_names = []
         self._bases = []
+        self._digest_ids = None
+        self._tombstones = set()
+        self.version += 1
 
     def __enter__(self) -> "SegmentedIndex":
         return self

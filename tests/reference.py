@@ -15,7 +15,10 @@ Two independent ground truths:
 
 Plus :func:`reference_candidates`, the posting index's candidate
 contract stated per text with substring tests -- no postings, no
-bitmasks, no segments -- and the ``reference_*_spans`` character
+bitmasks, no segments --, :func:`reference_text_id` over
+:func:`reference_segment_text_id`, the index's text lookup as the
+per-segment binary search it was before the digest map, and the
+``reference_*_spans`` character
 loops, the splitters' executors before they were lowered to compiled
 scanners (:mod:`repro.runtime.fast`), kept as their oracles,
 :class:`ReferenceSpan`, the frozen dataclass the tuple-backed
@@ -61,6 +64,7 @@ from repro.automata.compiled import (
 from repro.automata.nfa import EPSILON, NFA
 from repro.core.spans import Span, SpanTuple, flat_span_tuple
 from repro.index.factors import GRAM, FactorSet
+from repro.index.store.segment import text_digest
 from repro.core.composition import splitter_variable
 from repro.spanners.refwords import VarOp, gamma
 from repro.spanners.regex_formulas import Capture, svars
@@ -251,6 +255,39 @@ def admitted_texts(index, factors: FactorSet) -> Set[str]:
     mask = index.candidates(factors)
     return {text for text in index.texts()
             if mask is None or (mask >> index.text_id(text)) & 1}
+
+
+def reference_segment_text_id(segment, text: str) -> Optional[int]:
+    """Local id of ``text`` in ``segment``, by binary search over its
+    byte-sorted texts (``Segment.text_id`` before the index resolved
+    texts through its digest map)."""
+    needle = text.encode("utf-8")
+    low, high = 0, len(segment)
+    while low < high:
+        mid = (low + high) // 2
+        probe = segment.text_bytes(mid)
+        if probe < needle:
+            low = mid + 1
+        elif probe > needle:
+            high = mid
+        else:
+            return mid
+    return None
+
+
+def reference_text_id(index, text: str) -> Optional[int]:
+    """``SegmentedIndex.text_id`` as a per-segment byte search: ``None``
+    for a tombstoned text, else the first segment holding it, offset by
+    the texts of the segments before it."""
+    if text_digest(text) in index._tombstones:
+        return None
+    base = 0
+    for segment in index._segments:
+        local = reference_segment_text_id(segment, text)
+        if local is not None:
+            return base + local
+        base += len(segment)
+    return None
 
 
 def reference_candidates(texts: Iterable[str],

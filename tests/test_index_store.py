@@ -15,14 +15,24 @@ from hypothesis import given
 
 from repro.engine import Corpus, ExtractionEngine, Program
 from repro.errors import IndexFormatError, ReproError
-from repro.index import FactorSet, SegmentedIndex, factors_of
-from repro.index.store import Segment, encode_segment, write_segment
+from repro.index import FactorSet, IndexFilter, SegmentedIndex, factors_of
+from repro.index.store import (
+    Segment,
+    encode_segment,
+    text_digest,
+    write_segment,
+)
 from repro.query import Q, Spanner, Splitter
 from repro.runtime import RegisteredSplitter
 from repro.runtime.fast import FastSeparatorSplitter
 from repro.splitters.builders import separator_splitter
 
-from tests.reference import admitted_texts, reference_candidates
+from tests.reference import (
+    admitted_texts,
+    reference_candidates,
+    reference_segment_text_id,
+    reference_text_id,
+)
 
 ALPHA = frozenset("abcdefgh qz.")
 
@@ -85,10 +95,14 @@ class TestSegmentFormat:
         with Segment(path) as segment:
             assert sorted(segment.texts()) == sorted(set(texts))
             for text in set(texts):
-                tid = segment.text_id(text)
+                tid = reference_segment_text_id(segment, text)
                 assert segment.text(tid) == text
                 assert segment.text_length(tid) == len(text)
-            assert segment.text_id("not indexed") is None
+            assert reference_segment_text_id(segment, "not indexed") is None
+            rows = list(segment.digest_rows())
+            assert rows == sorted(rows)
+            assert {digest: segment.text(tid) for digest, tid in rows} \
+                == {text_digest(text): text for text in set(texts)}
             segment.verify()
 
     def test_file_and_memory_image_are_the_same_segment(self, tmp_path):
@@ -123,7 +137,7 @@ class TestSegmentFormat:
         assert summary["varint_postings"] > 0
         with Segment(path) as segment:
             for text in set(texts):
-                tid = segment.text_id(text)
+                tid = reference_segment_text_id(segment, text)
                 for gram in {text[i:i + 2] for i in range(len(text) - 1)}:
                     assert (segment.posting_mask(gram) >> tid) & 1
 
@@ -770,6 +784,160 @@ class TestDocumentJournal:
             index.update_document("doc-0002", ["gh qz."])
         assert info.value.path == str(journal)
         assert str(journal) in str(info.value)
+        index.close()
+
+
+# ----------------------------------------------------------------------
+# Text lookup: the digest map, and the admit memo that outlives flushes
+# ----------------------------------------------------------------------
+
+
+LOOKUP_CHUNKS = JOURNAL_CHUNKS + ["qz", "ab qz"]
+NEVER_SEEN = ["never seen qz", "never seen"]
+
+
+def lookup_ops_st():
+    texts = st.lists(st.sampled_from(LOOKUP_CHUNKS), max_size=4)
+    doc_ids = st.sampled_from(JOURNAL_DOC_IDS)
+    return st.lists(st.one_of(
+        st.tuples(st.sampled_from(["add", "update", "staged"]), doc_ids,
+                  texts),
+        st.tuples(st.just("remove"), doc_ids),
+        st.tuples(st.sampled_from(["compact", "reopen", "refresh"])),
+    ), max_size=12)
+
+
+class TestTextLookup:
+    def test_distinct_texts_counts_live_texts(self, new_index):
+        index = new_index()
+        index.add_document(["a b.", "c d."], doc_id="x")
+        index.update_document("x", ["a b.", "e f."])
+        factors = factors_of(qz_spanner().vsa())
+        for compacted in (False, True):
+            # "c d." is retired: its payload stays until compact().
+            assert index.tombstone_count == (0 if compacted else 1)
+            assert set(index.texts()) == {"a b.", "e f."}
+            assert len(index) == index.describe()["distinct_texts"] == 2
+            assert IndexFilter(factors, index) \
+                .describe()["indexed_texts"] == 2
+            index.compact()
+        with index.batch():
+            index.update_document("x", ["a b.", "g h."])
+            # Staged texts are live before their flush.
+            assert len(index) == 2
+        assert len(index) == 2
+
+    @pytest.mark.parametrize("backing", ["memory", "directory"])
+    @given(ops=lookup_ops_st())
+    def test_lookup_and_memo_agree_with_the_references(
+            self, tmp_path_factory, backing, ops):
+        directory = (None if backing == "memory" else
+                     str(tmp_path_factory.mktemp("lookup") / "index.segs"))
+        factors = factors_of(qz_spanner().vsa())
+        universe = LOOKUP_CHUNKS + NEVER_SEEN
+        expected = {text for text in universe if factors.admits(text)}
+        writer = SegmentedIndex.create(directory, splitter="sentences")
+        # Seeded, so the filters start with a candidate mask that the
+        # later edits make stale.
+        writer.add_document(["ab qz cd", " gh", "cd cd"],
+                            doc_id=JOURNAL_DOC_IDS[0])
+        tracked = {JOURNAL_DOC_IDS[0]}
+        # A directory gets a second handle that only ever refreshes; its
+        # filter lives through the whole sequence.
+        reader = (writer if directory is None
+                  else SegmentedIndex.open(directory))
+        long_lived = IndexFilter(factors, reader)
+        writer_filter = IndexFilter(factors, writer)
+        assert long_lived.mode == writer_filter.mode == "indexed"
+
+        def check(queried):
+            for index in {writer, reader}:
+                for text in universe:
+                    assert index.text_id(text) \
+                        == reference_text_id(index, text), text
+                assert {text for text in universe
+                        if IndexFilter(factors, index).admits(text)} \
+                    == expected
+            for prefilter in (long_lived, writer_filter):
+                # The texts an edit touched are decided first, against
+                # the index as the edit left it.
+                for text in queried:
+                    assert prefilter.admits(text) == factors.admits(text)
+                assert {text for text in universe
+                        if prefilter.admits(text)} == expected
+
+        try:
+            for op, *args in ops:
+                queried = args[-1] if op in ("add", "update",
+                                             "staged") else []
+                if op == "add":
+                    writer.add_document(args[1], doc_id=args[0])
+                elif op in ("update", "staged"):
+                    with writer.batch():
+                        writer.update_document(*args)
+                        if op == "staged":
+                            check(queried)
+                elif op == "remove":
+                    if args[0] in tracked:
+                        writer.remove_document(args[0])
+                elif op == "compact":
+                    writer.compact()
+                elif op == "reopen" and directory is not None:
+                    writer.close()
+                    writer = SegmentedIndex.open(directory)
+                    writer_filter = IndexFilter(factors, writer)
+                elif op == "refresh":
+                    reader.refresh()
+                if op in ("add", "update", "staged"):
+                    tracked.add(args[0])
+                elif op == "remove":
+                    tracked.discard(args[0])
+                check(queried)
+                assert writer.describe()["distinct_texts"] \
+                    == len(list(writer.texts()))
+        finally:
+            for index in {writer, reader}:
+                index.close()
+
+    def test_reads_touch_one_segment_at_most(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "corpus.segs")
+        index = SegmentedIndex.create(directory)
+        for number in range(101):
+            index.add_document([f"text {number} qz."], doc_id=f"d{number}")
+        index.close()
+        index = SegmentedIndex.open(directory)
+        assert index.segment_count == 101
+        read, mapped = [], []
+        text_bytes, digest_rows = Segment.text_bytes, Segment.digest_rows
+
+        def spy_text_bytes(segment, tid):
+            read.append(segment)
+            return text_bytes(segment, tid)
+
+        def spy_digest_rows(segment):
+            mapped.append(segment)
+            return digest_rows(segment)
+
+        monkeypatch.setattr(Segment, "text_bytes", spy_text_bytes)
+        monkeypatch.setattr(Segment, "digest_rows", spy_digest_rows)
+        # open() parsed headers only; the first lookup reads every
+        # digest table once, later ones none.
+        assert mapped == []
+        assert index.text_id("text 50 qz.") is not None
+        assert len(mapped) == 101 and read == [index._segments[50]]
+        del mapped[:], read[:]
+        # A hit reads one text of one segment (the byte-equality
+        # check); a miss reads none.
+        assert index.text_id("text 7 qz.") is not None
+        assert read == [index._segments[7]]
+        del read[:]
+        assert index.text_id("never indexed") is None
+        assert read == []
+        # An edit introducing a new text probes no segment; its flush
+        # maps only the new segment's digest table.
+        index.update_document("d3", ["a new text qz."])
+        assert read == [] and mapped == [index._segments[-1]]
+        assert index.text_id("a new text qz.") == 101
         index.close()
 
 
