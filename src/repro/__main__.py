@@ -296,12 +296,14 @@ def index_compact_command(args) -> int:
 
 
 def index_update_command(args) -> int:
-    """Re-index edited documents by delta (tombstones + delta segment).
+    """Re-index edited documents by delta, as one log line.
 
     Each ``--file PATH`` re-chunks that file under the index's own
     splitter and diffs it against the document the index knows by that
     id (the path, or ``--doc-id`` for a single file); documents given
-    with ``--remove ID`` are retired.
+    with ``--remove ID`` are retired.  Introduced texts stay staged in
+    ``documents.log`` (no new segment file) until ``index-compact``
+    seals them.
     """
     from repro.index import SegmentedIndex
     from repro.query import Splitter

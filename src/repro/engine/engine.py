@@ -407,15 +407,16 @@ class ExtractionEngine:
 
         Certifies ``program`` (cached) and feeds every document's plan
         chunks to a fresh :class:`repro.index.SegmentedIndex`, so
-        lookups at run time hit by construction: one segment per
-        shard, with per-document tracking so later edits maintain it
-        by delta (:meth:`run_delta`).  ``path`` alone decides where it
-        lives — a directory of mmap-able segment files, or (``None``)
-        this process's memory.  ``format`` selects nothing: it is
-        accepted (``None`` or ``"binary"`` with a ``path``) only
-        because the frozen benchmark harness still spells it.  The
-        index is returned, not attached — pass it to
-        :meth:`attach_index`.
+        lookups at run time hit by construction: one sealed segment
+        per shard (each shard's batch ends in a flush, so every text
+        is written once), with per-document tracking so later edits
+        maintain it by delta (:meth:`run_delta`).  ``path`` alone
+        decides where it lives — a directory of mmap-able segment
+        files, or (``None``) this process's memory.  ``format``
+        selects nothing: it is accepted (``None`` or ``"binary"``
+        with a ``path``) only because the frozen benchmark harness
+        still spells it.  The index is returned, not attached — pass
+        it to :meth:`attach_index`.
         """
         if format not in (None, "binary") or (format and path is None):
             raise ValueError("format selects nothing: pass path or neither")
@@ -436,6 +437,7 @@ class ExtractionEngine:
                         doc_id=document.doc_id,
                     )
                 index.shards_indexed += 1
+                index.flush()
         return index
 
     def run_delta(
@@ -450,11 +452,14 @@ class ExtractionEngine:
         Requires an attached index (any: built in memory, by
         ``Q(...).indexed()`` auto-indexing, or opened from a
         directory).  Each document's fresh chunk set is diffed into
-        the index first — introduced chunk texts land in **one** new
-        delta segment, texts no longer referenced anywhere are
-        tombstoned — then the run proceeds normally: the chunk cache
-        serves every unchanged chunk, so the automaton only ever sees
-        the chunks the edits introduced (the
+        the index first, in one batch: introduced chunk texts are
+        staged, texts no longer referenced anywhere are retired, and a
+        directory index persists the whole edit as **one** fsync'd log
+        line.  No segment is sealed until a flush or compact; the
+        prefilter decides a staged text by the exact factor check,
+        the decision its mask bit would give.  Then the run proceeds
+        normally: the chunk cache serves every unchanged chunk, so the
+        automaton only ever sees the chunks the edits introduced (the
         ``engine.chunk_cache.misses`` delta of the returned stats is
         exactly that count).
         """

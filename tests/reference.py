@@ -249,12 +249,17 @@ def semantically_disjoint(
 # ----------------------------------------------------------------------
 
 def admitted_texts(index, factors: FactorSet) -> Set[str]:
-    """The queryable texts of ``index`` its candidate mask admits
-    (id-order agnostic, so differently built indexes compare; a
-    ``None`` mask answers no condition, i.e. admits everything)."""
+    """The live texts of ``index`` its candidate mask admits (id-order
+    agnostic, so differently built indexes compare; a ``None`` mask
+    answers no condition, and no mask covers a staged text: both admit
+    everything)."""
     mask = index.candidates(factors)
-    return {text for text in index.texts()
-            if mask is None or (mask >> index.text_id(text)) & 1}
+    admitted = set()
+    for text in index.texts():
+        tid = index.text_id(text)
+        if mask is None or tid is None or (mask >> tid) & 1:
+            admitted.add(text)
+    return admitted
 
 
 def reference_segment_text_id(segment, text: str) -> Optional[int]:

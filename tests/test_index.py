@@ -190,6 +190,7 @@ class TestMemoryIndex:
     def test_candidates_long_factor_uses_trigram_approximation(self):
         index = SegmentedIndex.create()
         index.add_document(["aaabcdeaa", "gh gh gh"])
+        index.flush()
         factors = FactorSet(ALPHA, required=("abcde",))
         mask = index.candidates(factors)
         assert (mask >> index.text_id("aaabcdeaa")) & 1
@@ -210,6 +211,7 @@ class TestMemoryIndex:
         index = SegmentedIndex.create()
         # "ab" has no trigrams: it must stay a candidate.
         index.add_document(["ab", "ghghgh"])
+        index.flush()
         factors = FactorSet(ALPHA, trigrams=frozenset(["abc"]))
         mask = index.candidates(factors)
         assert (mask >> index.text_id("ab")) & 1
@@ -405,6 +407,7 @@ class TestIndexFilter:
     def test_indexed_mode_rejects_by_mask(self):
         index = SegmentedIndex.create()
         index.add_document(["ab qz cd", "ab cd ef"])
+        index.flush()
         prefilter = IndexFilter(factors_of(qz_extractor()), index)
         assert prefilter.mode == "indexed"
         assert prefilter.admits("ab qz cd")

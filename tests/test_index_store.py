@@ -2,12 +2,18 @@
 format round-trips, the candidate contract against a definitional
 oracle on every backing (memory, directory, reopened, fragmented),
 mmap lifecycle (leak-freedom, readers surviving compaction),
-edit-delta soundness against full rebuilds, and the satellites that
-landed with it (typed load errors, explain() surfacing, CLI
-subcommands)."""
+edit-delta soundness against full rebuilds, the log (replay, torn
+tails, one append per edit, saves surviving SIGKILL), and the
+satellites that landed with it (typed load errors, explain()
+surfacing, CLI subcommands)."""
 
 import json
 import os
+import random
+import subprocess
+import sys
+import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -206,18 +212,23 @@ class TestCandidateContract:
         edited = texts[1:half] + ["zz qz added"]
 
         def fragmented(index):
-            # Two flushed segments, then an edit: a delta segment (the
-            # added text) and a tombstone (document a's first text,
-            # unless it is still referenced).
-            index.add_document(texts[:half], doc_id="a")
-            index.add_document(texts[half:], doc_id="b")
+            # Two sealed segments, then an edit flushed as a third
+            # (delta) segment (the added text) and a tombstone
+            # (document a's first text, unless it is still referenced).
+            # An edit alone only stages: masks cover sealed texts.
+            for doc_id, part in (("a", texts[:half]), ("b", texts[half:])):
+                index.add_document(part, doc_id=doc_id)
+                index.flush()
             index.update_document("a", edited)
+            index.flush()
             return index
 
         memory = SegmentedIndex.create()
         memory.add_document(texts)
+        memory.flush()
         on_disk = SegmentedIndex.create(directory)
         on_disk.add_document(texts)
+        on_disk.flush()
         backings = {
             "memory": (memory, set(texts)),
             "directory": (on_disk, set(texts)),
@@ -303,6 +314,7 @@ class TestMmapLifecycle:
     def test_compact_drops_tombstones_and_old_segments(self, tmp_path):
         index = self.build(tmp_path)
         index.update_document("doc-0000", ["fresh qz text."])
+        index.flush()
         assert index.segment_count > 1
         assert index.tombstone_count > 0
         assert os.path.exists(tmp_path / "corpus.segs" / "documents.log")
@@ -388,10 +400,13 @@ class TestEditDelta:
                 assert self.admits_via(index, factors, chunk) \
                     == self.admits_via(rebuilt, factors, chunk), chunk
         # The dropped sentence is tombstoned (scan fallback), the new
-        # one indexed.
+        # one staged (live, but no id) until a flush seals it.
         assert index.text_id("ef gh ab.") is None
-        assert index.text_id("ef gh qz.") is not None
+        assert "ef gh qz." in index
+        assert index.text_id("ef gh qz.") is None
         assert index.tombstone_count >= 1
+        index.flush()
+        assert index.text_id("ef gh qz.") is not None
         index.close()
         rebuilt.close()
 
@@ -405,6 +420,7 @@ class TestEditDelta:
         )
         engine.attach_index(index)
         engine.run(Corpus.from_texts(CORPUS_TEXTS), program)
+        segments = index.segment_count
         edited = "ab qz cd. ef gh qz. ab ab ab."
         delta_corpus = Corpus.from_mapping({"doc-0000": edited})
         result = engine.run_delta(delta_corpus, program)
@@ -413,11 +429,16 @@ class TestEditDelta:
         baseline = ExtractionEngine(sentence_registry())
         expected = baseline.run(delta_corpus, program).by_document
         assert result.by_document == expected
-        # And the index was maintained: one delta segment, tombstone
-        # for the dropped sentence.
+        # And the index was maintained by one log line: the new
+        # sentence staged (no delta segment), a tombstone for the
+        # dropped one.
+        assert index.segment_count == segments
         assert index.tombstone_count >= 1
         # The registry's fast splitter keeps the leading space and
         # drops the separator, unlike Splitter.named("sentences").
+        assert " ef gh qz" in index
+        assert index.text_id(" ef gh qz") is None
+        index.flush()
         assert index.text_id(" ef gh qz") is not None
         engine.close()
         index.close()
@@ -486,6 +507,7 @@ class TestEditDelta:
         index = new_index()
         index.add_document(["shared qz", "only one"], doc_id="one")
         index.add_document(["shared qz", "only two"], doc_id="two")
+        index.flush()
         assert index.remove_document("one") == 1
         # "shared qz" still referenced by doc two: not tombstoned.
         assert index.text_id("shared qz") is not None
@@ -527,7 +549,8 @@ def journal_ops_st():
         st.tuples(st.just("add"), st.none() | doc_ids, texts),
         st.tuples(st.just("update"), doc_ids, texts),
         st.tuples(st.just("remove"), doc_ids),
-        st.tuples(st.sampled_from(["compact", "reopen", "refresh"])),
+        st.tuples(st.sampled_from(["compact", "reopen", "refresh",
+                                   "flush"])),
     ), max_size=12)
 
 
@@ -612,7 +635,10 @@ class TestDocumentJournal:
                 elif op == "compact":
                     memory.compact()
                     disk.compact()
+                elif op == "flush":
+                    assert memory.flush() == disk.flush()
                 elif op == "reopen":
+                    # Staged texts included: the log holds them.
                     disk.close()
                     disk = SegmentedIndex.open(directory)
                 else:
@@ -621,6 +647,9 @@ class TestDocumentJournal:
                         disk.close()
                         disk, reader = reader, SegmentedIndex.open(directory)
                 self.assert_same(disk, memory, factors)
+                for index in (disk, memory):
+                    assert index.describe()["distinct_texts"] \
+                        == len(list(index.texts()))
             # Reopened, the replayed table drives run_delta: it must
             # equal a full run of the edited corpus without an index.
             disk.close()
@@ -700,22 +729,38 @@ class TestDocumentJournal:
             written[size] = bytes_written(before, after)
         assert written[400] < 2 * written[40], written
 
-    def test_an_edit_writes_the_manifest_once(self, tmp_path, monkeypatch):
+    def test_an_edit_is_one_log_append(self, tmp_path, monkeypatch):
         from repro.index.store import segmented
 
         index = self.journalled(tmp_path)
+        directory = tmp_path / "corpus.segs"
+        journal = directory / "documents.log"
+        before = journal.read_bytes()
+        files = sorted(os.listdir(directory))
         segments = index.segment_count
-        writes = []
-        atomic_write = segmented._atomic_write_json
+        staged = index.describe()["staged_texts"]
+        calls = []
 
-        def spy(path, payload):
-            writes.append(os.path.basename(path))
-            atomic_write(path, payload)
+        def spy(name, real):
+            def called(*args):
+                calls.append(name)
+                return real(*args)
+            return called
 
-        monkeypatch.setattr(segmented, "_atomic_write_json", spy)
+        monkeypatch.setattr(segmented, "_atomic_write_json", spy(
+            "_atomic_write_json", segmented._atomic_write_json))
+        monkeypatch.setattr(segmented, "write_segment", spy(
+            "write_segment", segmented.write_segment))
+        monkeypatch.setattr(os, "fsync", spy("fsync", os.fsync))
         index.update_document("doc-0002", ["a new qz sentence."])
-        assert index.segment_count == segments + 1  # a delta segment
-        assert writes == ["MANIFEST.json"]
+        assert calls == ["fsync"]
+        assert index.segment_count == segments
+        assert index.describe()["staged_texts"] == staged + 1
+        assert sorted(os.listdir(directory)) == files
+        after = journal.read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):].count(b"\n") == 1
+        assert after.endswith(b"\n")
         index.close()
 
     def test_manifest_is_the_one_shot_json_encoding(self, tmp_path):
@@ -732,21 +777,42 @@ class TestDocumentJournal:
     def test_a_torn_final_line_is_dropped_then_cut_off(self, tmp_path):
         live = self.journalled(tmp_path)
         journal = tmp_path / "corpus.segs" / "documents.log"
+        reader = SegmentedIndex.open(live.directory)
+        complete = journal.read_bytes()
         with open(journal, "ab") as handle:
-            # A save that never returned: no trailing newline.
+            # A save that has not returned: no trailing newline.
             handle.write(b'{"documents": {"doc-0002": nu')
+        torn = journal.read_bytes()
+        # Readers never touch it: the line may be a live writer's.
         reopened = SegmentedIndex.open(live.directory)
-        assert document_table(reopened) == document_table(live)
+        assert reader.refresh() is False
+        assert journal.read_bytes() == torn
+        assert reopened.describe() == reader.describe() == live.describe()
         live.close()
+        # The writer's next mutation cuts it off, then appends.
         reopened.update_document("doc-0002", ["gh qz."])
+        after = journal.read_bytes()
+        assert after.startswith(complete) and not after.startswith(torn)
+        assert reader.refresh() is True
+        assert reader.describe() == reopened.describe()
         again = SegmentedIndex.open(reopened.directory)
         assert document_table(again) == document_table(reopened)
-        lines = journal.read_bytes().split(b"\n")
+        lines = after.split(b"\n")
         assert lines[-1] == b""
-        assert all(isinstance(json.loads(line), dict)
-                   for line in lines[:-1])
-        again.close()
-        reopened.close()
+        assert all(isinstance(json.loads(part), dict)
+                   for line in lines[:-1] for part in line.split(b"\t")
+                   if part)
+        for index in (again, reopened, reader):
+            index.close()
+
+    def test_a_bad_index_part_fails_the_open(self, tmp_path):
+        self.journalled(tmp_path).close()
+        journal = tmp_path / "corpus.segs" / "documents.log"
+        with open(journal, "ab") as handle:
+            handle.write(b'{"generation": nu\t\n')
+        with pytest.raises(IndexFormatError) as info:
+            SegmentedIndex.open(str(tmp_path / "corpus.segs"))
+        assert info.value.path == str(journal)
 
     def test_create_starts_an_empty_table_over_orphaned_files(
             self, tmp_path):
@@ -788,6 +854,129 @@ class TestDocumentJournal:
 
 
 # ----------------------------------------------------------------------
+# Crash safety: a save that returned survives SIGKILL
+# ----------------------------------------------------------------------
+
+
+CRASH_DOC_IDS = [f"doc-{number:04d}" for number in range(5)]
+CRASH_CHUNKS = JOURNAL_CHUNKS + ["qz", "ab qz", " gh gh qz", " cd ab"]
+CRASH_CHILD = """
+import sys
+from tests.test_index_store import crash_child
+crash_child(sys.argv[1], int(sys.argv[2]))
+"""
+
+
+def crash_rounds(seed):
+    """Endless seeded rounds for one directory index: edits (add,
+    update, remove a tracked document) mixed with flushes and
+    compactions."""
+    rng = random.Random(seed)
+    tracked = set()
+    while True:
+        roll = rng.random()
+        if roll < 0.05:
+            yield ("compact",)
+        elif roll < 0.15:
+            yield ("flush",)
+        elif roll < 0.3 and tracked:
+            doc_id = rng.choice(sorted(tracked))
+            tracked.discard(doc_id)
+            yield ("remove", doc_id)
+        else:
+            doc_id = rng.choice(CRASH_DOC_IDS)
+            tracked.add(doc_id)
+            yield (rng.choice(["add", "update"]), doc_id,
+                   rng.choices(CRASH_CHUNKS, k=rng.randint(0, 4)))
+
+
+def apply_round(index, round_):
+    op, *args = round_
+    if op == "add":
+        index.add_document(args[1], doc_id=args[0])
+    elif op == "update":
+        index.update_document(*args)
+    elif op == "remove":
+        index.remove_document(args[0])
+    else:
+        getattr(index, op)()
+
+
+def crash_child(directory, seed):
+    """Apply :func:`crash_rounds` to a new index in ``directory``,
+    printing each round's number once its save returned, until
+    killed."""
+    index = SegmentedIndex.create(directory, splitter="sentences")
+    for number, round_ in enumerate(crash_rounds(seed), 1):
+        apply_round(index, round_)
+        print(number, flush=True)
+
+
+def index_state(index):
+    described = index.describe()
+    del described["directory"]
+    return (described, sorted(index.texts()),
+            {text: index.text_id(text) for text in CRASH_CHUNKS},
+            document_table(index))
+
+
+class TestCrashSafety:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_returned_save_survives_sigkill(self, tmp_path, seed):
+        directory = str(tmp_path / "index.segs")
+        child = subprocess.Popen(
+            [sys.executable, "-c", CRASH_CHILD, directory, str(seed)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        watchdog = threading.Timer(60, child.kill)
+        watchdog.start()
+        rng = random.Random(seed)
+        target = rng.randint(10, 120)
+        printed = 0
+        try:
+            for line in child.stdout:
+                printed = int(line)
+                if printed >= target:
+                    break
+            # Kill it somewhere inside a later round.
+            time.sleep(rng.random() * 0.005)
+            child.kill()
+            rest, errors = child.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert printed >= target, errors.decode()
+        printed = max([printed] + [int(line) for line in rest.split()])
+        reopened = SegmentedIndex.open(directory)
+        memory = SegmentedIndex.create(splitter="sentences")
+        rounds = crash_rounds(seed)
+        for _ in range(printed):
+            apply_round(memory, next(rounds))
+        # Every printed round is there; the one in flight either whole
+        # or not at all.
+        state = index_state(reopened)
+        if state != index_state(memory):
+            apply_round(memory, next(rounds))
+            assert state == index_state(memory)
+        corpus = Corpus.from_mapping({
+            doc_id: text for doc_id, text in zip(
+                CRASH_DOC_IDS, CORPUS_TEXTS)})
+        program = Program.from_query(qz_spanner())
+        engine = ExtractionEngine(sentence_registry(),
+                                  corpus_index=reopened)
+        try:
+            result = engine.run_delta(corpus, program)
+        finally:
+            engine.close()
+            reopened.close()
+        assert result.by_document == ExtractionEngine(
+            sentence_registry()).run(corpus, program).by_document
+
+
+# ----------------------------------------------------------------------
 # Text lookup: the digest map, and the admit memo that outlives flushes
 # ----------------------------------------------------------------------
 
@@ -803,7 +992,8 @@ def lookup_ops_st():
         st.tuples(st.sampled_from(["add", "update", "staged"]), doc_ids,
                   texts),
         st.tuples(st.just("remove"), doc_ids),
-        st.tuples(st.sampled_from(["compact", "reopen", "refresh"])),
+        st.tuples(st.sampled_from(["compact", "reopen", "refresh",
+                                   "flush"])),
     ), max_size=12)
 
 
@@ -811,6 +1001,7 @@ class TestTextLookup:
     def test_distinct_texts_counts_live_texts(self, new_index):
         index = new_index()
         index.add_document(["a b.", "c d."], doc_id="x")
+        index.flush()
         index.update_document("x", ["a b.", "e f."])
         factors = factors_of(qz_spanner().vsa())
         for compacted in (False, True):
@@ -841,6 +1032,7 @@ class TestTextLookup:
         # later edits make stale.
         writer.add_document(["ab qz cd", " gh", "cd cd"],
                             doc_id=JOURNAL_DOC_IDS[0])
+        writer.flush()
         tracked = {JOURNAL_DOC_IDS[0]}
         # A directory gets a second handle that only ever refreshes; its
         # filter lives through the whole sequence.
@@ -882,9 +1074,14 @@ class TestTextLookup:
                         writer.remove_document(args[0])
                 elif op == "compact":
                     writer.compact()
+                elif op == "flush":
+                    writer.flush()
                 elif op == "reopen" and directory is not None:
+                    # Reopening while texts are staged gives them back.
+                    described = writer.describe()
                     writer.close()
                     writer = SegmentedIndex.open(directory)
+                    assert writer.describe() == described
                     writer_filter = IndexFilter(factors, writer)
                 elif op == "refresh":
                     reader.refresh()
@@ -904,6 +1101,7 @@ class TestTextLookup:
         index = SegmentedIndex.create(directory)
         for number in range(101):
             index.add_document([f"text {number} qz."], doc_id=f"d{number}")
+            index.flush()
         index.close()
         index = SegmentedIndex.open(directory)
         assert index.segment_count == 101
@@ -933,9 +1131,12 @@ class TestTextLookup:
         del read[:]
         assert index.text_id("never indexed") is None
         assert read == []
-        # An edit introducing a new text probes no segment; its flush
-        # maps only the new segment's digest table.
+        # An edit introducing a new text probes no segment and stages
+        # it; the flush maps only the new segment's digest table.
         index.update_document("d3", ["a new text qz."])
+        assert read == [] and mapped == []
+        assert index.text_id("a new text qz.") is None
+        index.flush()
         assert read == [] and mapped == [index._segments[-1]]
         assert index.text_id("a new text qz.") == 101
         index.close()
