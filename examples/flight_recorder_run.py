@@ -1,6 +1,6 @@
 """The introspection layer, end to end: a flight-recorded service, a
 structured event log, a forced deadline miss landing in the slow-query
-log with its span tree, and a sampling profile of the run.
+log with its span tree, and the service's live view.
 
 :class:`repro.obs.FlightRecorder` rides along with
 :class:`repro.ExtractionService`: every completed query leaves a
@@ -10,13 +10,13 @@ and anything slow — or any deadline miss — is additionally kept in an
 always-retained slow log with its full span tree and ``explain()``
 payload.  The structured event log mirrors the same lifecycle as one
 JSON object per line on any stdlib logging handler, and
-:func:`repro.obs.profile_for` samples wall-clock stacks per thread
-role while queries run.
+``service.inflight()`` shows the queue, the running query and the
+per-tenant counters the metrics registry holds.
 
 The same data is live over HTTP when serving:
 ``repro serve --flight 256 --slow-ms 250 --log events.jsonl`` exposes
-``/debug/queries``, ``/debug/slow``, ``/debug/inflight`` and
-``/debug/profile?seconds=1``.
+``/debug/queries``, ``/debug/slow`` and ``/debug/inflight`` next to
+``/metrics``.
 
 Run with:  python examples/flight_recorder_run.py
 """
@@ -26,7 +26,7 @@ import json
 import time
 
 from repro import DeadlineExceededError, ExtractionEngine, ExtractionService, Program
-from repro.obs import FlightRecorder, configure_event_log, event_log, profile_for
+from repro.obs import FlightRecorder, configure_event_log, event_log
 from repro.runtime import FastSeparatorSplitter, RegisteredSplitter
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import token_splitter
@@ -99,21 +99,17 @@ def main() -> None:
 
         print("\n== The service is still healthy ==")
         again = service.extract(docs, tenant="demo")
-        print(f"follow-up query ok: {again.total_tuples} tuples; "
-              f"tenant stats {service.tenant_stats('demo')}")
-
-        print("\n== Sampling profile (0.3 s at 97 Hz) ==")
-        profiler = profile_for(0.3, current_query=service.current_query_id)
-        stats = profiler.stats()
-        print(f"{stats['samples']} samples, "
-              f"{stats['distinct_stacks']} distinct stacks, "
-              f"roles {profiler.by_role()}")
+        print(f"follow-up query ok: {again.total_tuples} tuples")
 
         print("\n== Live view ==")
         inflight = service.inflight()
+        latency = service.metrics.histogram("service.latency_seconds",
+                                            tenant="demo")
         print(f"queue depth {inflight['queue_depth']}, "
               f"flight {inflight['flight']['retained']} recent / "
               f"{inflight['flight']['slow_retained']} slow")
+        print(f"tenant demo: {inflight['tenants']['demo']}, "
+              f"p95 latency <= {latency.quantile(0.95) * 1e3:.0f}ms")
 
     event_log().detach(handler)
     lines = [json.loads(line) for line in sink.getvalue().splitlines()]

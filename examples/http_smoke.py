@@ -1,11 +1,19 @@
 """Serving smoke check over HTTP: ``python -m repro serve`` on an
-ephemeral port, hit by concurrent clients.
+ephemeral port, flight-recorded (``--flight 64 --slow-ms 5``) and
+logging events to a temporary file, hit by concurrent clients.
 
 Six concurrent requests must answer 200 and a seventh, sent with
 ``"deadline_ms": 0``, a typed 504 (``"deadline_exceeded"``).  The miss
 must not poison the engine: the next request answers 200 with tuples.
-``GET /metrics`` must carry the tenant label.  Any failed check exits
-non-zero; CI runs this script as its serving gate.
+``GET /metrics`` must carry the tenant label.
+
+Then the introspection surface: a forced slow query and a forced
+deadline miss must show up in ``/debug/queries``, ``/debug/slow`` and
+``/debug/inflight`` with schema-valid JSON, the ``X-Repro-Request-Id``
+header must name the flight record (and the 504 body's
+``request_id``), and the event log must be line-parseable JSON
+narrating the lifecycle, the miss at warning level.  Any failed check
+exits non-zero; CI runs this script as its serving and debug gate.
 
 Run with:  python examples/http_smoke.py
 """
@@ -15,6 +23,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -31,13 +40,14 @@ def check(condition: bool, detail: object) -> None:
         raise SystemExit(f"serve smoke FAILED: {detail}")
 
 
-def start_server() -> "tuple[subprocess.Popen, str]":
+def start_server(log: str) -> "tuple[subprocess.Popen, str]":
     """The server and its base URL, read from its "serving on" line."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH"))
                            if p)
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--pattern", PATTERN,
-         "--alphabet", "ab .", "--splitters", "tokens", "--port", "0"],
+         "--alphabet", "ab .", "--splitters", "tokens", "--port", "0",
+         "--flight", "64", "--slow-ms", "5", "--log", log],
         stdout=subprocess.PIPE, text=True,
         env=dict(os.environ, PYTHONPATH=path))
     line = server.stdout.readline()
@@ -48,19 +58,106 @@ def start_server() -> "tuple[subprocess.Popen, str]":
     return server, line.split()[2]
 
 
-def post(base: str, payload: dict) -> "tuple[int, dict]":
+def exchange(base: str, payload: dict) -> "tuple[int, dict, str]":
+    """POST /extract: status, JSON body and X-Repro-Request-Id."""
     request = urllib.request.Request(
         f"{base}/extract", data=json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.load(response)
+            return (response.status, json.load(response),
+                    response.headers["X-Repro-Request-Id"])
     except urllib.error.HTTPError as error:
-        return error.code, json.load(error)
+        return (error.code, json.load(error),
+                error.headers["X-Repro-Request-Id"])
 
 
-def main() -> None:
-    server, base = start_server()
+def post(base: str, payload: dict) -> "tuple[int, dict]":
+    status, body, _request_id = exchange(base, payload)
+    return status, body
+
+
+def get(base: str, path: str) -> dict:
+    with urllib.request.urlopen(base + path, timeout=30) as response:
+        return json.load(response)
+
+
+def check_debug(base: str) -> str:
+    """The /debug checks; returns the forced miss's request id."""
+    # A forced slow query (unique tokens defeat the chunk cache; well
+    # past the 5 ms slow threshold) ...
+    heavy = [" ".join("a" * (7 * i + j + 1) for j in range(7))
+             for i in range(40)]
+    status, body, slow_id = exchange(base, {"texts": heavy,
+                                            "tenant": "dbg"})
+    check(status == 200 and body["tuples"] >= 0, (status, body))
+    # ... and a forced deadline miss, whose error body and header must
+    # carry the same correlatable request id.
+    status, body, miss_id = exchange(
+        base, {"texts": ["aa ab a."], "tenant": "dbg", "deadline_ms": 0})
+    check(status == 504, (status, body))
+    check(body["request_id"] == miss_id, body)
+
+    queries = get(base, "/debug/queries")
+    check(queries["recording"] is True, queries)
+    # The eight serving queries above and these two, all retained.
+    check(len(queries["queries"]) == 10, len(queries["queries"]))
+    check([q["query_id"] for q in queries["queries"][-2:]]
+          == [slow_id, miss_id], queries["queries"][-2:])
+    for summary in queries["queries"]:
+        for key in ("query_id", "outcome", "tenant", "run_seconds",
+                    "phases"):
+            check(key in summary, summary)
+        check("span_tree" not in summary, summary)
+
+    record = get(base, f"/debug/queries/{slow_id}")
+    check(record["query_id"] == slow_id, record)
+    check(record["slow"] is True, record)
+    check(record["phases"].get("evaluate", 0) > 0, record["phases"])
+    check(record["span_tree"], "slow record lost its spans")
+    for node in record["span_tree"]:
+        for key in ("name", "span_id", "pid", "duration"):
+            check(key in node, node)
+    check(record["explain"]["plan"], record)
+
+    slow = get(base, "/debug/slow")["slow"]
+    outcomes = {entry["outcome"] for entry in slow}
+    check("DeadlineExceededError" in outcomes, outcomes)
+    miss = next(entry for entry in slow if entry["query_id"] == miss_id)
+    check(miss["deadline_budget"] == 0.0, miss)
+
+    inflight = get(base, "/debug/inflight")
+    for key in ("service", "closed", "queue_depth", "max_queue",
+                "running", "tenants", "flight"):
+        check(key in inflight, inflight)
+    check(inflight["tenants"]["dbg"]["deadline_misses"] == 1, inflight)
+    print(f"debug endpoints: slow={slow_id} miss={miss_id}")
+    return miss_id
+
+
+def check_event_log(log: str, miss_id: str) -> None:
+    """Every line parses as JSON and the lifecycle is narrated,
+    including each miss at warning level."""
+    with open(log, encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle]
+    check(lines, "event log is empty")
+    for line in lines:
+        for key in ("ts", "mono", "level", "event", "pid"):
+            check(key in line, line)
+    events = {line["event"] for line in lines}
+    check({"service.start", "service.admit", "service.complete"} <= events,
+          events)
+    misses = [line for line in lines
+              if line["event"] == "service.deadline_miss"]
+    check(misses and all(line["level"] == "warning" for line in misses),
+          misses)
+    check(any(line["query_id"] == miss_id for line in misses), misses)
+    print(f"event log: {len(lines)} JSON lines, events {sorted(events)}")
+
+
+def serve_checks(log: str) -> str:
+    """The serving and /debug checks; returns the miss's request id."""
+    server, base = start_server(log)
     try:
         jobs = ([{"texts": TEXTS, "tenant": "smoke"}] * 6
                 + [{"texts": TEXTS, "tenant": "smoke", "deadline_ms": 0}])
@@ -85,6 +182,7 @@ def main() -> None:
                        "service_deadline_misses"):
             check(needle in exposition, f"/metrics lacks {needle}")
         print("metrics: tenant-labelled service counters present")
+        return check_debug(base)
     finally:
         server.send_signal(signal.SIGINT)   # serve_http closes the service
         try:
@@ -93,6 +191,13 @@ def main() -> None:
             server.kill()
             server.wait()
         server.stdout.close()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        log = os.path.join(scratch, "events.jsonl")
+        miss_id = serve_checks(log)
+        check_event_log(log, miss_id)
     print("serve smoke OK")
 
 

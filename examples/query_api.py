@@ -57,8 +57,8 @@ def main() -> None:
     print("== Run report ==")
     report = results.explain()
     stats = report["stats"]
-    engine_stats = query.engine().stats()
-    print(f"  certifications:   {engine_stats.certifications} "
+    certifications = query.engine().stats().certifications
+    print(f"  certifications:   {certifications} "
           "(the PSPACE procedure ran exactly once, at explain time)")
     print(f"  compiled artifact: {report['compiled_artifact']}")
     print(f"  chunk hit rate:   {stats['chunk_hit_rate']:.2f} "

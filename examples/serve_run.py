@@ -84,8 +84,9 @@ def main() -> None:
             thread.start()
         for thread in threads:
             thread.join()
+        hits = service.metrics.value("engine.plan_cache.hits")
         print(f"totals agree: {sorted(set(totals))} "
-              f"(plan-cache hits now {service.engine_stats().plan_cache_hits})")
+              f"(plan-cache hits now {hits})")
 
         # The asyncio front end, on this thread's own loop, queues for
         # the same service thread.
@@ -112,11 +113,14 @@ def main() -> None:
         print(f"  follow-up query still fine: {follow_up.total_tuples} tuples")
 
         print("\n== Per-tenant stats ==")
+        tenants = service.inflight()["tenants"]
         for tenant in ("acme", "zeta"):
-            stats = service.tenant_stats(tenant)
+            stats = tenants[tenant]
+            latency = service.metrics.histogram("service.latency_seconds",
+                                                tenant=tenant)
             print(f"  {tenant}: {stats['queries']} queries, "
                   f"{stats['deadline_misses']} deadline misses, "
-                  f"p95 latency {stats['latency_p95'] * 1e3:.2f}ms")
+                  f"p95 latency {latency.quantile(0.95) * 1e3:.2f}ms")
 
         print("\n== Prometheus exposition (excerpt) ==")
         for line in service.to_prometheus().splitlines():

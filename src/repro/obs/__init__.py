@@ -24,6 +24,11 @@ Exporters: Chrome trace-event JSON (:meth:`Tracer.export_chrome`,
 everywhere) is a shared no-op whose cost is one attribute check per
 phase, so production paths keep their speed until tracing is asked
 for.
+
+A running service is read through three surfaces: the registry
+(``GET /metrics``), the :class:`FlightRecorder` (``/debug/queries``,
+``/debug/slow``) and the service's ``inflight()`` view
+(``/debug/inflight``); :mod:`repro.obs.log` narrates the same events.
 """
 
 from repro.obs.metrics import (
@@ -57,11 +62,6 @@ from repro.obs.flight import (
     QueryRecord,
     spans_to_dicts,
 )
-from repro.obs.profile import (
-    SamplingProfiler,
-    profile_for,
-    set_process_role,
-)
 
 __all__ = [
     "Tracer",
@@ -85,7 +85,4 @@ __all__ = [
     "FlightRecorder",
     "QueryRecord",
     "spans_to_dicts",
-    "SamplingProfiler",
-    "profile_for",
-    "set_process_role",
 ]

@@ -40,6 +40,9 @@ from typing import (
 
 from repro.obs.trace import SpanRecord, phase_durations
 
+#: How many records the slow-query log keeps (the most recent).
+KEEP_SLOW = 64
+
 
 def spans_to_dicts(records: Sequence[SpanRecord]) -> List[Dict[str, object]]:
     """Span records as JSON-friendly dicts (the ``span_tree`` shape)."""
@@ -56,6 +59,15 @@ def spans_to_dicts(records: Sequence[SpanRecord]) -> List[Dict[str, object]]:
         }
         for record in records
     ]
+
+
+def _last(records: Deque[QueryRecord],
+          limit: Optional[int]) -> List[QueryRecord]:
+    if limit is None:
+        return list(records)
+    if limit < 1:
+        raise ValueError("limit must be positive")
+    return list(records)[-limit:]
 
 
 @dataclass
@@ -139,10 +151,10 @@ class FlightRecorder:
     """A thread-safe ring of the last ``capacity`` query records.
 
     ``slow_threshold`` (seconds, ``None`` = off) routes queries whose
-    total latency reaches it into the always-keep slow-query log
-    (bounded by ``keep_slow``); ``capture_deadline_misses`` routes
-    deadline misses there regardless of latency — a missed deadline is
-    *the* query an operator wants the full story for.
+    total latency reaches it into the slow-query log, which keeps the
+    last :data:`KEEP_SLOW`; deadline misses go there regardless of
+    latency — a missed deadline is *the* query an operator wants the
+    full story for.
 
     ``capture_spans`` declares whether the recorder wants span trees:
     a service attaching a recorder with ``capture_spans=True`` enables
@@ -155,24 +167,18 @@ class FlightRecorder:
         self,
         capacity: int = 256,
         slow_threshold: Optional[float] = None,
-        keep_slow: int = 64,
-        capture_deadline_misses: bool = True,
         capture_spans: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        if keep_slow < 1:
-            raise ValueError("keep_slow must be positive")
         if slow_threshold is not None and slow_threshold < 0:
             raise ValueError("slow_threshold must be non-negative")
         self.capacity = capacity
         self.slow_threshold = slow_threshold
-        self.keep_slow = keep_slow
-        self.capture_deadline_misses = capture_deadline_misses
         self.capture_spans = capture_spans
         self._lock = threading.Lock()
         self._recent: Deque[QueryRecord] = deque(maxlen=capacity)
-        self._slow: Deque[QueryRecord] = deque(maxlen=keep_slow)
+        self._slow: Deque[QueryRecord] = deque(maxlen=KEEP_SLOW)
         self._recorded = 0
         self._slow_recorded = 0
 
@@ -182,8 +188,7 @@ class FlightRecorder:
 
     def is_slow(self, record: QueryRecord) -> bool:
         """Does ``record`` belong in the slow-query log?"""
-        if (self.capture_deadline_misses
-                and record.outcome == "DeadlineExceededError"):
+        if record.outcome == "DeadlineExceededError":
             return True
         return (self.slow_threshold is not None
                 and record.total_seconds >= self.slow_threshold)
@@ -231,16 +236,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------
 
     def recent(self, limit: Optional[int] = None) -> List[QueryRecord]:
-        """The retained records, most recent last."""
+        """The retained records (the last ``limit``), most recent last."""
         with self._lock:
-            records = list(self._recent)
-        return records[-limit:] if limit else records
+            return _last(self._recent, limit)
 
     def slow(self, limit: Optional[int] = None) -> List[QueryRecord]:
-        """The slow-query log, most recent last."""
+        """The slow-query log (the last ``limit``), most recent last."""
         with self._lock:
-            records = list(self._slow)
-        return records[-limit:] if limit else records
+            return _last(self._slow, limit)
 
     def get(self, query_id: str) -> Optional[QueryRecord]:
         """Look a record up by id (slow log first: it lives longer)."""
@@ -264,9 +267,8 @@ class FlightRecorder:
             recorded, slow_recorded = self._recorded, self._slow_recorded
         return {
             "capacity": self.capacity,
-            "keep_slow": self.keep_slow,
+            "keep_slow": KEEP_SLOW,
             "slow_threshold": self.slow_threshold,
-            "capture_deadline_misses": self.capture_deadline_misses,
             "capture_spans": self.capture_spans,
             "recorded": recorded,
             "retained": retained,

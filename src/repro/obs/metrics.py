@@ -178,7 +178,7 @@ class Histogram:
         bucket), and a quantile landing in the ``+Inf`` overflow
         bucket is clamped to the largest finite bound — a conservative
         *lower* estimate, but one that keeps p99 dashboards plottable
-        instead of propagating ``inf`` through ``tenant_stats()``.
+        instead of propagating ``inf``.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be within [0, 1]")

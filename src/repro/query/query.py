@@ -212,7 +212,6 @@ class Query:
 
     def recorded(self, capacity: int = 256,
                  slow_ms: Optional[float] = None,
-                 keep_slow: int = 64,
                  capture_spans: bool = True) -> "Query":
         """Attach a query flight recorder to the service this chain
         will build (:meth:`serve`).
@@ -223,10 +222,12 @@ class Query:
         :class:`repro.serve.ServiceResult` and live over HTTP at
         ``GET /debug/queries`` — and keeps queries slower than
         ``slow_ms`` milliseconds (plus every deadline miss) in a
-        separate slow-query log with their full span tree and explain
-        payload.  ``capture_spans=False`` records timings and counters
-        without enabling tracing (the minimum-overhead mode the CI
-        A/B gate measures).
+        separate slow-query log — the last 64, each with its full span
+        tree and explain payload.  ``GET /debug/inflight`` and the
+        metrics registry (``GET /metrics``) complete the view.
+        ``capture_spans=False`` records timings and counters without
+        enabling tracing (the minimum-overhead mode the CI A/B gate
+        measures).
         """
         from repro.obs.flight import FlightRecorder
 
@@ -234,7 +235,6 @@ class Query:
             capacity=capacity,
             slow_threshold=(slow_ms / 1000.0
                             if slow_ms is not None else None),
-            keep_slow=keep_slow,
             capture_spans=capture_spans,
         ))
 

@@ -27,7 +27,6 @@ from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
 
 from repro.core.spans import Span, SpanTuple
 from repro.errors import WorkerLostError
-from repro.obs.profile import set_process_role
 
 #: Anything with ``evaluate(document) -> set[SpanTuple]``.
 SpannerLike = object
@@ -167,7 +166,6 @@ def _init_worker(runner: SpannerLike) -> None:
     """A worker's set-up: it evaluates with ``runner``."""
     global _WORKER_RUNNER
     _WORKER_RUNNER = runner
-    set_process_role("pool-worker")
 
 
 def _evaluate_task(

@@ -10,7 +10,8 @@ bounded admission queue with per-query deadlines and per-tenant
 metrics.
 
 * :mod:`repro.serve.service` — the :class:`ExtractionService`
-  (ownership boundary, admission control, deadlines, tenant stats);
+  (ownership boundary, admission control, deadlines, per-tenant
+  metrics, the ``inflight()`` view);
 * :mod:`repro.serve.http` — the optional stdlib-only HTTP/JSON
   endpoint (``python -m repro serve``).
 

@@ -27,8 +27,6 @@ one request per connection.
 * ``GET /debug/slow`` — the slow-query log, full records.
 * ``GET /debug/inflight`` — the service's queue depth, the running
   query, per-tenant admission counters.
-* ``GET /debug/profile?seconds=S&hz=H`` — run the sampling profiler
-  for S seconds (clamped) and return folded stacks per thread role.
 
 Start it from Python (:func:`serve_http`) or from the CLI::
 
@@ -77,11 +75,6 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: evicted first: a repeated pattern reuses its compiled, fingerprinted
 #: and lowered :class:`repro.engine.Program`.
 MAX_ADHOC_PROGRAMS = 32
-
-#: ``/debug/profile`` bounds: the profiler blocks a worker thread for
-#: the requested window, so the window is clamped server-side.
-MAX_PROFILE_SECONDS = 10.0
-DEFAULT_PROFILE_SECONDS = 1.0
 
 
 def _json_response(status: int, payload: Dict[str, object],
@@ -241,7 +234,7 @@ class ServiceHTTPServer:
             return _text_response(200, self.service.to_prometheus(),
                                   request_id=request_id)
         if path.startswith("/debug/"):
-            return await self._debug(method, path, params, request_id)
+            return self._debug(method, path, params, request_id)
         if path != "/extract":
             return self._error(404, {"error": "not_found",
                                      "path": path}, request_id)
@@ -257,8 +250,8 @@ class ServiceHTTPServer:
 
     # -- the /debug routes ---------------------------------------------
 
-    async def _debug(self, method: str, path: str,
-                     params: Dict[str, str], request_id: str) -> bytes:
+    def _debug(self, method: str, path: str,
+               params: Dict[str, str], request_id: str) -> bytes:
         if method != "GET":
             return self._error(405, {"error": "method_not_allowed"},
                                request_id)
@@ -266,8 +259,10 @@ class ServiceHTTPServer:
         try:
             limit = int(params["limit"]) if "limit" in params else None
         except ValueError:
+            limit = 0          # answered below like any limit < 1
+        if limit is not None and limit < 1:
             return self._error(400, {"error": "bad_request",
-                                     "detail": "limit must be an int"},
+                                     "detail": "limit must be a positive int"},
                                request_id)
         if path == "/debug/queries":
             return _json_response(
@@ -290,37 +285,8 @@ class ServiceHTTPServer:
         if path == "/debug/inflight":
             return _json_response(200, service.inflight(),
                                   request_id=request_id)
-        if path == "/debug/profile":
-            return await self._profile(params, request_id)
         return self._error(404, {"error": "not_found", "path": path},
                            request_id)
-
-    async def _profile(self, params: Dict[str, str],
-                       request_id: str) -> bytes:
-        from repro.obs.profile import profile_for
-
-        try:
-            seconds = float(params.get("seconds",
-                                       DEFAULT_PROFILE_SECONDS))
-            hz = float(params.get("hz", 97.0))
-        except ValueError:
-            return self._error(
-                400, {"error": "bad_request",
-                      "detail": "seconds/hz must be numbers"},
-                request_id)
-        if seconds <= 0 or hz <= 0:
-            return self._error(
-                400, {"error": "bad_request",
-                      "detail": "seconds and hz must be positive"},
-                request_id)
-        seconds = min(seconds, MAX_PROFILE_SECONDS)
-        # The profiler blocks for the whole window — run it off the
-        # event loop so other requests keep being served meanwhile.
-        profiler = await asyncio.to_thread(
-            profile_for, seconds, hz, self.service.current_query_id)
-        payload = profiler.snapshot()
-        payload["seconds"] = seconds
-        return _json_response(200, payload, request_id=request_id)
 
     # -- the /extract route --------------------------------------------
 

@@ -53,7 +53,10 @@ Typical use::
     with service:
         future = service.submit(texts, tenant="acme", deadline=0.5)
         result = future.result()          # ServiceResult
-        print(result.total_tuples, service.tenant_stats("acme"))
+        print(result.total_tuples, service.inflight()["tenants"]["acme"])
+        latency = service.metrics.histogram("service.latency_seconds",
+                                            tenant="acme")
+        print(latency.quantile(0.95))     # or scrape GET /metrics
 
 ``await service.extract_async(...)`` is the asyncio front end; the
 stdlib HTTP/JSON endpoint on top lives in :mod:`repro.serve.http`
@@ -760,48 +763,6 @@ class ExtractionService:
         """The engine's metrics registry (counters, histograms —
         including every ``service.*`` tenant-labeled instrument)."""
         return self._engine.metrics
-
-    def engine_stats(self):
-        """The owned engine's cumulative
-        :class:`repro.engine.stats.EngineStats` (certifications, cache
-        hit rates, chunks evaluated)."""
-        return self._engine.stats()
-
-    def tenant_stats(self, tenant: str = "default") -> Dict[str, object]:
-        """One tenant's serving counters as a flat dict.
-
-        ``queue_wait_p50/p95/p99`` and ``latency_p50/p95/p99`` are
-        histogram-bucket upper bounds (see
-        :meth:`repro.obs.metrics.Histogram.quantile`).
-        """
-        value = self._engine.metrics.value
-        wait = self._histogram("service.queue_wait_seconds", tenant)
-        latency = self._histogram("service.latency_seconds", tenant)
-        return {
-            "tenant": tenant,
-            "queries": value("service.queries", tenant=tenant),
-            "tuples": value("service.tuples", tenant=tenant),
-            "deadline_misses": value("service.deadline_misses",
-                                     tenant=tenant),
-            "rejections": value("service.rejections", tenant=tenant,
-                                reason="overloaded"),
-            "queue_wait_p50": wait.quantile(0.5),
-            "queue_wait_p95": wait.quantile(0.95),
-            "queue_wait_p99": wait.quantile(0.99),
-            "latency_p50": latency.quantile(0.5),
-            "latency_p95": latency.quantile(0.95),
-            "latency_p99": latency.quantile(0.99),
-        }
-
-    def current_query_id(self) -> Optional[str]:
-        """The id of the query executing right now (``None`` = idle).
-
-        Readable from any thread; this is what the sampling profiler's
-        ``current_query`` hook uses to attribute samples to flight
-        records.
-        """
-        running = self._running
-        return running["query_id"] if running is not None else None
 
     def flight_records(self, limit: Optional[int] = None
                        ) -> List[Dict[str, object]]:

@@ -1,13 +1,11 @@
 """Tests for the service-grade introspection layer: the structured
 event log (:mod:`repro.obs.log`), the query flight recorder
-(:mod:`repro.obs.flight`), the sampling profiler
-(:mod:`repro.obs.profile`), and the live ``/debug`` endpoints wired
+(:mod:`repro.obs.flight`), and the live ``/debug`` endpoints wired
 through :class:`repro.serve.ExtractionService` and
 :class:`repro.serve.ServiceHTTPServer`."""
 
 import io
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -19,15 +17,13 @@ from repro.errors import DeadlineExceededError
 from repro.obs import (
     FlightRecorder,
     QueryRecord,
-    SamplingProfiler,
     Tracer,
     configure_event_log,
     event_log,
     phase_durations,
-    profile_for,
 )
+from repro.obs.flight import KEEP_SLOW
 from repro.obs.log import EventLog
-from repro.obs.profile import fold_frame, thread_role
 from repro.obs.trace import SpanRecord
 from repro.query import Q, Spanner
 from repro.runtime import FastSeparatorSplitter, RegisteredSplitter
@@ -233,10 +229,7 @@ class TestFlightRecorder:
             "miss", outcome="DeadlineExceededError"))
         assert miss.slow
         assert recorder.get("miss") is not None
-        opt_out = FlightRecorder(slow_threshold=100.0,
-                                 capture_deadline_misses=False)
-        assert not opt_out.record(_query_record(
-            "m2", outcome="DeadlineExceededError")).slow
+        assert [r.query_id for r in recorder.slow()] == ["miss"]
 
     def test_explain_resolved_only_for_slow_queries(self):
         calls = []
@@ -274,6 +267,16 @@ class TestFlightRecorder:
                                           run_seconds=0.01))
         assert recorder.get("slow-0") is not None  # evicted from ring
         assert all(r.query_id != "slow-0" for r in recorder.recent())
+        # ... but the slow log keeps only the last KEEP_SLOW.
+        for index in range(1, KEEP_SLOW + 1):
+            recorder.record(_query_record(f"slow-{index}",
+                                          run_seconds=1.0))
+        slow = recorder.slow()
+        assert len(slow) == KEEP_SLOW == 64
+        assert slow[0].query_id == "slow-1"
+        assert recorder.get("slow-0") is None
+        assert [r.query_id for r in recorder.slow(2)] \
+            == [f"slow-{KEEP_SLOW - 1}", f"slow-{KEEP_SLOW}"]
 
     def test_to_dict_shapes(self):
         record = _query_record()
@@ -287,73 +290,16 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
         with pytest.raises(ValueError):
-            FlightRecorder(keep_slow=0)
-        with pytest.raises(ValueError):
             FlightRecorder(slow_threshold=-1.0)
-
-
-# ----------------------------------------------------------------------
-# The sampling profiler
-# ----------------------------------------------------------------------
-
-
-class TestSamplingProfiler:
-    def test_sample_once_counts_this_thread(self):
-        profiler = SamplingProfiler(hz=10)
-        assert profiler.sample_once() >= 1
-        roles = profiler.by_role()
-        assert sum(roles.values()) >= 1
-
-    def test_collapsed_stack_format(self):
-        profiler = SamplingProfiler(hz=10)
-        profiler.sample_once()
-        lines = profiler.collapsed().splitlines()
-        assert lines
-        for line in lines:
-            stack, _, count = line.rpartition(" ")
-            assert int(count) >= 1
-            assert ";" in stack  # role prefix + at least one frame
-
-    def test_start_stop_collects_samples(self):
-        profiler = SamplingProfiler(hz=200)
-        with profiler:
-            deadline = time.perf_counter() + 0.2
-            while time.perf_counter() < deadline:
-                sum(i * i for i in range(1000))
-        stats = profiler.stats()
-        assert stats["samples"] > 0
-        assert not stats["running"]
-        assert profiler.snapshot()["by_role"]
-
-    def test_by_query_attribution(self):
-        current = {"id": "q-42"}
-        profiler = SamplingProfiler(
-            hz=10, current_query=lambda: current["id"])
-        profiler.sample_once()
-        current["id"] = None
-        profiler.sample_once()
-        assert profiler.by_query() == {"q-42": 1}
-
-    def test_profile_for_runs_and_stops(self):
-        profiler = profile_for(0.1, hz=100)
-        assert profiler.stats()["samples"] > 0
-        assert not profiler.stats()["running"]
-
-    def test_thread_roles(self):
-        assert thread_role("MainThread") == "main"
-        assert thread_role("repro-service-dispatcher") == "dispatcher"
-        assert thread_role("worker-7") == "worker-7"
-
-    def test_fold_frame_root_first(self):
-        import sys
-
-        frame = sys._current_frames()[threading.get_ident()]
-        folded = fold_frame(frame)
-        assert folded.split(";")[-1].startswith(__name__)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(hz=0)
+        recorder = FlightRecorder(slow_threshold=0.0)
+        for index in range(3):
+            recorder.record(_query_record(f"q-{index}"))
+        for limit in (0, -1):
+            with pytest.raises(ValueError):
+                recorder.recent(limit)
+            with pytest.raises(ValueError):
+                recorder.slow(limit)
+        assert len(recorder.recent()) == len(recorder.recent(3)) == 3
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +394,7 @@ class TestServiceFlightRecording:
         assert view["flight"]["retained"] == 1
         json.dumps(view)
 
-    def test_current_query_id_visible_during_execution(self):
+    def test_running_query_id_visible_during_execution(self):
         flight = FlightRecorder(capacity=8)
         seen = []
 
@@ -458,7 +404,8 @@ class TestServiceFlightRecording:
                 self.service_ref = service_ref
 
             def evaluate(self, text):
-                seen.append(self.service_ref[0].current_query_id())
+                running = self.service_ref[0].inflight()["running"]
+                seen.append(running["query_id"])
                 return set(self.specification.evaluate(text))
 
         service_ref = []
@@ -468,7 +415,7 @@ class TestServiceFlightRecording:
         service_ref.append(service)
         with service:
             result = service.extract(DOCS)
-            assert service.current_query_id() is None
+            assert service.inflight()["running"] is None
         assert set(seen) == {result.query_id}
 
     def test_admission_and_completion_events(self, captured_events):
@@ -537,7 +484,7 @@ class TestDeadlineMissObservability:
         service, follow_up, _events = missed
         assert follow_up.total_tuples > 0
         assert follow_up.record.outcome == "ok"
-        stats = service.tenant_stats("dm")
+        stats = service.inflight()["tenants"]["dm"]
         assert stats["deadline_misses"] == 1
         assert stats["queries"] == 2
 
@@ -629,6 +576,10 @@ class TestDebugEndpoints:
             _get(base + "/debug/queries/q-nope")
         assert info.value.code == 404
         assert json.load(info.value)["error"] == "unknown_query"
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _get(base + "/debug/profile")
+        assert info.value.code == 404
+        assert json.load(info.value)["error"] == "not_found"
 
     def test_debug_inflight(self, debug_http_service):
         base, _service = debug_http_service
@@ -638,29 +589,17 @@ class TestDebugEndpoints:
         assert payload["tenants"]["web"]["queries"] == 1
         assert payload["flight"]["capacity"] == 16
 
-    def test_debug_profile(self, debug_http_service):
-        base, _service = debug_http_service
-        _status, payload, _ = _get(
-            base + "/debug/profile?seconds=0.2&hz=100")
-        assert payload["seconds"] == pytest.approx(0.2)
-        assert payload["stats"]["samples"] > 0
-        assert payload["by_role"]
-        assert isinstance(payload["collapsed"], str)
-
-    def test_debug_profile_rejects_bad_params(self, debug_http_service):
-        base, _service = debug_http_service
-        with pytest.raises(urllib.error.HTTPError) as info:
-            _get(base + "/debug/profile?seconds=banana")
-        assert info.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as info:
-            _get(base + "/debug/profile?seconds=-1")
-        assert info.value.code == 400
-
     def test_debug_limit_validation(self, debug_http_service):
         base, _service = debug_http_service
         with pytest.raises(urllib.error.HTTPError) as info:
             _get(base + "/debug/queries?limit=many")
         assert info.value.code == 400
+        for route in ("/debug/queries", "/debug/slow"):
+            for limit in (0, -1):
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    _get(base + f"{route}?limit={limit}")
+                assert info.value.code == 400
+                assert json.load(info.value)["error"] == "bad_request"
 
 
 # ----------------------------------------------------------------------

@@ -288,11 +288,13 @@ class TestExtractionService:
             result = service.extract(
                 DOCS, tenant="acme",
                 program=Program(a_run_extractor(), name="a-runs"))
-            stats = service.tenant_stats("acme")
+            stats = service.inflight()["tenants"]["acme"]
+            latency = service.metrics.histogram("service.latency_seconds",
+                                                tenant="acme")
         assert result.by_document == reference_results()
         assert stats["deadline_misses"] == 1
         assert stats["queries"] == 2
-        assert stats["latency_p95"] > 0
+        assert latency.quantile(0.95) > 0
 
     def test_admission_rejects_when_queue_full(self):
         specification = a_run_extractor()
@@ -313,7 +315,7 @@ class TestExtractionService:
             blocker.result(timeout=30)
             for future in admitted:
                 future.result(timeout=30)
-            stats = service.tenant_stats("acme")
+            stats = service.inflight()["tenants"]["acme"]
         assert stats["rejections"] >= 1
 
     def test_concurrent_queries_share_one_certification(self):
@@ -519,7 +521,7 @@ class TestHTTPEndpoint:
             thread.join()
         assert outcomes.count(200) == 6
         assert outcomes.count(504) == 1
-        stats = service.tenant_stats("swarm")
+        stats = service.inflight()["tenants"]["swarm"]
         assert stats["queries"] == 7
         assert stats["deadline_misses"] == 1
 
@@ -580,11 +582,11 @@ class TestAdhocPrograms:
         with serving(service, query_factory=query_factory) as (base, _s):
             request = {"texts": list(DOCS), "pattern": PATTERN}
             _status, first = _post(base + "/extract", request)
-            before = service.engine_stats()
+            counted = ("engine.certifications", "engine.artifacts_compiled")
+            before = [service.metrics.value(name) for name in counted]
             _status, second = _post(base + "/extract", request)
-            after = service.engine_stats()
-            assert after.certifications == before.certifications
-            assert after.artifacts_compiled == before.artifacts_compiled
+            assert [service.metrics.value(name) for name in counted] \
+                == before
             for key in ("documents", "tuples"):
                 assert second[key] == first[key]
             assert first["documents"] == _post(
@@ -626,8 +628,9 @@ class SpyRunner:
             self.active += 1
             self.overlaps += self.active > 1
         try:
+            running = self.service_ref[0].inflight()["running"]
             self.calls.append((threading.get_ident(),
-                               self.service_ref[0].current_query_id()))
+                               running and running["query_id"]))
             time.sleep(0.0005)   # the window an overlap would need
             return set(self.specification.evaluate(text))
         finally:
@@ -811,7 +814,7 @@ class TestOneThreadService:
         with serving(service) as (base, server):
             blocker = service.submit(_unique_documents(1, 40))
             deadline = time.monotonic() + 10
-            while (service.current_query_id() is None
+            while (service.inflight()["running"] is None
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
             queued = service.submit(["ab"])
