@@ -7,13 +7,14 @@ metrics.
 :class:`repro.ExtractionEngine` and drives it from the event loop of
 its single thread — the ownership boundary that lets many callers
 (threads or asyncio tasks) share one plan cache and one chunk cache
-without racing certification.  Callers on other threads and other
-event loops, as here, queue their queries for that loop; the HTTP
-endpoint (``python -m repro serve``) runs its requests on the loop
-itself.  A query that misses its :class:`repro.Deadline` raises
+without racing certification.  Every query, from another thread
+(``extract``) or another event loop (``extract_async``), as here,
+waits its turn on one lock on that loop; the HTTP endpoint
+(``python -m repro serve``) runs its requests on the loop itself.  A
+query that misses its :class:`repro.Deadline` raises
 :class:`repro.DeadlineExceededError` at a batch boundary and leaves
-the engine, pool, and caches live for the next caller; a full
-admission queue rejects synchronously with
+the engine, pool, and caches live for the next caller; a query that
+finds ``max_queue`` others waiting is refused with
 :class:`repro.ServiceOverloadedError`.
 
 Run with:  python examples/serve_run.py
@@ -88,7 +89,7 @@ def main() -> None:
         print(f"totals agree: {sorted(set(totals))} "
               f"(plan-cache hits now {hits})")
 
-        # The asyncio front end, on this thread's own loop, queues for
+        # The asyncio front end, on this thread's own loop, waits for
         # the same service thread.
         print("\n== asyncio front end ==")
 

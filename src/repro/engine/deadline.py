@@ -52,6 +52,12 @@ class Deadline:
             raise ValueError("deadline seconds must be non-negative")
         return cls(at=time.monotonic() + seconds, budget=seconds)
 
+    @property
+    def budget(self) -> Optional[float]:
+        """The seconds this deadline was given (``None`` = unbounded
+        or pinned with ``at=`` alone)."""
+        return self._budget
+
     def remaining(self) -> Optional[float]:
         """Seconds left (negative once expired; ``None`` = unbounded)."""
         if self._at is None:

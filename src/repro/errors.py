@@ -86,10 +86,10 @@ class WorkerLostError(ReproError, RuntimeError):
 class ServiceOverloadedError(ReproError, RuntimeError):
     """The extraction service's admission queue is full.
 
-    Raised synchronously at submission time (admission control rejects
-    explicitly instead of queueing unboundedly); carries the queue
-    ``capacity`` so callers can report back-pressure.  Retry later or
-    shed load upstream.
+    Raised at admission, on the service loop, when ``capacity``
+    queries already wait for the engine (admission control rejects
+    explicitly instead of queueing unboundedly); the ``capacity`` lets
+    callers report back-pressure.  Retry later or shed load upstream.
     """
 
     def __init__(self, capacity: int):

@@ -361,13 +361,15 @@ class Query:
         workers, index, tracing) becomes service-owned, with the
         query's spanner as the default program.
 
-        The service takes ownership of the engine — submit queries
-        through the service from here on, not through this query
-        object.  ``max_queue`` bounds the admission queue
+        The service takes ownership of the engine — run queries
+        through the service from here on (``await
+        service.extract_async(...)``, or its blocking wrapper
+        ``service.extract(...)``), not through this query object.
+        ``max_queue`` bounds how many queries may wait for the engine
         (:class:`repro.errors.ServiceOverloadedError` past it);
-        ``default_deadline`` (seconds) applies to submissions without
+        ``default_deadline`` (seconds) applies to queries without
         their own.  Start it with ``with service:`` (or implicitly on
-        first submission)::
+        first use)::
 
             service = Q(spanner).split_by("tokens").workers(4).serve()
             with service:

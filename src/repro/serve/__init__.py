@@ -5,9 +5,9 @@ The paper makes chunks context-free units of work; the engine
 results across a corpus; this package amortizes them across
 *queries*: a resident service owns one hot
 :class:`repro.engine.ExtractionEngine` — plan cache, chunk cache,
-corpus index and worker pool warm for its whole lifetime — behind a
-bounded admission queue with per-query deadlines and per-tenant
-metrics.
+corpus index and worker pool warm for its whole lifetime — behind one
+lock with a bounded number of waiters, per-query deadlines and
+per-tenant metrics.
 
 * :mod:`repro.serve.service` — the :class:`ExtractionService`
   (ownership boundary, admission control, deadlines, per-tenant

@@ -4,12 +4,13 @@ Deliberately minimal — :mod:`asyncio.start_server` plus hand-rolled
 HTTP/1.1 parsing, no third-party dependency — because the protocol
 surface is small.  :func:`serve_http` binds the endpoint on the
 service's own event loop, the thread that owns the engine: a request
-is read, parsed, run and answered there, and a request that finds the
-engine idle runs in its handler's turn, without crossing threads.  So
-a request waits *before it is read* (for the loop to finish the query
-it is running) rather than in the service's queue, and the service's
-``queue_seconds`` is ~0.  Every response says ``Connection: close``:
-one request per connection.
+is read, parsed, run and answered there, through
+:meth:`ExtractionService.extract_async`, and a request that finds the
+engine free takes its lock in the handler's turn, without crossing
+threads.  So a request waits *before it is read* (for the loop to
+finish the query it is running) rather than on the lock, and the
+service's ``queue_seconds`` is ~0.  Every response says
+``Connection: close``: one request per connection.
 
 * ``POST /extract`` — body ``{"texts": [...]}`` or ``{"documents":
   {id: text}}``, optional ``"tenant"``, ``"deadline_ms"``, and (when
@@ -77,43 +78,35 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_ADHOC_PROGRAMS = 32
 
 
-def _json_response(status: int, payload: Dict[str, object],
-                   reason: str = "",
-                   request_id: Optional[str] = None) -> bytes:
-    if request_id is not None and status >= 400:
-        payload = dict(payload)
-        payload.setdefault("request_id", request_id)
-    body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-    reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-               405: "Method Not Allowed", 413: "Payload Too Large",
-               429: "Too Many Requests", 500: "Internal Server Error",
-               503: "Service Unavailable", 504: "Gateway Timeout"}
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed", 413: "Payload Too Large",
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable", 504: "Gateway Timeout"}
+
+
+def _response(status: str, content_type: str, body: bytes,
+              request_id: Optional[str]) -> bytes:
+    """A whole response: ``status`` line, headers, ``body``."""
     request_header = (f"X-Repro-Request-Id: {request_id}\r\n"
                       if request_id is not None else "")
     head = (
-        f"HTTP/1.1 {status} {reason or reasons.get(status, 'OK')}\r\n"
-        f"Content-Type: application/json; charset=utf-8\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"{request_header}"
-        f"Connection: close\r\n\r\n"
-    )
-    return head.encode("ascii") + body
-
-
-def _text_response(status: int, text: str,
-                   content_type: str = "text/plain; version=0.0.4",
-                   request_id: Optional[str] = None) -> bytes:
-    body = text.encode("utf-8")
-    request_header = (f"X-Repro-Request-Id: {request_id}\r\n"
-                      if request_id is not None else "")
-    head = (
-        f"HTTP/1.1 {status} OK\r\n"
+        f"HTTP/1.1 {status}\r\n"
         f"Content-Type: {content_type}; charset=utf-8\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"{request_header}"
         f"Connection: close\r\n\r\n"
     )
     return head.encode("ascii") + body
+
+
+def _json_response(status: int, payload: Dict[str, object],
+                   request_id: Optional[str] = None) -> bytes:
+    if request_id is not None and status >= 400:
+        payload = dict(payload)
+        payload.setdefault("request_id", request_id)
+    body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    return _response(f"{status} {_REASONS.get(status, 'OK')}",
+                     "application/json", body, request_id)
 
 
 def _result_payload(result: ServiceResult) -> Dict[str, object]:
@@ -143,8 +136,8 @@ class ServiceHTTPServer:
     Start it on the service's loop —
     ``service.run_coroutine(server.start(port=0)).result()``, which is
     what :func:`serve_http` does — so handlers run queries in their own
-    turn; on any other loop it still works, each query crossing to the
-    service thread as a submission.
+    turn; on any other loop it still works, as
+    :meth:`ExtractionService.extract_async` carries each query over.
 
     ``query_factory`` optionally maps ``(pattern, alphabet)`` from a
     request body to an engine program, enabling ad-hoc programs over
@@ -231,8 +224,9 @@ class ServiceHTTPServer:
             return _json_response(200, {"status": "ok"},
                                   request_id=request_id)
         if path == "/metrics":
-            return _text_response(200, self.service.to_prometheus(),
-                                  request_id=request_id)
+            return _response(
+                "200 OK", "text/plain; version=0.0.4",
+                self.service.to_prometheus().encode("utf-8"), request_id)
         if path.startswith("/debug/"):
             return self._debug(method, path, params, request_id)
         if path != "/extract":

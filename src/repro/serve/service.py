@@ -9,21 +9,18 @@ of queries.  That thread runs an :mod:`asyncio` event loop, and the
 HTTP endpoint (:func:`repro.serve.http.serve_http`) listens on the
 same loop, so a request is read, run and answered on one thread.
 
-How a query reaches the engine:
-
-* **In turn** — a query admitted on the service's own loop (an HTTP
-  request, or any coroutine there awaiting :meth:`extract_async`)
-  while the engine is idle runs at once, inside the admitting task.
-* **Queued** — otherwise it waits in a bounded FIFO: behind the query
-  that holds the engine, or because it came from another thread
-  (:meth:`ExtractionService.submit`, :meth:`ExtractionService.extract`)
-  or another event loop (:meth:`ExtractionService.extract_async`),
-  which wake the service loop with ``call_soon_threadsafe``.  The FIFO
-  runs its queries in order, one at a time.
-* A running query yields to the loop at every engine batch boundary,
-  so requests keep being read (``/healthz`` and ``/debug/inflight``
-  keep answering) during a long run; queries that arrive meanwhile
-  queue.
+How a query reaches the engine: :meth:`ExtractionService.extract_async`
+is the one entry, and :meth:`ExtractionService.extract` its blocking
+wrapper.  Every query holds the engine's :class:`asyncio.Lock` on the
+service loop (one from another loop crosses over first), and so do
+:meth:`~ExtractionService.reopen_index` and
+:meth:`~ExtractionService.close`.  The lock wakes its waiters in
+arrival order, so queries run one at a time in admission order; an
+uncontended acquire does not yield, so a query that finds the engine
+free runs at once, in its caller's turn.  A running query yields to
+the loop at every engine batch boundary, so requests keep being read
+(``/healthz`` and ``/debug/inflight`` keep answering) during a long
+run.
 
 A blocking call that waits for the loop (``extract``, ``close``) made
 on the service thread itself raises
@@ -31,13 +28,14 @@ on the service thread itself raises
 
 Three serving disciplines, all explicit:
 
-* **Admission control** — the queue is bounded; a full queue rejects
-  *synchronously* with :class:`repro.errors.ServiceOverloadedError`
-  instead of buffering unboundedly (load shedding at the front door).
+* **Admission control** — at most ``max_queue`` queries wait for the
+  engine; the next one is refused with
+  :class:`repro.errors.ServiceOverloadedError` instead of buffering
+  unboundedly (load shedding at the front door).
 * **Deadlines** — every query carries a
-  :class:`repro.engine.deadline.Deadline` started at submission, so
-  the budget covers queue wait too; the engine checks it cooperatively
-  at batch boundaries and raises
+  :class:`repro.engine.deadline.Deadline` started when it is issued,
+  so the budget covers queue wait too; the engine checks it
+  cooperatively at batch boundaries and raises
   :class:`repro.errors.DeadlineExceededError` without poisoning the
   shared engine (pool and caches stay intact).
 * **Per-tenant accounting** — queries, tuples, deadline misses,
@@ -45,21 +43,24 @@ Three serving disciplines, all explicit:
   tenant in the engine's :class:`repro.obs.metrics.Metrics` registry
   and exportable as Prometheus text.
 
-Typical use::
+Typical use (in a coroutine, ``await service.extract_async(...)``)::
 
-    from repro import Q, Spanner
+    >>> from repro import Q, Spanner
+    >>> spanner = Spanner.regex(".*( )y{a+}( ).*|y{a+}( ).*"
+    ...                         "|.*( )y{a+}|y{a+}", "ab .")
+    >>> service = Q(spanner).split_by("tokens").serve(max_queue=8)
+    >>> result = service.extract(["aa ab a", "b aa b"], tenant="acme")
+    >>> result.total_tuples
+    3
+    >>> service.inflight()["tenants"]["acme"]
+    {'queries': 1, 'rejections': 0, 'deadline_misses': 0, 'errors': 0}
+    >>> latency = service.metrics.histogram("service.latency_seconds",
+    ...                                     tenant="acme")
+    >>> latency.quantile(0.95) > 0        # or scrape GET /metrics
+    True
+    >>> service.close()
 
-    service = Q(spanner).split_by("tokens").workers(4).serve()
-    with service:
-        future = service.submit(texts, tenant="acme", deadline=0.5)
-        result = future.result()          # ServiceResult
-        print(result.total_tuples, service.inflight()["tenants"]["acme"])
-        latency = service.metrics.histogram("service.latency_seconds",
-                                            tenant="acme")
-        print(latency.quantile(0.95))     # or scrape GET /metrics
-
-``await service.extract_async(...)`` is the asyncio front end; the
-stdlib HTTP/JSON endpoint on top lives in :mod:`repro.serve.http`
+The stdlib HTTP/JSON endpoint on top lives in :mod:`repro.serve.http`
 (``python -m repro serve`` starts it).
 """
 
@@ -70,10 +71,9 @@ import itertools
 import os
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.core.spans import SpanTuple
 from repro.engine.deadline import Deadline, as_deadline
@@ -105,7 +105,7 @@ class ServiceResult:
     ``by_document`` maps ``doc_id -> set of span tuples`` (the
     engine's result shape); the timing fields make latency visible per
     query — ``queue_seconds`` is time spent waiting for the engine
-    (admission to start of execution: ~0 for a query run in turn),
+    (issue to start of execution: ~0 for a query that found it free),
     ``run_seconds`` the engine pass itself.
     """
 
@@ -136,31 +136,14 @@ class ServiceResult:
 
 @dataclass
 class _Job:
-    """One admitted query."""
+    """One issued query."""
 
     corpus: object
     program: object
     tenant: str
     deadline: Deadline
     query_id: str
-    #: Resolves a queued query; ``None`` for one run in turn, whose
-    #: admitting task awaits the run itself.
-    future: Optional["Future[ServiceResult]"] = None
     enqueued: float = field(default_factory=time.monotonic)
-
-
-@dataclass
-class _Control:
-    """An engine-management operation, queued like a query.
-
-    Control work (index reopen, compaction pickup) must run on the
-    service thread — it touches the engine, and that thread owns the
-    engine — so it rides the same FIFO as queries and executes between
-    them, never concurrently with one.
-    """
-
-    operation: object  # callable(engine) -> result
-    future: "Future[object]"
 
 
 class ExtractionService:
@@ -174,10 +157,11 @@ class ExtractionService:
 
     ``program`` optionally fixes a default extraction program
     (:class:`repro.engine.Program` or anything
-    :meth:`repro.engine.Program.from_query` accepts): submissions may
-    then omit theirs.  ``max_queue`` bounds the admission queue
-    (``submit`` raises :class:`repro.errors.ServiceOverloadedError`
-    when it is full); ``default_deadline`` (seconds, or a
+    :meth:`repro.engine.Program.from_query` accepts): queries may then
+    omit theirs.  ``max_queue`` bounds how many queries may wait for
+    the engine (the next one fails with
+    :class:`repro.errors.ServiceOverloadedError`);
+    ``default_deadline`` (seconds, or a
     :class:`repro.engine.deadline.Deadline` factory value) applies to
     queries that do not carry their own.
 
@@ -186,7 +170,7 @@ class ExtractionService:
     execution is precisely what makes concurrent identical queries
     share one certification and one chunk-cache population instead of
     racing.  The service is usable as a context manager; it starts
-    lazily on first submission.
+    lazily on first use.
     """
 
     def __init__(
@@ -205,21 +189,18 @@ class ExtractionService:
         self._default_deadline = default_deadline
         self.name = name
         self.max_queue = max_queue
-        #: Admitted work waiting for the engine, oldest first: at most
-        #: ``max_queue`` :class:`_Job` / :class:`_Control` entries.
-        #: Any thread appends (holding ``_lock``); only the service
-        #: thread pops.
-        self._pending: Deque[Union[_Job, _Control]] = deque()
-        self._lock = threading.Lock()
+        # Guards start and close: what run_coroutine() schedules lands
+        # on the loop before close()'s stop, or is refused.
+        self._lifecycle = threading.Lock()
         self._closed = False
+        #: Set by ``close(drain=False)``: waiters fail when they wake.
+        self._abandon = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        # Service-thread state: whether a query or the FIFO's drain
-        # task holds the engine, that task (the loop keeps tasks only
-        # weakly), and whether close() has asked the loop to stop.
-        self._busy = False
-        self._drainer: Optional[asyncio.Task] = None
-        self._stopping = False
+        #: Held by whatever runs on the engine (made in _serve_loop).
+        self._engine_lock: Optional[asyncio.Lock] = None
+        #: Callers admitted but not yet holding the engine lock.
+        self._waiting = 0
         self._queue_depth = engine.metrics.gauge("service.queue_depth")
         #: The flight recorder retaining completed-query records
         #: (``None`` = recording off).  A recorder that wants span
@@ -244,8 +225,8 @@ class ExtractionService:
 
     def start(self) -> "ExtractionService":
         """Start the service thread and its event loop (idempotent;
-        implicit on first submission)."""
-        with self._lock:
+        implicit on first use)."""
+        with self._lifecycle:
             self._start_locked()
         return self
 
@@ -269,6 +250,9 @@ class ExtractionService:
         does (connections of an HTTP server never stopped)."""
         loop = self._loop
         asyncio.set_event_loop(loop)
+        # Made here, before the loop runs: Python 3.9 binds a lock to
+        # the current event loop when it is constructed.
+        self._engine_lock = asyncio.Lock()
         try:
             loop.run_forever()
         finally:
@@ -284,23 +268,24 @@ class ExtractionService:
 
     def run_coroutine(self, coroutine) -> "Future[object]":
         """Run ``coroutine`` on the service's event loop (starting the
-        service if need be); returns a future of its result.
+        service if need be); returns a future of its result.  Raises
+        :class:`repro.errors.ServiceClosedError` after :meth:`close`.
 
-        This is how :func:`repro.serve.http.serve_http` binds its
-        endpoint to the thread that owns the engine.
+        This is how a thread or another event loop reaches the
+        engine, and how :func:`repro.serve.http.serve_http` binds its
+        endpoint to the thread that owns it.
         """
-        try:
-            self.start()
-        except ServiceClosedError:
-            coroutine.close()
-            raise
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        with self._lifecycle:
+            if self._closed:
+                coroutine.close()
+            self._start_locked()        # raises once closed
+            return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
 
     def close(self, drain: bool = True) -> None:
         """Stop accepting queries and shut the service down.
 
         With ``drain=True`` (default) queries already admitted run to
-        completion first; with ``drain=False`` queued queries fail
+        completion first; with ``drain=False`` waiting queries fail
         with :class:`repro.errors.ServiceClosedError` (a running one
         finishes).  The service thread exits and the owned engine's
         pool is stopped; caches survive on the engine object.
@@ -308,13 +293,14 @@ class ExtractionService:
         on the service thread, which cannot wait for itself.
         """
         self._refuse_on_service_thread("close")
-        with self._lock:
+        with self._lifecycle:
             if self._closed:
                 return
             self._closed = True
+            self._abandon = not drain
             thread = self._thread
             if thread is not None:
-                self._loop.call_soon_threadsafe(self._shutdown, drain)
+                asyncio.run_coroutine_threadsafe(self._stop(), self._loop)
         if thread is not None:
             thread.join()
         self._engine.close()
@@ -336,76 +322,54 @@ class ExtractionService:
             raise ServiceThreadError(call)
 
     # ------------------------------------------------------------------
-    # Submission (any thread)
+    # Queries (any thread, any loop)
     # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        corpus,
-        program: object = None,
-        tenant: str = "default",
-        deadline: object = None,
-        query_id: Optional[str] = None,
-    ) -> "Future[ServiceResult]":
-        """Admit one query; returns a future resolving to a
-        :class:`ServiceResult`.
-
-        ``corpus`` is anything the engine accepts (a
-        :class:`repro.engine.Corpus`, a mapping ``id -> text``, or a
-        sequence of texts); ``program`` defaults to the service's
-        default program.  ``deadline`` (seconds or a
-        :class:`Deadline`) starts counting *now* — queue wait spends
-        budget too.  Raises :class:`ServiceOverloadedError` when the
-        admission queue is full and :class:`ServiceClosedError` after
-        :meth:`close`; both are synchronous, before anything queues.
-
-        ``query_id`` names the query in the flight recorder and event
-        log (generated when omitted); the HTTP layer passes its
-        per-request id here, so ``X-Repro-Request-Id`` and
-        ``GET /debug/queries/<id>`` refer to the same record.
-        """
-        return self._queue(self._job(corpus, program, tenant, deadline,
-                                     query_id))
-
-    def extract(self, corpus, program: object = None,
-                tenant: str = "default",
-                deadline: object = None,
-                query_id: Optional[str] = None) -> ServiceResult:
-        """Submit and block for the result (the synchronous shortcut).
-
-        Raises :class:`repro.errors.ServiceThreadError` on the service
-        thread, where the result could never arrive; await
-        :meth:`extract_async` there.
-        """
-        self._refuse_on_service_thread("extract")
-        return self.submit(corpus, program, tenant, deadline,
-                           query_id=query_id).result()
 
     async def extract_async(self, corpus, program: object = None,
                             tenant: str = "default",
                             deadline: object = None,
                             query_id: Optional[str] = None
                             ) -> ServiceResult:
-        """The asyncio front end: awaitable submission.
+        """Run one query; resolves to a :class:`ServiceResult`.
 
-        Admission control still applies synchronously (an overloaded
-        service raises before anything is awaited).  On the service's
-        own loop — where :func:`repro.serve.http.serve_http` handles
-        requests — a query admitted while the engine is idle runs
-        right here, in the awaiting task; otherwise the query waits
-        its turn in the FIFO and this coroutine resolves when it has
-        run.
+        ``corpus`` is anything the engine accepts (a
+        :class:`repro.engine.Corpus`, a mapping ``id -> text``, or a
+        sequence of texts); ``program`` defaults to the service's
+        default program.  ``deadline`` (seconds or a
+        :class:`Deadline`) starts counting *now* — queue wait spends
+        budget too.  Raises :class:`ServiceClosedError` after
+        :meth:`close` and :class:`ServiceOverloadedError` when
+        ``max_queue`` queries already wait for the engine.
+
+        On the service's own loop, where the HTTP endpoint runs, the
+        query takes the engine lock in the awaiting task; from any
+        other loop, on the service loop.  For a future instead, call
+        ``service.run_coroutine(service.extract_async(...))``.
+
+        ``query_id`` names the query in the flight recorder and event
+        log (generated when omitted); the HTTP layer passes its
+        per-request id here, so ``X-Repro-Request-Id`` and
+        ``GET /debug/queries/<id>`` refer to the same record.
         """
         job = self._job(corpus, program, tenant, deadline, query_id)
-        if (threading.current_thread() is not self._thread
-                or self._busy or self._pending):
-            return await asyncio.wrap_future(self._queue(job))
-        self._admitted(job, queue_depth=0)
-        self._busy = True
-        try:
-            return await self._run(job)
-        finally:
-            self._release()
+        served = self._in_turn(job)
+        if asyncio.get_running_loop() is self._loop:
+            return await served
+        return await asyncio.wrap_future(self.run_coroutine(served))
+
+    def extract(self, corpus, program: object = None,
+                tenant: str = "default",
+                deadline: object = None,
+                query_id: Optional[str] = None) -> ServiceResult:
+        """:meth:`extract_async`, blocking for the result.
+
+        Raises :class:`repro.errors.ServiceThreadError` on the service
+        thread, where the result could never arrive; await
+        :meth:`extract_async` there.
+        """
+        self._refuse_on_service_thread("extract")
+        job = self._job(corpus, program, tenant, deadline, query_id)
+        return self.run_coroutine(self._in_turn(job)).result()
 
     def reopen_index(self, path: Optional[str] = None) -> "Future[object]":
         """Pick up index changes without restarting the service.
@@ -420,14 +384,16 @@ class ExtractionService:
         generation from the next query (prefilter masks recompute
         automatically off the index version).
 
-        Runs on the service thread between queries — never
-        concurrently with one — so in-flight queries finish against
-        the index they started with.  Returns a future resolving to a
-        report dict; raises :class:`ServiceOverloadedError` /
-        :class:`ServiceClosedError` like :meth:`submit`.
+        Holds the engine lock like a query — never concurrently with
+        one — so in-flight queries finish against the index they
+        started with.  Returns a future resolving to a report dict,
+        or failing with :class:`ServiceOverloadedError` when
+        ``max_queue`` callers already wait; raises
+        :class:`ServiceClosedError` after :meth:`close`.
         """
 
-        def _reopen(engine) -> Dict[str, object]:
+        async def reopen() -> Dict[str, object]:
+            engine = self._engine
             index = engine.index
             if path is not None:
                 engine.attach_index(path)
@@ -450,22 +416,16 @@ class ExtractionService:
                              **report)
             return report
 
-        job = _Control(operation=_reopen, future=Future())
-        refusal = self._enqueue(job)
-        if refusal == "closed":
-            raise ServiceClosedError()
-        if refusal == "overloaded":
-            raise ServiceOverloadedError(self.max_queue)
-        return job.future
+        return self.run_coroutine(self._in_turn(None, reopen))
 
     # ------------------------------------------------------------------
-    # Admission (any thread)
+    # Admission
     # ------------------------------------------------------------------
 
     def _job(self, corpus, program, tenant: str, deadline,
              query_id: Optional[str]) -> _Job:
-        """One query, checked for admission: refused when the service
-        is closed, rejected when it has no program."""
+        """One query, stamped now: refused when the service is
+        closed, rejected when it has no program."""
         if query_id is None:
             query_id = _new_query_id()
         if self._closed:
@@ -473,7 +433,7 @@ class ExtractionService:
         program = program if program is not None else self._default_program
         if program is None:
             raise ValueError(
-                "no program: pass one to submit() or configure a "
+                "no program: pass one to extract() or configure a "
                 "default on the service"
             )
         if deadline is None:
@@ -481,108 +441,57 @@ class ExtractionService:
         return _Job(corpus=corpus, program=program, tenant=tenant,
                     deadline=as_deadline(deadline), query_id=query_id)
 
-    def _queue(self, job: _Job) -> "Future[ServiceResult]":
-        """Admit ``job`` into the FIFO; its future resolves once the
-        service thread has run it."""
-        job.future = Future()
-        refusal = self._enqueue(job)
-        if refusal is not None:
-            self._refuse(job.tenant, job.query_id, refusal)
-        self._admitted(job, queue_depth=len(self._pending))
-        return job.future
-
-    def _enqueue(self, entry: Union[_Job, _Control]) -> Optional[str]:
-        """Append ``entry`` to the FIFO and wake the service loop, or
-        return why not (``"closed"``, ``"overloaded"``)."""
-        with self._lock:
-            if self._closed:
-                return "closed"
-            if len(self._pending) >= self.max_queue:
-                return "overloaded"
-            self._start_locked()
-            self._pending.append(entry)
-            # Under the lock: close() cannot have the loop stop between
-            # this entry's arrival and its wake-up call.
-            self._loop.call_soon_threadsafe(self._kick)
-        return None
-
     def _refuse(self, tenant: str, query_id: str, reason: str) -> None:
         self._count("service.rejections", tenant, reason=reason).inc()
-        if reason == "closed":
-            event_log().emit("service.reject", level="warning",
-                             tenant=tenant, query_id=query_id,
-                             reason=reason)
-            raise ServiceClosedError()
         event_log().emit("service.reject", level="warning",
                          tenant=tenant, query_id=query_id, reason=reason,
                          max_queue=self.max_queue)
+        if reason == "closed":
+            raise ServiceClosedError()
         raise ServiceOverloadedError(self.max_queue)
 
-    def _admitted(self, job: _Job, queue_depth: int) -> None:
-        self._queue_depth.set(queue_depth)
-        event_log().emit("service.admit", tenant=job.tenant,
-                         query_id=job.query_id,
-                         program=getattr(job.program, "name", "query"),
-                         queue_depth=queue_depth)
+    async def _in_turn(self, job: Optional[_Job], control=None):
+        """Run ``job`` holding the engine lock, once every caller
+        admitted before it has had the engine (the service loop only).
+        With ``job=None``, await ``control()`` instead: an engine
+        operation, refused like a query but not counted for a tenant.
+        """
+        lock = self._engine_lock
+        queued = lock.locked() or self._waiting > 0
+        if self._waiting >= self.max_queue:
+            if job is None:
+                raise ServiceOverloadedError(self.max_queue)
+            self._refuse(job.tenant, job.query_id, "overloaded")
+        self._waiting += 1
+        if job is not None:
+            queue_depth = self._waiting if queued else 0
+            self._queue_depth.set(queue_depth)
+            event_log().emit("service.admit", tenant=job.tenant,
+                             query_id=job.query_id,
+                             program=getattr(job.program, "name", "query"),
+                             queue_depth=queue_depth)
+        try:
+            await lock.acquire()
+        finally:
+            self._waiting -= 1
+        try:
+            self._queue_depth.set(self._waiting)
+            if self._abandon:
+                raise ServiceClosedError()
+            return await (self._run(job) if job is not None
+                          else control())
+        finally:
+            lock.release()
+
+    async def _stop(self) -> None:
+        """:meth:`close`, on the loop: stop it once every caller
+        admitted before has had the engine."""
+        async with self._engine_lock:
+            self._loop.stop()
 
     # ------------------------------------------------------------------
     # Execution (the service thread)
     # ------------------------------------------------------------------
-
-    def _kick(self) -> None:
-        """Hand the engine to the FIFO's head if nothing holds it."""
-        if not self._busy and self._pending:
-            self._busy = True
-            self._drainer = self._loop.create_task(self._drain())
-
-    def _release(self) -> None:
-        """The engine is free: run what queued meanwhile, or stop the
-        loop when :meth:`close` asked for it."""
-        self._busy = False
-        if self._pending:
-            self._kick()
-        elif self._stopping:
-            self._loop.stop()
-
-    def _shutdown(self, drain: bool) -> None:
-        """:meth:`close`, on the loop: fail the queued work unless
-        draining, and stop the loop once the engine is free."""
-        if not drain:
-            while self._pending:
-                entry = self._pending.popleft()
-                if entry.future.set_running_or_notify_cancel():
-                    entry.future.set_exception(ServiceClosedError())
-            self._queue_depth.set(0)
-        self._stopping = True
-        if not self._busy:
-            self._release()
-
-    async def _drain(self) -> None:
-        """Run the FIFO's entries in order until it is empty."""
-        try:
-            while self._pending:
-                entry = self._pending.popleft()
-                self._queue_depth.set(len(self._pending))
-                if not entry.future.set_running_or_notify_cancel():
-                    continue
-                if isinstance(entry, _Control):
-                    try:
-                        entry.future.set_result(
-                            entry.operation(self._engine))
-                    except Exception as error:  # report, keep serving
-                        entry.future.set_exception(error)
-                else:
-                    try:
-                        entry.future.set_result(await self._run(entry))
-                    except Exception as error:
-                        entry.future.set_exception(error)
-                if self._pending:
-                    # Let the loop read what has arrived before the
-                    # next queued query takes the engine.
-                    await asyncio.sleep(0)
-        finally:
-            self._drainer = None
-            self._release()
 
     async def _run(self, job: _Job) -> ServiceResult:
         """Run one admitted query on the engine this task holds,
@@ -640,7 +549,7 @@ class ExtractionService:
         run_seconds = time.perf_counter() - started
         self._count("service.queries", tenant).inc()
         self._histogram("service.latency_seconds", tenant) \
-            .observe(job.deadline.elapsed())
+            .observe(time.monotonic() - job.enqueued)
         spans = tracer.drain() if tracer.enabled else []
         self._running = None
 
@@ -678,14 +587,8 @@ class ExtractionService:
             run_seconds=run_seconds,
             slow=record.slow if record is not None else False,
         )
-        return ServiceResult(
-            by_document=by_document,
-            tenant=tenant,
-            queue_seconds=queue_wait,
-            run_seconds=run_seconds,
-            program=program_name,
-            record=record,
-        )
+        return ServiceResult(by_document, tenant, queue_wait, run_seconds,
+                             program=program_name, record=record)
 
     def _record(
         self, job: _Job, program_name: str, queue_wait: float,
@@ -731,7 +634,7 @@ class ExtractionService:
             documents=(documents if documents is not None
                        else delta.documents),
             tuples=tuples if tuples is not None else delta.tuples_emitted,
-            deadline_budget=getattr(job.deadline, "_budget", None),
+            deadline_budget=job.deadline.budget,
             kernel_tier=kernel_tier,
             counters=delta.snapshot(),
         )
@@ -808,14 +711,13 @@ class ExtractionService:
             tenant = instrument.labels.get("tenant")
             if tenant is None:
                 continue
-            bucket = tenants.setdefault(
-                str(tenant), {"queries": 0, "rejections": 0,
-                              "deadline_misses": 0, "errors": 0})
+            bucket = tenants.setdefault(str(tenant),
+                                        dict.fromkeys(rollup.values(), 0))
             bucket[field] += instrument.value
         return {
             "service": self.name,
             "closed": self._closed,
-            "queue_depth": len(self._pending),
+            "queue_depth": self._waiting,
             "max_queue": self.max_queue,
             "running": self._running,
             "tenants": tenants,
@@ -836,4 +738,4 @@ class ExtractionService:
         state = "closed" if self._closed else (
             "running" if self._thread is not None else "idle")
         return (f"ExtractionService({self.name!r}, {state}, "
-                f"queue {len(self._pending)}/{self.max_queue})")
+                f"queue {self._waiting}/{self.max_queue})")

@@ -2,6 +2,7 @@
 deadline/admission semantics it builds on."""
 
 import asyncio
+import concurrent.futures
 import contextlib
 import json
 import multiprocessing
@@ -89,6 +90,13 @@ def make_service(workers=0, max_queue=8, default_deadline=None,
     return ExtractionService(engine, program=program,
                              max_queue=max_queue,
                              default_deadline=default_deadline)
+
+
+def _submit(service, corpus, program=None, **kwargs):
+    """One query as a future, as a thread that must not block issues
+    it."""
+    return service.run_coroutine(
+        service.extract_async(corpus, program, **kwargs))
 
 
 def reference_results(docs=DOCS):
@@ -305,18 +313,19 @@ class TestExtractionService:
         # work, plenty of time to observe a full queue.
         blocker_corpus = [f"a{'b' * i}" for i in range(10)]
         with service:
-            blocker = service.submit(blocker_corpus, tenant="acme")
-            admitted = []
-            with pytest.raises(ServiceOverloadedError) as info:
-                for _ in range(50):
-                    admitted.append(service.submit(["ab"],
-                                                   tenant="acme"))
-            assert info.value.capacity == 1
+            blocker = _submit(service, blocker_corpus, tenant="acme")
+            futures = [_submit(service, ["ab"], tenant="acme")
+                       for _ in range(50)]
             blocker.result(timeout=30)
-            for future in admitted:
-                future.result(timeout=30)
+            refused = []
+            for future in futures:
+                try:
+                    future.result(timeout=30)
+                except ServiceOverloadedError as error:
+                    refused.append(error.capacity)
             stats = service.inflight()["tenants"]["acme"]
-        assert stats["rejections"] >= 1
+        assert refused and set(refused) == {1}
+        assert stats["rejections"] == len(refused)
 
     def test_concurrent_queries_share_one_certification(self):
         service = make_service(max_queue=32)
@@ -327,7 +336,7 @@ class TestExtractionService:
 
         def submit():
             barrier.wait()
-            future = service.submit(DOCS, program)
+            future = _submit(service, DOCS, program)
             with lock:
                 futures.append(future)
 
@@ -353,7 +362,7 @@ class TestExtractionService:
         service = make_service(max_queue=32)
         docs = ["aa ab a.", "aa ab a.", "ab b aa"]
         with service:
-            futures = [service.submit(docs) for _ in range(4)]
+            futures = [_submit(service, docs) for _ in range(4)]
             for future in futures:
                 future.result(timeout=30)
             cache = service._engine.chunk_cache
@@ -370,7 +379,9 @@ class TestExtractionService:
         with service:
             service.extract(DOCS)
         with pytest.raises(ServiceClosedError):
-            service.submit(DOCS)
+            service.extract(DOCS)
+        with pytest.raises(ServiceClosedError):
+            _submit(service, DOCS)
 
     def test_async_front_end(self):
         service = make_service()
@@ -387,6 +398,19 @@ class TestExtractionService:
         assert second.by_document == reference_results()
         assert first.queue_seconds >= 0.0
         assert first.run_seconds >= 0.0
+
+    def test_latency_without_deadline_is_the_query_s_own(self):
+        """A query without a deadline carries the shared ``NEVER``,
+        created at import: its latency must not count from there."""
+        time.sleep(max(0.0, 0.5 - NEVER.elapsed()))
+        service = make_service()
+        with service:
+            result = service.extract(DOCS, tenant="undated")
+            latency = service.metrics.histogram(
+                "service.latency_seconds", tenant="undated")
+        assert latency.count == 1
+        assert latency.sum <= (result.queue_seconds + result.run_seconds
+                               + 0.05)
 
     def test_prometheus_exposition_labels_tenants(self):
         service = make_service()
@@ -659,6 +683,69 @@ def _service_thread(service):
     return service.run_coroutine(ident()).result(10)
 
 
+def _await_queue_depth(service, depth, running=False):
+    """Poll until ``depth`` callers wait for the engine (and, with
+    ``running``, a query holds it)."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        view = service.inflight()
+        if view["queue_depth"] == depth and (
+                not running or view["running"] is not None):
+            return
+        time.sleep(0.002)
+    raise AssertionError(f"queue depth never reached {depth}")
+
+
+def _in_thread(call):
+    """``call()`` on a thread of its own, as a future."""
+    future = concurrent.futures.Future()
+
+    def run():
+        try:
+            future.set_result(call())
+        except BaseException as error:
+            future.set_exception(error)
+
+    threading.Thread(target=run, daemon=True).start()
+    return future
+
+
+def _spied_service():
+    """A service whose default program records its runs in a
+    :class:`SpyRunner`, plus a :class:`SlowSpanner` for long runs."""
+    specification = a_run_extractor()
+    service_ref = []
+    spy = SpyRunner(specification, service_ref)
+    service = make_service(
+        max_queue=8, batch_size=1,
+        program=Program(spy, specification, name="spy"))
+    service_ref.append(service)
+    return service, spy, SlowSpanner(specification, delay=0.01)
+
+
+def _queue_behind_a_long_run(service, slow):
+    """Start a long ``slow`` run (query id ``long``), then queue
+    behind it, one at a time: a thread's ``extract`` (``thread``), a
+    foreign loop's ``extract_async`` (``loop``) and a
+    ``reopen_index`` (``reopen``).  Returns their futures by name."""
+    futures = {"long": _submit(
+        service, _unique_documents(1, 200),
+        Program(slow, slow.specification, name="slow"), query_id="long")}
+    _await_queue_depth(service, 0, running=True)
+    waiters = {
+        "thread": lambda: _in_thread(lambda: service.extract(
+            _unique_documents(300, 2), query_id="thread")),
+        "loop": lambda: _in_thread(lambda: asyncio.run(
+            service.extract_async(_unique_documents(310, 2),
+                                  query_id="loop"))),
+        "reopen": service.reopen_index,
+    }
+    for depth, (name, issue) in enumerate(waiters.items(), 1):
+        futures[name] = issue()
+        _await_queue_depth(service, depth)
+    return futures
+
+
 class TestOneThreadService:
     def test_mixed_callers_match_the_oracle_and_never_overlap(self):
         """HTTP clients, extract() threads and extract_async on a
@@ -770,8 +857,8 @@ class TestOneThreadService:
                        specification, name="slow")
         service = make_service(batch_size=1, program=slow)
         with serving(service) as (base, _server):
-            long_run = service.submit(_unique_documents(1, 40),
-                                      query_id="long-1")
+            long_run = _submit(service, _unique_documents(1, 40),
+                               query_id="long-1")
             running = None
             deadline = time.monotonic() + 10
             while running is None and time.monotonic() < deadline:
@@ -812,12 +899,12 @@ class TestOneThreadService:
                        specification, name="slow")
         service = make_service(max_queue=1, batch_size=1, program=slow)
         with serving(service) as (base, server):
-            blocker = service.submit(_unique_documents(1, 40))
+            blocker = _submit(service, _unique_documents(1, 40))
             deadline = time.monotonic() + 10
             while (service.inflight()["running"] is None
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
-            queued = service.submit(["ab"])
+            queued = _submit(service, ["ab"])
             with pytest.raises(urllib.error.HTTPError) as info:
                 _post(base + "/extract", {"texts": ["aa"]})
             assert info.value.code == 429
@@ -830,6 +917,66 @@ class TestOneThreadService:
             with pytest.raises(ServiceClosedError):
                 queued.result(timeout=10)
             assert blocker.result(timeout=10).total_tuples > 0
+
+    def test_waiters_run_in_admission_order(self, captured_events):
+        """A thread's extract(), a foreign loop's extract_async() and a
+        reopen_index(), queued behind a long run, take the engine in
+        the order they were admitted."""
+        service, spy, slow = _spied_service()
+        with service:
+            futures = _queue_behind_a_long_run(service, slow)
+            slow.delay = 0
+            report = futures.pop("reopen").result(timeout=30)
+            assert report["action"] == "noop"
+            for future in futures.values():
+                assert future.result(timeout=30).total_tuples > 0
+        order = [query for _thread, query in spy.calls]
+        assert [query for i, query in enumerate(order)
+                if i == 0 or order[i - 1] != query] == ["thread", "loop"]
+        lines = captured_events()
+        assert [(line["query_id"], line["queue_depth"]) for line in lines
+                if line["event"] == "service.admit"] == \
+            [("long", 0), ("thread", 1), ("loop", 2)]
+        assert [line.get("query_id", "reopen") for line in lines
+                if line["event"] in ("service.complete",
+                                     "service.reopen_index")] == \
+            ["long", "thread", "loop", "reopen"]
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_close_runs_or_fails_the_waiters(self, drain):
+        service, spy, slow = _spied_service()
+        futures = _queue_behind_a_long_run(service, slow)
+        slow.delay = 0
+        service.close(drain=drain)
+        assert futures.pop("long").result(timeout=30).total_tuples > 0
+        if drain:
+            report = futures.pop("reopen").result(timeout=30)
+            assert report["action"] == "noop"
+            for future in futures.values():
+                assert future.result(timeout=30).total_tuples > 0
+        else:
+            for future in futures.values():
+                with pytest.raises(ServiceClosedError):
+                    future.result(timeout=30)
+            assert spy.calls == []
+
+    def test_reopen_index_refused_when_the_queue_is_full(self):
+        specification = a_run_extractor()
+        slow = SlowSpanner(specification, delay=0.01)
+        service = make_service(max_queue=1, batch_size=1,
+                               program=Program(slow, specification,
+                                               name="slow"))
+        with service:
+            blocker = _submit(service, _unique_documents(1, 200))
+            _await_queue_depth(service, 0, running=True)
+            queued = _submit(service, ["aa"])
+            _await_queue_depth(service, 1)
+            with pytest.raises(ServiceOverloadedError) as info:
+                service.reopen_index().result(timeout=30)
+            assert info.value.capacity == 1
+            slow.delay = 0
+            assert blocker.result(timeout=30).total_tuples > 0
+            assert queued.result(timeout=30).total_tuples > 0
 
     def test_serve_http_returns_when_the_service_closes(self):
         service = make_service()
