@@ -12,7 +12,13 @@ deadline miss must show up in ``/debug/queries``, ``/debug/slow`` and
 ``/debug/inflight`` with schema-valid JSON, the ``X-Repro-Request-Id``
 header must name the flight record (and the 504 body's
 ``request_id``), and the event log must be line-parseable JSON
-narrating the lifecycle, the miss at warning level.  Any failed check
+narrating the lifecycle, the miss at warning level.
+
+Last, the request reader, over raw sockets: a POST sent a byte per
+segment must get the body a one-shot POST gets, a head carrying
+``Expect: 100-continue`` must get ``100 Continue`` before its body is
+sent and then 200, and a ``Content-Length`` over the server's limit
+must get 413 at once, carrying the request id.  Any failed check
 exits non-zero; CI runs this script as its serving and debug gate.
 
 Run with:  python examples/http_smoke.py
@@ -21,10 +27,13 @@ Run with:  python examples/http_smoke.py
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -135,6 +144,78 @@ def check_debug(base: str) -> str:
     return miss_id
 
 
+def connect(base: str) -> socket.socket:
+    url = urllib.parse.urlsplit(base)
+    return socket.create_connection((url.hostname, url.port), timeout=10)
+
+
+def read_to_eof(sock: socket.socket) -> bytes:
+    parts = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(parts)
+        parts.append(data)
+
+
+def raw_post(base: str, body: bytes, step: int = 0,
+             expect: bool = False) -> "tuple[int, dict]":
+    """POST /extract over a raw socket, ``step`` bytes per segment when
+    non-zero; with ``expect``, the body waits for ``100 Continue``.
+    Returns the final status and JSON body."""
+    head = (b"POST /extract HTTP/1.1\r\nHost: smoke\r\n"
+            + (b"Expect: 100-continue\r\n" if expect else b"")
+            + b"Content-Length: %d\r\n\r\n" % len(body))
+    with connect(base) as sock:
+        if expect:
+            sock.sendall(head)
+            sock.settimeout(2)   # a server that ignores Expect never answers
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                try:
+                    data = sock.recv(1)
+                except socket.timeout:
+                    data = b""
+                check(data, "no 100 Continue within 2 s")
+                interim += data
+            check(interim == b"HTTP/1.1 100 Continue\r\n\r\n", interim)
+            sock.settimeout(10)
+            head = b""
+        request = head + body
+        if not step:
+            sock.sendall(request)
+        else:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start in range(0, len(request), step):
+                sock.sendall(request[start:start + step])
+                time.sleep(0.0005)
+        raw = read_to_eof(sock)
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    return int(head.split(None, 2)[1]), json.loads(payload)
+
+
+def check_reader(base: str) -> None:
+    """The one-step head reader, over raw sockets."""
+    body = json.dumps({"texts": TEXTS, "tenant": "raw"}).encode("utf-8")
+    answers = []
+    for step in (0, 1):
+        status, payload = raw_post(base, body, step=step)
+        check(status == 200, (status, payload))
+        answers.append({key: value for key, value in payload.items()
+                        if not key.endswith("_seconds")})
+    check(answers[0] == answers[1], answers)
+    status, payload = raw_post(base, body, expect=True)
+    check(status == 200 and payload["tuples"] > 0, (status, payload))
+    with connect(base) as sock:
+        sock.sendall(b"POST /extract HTTP/1.1\r\n"
+                     b"Content-Length: 999999999999\r\n\r\n")
+        head, _, payload = read_to_eof(sock).partition(b"\r\n\r\n")
+    check(head.startswith(b"HTTP/1.1 413 "), head)
+    request_id = json.loads(payload)["request_id"]
+    check(f"X-Repro-Request-Id: {request_id}".encode() in head, head)
+    print("request reader: fragmented POST, 100 Continue, 413 answered")
+
+
 def check_event_log(log: str, miss_id: str) -> None:
     """Every line parses as JSON and the lifecycle is narrated,
     including each miss at warning level."""
@@ -182,7 +263,9 @@ def serve_checks(log: str) -> str:
                        "service_deadline_misses"):
             check(needle in exposition, f"/metrics lacks {needle}")
         print("metrics: tenant-labelled service counters present")
-        return check_debug(base)
+        miss_id = check_debug(base)
+        check_reader(base)
+        return miss_id
     finally:
         server.send_signal(signal.SIGINT)   # serve_http closes the service
         try:

@@ -9,8 +9,12 @@ is read, parsed, run and answered there, through
 engine free takes its lock in the handler's turn, without crossing
 threads.  So a request waits *before it is read* (for the loop to
 finish the query it is running) rather than on the lock, and the
-service's ``queue_seconds`` is ~0.  Every response says
-``Connection: close``: one request per connection.
+service's ``queue_seconds`` is ~0.  A request's head is read in one
+``readuntil`` and parsed in memory, its body in one ``readexactly``
+(``Expect: 100-continue`` is answered first); the answer is one
+``write``, a 200's JSON written straight from the tuples' flat columns,
+then ``close()``.  Every response says ``Connection: close``: one
+request per connection.
 
 * ``POST /extract`` — body ``{"texts": [...]}`` or ``{"documents":
   {id: text}}``, optional ``"tenant"``, ``"deadline_ms"``, and (when
@@ -51,6 +55,7 @@ import concurrent.futures
 import json
 import urllib.parse
 from collections import OrderedDict
+from json.encoder import encode_basestring as _quote
 from typing import Dict, Optional, Tuple
 
 from repro.core.spans import SpanTuple
@@ -109,25 +114,34 @@ def _json_response(status: int, payload: Dict[str, object],
                      "application/json", body, request_id)
 
 
-def _result_payload(result: ServiceResult) -> Dict[str, object]:
-    """JSON shape of a served result: tuples as ``{var: [begin, end]}``
-    per document, plus the per-query timing the service measured."""
-    documents: Dict[str, list] = {}
-    for doc_id, tuples in result.by_document.items():
-        # A document's tuples share their variables, so their flat
-        # positions order them as the rows' sorted items would.
-        documents[doc_id] = [
-            {str(variable): [begin, end]
-             for variable, begin, end in span_tuple.columns()}
-            for span_tuple in sorted(tuples, key=SpanTuple.positions)
-        ]
-    return {
-        "tenant": result.tenant,
-        "tuples": result.total_tuples,
-        "documents": documents,
-        "queue_seconds": result.queue_seconds,
-        "run_seconds": result.run_seconds,
-    }
+class _RowTemplates(dict):
+    """Per variables tuple, the ``%``-template of one tuple's JSON
+    object: its keys quoted once, ``%d`` where its positions go."""
+
+    def __missing__(self, variables: tuple) -> str:
+        template = self[variables] = "{" + ", ".join(
+            _quote(str(variable)).replace("%", "%%") + ": [%d, %d]"
+            for variable in variables) + "}"
+        return template
+
+
+def _result_body(result: ServiceResult) -> bytes:
+    """The JSON of a served result — per document its tuples as
+    ``{var: [begin, end]}`` in :meth:`SpanTuple.positions` order, plus
+    the per-query timing the service measured — written straight from
+    the tuples' flat columns: ``json.dumps(..., ensure_ascii=False)``'s
+    bytes, with no dict built.  Each tuple is one ``%`` of its
+    variables' template over its positions."""
+    templates = _RowTemplates()
+    documents = ", ".join(
+        _quote(doc_id) + ": [" + ", ".join([
+            templates[span_tuple.variables()] % span_tuple.positions()
+            for span_tuple in sorted(tuples, key=SpanTuple.positions)])
+        + "]" for doc_id, tuples in result.by_document.items())
+    return (f'{{"tenant": {_quote(result.tenant)}, '
+            f'"tuples": {result.total_tuples}, "documents": {{{documents}}}, '
+            f'"queue_seconds": {result.queue_seconds!r}, '
+            f'"run_seconds": {result.run_seconds!r}}}').encode("utf-8")
 
 
 class ServiceHTTPServer:
@@ -145,6 +159,11 @@ class ServiceHTTPServer:
     requests run the service's default program only.  The last
     :data:`MAX_ADHOC_PROGRAMS` programs it built are kept and reused.
 
+    A connection is read in two steps — the head up to its blank line
+    (CRLF CRLF), then ``Content-Length`` body bytes, after a ``100
+    Continue`` when the head expects one — and answered in one write
+    (:func:`_result_body` for ``/extract``).
+
     Every connection is assigned a request id up front; it rides the
     ``X-Repro-Request-Id`` response header, JSON error bodies, the
     event log's ``http.error`` events, and — for ``/extract`` — the
@@ -161,32 +180,32 @@ class ServiceHTTPServer:
 
     # -- request plumbing ----------------------------------------------
 
-    async def _read_request(self, reader: asyncio.StreamReader
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter
                             ) -> Tuple[str, str, bytes]:
-        request_line = await reader.readline()
-        parts = request_line.decode("latin-1").split()
+        head = await reader.readuntil(b"\r\n\r\n")
+        request_line, *lines = head.decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) < 2:
             raise ValueError("malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+        fields = {name.strip().lower(): value.strip() for name, _, value
+                  in (line.partition(":") for line in lines)}
+        content_length = int(fields.get("content-length", 0))
+        if content_length < 0:
+            raise ValueError("negative Content-Length")
         if content_length > MAX_BODY_BYTES:
             raise OverflowError("request body too large")
+        if fields.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         body = (await reader.readexactly(content_length)
                 if content_length else b"")
-        return method, path, body
+        return parts[0].upper(), parts[1], body
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         request_id = _new_query_id()
         try:
-            response = await self._respond(reader, request_id)
+            response = await self._respond(reader, writer, request_id)
         except OverflowError:
             response = self._error(413, {"error": "body_too_large"},
                                    request_id)
@@ -196,9 +215,8 @@ class ServiceHTTPServer:
                 request_id)
         try:
             writer.write(response)
-            await writer.drain()
         finally:
-            writer.close()
+            writer.close()      # flushes the buffered response first
 
     def _error(self, status: int, payload: Dict[str, object],
                request_id: str,
@@ -213,8 +231,9 @@ class ServiceHTTPServer:
         return _json_response(status, payload, request_id=request_id)
 
     async def _respond(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter,
                        request_id: str) -> bytes:
-        method, path, body = await self._read_request(reader)
+        method, path, body = await self._read_request(reader, writer)
         path, _, query_string = path.partition("?")
         params = {
             key: values[-1] for key, values in
@@ -350,8 +369,8 @@ class ServiceHTTPServer:
             return self._error(400, {"error": "bad_request",
                                      "detail": str(error)}, request_id,
                                tenant=tenant)
-        return _json_response(200, _result_payload(result),
-                              request_id=request_id)
+        return _response("200 OK", "application/json",
+                         _result_body(result), request_id)
 
     # -- lifecycle ------------------------------------------------------
 

@@ -33,7 +33,10 @@ interpreter the kernel replaced (:func:`accepts_interpreted`,
 constructions as they were before they built only what is reachable:
 :func:`reference_compose` (Lemma C.2's full three-phase product, then
 trimmed) and :func:`reference_extended_nfa` over
-:func:`reference_gamma_reach` (a closure from *every* state).
+:func:`reference_gamma_reach` (a closure from *every* state).  And
+:func:`reference_result_payload`, the dicts ``POST /extract`` ran
+``json.dumps`` over before it wrote its body from the tuples' columns
+(:func:`repro.serve.http._result_body`), kept as that writer's oracle.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from repro.automata.nfa import EPSILON, NFA
 from repro.core.spans import Span, SpanTuple, flat_span_tuple
 from repro.index.factors import GRAM, FactorSet
 from repro.index.store.segment import text_digest
+from repro.serve.service import ServiceResult
 from repro.core.composition import splitter_variable
 from repro.spanners.refwords import VarOp, gamma
 from repro.spanners.regex_formulas import Capture, svars
@@ -850,3 +854,30 @@ def reference_extended_nfa(vsa: VSetAutomaton) -> NFA:
                 transitions.append((origin, label, accept))
     states = set(base.states) | {accept}
     return NFA(alphabet, states, base.initial, {accept}, transitions).trim()
+
+
+# ----------------------------------------------------------------------
+# The served JSON as dicts
+# ----------------------------------------------------------------------
+
+def reference_result_payload(result: ServiceResult) -> Dict[str, object]:
+    """JSON shape of a served result: tuples as ``{var: [begin, end]}``
+    per document, plus the per-query timing the service measured
+    (``serve/http.py``'s ``_result_payload`` before the body was
+    written from the columns)."""
+    documents: Dict[str, list] = {}
+    for doc_id, tuples in result.by_document.items():
+        # A document's tuples share their variables, so their flat
+        # positions order them as the rows' sorted items would.
+        documents[doc_id] = [
+            {str(variable): [begin, end]
+             for variable, begin, end in span_tuple.columns()}
+            for span_tuple in sorted(tuples, key=SpanTuple.positions)
+        ]
+    return {
+        "tenant": result.tenant,
+        "tuples": result.total_tuples,
+        "documents": documents,
+        "queue_seconds": result.queue_seconds,
+        "run_seconds": result.run_seconds,
+    }

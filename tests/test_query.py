@@ -485,11 +485,11 @@ class TestResultSet:
 
     def test_serialised_output_is_golden(self):
         # Byte for byte what the dict-of-Span tuples serialised to:
-        # to_dicts()/texts() and the HTTP payload read the flat
-        # columns now, and must not have moved a key or a comma.
+        # to_dicts()/texts() read the flat columns now, and the HTTP
+        # body is written from them; neither may move a key or a comma.
         import json
 
-        from repro.serve.http import _result_payload
+        from repro.serve.http import _result_body
         from repro.serve.service import ServiceResult
 
         pattern = "|".join(before + "x{a+}y{b*}" + after
@@ -514,13 +514,13 @@ class TestResultSet:
         with pytest.raises(KeyError):
             results.texts("z")
         served = ServiceResult(results.materialize(), "t", 0.0, 0.5)
-        assert json.dumps(_result_payload(served)) == (
+        assert _result_body(served) == (
             '{"tenant": "t", "tuples": 5, "documents": {"doc-0000":'
             ' [{"x": [1, 2], "y": [2, 3]}, {"x": [4, 6], "y": [6, 7]},'
             ' {"x": [10, 11], "y": [11, 11]}], "doc-0001": [],'
             ' "doc-0002": [{"x": [1, 2], "y": [2, 4]},'
             ' {"x": [5, 6], "y": [6, 7]}]},'
-            ' "queue_seconds": 0.0, "run_seconds": 0.5}')
+            ' "queue_seconds": 0.0, "run_seconds": 0.5}').encode()
 
     def test_explain_reports_certificate_and_artifact(self):
         results = self._query().over(CORPUS)

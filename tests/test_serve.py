@@ -14,8 +14,11 @@ import time
 import urllib.error
 import urllib.request
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from repro.core.spans import Span, SpanTuple
 from repro.engine import Corpus, Deadline, ExtractionEngine, Program, \
     as_deadline
 from repro.engine.deadline import NEVER
@@ -30,8 +33,10 @@ from repro.runtime import FastSeparatorSplitter, RegisteredSplitter, \
     evaluate_whole
 from repro.serve import ExtractionService, ServiceHTTPServer, serve_http
 from repro.serve import http as serve_http_module
+from repro.serve.service import ServiceResult
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import token_splitter
+from tests.reference import reference_result_payload
 
 TXT = frozenset("ab .")
 PATTERN = (".*(\\.| )y{a+}(\\.| ).*|y{a+}(\\.| ).*"
@@ -550,18 +555,34 @@ class TestHTTPEndpoint:
         assert stats["deadline_misses"] == 1
 
 
-def _raw_exchange(base, request):
-    """Send ``request`` bytes and read until the server closes the
-    connection (a socket timeout fails the caller: no EOF came)."""
+def _connect(base, timeout=10):
     host, port = base[len("http://"):].split(":")
-    with socket.create_connection((host, int(port)), timeout=10) as sock:
-        sock.sendall(request)
-        parts = []
-        while True:
-            data = sock.recv(65536)
-            if not data:
-                return b"".join(parts)
-            parts.append(data)
+    return socket.create_connection((host, int(port)), timeout=timeout)
+
+
+def _raw_exchange(base, request, step=None):
+    """Send ``request`` bytes — ``step`` bytes per segment, with the
+    socket's coalescing off, when given — and read until the server
+    closes the connection (a socket timeout fails the caller: no EOF
+    came)."""
+    with _connect(base) as sock:
+        if step is None:
+            sock.sendall(request)
+        else:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start in range(0, len(request), step):
+                sock.sendall(request[start:start + step])
+                time.sleep(0.0005)
+        return _read_to_eof(sock)
+
+
+def _read_to_eof(sock):
+    parts = []
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return b"".join(parts)
+        parts.append(data)
 
 
 class TestOneResponsePerConnection:
@@ -590,6 +611,128 @@ class TestOneResponsePerConnection:
         length = next(int(line.split(b":")[1]) for line in headers
                       if line.lower().startswith(b"content-length:"))
         assert len(body) == length
+
+
+def _split_response(raw):
+    """``(status, headers, JSON body)`` of one raw response."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def _post_bytes(body, extra=b""):
+    return (b"POST /extract HTTP/1.1\r\nHost: t\r\n" + extra
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+class TestOneStepHeadReader:
+    """The head is read in one ``readuntil`` up to CRLF CRLF and
+    parsed in memory; the body in one ``readexactly``.  Whatever the
+    segmentation, and however the head is malformed, every connection
+    gets one answer carrying its request id."""
+
+    BODY = TestOneResponsePerConnection.BODY
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        _post_bytes(BODY),
+    ], ids=["healthz", "extract"])
+    def test_byte_at_a_time_matches_one_shot(self, http_service,
+                                             request_bytes):
+        base, _service = http_service
+        answers = []
+        for step in (None, 1):
+            status, headers, body = _split_response(
+                _raw_exchange(base, request_bytes, step=step))
+            assert "X-Repro-Request-Id" in headers
+            for timing in ("queue_seconds", "run_seconds"):
+                body.pop(timing, None)
+            answers.append((status, body))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 200
+
+    @pytest.mark.parametrize("head, status, detail", [
+        (b"POST /extract HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (serve_http_module.MAX_BODY_BYTES + 1), 413, None),
+        (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+        (b"\r\n\r\n", 400, "malformed request line"),
+        (b"POST /extract HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+         400, None),
+        (b"POST /extract HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+         400, "negative Content-Length"),
+    ], ids=["oversized", "malformed-line", "empty-line",
+            "non-integer-length", "negative-length"])
+    def test_rejected_head(self, http_service, head, status, detail):
+        # Only the head is sent: the answer must not wait for a body.
+        base, _service = http_service
+        got, headers, body = _split_response(_raw_exchange(base, head))
+        assert got == status
+        assert body["request_id"] == headers["X-Repro-Request-Id"]
+        if detail is not None:
+            assert body["detail"] == detail
+
+    def test_client_gone_mid_head_then_next_request(self, http_service):
+        base, _service = http_service
+        with _connect(base) as sock:
+            sock.sendall(b"POST /extract HTTP/1.1\r\nContent-Le")
+        status, _headers, body = _split_response(
+            _raw_exchange(base, _post_bytes(self.BODY)))
+        assert status == 200 and body["tuples"] > 0
+
+    def test_expect_100_continue_is_answered(self, http_service):
+        # curl sends ``Expect: 100-continue`` with bodies over 1 MiB
+        # and waits a second for the interim answer before it sends
+        # the body anyway.
+        base, _service = http_service
+        request = _post_bytes(self.BODY, b"Expect: 100-continue\r\n")
+        head, _, body = request.partition(b"\r\n\r\n")
+        with _connect(base, timeout=2) as sock:
+            sock.sendall(head + b"\r\n\r\n")
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                data = sock.recv(1)       # socket.timeout: no answer
+                assert data, interim
+                interim += data
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(10)
+            sock.sendall(body)
+            raw = _read_to_eof(sock)
+        status, _headers, payload = _split_response(raw)
+        assert status == 200 and payload["tuples"] > 0
+
+
+@st.composite
+def service_results(draw):
+    """A :class:`ServiceResult` with 0-3 variables named with quotes,
+    backslashes, control characters and non-ASCII text (distinct under
+    ``str``), empty documents, unicode ids and tenant, and timings from
+    0.0 and 1e-07 up to large values."""
+    names = st.text(alphabet=st.sampled_from(
+        ['"', "\\", "\n", "\x00", "\x1f", "%", "a", "é", "☃",
+         "\U0001f600"]), max_size=4)
+    variables = draw(st.lists(names, max_size=3, unique_by=str))
+    spans = st.tuples(st.integers(1, 50), st.integers(0, 9)).map(
+        lambda pair: Span(pair[0], pair[0] + pair[1]))
+    rows = st.fixed_dictionaries({v: spans for v in variables})
+    by_document = draw(st.dictionaries(
+        st.text(max_size=6),
+        st.lists(rows, max_size=5).map(
+            lambda dicts: {SpanTuple(row) for row in dicts}),
+        max_size=4))
+    timings = (st.sampled_from([0.0, 1e-07, 0.5, 1e12, 3.0e300])
+               | st.floats(0, 1e9))
+    return ServiceResult(by_document, draw(st.text(max_size=6)),
+                         draw(timings), draw(timings))
+
+
+@given(service_results())
+def test_result_body_equals_dumps_over_dicts(result):
+    # The bytes json.dumps wrote over the dicts the body was built
+    # from before it was written from the tuples' columns.
+    assert serve_http_module._result_body(result) == json.dumps(
+        reference_result_payload(result),
+        ensure_ascii=False).encode("utf-8")
 
 
 class TestAdhocPrograms:
@@ -667,9 +810,9 @@ class ParseRecordingServer(ServiceHTTPServer):
 
     parsed_on = set()
 
-    async def _read_request(self, reader):
+    async def _read_request(self, reader, writer):
         self.parsed_on.add(threading.get_ident())
-        return await super()._read_request(reader)
+        return await super()._read_request(reader, writer)
 
 
 def _unique_documents(start, count):
