@@ -5,7 +5,10 @@ logging events to a temporary file, hit by concurrent clients.
 Six concurrent requests must answer 200 and a seventh, sent with
 ``"deadline_ms": 0``, a typed 504 (``"deadline_exceeded"``).  The miss
 must not poison the engine: the next request answers 200 with tuples.
-``GET /metrics`` must carry the tenant label.
+``GET /metrics`` must carry the tenant label.  A request sent twice
+must get the same body both times, apart from its timings, and the
+second must be served from the document cache: the
+``engine_document_cache_hits`` counter rises by its document count.
 
 Then the introspection surface: a forced slow query and a forced
 deadline miss must show up in ``/debug/queries``, ``/debug/slow`` and
@@ -91,6 +94,32 @@ def get(base: str, path: str) -> dict:
         return json.load(response)
 
 
+def metric(base: str, name: str) -> float:
+    """One unlabelled sample of ``GET /metrics``."""
+    with urllib.request.urlopen(f"{base}/metrics", timeout=5) as response:
+        for line in response.read().decode("utf-8").splitlines():
+            if line.split(" ", 1)[0] == name:
+                return float(line.split()[1])
+    raise SystemExit(f"serve smoke FAILED: /metrics lacks {name}")
+
+
+def check_document_cache(base: str) -> None:
+    """A repeated request is answered from the document cache, with
+    the same body."""
+    texts = ["aaa b aaa.", "b aaaa a b.", "a b a"]   # new to the server
+    before = metric(base, "engine_document_cache_hits")
+    bodies = []
+    for _ in range(2):
+        status, body = post(base, {"texts": texts, "tenant": "repeat"})
+        check(status == 200 and body["tuples"] > 0, (status, body))
+        bodies.append({key: value for key, value in body.items()
+                       if not key.endswith("_seconds")})
+    check(bodies[0] == bodies[1], bodies)
+    hits = metric(base, "engine_document_cache_hits") - before
+    check(hits == len(texts), f"document cache hits rose by {hits}")
+    print(f"repeated request: same body, {hits:.0f} document cache hits")
+
+
 def check_debug(base: str) -> str:
     """The /debug checks; returns the forced miss's request id."""
     # A forced slow query (unique tokens defeat the chunk cache; well
@@ -109,8 +138,8 @@ def check_debug(base: str) -> str:
 
     queries = get(base, "/debug/queries")
     check(queries["recording"] is True, queries)
-    # The eight serving queries above and these two, all retained.
-    check(len(queries["queries"]) == 10, len(queries["queries"]))
+    # The ten serving queries above and these two, all retained.
+    check(len(queries["queries"]) == 12, len(queries["queries"]))
     check([q["query_id"] for q in queries["queries"][-2:]]
           == [slow_id, miss_id], queries["queries"][-2:])
     for summary in queries["queries"]:
@@ -263,6 +292,7 @@ def serve_checks(log: str) -> str:
                        "service_deadline_misses"):
             check(needle in exposition, f"/metrics lacks {needle}")
         print("metrics: tenant-labelled service counters present")
+        check_document_cache(base)
         miss_id = check_debug(base)
         check_reader(base)
         return miss_id

@@ -21,7 +21,8 @@ framework makes safely cacheable:
   plan evaluates each chunk independently of its context, equal chunk
   *texts* have equal (unshifted) results, and the :class:`ChunkCache`
   evaluates each distinct text once per program — across documents,
-  and across versions of one document (``run_delta``).
+  and across versions of one document (``run_delta``).  It also keeps
+  each document's merged relation, so a repeated document is one probe.
 
 Fingerprints are structural, not ``id``-based: two separately
 constructed but identically shaped VSet-automata fingerprint alike
@@ -223,6 +224,9 @@ class PlanCache:
 # Level 2: the chunk cache
 # ----------------------------------------------------------------------
 
+#: The key part that tells a document entry from a chunk entry.
+DOCUMENT = "document"
+
 
 class ChunkCache:
     """Deduplicate chunk extraction across an entire corpus.
@@ -235,14 +239,21 @@ class ChunkCache:
     many engines, without cross-contamination.  ``limit`` bounds the
     number of retained entries with least-recently-used eviction
     (``None`` = unbounded).
+
+    *Document entries* map ``(namespace, text, DOCUMENT)`` to a whole
+    document's merged relation, its chunk instance count and how many
+    of those were pruned.  Sound because the certificate makes that
+    relation a function of the text (pruning drops only empty chunks);
+    the key never equals a chunk's, whose relation under a Theorem 5.15
+    split-spanner plan is ``P_S``'s, not ``P``'s.  Both kinds share
+    ``limit``, recency and :meth:`clear`; ``whole`` plans store none.
     """
 
     def __init__(self, limit: Optional[int] = None) -> None:
         if limit is not None and limit < 1:
             raise ValueError("limit must be positive or None")
         self.limit = limit
-        self._results: "OrderedDict[Tuple[str, str], FrozenSet[SpanTuple]]" \
-            = OrderedDict()
+        self._results: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -269,22 +280,46 @@ class ChunkCache:
         the same batch (a repeat of a text not yet stored)."""
         self.hits += 1
 
+    def lookup_document(
+        self, namespace: str, text: str
+    ) -> Optional[Tuple[FrozenSet[SpanTuple], int, int]]:
+        """A document's cached ``(relation, chunks, pruned)`` or
+        ``None``.  A hit counts ``chunks - pruned`` chunk hits and
+        refreshes recency; a miss counts nothing (its chunks will)."""
+        key = (namespace, text, DOCUMENT)
+        entry = self._results.get(key)
+        if entry is not None:
+            self.hits += entry[1] - entry[2]
+            self._results.move_to_end(key)
+        return entry
+
     def store(
         self, namespace: str, chunk: str, results: Set[SpanTuple]
     ) -> FrozenSet[SpanTuple]:
         frozen = frozenset(results)
-        key = (namespace, chunk)
+        self._put((namespace, chunk), frozen)
+        return frozen
+
+    def store_document(
+        self, namespace: str, text: str, relation: Set[SpanTuple],
+        chunks: int, pruned: int,
+    ) -> FrozenSet[SpanTuple]:
+        """Keep a document's merged relation; returns it frozen."""
+        frozen = frozenset(relation)
+        self._put((namespace, text, DOCUMENT), (frozen, chunks, pruned))
+        return frozen
+
+    def _put(self, key: tuple, value: object) -> None:
         if key in self._results:
             # A write is a use: refresh recency like lookup() does.
-            self._results[key] = frozen
+            self._results[key] = value
             self._results.move_to_end(key)
-            return frozen
+            return
         if self.limit is not None:
             while len(self._results) >= self.limit:
                 self._results.popitem(last=False)
                 self.evictions += 1
-        self._results[key] = frozen
-        return frozen
+        self._results[key] = value
 
     @property
     def hit_rate(self) -> float:

@@ -5,7 +5,10 @@ its splitter registry once (plan cache), splits each document with the
 certified splitter, deduplicates chunk texts corpus-wide (chunk
 cache), fans missing chunks over a worker pool (scheduler), and merges
 shifted span-tuples back per document — surfacing counters for every
-stage (stats).
+stage (stats).  The certificate makes a document's merged relation a
+function of its text, so the chunk cache keeps it too (bounded by
+``chunk_cache_limit``, dropped by ``clear()``; ``whole`` plans, whose
+one chunk is the document, skip it): a repeated document is one probe.
 
 Typical use::
 
@@ -29,6 +32,7 @@ from itertools import chain, repeat
 from typing import (
     Deque,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -55,7 +59,7 @@ from repro.engine.cache import (
 )
 from repro.engine.corpus import Corpus, Document
 from repro.engine.deadline import NEVER, Deadline, as_deadline
-from repro.engine.scheduler import PendingBatch, Scheduler
+from repro.engine.scheduler import Scheduler
 from repro.engine.stats import EngineStats
 
 
@@ -284,6 +288,7 @@ class ExtractionEngine:
         self._chunk_hits = counter("engine.chunk_cache.hits")
         self._chunk_misses = counter("engine.chunk_cache.misses")
         self._chunk_evictions = counter("engine.chunk_cache.evictions")
+        self._document_hits = counter("engine.document_cache.hits")
         self._plan_hits = counter("engine.plan_cache.hits")
         self._certifications = counter("engine.certifications")
         self._certification_seconds = counter(
@@ -551,7 +556,9 @@ class ExtractionEngine:
         is still evaluating is a cache hit for a later one, resolved
         from the earlier batch's results: each distinct missing text is
         evaluated exactly once.  ``chunked`` hands in documents a caller has
-        already split (:meth:`run_delta`), by id.
+        already split (:meth:`run_delta`), by id.  A document whose merged
+        relation is cached is not split or submitted but rides the
+        window with its batch; the others' are stored at collection.
 
         ``deadline`` is the cooperative cancellation point: it is
         checked at every batch boundary (and by the scheduler at both
@@ -566,14 +573,18 @@ class ExtractionEngine:
         # determines — namespace the chunk cache by certificate (it
         # covers program and registry), not by program alone.
         chunk_namespace = certified.fingerprint or program.fingerprint()
+        plan = certified.plan
+        documents = (None if plan.mode == "whole" or plan.splitter is None
+                     else chunk_namespace)
         cache = self.chunk_cache
         tracer = self.tracer
         scheduler = self.scheduler
-        # Submitted, uncollected batches, oldest first.  A local of
-        # this generator and nothing else: abandoning the stream, a
+        # Submitted, uncollected batches, oldest first, as (documents,
+        # cached relations, what to store, pending).  A local of this
+        # generator and nothing else: abandoning the stream, a
         # deadline between the halves or a runner swap drops it whole.
         depth = LOOKAHEAD_BATCHES if scheduler.workers > 1 else 0
-        window: Deque[Tuple[List[Document], PendingBatch]] = deque()
+        window: Deque[tuple] = deque()
         # After the last batch, one empty step per batch still ahead:
         # nothing left to submit, only to collect.
         for batch in chain(corpus.batches(max(1, scheduler.batch_size)),
@@ -582,17 +593,22 @@ class ExtractionEngine:
             start = time.perf_counter()
             cache_before = (cache.hits, cache.misses, cache.evictions)
             if batch:
-                tasks = self._split_and_prefilter(batch, certified,
-                                                  prefilter, chunked)
+                served, tasks, sizes = self._split_and_prefilter(
+                    batch, certified, prefilter, chunked, documents)
             due: Sequence[Document] = ()
             with tracer.span("schedule", documents=len(batch)):
                 if batch:
-                    window.append((batch, scheduler.submit(
+                    window.append((batch, served, sizes, scheduler.submit(
                         runner, tasks, cache, chunk_namespace, deadline,
-                        [pending for _batch, pending in window])))
+                        [entry[-1] for entry in window])))
                 if window and (not batch or len(window) > depth):
-                    due, pending = window.popleft()
+                    due, served, sizes, pending = window.popleft()
                     resolved = scheduler.collect(pending)
+                    for doc_id, (text, chunks, pruned) in sizes.items():
+                        resolved[doc_id] = cache.store_document(
+                            documents, text, resolved[doc_id], chunks,
+                            pruned)
+                    resolved.update(served)
             self._chunk_hits.inc(cache.hits - cache_before[0])
             self._chunk_misses.inc(cache.misses - cache_before[1])
             self._chunk_evictions.inc(cache.evictions - cache_before[2])
@@ -606,37 +622,52 @@ class ExtractionEngine:
     def _split_and_prefilter(
         self, batch: List[Document], certified: CertifiedPlan, prefilter,
         chunked: Optional[Mapping[str, List[Tuple[Span, str]]]],
-    ) -> List[Tuple[str, List[Tuple[Span, str]]]]:
+        documents: Optional[str],
+    ) -> Tuple[Dict[str, FrozenSet[SpanTuple]], list, dict]:
         """One batch's scheduler input: every document's chunks (taken
         from ``chunked`` when the caller has split already), less the
-        ones ``prefilter`` proves empty."""
-        tracer = self.tracer
-        tasks = []
+        ones ``prefilter`` proves empty — save those whose relation the
+        cache holds under ``documents`` (``None``: none is looked up).
+        Returns ``(cached relations, tasks, (text, chunks, pruned) per
+        task)``."""
+        tracer, lookup = self.tracer, self.chunk_cache.lookup_document
+        served: Dict[str, FrozenSet[SpanTuple]] = {}
+        tasks, sizes, total, pruned_batch = [], {}, 0, 0
         with tracer.span("split", documents=len(batch)) as span:
-            by_document = [
-                (document, chunked[document.doc_id]
-                 if chunked is not None
-                 else self._chunks_of(certified, document))
-                for document in batch
-            ]
+            by_document = []
+            for document in batch:
+                entry = documents and lookup(documents, document.text)
+                if entry:
+                    served[document.doc_id], chunks, pruned = entry
+                    total += chunks
+                    pruned_batch += pruned
+                else:
+                    by_document.append((document, chunked[document.doc_id]
+                                        if chunked is not None
+                                        else self._chunks_of(certified,
+                                                             document)))
             span.set("chunks",
                      sum(len(chunks) for _d, chunks in by_document))
         with tracer.span("prefilter",
                          active=prefilter is not None) as span:
-            pruned_batch = 0
             for document, chunks in by_document:
-                self._chunks_total.inc(len(chunks))
+                count = len(chunks)
+                total += count
                 if prefilter is not None and chunks:
-                    admitted = [chunk for chunk in chunks
-                                if prefilter.admits(chunk[1])]
-                    pruned_batch += len(chunks) - len(admitted)
-                    chunks = admitted
+                    chunks = [chunk for chunk in chunks
+                              if prefilter.admits(chunk[1])]
                 tasks.append((document.doc_id, chunks))
+                pruned_batch += count - len(chunks)
+                if documents:
+                    sizes[document.doc_id] = (document.text, count,
+                                              count - len(chunks))
             if prefilter is not None:
                 prefilter.flush_counts()
+            self._chunks_total.inc(total)
             self._chunks_pruned.inc(pruned_batch)
+            self._document_hits.inc(len(served))
             span.set("pruned", pruned_batch)
-        return tasks
+        return served, tasks, sizes
 
     def run(
         self,

@@ -10,7 +10,7 @@ instrumenting the engine by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
@@ -46,6 +46,8 @@ class EngineStats:
     chunk_cache_size: int = 0
     #: Chunk-cache evictions (bounded caches only).
     chunk_cache_evictions: int = 0
+    #: Documents served whole from their cached merged relation.
+    document_cache_hits: int = 0
     #: Times a certified plan was replayed from the plan cache.
     plan_cache_hits: int = 0
     #: Times the decision procedures actually ran (plan-cache misses).
@@ -82,6 +84,7 @@ class EngineStats:
             chunk_cache_misses=value("engine.chunk_cache.misses"),
             chunk_cache_size=chunk_cache_size,
             chunk_cache_evictions=value("engine.chunk_cache.evictions"),
+            document_cache_hits=value("engine.document_cache.hits"),
             plan_cache_hits=value("engine.plan_cache.hits"),
             certifications=value("engine.certifications"),
             certification_seconds=value("engine.certification_seconds",
@@ -130,6 +133,7 @@ class EngineStats:
             "chunk_cache_misses": self.chunk_cache_misses,
             "chunk_cache_size": self.chunk_cache_size,
             "chunk_cache_evictions": self.chunk_cache_evictions,
+            "document_cache_hits": self.document_cache_hits,
             "chunk_hit_rate": self.chunk_hit_rate,
             "dedup_factor": self.dedup_factor,
             "plan_cache_hits": self.plan_cache_hits,
@@ -158,25 +162,12 @@ class EngineStats:
                 extra[key] = value - previous
             else:
                 extra[key] = value
-        return EngineStats(
-            documents=self.documents - before.documents,
-            chunks_total=self.chunks_total - before.chunks_total,
-            chunks_evaluated=self.chunks_evaluated - before.chunks_evaluated,
-            chunks_pruned=self.chunks_pruned - before.chunks_pruned,
-            chunk_cache_hits=self.chunk_cache_hits - before.chunk_cache_hits,
-            chunk_cache_misses=(self.chunk_cache_misses
-                                - before.chunk_cache_misses),
-            chunk_cache_size=self.chunk_cache_size,
-            chunk_cache_evictions=(self.chunk_cache_evictions
-                                   - before.chunk_cache_evictions),
-            plan_cache_hits=self.plan_cache_hits - before.plan_cache_hits,
-            certifications=self.certifications - before.certifications,
-            certification_seconds=(self.certification_seconds
-                                   - before.certification_seconds),
-            artifacts_compiled=(self.artifacts_compiled
-                                - before.artifacts_compiled),
-            extraction_seconds=(self.extraction_seconds
-                                - before.extraction_seconds),
-            tuples_emitted=self.tuples_emitted - before.tuples_emitted,
-            extra=extra,
-        )
+        after, earlier = vars(self), vars(before)
+        counters = {name: after[name] - earlier[name] for name in _COUNTERS}
+        return EngineStats(chunk_cache_size=self.chunk_cache_size,
+                           extra=extra, **counters)
+
+
+#: The fields :meth:`EngineStats.since` subtracts (not the gauge).
+_COUNTERS = tuple(item.name for item in fields(EngineStats)
+                  if item.name not in ("chunk_cache_size", "extra"))

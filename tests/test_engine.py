@@ -722,3 +722,145 @@ class TestLookAhead:
             assert results == {
                 f"doc-{i:04d}": evaluate_whole(spanner, text)
                 for i, text in enumerate(texts)}
+
+
+# ----------------------------------------------------------------------
+# The document entries of the chunk cache
+# ----------------------------------------------------------------------
+
+
+def rest_splitter():
+    """One chunk per document: what follows its first period.  Not
+    idempotent (a chunk re-splits to what follows *its* first period),
+    so ``.*\\.y{a}.*``-style programs over it certify by Theorem 5.15's
+    canonical split-spanner, not by self-splittability."""
+    return compile_regex_formula("(a|b| )*\\.x{.*}", TXT)
+
+
+#: name -> (registry, specification, the theorem the plan must cite).
+DOCUMENT_PLANS = {
+    "self-splittable": (registry, a_run_extractor, "Theorem 5.16"),
+    "split-spanner": (
+        lambda: [RegisteredSplitter("rest", rest_splitter())],
+        lambda: compile_regex_formula("(a|b| )*\\.y{a}.*", TXT),
+        "Theorem 5.15"),
+    "whole": (
+        registry,
+        lambda: compile_regex_formula(
+            ".*y{a a}.*|y{a a}.*|.*y{a a}|y{a a}", TXT),
+        None),
+}
+
+#: A one-chunk document whose text is also a chunk of the other, under
+#: each splitter: ``"aa"`` is a token of ``"aa ab"``, and ``"b.a"``
+#: (whose one chunk is ``"a"``) is what follows ``"a.b.a"``'s first
+#: period.  The split-spanner gives ``"b.a"`` as a chunk nothing, as a
+#: document ``y = [3, 4>``: one key for both would answer wrongly.
+SHARED_TEXTS = ["aa", "aa ab", "b.a", "a.b.a"]
+
+
+@st.composite
+def document_runs(draw):
+    """Runs over one text pool, so documents repeat within a batch,
+    across batches (the pooled look-ahead window) and across runs."""
+    drawn = draw(st.lists(
+        st.lists(st.sampled_from(["a", "b", " ", ".", "aa"]),
+                 max_size=5).map("".join),
+        max_size=4))
+    pool = SHARED_TEXTS + drawn
+    return draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                  max_size=6),
+                         min_size=1, max_size=3))
+
+
+@pytest.fixture(scope="module", params=sorted(DOCUMENT_PLANS))
+def plan_engines(request):
+    """``(specification, theorem, {(workers, prefilter): (engine,
+    program)})`` for one plan; the pools fork once per plan."""
+    make_registry, make_spec, theorem = DOCUMENT_PLANS[request.param]
+    spec = make_spec()
+    built = {
+        (workers, prefilter): (
+            ExtractionEngine(make_registry(), workers=workers,
+                             prefilter=prefilter),
+            Program(spec, name=request.param))
+        for workers in (0, 2) for prefilter in (False, True)
+    }
+    yield spec, theorem, built
+    for engine, _program in built.values():
+        engine.close()
+
+
+class TestDocumentCache:
+    @given(document_runs(), st.sampled_from([1, 2, 32]),
+           st.sampled_from([None, 1, 2, 5]))
+    def test_cached_documents_equal_evaluate_whole(
+            self, plan_engines, runs, batch_size, limit):
+        spec, theorem, engines = plan_engines
+        expected = {}
+        for engine, program in engines.values():
+            engine.chunk_cache.clear()
+            engine.chunk_cache.limit = limit
+            engine.scheduler.batch_size = batch_size
+            hits = 0
+            for texts in runs:
+                result = engine.run(texts, program)
+                assert result.plan.plan.theorem == theorem
+                for position, text in enumerate(texts):
+                    if text not in expected:
+                        expected[text] = evaluate_whole(spec, text)
+                    assert result[f"doc-{position:04d}"] \
+                        == expected[text], text
+                stats = result.stats
+                assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+                    + stats.chunks_pruned == stats.chunks_total
+                assert stats.documents == len(texts)
+                hits += stats.document_cache_hits
+            if theorem is None:
+                assert hits == 0     # whole plans keep no document entry
+        # Under an unbounded cache every document a run saw before is
+        # served whole.
+        engine, program = engines[(0, False)]
+        engine.chunk_cache.limit = None
+        engine.run(runs[-1], program)
+        repeat = engine.run(runs[-1], program).stats
+        if theorem is not None:
+            assert repeat.document_cache_hits == len(runs[-1])
+            assert repeat.chunk_cache_misses == 0
+
+    def test_a_repeated_document_is_served_whole(self):
+        engine = ExtractionEngine(registry(), batch_size=2)
+        spanner = a_run_extractor()
+        first = engine.run(DOCS, spanner)
+        again = engine.run(DOCS, spanner)
+        assert again.by_document == first.by_document
+        assert again.stats.document_cache_hits == len(DOCS)
+        assert (again.stats.chunks_total, again.stats.chunk_cache_hits,
+                again.stats.chunk_cache_misses) \
+            == (first.stats.chunks_total, first.stats.chunks_total, 0)
+        # The relation handed out is the cached frozen object itself.
+        assert again["doc-0000"] is engine.run(DOCS[:1], spanner)[
+            "doc-0000"]
+        assert isinstance(again["doc-0000"], frozenset)
+
+    def test_cold_passes_stay_cold(self):
+        # What keeps a benchmark's cleared-cache passes measuring real
+        # work: clear() drops the document entries with the chunks'.
+        texts = [f"{head} aa ab. b aaa." for head in
+                 ("a", "b", "aa", "ab", "ba", "aab")]
+        query = Q(Spanner.regex(
+            ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}", "ab .")) \
+            .split_by("tokens").batch_size(2)
+        engine = query.engine()
+        passes = []
+        for _ in range(2):
+            engine.chunk_cache.clear()
+            results = query.over(texts)
+            results.materialize()
+            passes.append(results.stats())
+        assert passes[0].chunk_cache_misses \
+            == passes[1].chunk_cache_misses > 0
+        assert passes[0].chunk_cache_hits == passes[1].chunk_cache_hits > 0
+        assert passes[0].document_cache_hits \
+            == passes[1].document_cache_hits == 0
+        assert engine.metrics.value("engine.document_cache.hits") == 0

@@ -442,30 +442,53 @@ class TestIndexFilter:
     def test_decision_counters_add_up_per_batch(self):
         # Decisions are tallied in ints and added to the counters once
         # per batch: after two runs the counters hold exactly what
-        # counting every decision as it is made would.
+        # counting every decision as it is made would.  The second
+        # run's documents are new texts over the same chunks, so every
+        # instance reaches the prefilter (a repeated document would be
+        # served whole from the cache, see below).
         program = Program(qz_extractor(), name="qz")
         texts = ["ab qz cd. ef gh.", "ab qz cd. gh gh.", "qz qz. ef gh.",
                  "cd cd. ab qz cd.", "ef gh."]
+        regrouped = ["".join(texts[:3]), "".join(texts[3:])]
         engine = ExtractionEngine(sentence_registry(), batch_size=2,
                                   prefilter=True)
-        for _ in range(2):
-            engine.run(Corpus.from_texts(texts), program)
+        engine.run(Corpus.from_texts(texts), program)
+        engine.run(Corpus.from_texts(regrouped), program)
         chunks = [chunk for text in texts
                   for chunk in FastSeparatorSplitter(".").chunks(text)]
+        assert sorted(chunk for text in regrouped for chunk in
+                      FastSeparatorSplitter(".").chunks(text)) \
+            == sorted(chunks)
         factors = engine.certify(program).factor_set()
         admitted = {chunk for chunk in chunks if factors.admits(chunk)}
-        totals = {}
-        for instrument in engine.metrics.instruments():
-            totals[instrument.name] = \
-                totals.get(instrument.name, 0) + getattr(
-                    instrument, "value", 0)
+
+        def decisions():
+            totals = {}
+            for instrument in engine.metrics.instruments():
+                totals[instrument.name] = \
+                    totals.get(instrument.name, 0) + getattr(
+                        instrument, "value", 0)
+            return (totals["index.admitted"], totals["index.pruned"],
+                    totals["index.memo_hits"])
+
+        pruned = len([chunk for chunk in chunks if chunk not in admitted])
         assert 0 < len(admitted) < len(set(chunks))
-        assert (totals["index.admitted"], totals["index.pruned"],
-                totals["index.memo_hits"]) \
+        assert decisions() \
             == (len(admitted), len(set(chunks)) - len(admitted),
                 2 * len(chunks) - len(set(chunks)))
-        assert engine.stats().chunks_pruned == 2 * len(
-            [chunk for chunk in chunks if chunk not in admitted])
+        assert engine.stats().chunks_pruned == 2 * pruned
+        assert engine.stats().document_cache_hits == 0
+
+        # A repeated document is served whole: no split, no decision,
+        # yet its chunk instances are accounted as before.
+        before = decisions()
+        repeat = engine.run(Corpus.from_texts(texts), program)
+        assert decisions() == before
+        assert repeat.stats.document_cache_hits == len(texts)
+        assert (repeat.stats.chunks_total, repeat.stats.chunks_pruned,
+                repeat.stats.chunk_cache_hits,
+                repeat.stats.chunk_cache_misses) \
+            == (len(chunks), pruned, len(chunks) - pruned, 0)
 
     def test_engine_stays_sound_when_attached_index_grows(self):
         program = Program(qz_extractor(), name="qz")
