@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict, deque
+from itertools import count
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.spans import Span, SpanTuple
@@ -227,6 +228,9 @@ class PlanCache:
 #: The key part that tells a document entry from a chunk entry.
 DOCUMENT = "document"
 
+#: No two caches, or clears of one, share a ``generation``.
+_GENERATIONS = count()
+
 
 class ChunkCache:
     """Deduplicate chunk extraction across an entire corpus.
@@ -236,9 +240,11 @@ class ChunkCache:
     namespaces entries by *certificate* fingerprint (program plus
     splitter registry) because the certificate determines which runner
     produced the results — so one cache serves many programs, and even
-    many engines, without cross-contamination.  ``limit`` bounds the
-    number of retained entries with least-recently-used eviction
-    (``None`` = unbounded).
+    many engines (their document entries and in-process chunk entries:
+    a pooled run's chunk entries live in its workers, bounded alike and
+    emptied as :attr:`generation` moves), without cross-contamination.
+    ``limit`` bounds the retained entries with least-recently-used
+    eviction (``None`` = unbounded).
 
     *Document entries* map ``(namespace, text, DOCUMENT)`` to a whole
     document's merged relation, its chunk instance count and how many
@@ -253,6 +259,7 @@ class ChunkCache:
         if limit is not None and limit < 1:
             raise ValueError("limit must be positive or None")
         self.limit = limit
+        self.generation = next(_GENERATIONS)
         self._results: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -328,3 +335,4 @@ class ChunkCache:
 
     def clear(self) -> None:
         self._results.clear()
+        self.generation = next(_GENERATIONS)

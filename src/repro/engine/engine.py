@@ -2,10 +2,10 @@
 
 The engine ties the subsystem together: it certifies a program against
 its splitter registry once (plan cache), splits each document with the
-certified splitter, deduplicates chunk texts corpus-wide (chunk
-cache), fans missing chunks over a worker pool (scheduler), and merges
-shifted span-tuples back per document — surfacing counters for every
-stage (stats).  The certificate makes a document's merged relation a
+certified splitter, deduplicates chunk texts (chunk cache), evaluates
+the missing ones — or fans whole documents over a worker pool, whose
+workers do all of that (scheduler) — and merges shifted span-tuples
+back per document, surfacing counters for every stage (stats).  The certificate makes a document's merged relation a
 function of its text, so the chunk cache keeps it too (bounded by
 ``chunk_cache_limit``, dropped by ``clear()``; ``whole`` plans, whose
 one chunk is the document, skip it): a repeated document is one probe.
@@ -63,16 +63,12 @@ from repro.engine.scheduler import Scheduler
 from repro.engine.stats import EngineStats
 
 
-#: Batches a pooled run keeps submitted ahead of the one it is merging
-#: (in-process runs look ahead at nothing).  Ledger ``dense-pool``,
-#: ``--seconds 8`` on the 2-core reference box: seeds 31-34 gave
-#: 7.34-7.73 MB/s with none ahead, 9.38-10.34 with one and 10.59-10.75
-#: with two, at ``op_p95_ms`` 3.43-3.62 / 3.42-3.75 / 4.05-4.25; seeds
-#: 35-37 gave 9.39-9.91 / 10.47-10.90 / 10.83-11.54 MB/s with one /
-#: two / three, at 3.64-3.94 / 4.17-4.48 / 4.61-5.08 ms.  The second
-#: batch ahead buys ~10 % of throughput, a third ~2 % (medians) for
-#: another ~12 % on the 95th percentile; every batch ahead delays a
-#: pass's first result by a batch and holds another batch of chunks.
+#: Batches a pooled run keeps submitted ahead of the one it is
+#: collecting (in-process runs look ahead at nothing).  Ledger ``dense``
+#: corpus, seed 11, 2-core box, 60 interleaved passes a side, workers
+#: running whole documents: one batch ahead made the median pass 7 %
+#: slower than two; three, 4 % faster (39 of 60 passes), for another
+#: batch held and a later first result.
 LOOKAHEAD_BATCHES = 2
 
 
@@ -548,17 +544,16 @@ class ExtractionEngine:
         batch completes, results yielded per document in corpus order.
         In process, nothing downstream of the current batch is
         computed yet.  With a worker pool the run looks
-        :data:`LOOKAHEAD_BATCHES` ahead: batches up to *k+2* are split,
-        prefiltered, looked up and submitted
-        (:meth:`repro.engine.scheduler.Scheduler.submit`) before batch
-        *k* is collected, merged and yielded, so the workers sweep
-        while this process splits and merges.  A text an earlier batch
-        is still evaluating is a cache hit for a later one, resolved
-        from the earlier batch's results: each distinct missing text is
-        evaluated exactly once.  ``chunked`` hands in documents a caller has
-        already split (:meth:`run_delta`), by id.  A document whose merged
-        relation is cached is not split or submitted but rides the
-        window with its batch; the others' are stored at collection.
+        :data:`LOOKAHEAD_BATCHES` ahead: batches up to *k+2* are
+        submitted (:meth:`repro.engine.scheduler.Scheduler.submit`)
+        before batch *k* is collected and yielded.  The workers split,
+        look up, evaluate and merge whole documents; this process ships
+        texts — or, when a prefilter runs or the caller has split
+        already, the admitted chunks — and collects relations.
+        ``chunked`` hands in documents a caller has already split
+        (:meth:`run_delta`), by id.  A document whose merged relation
+        is cached is not split or submitted but rides the window with
+        its batch; the others' are stored at collection.
 
         ``deadline`` is the cooperative cancellation point: it is
         checked at every batch boundary (and by the scheduler at both
@@ -574,8 +569,9 @@ class ExtractionEngine:
         # covers program and registry), not by program alone.
         chunk_namespace = certified.fingerprint or program.fingerprint()
         plan = certified.plan
-        documents = (None if plan.mode == "whole" or plan.splitter is None
-                     else chunk_namespace)
+        splitter = (None if plan.mode == "whole" or plan.splitter is None
+                    else plan.splitter.runtime_splitter())
+        documents = None if splitter is None else chunk_namespace
         cache = self.chunk_cache
         tracer = self.tracer
         scheduler = self.scheduler
@@ -600,14 +596,16 @@ class ExtractionEngine:
                 if batch:
                     window.append((batch, served, sizes, scheduler.submit(
                         runner, tasks, cache, chunk_namespace, deadline,
-                        [entry[-1] for entry in window])))
+                        splitter)))
                 if window and (not batch or len(window) > depth):
                     due, served, sizes, pending = window.popleft()
                     resolved = scheduler.collect(pending)
+                    # Documents a worker split count their chunks here.
+                    self._chunks_total.inc(sum(pending.split.values()))
                     for doc_id, (text, chunks, pruned) in sizes.items():
                         resolved[doc_id] = cache.store_document(
-                            documents, text, resolved[doc_id], chunks,
-                            pruned)
+                            documents, text, resolved[doc_id],
+                            chunks + pending.split.get(doc_id, 0), pruned)
                     resolved.update(served)
             self._chunk_hits.inc(cache.hits - cache_before[0])
             self._chunk_misses.inc(cache.misses - cache_before[1])
@@ -627,10 +625,13 @@ class ExtractionEngine:
         """One batch's scheduler input: every document's chunks (taken
         from ``chunked`` when the caller has split already), less the
         ones ``prefilter`` proves empty — save those whose relation the
-        cache holds under ``documents`` (``None``: none is looked up).
-        Returns ``(cached relations, tasks, (text, chunks, pruned) per
-        task)``."""
+        cache holds under ``documents`` (``None``: none is looked up);
+        or, pooled with nothing to prune, the texts, for workers to
+        split.  Returns ``(cached relations, tasks, (text, chunks,
+        pruned) per task)``."""
         tracer, lookup = self.tracer, self.chunk_cache.lookup_document
+        ship = (self.scheduler.workers > 1 and prefilter is None
+                and chunked is None)
         served: Dict[str, FrozenSet[SpanTuple]] = {}
         tasks, sizes, total, pruned_batch = [], {}, 0, 0
         with tracer.span("split", documents=len(batch)) as span:
@@ -641,6 +642,10 @@ class ExtractionEngine:
                     served[document.doc_id], chunks, pruned = entry
                     total += chunks
                     pruned_batch += pruned
+                elif ship:
+                    tasks.append((document.doc_id, document.text))
+                    if documents:
+                        sizes[document.doc_id] = (document.text, 0, 0)
                 else:
                     by_document.append((document, chunked[document.doc_id]
                                         if chunked is not None
@@ -752,7 +757,8 @@ class ExtractionEngine:
     def close(self) -> None:
         """Shut down the scheduler's worker pool (idempotent).
 
-        Caches survive ``close``; the process pool is stopped, with
+        Caches survive ``close`` — save a pooled engine's chunk
+        entries, which live in its workers: the pool is stopped, with
         whatever an abandoned run left in flight on it.  Engines are
         also usable as context managers.
         """
@@ -788,7 +794,7 @@ class ExtractionEngine:
         the others visited) — read from the
         process-global :func:`repro.obs.metrics.kernel_metrics`, so
         they count the evaluations of *this process* (every engine in
-        it; not those of pool workers, which report into their own).
+        it, and their pool workers', which every task reports back).
         """
         kernel = kernel_metrics().value
         return EngineStats.from_metrics(

@@ -1,19 +1,20 @@
-"""Work-queue scheduling of chunk batches over a process pool.
+"""Scheduling document batches, in process or over a process pool.
 
 The scheduler receives per-document chunk lists, consults the chunk
-cache, fans the *missing* texts out over a worker pool, and merges the
-shifted span-tuples back per document — the engine-side realization of
+cache, evaluates the *missing* texts once each, and merges the shifted
+span-tuples back per document — the engine-side realization of
 ``P = P_S o S``: once certified, chunks are context-free units of work
 that can be executed anywhere, in any order, and shared between
-documents.
+documents.  With ``workers > 1`` each pool worker runs that same pass
+on whole documents over its own chunk cache (emptied when the parent's
+is cleared), so this process only ships texts and collects relations.
 
-A pass has two halves.  :meth:`Scheduler.submit` consults the cache
-and hands the missing texts to the pool, which sends its workers what
-they have room for at once and the rest whenever this process next
-calls into it; :meth:`Scheduler.collect` waits for the results, stores
-them and merges.  :meth:`Scheduler.run` is the two back to back; the
-engine puts the next batches' first halves between them when a pool is
-in use, so the parent splits and merges while the workers sweep.
+A pass has two halves: :meth:`Scheduler.submit` consults the cache or
+hands the documents to the pool, :meth:`Scheduler.collect` evaluates
+or waits, stores and merges.  :meth:`Scheduler.run` is the two back
+to back; the engine puts the next batches' first halves between them
+when a pool is in use, so the workers sweep while this process
+streams.
 
 ``workers <= 1`` degrades to in-process sequential evaluation (no pool
 overhead), which is also the configuration benchmarks use to isolate
@@ -21,11 +22,11 @@ caching effects from parallelism.
 
 How a runner reaches a worker and what a pool task is belong to
 :class:`repro.runtime.executor.WorkerPool`; this side decides what the
-telemetry every task returns means (:mod:`repro.obs`): chunk latency,
-per-worker busy time, queue wait and the parent's own wait for the
-pool always land in the metrics registry, and an enabled tracer
-additionally gets one ``evaluate`` span per task.  Tracing never
-changes what the workers run.
+telemetry every task returns means (:mod:`repro.obs`): cache counts,
+chunk latency, kernel counters, busy time and waits always land in the
+registries, and an enabled tracer additionally gets one ``evaluate``
+span per task, with the worker's ``split`` and ``merge`` under it.
+Tracing never changes what the workers run.
 """
 
 from __future__ import annotations
@@ -33,22 +34,26 @@ from __future__ import annotations
 import multiprocessing
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.core.spans import Span, SpanTuple
 from repro.errors import WorkerLostError
 from repro.obs.log import event_log
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import Metrics, kernel_metrics
 from repro.obs.trace import NULL_TRACER, SpanRecord, Tracer
-from repro.runtime.executor import SpannerLike, WorkerPool, evaluate_chunks
+from repro.runtime.executor import (KERNEL_COUNTERS, SpannerLike,
+                                    WorkerPool, evaluate_chunks,
+                                    relation_of)
 
 from repro.engine.deadline import NEVER, Deadline
 
 from repro.engine.cache import ChunkCache
 
-#: One document's worth of chunk work: ``(doc_id, [(span, text), ...])``.
-DocumentChunks = Tuple[str, Sequence[Tuple[Span, str]]]
+#: One document's worth of chunk work: ``(doc_id, [(span, text), ...])``
+#: or, pooled, ``(doc_id, text)`` for a worker to split.
+DocumentChunks = Tuple[str, Union[str, Sequence[Tuple[Span, str]]]]
 
 
 @dataclass
@@ -76,22 +81,21 @@ class PendingBatch:
     cache: ChunkCache
     namespace: str
     deadline: Deadline
-    #: text -> results; ``None`` until :meth:`Scheduler.collect` for
-    #: the texts this batch evaluates (``missing``) or takes from the
-    #: earlier, uncollected batch that does (``borrowed``, as ``(that
-    #: batch, text)`` pairs).
+    #: In process: text -> results, ``None`` until
+    #: :meth:`Scheduler.collect` for the ``missing`` ones.
     seen: Dict[str, object]
     missing: List[str]
-    borrowed: Sequence[Tuple["PendingBatch", str]]
     chunk_instances: int
     #: The pool's result iterator (``None``: evaluate in process) and
     #: the wall-clock time the tasks were handed over.
     tasks: Optional[Iterator] = None
     submitted: float = 0.0
+    #: doc_id -> chunk count of each document a worker split.
+    split: Dict[str, int] = field(default_factory=dict)
 
 
 class Scheduler:
-    """Fan unique chunk texts over a pool; merge results per document.
+    """Evaluate chunk texts in process, or documents over a pool.
 
     ``workers`` is the process-pool size (``0``/``1`` = run in
     process).  ``batch_size`` is how many *documents* the engine feeds
@@ -106,7 +110,8 @@ class Scheduler:
 
     ``tracer``/``metrics`` are the engine's observability handles: the
     scheduler brackets the second half in ``evaluate``/``merge`` spans
-    and folds every pool task's telemetry into the registry:
+    and folds every pool task's telemetry into the cache's counters,
+    :func:`repro.obs.metrics.kernel_metrics` and the registry:
     ``engine.chunk_eval_seconds``, ``engine.worker_busy_seconds`` and
     ``engine.worker_chunks`` per pid, ``scheduler.queue_wait_seconds``
     (a task's start minus its batch's submission — by design including
@@ -200,86 +205,67 @@ class Scheduler:
         cache: ChunkCache,
         namespace: str,
         deadline: Deadline = NEVER,
-        after: Sequence[PendingBatch] = (),
+        splitter: Optional[object] = None,
     ) -> PendingBatch:
-        """The first half of a pass: consult ``cache`` and hand the
-        distinct missing texts to the pool.  Returns at once — with
-        ``workers > 1`` the pool is evaluating while the caller does
-        something else — and :meth:`collect` finishes the pass.
-
-        ``after`` lists the batches submitted earlier and not yet
-        collected (the engine's look-ahead holds them).  A text one of
-        them is already evaluating is not submitted again and not
-        looked up, so not counted as a miss: it is a hit, resolved at
-        :meth:`collect` from that batch's own results, which the LRU
-        bound of ``cache`` cannot evict.  Collect batches in
-        submission order.
-        """
+        """The first half of a pass: consult ``cache`` — or hand the
+        documents to the pool, whose workers split a text with
+        ``splitter`` (``None``: one chunk).  :meth:`collect` finishes."""
         deadline.check()
-        in_flight = {text: earlier for earlier in after
-                     if earlier.namespace == namespace
-                     for text in earlier.missing}
+        if self.workers > 1:
+            pending = PendingBatch(runner, documents, cache, namespace,
+                                   deadline, {}, [], 0)
+            if documents:
+                items = [(doc_id, chunks, None) if isinstance(chunks, str)
+                         else (doc_id, None, chunks)
+                         for doc_id, chunks in documents]
+                pending.submitted = time.time()
+                with self._losing_workers():
+                    pending.tasks = self._pool_for(runner).evaluate(
+                        items, (cache.generation, namespace, cache.limit,
+                                splitter))
+            return pending
         # Consult the cache; collect distinct missing texts in
         # first-seen order (deterministic scheduling).  A text repeated
         # within this batch counts as a hit from its second instance on:
         # those instances are served without evaluation.
         seen: Dict[str, object] = {}
         missing: List[str] = []
-        borrowed: List[Tuple[PendingBatch, str]] = []
         chunk_instances = 0
         for _doc_id, chunks in documents:
             for _span, text in chunks:
                 chunk_instances += 1
                 if text in seen:
                     cache.record_batch_hit()
-                elif text in in_flight:
-                    cache.record_batch_hit()
-                    seen[text] = None
-                    borrowed.append((in_flight[text], text))
                 else:
                     cached = seen[text] = cache.lookup(namespace, text)
                     if cached is None:
                         missing.append(text)
-        pending = PendingBatch(runner, documents, cache, namespace, deadline,
-                               seen, missing, borrowed, chunk_instances)
-        # A pass whose chunks all hit the cache has nothing to ship:
-        # its empty batch stays in this process.
-        if self.workers > 1 and missing:
-            pending.submitted = time.time()
-            with self._losing_workers():
-                pending.tasks = self._pool_for(runner).evaluate(missing)
-        return pending
+        return PendingBatch(runner, documents, cache, namespace, deadline,
+                            seen, missing, chunk_instances)
 
     def collect(self, pending: PendingBatch) -> Dict[str, Set[SpanTuple]]:
-        """The second half of a pass: wait for the pool's results (or,
-        in process, evaluate now), store them, and merge the shifted
-        tuples back per document."""
+        """The second half of a pass: evaluate, store and merge in
+        process — or take the pool's merged relations."""
         deadline = pending.deadline
         deadline.check()
+        if pending.tasks is not None:
+            with self.tracer.span(
+                "evaluate", documents=len(pending.documents),
+                workers=self.workers, tasks=0,
+            ) as span, self._losing_workers():
+                return self._gather(pending, span)
         seen, missing = pending.seen, pending.missing
         cache, namespace = pending.cache, pending.namespace
         with self.tracer.span(
             "evaluate", unique_missing=len(missing),
-            instances=pending.chunk_instances,
-            workers=self.workers if self.workers > 1 else 0, tasks=0,
-        ) as span:
-            if pending.tasks is None:
-                results = evaluate_chunks(
-                    pending.runner, missing,
-                    self.metrics.histogram("engine.chunk_eval_seconds"),
-                    deadline.check)
-            else:
-                with self._losing_workers():
-                    results = self._gather(pending, span)
+            instances=pending.chunk_instances, workers=0, tasks=0,
+        ):
+            results = evaluate_chunks(
+                pending.runner, missing,
+                self.metrics.histogram("engine.chunk_eval_seconds"),
+                deadline.check)
             for text, found in zip(missing, results):
                 seen[text] = cache.store(namespace, text, found)
-        for earlier, text in pending.borrowed:
-            found = seen[text] = earlier.seen[text]
-            if found is None:
-                raise RuntimeError(
-                    "collect() out of submission order: the batch "
-                    "evaluating this text has not been collected")
-        pending.borrowed = ()  # collected batches must not chain up
 
         with self.tracer.span(
                 "merge", documents=len(pending.documents)) as span:
@@ -299,40 +285,51 @@ class Scheduler:
         )
         return resolved
 
-    def _gather(self, pending: PendingBatch, span) -> List[Set[SpanTuple]]:
-        """The pool's results for ``pending``, in text order, with
-        every task's telemetry folded into the registry (and, traced,
-        into one worker ``evaluate`` span per task under ``span`` —
-        which a task may well have started before)."""
-        metrics, tracer = self.metrics, self.tracer
-        latency = metrics.histogram("engine.chunk_eval_seconds")
+    def _gather(self, pending: PendingBatch, span
+                ) -> Dict[str, FrozenSet[SpanTuple]]:
+        """The pool's relations for ``pending``; every task's telemetry
+        goes to the cache, the registries and (traced) the trace."""
+        metrics, tracer, cache = self.metrics, self.tracer, pending.cache
         queue_wait = metrics.histogram("scheduler.queue_wait_seconds")
-        missing = pending.missing
-        results: List[Set[SpanTuple]] = []
-        blocked = 0.0
+        documents = iter(pending.documents)
+        resolved: Dict[str, FrozenSet[SpanTuple]] = {}
+        missing, blocked = 0, 0.0
         clock = time.perf_counter
         waiting = clock()
         for group, task in pending.tasks:
             blocked += clock() - waiting
             span.inc("tasks")
+            relations = [relation_of(columns) for columns, _ in group]
+            # ``documents`` last: zip must not take the next task's.
+            for relation, (_, chunks), (doc_id, shipped) in zip(
+                    relations, group, documents):
+                resolved[doc_id] = relation
+                pending.chunk_instances += chunks
+                if isinstance(shipped, str):
+                    pending.split[doc_id] = chunks
+            hits, misses, evictions = task.cache
+            cache.hits, cache.misses = cache.hits + hits, cache.misses + misses
+            cache.evictions += evictions
+            missing += misses
+            split, evaluate, merge = task.phases
             if tracer.enabled:
-                done = len(results)
-                tracer.adopt([SpanRecord(
-                    name="evaluate", span_id=0, parent_id=None,
-                    start=task.started, duration=task.busy_seconds,
-                    pid=task.pid, tid=0, attributes={
-                        "chunks": len(group),
-                        "chars": sum(map(
-                            len, missing[done:done + len(group)])),
-                        "tuples": sum(map(len, group)),
-                    },
-                )], parent_id=span.span_id)
-            results.extend(group)
-            latency.observe_many(task.chunk_seconds)
+                end, pid = task.started + task.busy_seconds, task.pid
+                tracer.adopt([
+                    SpanRecord("evaluate", 1, None, task.started,
+                               task.busy_seconds, pid, 0, {
+                                   "documents": len(group),
+                                   "chunks": misses, "evaluate_s": evaluate,
+                                   "tuples": sum(map(len, relations))}),
+                    SpanRecord("split", 2, 1, task.started, split, pid, 0),
+                    SpanRecord("merge", 3, 1, end - merge, merge, pid, 0),
+                ], parent_id=span.span_id)
+            metrics.merge(task.metrics)
+            for name, delta in zip(KERNEL_COUNTERS, task.kernel):
+                kernel_metrics().counter(name).inc(delta)
             metrics.counter("engine.worker_busy_seconds",
                             pid=task.pid).inc(task.busy_seconds)
             metrics.counter("engine.worker_chunks",
-                            pid=task.pid).inc(len(group))
+                            pid=task.pid).inc(misses)
             # Measured from this batch's submission, so by design it
             # includes the time a task queued behind the tasks of the
             # batches submitted before it (the engine's look-ahead).
@@ -340,7 +337,9 @@ class Scheduler:
             pending.deadline.check()
             waiting = clock()
         metrics.histogram("scheduler.collect_wait_seconds").observe(blocked)
-        return results
+        self.last_batch = ScheduledBatch(
+            len(pending.documents), pending.chunk_instances, missing)
+        return resolved
 
     def run(
         self,
@@ -354,9 +353,9 @@ class Scheduler:
         :meth:`submit` and :meth:`collect` back to back.
 
         Returns ``doc_id -> set of (shifted) span tuples``.  Each
-        distinct chunk text missing from the cache is evaluated exactly
-        once — even when it repeats within this batch — and stored for
-        future batches and future runs.
+        distinct chunk text missing from the cache is evaluated once —
+        even when it repeats within this batch — and stored for future
+        batches and runs (pooled: once per worker, in its own cache).
 
         ``deadline`` is checked cooperatively between evaluation
         batches (never mid-chunk): an expired deadline raises

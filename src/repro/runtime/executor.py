@@ -22,11 +22,14 @@ from collections import deque
 from multiprocessing.connection import wait
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import (Callable, Deque, Dict, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Callable, Deque, Dict, FrozenSet, Iterator, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
-from repro.core.spans import Span, SpanTuple
+from repro.core.spans import (EMPTY_TUPLE, Span, SpanTuple,
+                              flat_span_tuple, whole_span)
 from repro.errors import WorkerLostError
+from repro.obs.metrics import Metrics, kernel_metrics
+from repro.obs.trace import Tracer
 
 #: Anything with ``evaluate(document) -> set[SpanTuple]``.
 SpannerLike = object
@@ -136,54 +139,94 @@ def evaluate_chunks(
 
 class TaskTelemetry(NamedTuple):
     """What a pool task measured about itself — always, traced or not;
-    the parent decides what to make of it (metrics, spans)."""
+    the parent decides what to make of it (counters, metrics, spans):
+    split/evaluate/merge seconds, the worker cache's hits, misses and
+    evictions, chunk latencies and :data:`KERNEL_COUNTERS` deltas."""
 
     pid: int
     #: Wall clock (``time.time()``): comparable with the parent's,
     #: which is what queue wait is measured against.
     started: float
     busy_seconds: float
-    chunk_seconds: List[float]
+    phases: Tuple[float, float, float]
+    cache: Tuple[int, int, int]
+    metrics: Metrics
+    kernel: Tuple[float, ...]
 
 
-#: The longest slice of chunk text (characters) one pool task carries.
-#: Measured on the 2-core reference box, the ledger's ``dense`` chunks
-#: (seed 11: 4 800 distinct, 238 K characters) handed to 2 workers at
-#: once, min of 15, two runs: 16.0-17.3 ms cut into 16 tasks (this
-#: cap), 17-21 in 32, 19-29 in 64, 25-37 in 256 and 49-66 in 1 024
-#: (20.3-20.5 in process), so a task's fixed cost — a pickle, a write,
-#: a wake-up and a read on each side — is 30-40 us.  Fewer, longer
-#: tasks lose too (20-30 ms in 2-8): past a busy worker's pipe slack a
-#: task waits for the worker to idle.  The kernel sweeps a character in
-#: ~0.085 us: a full task runs ~1.4 ms and its fixed cost is ~2.5 % of
-#: that.
+#: What :func:`repro.automata.compiled.count_evaluations` counts.
+KERNEL_COUNTERS = ("kernel.chunks_rejected", "kernel.configs_expanded",
+                   "kernel.main_line_bytes", "kernel.bytes_swept")
+
+#: ``(doc_id, text, None)`` or ``(doc_id, None, chunks)``; a task
+#: returns ``(columns, chunks)`` per item (:func:`relation_of`).
+DocumentItem = Tuple[str, Optional[str], Optional[Sequence[Tuple[Span, str]]]]
+TaskResult = Tuple[List[Tuple[list, int]], TaskTelemetry]
+
+
+def _columns(relation) -> list:
+    """``relation`` as ints: ``(variables, positions)`` per variables."""
+    columns: Dict[tuple, List[int]] = {}
+    for row in relation:
+        columns.setdefault(row.variables(), []).extend(row.positions())
+    return [(variables, tuple(ints)) for variables, ints in columns.items()]
+
+
+def relation_of(columns: list) -> FrozenSet[SpanTuple]:
+    """The relation :func:`_columns` wrote."""
+    return frozenset(itertools.chain.from_iterable(
+        map(flat_span_tuple, itertools.repeat(variables),
+            zip(*[iter(ints)] * (2 * len(variables))))
+        if variables else (EMPTY_TUPLE,) for variables, ints in columns))
+
+
+#: The longest slice of text (characters) one pool task carries.
+#: Measured with chunk-text tasks, the ledger's ``dense`` chunks handed
+#: to 2 workers at once (2-core box): 16 KB tasks ran fastest (16-17 ms
+#: against 17-66 ms for 32-1 024 tasks and 20-30 ms for 2-8); a task's
+#: fixed cost is 30-40 us.
 MAX_TASK_CHARS = 16 * 1024
 
-_WORKER_RUNNER: Optional[SpannerLike] = None
+#: A worker's runner, chunk cache, generation token and task context.
+_WORKER = SimpleNamespace(runner=None, cache=None, token=None,
+                          blob=b"", context=None)
 
 
-def _init_worker(runner: SpannerLike) -> None:
-    """A worker's set-up: it evaluates with ``runner``."""
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
+def _evaluate_task(blob: bytes, items: Sequence[DocumentItem]) -> TaskResult:
+    """The pool task: split documents and run the in-process
+    :meth:`repro.engine.Scheduler.run` over this worker's chunk cache.
+    ``blob`` pickles ``(token, namespace, limit, splitter)``: a new
+    token (the parent cache's generation) empties that cache first; a
+    ``None`` splitter makes a text one chunk."""
+    from repro.engine import ChunkCache, Scheduler
 
-
-def _evaluate_task(
-    texts: Sequence[str],
-) -> Tuple[List[Set[SpanTuple]], TaskTelemetry]:
-    """The pool task: one dispatch and one result pickle per batch of
-    chunk texts instead of per chunk."""
-    chunk_seconds: List[float] = []
     started, clock_started = time.time(), time.perf_counter()
-    results = evaluate_chunks(
-        _WORKER_RUNNER, texts,
-        SimpleNamespace(observe=chunk_seconds.append,
-                        observe_many=chunk_seconds.extend),
-    )
-    return results, TaskTelemetry(
+    state = _WORKER
+    if blob != state.blob:
+        state.blob, state.context = blob, pickle.loads(blob)
+    token, namespace, limit, splitter = state.context
+    if token != state.token:
+        state.token, state.cache = token, ChunkCache(limit)
+    cache = state.cache   # its counters count this task only
+    cache.limit, cache.hits, cache.misses, cache.evictions = limit, 0, 0, 0
+    kernel = [kernel_metrics().counter(name) for name in KERNEL_COUNTERS]
+    before = [counter.value for counter in kernel]
+    documents = [
+        (doc_id, chunks if text is None
+         else [(whole_span(text), text)] if splitter is None
+         else splitter_chunks(splitter, text))
+        for doc_id, text, chunks in items]
+    split = time.perf_counter() - clock_started
+    scheduler = Scheduler(tracer=Tracer(), metrics=Metrics())
+    resolved = scheduler.run(state.runner, documents, cache, namespace)
+    phases = {record.name: record.duration
+              for record in scheduler.tracer.drain()}
+    return [(_columns(resolved[doc_id]), len(chunks))
+            for doc_id, chunks in documents], TaskTelemetry(
         os.getpid(), started, time.perf_counter() - clock_started,
-        chunk_seconds,
-    )
+        (split, phases["evaluate"], phases["merge"]),
+        (cache.hits, cache.misses, cache.evictions), scheduler.metrics,
+        tuple(counter.value - was for counter, was in zip(kernel, before)))
 
 
 class _Worker:
@@ -220,17 +263,17 @@ class _Failure(NamedTuple):
 
 
 def _serve(connection, runner: SpannerLike, inherited: Sequence) -> None:
-    """A worker's life: answer ``(ticket, texts)`` messages with
-    ``(ticket, ok, payload)`` — ``payload`` is :func:`_evaluate_task`'s
-    result, or the exception it raised — in the order they arrive,
-    until an empty message or end of file.
+    """A worker's life: answer ``(ticket, context, items)`` messages
+    with ``(ticket, ok, payload)`` — ``payload`` is
+    :func:`_evaluate_task`'s result, or the exception it raised — in the
+    order they arrive, until an empty message or end of file.
 
     ``inherited`` are the parent's pipe ends a forked worker holds
     copies of: closed first, so that only the parent keeps a pool's
     pipes open."""
     for end in inherited:
         end.close()
-    _init_worker(runner)
+    _WORKER.runner = runner
     while True:
         try:
             message = connection.recv_bytes()
@@ -238,10 +281,10 @@ def _serve(connection, runner: SpannerLike, inherited: Sequence) -> None:
             return
         if not message:
             return
-        ticket, texts = pickle.loads(message)
+        ticket, blob, items = pickle.loads(message)
         try:
-            reply = pickle.dumps((ticket, True, _evaluate_task(texts)),
-                                 _PROTOCOL)
+            reply = pickle.dumps(
+                (ticket, True, _evaluate_task(blob, items)), _PROTOCOL)
         except Exception as error:
             # The parent must be able to read every reply, or it would
             # wait on this worker for good: try the error both ways.
@@ -287,7 +330,7 @@ class _Results:
     def __iter__(self) -> "_Results":
         return self
 
-    def __next__(self) -> Tuple[List[Set[SpanTuple]], TaskTelemetry]:
+    def __next__(self) -> TaskResult:
         index = self._next
         if index == len(self._slots):
             raise StopIteration
@@ -313,7 +356,8 @@ class WorkerPool:
     The runner is an argument of the worker processes: forked workers
     inherit it as it is (nothing is pickled, so an unpicklable black
     box runs too); under the ``spawn``/``forkserver`` start methods
-    ``multiprocessing`` pickles it once per worker.
+    ``multiprocessing`` pickles it once per worker.  Each worker keeps
+    its own chunk cache, which ends with the worker.
 
     No write may block while its worker could itself be blocked writing
     a result nobody reads: an idle worker (every result it produced
@@ -359,50 +403,51 @@ class WorkerPool:
         self._finalizer = weakref.finalize(
             self, _stop_workers, self._workers, False)
 
-    def evaluate(
-        self, texts: Sequence[str],
-    ) -> Iterator[Tuple[List[Set[SpanTuple]], TaskTelemetry]]:
-        """Submit ``texts`` and return at once: an iterator of
-        ``(results, telemetry)`` per task, in text order.  What the
+    def evaluate(self, items: Sequence[DocumentItem],
+                 context: tuple) -> Iterator[TaskResult]:
+        """Submit ``items`` and return at once: an iterator of
+        ``(results, telemetry)`` per task, in item order.  What the
         workers have room for is sent before this returns; the rest
         goes out as the pool is next called into.
 
-        Chunk texts go out, flat int tuples come back
-        (:class:`repro.core.spans.SpanTuple` pickles as its stored
-        form).  A task is a contiguous slice of ``texts``; the slices
-        are cut at equal cumulative length, one per worker — a task's
-        cost is its characters, not its text count — unless that makes
-        a slice longer than :data:`MAX_TASK_CHARS`: a whole corpus
-        handed over at once still goes out in several waves per
-        worker, the load balance for skewed chunk costs the
+        Documents go out, relations come back (:func:`_evaluate_task`;
+        ``context`` is its ``blob``).  A task is a contiguous slice of
+        ``items``; the slices are cut at equal cumulative length, one per
+        worker — a task's cost is its characters, not its document count
+        — unless that makes a slice longer than :data:`MAX_TASK_CHARS`:
+        a whole corpus handed over at once still goes out in several
+        waves per worker, the load balance for skewed costs the
         Introduction credits for the Spark speedups.  Each task goes to
         the worker with the fewest bytes outstanding.
         """
-        # An empty text still costs a dispatch: weigh every text one
-        # more than its length.  A text goes to the slice its middle
-        # falls in, so slices are contiguous and a long text gets a
+        # An empty item still costs a dispatch: weigh every item one
+        # more than its length.  An item goes to the slice its middle
+        # falls in, so slices are contiguous and a long item gets a
         # slice to itself rather than dragging its neighbours along.
-        total = sum(map(len, texts)) + len(texts)
-        count = min(len(texts),
+        weights = [(len(text) if text is not None
+                    else sum(len(chunk) for _span, chunk in chunks)) + 1
+                   for _doc_id, text, chunks in items]
+        total = sum(weights)
+        count = min(len(items),
                     max(self.workers, -(-total // MAX_TASK_CHARS)))
-        tasks: List[Sequence[str]] = []
+        tasks: List[Sequence[DocumentItem]] = []
         start = swept = current = 0
-        for position, text in enumerate(texts):
-            weight = len(text) + 1
+        for position, weight in enumerate(weights):
             index = (2 * swept + weight) * count // (2 * total)
             if index != current:
                 if position:
-                    tasks.append(texts[start:position])
+                    tasks.append(items[start:position])
                 start, current = position, index
             swept += weight
-        if texts:
-            tasks.append(texts[start:])
+        if items:
+            tasks.append(items[start:])
         results = _Results(self, len(tasks))
         batch = weakref.ref(results)
+        blob = pickle.dumps(context, _PROTOCOL)
         for index, task in enumerate(tasks):
             ticket = next(self._tickets)
             self._queue.append((batch, index, ticket, pickle.dumps(
-                (ticket, task), _PROTOCOL)))
+                (ticket, blob, task), _PROTOCOL)))
         self._pump(block=False)
         return results
 

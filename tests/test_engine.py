@@ -2,6 +2,7 @@
 the executor's parallel primitives it builds on."""
 
 import multiprocessing
+import os
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -518,7 +519,8 @@ class TestCorpusEdgeCases:
 
 class TextLoggingRunner:
     """A chunk runner appending every text it evaluates to a file, one
-    per line — the texts a pool worker saw, read from the parent."""
+    ``pid text`` line each — the texts each pool worker saw, read from
+    the parent."""
 
     def __init__(self, runner, log_path):
         self.runner = runner
@@ -529,15 +531,15 @@ class TextLoggingRunner:
 
     def evaluate_batch(self, texts, latency=None):
         with open(self.log_path, "a", encoding="ascii") as handle:
-            handle.writelines(f"{text}\n" for text in texts)
+            handle.writelines(f"{os.getpid()} {text}\n" for text in texts)
         return self.runner.evaluate_batch(texts, latency)
 
     def drain(self):
-        """The texts logged since the last drain."""
+        """The ``(pid, text)`` pairs logged since the last drain."""
         with open(self.log_path, "r+", encoding="ascii") as handle:
-            texts = handle.read().splitlines()
+            lines = handle.read().splitlines()
             handle.truncate(0)
-        return texts
+        return [tuple(line.split(" ", 1)) for line in lines]
 
 
 #: Few distinct tokens, so the chunks of one batch come back in the
@@ -598,36 +600,42 @@ class TestLookAhead:
             assert stats.chunk_cache_hits + stats.chunk_cache_misses \
                 == stats.chunks_total
             runs[workers] = (stats, logged)
-        (inproc, _), (pooled, logged) = runs[0], runs[2]
+        (inproc, inproc_logged), (pooled, logged) = runs[0], runs[2]
         assert pooled.chunks_total == inproc.chunks_total
-        # An LRU bound makes hit-or-miss depend on how lookups and
-        # stores interleave, which is what looking ahead changes (as
-        # batch_size does); without one, or with a single batch, the
-        # counts are the in-process run's and no text runs twice.
-        if limit is None or len(texts) <= batch_size:
-            assert (pooled.chunks_evaluated, pooled.chunk_cache_misses,
-                    pooled.chunk_cache_hits) \
-                == (inproc.chunks_evaluated, inproc.chunk_cache_misses,
-                    inproc.chunk_cache_hits)
+        # A worker looks texts up in its own cache: unbounded, each
+        # worker evaluates a text at most once, and every text the
+        # in-process run evaluated is evaluated by some worker.
         if limit is None:
             assert max(Counter(logged).values(), default=1) == 1
+            assert {text for _pid, text in logged} \
+                == {text for _pid, text in inproc_logged}
+            assert max(Counter(inproc_logged).values(), default=1) == 1
 
-    def test_a_text_in_flight_is_a_hit_even_if_the_cache_forgets_it(
+    def test_a_worker_evaluates_a_text_once_per_cache_generation(
             self, engines):
-        # Batch 1 repeats batch 0's texts while batch 0 is in flight;
-        # with room for one entry the cache has evicted "aa" by the
-        # time batch 1 is merged.  Its results come from batch 0.
+        # Every batch repeats the texts of the one before while it is
+        # in flight; each worker evaluates each text at most once, and
+        # a cleared cache is cold in every worker again.
         engine, program, runner = engines[2]
         engine.scheduler.batch_size = 1
-        engine.chunk_cache.clear()
-        engine.chunk_cache.limit = 1
-        result = engine.run(["aa ab", "aa ab"], program)
-        assert sorted(runner.drain()) == ["aa", "ab"]
-        assert result["doc-0000"] == result["doc-0001"] \
-            == evaluate_whole(a_run_extractor(), "aa ab")
-        assert (result.stats.chunk_cache_misses,
-                result.stats.chunk_cache_hits) == (2, 2)
         engine.chunk_cache.limit = None
+        texts = ["aa ab", "ab aa", "aa b ab", "b aa", "ab b"]
+        for _ in range(2):
+            engine.chunk_cache.clear()
+            result = engine.run(texts, program)
+            logged = runner.drain()
+            assert max(Counter(logged).values()) == 1
+            assert {text for _pid, text in logged} == {"aa", "ab", "b"}
+            assert {pid for pid, _text in logged} <= {
+                str(pid) for pid in worker_pids()}
+            stats = result.stats
+            assert stats.chunks_evaluated == stats.chunk_cache_misses \
+                == len(logged)
+            assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+                == stats.chunks_total == 11
+            for position, text in enumerate(texts):
+                assert result[f"doc-{position:04d}"] \
+                    == evaluate_whole(a_run_extractor(), text)
 
     def test_abandoned_stream_leaves_nothing_in_flight(self):
         before = worker_pids()
@@ -843,24 +851,141 @@ class TestDocumentCache:
             "doc-0000"]
         assert isinstance(again["doc-0000"], frozenset)
 
-    def test_cold_passes_stay_cold(self):
+    @pytest.mark.parametrize("workers", [0, 2],
+                             ids=["workers=0", "workers=2"])
+    def test_cold_passes_stay_cold(self, workers):
         # What keeps a benchmark's cleared-cache passes measuring real
-        # work: clear() drops the document entries with the chunks'.
+        # work: clear() drops the document entries with the chunks' —
+        # in process, and in every pool worker.  Every document holds
+        # every shared text, so a worker whose cache outlived a clear
+        # would evaluate fewer texts than there are.
         texts = [f"{head} aa ab. b aaa." for head in
                  ("a", "b", "aa", "ab", "ba", "aab")]
+        distinct = {chunk for text in texts for chunk in text.split()}
         query = Q(Spanner.regex(
             ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}", "ab .")) \
-            .split_by("tokens").batch_size(2)
+            .split_by("tokens").batch_size(2).workers(workers)
         engine = query.engine()
         passes = []
-        for _ in range(2):
-            engine.chunk_cache.clear()
-            results = query.over(texts)
-            results.materialize()
-            passes.append(results.stats())
-        assert passes[0].chunk_cache_misses \
-            == passes[1].chunk_cache_misses > 0
-        assert passes[0].chunk_cache_hits == passes[1].chunk_cache_hits > 0
-        assert passes[0].document_cache_hits \
-            == passes[1].document_cache_hits == 0
+        try:
+            for fresh in (False, False, True):
+                if fresh:   # another cache in the first one's place
+                    engine.chunk_cache = ChunkCache()
+                else:
+                    engine.chunk_cache.clear()
+                results = query.over(texts)
+                results.materialize()
+                passes.append(results.stats())
+        finally:
+            engine.close()
+        for stats in passes:
+            assert stats.chunk_cache_misses == stats.chunks_evaluated \
+                >= len(distinct)
+            assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+                == stats.chunks_total == 30
+            assert stats.document_cache_hits == 0
+        if not workers:
+            assert passes[0].chunk_cache_misses \
+                == passes[1].chunk_cache_misses == len(distinct)
+            assert passes[0].chunk_cache_hits \
+                == passes[1].chunk_cache_hits > 0
         assert engine.metrics.value("engine.document_cache.hits") == 0
+
+
+# ----------------------------------------------------------------------
+# Pooled passes: documents cross the pipe
+# ----------------------------------------------------------------------
+
+
+class BareRunner:
+    """A runner offering nothing but ``evaluate``/``evaluate_batch`` —
+    all a pool worker may call on one."""
+
+    def __init__(self, runner):
+        self.runner = runner
+
+    def evaluate(self, text):
+        return self.runner.evaluate(text)
+
+    def evaluate_batch(self, texts, latency=None):
+        return self.runner.evaluate_batch(texts, latency)
+
+
+class TestPooledDocuments:
+    def test_kernel_counters_count_the_workers_evaluations(self):
+        # No chunk text repeats, so each is evaluated exactly once in
+        # process and once by some worker: the counters must agree.
+        texts = [f"{'a' * (i + 1)} b{'a' * i} {'b' * (i + 2)}."
+                 for i in range(32)]
+        spanner = a_run_extractor()
+        deltas = {}
+        for workers in (0, 2):
+            with ExtractionEngine(registry(), workers=workers,
+                                  batch_size=4) as engine:
+                engine.run(texts[:1], spanner)     # fork, certify
+                engine.chunk_cache.clear()
+                before = engine.stats().extra
+                result = engine.run(texts, spanner)
+                after = engine.stats().extra
+            assert result.stats.chunks_evaluated == 3 * len(texts)
+            deltas[workers] = {name: after[name] - before[name]
+                               for name in after}
+        assert deltas[2] == deltas[0]
+        assert deltas[0]["kernel.chunks_rejected"] > 0
+        assert deltas[0]["kernel.configs_expanded"] > 0
+
+    def test_run_delta_on_a_pooled_indexed_engine(self):
+        # An attached index makes the parent split and prefilter: the
+        # workers get the admitted chunks, never the index.
+        spanner = a_run_extractor()
+        texts = ["aa ab b. a", "b bb. ab", "aaa b a.", "bb b", "a a.b"]
+        edited = Corpus.from_mapping({
+            "doc-0000": "aa ab b. aa", "doc-0002": "b aaa a.",
+            "doc-0003": "bb b", "doc-0004": "ab ab"})
+        results = {}
+        for workers in (0, 2):
+            with ExtractionEngine(registry(), workers=workers,
+                                  batch_size=2) as engine:
+                engine.attach_index(engine.build_index(texts, spanner))
+                engine.run(texts, spanner)
+                result = engine.run_delta(edited, spanner)
+            stats = result.stats
+            assert stats.chunks_pruned > 0
+            assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+                + stats.chunks_pruned == stats.chunks_total
+            assert stats.chunks_evaluated == stats.chunk_cache_misses
+            results[workers] = result.by_document
+        assert results[2] == results[0] == {
+            document.doc_id: evaluate_whole(spanner, document.text)
+            for document in edited}
+
+    def test_scheduler_run_over_chunk_lists(self):
+        # The frozen benchmark replay drives the scheduler directly with
+        # (doc_id, [(Span, text), ...]) batches and a runner offering
+        # nothing but evaluate/evaluate_batch.
+        spanner = a_run_extractor()
+        splitter = FastSeparatorSplitter(" ")
+        texts = ["aa ab a", "b aa", "aa ab a", "ab b aaa", "", "a b a"]
+        batches = [[(f"doc-{i}", splitter.chunks_of(texts[i]))
+                    for i in range(start, min(start + 2, len(texts)))]
+                   for start in range(0, len(texts), 2)]
+        runner = BareRunner(CompiledSpanner(spanner))
+        found = {}
+        for workers in (0, 2):
+            scheduler = Scheduler(workers=workers)
+            cache = ChunkCache()
+            try:
+                found[workers] = {}
+                for batch in batches:
+                    found[workers].update(
+                        scheduler.run(runner, batch, cache, "replay"))
+            finally:
+                scheduler.close()
+            instances = sum(len(chunks) for batch in batches
+                            for _doc, chunks in batch)
+            assert cache.hits + cache.misses == instances == 14
+            # Pooled, the chunk entries live in the workers.
+            assert len(cache) == (0 if workers else 5)
+        assert found[2] == found[0] == {
+            f"doc-{i}": evaluate_whole(spanner, text)
+            for i, text in enumerate(texts)}

@@ -34,7 +34,7 @@ from repro.runtime import (
     evaluate_whole,
     split_by,
 )
-from repro.runtime.executor import WorkerPool
+from repro.runtime.executor import WorkerPool, relation_of
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import (
     fixed_window_splitter,
@@ -87,9 +87,19 @@ def _engine_run_and_close(spanner, texts):
         engine.run(texts, Program(spanner))
 
 
+#: A pool task context: one cache generation, no splitter (a document
+#: is one chunk).
+WHOLE = (0, "test", None, None)
+
+
+def items_of(texts):
+    """Pool task items shipping ``texts`` as whole documents."""
+    return [(f"doc-{i}", text, None) for i, text in enumerate(texts)]
+
+
 def _forced_shutdown_mid_run(spanner, texts):
     pool = WorkerPool(CompiledSpanner(spanner), 2)
-    next(pool.evaluate(texts))
+    next(pool.evaluate(items_of(texts), WHOLE))
     pool.shutdown(drain=False)
 
 
@@ -157,8 +167,9 @@ assert resource_tracker._resource_tracker._pid is None
         try:
             def tasks_of(texts):
                 groups = [group for group, _telemetry
-                          in pool.evaluate(texts)]
-                assert [found for group in groups for found in group] \
+                          in pool.evaluate(items_of(texts), WHOLE)]
+                assert [executor.relation_of(columns) for group in groups
+                        for columns, _chunks in group] \
                     == executor.evaluate_chunks(runner, texts)
                 assert all(groups) and len(groups) <= len(texts)
                 return list(map(len, groups))
@@ -180,6 +191,21 @@ assert resource_tracker._resource_tracker._pid is None
             assert max(sizes) - min(sizes) <= 6
         finally:
             pool.shutdown(drain=False)
+
+    def test_relations_come_back_as_columns(self):
+        # Mixed variable sets and the 0-ary tuple survive the trip.
+        from repro.core.spans import EMPTY_TUPLE
+        from repro.runtime import executor
+
+        relation = {SpanTuple({"x": Span(1, 2)}),
+                    SpanTuple({"x": Span(2, 4)}),
+                    SpanTuple({"x": Span(1, 1), "y": Span(3, 5)}),
+                    EMPTY_TUPLE}
+        columns = executor._columns(relation)
+        assert sorted(len(variables) for variables, _ in columns) \
+            == [0, 1, 2]
+        assert relation_of(pickle.loads(pickle.dumps(columns))) == relation
+        assert relation_of(executor._columns(set())) == frozenset()
 
     @pytest.mark.parametrize("protocol", [2, 5])
     def test_byte_tables_pickle_by_value(self, protocol):
@@ -255,11 +281,20 @@ class TestPoolProtocol:
                               batch_size=2) as engine:
             with pytest.raises(DeadlineExceededError):
                 engine.run(first, program, deadline=Fuse(6))
+            # Cold again: what the abandoned run left in the workers'
+            # caches is dropped with the parent's entries.
+            engine.chunk_cache.clear()
             result = engine.run(second, program)
         for index, text in enumerate(second):
             assert result[f"doc-{index:04d}"] == evaluate_whole(spanner, text)
-        assert result.stats.chunks_evaluated \
-            == len({chunk for text in second for chunk in text.split()})
+        # Each worker evaluates a distinct text at most once, and some
+        # worker evaluates every one of them.
+        distinct = len({chunk for text in second for chunk in text.split()})
+        stats = result.stats
+        assert distinct <= stats.chunks_evaluated \
+            == stats.chunk_cache_misses <= 2 * distinct
+        assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+            == stats.chunks_total
 
     def test_task_and_result_larger_than_the_pipe_buffer(self):
         # The whole-document plan makes each document one task; batches
@@ -280,9 +315,10 @@ class TestPoolProtocol:
         runner = CompiledSpanner(spanner)
         pool = WorkerPool(runner, 1)
         try:
-            batches = [pool.evaluate([texts[1]]), pool.evaluate([texts[0]])]
-            assert [found for batch in batches for group, _ in batch
-                    for found in group] \
+            batches = [pool.evaluate(items_of([texts[1]]), WHOLE),
+                       pool.evaluate(items_of([texts[0]]), WHOLE)]
+            assert [relation_of(columns) for batch in batches
+                    for group, _ in batch for columns, _chunks in group] \
                 == [evaluate_whole(spanner, texts[1]), set()]
         finally:
             pool.shutdown(drain=False)
@@ -292,13 +328,15 @@ class TestPoolProtocol:
 
         runner = SleepyRunner(CompiledSpanner(a_run_extractor()),
                               fast=0.002, slow=0.5)
-        # Each text fills a task, and the first costs 250 of the others.
+        # Each text fills a task, and the first costs 250 of the others;
+        # no two are equal, so no worker's cache answers one.
         size = executor.MAX_TASK_CHARS - 1
-        texts = ["b" + "a" * (size - 1)] + ["a" * size] * 20
+        texts = ["b" + "a" * (size - 1)] + [
+            "a" * (size - i) + "b" * i for i in range(1, 21)]
         pool = WorkerPool(runner, 2)
         try:
             pids = [telemetry.pid for group, telemetry
-                    in pool.evaluate(texts)]
+                    in pool.evaluate(items_of(texts), WHOLE)]
         finally:
             pool.shutdown(drain=False)
         assert len(pids) == len(texts)
