@@ -53,10 +53,14 @@ def main() -> None:
         print(f"  {phase:<20} {seconds * 1e3:8.2f} ms")
     print(f"  ({trace_report['spans']} spans total)")
 
-    # Which kernel tier ran the chunks: "v2-bytes" (flat byte tables)
-    # here — latin-1 alphabet, small subset automaton — or "v1-int"
-    # (bitset fallback) for wide alphabets / huge automata.
-    print(f"  kernel tier: {explained['kernel_tier']}")
+    # How the chunks ran: this a-run pattern is token-local, so its
+    # chunks past the literal test take the token path (one ``re`` scan,
+    # each token tested against the capture's language).  A spanner the
+    # token path refuses runs the search, on the "v2-bytes" tier (flat
+    # byte tables: latin-1 alphabet, small subset automaton) or on
+    # "v1-int" (bitset fallback) for wide alphabets / huge automata.
+    print(f"  kernel path: {explained['kernel']['path']}, "
+          f"tier: {explained['kernel_tier']}")
 
     # The Chrome trace loads in Perfetto (https://ui.perfetto.dev) or
     # chrome://tracing; validate_chrome_trace is the same schema gate

@@ -113,6 +113,21 @@ def _print_plan(explain: dict) -> None:
         print("plan: whole-document evaluation (no certified splitter)")
 
 
+def _print_kernel(explain: dict) -> None:
+    """The chunk runner's path, from ``explain()["kernel"]``."""
+    kernel = explain["kernel"]
+    path = kernel.get("path")
+    if path == "token":
+        token = kernel["token_path"]
+        line = (f"token path (delimiters {token['delimiters']!r}, "
+                f"letters {token['letters']!r})")
+    elif path == "search":
+        line = f"{kernel['tier']} search (token path {kernel['token_path']})"
+    else:   # an executable that is not a lowered automaton
+        line = kernel["required_reason"]
+    print(f"      kernel: {line}")
+
+
 def _print_prefilter(explain: dict) -> None:
     prefilter = explain.get("index") or {}
     if prefilter.get("enabled"):
@@ -171,6 +186,7 @@ def engine_command(args) -> int:
                   f"[{explain['procedure']}]")
         print(f"      compiled artifact: "
               f"{explain['compiled_artifact']}")
+        _print_kernel(explain)
         _print_prefilter(explain)
         print()
         print(f"{'document':<24} tuples")

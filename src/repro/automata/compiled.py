@@ -75,9 +75,12 @@ search routine):
    that lie on an accepting run and nothing else, and allocates for
    the few where a run forks.
 
-Ahead of all three, the chunk runner
-(:class:`repro.runtime.fast.CompiledSpanner`) rejects a chunk that
-lacks a required literal of the plan with one C-level ``in``.
+The chunk runner (:class:`repro.runtime.fast.CompiledSpanner`) takes
+its steps in this order: the alphabet guard; step 0, which rejects a
+chunk that lacks a required literal of the plan with one C-level
+``in``; the token path, which answers a ``str`` chunk of a spanner
+that lowering proved token-local with :mod:`re` and never calls the
+search; and the search above, for everything else.
 
 **Why the pruning is sound for every automaton.**  ``alive`` forgets
 variable validity: a run may open a variable twice or never close it.
@@ -1027,8 +1030,9 @@ class CompiledVSetAutomaton:
 def count_evaluations(rejected: int, visited: int, main_line: int,
                       swept: int) -> None:
     """Say why chunks were cheap: ``kernel.chunks_rejected`` counts
-    documents answered without a walk (by a required literal, by the
-    main line or by ``alive``), ``kernel.configs_expanded`` the
+    documents answered with no tuple and no walk (by a required
+    literal, by the token path, by the main line or by ``alive``),
+    ``kernel.configs_expanded`` the
     configurations the walks of the others visited, and
     ``kernel.main_line_bytes`` / ``kernel.bytes_swept`` where the
     bytes went.  Called once per batch; looked up per call, so

@@ -20,6 +20,10 @@ from repro.automata.nfa import NFA
 
 Symbol = Hashable
 
+#: What a :func:`containment_search` given a ``limit`` returns in place
+#: of a word when it stops with the question undecided.
+UNDECIDED = "undecided"
+
 
 def nfa_contains(
     left: NFA, right: NFA, alphabet: Optional[frozenset] = None
@@ -41,7 +45,8 @@ def containment_counterexample(
 
 
 def containment_search(
-    left: NFA, right: NFA, alphabet: Optional[frozenset] = None
+    left: NFA, right: NFA, alphabet: Optional[frozenset] = None,
+    limit: Optional[int] = None,
 ) -> Tuple[Optional[Tuple[Symbol, ...]], int]:
     """:func:`containment_counterexample` together with the number of
     subset pairs the search explored (what certification reports as the
@@ -55,6 +60,11 @@ def containment_search(
     word ``left`` cannot read is no counterexample — and each pair
     remembers the pair and symbol it was first reached by, so the word
     is spelled out once, for the pair that needs it.
+
+    With a ``limit`` the search gives up once it has reached more than
+    ``limit`` pairs and returns :data:`UNDECIDED` in place of a word:
+    what a caller that must answer in bounded time (lowering on a
+    server's loop thread) passes, at the price of an undecided answer.
     """
     start = (
         left.epsilon_closure({left.initial}),
@@ -63,6 +73,8 @@ def containment_search(
     reached_by = {start: None}
     queue: deque = deque([start])
     while queue:
+        if limit is not None and len(reached_by) > limit:
+            return UNDECIDED, len(reached_by)
         pair = queue.popleft()
         p_set, q_set = pair
         if (p_set & left.finals) and not (q_set & right.finals):

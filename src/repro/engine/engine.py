@@ -787,9 +787,10 @@ class ExtractionEngine:
         and can never disagree.
 
         ``extra`` carries why evaluated chunks were cheap or dear —
-        ``kernel.chunks_rejected`` (answered without a search: the
-        chunk lacks a literal the plan requires, or the kernel's
-        ``alive`` sweep leaves the initial state dead) and
+        ``kernel.chunks_rejected`` (answered with no tuple and no
+        walk: the chunk lacks a literal the plan requires, the token
+        path finds no token, or the kernel's ``alive`` sweep leaves
+        the initial state dead) and
         ``kernel.configs_expanded`` (configurations the searches of
         the others visited) — read from the
         process-global :func:`repro.obs.metrics.kernel_metrics`, so

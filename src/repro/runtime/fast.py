@@ -28,11 +28,22 @@ import time
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Set, Tuple)
 
-from repro.automata.compiled import (count_evaluations, latin1,
-                                     letter_byte)
-from repro.core.spans import Span, SpanTuple, trusted_span
+from repro.automata.compiled import (CompiledNFA, count_evaluations,
+                                     latin1, letter_byte)
+from repro.automata.containment import UNDECIDED
+from repro.automata.nfa import EPSILON, NFA
+from repro.core.spans import Span, SpanTuple, flat_span_tuple, trusted_span
+from repro.spanners.containment import equivalence_witness
 from repro.spanners.determinism import MAX_DETERMINISED_SUBSETS
+from repro.spanners.refwords import Close, Open
 from repro.spanners.vset_automaton import VSetAutomaton
+
+#: Subset pairs each direction of the token path's equivalence proof
+#: may explore before the path is refused as undecided: lowering runs
+#: inside certification, so the PSPACE check must stay bounded (at the
+#: limit it takes about 45 ms on a two-vCPU host; the ledger programs'
+#: proofs need 15-17 pairs).
+MAX_TOKEN_PROOF_PAIRS = 2000
 
 
 class FastSplitter:
@@ -241,6 +252,138 @@ class RegexSpanner:
         return results
 
 
+class TokenPath:
+    """The chunk runner of a *token-local* unary spanner, evaluated by
+    :mod:`re`.
+
+    Such a spanner is ``C = (ε | Σ*D) · y{T} · (ε | DΣ*)`` with
+    ``T ⊆ (Σ∖D)+``: its tuples are exactly the maximal ``D``-free runs
+    (tokens) whose text is in ``T``.  One ``finditer`` finds the tokens
+    made only of ``T``'s letters ``I``, each distinct token text of a
+    batch is tested against ``T``'s compiled automaton once, and the
+    tuples are built in their stored form.  Only
+    :func:`token_path` builds one, after proving the spanner equal to
+    ``C``.
+    """
+
+    def __init__(self, variables: Tuple, delimiters: str, letters: str,
+                 captured: CompiledNFA) -> None:
+        self.variables = variables
+        self.delimiters = delimiters
+        self.letters = letters
+        self.captured = captured
+        boundary = "".join(map(re.escape, delimiters))
+        self._finditer = re.compile("(?<![^%s])[%s]+(?![^%s])" % (
+            boundary, "".join(map(re.escape, letters)), boundary)).finditer
+
+    def __call__(self, document: str,
+                 memo: Dict[str, bool]) -> Set[SpanTuple]:
+        """The spanner's tuples on a ``str`` over its alphabet.
+        ``memo`` maps the token texts already tested to their
+        membership in ``T``; the caller keeps one per batch, so it
+        holds no text longer than the batch does."""
+        found: Set[SpanTuple] = set()
+        accepts = self.captured.accepts
+        for match in self._finditer(document):
+            text = match.group()
+            member = memo.get(text)
+            if member is None:
+                member = memo[text] = accepts(text)
+            if member:
+                start, end = match.span()
+                found.add(flat_span_tuple(self.variables,
+                                          (start + 1, end + 1)))
+        return found
+
+
+def token_path(specification: VSetAutomaton):
+    """``(TokenPath, None)`` when ``specification`` is proved
+    token-local, else ``(None, why not)``.
+
+    Read off the (trimmed) automaton: ``D``, the letters read
+    immediately before an open or after a close; ``T``, the letter
+    moves between the opens' targets and the closes' sources; ``I``,
+    ``T``'s letters.  When ``D`` is non-empty and disjoint from ``I``
+    and ``ε ∉ T``, the candidate ``C`` above is built and admitted
+    only if :func:`repro.spanners.containment.equivalence_witness`
+    proves ``specification ≡ C`` within :data:`MAX_TOKEN_PROOF_PAIRS`
+    subset pairs a direction.  A wrong ``D`` or ``T`` can only fail the
+    proof: it costs the admission, never a tuple.
+    """
+    alphabet = specification.doc_alphabet
+    if len(specification.variables) != 1:
+        return None, "not unary"
+    if not all(type(letter) is str and len(letter) == 1
+               for letter in alphabet):
+        return None, "non-character alphabet"
+    (variable,) = specification.variables
+    opening, closing = Open(variable), Close(variable)
+    nfa = specification.nfa.trim()
+    closure = nfa.epsilon_closure
+    opens = {source for source, symbol, _ in nfa.transitions()
+             if symbol == opening}
+    delimiters: Set[str] = set()
+    entry = ("token path entry",)
+    captured_moves = []
+    for source, symbol, target in nfa.transitions():
+        if symbol == opening:
+            captured_moves.append((entry, EPSILON, target))
+        elif symbol == closing:
+            for state in closure((target,)):
+                delimiters.update(letter for letter in nfa.symbols_from(state)
+                                  if letter in alphabet)
+        elif symbol is EPSILON or symbol in alphabet:
+            captured_moves.append((source, symbol, target))
+            if symbol is not EPSILON and opens & closure((target,)):
+                delimiters.add(symbol)
+    closes = {source for source, symbol, _ in nfa.transitions()
+              if symbol == closing}
+    captured = NFA(alphabet, (), entry, closes, captured_moves).trim()
+    letters = {symbol for _, symbol, _ in captured.transitions()
+               if symbol is not EPSILON}
+    if captured.accepts(()):
+        return None, "a capture can be empty"
+    if not letters:
+        return None, "empty captured language"
+    if not delimiters:
+        return None, "no delimiter before an open or after a close"
+    if delimiters & letters:
+        return None, ("a capture can read a delimiter: "
+                      + repr("".join(sorted(delimiters & letters))))
+    candidate = _token_candidate(alphabet, variable, delimiters, captured)
+    witness = equivalence_witness(specification, candidate,
+                                  MAX_TOKEN_PROOF_PAIRS)
+    if witness is UNDECIDED:
+        return None, (f"undecided: equivalence proof passed "
+                      f"{MAX_TOKEN_PROOF_PAIRS} subset pairs")
+    if witness is not None:
+        document, differing = witness
+        return None, (f"not token-local: differs on document "
+                      f"{''.join(document)!r}, tuple {differing}")
+    path = TokenPath((variable,), "".join(sorted(delimiters)),
+                     "".join(sorted(letters)), captured.compiled())
+    return path, None
+
+
+def _token_candidate(alphabet, variable, delimiters, captured: NFA,
+                     ) -> VSetAutomaton:
+    """``(ε | Σ*D) · variable{captured} · (ε | DΣ*)`` over
+    ``alphabet``."""
+    moves = [("start", EPSILON, "open"), ("start", EPSILON, "before"),
+             ("open", Open(variable), ("T", captured.initial))]
+    moves += [(("T", final), Close(variable), "closed")
+              for final in captured.finals]
+    moves += [(("T", source), symbol, ("T", target))
+              for source, symbol, target in captured.transitions()]
+    for letter in alphabet:
+        moves += [("before", letter, "before"), ("after", letter, "after")]
+    for letter in delimiters:
+        moves += [("before", letter, "open"), ("closed", letter, "after")]
+    operations = {Open(variable), Close(variable)}
+    nfa = NFA(alphabet | operations, (), "start", ("closed", "after"), moves)
+    return VSetAutomaton(alphabet, (variable,), nfa)
+
+
 class CompiledSpanner:
     """A VSet-automaton pinned to its compiled kernel artifact.
 
@@ -251,7 +394,10 @@ class CompiledSpanner:
     evaluation — in-process or on a pool worker that received this
     object by pickling — runs against the same artifact.
 
-    Lowering also fixes **step 0**: the conditions of the
+    A chunk takes these steps in order: the alphabet guard, step 0,
+    the token path, the search.
+
+    Lowering fixes **step 0**: the conditions of the
     specification's :class:`repro.index.factors.FactorSet` that need no
     Python loop — empty matching language, ``min_length``, every
     ``required`` literal tested with ``in`` — answer a chunk before
@@ -259,9 +405,16 @@ class CompiledSpanner:
     documents over the alphabet, so they run after
     :meth:`~repro.spanners.vset_automaton.VSetAutomaton.check_document`
     (a chunk with a foreign symbol keeps its ``ValueError``) and only
-    on ``str`` documents.  ``VSetAutomaton.evaluate`` — what
-    ``evaluate_whole`` runs, the oracle of every differential — never
-    takes this step.
+    on ``str`` documents.
+
+    Lowering also decides the **token path** (:func:`token_path`): a
+    unary spanner proved equal to ``(ε | Σ*D) · y{T} · (ε | DΣ*)``
+    answers every ``str`` chunk past step 0 with one ``re`` scan and a
+    membership test per distinct token text of the batch (:class:`TokenPath`), never
+    calling the search; a refused spanner says why in
+    ``describe()["token_path"]``.  ``VSetAutomaton.evaluate`` — what
+    ``evaluate_whole`` runs, the oracle of every differential — takes
+    neither step.
 
     What is lowered is the specification's deterministic functional
     equivalent (:meth:`~repro.spanners.vset_automaton.VSetAutomaton.
@@ -311,6 +464,9 @@ class CompiledSpanner:
             self._min_length = factors.min_length
             self._required_reason = (None if factors.required
                                      else "no required literal")
+        #: The token path (:func:`token_path`) for ``str`` chunks past
+        #: step 0, or ``None`` and why it was refused.
+        self._tokens, self._token_refusal = specification.token_path()
 
     def svars(self):
         return self.specification.svars()
@@ -331,6 +487,8 @@ class CompiledSpanner:
         check = self.specification.check_document
         letters = self._letters
         search = self._kernel.search
+        tokens = self._tokens
+        memo: Dict[str, bool] = {}
         required = self._required
         min_length = self._min_length
         results: List[Set[SpanTuple]] = []
@@ -347,26 +505,32 @@ class CompiledSpanner:
             if data is None or data.translate(None, letters):
                 check(document)
             # Step 0: text too short, or lacking a required literal.
+            text = type(document) is str
             hopeless = False
-            if type(document) is str:
+            if text:
                 hopeless = len(document) < min_length
                 for literal in required:
                     if literal not in document:
                         hopeless = True
                         break
             if hopeless:
-                found, visited = set(), 0
+                found = set()
+                rejected += 1
+            elif text and tokens is not None:
+                found = tokens(document, memo)
+                if not found:
+                    rejected += 1
             else:
                 found, visited, main_line, swept = search(document, data)
                 main_line_total += main_line
                 swept_total += swept
+                if visited:
+                    visited_total += visited
+                else:
+                    rejected += 1
             if latency is not None:
                 seconds.append(clock() - started)
             append(found)
-            if visited:
-                visited_total += visited
-            else:
-                rejected += 1
         if seconds:
             latency.observe_many(seconds)
         count_evaluations(rejected, visited_total, main_line_total,
@@ -377,12 +541,19 @@ class CompiledSpanner:
         """What lowering decided, for ``explain()["kernel"]``: the
         kernel's tier and sweeps, whether the automaton was
         determinised (its state counts before and after) or why it was
-        kept, and the literals step 0 tests first (or why it tests
-        none)."""
+        kept, the literals step 0 tests first (or why it tests none),
+        and the ``path`` a ``str`` chunk past step 0 takes —
+        ``"token"`` with the token path's delimiters ``D`` and letters
+        ``I``, or ``"search"`` with why the token path was refused."""
         report = self._kernel.describe()
         report["determinised"] = self._determinised
         report["required"] = list(self._required)
         report["required_reason"] = self._required_reason
+        tokens = self._tokens
+        report["path"] = "search" if tokens is None else "token"
+        report["token_path"] = (
+            f"refused: {self._token_refusal}" if tokens is None else
+            {"delimiters": tokens.delimiters, "letters": tokens.letters})
         return report
 
     def __repr__(self) -> str:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.automata.containment import (
-    containment_counterexample,
+    UNDECIDED,
+    containment_search,
     nfa_contains,
 )
 from repro.spanners.refwords import VarOp
@@ -40,29 +41,33 @@ def spanner_equivalent(left: VSetAutomaton, right: VSetAutomaton) -> bool:
 
 
 def containment_witness(
-    left: VSetAutomaton, right: VSetAutomaton
-) -> Optional[Tuple[Tuple, "object"]]:
+    left: VSetAutomaton, right: VSetAutomaton, limit: Optional[int] = None
+):
     """A ``(document, tuple)`` pair in ``left`` but not ``right``.
 
-    Returns ``None`` when the containment holds.  The witness document
-    is returned as a tuple of symbols; the tuple as a
+    Returns ``None`` when the containment holds, and
+    :data:`repro.automata.containment.UNDECIDED` when a ``limit`` on
+    the subset pairs explored was passed and reached first.  The
+    witness document is returned as a tuple of symbols; the tuple as a
     :class:`repro.core.spans.SpanTuple`.
     """
-    word = containment_counterexample(left.extended_nfa(),
-                                      right.extended_nfa())
-    if word is None:
-        return None
+    word, _pairs = containment_search(left.extended_nfa(),
+                                      right.extended_nfa(), limit=limit)
+    if word is None or word is UNDECIDED:
+        return word
     return decode_extended_word(word)
 
 
 def equivalence_witness(
-    left: VSetAutomaton, right: VSetAutomaton
-) -> Optional[Tuple[Tuple, "object"]]:
-    """A ``(document, tuple)`` pair on which the spanners differ."""
-    witness = containment_witness(left, right)
+    left: VSetAutomaton, right: VSetAutomaton, limit: Optional[int] = None
+):
+    """A ``(document, tuple)`` pair on which the spanners differ,
+    ``None`` when they are equivalent, or ``UNDECIDED`` when a
+    direction reached ``limit`` subset pairs first."""
+    witness = containment_witness(left, right, limit)
     if witness is not None:
         return witness
-    return containment_witness(right, left)
+    return containment_witness(right, left, limit)
 
 
 def decode_extended_word(word: Sequence) -> Tuple[Tuple, "object"]:

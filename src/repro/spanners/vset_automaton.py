@@ -168,6 +168,18 @@ class VSetAutomaton:
 
         return self._memoised("factor_set", analyse)
 
+    def token_path(self):
+        """``(TokenPath, None)`` when this spanner is proved
+        token-local, else ``(None, why not)``
+        (:func:`repro.runtime.fast.token_path`), proved once per
+        mutation epoch: every chunk runner of the spanner shares it."""
+        def prove():
+            from repro.runtime.fast import token_path
+
+            return token_path(self)
+
+        return self._memoised("token_path", prove)
+
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -523,6 +524,7 @@ def test_explain_says_why_the_tier_is_not_bytes(alphabet, k, tier, reason):
         "finishable_sweep": "skipped: functional",
         "determinised": {"from": k + 4, "to": k + 4},
         "required": [s], "required_reason": None,
+        "path": "search", "token_path": "refused: a capture can be empty",
     }
 
 
@@ -629,14 +631,19 @@ def test_dead_initial_state_expands_nothing():
 def test_runner_rejects_on_a_required_literal_before_any_sweep():
     # The chunk runner tests the plan's required literal with ``in``:
     # a chunk lacking it is counted like one ``alive[0]`` rejects, and
-    # not a byte of it is swept.
-    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    # not a byte of it is swept.  The spanner needs a space on both
+    # sides of its capture, so it is not token-local and a chunk that
+    # passes the literal test reaches the search.
+    spanner = compile_regex_formula(".*( )y{a+}( ).*", frozenset("ab "))
     runner = CompiledSpanner(spanner)
     assert runner.describe() == {
         "tier": "v2-bytes", "fallback_reason": None,
         "finishable_sweep": "skipped: functional",
-        "determinised": {"from": 51, "to": 17},
-        "required": ["a"], "required_reason": None,
+        "determinised": {"from": 17, "to": 10},
+        "required": [" a"], "required_reason": None,
+        "path": "search",
+        "token_path": "refused: not token-local: differs on document "
+                      "'a', tuple SpanTuple({'y': Span(1, 2)})",
     }
     swept = kernel_metrics().counter("kernel.bytes_swept")
     stepped = kernel_metrics().counter("kernel.main_line_bytes")
@@ -843,3 +850,188 @@ def test_vsa_compiled_tracks_nfa_mutation():
     after = vsa.evaluate("ab")
     assert after == evaluate_interpreted(vsa, "ab")
     assert any(t["x"].length == 2 for t in after)
+
+
+# ----------------------------------------------------------------------
+# The token path: token-local spanners proved once, evaluated by ``re``
+# ----------------------------------------------------------------------
+
+TOKEN_LETTERS = "abc"
+TOKEN_DELIMITERS = " .-"
+
+
+@st.composite
+def token_programs(draw):
+    """``(Σ, D, T)``: delimiters ``D``, a formula ``T`` over ``Σ∖D``
+    without ``ε`` (at least one item is neither starred nor optional),
+    and the alphabet ``Σ`` — ``D``, ``a``, ``b`` and maybe more."""
+    delimiters = "".join(sorted(draw(st.sets(
+        st.sampled_from(TOKEN_DELIMITERS), min_size=1))))
+    others = [c for c in TOKEN_LETTERS + TOKEN_DELIMITERS
+              if c not in delimiters]
+    letters = "ab" + "".join(sorted(draw(st.sets(
+        st.sampled_from(others[2:]), max_size=2))))
+    items = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        chosen = draw(st.lists(st.sampled_from(letters), min_size=1,
+                               max_size=2, unique=True))
+        atom = "(%s)" % "|".join("\\" + c for c in chosen)
+        items.append(atom + draw(st.sampled_from(["", "+", "*", "?"])))
+    if all(item[-1] in "*?" for item in items):
+        items[0] = items[0][:-1]
+    return letters + delimiters, delimiters, "".join(items)
+
+
+def _boundary(delimiters: str) -> str:
+    return "(%s)" % "|".join("\\" + c for c in delimiters)
+
+
+def _four_alternatives(delimiters: str, captured: str) -> str:
+    d, y = _boundary(delimiters), "y{%s}" % captured
+    return f".*{d}{y}{d}.*|{y}{d}.*|.*{d}{y}|{y}"
+
+
+def _hand_built(alphabet: str, delimiters: str, captured: str):
+    """``(ε | Σ*D) y{T} (ε | DΣ*)`` as a VSA with ``T`` spliced in from
+    its language NFA: not a formula's Thompson automaton."""
+    inner = compile_regex_formula(captured, frozenset(alphabet)).nfa
+    moves = [("start", Open("y"), ("T", inner.initial))]
+    moves += [(("T", f), Close("y"), "closed") for f in inner.finals]
+    moves += [(("T", s), symbol, ("T", t))
+              for s, symbol, t in inner.transitions()]
+    for letter in alphabet:
+        moves += [("start", letter, "before"), ("before", letter, "before"),
+                  ("after", letter, "after")]
+    for letter in delimiters:
+        moves += [("start", letter, "bound"), ("before", letter, "bound"),
+                  ("closed", letter, "after")]
+    moves.append(("bound", Open("y"), ("T", inner.initial)))
+    nfa = NFA(frozenset(alphabet) | gamma({"y"}), (), "start",
+              ("closed", "after"), moves)
+    return VSetAutomaton(alphabet, {"y"}, nfa)
+
+
+def _token_documents(alphabet: str):
+    # Biased to delimiters so that empty tokens, runs of delimiters and
+    # tokens touching either end are common.
+    return st.lists(st.text(alphabet=alphabet + alphabet[-1] * 3,
+                            max_size=10), min_size=1, max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_token_path_is_admitted_for_token_local_spanners(data):
+    alphabet, delimiters, captured = data.draw(token_programs())
+    documents = data.draw(_token_documents(alphabet))
+    documents += [delimiters * 2, delimiters[0] + "a", "a" + delimiters[0]]
+    sigma = frozenset(alphabet)
+    d = _boundary(delimiters)
+    forms = [
+        compile_regex_formula(_four_alternatives(delimiters, captured),
+                              sigma),
+        compile_regex_formula(f"(.*{d}|)y{{{captured}}}({d}.*|)", sigma),
+        _hand_built(alphabet, delimiters, captured),
+    ]
+    for spanner in forms:
+        runner = CompiledSpanner(spanner)
+        assert runner.describe()["path"] == "token", \
+            runner.describe()["token_path"]
+        assert runner.describe()["token_path"]["delimiters"] == delimiters
+        assert runner.evaluate_batch(documents) == [
+            spanner.evaluate(document) for document in documents]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_token_path_refuses_near_misses(data):
+    alphabet, delimiters, captured = data.draw(token_programs())
+    documents = data.draw(_token_documents(alphabet))
+    sigma = frozenset(alphabet)
+    d, y = _boundary(delimiters), "y{%s}" % captured
+    near_misses = [
+        # A capture that can read a delimiter.
+        _four_alternatives(delimiters, f"{captured}{d}{captured}"),
+        # A missing boundary alternative (the bare token).
+        f".*{d}{y}{d}.*|{y}{d}.*|.*{d}{y}",
+        f".*{y}.*",
+        # A binary capture.
+        f"(.*{d}|)x{{{y}}}({d}.*|)",
+    ]
+    for pattern in near_misses:
+        spanner = compile_regex_formula(pattern, sigma)
+        runner = CompiledSpanner(spanner)
+        assert runner.describe()["path"] == "search", pattern
+        assert runner.describe()["token_path"].startswith("refused: ")
+        assert runner.evaluate_batch(documents) == [
+            spanner.evaluate(document) for document in documents]
+
+
+def test_token_path_says_why_it_was_refused():
+    def refusal(pattern, alphabet="ab "):
+        runner = CompiledSpanner(
+            compile_regex_formula(pattern, frozenset(alphabet)))
+        return runner.describe()["token_path"]
+
+    assert refusal(A_RUNS) == {"delimiters": " ", "letters": "a"}
+    assert refusal(".*y{a+}.*") == \
+        "refused: a capture can read a delimiter: 'a'"
+    assert refusal("(.* |)y{a*}( .*|)") == "refused: a capture can be empty"
+    assert refusal("y{a+}") == \
+        "refused: no delimiter before an open or after a close"
+    assert refusal("(.* |)x{a}y{b}( .*|)") == "refused: not unary"
+    # Both delimiters are needed: ``P`` and ``C`` differ on the bare
+    # token, and the witness says so.
+    assert refusal(".*( )y{a+}( ).*") == (
+        "refused: not token-local: differs on document 'a', "
+        "tuple SpanTuple({'y': Span(1, 2)})")
+
+
+def test_token_path_proof_is_bounded():
+    # T = (a|b)* a (a|b)^12: determinising T must remember its last 13
+    # letters, so the proof's subset pairs double with each letter of
+    # the window.  The proof stops at its pair limit (about 45 ms on a
+    # two-vCPU host) and the runner keeps the search.
+    from repro.runtime.fast import MAX_TOKEN_PROOF_PAIRS
+
+    pattern = "(.* |)y{(a|b)*a" + "(a|b)" * 12 + "}( .*|)"
+    spanner = compile_regex_formula(pattern, frozenset("ab "))
+    started = time.perf_counter()
+    runner = CompiledSpanner(spanner)
+    assert time.perf_counter() - started < 5.0
+    assert runner.describe()["token_path"] == (
+        f"refused: undecided: equivalence proof passed "
+        f"{MAX_TOKEN_PROOF_PAIRS} subset pairs")
+    documents = ["a" + "b" * 12, "b " + "ab" * 7, "ba" * 7 + " b"]
+    assert runner.evaluate_batch(documents) == [
+        spanner.evaluate(document) for document in documents]
+
+
+def test_token_path_counts_rejections_and_sweeps_nothing():
+    # A chunk past step 0 with no token in T counts as rejected; a
+    # matching one counts nothing; neither sweeps or steps a byte.
+    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    runner = CompiledSpanner(spanner)
+    metrics = kernel_metrics()
+    names = ("kernel.chunks_rejected", "kernel.configs_expanded",
+             "kernel.main_line_bytes", "kernel.bytes_swept")
+    before = [metrics.value(name) for name in names]
+    documents = ["bb b", "ab ba", "bb aaa b", "a", " aa  a "]
+    found = runner.evaluate_batch(documents)
+    after = [metrics.value(name) for name in names]
+    assert [a - b for a, b in zip(after, before)] == [2, 0, 0, 0]
+    assert found == [spanner.evaluate(document) for document in documents]
+    assert [len(tuples) for tuples in found] == [0, 0, 1, 1, 2]
+
+
+def test_pickled_runner_keeps_its_token_path():
+    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    runner = CompiledSpanner(spanner)
+    # Proved once per spanner: every runner of it shares the path.
+    assert CompiledSpanner(spanner)._tokens is runner._tokens
+    runner.evaluate("aa a")
+    clone = pickle.loads(pickle.dumps(runner))
+    assert clone.describe() == runner.describe()
+    assert clone.describe()["path"] == "token"
+    documents = words_upto("ab ", 4)
+    assert clone.evaluate_batch(documents) \
+        == runner.evaluate_batch(documents)

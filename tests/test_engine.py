@@ -32,7 +32,7 @@ from repro.runtime import (
     evaluate_whole,
 )
 from repro.errors import DeadlineExceededError
-from repro.obs import Tracer
+from repro.obs import Tracer, kernel_metrics
 from repro.runtime.fast import CompiledSpanner, RegexSpanner
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import sentence_splitter, token_splitter
@@ -395,6 +395,7 @@ class TestEngineCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "plan: split by 'tokens'" in out
+        assert "kernel: token path (delimiters ' .', letters 'a')" in out
         assert "certifications: 1" in out
         assert "chunk_cache_hits" in out
 
@@ -912,27 +913,47 @@ class BareRunner:
 
 
 class TestPooledDocuments:
-    def test_kernel_counters_count_the_workers_evaluations(self):
-        # No chunk text repeats, so each is evaluated exactly once in
-        # process and once by some worker: the counters must agree.
+    @staticmethod
+    def kernel_deltas(spanner):
+        """The kernel counters' deltas over one cold run, which must be
+        the same in process and on two workers: no chunk text repeats,
+        so each is evaluated exactly once either way."""
+        from repro.runtime.executor import KERNEL_COUNTERS
+
         texts = [f"{'a' * (i + 1)} b{'a' * i} {'b' * (i + 2)}."
                  for i in range(32)]
-        spanner = a_run_extractor()
+        value = kernel_metrics().value
         deltas = {}
         for workers in (0, 2):
             with ExtractionEngine(registry(), workers=workers,
                                   batch_size=4) as engine:
                 engine.run(texts[:1], spanner)     # fork, certify
                 engine.chunk_cache.clear()
-                before = engine.stats().extra
+                before = [value(name) for name in KERNEL_COUNTERS]
                 result = engine.run(texts, spanner)
-                after = engine.stats().extra
+                deltas[workers] = {
+                    name: value(name) - was
+                    for name, was in zip(KERNEL_COUNTERS, before)}
             assert result.stats.chunks_evaluated == 3 * len(texts)
-            deltas[workers] = {name: after[name] - before[name]
-                               for name in after}
         assert deltas[2] == deltas[0]
-        assert deltas[0]["kernel.chunks_rejected"] > 0
-        assert deltas[0]["kernel.configs_expanded"] > 0
+        return deltas[0]
+
+    def test_kernel_counters_count_the_workers_evaluations(self):
+        # Overlapping captures: the runner refuses the token path, so
+        # every chunk past the literal test reaches the search.
+        deltas = self.kernel_deltas(compile_regex_formula(".*y{a+}.*", TXT))
+        assert deltas["kernel.chunks_rejected"] > 0
+        assert deltas["kernel.configs_expanded"] > 0
+        assert deltas["kernel.bytes_swept"] > 0
+
+    def test_token_path_counters_are_the_same_on_workers(self):
+        # The a-run extractor is token-local: workers keep the token
+        # path they inherit, so they search nothing either.
+        deltas = self.kernel_deltas(a_run_extractor())
+        assert deltas["kernel.chunks_rejected"] > 0
+        assert deltas["kernel.configs_expanded"] == 0
+        assert deltas["kernel.main_line_bytes"] == 0
+        assert deltas["kernel.bytes_swept"] == 0
 
     def test_run_delta_on_a_pooled_indexed_engine(self):
         # An attached index makes the parent split and prefilter: the
