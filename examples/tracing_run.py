@@ -53,10 +53,12 @@ def main() -> None:
         print(f"  {phase:<20} {seconds * 1e3:8.2f} ms")
     print(f"  ({trace_report['spans']} spans total)")
 
-    # How the chunks ran: this a-run pattern is token-local, so its
-    # chunks past the literal test take the token path (one ``re`` scan,
-    # each token tested against the capture's language).  A spanner the
-    # token path refuses runs the search, on the "v2-bytes" tier (flat
+    # How the chunks ran: this a-run pattern is token-local, so each
+    # batch of chunks takes the token path (one ``re`` scan over the
+    # join of its texts, each distinct token tested against the
+    # capture's language once).  A spanner the token path refuses runs
+    # the search chunk by chunk, after the literal test, on the
+    # "v2-bytes" tier (flat
     # byte tables: latin-1 alphabet, small subset automaton) or on
     # "v1-int" (bitset fallback) for wide alphabets / huge automata.
     print(f"  kernel path: {explained['kernel']['path']}, "

@@ -76,11 +76,12 @@ search routine):
    the few where a run forks.
 
 The chunk runner (:class:`repro.runtime.fast.CompiledSpanner`) takes
-its steps in this order: the alphabet guard; step 0, which rejects a
-chunk that lacks a required literal of the plan with one C-level
-``in``; the token path, which answers a ``str`` chunk of a spanner
-that lowering proved token-local with :mod:`re` and never calls the
-search; and the search above, for everything else.
+one of two paths per batch.  A batch of ``str`` chunks of a spanner
+that lowering proved token-local gets one alphabet guard and one
+:mod:`re` scan over the join of its texts (the token path), and never
+calls the search.  Any other batch runs chunk by chunk: the alphabet
+guard; step 0, which rejects a chunk that lacks a required literal of
+the plan with one C-level ``in``; and the search above.
 
 **Why the pruning is sound for every automaton.**  ``alive`` forgets
 variable validity: a run may open a variable twice or never close it.

@@ -16,7 +16,8 @@ splitters here never touch a character from Python: each is a
 precompiled :mod:`re` pattern driven by ``finditer`` (or plain
 arithmetic) yielding chunk offsets, from which spans and texts are
 taken together.  :mod:`repro.splitters.builders` pairs every registry
-name with its scanner.
+name with its scanner.  So does the chunk runner of a token-local
+spanner (:class:`TokenPath`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import copy
 import re
 import sys
 import time
+from bisect import bisect_right
+from itertools import accumulate
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Set, Tuple)
+                    Sequence, Set, Tuple)
 
 from repro.automata.compiled import (CompiledNFA, count_evaluations,
                                      latin1, letter_byte)
@@ -44,6 +47,11 @@ from repro.spanners.vset_automaton import VSetAutomaton
 #: limit it takes about 45 ms on a two-vCPU host; the ledger programs'
 #: proofs need 15-17 pairs).
 MAX_TOKEN_PROOF_PAIRS = 2000
+
+#: The most characters one join of :meth:`TokenPath.scan` holds; a
+#: text at or above it is scanned alone, so a whole-document plan over
+#: large documents never copies its batch.
+MAX_SCAN_CHARS = 1 << 16
 
 
 class FastSplitter:
@@ -258,42 +266,84 @@ class TokenPath:
 
     Such a spanner is ``C = (ε | Σ*D) · y{T} · (ε | DΣ*)`` with
     ``T ⊆ (Σ∖D)+``: its tuples are exactly the maximal ``D``-free runs
-    (tokens) whose text is in ``T``.  One ``finditer`` finds the tokens
-    made only of ``T``'s letters ``I``, each distinct token text of a
+    (tokens) whose text is in ``T``.  :meth:`scan` answers a whole batch
+    of texts with one ``finditer`` over their join, which finds the
+    tokens made only of ``T``'s letters ``I`` that begin with a letter
+    a word of ``T`` can begin with; each distinct token text of the
     batch is tested against ``T``'s compiled automaton once, and the
-    tuples are built in their stored form.  Only
-    :func:`token_path` builds one, after proving the spanner equal to
-    ``C``.
+    tuples are built in their stored form.  Only :func:`token_path`
+    builds one, after proving the spanner equal to ``C``.
     """
 
     def __init__(self, variables: Tuple, delimiters: str, letters: str,
-                 captured: CompiledNFA) -> None:
+                 initials: str, captured: CompiledNFA, alphabet: bytes,
+                 check: Callable[[str], None]) -> None:
         self.variables = variables
         self.delimiters = delimiters
         self.letters = letters
         self.captured = captured
-        boundary = "".join(map(re.escape, delimiters))
-        self._finditer = re.compile("(?<![^%s])[%s]+(?![^%s])" % (
-            boundary, "".join(map(re.escape, letters)), boundary)).finditer
+        #: The alphabet guard: the alphabet's single-byte letters, and
+        #: the specification's ``check_document`` for what they miss.
+        self._alphabet = alphabet
+        self._check = check
+        boundary, run, initial = ("".join(map(re.escape, chars)) for chars
+                                  in (delimiters, letters, initials))
+        # A letter a word of T can begin with, not preceded by a
+        # non-delimiter, then the rest of the run of I up to a delimiter
+        # or the end: the class prefix (a literal one for one letter)
+        # lets sre skip ahead, and the lookbehind has a fixed width.
+        self._finditer = re.compile("[%s](?<![^%s][%s])[%s]*(?![^%s])" % (
+            initial, boundary, initial, run, boundary)).finditer
 
-    def __call__(self, document: str,
-                 memo: Dict[str, bool]) -> Set[SpanTuple]:
-        """The spanner's tuples on a ``str`` over its alphabet.
-        ``memo`` maps the token texts already tested to their
-        membership in ``T``; the caller keeps one per batch, so it
-        holds no text longer than the batch does."""
-        found: Set[SpanTuple] = set()
+    def scan(self, texts: Sequence[str]) -> List[Set[SpanTuple]]:
+        """The spanner's tuples on each of ``texts``, in order.
+
+        The texts are joined with the first delimiter, which reads
+        exactly like a text's edge, into joins of fewer than
+        :data:`MAX_SCAN_CHARS` characters (a longer text alone,
+        uncopied).  When a join holds a byte outside the alphabet,
+        ``check_document`` runs on its texts in order."""
+        results: List[Set[SpanTuple]] = [set() for _ in texts]
+        # ``starts[i]``: where text ``i`` would begin in the join of
+        # them all; ``starts[-1]`` is one past the last separator.
+        starts = [0, *accumulate(len(text) + 1 for text in texts)]
+        memo: Dict[str, bool] = {}
         accepts = self.captured.accepts
-        for match in self._finditer(document):
-            text = match.group()
-            member = memo.get(text)
-            if member is None:
-                member = memo[text] = accepts(text)
-            if member:
-                start, end = match.span()
-                found.add(flat_span_tuple(self.variables,
-                                          (start + 1, end + 1)))
-        return found
+        variables = self.variables
+        join = self.delimiters[0].join
+        first = 0
+        while first < len(texts):
+            base = starts[first]
+            last = max(first + 1, bisect_right(
+                starts, base + MAX_SCAN_CHARS, first + 1) - 1)
+            joined = join(texts[first:last])
+            data = latin1(joined)
+            if data is None or data.translate(None, self._alphabet):
+                for text in texts[first:last]:
+                    self._check(text)
+            index, offset, limit = first, 0, starts[first + 1] - base
+            for match in self._finditer(joined):
+                token = match.group()
+                member = memo.get(token)
+                if member is None:
+                    member = memo[token] = accepts(token)
+                if member:
+                    start = match.start()
+                    while start >= limit:
+                        index += 1
+                        offset, limit = limit, starts[index + 1] - base
+                    start -= offset - 1
+                    results[index].add(flat_span_tuple(
+                        variables, (start, start + len(token))))
+            first = last
+        return results
+
+
+def alphabet_bytes(alphabet: Iterable) -> bytes:
+    """The alphabet's single-byte letters, as ``bytes.translate``
+    deletes them."""
+    return bytes(sorted(byte for byte in map(letter_byte, alphabet)
+                        if byte is not None))
 
 
 def token_path(specification: VSetAutomaton):
@@ -341,6 +391,8 @@ def token_path(specification: VSetAutomaton):
     captured = NFA(alphabet, (), entry, closes, captured_moves).trim()
     letters = {symbol for _, symbol, _ in captured.transitions()
                if symbol is not EPSILON}
+    initials = {symbol for state in captured.epsilon_closure((entry,))
+                for symbol in captured.symbols_from(state)} - {EPSILON}
     if captured.accepts(()):
         return None, "a capture can be empty"
     if not letters:
@@ -361,7 +413,9 @@ def token_path(specification: VSetAutomaton):
         return None, (f"not token-local: differs on document "
                       f"{''.join(document)!r}, tuple {differing}")
     path = TokenPath((variable,), "".join(sorted(delimiters)),
-                     "".join(sorted(letters)), captured.compiled())
+                     "".join(sorted(letters)), "".join(sorted(initials)),
+                     captured.compiled(),
+                     alphabet_bytes(alphabet), specification.check_document)
     return path, None
 
 
@@ -394,25 +448,24 @@ class CompiledSpanner:
     evaluation — in-process or on a pool worker that received this
     object by pickling — runs against the same artifact.
 
-    A chunk takes these steps in order: the alphabet guard, step 0,
-    the token path, the search.
+    Lowering decides the **token path** (:func:`token_path`): a unary
+    spanner proved equal to ``(ε | Σ*D) · y{T} · (ε | DΣ*)`` answers a
+    batch of ``str`` chunks with one alphabet guard, one ``re`` scan
+    over their join and a membership test per distinct token text
+    (:meth:`TokenPath.scan`), never calling the search; a refused
+    spanner says why in ``describe()["token_path"]``.  Any other batch
+    runs chunk by chunk: the alphabet guard, step 0, the search.
 
-    Lowering fixes **step 0**: the conditions of the
-    specification's :class:`repro.index.factors.FactorSet` that need no
-    Python loop — empty matching language, ``min_length``, every
-    ``required`` literal tested with ``in`` — answer a chunk before
-    the kernel sweeps a byte.  They are necessary conditions on
-    documents over the alphabet, so they run after
+    Lowering also fixes **step 0**, for the search: the conditions of the specification's
+    :class:`repro.index.factors.FactorSet` that need no Python loop —
+    empty matching language, ``min_length``, every ``required``
+    literal tested with ``in`` — answer a chunk before the kernel
+    sweeps a byte.  They are necessary conditions on documents over
+    the alphabet, so they run after
     :meth:`~repro.spanners.vset_automaton.VSetAutomaton.check_document`
     (a chunk with a foreign symbol keeps its ``ValueError``) and only
-    on ``str`` documents.
-
-    Lowering also decides the **token path** (:func:`token_path`): a
-    unary spanner proved equal to ``(ε | Σ*D) · y{T} · (ε | DΣ*)``
-    answers every ``str`` chunk past step 0 with one ``re`` scan and a
-    membership test per distinct token text of the batch (:class:`TokenPath`), never
-    calling the search; a refused spanner says why in
-    ``describe()["token_path"]``.  ``VSetAutomaton.evaluate`` — what
+    on ``str`` documents.  The scan's answer implies theirs, so the
+    token path skips them.  ``VSetAutomaton.evaluate`` — what
     ``evaluate_whole`` runs, the oracle of every differential — takes
     neither step.
 
@@ -443,12 +496,7 @@ class CompiledSpanner:
             if determinised is None else
             {"from": specification.state_count(),
              "to": determinised.state_count()})
-        #: The alphabet's single-byte letters, as ``bytes.translate``
-        #: deletes them.
-        self._letters = bytes(sorted(
-            byte for byte in map(letter_byte, specification.doc_alphabet)
-            if byte is not None
-        ))
+        self._letters = alphabet_bytes(specification.doc_alphabet)
         factors = specification.factor_set()
         #: Step 0: a ``str`` chunk shorter than ``_min_length`` or
         #: lacking one of ``_required`` has no tuple.
@@ -464,8 +512,8 @@ class CompiledSpanner:
             self._min_length = factors.min_length
             self._required_reason = (None if factors.required
                                      else "no required literal")
-        #: The token path (:func:`token_path`) for ``str`` chunks past
-        #: step 0, or ``None`` and why it was refused.
+        #: The token path (:func:`token_path`) for batches of ``str``
+        #: chunks, or ``None`` and why it was refused.
         self._tokens, self._token_refusal = specification.token_path()
 
     def svars(self):
@@ -481,20 +529,28 @@ class CompiledSpanner:
         missing-chunk batches into; ``latency`` is an optional
         histogram that receives every document's seconds in one
         ``observe_many`` (the engine's ``engine.chunk_eval_seconds``)
-        without a second dispatch layer.  The kernel counters are
-        bumped once for the batch.
+        without a second dispatch layer — on the token path, the
+        scan's mean share each.  The kernel counters are bumped once
+        for the batch.
         """
+        clock = time.perf_counter
+        tokens = self._tokens
+        if tokens is not None and {*map(type, documents)} == {str}:
+            started = clock()
+            results = tokens.scan(documents)
+            if latency is not None:
+                share = (clock() - started) / len(results)
+                latency.observe_many([share] * len(results))
+            count_evaluations(results.count(set()), 0, 0, 0)
+            return results
         check = self.specification.check_document
         letters = self._letters
         search = self._kernel.search
-        tokens = self._tokens
-        memo: Dict[str, bool] = {}
         required = self._required
         min_length = self._min_length
-        results: List[Set[SpanTuple]] = []
+        results = []
         append = results.append
         rejected = visited_total = main_line_total = swept_total = 0
-        clock = time.perf_counter
         seconds: List[float] = []
         for document in documents:
             if latency is not None:
@@ -505,9 +561,8 @@ class CompiledSpanner:
             if data is None or data.translate(None, letters):
                 check(document)
             # Step 0: text too short, or lacking a required literal.
-            text = type(document) is str
             hopeless = False
-            if text:
+            if type(document) is str:
                 hopeless = len(document) < min_length
                 for literal in required:
                     if literal not in document:
@@ -516,10 +571,6 @@ class CompiledSpanner:
             if hopeless:
                 found = set()
                 rejected += 1
-            elif text and tokens is not None:
-                found = tokens(document, memo)
-                if not found:
-                    rejected += 1
             else:
                 found, visited, main_line, swept = search(document, data)
                 main_line_total += main_line

@@ -21,7 +21,7 @@ from repro.core.split_correctness import (
 )
 from repro.core.splittability import canonical_split_spanner, is_splittable
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime.fast import FastSplitter
+from repro.runtime.fast import CompiledSpanner, FastSplitter
 from repro.spanners.vset_automaton import VSetAutomaton
 from repro.splitters.disjointness import is_disjoint
 
@@ -150,16 +150,19 @@ class CertifiedPlan:
         """
         plan = self.plan
         runner = plan.compiled_runner
-        kernel = runner
-        if kernel is None and self.specification is not None:
+        specification = self.specification
+        if runner is not None:
+            kernel_report = runner.describe()
+        elif (specification is not None
+              and specification.lowered() is not None):
             # Self-splittable and whole-document plans run the program
-            # itself on chunks; report its artifact's tier when it has
-            # already been lowered (never force a lowering here).  What
-            # its runner tests first is the runner's to say:
-            # :meth:`repro.query.ResultSet.explain` asks it.
-            kernel = self.specification.lowered()
-        kernel_report = (kernel.describe() if kernel is not None
-                         else {"tier": None, "fallback_reason": None})
+            # itself on chunks.  Once its runner is built, every input
+            # of one is memoised on the specification: rebuilding it
+            # to report what it decided lowers and proves nothing.
+            kernel_report = CompiledSpanner(specification).describe()
+        else:
+            kernel_report = {"tier": None, "fallback_reason": None,
+                             "path": "not lowered yet"}
         return {
             "mode": plan.mode,
             "splitter": self.splitter_name,

@@ -136,13 +136,14 @@ class VSetAutomaton:
 
     def lowered(self):
         """The artifact a chunk runner of this spanner runs — the
-        :meth:`determinized` form's when this mutation epoch built one,
-        else this automaton's own — if it is already lowered, else
-        ``None``; never builds anything (reports use it)."""
+        :meth:`determinized` form's, or this automaton's own when that
+        passed its cap — once a runner has lowered it in this mutation
+        epoch, else ``None``; never builds anything (reports use it)."""
         version, determinised = self._derived.get("determinized",
                                                   (None, None))
-        target = (determinised if determinised is not None
-                  and version == self.nfa._version else self)
+        if version != self.nfa._version:
+            return None
+        target = self if determinised is None else determinised
         version, artifact = target._derived.get("compiled", (None, None))
         return artifact if version == target.nfa._version else None
 

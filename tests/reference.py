@@ -37,11 +37,15 @@ trimmed) and :func:`reference_extended_nfa` over
 :func:`reference_result_payload`, the dicts ``POST /extract`` ran
 ``json.dumps`` over before it wrote its body from the tuples' columns
 (:func:`repro.serve.http._result_body`), kept as that writer's oracle.
+And :func:`reference_token_runs`, the lookaround pattern the token
+path scanned each chunk with before it scanned a batch's join with a
+character-class prefix (:class:`repro.runtime.fast.TokenPath`).
 """
 
 from __future__ import annotations
 
 import copy
+import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -331,6 +335,17 @@ def reference_candidates(texts: Iterable[str],
 # ----------------------------------------------------------------------
 # The splitter executors, one character at a time
 # ----------------------------------------------------------------------
+
+def reference_token_runs(text: str, delimiters: str,
+                         letters: str) -> List[Tuple[int, int]]:
+    """The 0-based ``[start, end)`` of each maximal run of ``letters``
+    with a delimiter or an edge of ``text`` on either side, found by
+    ``(?<![^D])[I]+(?![^D])``."""
+    boundary = "".join(map(re.escape, delimiters))
+    pattern = "(?<![^%s])[%s]+(?![^%s])" % (
+        boundary, "".join(map(re.escape, letters)), boundary)
+    return [match.span() for match in re.finditer(pattern, text)]
+
 
 def reference_separator_spans(document: str,
                               separators: Iterable[str]) -> List[Span]:

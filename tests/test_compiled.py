@@ -43,6 +43,7 @@ from tests.reference import (
     evaluate_interpreted,
     lowered_with_finishable,
     reference_search,
+    reference_token_runs,
     suffix_acceptance,
 )
 
@@ -857,7 +858,10 @@ def test_vsa_compiled_tracks_nfa_mutation():
 # ----------------------------------------------------------------------
 
 TOKEN_LETTERS = "abc"
-TOKEN_DELIMITERS = " .-"
+#: ``]``, ``^``, a backslash and ``-`` mean something inside a
+#: character class, and the token path's pattern puts ``D`` and ``I``
+#: in three.
+TOKEN_DELIMITERS = " .-]^\\"
 
 
 @st.composite
@@ -870,7 +874,7 @@ def token_programs(draw):
     others = [c for c in TOKEN_LETTERS + TOKEN_DELIMITERS
               if c not in delimiters]
     letters = "ab" + "".join(sorted(draw(st.sets(
-        st.sampled_from(others[2:]), max_size=2))))
+        st.sampled_from(others[2:]), max_size=3))))
     items = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         chosen = draw(st.lists(st.sampled_from(letters), min_size=1,
@@ -1035,3 +1039,109 @@ def test_pickled_runner_keeps_its_token_path():
     documents = words_upto("ab ", 4)
     assert clone.evaluate_batch(documents) \
         == runner.evaluate_batch(documents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_token_scan_pattern_finds_the_lookaround_runs(data):
+    # The scan's pattern opens with a character class of the letters a
+    # word of T can begin with, so sre skips to the next one; the
+    # lookaround pattern it replaced is the oracle.  When T can begin
+    # with every letter of I the two find the same runs, else the runs
+    # that begin with one of T's first letters.
+    alphabet, delimiters, _captured = data.draw(token_programs())
+    letters = "".join(sorted(set(alphabet) - set(delimiters)))
+    any_letter = "(%s)" % "|".join("\\" + c for c in letters)
+    d = _boundary(delimiters)
+    text = data.draw(st.text(alphabet=alphabet + "x", max_size=30))
+    runs = reference_token_runs(text, delimiters, letters)
+    for captured, first in ((any_letter + "+", letters),
+                            ("a" + any_letter + "*", "a")):
+        spanner = compile_regex_formula(f"(.*{d}|)y{{{captured}}}({d}.*|)",
+                                        frozenset(alphabet))
+        tokens = CompiledSpanner(spanner)._tokens
+        assert tokens.letters == letters
+        assert [match.span() for match in tokens._finditer(text)] == [
+            (start, end) for start, end in runs if text[start] in first]
+
+
+#: A token-local program over an alphabet with letters and a delimiter
+#: above U+00FF: its chunks take the token path but not the byte guard.
+UNICODE_TOKENS = ("abā —", " —", "(a|ā)(a|b|ā)*")
+
+
+@st.composite
+def token_batches(draw):
+    """``(program, texts, foreign)``: a batch of texts over the
+    program's alphabet — empty and delimiter-only texts, texts that
+    begin or end with a letter of ``I``, in any order — and, maybe,
+    the position of one text holding a symbol outside the alphabet."""
+    alphabet, delimiters, captured = draw(
+        st.one_of(token_programs(), st.just(UNICODE_TOKENS)))
+    letters = [c for c in alphabet if c not in delimiters]
+    text = st.text(alphabet=alphabet + delimiters * 2, max_size=12)
+    texts = draw(st.lists(text, max_size=8))
+    texts += ["", delimiters, draw(st.sampled_from(letters)) + draw(text),
+              draw(text) + draw(st.sampled_from(letters))]
+    texts = draw(st.permutations(texts))
+    foreign = draw(st.none() | st.integers(0, len(texts) - 1))
+    if foreign is not None:
+        texts[foreign] += "x" + draw(text)
+    return (alphabet, delimiters, captured), texts, foreign
+
+
+def _kernel_counters():
+    value = kernel_metrics().value
+    return [value(name) for name in (
+        "kernel.chunks_rejected", "kernel.configs_expanded",
+        "kernel.main_line_bytes", "kernel.bytes_swept")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(token_batches(), st.integers(1, 40))
+def test_token_scan_answers_every_batch_shape(batch, cap):
+    # The scan joins a batch's texts (fewer than ``cap`` characters a
+    # join, a longer text alone) and must answer each text as the
+    # oracle does, count a rejection per empty answer and a latency
+    # sample per text — or raise the oracle's error for the first
+    # foreign text and move no counter.
+    from unittest import mock
+
+    from repro.obs.metrics import Histogram
+    from repro.runtime import fast
+
+    (alphabet, delimiters, captured), texts, foreign = batch
+    d = _boundary(delimiters)
+    spanner = compile_regex_formula(f"(.*{d}|)y{{{captured}}}({d}.*|)",
+                                    frozenset(alphabet))
+    runner = CompiledSpanner(spanner)
+    assert runner.describe()["path"] == "token"
+    latency = Histogram("chunk_seconds", {})
+    before = _kernel_counters()
+    with mock.patch.object(fast, "MAX_SCAN_CHARS", cap):
+        if foreign is not None:
+            with pytest.raises(ValueError) as expected:
+                spanner.check_document(texts[foreign])
+            with pytest.raises(ValueError) as raised:
+                runner.evaluate_batch(texts, latency)
+            assert str(raised.value) == str(expected.value)
+            assert _kernel_counters() == before
+            assert latency.count == 0
+            return
+        found = runner.evaluate_batch(texts, latency)
+    rejected = sum(not tuples for tuples in found)
+    assert _kernel_counters() == [before[0] + rejected, *before[1:]]
+    assert latency.count == len(texts)
+    assert found == [spanner.evaluate(text) for text in texts]
+
+
+def test_token_scan_leaves_a_text_over_the_cap_alone():
+    from repro.runtime.fast import MAX_SCAN_CHARS
+
+    spanner = compile_regex_formula(A_RUNS, frozenset("ab "))
+    runner = CompiledSpanner(spanner)
+    long = ("aa b " * (MAX_SCAN_CHARS // 5 + 1)).strip()
+    texts = ["a", long, "b a", long[:MAX_SCAN_CHARS - 1], "a", ""]
+    assert len(long) > MAX_SCAN_CHARS
+    assert runner.evaluate_batch(texts) == [
+        spanner.evaluate(text) for text in texts]

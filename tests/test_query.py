@@ -534,6 +534,23 @@ class TestResultSet:
         assert explain["certifications"] == 1
         assert explain["documents"] == len(CORPUS)
 
+    def test_plan_and_results_report_the_same_kernel(self):
+        # A self-splittable plan runs the program's own runner.  Until
+        # the engine lowers it, the certificate says so; afterwards the
+        # certificate reports that runner, exactly as the results do.
+        pattern = (".*(\\.| )y{a+}(\\.| ).*|y{a+}(\\.| ).*"
+                   "|.*(\\.| )y{a+}|y{a+}")
+        query = Q(Spanner.regex(pattern, "abcdefgh .")).split_by("tokens")
+        engine, program = query.engine(), query.program()
+        assert engine.certify(program).explain()["kernel"] == {
+            "tier": None, "fallback_reason": None,
+            "path": "not lowered yet"}
+        engine.runner_for(engine.certify(program), program)
+        planned = engine.certify(program).explain()["kernel"]
+        assert planned == query.over(["ab a. ba aa"]).explain()["kernel"]
+        assert planned["path"] == "token"
+        assert planned["token_path"] == {"delimiters": " .", "letters": "a"}
+
     def test_empty_corpus(self):
         results = self._query().over([])
         assert dict(results.stream()) == {}
