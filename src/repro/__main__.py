@@ -126,6 +126,8 @@ def _print_kernel(explain: dict) -> None:
     else:   # an executable that is not a lowered automaton
         line = kernel["required_reason"]
     print(f"      kernel: {line}")
+    if explain.get("pool_split"):
+        print(f"      pool split: {explain['pool_split']}")
 
 
 def _print_prefilter(explain: dict) -> None:

@@ -226,10 +226,6 @@ class ExtractionEngine:
     :class:`repro.obs.metrics.Metrics` registry the engine's counters
     live in; :meth:`stats` is a view over it, and passing a shared
     registry aggregates several engines into one exposition.
-
-    With ``workers > 1`` compiled artifacts reach pool workers as the
-    pool initializer's argument
-    (see :class:`repro.runtime.executor.WorkerPool`).
     """
 
     def __init__(
@@ -370,6 +366,29 @@ class ExtractionEngine:
             return [(whole_span(document.text), document.text)]
         return splitter_chunks(plan.splitter.runtime_splitter(),
                                document.text)
+
+    @staticmethod
+    def _worker_splitter(certified: CertifiedPlan, runner: SpannerLike):
+        """What pool workers split a shipped text with (``None``: it is
+        one chunk): none for ``whole`` plans, nor for a program run as
+        itself on the token path, whose proof makes one scan ``P(d)``.
+        Theorem 5.15 split-spanners (``P_S``) and black boxes split."""
+        if certified.mode == "whole" or certified.splitter_name is None or (
+                certified.chunk_runner() is None
+                and getattr(runner, "on_token_path", False)):
+            return None
+        return certified.plan.splitter.runtime_splitter()
+
+    def pool_route(self, certified: CertifiedPlan, runner) -> Optional[str]:
+        """``explain()["pool_split"]``: what cuts a pooled run's documents
+        (``None`` in process; under a prefilter, this process cuts)."""
+        if self.scheduler.workers <= 1:
+            return None
+        if self._prefilter_for(certified) is not None or \
+                self._worker_splitter(certified, runner) is not None:
+            return certified.splitter_name
+        token = getattr(runner, "on_token_path", False)
+        return "whole documents" + (" (token path)" if token else "")
 
     # ------------------------------------------------------------------
     # Index prefiltering
@@ -568,10 +587,9 @@ class ExtractionEngine:
         # determines — namespace the chunk cache by certificate (it
         # covers program and registry), not by program alone.
         chunk_namespace = certified.fingerprint or program.fingerprint()
-        plan = certified.plan
-        splitter = (None if plan.mode == "whole" or plan.splitter is None
-                    else plan.splitter.runtime_splitter())
-        documents = None if splitter is None else chunk_namespace
+        documents = (None if certified.mode == "whole"
+                     or certified.splitter_name is None else chunk_namespace)
+        splitter = self._worker_splitter(certified, runner)
         cache = self.chunk_cache
         tracer = self.tracer
         scheduler = self.scheduler

@@ -103,10 +103,10 @@ class Scheduler:
     dedup granularity; the pool sizes its own tasks.
 
     A pass is :meth:`submit` then :meth:`collect` (:meth:`run` does
-    both); between the two the workers sweep what they were sent and
-    the caller is free.
-    Nothing about a submitted batch is kept here — it lives in the
-    :class:`PendingBatch` the caller holds.
+    both); between the two the workers split what they were sent (with
+    the splitter given, or not at all) and sweep it, and the caller is
+    free.  Nothing about a submitted batch is kept here — it lives in
+    the :class:`PendingBatch` the caller holds.
 
     ``tracer``/``metrics`` are the engine's observability handles: the
     scheduler brackets the second half in ``evaluate``/``merge`` spans
@@ -272,11 +272,16 @@ class Scheduler:
             resolved: Dict[str, Set[SpanTuple]] = {}
             tuples_merged = 0
             for doc_id, chunks in pending.documents:
-                merged: Set[SpanTuple] = resolved.setdefault(doc_id, set())
-                for span_, text in chunks:
-                    results = seen[text]
-                    if results:
-                        merged.update(t.shift(span_) for t in results)
+                if len(chunks) == 1 and chunks[0][0].begin == 1:
+                    # One chunk at offset 0: its relation, as is.
+                    merged = resolved[doc_id] = seen[chunks[0][1]]
+                else:
+                    merged = resolved[doc_id] = set()
+                    for span_, text in chunks:
+                        results = seen[text]
+                        if results:
+                            merged.update(results if span_.begin == 1 else
+                                          (t.shift(span_) for t in results))
                 tuples_merged += len(merged)
             span.set("tuples", tuples_merged)
 

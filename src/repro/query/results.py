@@ -203,18 +203,18 @@ class ResultSet:
         The certificate half (mode, splitter, theorem, procedure,
         compiled artifact, certification cost) comes from
         :meth:`repro.runtime.planner.CertifiedPlan.explain`; the
-        execution half records what this result set is running over
-        and the engine counters accumulated so far.
+        execution half records what this result set is running over,
+        what pool workers cut its documents with (``pool_split``) and
+        the engine counters accumulated so far.
         """
         report = self._certified.explain()
+        # Via the engine: ``artifacts_compiled`` counts a first lowering.
+        runner = self._engine.runner_for(self._certified, self._program)
+        report["pool_split"] = self._engine.pool_route(self._certified,
+                                                       runner)
         if report.get("compiled_artifact") is None:
             # Self-splittable (and whole-document) plans run the
-            # program's own runner; report that artifact instead —
-            # resolved through the engine so its lowering accounting
-            # (``artifacts_compiled``) sees the first lowering even
-            # when explain() runs before any document streams.
-            runner = self._engine.runner_for(self._certified,
-                                             self._program)
+            # program's own runner; report that artifact instead.
             report["compiled_artifact"] = \
                 f"{type(runner).__name__}-{id(runner):x}"
             # ... and what that runner decided at lowering; an

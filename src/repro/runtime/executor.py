@@ -197,7 +197,8 @@ def _evaluate_task(blob: bytes, items: Sequence[DocumentItem]) -> TaskResult:
     :meth:`repro.engine.Scheduler.run` over this worker's chunk cache.
     ``blob`` pickles ``(token, namespace, limit, splitter)``: a new
     token (the parent cache's generation) empties that cache first; a
-    ``None`` splitter makes a text one chunk."""
+    ``None`` splitter (``whole`` plans, a program on the token path)
+    makes a text one chunk, so a cache entry is then a document."""
     from repro.engine import ChunkCache, Scheduler
 
     started, clock_started = time.time(), time.perf_counter()

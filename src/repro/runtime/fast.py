@@ -519,6 +519,11 @@ class CompiledSpanner:
     def svars(self):
         return self.specification.svars()
 
+    @property
+    def on_token_path(self) -> bool:
+        """Whether a batch of ``str`` texts takes the token path."""
+        return self._tokens is not None
+
     def evaluate(self, document: str) -> Set[SpanTuple]:
         return self.evaluate_batch((document,))[0]
 

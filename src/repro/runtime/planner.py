@@ -186,6 +186,15 @@ class CertifiedPlan:
             "artifacts_compiled": self.artifacts_compiled,
         }
 
+    def kernel_tier(self) -> Optional[str]:
+        """``explain()["kernel_tier"]``, built once a kernel is lowered."""
+        spec = self.specification
+        if "_tier" not in self.__dict__ and (
+                self.plan.compiled_runner is not None
+                or (spec is not None and spec.lowered() is not None)):
+            self.__dict__["_tier"] = self.explain()["kernel_tier"]
+        return self.__dict__.get("_tier")
+
     def factor_source(self) -> Optional[VSetAutomaton]:
         """The automaton whose matching language bounds chunk results.
 

@@ -615,7 +615,7 @@ class ExtractionService:
         if certified is not None:
             plan_explain = certified.explain
             prefilter_report = self._engine.prefilter_report
-            kernel_tier = plan_explain().get("kernel_tier")
+            kernel_tier = certified.kernel_tier()
 
             def explain() -> Dict[str, object]:
                 return {"plan": plan_explain(),

@@ -7,7 +7,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from repro import Q, Spanner
 from repro.core.spans import Span
@@ -859,10 +859,14 @@ class TestDocumentCache:
         # work: clear() drops the document entries with the chunks' —
         # in process, and in every pool worker.  Every document holds
         # every shared text, so a worker whose cache outlived a clear
-        # would evaluate fewer texts than there are.
+        # would evaluate fewer texts than there are.  Pooled, the
+        # token path evaluates each document as its one chunk, so
+        # there the texts are the (distinct) documents.
         texts = [f"{head} aa ab. b aaa." for head in
                  ("a", "b", "aa", "ab", "ba", "aab")]
-        distinct = {chunk for text in texts for chunk in text.split()}
+        distinct = (set(texts) if workers else
+                    {chunk for text in texts for chunk in text.split()})
+        instances = len(texts) if workers else 30
         query = Q(Spanner.regex(
             ".*( )y{a+}( ).*|y{a+}( ).*|.*( )y{a+}|y{a+}", "ab .")) \
             .split_by("tokens").batch_size(2).workers(workers)
@@ -883,9 +887,13 @@ class TestDocumentCache:
             assert stats.chunk_cache_misses == stats.chunks_evaluated \
                 >= len(distinct)
             assert stats.chunk_cache_hits + stats.chunk_cache_misses \
-                == stats.chunks_total == 30
+                == stats.chunks_total == instances
             assert stats.document_cache_hits == 0
-        if not workers:
+        if workers:
+            # No document repeats, so each pass evaluates every one.
+            assert [stats.chunk_cache_misses for stats in passes] \
+                == [len(distinct)] * 3
+        else:
             assert passes[0].chunk_cache_misses \
                 == passes[1].chunk_cache_misses == len(distinct)
             assert passes[0].chunk_cache_hits \
@@ -913,18 +921,20 @@ class BareRunner:
 
 
 class TestPooledDocuments:
-    @staticmethod
-    def kernel_deltas(spanner):
-        """The kernel counters' deltas over one cold run, which must be
-        the same in process and on two workers: no chunk text repeats,
-        so each is evaluated exactly once either way."""
+    TEXTS = [f"{'a' * (i + 1)} b{'a' * i} {'b' * (i + 2)}."
+             for i in range(32)]
+
+    @classmethod
+    def kernel_deltas(cls, spanner, pooled_chunks=3 * len(TEXTS)):
+        """The kernel counters' deltas over one cold run, in process
+        and on two workers: no chunk text repeats, so each is evaluated
+        exactly once either way — ``pooled_chunks`` of them pooled."""
         from repro.runtime.executor import KERNEL_COUNTERS
 
-        texts = [f"{'a' * (i + 1)} b{'a' * i} {'b' * (i + 2)}."
-                 for i in range(32)]
+        texts = cls.TEXTS
         value = kernel_metrics().value
         deltas = {}
-        for workers in (0, 2):
+        for workers, chunks in ((0, 3 * len(texts)), (2, pooled_chunks)):
             with ExtractionEngine(registry(), workers=workers,
                                   batch_size=4) as engine:
                 engine.run(texts[:1], spanner)     # fork, certify
@@ -934,26 +944,31 @@ class TestPooledDocuments:
                 deltas[workers] = {
                     name: value(name) - was
                     for name, was in zip(KERNEL_COUNTERS, before)}
-            assert result.stats.chunks_evaluated == 3 * len(texts)
-        assert deltas[2] == deltas[0]
-        return deltas[0]
+            assert result.stats.chunks_evaluated \
+                == result.stats.chunks_total == chunks
+        return deltas
 
     def test_kernel_counters_count_the_workers_evaluations(self):
         # Overlapping captures: the runner refuses the token path, so
         # every chunk past the literal test reaches the search.
         deltas = self.kernel_deltas(compile_regex_formula(".*y{a+}.*", TXT))
-        assert deltas["kernel.chunks_rejected"] > 0
-        assert deltas["kernel.configs_expanded"] > 0
-        assert deltas["kernel.bytes_swept"] > 0
+        assert deltas[2] == deltas[0]
+        assert deltas[0]["kernel.chunks_rejected"] > 0
+        assert deltas[0]["kernel.configs_expanded"] > 0
+        assert deltas[0]["kernel.bytes_swept"] > 0
 
     def test_token_path_counters_are_the_same_on_workers(self):
         # The a-run extractor is token-local: workers keep the token
-        # path they inherit, so they search nothing either.
-        deltas = self.kernel_deltas(a_run_extractor())
-        assert deltas["kernel.chunks_rejected"] > 0
-        assert deltas["kernel.configs_expanded"] == 0
-        assert deltas["kernel.main_line_bytes"] == 0
-        assert deltas["kernel.bytes_swept"] == 0
+        # path they inherit, so they search nothing either.  They scan
+        # each document whole, so they count documents as chunks, and
+        # every document here holds an a-run.
+        deltas = self.kernel_deltas(a_run_extractor(),
+                                    pooled_chunks=len(self.TEXTS))
+        assert deltas[0]["kernel.chunks_rejected"] == 2 * len(self.TEXTS)
+        assert deltas[2]["kernel.chunks_rejected"] == 0
+        for name in ("kernel.configs_expanded", "kernel.main_line_bytes",
+                     "kernel.bytes_swept"):
+            assert deltas[0][name] == deltas[2][name] == 0
 
     def test_run_delta_on_a_pooled_indexed_engine(self):
         # An attached index makes the parent split and prefilter: the
@@ -1010,3 +1025,154 @@ class TestPooledDocuments:
         assert found[2] == found[0] == {
             f"doc-{i}": evaluate_whole(spanner, text)
             for i, text in enumerate(texts)}
+
+
+# ----------------------------------------------------------------------
+# Pooled token path: workers scan whole documents
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["tokens", "sentences"])
+def route_engines(request):
+    """``(program, {workers: engine})`` over one registry splitter.
+    The a-run extractor takes the token path: by ``tokens`` it plans
+    self-splittable, by ``sentences`` (whose chunks drop text after the
+    last period) ``whole``; pooled, both ship whole documents."""
+    splitters = [entry for entry in registry()
+                 if entry.name == request.param]
+    engines = {workers: ExtractionEngine(splitters, workers=workers)
+               for workers in (0, 2)}
+    yield Program(a_run_extractor()), engines
+    for engine in engines.values():
+        engine.close()
+
+
+def runs_by_workers(engines, texts, program):
+    """One cold run of ``program`` over ``texts`` per engine."""
+    runs = {}
+    for workers, engine in engines.items():
+        engine.chunk_cache.clear()
+        runs[workers] = engine.run(texts, program)
+    return runs
+
+
+class TestWholeDocumentRoute:
+    @given(st.lists(st.text(alphabet="ab .", max_size=12), min_size=1,
+                    max_size=6))
+    @example([""])
+    @example(["aa", "ab", "baab"])                  # no delimiter
+    @example([" aa", ".a b", "aa ", "a.", ". ", "."])  # edge delimiters
+    def test_pooled_equals_in_process_equals_whole(self, route_engines,
+                                                   texts):
+        program, engines = route_engines
+        runs = runs_by_workers(engines, texts, program)
+        for position, text in enumerate(texts):
+            doc_id = f"doc-{position:04d}"
+            assert runs[2][doc_id] == runs[0][doc_id] \
+                == evaluate_whole(program.executable, text), text
+        # Pooled, a document is its one chunk.
+        stats = runs[2].stats
+        assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+            == stats.chunks_total == len(texts)
+        assert stats.chunks_evaluated == stats.chunk_cache_misses \
+            >= len(set(texts))
+
+    def test_a_document_longer_than_one_scan(self, route_engines):
+        from repro.runtime.fast import MAX_SCAN_CHARS
+
+        program, engines = route_engines
+        long = "aa ab." * (MAX_SCAN_CHARS // 6 + 1) + " a"
+        assert len(long) > MAX_SCAN_CHARS
+        texts = ["b aa", long, "a"]
+        runs = runs_by_workers(engines, texts, program)
+        expected = evaluate_whole(program.executable, long)
+        assert runs[2]["doc-0001"] == runs[0]["doc-0001"] == expected
+        assert len(expected) == MAX_SCAN_CHARS // 6 + 2
+        assert runs[2]["doc-0000"] == runs[0]["doc-0000"] != set()
+
+    def test_a_foreign_symbol_raises_pooled_and_in_process(
+            self, route_engines):
+        program, engines = route_engines
+        for engine in engines.values():
+            with pytest.raises(ValueError):
+                engine.run(["aa b", "aa x a"], program)
+            # The pool survives a task that raised.
+            assert engine.run(["a b"], program)["doc-0000"] \
+                == evaluate_whole(program.executable, "a b")
+
+    def test_explain_names_the_route(self, route_engines):
+        program, engines = route_engines
+        certified = engines[2].certify(program)
+        runners = {workers: engine.runner_for(certified, program)
+                   for workers, engine in engines.items()}
+        assert engines[0].pool_route(certified, runners[0]) is None
+        assert engines[2].pool_route(certified, runners[2]) \
+            == "whole documents (token path)"
+
+    def test_a_prefilter_cuts_in_the_parent(self):
+        # Under a prefilter the parent splits and ships admitted chunks.
+        program = Program(a_run_extractor())
+        with ExtractionEngine(registry(), workers=2,
+                              prefilter=True) as engine:
+            certified = engine.certify(program)
+            runner = engine.runner_for(certified, program)
+            assert engine.pool_route(certified, runner) == "tokens"
+
+    @pytest.mark.parametrize("kind", ["qz", "a"])
+    def test_ledger_programs_take_the_whole_document_route(self, kind):
+        from benchmarks.ledger.pipeline import build_query
+
+        for workers, route in ((0, None),
+                               (2, "whole documents (token path)")):
+            query = build_query(kind, workers=workers)
+            try:
+                assert query.over([""]).explain()["pool_split"] == route
+            finally:
+                query.engine().close()
+
+    @staticmethod
+    def assert_workers_split(engines, program, texts, splitter):
+        runs = runs_by_workers(engines, texts, program)
+        certified = engines[2].certify(program)
+        runner = engines[2].runner_for(certified, program)
+        assert engines[2].pool_route(certified, runner) == splitter
+        # Whole documents would count one chunk each.
+        assert runs[2].stats.chunks_total == runs[0].stats.chunks_total \
+            != len(texts)
+        for position, text in enumerate(texts):
+            doc_id = f"doc-{position:04d}"
+            assert runs[2][doc_id] == runs[0][doc_id] \
+                == evaluate_whole(program.specification, text), text
+
+    def test_a_token_path_split_spanner_keeps_splitting(self):
+        # Theorem 5.15's canonical split-spanner here is token-local
+        # (a-runs by spaces), but it computes P_S: scanned whole, it
+        # would also report the a-runs before the first period.
+        spec = compile_regex_formula("(a|b| )*\\.(.* )?y{a+}( .*)?", TXT)
+        engines = {workers: ExtractionEngine(
+            [RegisteredSplitter("rest", rest_splitter())], workers=workers)
+            for workers in (0, 2)}
+        try:
+            certified = engines[2].certify(spec)
+            assert certified.plan.theorem == "Theorem 5.15"
+            assert certified.chunk_runner().on_token_path
+            self.assert_workers_split(
+                engines, Program(spec),
+                ["aa b.aa ab a.a aa", "a.a", "aa", "", "b.", "aa.b"],
+                "rest")
+        finally:
+            for engine in engines.values():
+                engine.close()
+
+    def test_a_regex_spanner_keeps_splitting(self):
+        fast = RegexSpanner(r"(?:^|[ .])(?P<y>a+)(?=[ .]|$)",
+                            specification=a_run_extractor())
+        engines = {workers: ExtractionEngine(registry(), workers=workers)
+                   for workers in (0, 2)}
+        try:
+            self.assert_workers_split(
+                engines, Program(fast), ["aa ab a.", "b aa b. aa", "a b"],
+                "tokens")
+        finally:
+            for engine in engines.values():
+                engine.close()

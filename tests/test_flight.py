@@ -324,6 +324,28 @@ class TestServiceFlightRecording:
         assert record.counters["documents"] == len(DOCS)
         assert service.flight_record(record.query_id) is not None
 
+    def test_kernel_tier_builds_the_plan_report_once(self, monkeypatch):
+        from repro.runtime.planner import CertifiedPlan
+
+        built = []
+        explain = CertifiedPlan.explain
+
+        def counting(certified):
+            built.append(id(certified))
+            return explain(certified)
+
+        monkeypatch.setattr(CertifiedPlan, "explain", counting)
+        program = Program(a_run_extractor(), name="a-runs")
+        engine = ExtractionEngine(registry())
+        with ExtractionService(engine, program=program,
+                               flight=FlightRecorder(capacity=16)) as service:
+            tiers = [service.extract(DOCS).record.kernel_tier
+                     for _ in range(5)]
+        certified = engine.certify(program)
+        assert len(built) == len(set(built)) == 1
+        assert tiers == [explain(certified)["kernel_tier"]] * 5
+        assert tiers[0] is not None
+
     def test_recording_off_means_no_record(self):
         with make_service() as service:
             result = service.extract(DOCS)
