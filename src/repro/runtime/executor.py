@@ -22,8 +22,8 @@ from collections import deque
 from multiprocessing.connection import wait
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import (Callable, Deque, Dict, FrozenSet, Iterator, List,
-                    NamedTuple, Optional, Sequence, Set, Tuple)
+from typing import (Callable, Deque, Dict, FrozenSet, Iterable, Iterator,
+                    List, NamedTuple, Optional, Sequence, Set, Tuple)
 
 from repro.core.spans import (EMPTY_TUPLE, Span, SpanTuple,
                               flat_span_tuple, whole_span)
@@ -161,7 +161,7 @@ KERNEL_COUNTERS = ("kernel.chunks_rejected", "kernel.configs_expanded",
 #: ``(doc_id, text, None)`` or ``(doc_id, None, chunks)``; a task
 #: returns ``(columns, chunks)`` per item (:func:`relation_of`).
 DocumentItem = Tuple[str, Optional[str], Optional[Sequence[Tuple[Span, str]]]]
-TaskResult = Tuple[List[Tuple[list, int]], TaskTelemetry]
+TaskResult = Tuple[List[Tuple[Iterable, int]], TaskTelemetry]
 
 
 def _columns(relation) -> list:
@@ -193,12 +193,12 @@ _WORKER = SimpleNamespace(runner=None, cache=None, token=None,
 
 
 def _evaluate_task(blob: bytes, items: Sequence[DocumentItem]) -> TaskResult:
-    """The pool task: split documents and run the in-process
-    :meth:`repro.engine.Scheduler.run` over this worker's chunk cache.
-    ``blob`` pickles ``(token, namespace, limit, splitter)``: a new
-    token (the parent cache's generation) empties that cache first; a
-    ``None`` splitter (``whole`` plans, a program on the token path)
-    makes a text one chunk, so a cache entry is then a document."""
+    """The pool task, over this worker's chunk cache.  ``blob`` pickles
+    ``(token, namespace, limit, splitter)``: a new token (the parent
+    cache's generation) empties that cache first.  Texts shipped with
+    a ``None`` splitter (``whole`` plans, a program on the token path)
+    are evaluated whole, with no ``Scheduler``; the rest are split and
+    run through the in-process :meth:`repro.engine.Scheduler.run`."""
     from repro.engine import ChunkCache, Scheduler
 
     started, clock_started = time.time(), time.perf_counter()
@@ -212,21 +212,44 @@ def _evaluate_task(blob: bytes, items: Sequence[DocumentItem]) -> TaskResult:
     cache.limit, cache.hits, cache.misses, cache.evictions = limit, 0, 0, 0
     kernel = [kernel_metrics().counter(name) for name in KERNEL_COUNTERS]
     before = [counter.value for counter in kernel]
-    documents = [
-        (doc_id, chunks if text is None
-         else [(whole_span(text), text)] if splitter is None
-         else splitter_chunks(splitter, text))
-        for doc_id, text, chunks in items]
-    split = time.perf_counter() - clock_started
-    scheduler = Scheduler(tracer=Tracer(), metrics=Metrics())
-    resolved = scheduler.run(state.runner, documents, cache, namespace)
-    phases = {record.name: record.duration
-              for record in scheduler.tracer.drain()}
-    return [(_columns(resolved[doc_id]), len(chunks))
-            for doc_id, chunks in documents], TaskTelemetry(
-        os.getpid(), started, time.perf_counter() - clock_started,
-        (split, phases["evaluate"], phases["merge"]),
-        (cache.hits, cache.misses, cache.evictions), scheduler.metrics,
+    if splitter is None and all(chunks is None for _, _, chunks in items):
+        # Each text is one chunk, its columns a document entry (no chunk key).
+        seen: Dict[str, Optional[tuple]] = {}
+        for _, text, _ in items:
+            if text in seen:
+                cache.record_batch_hit()
+            else:
+                seen[text] = cache.lookup_document(namespace, text)
+        missing = [text for text, entry in seen.items() if entry is None]
+        cache.misses += len(missing)
+        metrics = Metrics()
+        latency = metrics.histogram("engine.chunk_eval_seconds")
+        scan = getattr(state.runner, "scan_columns", None)
+        found = scan(missing, latency) if scan else None
+        if found is None:
+            found = map(_columns, evaluate_chunks(state.runner, missing,
+                                                  latency))
+        for text, ints in zip(missing, found):
+            seen[text] = (cache.store_document(namespace, text, ints, 1, 0),)
+        phases = (0.0, time.perf_counter() - clock_started, 0.0)
+        replies = [(seen[text][0], 1) for _, text, _ in items]
+    else:
+        documents = [
+            (doc_id, chunks if text is None
+             else [(whole_span(text), text)] if splitter is None
+             else splitter_chunks(splitter, text))
+            for doc_id, text, chunks in items]
+        split = time.perf_counter() - clock_started
+        scheduler = Scheduler(tracer=Tracer(), metrics=Metrics())
+        resolved = scheduler.run(state.runner, documents, cache, namespace)
+        spans = {span.name: span.duration for span in scheduler.tracer.drain()}
+        replies = [(_columns(resolved[doc_id]), len(chunks))
+                   for doc_id, chunks in documents]
+        metrics = scheduler.metrics
+        phases = (split, spans["evaluate"], spans["merge"])
+    return replies, TaskTelemetry(
+        os.getpid(), started, time.perf_counter() - clock_started, phases,
+        (cache.hits, cache.misses, cache.evictions), metrics,
         tuple(counter.value - was for counter, was in zip(kernel, before)))
 
 

@@ -270,9 +270,9 @@ class TokenPath:
     of texts with one ``finditer`` over their join, which finds the
     tokens made only of ``T``'s letters ``I`` that begin with a letter
     a word of ``T`` can begin with; each distinct token text of the
-    batch is tested against ``T``'s compiled automaton once, and the
-    tuples are built in their stored form.  Only :func:`token_path`
-    builds one, after proving the spanner equal to ``C``.
+    batch is tested against ``T``'s compiled automaton once; :meth:`scan`
+    builds tuples, :meth:`columns` a pool reply's ints.  Only
+    :func:`token_path` builds one, after proving the spanner equal to ``C``.
     """
 
     def __init__(self, variables: Tuple, delimiters: str, letters: str,
@@ -295,22 +295,21 @@ class TokenPath:
         self._finditer = re.compile("[%s](?<![^%s][%s])[%s]*(?![^%s])" % (
             initial, boundary, initial, run, boundary)).finditer
 
-    def scan(self, texts: Sequence[str]) -> List[Set[SpanTuple]]:
-        """The spanner's tuples on each of ``texts``, in order.
+    def _matches(self, texts: Sequence[str]) -> List[tuple]:
+        """Each tuple as ``(i, (begin, end))``, its span in ``texts[i]``.
 
         The texts are joined with the first delimiter, which reads
         exactly like a text's edge, into joins of fewer than
         :data:`MAX_SCAN_CHARS` characters (a longer text alone,
         uncopied).  When a join holds a byte outside the alphabet,
         ``check_document`` runs on its texts in order."""
-        results: List[Set[SpanTuple]] = [set() for _ in texts]
         # ``starts[i]``: where text ``i`` would begin in the join of
         # them all; ``starts[-1]`` is one past the last separator.
         starts = [0, *accumulate(len(text) + 1 for text in texts)]
         memo: Dict[str, bool] = {}
         accepts = self.captured.accepts
-        variables = self.variables
         join = self.delimiters[0].join
+        found: List[tuple] = []
         first = 0
         while first < len(texts):
             base = starts[first]
@@ -333,10 +332,26 @@ class TokenPath:
                         index += 1
                         offset, limit = limit, starts[index + 1] - base
                     start -= offset - 1
-                    results[index].add(flat_span_tuple(
-                        variables, (start, start + len(token))))
+                    found.append((index, (start, start + len(token))))
             first = last
+        return found
+
+    def scan(self, texts: Sequence[str]) -> List[Set[SpanTuple]]:
+        """The spanner's tuples on each of ``texts``, in order."""
+        results: List[Set[SpanTuple]] = [set() for _ in texts]
+        variables = self.variables
+        for index, pair in self._matches(texts):
+            results[index].add(flat_span_tuple(variables, pair))
         return results
+
+    def columns(self, texts: Sequence[str]) -> List[list]:
+        """:meth:`scan`'s answer as a pool reply's columns, from the
+        ints: ``[(variables, (b1, e1, ...))]`` per text, ``[]`` if none."""
+        ints: List[List[int]] = [[] for _ in texts]
+        for index, pair in self._matches(texts):
+            ints[index] += pair
+        return [[(self.variables, tuple(found))] if found else []
+                for found in ints]
 
 
 def alphabet_bytes(alphabet: Iterable) -> bytes:
@@ -541,13 +556,7 @@ class CompiledSpanner:
         clock = time.perf_counter
         tokens = self._tokens
         if tokens is not None and {*map(type, documents)} == {str}:
-            started = clock()
-            results = tokens.scan(documents)
-            if latency is not None:
-                share = (clock() - started) / len(results)
-                latency.observe_many([share] * len(results))
-            count_evaluations(results.count(set()), 0, 0, 0)
-            return results
+            return self._scanned(tokens.scan, documents, latency)
         check = self.specification.check_document
         letters = self._letters
         search = self._kernel.search
@@ -591,6 +600,24 @@ class CompiledSpanner:
             latency.observe_many(seconds)
         count_evaluations(rejected, visited_total, main_line_total,
                           swept_total)
+        return results
+
+    def scan_columns(self, documents, latency=None) -> Optional[List[list]]:
+        """:meth:`evaluate_batch`'s answer as a pool reply's columns
+        (:meth:`TokenPath.columns`); ``None`` off the token path."""
+        if self._tokens is None or {*map(type, documents)} != {str}:
+            return None
+        return self._scanned(self._tokens.columns, documents, latency)
+
+    @staticmethod
+    def _scanned(scan, documents, latency) -> list:
+        """``scan(documents)``, timed into ``latency`` and counted."""
+        started = time.perf_counter()
+        results = scan(documents)
+        if latency is not None:
+            share = (time.perf_counter() - started) / len(results)
+            latency.observe_many([share] * len(results))
+        count_evaluations(len(results) - sum(map(bool, results)), 0, 0, 0)
         return results
 
     def describe(self) -> Dict[str, object]:

@@ -1135,6 +1135,85 @@ def test_token_scan_answers_every_batch_shape(batch, cap):
     assert found == [spanner.evaluate(text) for text in texts]
 
 
+class _CountingAccepts:
+    """A compiled ``T`` that records every text it is asked about."""
+
+    def __init__(self, captured):
+        self.captured = captured
+        self.asked = []
+
+    def accepts(self, token):
+        self.asked.append(token)
+        return self.captured.accepts(token)
+
+
+@settings(max_examples=60, deadline=None)
+@given(token_batches(), st.integers(1, 40))
+def test_token_columns_are_the_scans_columns(batch, cap):
+    # The pool's whole-document route takes the token path's ints
+    # (``scan_columns``) where the scan builds tuples: per text the
+    # same relation as ``_columns`` of the scan, one ``begin, end``
+    # pair per tuple, each distinct candidate token tested once, one
+    # rejection per empty answer and a latency sample per text — or
+    # the oracle's error for the first foreign text, with no counter
+    # moved and no sample taken.
+    from unittest import mock
+
+    from repro.obs.metrics import Histogram
+    from repro.runtime import fast
+    from repro.runtime.executor import _columns, relation_of
+
+    (alphabet, delimiters, captured), texts, foreign = batch
+    d = _boundary(delimiters)
+    spanner = compile_regex_formula(f"(.*{d}|)y{{{captured}}}({d}.*|)",
+                                    frozenset(alphabet))
+    runner = CompiledSpanner(spanner)
+    tokens = runner._tokens
+    latency = Histogram("chunk_seconds", {})
+    counting = _CountingAccepts(tokens.captured)
+    before = _kernel_counters()
+    with mock.patch.object(fast, "MAX_SCAN_CHARS", cap):
+        if foreign is not None:
+            with pytest.raises(ValueError) as expected:
+                spanner.check_document(texts[foreign])
+            with pytest.raises(ValueError) as raised:
+                runner.scan_columns(texts, latency)
+            assert str(raised.value) == str(expected.value)
+            assert _kernel_counters() == before
+            assert latency.count == 0
+            return
+        with mock.patch.object(tokens, "captured", counting):
+            columns = runner.scan_columns(texts, latency)
+        scanned = tokens.scan(texts)
+    rejected = sum(not found for found in scanned)
+    assert _kernel_counters() == [before[0] + rejected, *before[1:]]
+    assert latency.count == len(texts)
+    assert sorted(counting.asked) == sorted(
+        {match.group() for text in texts
+         for match in tokens._finditer(text)})
+    assert len(columns) == len(texts)
+    for found, written, text in zip(scanned, columns, texts):
+        assert relation_of(written) == relation_of(_columns(found)) \
+            == spanner.evaluate(text), text
+        assert written == ([(tokens.variables, written[0][1])] if found
+                           else [])
+        if found:
+            assert len(written[0][1]) == 2 * len(found)
+
+
+def test_scan_columns_leave_other_batches_to_the_caller():
+    # Off the token path nothing is scanned: the caller evaluates.
+    runner = CompiledSpanner(compile_regex_formula(".*y{a+}.*",
+                                                   frozenset("ab ")))
+    before = _kernel_counters()
+    assert runner.scan_columns(["aa b"]) is None
+    assert _kernel_counters() == before
+    tokens = CompiledSpanner(compile_regex_formula(A_RUNS,
+                                                   frozenset("ab ")))
+    assert tokens.scan_columns([b"aa b"]) is None
+    assert tokens.scan_columns(["aa b", "b"]) == [[(("y",), (1, 3))], []]
+
+
 def test_token_scan_leaves_a_text_over_the_cap_alone():
     from repro.runtime.fast import MAX_SCAN_CHARS
 

@@ -940,10 +940,15 @@ class TestPooledDocuments:
                 engine.run(texts[:1], spanner)     # fork, certify
                 engine.chunk_cache.clear()
                 before = [value(name) for name in KERNEL_COUNTERS]
+                latency = engine.metrics.histogram(
+                    "engine.chunk_eval_seconds")
+                samples = latency.count
                 result = engine.run(texts, spanner)
                 deltas[workers] = {
                     name: value(name) - was
                     for name, was in zip(KERNEL_COUNTERS, before)}
+                deltas[workers]["engine.chunk_eval_seconds"] = \
+                    latency.count - samples
             assert result.stats.chunks_evaluated \
                 == result.stats.chunks_total == chunks
         return deltas
@@ -969,6 +974,10 @@ class TestPooledDocuments:
         for name in ("kernel.configs_expanded", "kernel.main_line_bytes",
                      "kernel.bytes_swept"):
             assert deltas[0][name] == deltas[2][name] == 0
+        # One latency sample per text evaluated: chunks in process,
+        # documents on the workers.
+        assert deltas[0]["engine.chunk_eval_seconds"] == 3 * len(self.TEXTS)
+        assert deltas[2]["engine.chunk_eval_seconds"] == len(self.TEXTS)
 
     def test_run_delta_on_a_pooled_indexed_engine(self):
         # An attached index makes the parent split and prefilter: the
@@ -1076,6 +1085,77 @@ class TestWholeDocumentRoute:
             == stats.chunks_total == len(texts)
         assert stats.chunks_evaluated == stats.chunk_cache_misses \
             >= len(set(texts))
+
+    @pytest.mark.parametrize("pattern", [
+        ".*a b.*", ".*x{a+} y{b+}.*", ".*y{}b.*", None,
+    ], ids=["boolean", "binary", "empty-capture", "a-runs"])
+    def test_every_relation_shape(self, route_engines, pattern):
+        # The route's relation shapes: no variable (the empty tuple),
+        # two variables, an empty capture, and the token path's one
+        # column.  Batches of three hold an empty document and repeats
+        # within a batch and across batches; a second run repeats the
+        # whole corpus against warm caches.
+        program, engines = route_engines
+        if pattern is not None:
+            program = Program(compile_regex_formula(pattern, TXT))
+        texts = ["", "aa bb", "aa bb", "b. a bbb a", "", "ab a b.",
+                 "a b. b", "aa bb", "a b. b", "ba ab"]
+        expected = {f"doc-{position:04d}":
+                    evaluate_whole(program.executable, text)
+                    for position, text in enumerate(texts)}
+        assert any(expected.values())
+        sizes = {workers: engine.scheduler.batch_size
+                 for workers, engine in engines.items()}
+        for engine in engines.values():
+            engine.scheduler.batch_size = 3
+        try:
+            runs = [runs_by_workers(engines, texts, program)]
+            runs.append({workers: engine.run(texts, program)
+                         for workers, engine in engines.items()})
+        finally:
+            for workers, engine in engines.items():
+                engine.scheduler.batch_size = sizes[workers]
+        for run in runs:
+            assert run[2].by_document == run[0].by_document == expected
+            stats = run[2].stats
+            assert stats.chunk_cache_hits + stats.chunk_cache_misses \
+                + stats.chunks_pruned == stats.chunks_total
+
+    def test_pooled_telemetry_reaches_the_parent(self):
+        # No Scheduler runs on the route, yet a task still reports one
+        # latency sample per document it evaluates, a kernel rejection
+        # per document with no tuple, and its cache's hits, misses and
+        # evictions.  A ``whole`` plan keeps no document entry in the
+        # parent, so every count here is a worker's.
+        splitters = [entry for entry in registry()
+                     if entry.name == "sentences"]
+        # Equal lengths: the pool cuts the doubled corpus into two
+        # tasks between the pairs.
+        texts = ["b bb", "aa b", "b.ba", "a aa", "bbb.", "ab a"]
+        program = Program(a_run_extractor())
+        value = kernel_metrics().value
+        with ExtractionEngine(splitters, workers=2) as engine:
+            engine.run(texts[:1], program)     # fork, certify
+            engine.chunk_cache.clear()
+            latency = engine.metrics.histogram("engine.chunk_eval_seconds")
+            samples, rejected = latency.count, value("kernel.chunks_rejected")
+            result = engine.run(texts, program)
+            empty = sum(not tuples for _doc_id, tuples in result)
+            assert empty == 3
+            assert result.stats.chunks_evaluated == len(texts)
+            assert latency.count - samples == len(texts)
+            assert value("kernel.chunks_rejected") - rejected == empty
+            # Each document twice in a row: the second copy is a hit in
+            # the task that evaluates the first.  A one-entry cache per
+            # worker evicts all but the last of its task's documents.
+            engine.chunk_cache.clear()
+            engine.chunk_cache.limit = 1
+            stats = engine.run([text for text in texts for _ in (0, 1)],
+                               program).stats
+            assert len(engine.chunk_cache) == 0
+        assert (stats.chunk_cache_hits, stats.chunk_cache_misses) \
+            == (len(texts), len(texts))
+        assert stats.chunk_cache_evictions >= len(texts) - 2
 
     def test_a_document_longer_than_one_scan(self, route_engines):
         from repro.runtime.fast import MAX_SCAN_CHARS
