@@ -159,7 +159,8 @@ def annotated_split_correct_highlander(
 
     The cover condition is checked once against the union splitter;
     then for each key the proof's discrepancy search runs with the
-    per-key splitter and split-spanner.
+    per-key splitter and split-spanner.  A discrepancy only on a tuple
+    that another split may cover too is decided by Theorem E.3.
     """
     from repro.core.cover import cover_condition_disjoint
     from repro.core.split_correctness import _discrepancy_reachable
@@ -174,10 +175,16 @@ def annotated_split_correct_highlander(
                                  "deterministic (dfVSA)")
     if not cover_condition_disjoint(spanner, annotated.union_splitter()):
         return False
+    undecided = False
     for key in sorted(annotated.keys(), key=repr):
-        if _discrepancy_reachable(spanner, mapping[key],
-                                  annotated.keyed[key]):
+        found = _discrepancy_reachable(spanner, mapping[key],
+                                       annotated.keyed[key])
+        if found:
             return False
+        undecided = undecided or found is None
+    if undecided:
+        # A tuple another key's split may cover too: decide exactly.
+        return annotated_split_correct(spanner, mapping, annotated)
     return True
 
 

@@ -103,11 +103,10 @@ def split_correct(
 ) -> bool:
     """Is ``P = P_S o S``?  Auto-selects Theorem 5.7 or Theorem 5.1.
 
-    Note the documented corner case of the fast procedure: a tuple
-    consisting solely of empty spans on the boundary between two
-    adjacent splits is covered by both, which the Theorem 5.7 argument
-    (and this implementation of it) does not account for; use
-    ``method="general"`` when such tuples can arise.
+    A tuple consisting solely of empty spans on the boundary between
+    two adjacent splits (or a 0-ary tuple) is covered by more than one
+    split, which the Theorem 5.7 argument does not account for; the
+    fast procedure decides such cases with Theorem 5.1.
     """
     _check_method(method)
     spanner = _as_automaton(spanner, "spanner")

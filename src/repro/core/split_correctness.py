@@ -12,7 +12,12 @@ landscape:
   nondeterministic discrepancy search is run as a reachability problem
   over the deterministic triple product of ``P``, ``S``, and ``P_S``,
   looking for a ref-word on which ``S`` accepts a split and exactly
-  one of ``P`` and ``P_S`` accepts.
+  one of ``P`` and ``P_S`` accepts.  The proof takes the split that
+  covers a tuple to be unique; a tuple whose spans are all empty at a
+  split's border (or a 0-ary tuple) may be covered by another split
+  too, and when only such a tuple tells ``P`` and ``P_S`` apart the
+  procedure falls back to Theorem 5.1 (as the cover test does for its
+  own form of this corner case).
 """
 
 from __future__ import annotations
@@ -115,6 +120,9 @@ def split_correct_dfvsa(
     splitter; with ``check=True`` determinism is verified (functionality
     and disjointness are assumed from the caller, cf.
     :func:`repro.core.api.split_correct` which verifies everything).
+    Polynomial unless the only discrepancies the search finds are of
+    tuples another split may cover too: those are decided by
+    :func:`split_correct_general`.
     """
     _check_compatible(spanner, split_spanner)
     if check:
@@ -127,7 +135,10 @@ def split_correct_dfvsa(
                 raise ValueError(f"{name} must be deterministic (dfVSA)")
     if not cover_condition_disjoint(spanner, splitter):
         return False
-    return not _discrepancy_reachable(spanner, split_spanner, splitter)
+    found = _discrepancy_reachable(spanner, split_spanner, splitter)
+    if found is None:
+        return split_correct_general(spanner, split_spanner, splitter)
+    return not found
 
 
 def _step(automaton: VSetAutomaton, state, symbol):
@@ -141,11 +152,28 @@ def _step(automaton: VSetAutomaton, state, symbol):
     return successor
 
 
+# Where the ref-word's variable operations sit inside the split, read
+# while the split is open.  A tuple can be covered by a second disjoint
+# split only when all its spans are empty at one position on the split's
+# border, or when it has no spans at all (a 0-ary spanner); each other
+# tuple has exactly one covering split.
+_NONE_AT_BEGIN = 0     # no operation and no letter yet
+_NONE = 1              # letters, no operation yet
+_AT_BEGIN = 2          # operations at the split's begin, no letter since
+_AFTER_BEGIN = 3       # operations at the begin, letters since
+_AT_INNER = 4          # operations after a letter, no letter since
+_ONE_SPLIT = 5         # operations around a letter, or at an inner position
+_AFTER_LETTER = (_NONE, _NONE, _AFTER_BEGIN, _AFTER_BEGIN, _ONE_SPLIT,
+                 _ONE_SPLIT)
+_AFTER_OP = (_AT_BEGIN, _AT_INNER, _AT_BEGIN, _ONE_SPLIT, _AT_INNER,
+             _ONE_SPLIT)
+
+
 def _discrepancy_reachable(
     spanner: VSetAutomaton,
     split_spanner: VSetAutomaton,
     splitter: VSetAutomaton,
-) -> bool:
+) -> Optional[bool]:
     """The proof's on-the-fly search for a split where ``P`` and
     ``P_S`` behave differently.
 
@@ -155,6 +183,15 @@ def _discrepancy_reachable(
     and reachability of an accepting discrepancy decides the problem.
     Variable operations outside the split are not explored: by the
     (already verified) cover condition they cannot matter.
+
+    ``True`` when a discrepancy shows ``P`` and ``P_S o S`` differ.  A
+    tuple of ``P`` that ``P_S`` misses on a split is only such a proof
+    when no other split covers the tuple, which the configuration's
+    position class (``_AFTER_LETTER``/``_AFTER_OP``) tells; the proof's
+    argument assumes it always holds.  ``None`` when every discrepancy
+    found is of the other kind (all spans empty at a border of the
+    split, or none at all) — the search cannot decide then — and
+    ``False`` when there is none.
     """
     x = splitter_variable(splitter)
     open_x, close_x = VarOp(x, False), VarOp(x, True)
@@ -167,19 +204,25 @@ def _discrepancy_reachable(
         VarOp(v, c) for v in sorted(spanner.variables, key=str)
         for c in (False, True)
     ]
+    undecided = False
     # Phases: 0 before the split opens, 1 inside, 2 after it closed.
-    start = (spanner.nfa.initial, splitter.nfa.initial, None, 0)
+    start = (spanner.nfa.initial, splitter.nfa.initial, None, 0,
+             _NONE_AT_BEGIN)
     seen = {start}
     queue = deque([start])
     while queue:
-        q_p, q_s, q_ps, phase = queue.popleft()
+        q_p, q_s, q_ps, phase, where = queue.popleft()
         if phase == 2 and q_s in splitter.nfa.finals:
             p_accepts = q_p is not _DEAD and q_p in spanner.nfa.finals
             ps_accepts = (
                 q_ps is not _DEAD and q_ps in split_spanner.nfa.finals
             )
-            if p_accepts != ps_accepts:
+            if ps_accepts and not p_accepts:
                 return True
+            if p_accepts and not ps_accepts:
+                if where == _ONE_SPLIT:
+                    return True
+                undecided = True
         moves = []
         for symbol in doc_alphabet:
             next_ps = _step(split_spanner, q_ps, symbol) if phase == 1 else q_ps
@@ -187,7 +230,8 @@ def _discrepancy_reachable(
                 (_step(spanner, q_p, symbol),
                  _step(splitter, q_s, symbol),
                  next_ps,
-                 phase)
+                 phase,
+                 _AFTER_LETTER[where] if phase == 1 else where)
             )
         if phase == 1:
             for op in var_ops:
@@ -195,24 +239,25 @@ def _discrepancy_reachable(
                     (_step(spanner, q_p, op),
                      q_s,
                      _step(split_spanner, q_ps, op),
-                     1)
+                     1,
+                     _AFTER_OP[where])
                 )
         if phase == 0:
             next_s = _step(splitter, q_s, open_x)
             if next_s is not _DEAD:
-                moves.append((q_p, next_s, split_spanner.nfa.initial, 1))
+                moves.append((q_p, next_s, split_spanner.nfa.initial, 1,
+                              where))
         elif phase == 1:
             next_s = _step(splitter, q_s, close_x)
             if next_s is not _DEAD:
-                moves.append((q_p, next_s, q_ps, 2))
+                moves.append((q_p, next_s, q_ps, 2, where))
         for config in moves:
-            q_p2, q_s2, _q_ps2, _ = config
-            if q_s2 is _DEAD:
+            if config[1] is _DEAD:
                 continue
             if config not in seen:
                 seen.add(config)
                 queue.append(config)
-    return False
+    return None if undecided else False
 
 
 def _check_compatible(

@@ -259,9 +259,9 @@ class Planner:
     certifies with: ``"general"`` (default) always runs the exact
     PSPACE procedure of Theorem 5.16; ``"auto"`` uses the PTIME dfVSA
     fragment of Theorem 5.17 when its preconditions (deterministic
-    functional automata, disjoint splitter) hold — subject to that
-    fragment's documented empty-span boundary corner case, see
-    :func:`repro.core.api.split_correct`; ``"fast"`` certifies *only*
+    functional automata, disjoint splitter) hold (see
+    :func:`repro.core.api.split_correct` for its empty-span boundary
+    corner case); ``"fast"`` certifies *only*
     within the fragment — candidates outside it (and the PSPACE
     splittability scan) are skipped, so a query that nothing certifies
     in PTIME falls back to whole-document evaluation.

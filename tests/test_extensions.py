@@ -263,6 +263,24 @@ class TestAnnotatedSplitters:
             det_spanner, swapped, det_annotated
         )
 
+    def test_theorem_e4_tuple_covered_by_two_keys(self):
+        # On "a" the key "whole" splits [1,2> and "end" the empty
+        # [2,2>; the 0-ary tuple needs only the first.
+        alphabet = frozenset("ab")
+        annotated = AnnotatedSplitter({
+            "whole": determinize(compile_regex_formula("x{a}", alphabet)),
+            "end": determinize(compile_regex_formula("a(x{})", alphabet)),
+        })
+        spanner = determinize(compile_regex_formula("a", alphabet))
+        mapping = {"whole": spanner, "end": spanner}
+        assert annotated.is_highlander()
+        assert annotated_split_correct(spanner, mapping, annotated)
+        assert annotated_split_correct_highlander(spanner, mapping,
+                                                  annotated)
+        empty = determinize(compile_regex_formula("b", alphabet))
+        assert not annotated_split_correct_highlander(
+            spanner, {"whole": empty, "end": spanner}, annotated)
+
     def test_theorem_e7_canonical_mapping(self):
         _alphabet, annotated, spanner, _mapping = self._setup()
         assert annotated_splittable(spanner, annotated)

@@ -127,6 +127,30 @@ class TestTractableFragment:
         records = determinize(record_splitter(alphabet, "#"))
         assert split_correct_dfvsa(p, p_s, records)
 
+    @pytest.mark.parametrize("pattern, splitter_pattern, expected", [
+        # On "a" the splits are [1,2> and the empty [2,2>: the 0-ary
+        # tuple is produced by the first, so the second missing it is
+        # not a discrepancy.
+        ("a", "x{a}|a(x{})", True),
+        # Every split of "a" covers the empty span [2,2>.
+        ("a(y{})", "x{a}|a(x{})", True),
+        # A 0-ary spanner over a-run tokens: some token holds the a.
+        (".*a.*", "(.*b)?x{a*}(b.*)?", True),
+        (".*b.*", "(.*b)?x{a*}(b.*)?", False),
+        ("y{}a", "x{}a|a(x{})", False),
+        ("ab", "x{a}b|a(x{b})", False),
+    ])
+    def test_tuples_covered_by_two_splits(self, pattern, splitter_pattern,
+                                          expected):
+        p = compile_regex_formula(pattern, AB, require_functional=False)
+        splitter = compile_regex_formula(splitter_pattern, AB,
+                                         require_functional=False)
+        assert is_disjoint(splitter)
+        assert split_correct_general(p, p, splitter) == expected
+        assert semantically_split_correct(p, p, splitter, 4) == expected
+        p_det, s_det = determinize(p), determinize(splitter)
+        assert split_correct_dfvsa(p_det, p_det, s_det) == expected
+
     def test_precondition_check(self):
         p = token_bounded_extractor()
         tokens = determinize(token_splitter(TXT))
@@ -163,14 +187,11 @@ class TestTractableFragment:
             assert witness is not None
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the default method answers False on an empty capture where the "
-    "general procedure and every document up to length 5 say True"))
 @pytest.mark.parametrize("splitter", [".*x{a}.*", ".*x{.}.*"])
 def test_default_method_agrees_on_an_empty_capture(splitter):
-    # A known false negative of ``method="auto"``: P extracts the empty
+    # ``method="auto"`` once answered False here: P extracts the empty
     # span before every ``a``, and each splitter's chunks hold all of
-    # them.  The test flips to passing once the default method agrees.
+    # them; after an ``a`` that span is covered by two adjacent chunks.
     from repro.core.api import self_splittable
 
     p = determinize(compile_regex_formula(".*y{~}a.*", AB))
