@@ -11,7 +11,9 @@ The Introduction's debugging interface as a CLI::
         --alphabet 'ab .' --splitters tokens,sentences
 
 prints, per splitter, disjointness, self-splittability and
-splittability, plus the recommended plan.  The corpus engine
+splittability, plus the recommended plan and the theorem that
+certified it (the planner picks the procedure; there is no flag for
+it).  The corpus engine
 (:mod:`repro.engine`) is exposed as a second subcommand::
 
     python -m repro engine --pattern '...' --alphabet 'ab .' \
@@ -58,8 +60,6 @@ def _build_query(args) -> Query:
     spanner = Spanner.regex(args.pattern, frozenset(args.alphabet))
     names = [n.strip() for n in args.splitters.split(",") if n.strip()]
     query = Q(spanner).split_by(*names)
-    if getattr(args, "method", None) is not None:
-        query = query.method(args.method)
     if getattr(args, "workers", None) is not None:
         query = query.workers(args.workers)
     # `is not None`, not truthiness: 0 must reach the scheduler's
@@ -376,11 +376,6 @@ def main(argv=None) -> int:
         help=f"comma list: {known}",
     )
     analyze_parser.add_argument(
-        "--method", default="general",
-        choices=["auto", "fast", "general"],
-        help="certification procedure selection",
-    )
-    analyze_parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="trace certification; write Chrome trace JSON to FILE",
     )
@@ -398,11 +393,6 @@ def main(argv=None) -> int:
     engine_parser.add_argument(
         "--splitters", default="tokens,sentences",
         help=f"comma list registered with the planner: {known}",
-    )
-    engine_parser.add_argument(
-        "--method", default="general",
-        choices=["auto", "fast", "general"],
-        help="certification procedure selection",
     )
     engine_parser.add_argument("--text", action="append",
                                help="inline document (repeatable)")
@@ -443,11 +433,6 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--splitters", default="tokens,sentences",
         help=f"comma list registered with the planner: {known}",
-    )
-    serve_parser.add_argument(
-        "--method", default="general",
-        choices=["auto", "fast", "general"],
-        help="certification procedure selection",
     )
     serve_parser.add_argument("--workers", type=int, default=0,
                               help="process-pool size (0 = in-process)")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Optional, Sequence, Tuple
 
-from repro.automata.nfa import NFA
+from repro.automata.nfa import NFA, universal_nfa
 
 Symbol = Hashable
 
@@ -103,25 +103,13 @@ def nfa_universal(nfa: NFA, alphabet: Optional[frozenset] = None) -> bool:
 
     This is the source problem of the paper's hardness reductions
     (Theorems 4.2, 5.1, 6.2, Lemma 5.4); having a direct decision
-    procedure lets the tests validate the reductions end to end.
+    procedure lets the tests validate the reductions end to end.  It is
+    the containment of ``alphabet*`` (just the empty word over an empty
+    alphabet) in ``L(nfa)``.
     """
     if alphabet is None:
         alphabet = nfa.alphabet
-    start = nfa.epsilon_closure({nfa.initial})
-    if not (start & nfa.finals):
-        return False
-    seen = {start}
-    queue: deque = deque([start])
-    while queue:
-        current = queue.popleft()
-        for symbol in alphabet:
-            nxt = nfa.step(current, symbol)
-            if not (nxt & nfa.finals):
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    return containment_search(universal_nfa(alphabet), nfa)[0] is None
 
 
 def union_universal(dfas: Sequence, alphabet: frozenset) -> bool:

@@ -10,7 +10,10 @@ pick the best applicable procedure the way a query planner would:
   5.15, 5.16).
 
 ``method`` can force a specific procedure: ``"fast"`` (raises if the
-preconditions fail), ``"general"``, or ``"auto"`` (default).
+preconditions fail), ``"general"``, or ``"auto"`` (default).  Only
+these theory entry points take it; the runtime planner
+(:class:`repro.runtime.planner.Planner`) always makes the ``"auto"``
+choice.
 
 These functions answer one certification question at a time.  To
 *apply* the answers over whole corpora — certify once per program,
@@ -82,17 +85,11 @@ def _fast_applicable(
     return is_disjoint(splitter)
 
 
-def check_method(method: str) -> None:
-    """Validate a certification-method name (the single source of
-    truth for :func:`split_correct`, :class:`repro.runtime.planner.
-    Planner` and :meth:`repro.query.Query.method`)."""
+def _check_method(method: str) -> None:
     if method not in _METHODS:
         raise CertificationError(
             f"method must be one of {_METHODS}, got {method!r}"
         )
-
-
-_check_method = check_method
 
 
 def split_correct(

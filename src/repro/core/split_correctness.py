@@ -124,7 +124,6 @@ def split_correct_dfvsa(
     tuples another split may cover too: those are decided by
     :func:`split_correct_general`.
     """
-    _check_compatible(spanner, split_spanner)
     if check:
         for name, automaton in (
             ("spanner", spanner),
@@ -133,12 +132,26 @@ def split_correct_dfvsa(
         ):
             if not is_deterministic(automaton):
                 raise ValueError(f"{name} must be deterministic (dfVSA)")
+    verdict = dfvsa_verdict(spanner, split_spanner, splitter)
+    if verdict is None:
+        return split_correct_general(spanner, split_spanner, splitter)
+    return verdict
+
+
+def dfvsa_verdict(
+    spanner: VSetAutomaton,
+    split_spanner: VSetAutomaton,
+    splitter: VSetAutomaton,
+) -> Optional[bool]:
+    """Theorem 5.7's own answer, under :func:`split_correct_dfvsa`'s
+    preconditions (not checked here): ``None`` when the search cannot
+    decide — every discrepancy it finds is of a tuple another split may
+    cover too — which leaves the question to Theorem 5.1."""
+    _check_compatible(spanner, split_spanner)
     if not cover_condition_disjoint(spanner, splitter):
         return False
     found = _discrepancy_reachable(spanner, split_spanner, splitter)
-    if found is None:
-        return split_correct_general(spanner, split_spanner, splitter)
-    return not found
+    return None if found is None else not found
 
 
 def _step(automaton: VSetAutomaton, state, symbol):

@@ -202,11 +202,9 @@ class ExtractionEngine:
     ``splitters`` is the registry the planner certifies against (same
     objects as :class:`repro.runtime.planner.Planner`); ``workers`` and
     ``batch_size`` configure the scheduler; ``chunk_cache_limit``
-    bounds chunk-cache memory (LRU); ``method`` selects the
-    certification procedure (see :class:`repro.runtime.planner.
-    Planner`).  Both caches persist across ``run`` calls, so a
-    long-lived engine keeps getting faster as it sees more of the
-    workload.
+    bounds chunk-cache memory (LRU).  Both caches persist across
+    ``run`` calls, so a long-lived engine keeps getting faster as it
+    sees more of the workload.
 
     ``corpus_index`` optionally attaches a
     :class:`repro.index.SegmentedIndex` (or the path of one's
@@ -236,7 +234,6 @@ class ExtractionEngine:
         chunk_cache_limit: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
         chunk_cache: Optional[ChunkCache] = None,
-        method: str = "general",
         corpus_index: Optional[object] = None,
         prefilter: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
@@ -244,8 +241,7 @@ class ExtractionEngine:
     ) -> None:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else Metrics()
-        self.planner = Planner(splitters, method=method,
-                               tracer=self.tracer)
+        self.planner = Planner(splitters, tracer=self.tracer)
         self.scheduler = Scheduler(workers=workers, batch_size=batch_size,
                                    tracer=self.tracer,
                                    metrics=self.metrics)
@@ -253,12 +249,8 @@ class ExtractionEngine:
         self.chunk_cache = (chunk_cache if chunk_cache is not None
                             else ChunkCache(chunk_cache_limit))
         # The registry is immutable after construction; fingerprint
-        # once.  The certification method participates: engines that
-        # certify differently must not exchange certificates through a
-        # shared plan cache.
+        # once.
         self._registry_fp = registry_fingerprint(self.planner.splitters)
-        if method != "general":
-            self._registry_fp += f"+{method}"
         self._index = None
         self._prefilter = prefilter
         # IndexFilter per certificate fingerprint; invalidated when the

@@ -33,11 +33,12 @@ class NotFunctionalError(ReproError, ValueError):
 class CertificationError(ReproError, ValueError):
     """A certification request cannot be satisfied as posed.
 
-    Raised when a forced ``method="fast"`` is asked of inputs outside
-    the tractable fragment (Theorems 5.7/5.17 need dfVSAs and a
-    disjoint splitter), when an unknown method name is passed, or when
-    an object that is neither a VSet-automaton nor a wrapper around
-    one reaches the decision procedures.
+    Raised when :func:`repro.core.api.split_correct` (or
+    ``self_splittable``) is forced to ``method="fast"`` on inputs
+    outside the tractable fragment (Theorems 5.7/5.17 need dfVSAs and
+    a disjoint splitter) or passed an unknown method name, or when an
+    object that is neither a VSet-automaton nor a wrapper around one
+    reaches the decision procedures.
     """
 
 

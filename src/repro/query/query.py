@@ -15,9 +15,10 @@ forked safely.  (The derived state — the lazily built engine handle of
 cached on first use; queries are not synchronized for concurrent first
 execution across threads.)  Execution goes through the corpus engine
 (:class:`repro.engine.ExtractionEngine`) — certification runs exactly
-once per (program, registry) pair via the plan cache, chunks
-deduplicate corpus-wide, and results stream lazily as a
-:class:`repro.query.ResultSet`.
+once per (program, registry) pair via the plan cache, by the cheapest
+exact procedure the inputs admit (:class:`repro.runtime.planner.
+Planner`; there is nothing to choose), chunks deduplicate corpus-wide,
+and results stream lazily as a :class:`repro.query.ResultSet`.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ SplitterSpec = Union[str, Splitter]
 class Query:
     """An immutable, chainable extraction query.
 
-    Configuration methods (:meth:`split_by`, :meth:`method`,
-    :meth:`workers`, :meth:`batch_size`, :meth:`using`) each return a
-    new query; :meth:`over` executes against a corpus and returns a
-    lazy :class:`ResultSet`; :meth:`on` is the single-document
-    shortcut.
+    Configuration methods (:meth:`split_by`, :meth:`workers`,
+    :meth:`batch_size`, :meth:`using`) each return a new query;
+    :meth:`over` executes against a corpus and returns a lazy
+    :class:`ResultSet`; :meth:`on` is the single-document shortcut.
     """
 
-    __slots__ = ("_spanner", "_splitters", "_method", "_workers",
+    __slots__ = ("_spanner", "_splitters", "_workers",
                  "_batch_size", "_chunk_cache_limit", "_engine",
                  "_engine_explicit", "_index", "_tracer", "_flight",
                  "_program")
@@ -54,8 +54,6 @@ class Query:
         object.__setattr__(self, "_spanner", spanner)
         object.__setattr__(self, "_splitters",
                            settings.get("splitters", ()))
-        object.__setattr__(self, "_method",
-                           settings.get("method", "general"))
         object.__setattr__(self, "_workers", settings.get("workers", 0))
         object.__setattr__(self, "_batch_size",
                            settings.get("batch_size", 32))
@@ -81,7 +79,6 @@ class Query:
     def _evolve(self, **overrides: object) -> "Query":
         settings = {
             "splitters": self._splitters,
-            "method": self._method,
             "workers": self._workers,
             "batch_size": self._batch_size,
             "chunk_cache_limit": self._chunk_cache_limit,
@@ -102,7 +99,7 @@ class Query:
         if self._engine_explicit:
             raise ReproError(
                 "this query is pinned to an engine via .using(); "
-                "configure splitters/method/workers before .using(...), "
+                "configure splitters/workers before .using(...), "
                 "or configure the engine itself"
             )
         return self._evolve(**overrides)
@@ -137,16 +134,6 @@ class Query:
         return self._reconfigure(
             splitters=self._splitters + tuple(resolved)
         )
-
-    def method(self, name: str) -> "Query":
-        """Select the certification procedure: ``"general"`` (exact,
-        default), ``"auto"`` (tractable fragment when applicable), or
-        ``"fast"`` (PTIME fragment only — candidates outside it are
-        skipped, falling back to whole-document evaluation)."""
-        from repro.core.api import check_method
-
-        check_method(name)
-        return self._reconfigure(method=name)
 
     def workers(self, count: int) -> "Query":
         """Process-pool size for chunk evaluation (0 = in-process)."""
@@ -244,7 +231,7 @@ class Query:
         building a dedicated one.
 
         The engine then owns the execution shape, so further
-        :meth:`split_by`/:meth:`method`/:meth:`workers`/... calls on
+        :meth:`split_by`/:meth:`workers`/:meth:`batch_size`/... calls on
         the pinned query raise :class:`repro.errors.ReproError` —
         configure first, pin last.
         """
@@ -278,7 +265,6 @@ class Query:
                     workers=self._workers,
                     batch_size=self._batch_size,
                     chunk_cache_limit=self._chunk_cache_limit,
-                    method=self._method,
                     corpus_index=(self._index
                                   if self._index not in (None, True)
                                   else None),
@@ -357,9 +343,9 @@ class Query:
               default_deadline: Optional[float] = None,
               name: Optional[str] = None):
         """A resident :class:`repro.serve.ExtractionService` for this
-        query: the engine this chain configured (splitters, method,
-        workers, index, tracing) becomes service-owned, with the
-        query's spanner as the default program.
+        query: the engine this chain configured (splitters, workers,
+        index, tracing) becomes service-owned, with the query's spanner
+        as the default program.
 
         The service takes ownership of the engine — run queries
         through the service from here on (``await

@@ -15,8 +15,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.api import _fast_applicable
 from repro.core.split_correctness import (
     CertificationAccount,
+    dfvsa_verdict,
     split_correct_account,
 )
 from repro.core.splittability import canonical_split_spanner, is_splittable
@@ -255,16 +257,15 @@ class SplitReport:
 class Planner:
     """Analyse extractors against a registry of splitters.
 
-    ``method`` selects the self-splittability procedure the planner
-    certifies with: ``"general"`` (default) always runs the exact
-    PSPACE procedure of Theorem 5.16; ``"auto"`` uses the PTIME dfVSA
-    fragment of Theorem 5.17 when its preconditions (deterministic
-    functional automata, disjoint splitter) hold (see
-    :func:`repro.core.api.split_correct` for its empty-span boundary
-    corner case); ``"fast"`` certifies *only*
-    within the fragment — candidates outside it (and the PSPACE
-    splittability scan) are skipped, so a query that nothing certifies
-    in PTIME falls back to whole-document evaluation.
+    Self-splittability is decided by the cheapest sound procedure the
+    inputs admit: the PTIME check of Theorem 5.17 when the spanner and
+    the splitter are deterministic functional automata and the splitter
+    is disjoint, and the PSPACE procedure of Theorem 5.16 otherwise —
+    or when the PTIME search leaves the question open (a discrepancy
+    only on a tuple two splits may cover; see
+    :func:`repro.core.split_correctness.dfvsa_verdict`).  Both are
+    exact, so the choice changes the cost and the theorem ``explain()``
+    names, never the verdict.
 
     ``tracer`` (:class:`repro.obs.trace.Tracer`) brackets planning in
     spans: one ``certify.candidate`` span per splitter examined —
@@ -277,55 +278,33 @@ class Planner:
     """
 
     def __init__(self, splitters: Sequence[RegisteredSplitter],
-                 method: str = "general",
                  tracer: Optional[Tracer] = None) -> None:
-        from repro.core.api import check_method
-
-        check_method(method)
         self.splitters = sorted(
             splitters, key=lambda s: -s.priority
         )
-        self.method = method
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def _certify_self_splittable(
         self, spanner: VSetAutomaton, automaton: VSetAutomaton
     ):
-        """Decide ``P = P o S`` per ``self.method``.
+        """Decide ``P = P o S`` by the cheapest sound procedure.
 
         Returns ``(answer, theorem, procedure, account)`` recording
         which paper result actually ran (explain metadata) and, for the
         general procedure, what it built and searched.
         """
-        if self.method != "general":
-            from repro.core.api import _fast_applicable
-            from repro.core.self_splittability import (
-                is_self_splittable_dfvsa,
-            )
-
-            if _fast_applicable(automaton, spanner):
-                return (is_self_splittable_dfvsa(spanner, automaton,
-                                                 check=False),
-                        "Theorem 5.17",
+        if _fast_applicable(automaton, spanner):
+            verdict = dfvsa_verdict(spanner, spanner, automaton)
+            if verdict is not None:
+                return (verdict, "Theorem 5.17",
                         "dfVSA self-splittability (PTIME)", None)
-            if self.method == "fast":
-                # Outside the tractable fragment: 'fast' never runs a
-                # PSPACE procedure, so the candidate is skipped rather
-                # than certified.
-                return (False, None, None, None)
         account = split_correct_account(spanner, spanner, automaton)
         return (account.verdict, "Theorem 5.16",
                 "general self-splittability (PSPACE)", account)
 
     def analyse(self, spanner: VSetAutomaton) -> List[SplitReport]:
         """The debugging report: how ``spanner`` splits by each
-        registered splitter (the paper's HTTP-log scenario).
-
-        Honours ``self.method``: under ``"fast"``, candidates outside
-        the PTIME fragment report ``self_splittable=False`` and
-        ``splittable=None`` (not determined) — consistent with the
-        plan the same planner would emit.
-        """
+        registered splitter (the paper's HTTP-log scenario)."""
         from repro.splitters.disjointness import overlap_witness
 
         reports = []
@@ -333,15 +312,11 @@ class Planner:
             automaton = registered.automaton
             witness = overlap_witness(automaton)
             disjoint = witness is None
-            self_split, _theorem, _procedure, _account = \
-                self._certify_self_splittable(spanner, automaton)
+            self_split = self._certify_self_splittable(spanner,
+                                                       automaton)[0]
             splittable: Optional[bool]
             if self_split:
                 splittable = True
-            elif self.method == "fast":
-                # The splittability test is PSPACE; 'fast' leaves it
-                # undetermined.
-                splittable = None
             elif disjoint:
                 splittable = is_splittable(
                     spanner, automaton, require_disjoint=False
@@ -376,9 +351,8 @@ class Planner:
                         spanner, registered.automaton
                     )
                 span.set("decision", answer)
-                if theorem is not None:
-                    span.set("theorem", theorem)
-                    span.set("procedure", procedure)
+                span.set("theorem", theorem)
+                span.set("procedure", procedure)
                 if account is not None and tracer.enabled:
                     span.set("certification", asdict(account))
             if answer:
@@ -386,11 +360,6 @@ class Planner:
                             theorem=theorem, procedure=procedure,
                             certification=account)
         for registered in self.splitters:
-            if self.method == "fast":
-                # The splittability test (and its canonical rewriting)
-                # has no PTIME fragment; 'fast' stops at the
-                # self-splittability scan above.
-                break
             if not is_disjoint(registered.automaton):
                 continue
             with tracer.span("certify.candidate",

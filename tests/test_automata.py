@@ -188,6 +188,24 @@ class TestContainment:
             [regex_to_nfa("a*", AB), regex_to_nfa("b*a", AB)], AB
         )
 
+    def test_universality_over_an_empty_alphabet(self):
+        # Over no symbols, alphabet* is just the empty word.
+        none = frozenset()
+        assert nfa_universal(regex_to_nfa("~", AB), none)
+        assert nfa_universal(regex_to_nfa("a*", AB), none)
+        assert not nfa_universal(regex_to_nfa("a", AB), none)
+        assert not nfa_universal(empty_language_nfa(none))
+
+    @given(language_nodes_st())
+    def test_universality_matches_brute_force(self, node):
+        nfa = regex_to_nfa(node, AB)
+        if nfa_universal(nfa, AB):
+            assert brute_language(nfa, AB, 4) == brute_language(
+                universal_nfa(AB), AB, 4)
+        else:
+            missing = containment_counterexample(universal_nfa(AB), nfa)
+            assert not nfa.accepts(missing)
+
     @given(language_nodes_st(), language_nodes_st())
     def test_containment_matches_brute_force(self, left_node, right_node):
         left = regex_to_nfa(left_node, AB)

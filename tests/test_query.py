@@ -261,15 +261,6 @@ class TestRegistry:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
-    def test_analyse_honours_fast_method(self):
-        # Under 'fast' the PSPACE procedures never run: nondeterministic
-        # candidates report not-self-splittable and undetermined
-        # splittability, matching the plan the same planner emits.
-        reports = Q(Spanner.regex(PATTERN, TXT)).split_by("tokens") \
-            .method("fast").analyse()
-        assert reports[0].self_splittable is False
-        assert reports[0].splittable is None
-
     def test_cli_parse_error_exits_2(self, capsys):
         # Regex parse errors are plain ValueErrors from below the
         # fluent surface; the CLI must still report them cleanly.
@@ -295,12 +286,7 @@ class TestQueryBuilder:
         assert derived.splitters[0].name == "tokens"
         assert isinstance(derived, Query)
         with pytest.raises(AttributeError):
-            derived._method = "fast"
-
-    def test_method_validation(self):
-        base = Q(Spanner.regex(PATTERN, TXT))
-        with pytest.raises(CertificationError):
-            base.method("quantum")
+            derived._workers = 4
 
     def test_split_by_accepts_wrappers_and_names(self):
         tokens = Splitter.named("tokens", TXT)
@@ -365,7 +351,6 @@ class TestQueryBuilder:
         )
         pinned = Q(Spanner.regex(PATTERN, TXT)).using(engine)
         for reconfigure in (lambda: pinned.split_by("whole"),
-                            lambda: pinned.method("auto"),
                             lambda: pinned.workers(2),
                             lambda: pinned.batch_size(4)):
             with pytest.raises(ReproError):
@@ -589,27 +574,13 @@ class TestEngineIntegration:
         eager = fresh.run(Corpus.from_texts(CORPUS), spanner)
         assert lazy == dict(eager.by_document)
 
-    def test_planner_method_fast_skips_out_of_fragment(self):
-        # The registry token splitter is nondeterministic, so it is
-        # outside the Theorem 5.17 fragment: 'fast' skips it (and the
-        # PSPACE splittability scan) instead of raising, falling back
-        # to whole-document evaluation.
-        query = Q(Spanner.regex(PATTERN, TXT)).split_by("tokens") \
-            .method("fast")
-        explain = query.explain()
-        assert explain["mode"] == "whole"
-        assert query.on("aa ab.") == evaluate_whole(
-            compile_regex_formula(PATTERN, TXT), "aa ab."
-        )
-
     def test_planner_method_auto_certifies_dfvsa_fast(self):
         from repro.spanners.determinism import determinize
 
         spanner = determinize(compile_regex_formula(PATTERN, TXT))
         tokens = determinize(token_splitter(TXT))
         query = Q(Spanner.from_vsa(spanner)) \
-            .split_by(Splitter.from_vsa(tokens, name="tokens")) \
-            .method("auto")
+            .split_by(Splitter.from_vsa(tokens, name="tokens"))
         explain = query.explain()
         assert explain["mode"] == "split"
         assert explain["theorem"] == "Theorem 5.17"

@@ -588,6 +588,36 @@ class TestPlanner:
         assert report.splittable is None
         assert report.overlap_witness is not None
 
+    @pytest.mark.parametrize("pattern, splitter_pattern, theorem", [
+        # The PTIME search's only discrepancy is the 0-ary tuple, which
+        # the empty split after the "a" may cover too: it cannot
+        # decide, and Theorem 5.16 does.
+        ("a", "x{a}|a(x{})", "Theorem 5.16"),
+        # Every tuple has one covering split: PTIME decides alone.
+        (".*y{a}.*", ".*x{a}.*", "Theorem 5.17"),
+    ])
+    def test_plan_names_the_theorem_that_ran(self, pattern,
+                                             splitter_pattern, theorem):
+        from repro.obs.trace import Tracer
+        from repro.spanners.determinism import determinize
+
+        ab = frozenset("ab")
+        spanner = determinize(compile_regex_formula(pattern, ab))
+        splitter = determinize(compile_regex_formula(splitter_pattern, ab))
+        tracer = Tracer()
+        plan = Planner([RegisteredSplitter("s", splitter)],
+                       tracer=tracer).plan(spanner)
+        assert plan.mode == "split" and plan.self_splittable
+        general = theorem == "Theorem 5.16"
+        assert plan.theorem == theorem
+        assert ("PSPACE" if general else "PTIME") in plan.procedure
+        assert (plan.certification is not None) == general
+        (span,) = [record for record in tracer.records()
+                   if record.name == "certify.candidate"]
+        assert span.attributes["theorem"] == theorem
+        assert span.attributes["procedure"] == plan.procedure
+        assert ("certification" in span.attributes) == general
+
     def test_debugging_scenario(self):
         # The paper's HTTP debugging story: a program crossing record
         # boundaries is reported as not splittable by records.

@@ -13,6 +13,7 @@ from repro.reductions import (
     split_correctness_instance,
     union_universality_instance,
 )
+from repro.runtime.planner import Planner, RegisteredSplitter
 from repro.spanners.determinism import determinize
 from repro.spanners.regex_formulas import compile_regex_formula
 from repro.splitters.builders import (
@@ -171,6 +172,9 @@ class TestTractableFragment:
         fast = split_correct_dfvsa(p_det, p_det, s_det)
         slow = split_correct_general(p, p, splitter)
         assert fast == slow, (p_node.to_string(), s_node.to_string())
+        planned = Planner([RegisteredSplitter("s", s_det)]).plan(p_det)
+        assert planned.self_splittable == slow, (p_node.to_string(),
+                                                 s_node.to_string())
 
     @given(formula_nodes_st(max_depth=2), splitter_nodes_st())
     def test_general_matches_bounded_semantics(self, p_node, s_node):
