@@ -12,8 +12,10 @@ machinery those procedures are built on:
   epsilon transitions, products, unions, and subset construction;
 * :mod:`repro.automata.dfa` -- deterministic automata, minimization and
   complementation;
-* :mod:`repro.automata.regex` -- a classical regular-expression parser
-  compiling to NFAs (Thompson construction);
+* :mod:`repro.automata.regex` -- the one grammar of regular expressions
+  and regex formulas (a plain regex is a formula without captures; braces
+  are metacharacters), their AST, and ``parse_regex`` / ``regex_to_nfa``
+  for the capture-free case (one parser, one Thompson construction);
 * :mod:`repro.automata.containment` -- language containment and
   equivalence via on-the-fly determinization (the PSPACE procedure);
 * :mod:`repro.automata.ufa` -- ambiguity testing and the polynomial-time

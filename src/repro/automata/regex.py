@@ -1,32 +1,63 @@
-"""Classical regular expressions compiled to NFAs.
+r"""Regular expressions and regex formulas: one grammar, one parser.
 
 The paper builds splitters and spanners from regular languages (e.g.
-``S = x{a^n . A_1} + ...`` in Theorem 5.1, the filters of Section 7.2).
-This module provides a small, explicit regex language over single-
-character symbols:
+``S = x{a^n . A_1} + ...`` in Theorem 5.1, the filters of Section 7.2),
+and its regex formulas (Section 4.1) are those expressions plus one
+form, the capture ``x{alpha}``.  Both are written in one grammar over
+single-character symbols::
 
-* literals: any character except the metacharacters;
-* escaping: ``\\`` before any character makes it a literal;
-* grouping ``( )``, alternation ``|``, Kleene star ``*``, plus ``+``,
-  option ``?``;
-* ``.`` matches any symbol of the supplied alphabet;
-* ``~`` denotes the empty word (epsilon), ``!`` the empty language.
+    alpha ::= !  |  ~  |  sigma  |  .  |  (alpha)  |  alpha|alpha
+            |  alpha alpha  |  alpha*  |  alpha+  |  alpha?  |  x{alpha}
 
-The abstract syntax tree mirrors the paper's grammar
-``a ::= 0 | eps | sigma | (a|a) | (a.a) | a*`` and compiles via the
-Thompson construction.
+* ``!`` is the empty language, ``~`` the empty word, ``.`` any symbol
+  of the supplied alphabet; ``+`` and ``?`` are postfix sugar for
+  ``alpha alpha*`` and ``(alpha|~)``;
+* a literal ``sigma`` is any character except the metacharacters
+  ``( ) | * + ? . ~ ! \ { }``; ``\`` before any character makes it
+  a literal (write ``\{`` for the letter ``{``);
+* ``x{alpha}`` captures what ``alpha`` matches in the variable ``x``,
+  the *maximal* identifier run directly before ``{``: ``ax{b}`` is a
+  capture named ``ax`` — write ``(a)x{b}`` or ``\ax{b}`` for the
+  letter ``a`` followed by ``x{b}``.
+
+A plain regular expression is a formula without captures.  The abstract
+syntax tree mirrors the paper's grammar ``a ::= 0 | eps | sigma | (a|a)
+| (a.a) | a* | x{a}`` (the capture node is
+:class:`repro.spanners.regex_formulas.Capture`); one recursive-descent
+parser reads it and one Thompson construction compiles it, both in
+:mod:`repro.spanners.regex_formulas`.  :func:`parse_regex` reads the
+whole grammar; :func:`regex_to_nfa` compiles the capture-free case:
+
+>>> nfa = regex_to_nfa("a(b|~)*", "ab")
+>>> nfa.accepts("abb"), nfa.accepts("ba")
+(True, False)
+>>> regex_to_nfa(r"\{a\}", "a{}").accepts("{a}")
+True
+>>> parse_regex("a{")
+Traceback (most recent call last):
+    ...
+repro.automata.regex.RegexParseError: unterminated capture group
+>>> regex_to_nfa("x{a}", "ab")
+Traceback (most recent call last):
+    ...
+ValueError: a plain regex has no captures: 'x{a}'
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, Tuple, Union
+from typing import Hashable, Iterable, Union
 
-from repro.automata.nfa import EPSILON, NFA
+from repro.automata.nfa import NFA
 
 Symbol = Hashable
 
-METACHARACTERS = set("()|*+?.~!\\")
+METACHARACTERS = set("()|*+?.~!\\{}")
+#: The characters of a capture's variable name; the first is no digit.
+NAME_START = frozenset(string.ascii_letters + "_")
+NAME_CHARS = NAME_START | frozenset(string.digits)
+_NAME_RUN = "".join(sorted(NAME_CHARS))
 
 
 class RegexNode:
@@ -89,7 +120,12 @@ class Concat(RegexNode):
     right: RegexNode
 
     def to_string(self) -> str:
-        return f"{self.left.to_string()}{self.right.to_string()}"
+        left, right = self.left.to_string(), self.right.to_string()
+        name = len(right) - len(right.lstrip(_NAME_RUN))
+        if name and right[name:name + 1] == "{" and left[-1:] in NAME_CHARS:
+            # ``a`` then ``x{b}`` must not print as the capture ``ax{b}``.
+            right = f"({right})"
+        return left + right
 
 
 @dataclass(frozen=True, repr=False)
@@ -104,150 +140,24 @@ class RegexParseError(ValueError):
     """Raised on malformed regular expressions."""
 
 
-class _Parser:
-    """Recursive-descent parser for the surface syntax above."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> Union[str, None]:
-        if self.pos < len(self.text):
-            return self.text[self.pos]
-        return None
-
-    def advance(self) -> str:
-        char = self.text[self.pos]
-        self.pos += 1
-        return char
-
-    def parse(self) -> RegexNode:
-        node = self.parse_union()
-        if self.pos != len(self.text):
-            raise RegexParseError(
-                f"unexpected {self.text[self.pos]!r} at position {self.pos}"
-            )
-        return node
-
-    def parse_union(self) -> RegexNode:
-        node = self.parse_concat()
-        while self.peek() == "|":
-            self.advance()
-            node = Union_(node, self.parse_concat())
-        return node
-
-    def parse_concat(self) -> RegexNode:
-        parts = []
-        while True:
-            char = self.peek()
-            if char is None or char in ")|":
-                break
-            parts.append(self.parse_postfix())
-        if not parts:
-            return Epsilon()
-        node = parts[0]
-        for part in parts[1:]:
-            node = Concat(node, part)
-        return node
-
-    def parse_postfix(self) -> RegexNode:
-        node = self.parse_atom()
-        while True:
-            char = self.peek()
-            if char == "*":
-                self.advance()
-                node = Star(node)
-            elif char == "+":
-                self.advance()
-                node = Concat(node, Star(node))
-            elif char == "?":
-                self.advance()
-                node = Union_(node, Epsilon())
-            else:
-                return node
-
-    def parse_atom(self) -> RegexNode:
-        char = self.peek()
-        if char is None:
-            raise RegexParseError("unexpected end of pattern")
-        if char == "(":
-            self.advance()
-            node = self.parse_union()
-            if self.peek() != ")":
-                raise RegexParseError("unbalanced parenthesis")
-            self.advance()
-            return node
-        if char == "\\":
-            self.advance()
-            nxt = self.peek()
-            if nxt is None:
-                raise RegexParseError("dangling escape")
-            self.advance()
-            return Literal(nxt)
-        if char == ".":
-            self.advance()
-            return AnySymbol()
-        if char == "~":
-            self.advance()
-            return Epsilon()
-        if char == "!":
-            self.advance()
-            return Empty()
-        if char in METACHARACTERS:
-            raise RegexParseError(f"unexpected metacharacter {char!r}")
-        self.advance()
-        return Literal(char)
-
-
 def parse_regex(pattern: str) -> RegexNode:
-    """Parse ``pattern`` into a :class:`RegexNode` tree."""
-    return _Parser(pattern).parse()
+    """Parse ``pattern`` into a :class:`RegexNode` tree: the one
+    parser of the grammar above, so a capture parses too."""
+    from repro.spanners.regex_formulas import parse_regex_formula
 
-
-def _thompson(node: RegexNode, alphabet: FrozenSet[Symbol], counter: list) -> Tuple:
-    """Return (states, initial, finals, transitions) for ``node``."""
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    if isinstance(node, Empty):
-        q = fresh()
-        return {q}, q, set(), []
-    if isinstance(node, Epsilon):
-        q = fresh()
-        return {q}, q, {q}, []
-    if isinstance(node, Literal):
-        if node.symbol not in alphabet:
-            raise ValueError(f"literal {node.symbol!r} not in alphabet")
-        q0, q1 = fresh(), fresh()
-        return {q0, q1}, q0, {q1}, [(q0, node.symbol, q1)]
-    if isinstance(node, AnySymbol):
-        q0, q1 = fresh(), fresh()
-        return {q0, q1}, q0, {q1}, [(q0, symbol, q1) for symbol in alphabet]
-    if isinstance(node, Union_):
-        ls, li, lf, lt = _thompson(node.left, alphabet, counter)
-        rs, ri, rf, rt = _thompson(node.right, alphabet, counter)
-        q0 = fresh()
-        transitions = lt + rt + [(q0, EPSILON, li), (q0, EPSILON, ri)]
-        return ls | rs | {q0}, q0, lf | rf, transitions
-    if isinstance(node, Concat):
-        ls, li, lf, lt = _thompson(node.left, alphabet, counter)
-        rs, ri, rf, rt = _thompson(node.right, alphabet, counter)
-        transitions = lt + rt + [(f, EPSILON, ri) for f in lf]
-        return ls | rs, li, rf, transitions
-    if isinstance(node, Star):
-        s, i, f, t = _thompson(node.inner, alphabet, counter)
-        q0 = fresh()
-        transitions = t + [(q0, EPSILON, i)] + [(x, EPSILON, q0) for x in f]
-        return s | {q0}, q0, {q0}, transitions
-    raise TypeError(f"unknown node {node!r}")
+    return parse_regex_formula(pattern)
 
 
 def regex_to_nfa(pattern: Union[str, RegexNode], alphabet: Iterable[Symbol]) -> NFA:
-    """Compile ``pattern`` (text or AST) to an NFA over ``alphabet``."""
-    node = parse_regex(pattern) if isinstance(pattern, str) else pattern
-    alphabet = frozenset(alphabet)
-    counter = [0]
-    states, initial, finals, transitions = _thompson(node, alphabet, counter)
-    return NFA(alphabet, states, initial, finals, transitions)
+    """Compile the capture-free ``pattern`` (text or AST) to an NFA over
+    ``alphabet``: the NFA of its regex-formula automaton.  A capture
+    raises :class:`ValueError`."""
+    from repro.spanners.regex_formulas import compile_regex_formula
+
+    automaton = compile_regex_formula(pattern, alphabet,
+                                      require_functional=False)
+    if automaton.variables:
+        raise ValueError(
+            f"a plain regex has no captures: {automaton.formula.to_string()!r}"
+        )
+    return automaton.nfa

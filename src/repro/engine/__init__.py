@@ -40,7 +40,7 @@ from repro.engine.cache import (
 from repro.engine.corpus import Corpus, Document, shard_of
 from repro.engine.deadline import Deadline, as_deadline
 from repro.engine.engine import EngineResult, ExtractionEngine, Program
-from repro.engine.scheduler import ScheduledBatch, Scheduler
+from repro.engine.scheduler import Scheduler
 from repro.engine.stats import EngineStats
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "ExtractionEngine",
     "PlanCache",
     "Program",
-    "ScheduledBatch",
     "Scheduler",
     "as_deadline",
     "fingerprint",

@@ -48,6 +48,7 @@ from repro.obs.log import event_log
 from repro.obs.metrics import Metrics, kernel_metrics
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.executor import SpannerLike, splitter_chunks
+from repro.runtime.fast import FastWholeSplitter
 from repro.runtime.planner import CertifiedPlan, Planner, RegisteredSplitter
 from repro.spanners.vset_automaton import VSetAutomaton
 
@@ -417,12 +418,12 @@ class ExtractionEngine:
                     path: Optional[str] = None):
         """Index ``corpus`` exactly as this engine would chunk it.
 
-        Certifies ``program`` (cached) and feeds every document's plan
-        chunks to a fresh :class:`repro.index.SegmentedIndex`, so
+        Certifies ``program`` (cached) and indexes the corpus with
+        :meth:`repro.index.SegmentedIndex.build` under the plan's
+        runtime splitter (the whole document for ``whole`` plans), so
         lookups at run time hit by construction: one sealed segment
-        per shard (each shard's batch ends in a flush, so every text
-        is written once), with per-document tracking so later edits
-        maintain it by delta (:meth:`run_delta`).  ``path`` alone
+        per shard, with per-document tracking so later edits maintain
+        it by delta (:meth:`run_delta`).  ``path`` alone
         decides where it lives — a directory of mmap-able segment
         files, or (``None``) this process's memory.  ``format``
         selects nothing: it is accepted (``None`` or ``"binary"``
@@ -434,23 +435,14 @@ class ExtractionEngine:
             raise ValueError("format selects nothing: pass path or neither")
         from repro.index import SegmentedIndex
 
-        corpus = _as_corpus(corpus)
         certified = self.certify(program)
-        index = SegmentedIndex.create(
-            path, splitter=certified.splitter_name
-        )
-        for shard in (corpus.shards(num_shards) if num_shards > 1
-                      else [corpus]):
-            with index.batch():
-                for document in shard:
-                    index.add_document(
-                        [text for _span, text in
-                         self._chunks_of(certified, document)],
-                        doc_id=document.doc_id,
-                    )
-                index.shards_indexed += 1
-                index.flush()
-        return index
+        plan = certified.plan
+        splitter = (FastWholeSplitter() if plan.mode == "whole"
+                    or plan.splitter is None
+                    else plan.splitter.runtime_splitter())
+        return SegmentedIndex.build(corpus, splitter, directory=path,
+                                    name=certified.splitter_name,
+                                    num_shards=num_shards)
 
     def run_delta(
         self,

@@ -57,15 +57,6 @@ DocumentChunks = Tuple[str, Union[str, Sequence[Tuple[Span, str]]]]
 
 
 @dataclass
-class ScheduledBatch:
-    """What one scheduler pass did (returned for stats/inspection)."""
-
-    documents: int
-    chunk_instances: int
-    unique_missing: int
-
-
-@dataclass
 class PendingBatch:
     """A batch between the two halves of its pass: looked up and
     submitted (:meth:`Scheduler.submit`), not yet collected.
@@ -139,7 +130,6 @@ class Scheduler:
         self.batch_size = batch_size
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else Metrics()
-        self.last_batch: ScheduledBatch = ScheduledBatch(0, 0, 0)
         self._pool: Optional[WorkerPool] = None
 
     # ------------------------------------------------------------------
@@ -285,9 +275,6 @@ class Scheduler:
                 tuples_merged += len(merged)
             span.set("tuples", tuples_merged)
 
-        self.last_batch = ScheduledBatch(
-            len(pending.documents), pending.chunk_instances, len(missing)
-        )
         return resolved
 
     def _gather(self, pending: PendingBatch, span
@@ -298,7 +285,7 @@ class Scheduler:
         queue_wait = metrics.histogram("scheduler.queue_wait_seconds")
         documents = iter(pending.documents)
         resolved: Dict[str, FrozenSet[SpanTuple]] = {}
-        missing, blocked = 0, 0.0
+        blocked = 0.0
         clock = time.perf_counter
         waiting = clock()
         for group, task in pending.tasks:
@@ -309,13 +296,11 @@ class Scheduler:
             for relation, (_, chunks), (doc_id, shipped) in zip(
                     relations, group, documents):
                 resolved[doc_id] = relation
-                pending.chunk_instances += chunks
                 if isinstance(shipped, str):
                     pending.split[doc_id] = chunks
             hits, misses, evictions = task.cache
             cache.hits, cache.misses = cache.hits + hits, cache.misses + misses
             cache.evictions += evictions
-            missing += misses
             split, evaluate, merge = task.phases
             if tracer.enabled:
                 end, pid = task.started + task.busy_seconds, task.pid
@@ -342,8 +327,6 @@ class Scheduler:
             pending.deadline.check()
             waiting = clock()
         metrics.histogram("scheduler.collect_wait_seconds").observe(blocked)
-        self.last_batch = ScheduledBatch(
-            len(pending.documents), pending.chunk_instances, missing)
         return resolved
 
     def run(

@@ -1,16 +1,11 @@
 """Regex formulas: regular expressions with capture variables (Sec 4.1).
 
-The grammar follows the paper::
-
-    alpha ::= ! | ~ | sigma | (alpha|alpha) | alpha alpha | alpha* | x{alpha}
-
-with the surface conventions of :mod:`repro.automata.regex` (``!`` the
-empty language, ``~`` the empty word, ``.`` any letter, ``+``/``?``
-postfix sugar) extended with the capture form ``x{...}`` where ``x`` is
-an identifier.  The variable name is the *maximal* identifier run
-directly before ``{``: ``ax{b}`` is a capture named ``ax``, not the
-letter ``a`` followed by ``x{b}`` — write ``(a)x{b}`` or ``\\ax{b}``
-for the latter.
+The grammar — plain regular expressions plus the capture ``x{alpha}``,
+with braces as metacharacters — is written out once, in
+:mod:`repro.automata.regex`.  This module holds its one parser
+(:func:`parse_regex_formula`) and its one Thompson construction
+(:func:`compile_regex_formula`); ``parse_regex`` and ``regex_to_nfa``
+are their capture-free case.
 
 A regex formula is *functional* when every generated ref-word is valid;
 following the paper, the class ``RGX`` contains exactly the functional
@@ -24,6 +19,9 @@ from typing import FrozenSet, Hashable, Iterable, Tuple, Union
 
 from repro.automata.nfa import EPSILON, NFA
 from repro.automata.regex import (
+    METACHARACTERS,
+    NAME_CHARS,
+    NAME_START,
     AnySymbol,
     Concat,
     Empty,
@@ -39,9 +37,6 @@ from repro.spanners.vset_automaton import VSetAutomaton
 
 Symbol = Hashable
 Variable = Hashable
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 
 
 @dataclass(frozen=True, repr=False)
@@ -140,10 +135,10 @@ class _FormulaParser:
     def _try_capture(self):
         """Parse ``ident{...}`` if present, else return ``None``."""
         saved = self.pos
-        if self.peek() not in _IDENT_START:
+        if self.peek() not in NAME_START:
             return None
         name = [self.advance()]
-        while self.peek() in _IDENT_CONT:
+        while self.peek() in NAME_CHARS:
             name.append(self.advance())
         if self.peek() != "{":
             self.pos = saved
@@ -185,7 +180,7 @@ class _FormulaParser:
         if char == "!":
             self.advance()
             return Empty()
-        if char in "()|*+?{}":
+        if char in METACHARACTERS:
             raise RegexParseError(f"unexpected metacharacter {char!r}")
         self.advance()
         return Literal(char)
@@ -197,8 +192,11 @@ def parse_regex_formula(pattern: str) -> RegexNode:
 
 
 def _compile(node: RegexNode, alphabet: FrozenSet[Symbol],
-             variables: FrozenSet[Variable], counter: list) -> Tuple:
-    """Thompson construction over the extended alphabet."""
+             counter: list) -> Tuple:
+    """Thompson's construction: ``(states, initial, finals,
+    transitions)`` of ``node`` over the document alphabet, a capture's
+    ``Open``/``Close`` operations included.  It is the only one:
+    ``regex_to_nfa`` compiles a plain regex through it as well."""
 
     def fresh() -> int:
         counter[0] += 1
@@ -206,7 +204,7 @@ def _compile(node: RegexNode, alphabet: FrozenSet[Symbol],
 
     if isinstance(node, Capture):
         states, initial, finals, transitions = _compile(
-            node.inner, alphabet, variables, counter
+            node.inner, alphabet, counter
         )
         q0, q1 = fresh(), fresh()
         transitions = list(transitions)
@@ -229,19 +227,19 @@ def _compile(node: RegexNode, alphabet: FrozenSet[Symbol],
         q0, q1 = fresh(), fresh()
         return {q0, q1}, q0, {q1}, [(q0, symbol, q1) for symbol in alphabet]
     if isinstance(node, Union_):
-        ls, li, lf, lt = _compile(node.left, alphabet, variables, counter)
-        rs, ri, rf, rt = _compile(node.right, alphabet, variables, counter)
+        ls, li, lf, lt = _compile(node.left, alphabet, counter)
+        rs, ri, rf, rt = _compile(node.right, alphabet, counter)
         q0 = fresh()
         transitions = list(lt) + list(rt)
         transitions += [(q0, EPSILON, li), (q0, EPSILON, ri)]
         return ls | rs | {q0}, q0, lf | rf, transitions
     if isinstance(node, Concat):
-        ls, li, lf, lt = _compile(node.left, alphabet, variables, counter)
-        rs, ri, rf, rt = _compile(node.right, alphabet, variables, counter)
+        ls, li, lf, lt = _compile(node.left, alphabet, counter)
+        rs, ri, rf, rt = _compile(node.right, alphabet, counter)
         transitions = list(lt) + list(rt) + [(f, EPSILON, ri) for f in lf]
         return ls | rs, li, rf, transitions
     if isinstance(node, Star):
-        s, i, f, t = _compile(node.inner, alphabet, variables, counter)
+        s, i, f, t = _compile(node.inner, alphabet, counter)
         q0 = fresh()
         transitions = list(t) + [(q0, EPSILON, i)]
         transitions += [(x, EPSILON, q0) for x in f]
@@ -264,9 +262,7 @@ def compile_regex_formula(
     alphabet = frozenset(alphabet)
     variables = svars(node)
     counter = [0]
-    states, initial, finals, transitions = _compile(
-        node, alphabet, variables, counter
-    )
+    states, initial, finals, transitions = _compile(node, alphabet, counter)
     extended = alphabet | gamma(variables)
     nfa = NFA(extended, states, initial, finals, transitions)
     automaton = VSetAutomaton(alphabet, variables, nfa)

@@ -125,6 +125,52 @@ def splitter_nodes_st(draw, max_depth: int = 2):
                          frozenset(["x"]))
 
 
+def _disjoint_splitter(shape, variable):
+    """The splitter of ``shape`` capturing its chunks in ``variable``
+    (``None``: the Boolean spanner "some chunk exists")."""
+    from repro.splitters.builders import (char_class, optional, plus, seq,
+                                          up_to)
+
+    def chunk(body):
+        return body if variable is None else Capture(variable, body)
+
+    kind, parameter = shape
+    anything = Star(AnySymbol())
+    if kind == "windows":
+        block = seq(*[AnySymbol()] * parameter)
+        node = seq(Star(block), chunk(block), Star(block),
+                   up_to(AnySymbol(), parameter - 1))
+        if parameter > 1:
+            short = seq(AnySymbol(), up_to(AnySymbol(), parameter - 2))
+            node = Union_(node, Concat(Star(block), chunk(short)))
+        return node
+    separators = char_class(parameter)
+    rest = sorted(set(ALPHABET) - set(parameter))
+    after_separator = optional(Concat(anything, separators))
+    if kind == "runs" and rest:
+        return seq(after_separator, chunk(plus(char_class(rest))),
+                   optional(Concat(separators, anything)))
+    record = Concat(Star(char_class(rest)) if rest else Epsilon(),
+                    separators)
+    return seq(after_separator, chunk(record), anything)
+
+
+def disjoint_splitter_nodes_st(variable="x"):
+    """A splitter over ``{a, b}`` that is disjoint by construction:
+    maximal runs between separators, records that end in a separator,
+    or a tiling into windows of 1 to 3 letters.  Every draw in one
+    example has the same shape, so a spanner drawn with another
+    ``variable`` (or ``None``) is local to the splitter drawn with
+    ``"x"``."""
+    shapes = st.one_of(
+        st.tuples(st.just("windows"), st.integers(1, 3)),
+        st.tuples(st.sampled_from(["runs", "records"]),
+                  st.sampled_from(["a", "b", "ab"])),
+    )
+    return st.shared(shapes, key="disjoint splitter shape").map(
+        lambda shape: _disjoint_splitter(shape, variable))
+
+
 @pytest.fixture
 def ab_alphabet():
     return frozenset(ALPHABET)

@@ -23,16 +23,16 @@ from repro.automata.containment import (
 )
 from repro.automata.dfa import random_dfa
 from repro.automata.nfa import empty_language_nfa, literal_nfa, universal_nfa
-from repro.automata.regex import RegexParseError
+from repro.automata.regex import Concat, Literal, RegexParseError
 from repro.automata.ufa import AmbiguityError
+from repro.spanners.regex_formulas import Capture, compile_regex_formula
 from tests.conftest import documents_st, language_nodes_st
+from tests.reference import documents_upto, ref_eval
 
 AB = frozenset("ab")
 
 
 def brute_language(nfa, alphabet, max_length):
-    from tests.reference import documents_upto
-
     return {d for d in documents_upto(alphabet, max_length)
             if nfa.accepts(d)}
 
@@ -150,9 +150,48 @@ class TestRegexParser:
         assert not nfa.accepts("")
 
     def test_parse_errors(self):
-        for bad in ["(a", "a)", "*a", "a|*", "\\"]:
-            with pytest.raises(RegexParseError):
+        for bad, message in [
+            ("(a", "unbalanced parenthesis"),
+            ("a)", "unexpected ')' at position 1"),
+            ("*a", "unexpected metacharacter '*'"),
+            ("a|*", "unexpected metacharacter '*'"),
+            ("\\", "dangling escape"),
+        ]:
+            with pytest.raises(RegexParseError) as info:
                 parse_regex(bad)
+            assert str(info.value) == message
+
+    def test_braces_are_metacharacters(self):
+        with pytest.raises(RegexParseError):
+            parse_regex("a{")
+        with pytest.raises(RegexParseError):
+            parse_regex("a}")
+        assert regex_to_nfa("\\{a\\}", frozenset("a{}")).accepts("{a}")
+
+    def test_a_capture_is_refused(self):
+        with pytest.raises(ValueError, match="no captures"):
+            regex_to_nfa("x{a}", AB)
+        with pytest.raises(ValueError, match="no captures"):
+            regex_to_nfa(parse_regex("a(x{b})"), AB)
+
+    def test_braces_print_escaped(self):
+        node = Capture("x", Concat(Literal("a"), Literal("{")))
+        assert node.to_string() == "x{a\\{}"
+        assert parse_regex(node.to_string()) == node
+
+    @given(language_nodes_st())
+    def test_one_construction_for_regexes_and_formulas(self, node):
+        formula = compile_regex_formula(node, AB,
+                                        require_functional=False).nfa
+        shape = (formula.initial, formula.finals,
+                 set(formula.transitions()))
+        for nfa in (regex_to_nfa(node.to_string(), AB),
+                    regex_to_nfa(node, AB)):
+            assert (nfa.initial, nfa.finals,
+                    set(nfa.transitions())) == shape
+            for document in documents_upto(AB, 4):
+                assert nfa.accepts(document) == bool(
+                    ref_eval(node, document, AB)), (node, document)
 
     def test_to_string_roundtrip(self):
         node = parse_regex("(a|b)*ab?")

@@ -234,8 +234,7 @@ class TestScheduler:
         scheduler = Scheduler(workers=0)
         chunks = [(Span(1, 3), "aa"), (Span(4, 6), "aa")]
         scheduler.run(spanner, [("d", chunks)], cache, "fp")
-        assert scheduler.last_batch.unique_missing == 1
-        assert scheduler.last_batch.chunk_instances == 2
+        assert cache.misses == 1
         assert cache.hits == 1
 
     def test_validation(self):

@@ -942,7 +942,12 @@ class TestCrashSafety:
             # Kill it somewhere inside a later round.
             time.sleep(rng.random() * 0.005)
             child.kill()
-            rest, errors = child.communicate(timeout=30)
+            # The loop above may have buffered lines past ``target``:
+            # read the rest through the same file object, not through
+            # communicate(), which reads the raw pipe and would drop them.
+            rest = child.stdout.read()
+            errors = child.stderr.read()
+            child.wait(timeout=30)
         finally:
             watchdog.cancel()
             if child.poll() is None:

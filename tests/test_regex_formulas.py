@@ -16,7 +16,7 @@ from repro.spanners.regex_formulas import (
     parse_regex_formula,
     svars,
 )
-from repro.automata.regex import RegexParseError
+from repro.automata.regex import Concat, Literal, RegexParseError
 from tests.conftest import formula_nodes_st
 from tests.reference import documents_upto, ref_eval
 
@@ -43,6 +43,18 @@ class TestParser:
     def test_literal_letter_not_capture(self):
         node = parse_regex_formula("ab")
         assert svars(node) == frozenset()
+
+    def test_a_letter_before_a_capture_prints_apart(self):
+        node = Concat(Literal("a"), Capture("x", Literal("b")))
+        assert node.to_string() == "a(x{b})"
+        assert parse_regex_formula(node.to_string()) == node
+
+    @given(formula_nodes_st())
+    def test_printed_formula_reparses(self, node):
+        again = parse_regex_formula(node.to_string())
+        for document in documents_upto(AB, 3):
+            assert ref_eval(again, document, AB) == ref_eval(
+                node, document, AB), (node.to_string(), document)
 
     def test_unterminated_capture(self):
         with pytest.raises(RegexParseError):
