@@ -174,7 +174,7 @@ class _Journal:
         #: The counters as the snapshot or the last line left them.
         self.counters: Dict[str, int] = {}
         #: ``(inode, bytes)`` of the log as this handle last replayed
-        #: or appended to it; ``None`` before there is one.
+        #: or appended to it; ``None`` while there is none.
         self.position: Optional[Tuple[int, int]] = None
 
     def lines(
@@ -194,6 +194,9 @@ class _Journal:
                 handle.seek(offset)
                 data = handle.read()
         except FileNotFoundError:
+            # No log (a compaction removed it): the next one starts at
+            # byte 0, even if it reuses the old file's inode.
+            self.position = None
             return
         view = memoryview(data)
         start = 0

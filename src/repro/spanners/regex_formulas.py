@@ -4,8 +4,8 @@ The grammar — plain regular expressions plus the capture ``x{alpha}``,
 with braces as metacharacters — is written out once, in
 :mod:`repro.automata.regex`.  This module holds its one parser
 (:func:`parse_regex_formula`) and its one Thompson construction
-(:func:`compile_regex_formula`); ``parse_regex`` and ``regex_to_nfa``
-are their capture-free case.
+(:func:`compile_regex_formula`): ``parse_regex`` is this parser, and
+``regex_to_nfa`` compiles the capture-free case through it.
 
 A regex formula is *functional* when every generated ref-word is valid;
 following the paper, the class ``RGX`` contains exactly the functional

@@ -311,6 +311,29 @@ class TestMmapLifecycle:
         reader.close()
         index.close()
 
+    def test_reader_replays_the_log_begun_after_a_compaction(self,
+                                                             tmp_path):
+        directory = str(tmp_path / "corpus.segs")
+        index = SegmentedIndex.create(directory, splitter="sentences")
+        index.add_document(["ab qz cd", " gh", "cd cd"], doc_id="doc-0000")
+        index.flush()
+        reader = SegmentedIndex.open(directory)
+        index.compact()
+        assert reader.refresh() is True
+        # The compaction removed the log; the edits below start a new
+        # one, which may reuse the old file's inode.  The reader must
+        # replay it from byte 0, not from where the old one ended.
+        assert reader._journal.position is None
+        index.remove_document("doc-0000")
+        index.add_document([], doc_id="doc-0000")
+        index.remove_document("doc-0000")
+        assert reader.refresh() is True
+        assert reader.describe()["generation"] \
+            == index.describe()["generation"]
+        assert sorted(reader.texts()) == sorted(index.texts())
+        reader.close()
+        index.close()
+
     def test_compact_drops_tombstones_and_old_segments(self, tmp_path):
         index = self.build(tmp_path)
         index.update_document("doc-0000", ["fresh qz text."])
